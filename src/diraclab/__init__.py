@@ -9,7 +9,6 @@ from .assembly import (
     AssembledOperator,
     EmptyInvariantSpaceError,
     InvariantSplit,
-    SuperconnectionPieces,
     assemble_dirac,
     bochner_rhs,
     eigenvalue_derivative,
@@ -17,9 +16,7 @@ from .assembly import (
     frame_bundle_operator,
     invariant_projector,
     limit_operator,
-    superconnection_pieces,
     write_matrix_text,
-    zeroth_order_term,
 )
 from .blockres import (
     BlockMatrix2x2,

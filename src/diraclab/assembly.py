@@ -9,36 +9,33 @@ carrying a twisted boundary condition on a circle of d times the base
 length.  Diagonalizing the total twist splits every orbit into blocks that
 are exact in floating point; no discretization error enters anywhere.
 
-Row labels are (mode tuple, module index).  For a mapping torus the mode
-tuple is the lexicographically smallest fiber mode of the orbit followed by
-the base Fourier index, and the module index refers to the eigenbasis of the
-orbit twist (the standard basis whenever the twist is scalar).
+Operators are stored as these blocks.  Row labels are (mode tuple, module
+index).  For a mapping torus the mode tuple is the lexicographically
+smallest fiber mode of the orbit followed by the base Fourier index, and the
+module index refers to the eigenbasis of the orbit twist (the standard basis
+whenever the twist is scalar).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import block_diag, schur
 
 from .clifford import CliffordModule, fixed_subspace, holonomy_rep, lift_rotation, casimir
 from .models import AffineMappingTorus, FlatTorusModel, geometric_data, matrix_order
-from .spectral import Spectrum, eigensolve
+from .spectral import HERMITICITY_TOL, Spectrum, _default_tol, eigensolve
 
 __all__ = [
     "AssembledOperator",
     "BlockInfo",
-    "SuperconnectionPieces",
     "InvariantSplit",
     "EmptyInvariantSpaceError",
     "assemble_dirac",
     "bochner_rhs",
-    "curvature_endomorphism",
-    "zeroth_order_term",
-    "clifford_curvature_term",
-    "superconnection_pieces",
     "fiber_invariant_split",
     "invariant_projector",
     "limit_operator",
@@ -46,8 +43,6 @@ __all__ = [
     "eigenvalue_derivative",
     "write_matrix_text",
 ]
-
-HERMITICITY_TOL = 1e-12
 
 
 class EmptyInvariantSpaceError(ValueError):
@@ -66,43 +61,76 @@ class BlockInfo:
 
 @dataclass(frozen=True, eq=False)
 class AssembledOperator:
-    """Dense Hermitian matrix with Fourier-block structure and row labels."""
+    """Hermitian operator stored as its diagonal Fourier blocks.
 
-    matrix: np.ndarray
-    basis_labels: tuple[tuple[tuple[int, ...], int], ...]
+    Block i acts on consecutive rows labeled (block_info[i].mode, j), where
+    j runs on from the rows earlier blocks of the same mode took.  The
+    blocks are copied and made read-only, and Hermiticity is checked once,
+    here.  matrix is the dense block-diagonal view, built on first access.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+    block_info: tuple[BlockInfo, ...]
     truncation: int
     model_ref: str
-    block_slices: tuple[slice, ...]
-    block_info: tuple[BlockInfo, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator matrix must be square")
-        if len(self.basis_labels) != m.shape[0]:
-            raise ValueError("one basis label required per matrix row")
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-        herm = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        blocks = tuple(np.array(b, dtype=complex) for b in self.blocks)
+        if len(blocks) != len(self.block_info):
+            raise ValueError("one block info required per block")
+        for b in blocks:
+            if b.ndim != 2 or b.shape[0] != b.shape[1]:
+                raise ValueError("operator blocks must be square")
+            b.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "block_info", tuple(self.block_info))
+        stacks = [s for s in self.stacks if s.size]
+        scale = max([1.0] + [float(np.max(np.abs(s))) for s in stacks])
+        herm = max([0.0] + [float(np.max(np.abs(s - s.conj().transpose(0, 2, 1)))) for s in stacks])
         if herm > HERMITICITY_TOL * scale:
             raise ValueError(f"assembled operator is not Hermitian (residual {herm:.3e})")
 
+    @cached_property
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        """Read-only (B, d, d) arrays, one per block size d, ascending."""
+        groups: dict[int, list[np.ndarray]] = {}
+        for b in self.blocks:
+            groups.setdefault(b.shape[0], []).append(b)
+        out = []
+        for d in sorted(groups):
+            stack = np.stack(groups[d])
+            stack.flags.writeable = False
+            out.append(stack)
+        return tuple(out)
+
+    @cached_property
+    def block_slices(self) -> tuple[slice, ...]:
+        slices, pos = [], 0
+        for b in self.blocks:
+            slices.append(slice(pos, pos + b.shape[0]))
+            pos += b.shape[0]
+        return tuple(slices)
+
+    @cached_property
+    def basis_labels(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        labels = []
+        counts: dict[tuple[int, ...], int] = {}
+        for b, info in zip(self.blocks, self.block_info):
+            start = counts.get(info.mode, 0)
+            counts[info.mode] = start + b.shape[0]
+            labels.extend((info.mode, start + i) for i in range(b.shape[0]))
+        return tuple(labels)
+
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return sum(b.shape[0] for b in self.blocks)
 
-
-def _block_diag(blocks: list[np.ndarray]) -> tuple[np.ndarray, tuple[slice, ...]]:
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total), dtype=complex)
-    slices = []
-    pos = 0
-    for b in blocks:
-        w = b.shape[0]
-        out[pos : pos + w, pos : pos + w] = b
-        slices.append(slice(pos, pos + w))
-        pos += w
-    return out, tuple(slices)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense block-diagonal view, for consumers that need the full matrix."""
+        dense = block_diag(*self.blocks) if self.blocks else np.zeros((0, 0), dtype=complex)
+        dense.flags.writeable = False
+        return dense
 
 
 def _mode_ranges(shift: np.ndarray, truncation: int) -> list[range]:
@@ -124,121 +152,13 @@ def _flat_modes(model: FlatTorusModel, truncation: int) -> list[tuple[int, ...]]
 def _assemble_flat(model: FlatTorusModel, cm: CliffordModule, truncation: int, squares: bool):
     if cm.n != model.n:
         raise ValueError(f"module dimension {cm.n} does not match torus rank {model.n}")
-    blocks, labels, infos = [], [], []
+    blocks, infos = [], []
     eye = np.eye(cm.dim_v, dtype=complex)
     for k in _flat_modes(model, truncation):
         p = model.dual_momentum(np.array(k))
         blocks.append(float(p @ p) * eye if squares else cm.gamma(p))
-        labels.extend(((k, i) for i in range(cm.dim_v)))
         infos.append(BlockInfo(mode=k))
-    matrix, slices = _block_diag(blocks)
-    return AssembledOperator(
-        matrix=matrix,
-        basis_labels=tuple(labels),
-        truncation=truncation,
-        model_ref=model.label(),
-        block_slices=slices,
-        block_info=tuple(infos),
-    )
-
-
-# ---------------------------------------------------------------------------
-# endomorphism pieces built from frame connection coefficients
-
-
-def curvature_endomorphism(cm: CliffordModule, riem: np.ndarray) -> np.ndarray:
-    """Curvature correction -(1/8) R_abij (g_i g_j - g_j g_i) sigma_ab.
-
-    This is the term by which the squared Dirac operator differs from the
-    connection Laplacian; it vanishes identically on the flat models.
-    """
-    n, d = cm.n, cm.dim_v
-    riem = np.asarray(riem, dtype=float)
-    if riem.shape != (n, n, n, n):
-        raise ValueError(f"curvature array must have shape {(n, n, n, n)}")
-    out = np.zeros((d, d), dtype=complex)
-    g, s = cm.gammas, cm.sigmas
-    for a in range(n):
-        for b in range(n):
-            for i in range(n):
-                for j in range(n):
-                    if riem[a, b, i, j] == 0.0:
-                        continue
-                    out -= 0.125 * riem[a, b, i, j] * ((g[i] @ g[j] - g[j] @ g[i]) @ s[a, b])
-    return out
-
-
-def zeroth_order_term(
-    cm: CliffordModule,
-    omega: np.ndarray,
-    fiber_indices: tuple[int, ...],
-    base_indices: tuple[int, ...],
-) -> np.ndarray:
-    """Zeroth-order endomorphism separating the full operator from its
-    quantized superconnection part.
-
-    Built from the frame connection coefficients omega[a, b, j]
-    (antisymmetric in a, b) with the index split into fiber and base
-    directions; every contribution vanishes when omega does.
-    """
-    d = cm.dim_v
-    g, s = cm.gammas, cm.sigmas
-    out = np.zeros((d, d), dtype=complex)
-    for a in base_indices:
-        for j in fiber_indices:
-            for k in fiber_indices:
-                w = omega[a, j, k]
-                if w != 0.0:
-                    out += -1j * w * (g[k] @ s[a, j])
-            w = omega[a, j, j]
-            if w != 0.0:
-                out += -0.5j * w * g[a]
-        for b in base_indices:
-            for j in fiber_indices:
-                w = omega[a, b, j]
-                if w != 0.0:
-                    out += -1j * w * (g[j] @ s[a, b] + g[a] @ s[j, b])
-    return out
-
-
-def clifford_curvature_term(
-    cm: CliffordModule,
-    omega: np.ndarray,
-    fiber_indices: tuple[int, ...],
-    base_indices: tuple[int, ...],
-) -> np.ndarray:
-    """Clifford contraction of the horizontal curvature, quantized on V.
-
-    Empty for a one-dimensional base: the coefficient omega[a, b, j] needs
-    two distinct base directions a, b.
-    """
-    d = cm.dim_v
-    out = np.zeros((d, d), dtype=complex)
-    for a in base_indices:
-        for b in base_indices:
-            if a == b:
-                continue
-            for j in fiber_indices:
-                w = omega[a, b, j]
-                if w != 0.0:
-                    out += 0.5j * w * (cm.gammas[j] @ cm.sigmas[a, b])
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class SuperconnectionPieces:
-    """Constituents of the operator split along the fibration.
-
-    fiber_dirac acts on fiber modes only; base_connection_coeffs are the
-    omega entries entering the horizontal covariant derivative; the two
-    endomorphisms are the quantized curvature pairing and the zeroth-order
-    difference term.  All but the fiber Dirac vanish for the flat models.
-    """
-
-    fiber_dirac: "AssembledOperator"
-    base_connection_coeffs: np.ndarray
-    clifford_curvature: np.ndarray
-    zeroth_order: np.ndarray
+    return AssembledOperator(blocks, infos, truncation, model.label())
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +272,8 @@ def _twisted_circle_blocks(
 ):
     """Blocks of a Dirac operator on a circle of length d * base_length with
     boundary twist (loop phase * lift)^d, fiber symbol gp and base Clifford
-    gb.  Yields (u, theta, block, size, invariant) in deterministic order.
+    gb.  Yields (u, theta, block, beta, invariant) in deterministic order,
+    where beta is the block's base momentum.
 
     invariant marks clusters lying inside the fixed space of the lift, which
     is where monodromy-parallel sections live.
@@ -383,7 +304,7 @@ def _twisted_circle_blocks(
             beta = kappa - 2.0 * np.pi * conn_dot
             sub = gp_q[np.ix_(idxs, idxs)] + beta * gb_q[np.ix_(idxs, idxs)]
             invariant = bool(np.all(fixed_images[idxs] <= structure_tol))
-            yield u, float(theta), sub, len(idxs), invariant
+            yield u, float(theta), sub, beta, invariant
 
 
 def _assemble_mapping(
@@ -393,43 +314,25 @@ def _assemble_mapping(
     lift = _resolve_lift(model, cm)
     scaled = model.scaled_fiber()
     gb = cm.gammas[m]
-    vmat = zeroth_order_term(
-        cm, geometric_data(model).omega, tuple(range(m)), (m,)
-    )
-    blocks, labels, infos = [], [], []
-    counts: dict[tuple[int, ...], int] = {}
+    blocks, infos = [], []
     for rep, d in _holonomy_orbits(model, truncation):
         zeta0 = np.array(rep, dtype=float) + model.fiber.spin_shift
         p0 = scaled.dual_momentum(np.array(rep))
-        gp = cm.gamma(np.append(p0, 0.0)) + vmat
+        gp = cm.gamma(np.append(p0, 0.0))
         conn_dot = float(model.connection @ zeta0)
         pnorm2 = float(p0 @ p0)
         zero_mode = bool(np.all(zeta0 == 0.0))
-        for u, theta, sub, size, inv in _twisted_circle_blocks(
+        for u, theta, sub, beta, inv in _twisted_circle_blocks(
             gp, gb, lift, d, model.base_length, model.base_shift, conn_dot, d * truncation
         ):
             if squares:
-                kappa = 2.0 * np.pi * (u + theta) / (d * model.base_length)
-                beta = kappa - 2.0 * np.pi * conn_dot
-                blocks.append((pnorm2 + beta * beta) * np.eye(size, dtype=complex))
+                blocks.append((pnorm2 + beta * beta) * np.eye(sub.shape[0], dtype=complex))
             else:
                 blocks.append(sub)
-            mode = rep + (u,)
-            start = counts.get(mode, 0)
-            counts[mode] = start + size
-            labels.extend(((mode, start + i) for i in range(size)))
             infos.append(
-                BlockInfo(mode=mode, base_index=u, twist=theta, invariant=zero_mode and inv)
+                BlockInfo(mode=rep + (u,), base_index=u, twist=theta, invariant=zero_mode and inv)
             )
-    matrix, slices = _block_diag(blocks)
-    return AssembledOperator(
-        matrix=matrix,
-        basis_labels=tuple(labels),
-        truncation=truncation,
-        model_ref=model.label(),
-        block_slices=slices,
-        block_info=tuple(infos),
-    )
+    return AssembledOperator(blocks, infos, truncation, model.label())
 
 
 def assemble_dirac(
@@ -465,46 +368,17 @@ def bochner_rhs(
     return op
 
 
-def superconnection_pieces(
-    model: AffineMappingTorus, cm: CliffordModule, truncation: int
-) -> SuperconnectionPieces:
-    """Split the operator data along the fibration.
-
-    For these flat models the base connection coefficients, the curvature
-    pairing, and the zeroth-order term are exact zeros; the fiber Dirac
-    carries all fiber momentum.
-    """
-    m = model.fiber.n
-    omega = geometric_data(model).omega
-    fiber_idx, base_idx = tuple(range(m)), (m,)
-    return SuperconnectionPieces(
-        fiber_dirac=_fiber_operator(model, cm, truncation),
-        base_connection_coeffs=omega[:, :, m].copy(),
-        clifford_curvature=clifford_curvature_term(cm, omega, fiber_idx, base_idx),
-        zeroth_order=zeroth_order_term(cm, omega, fiber_idx, base_idx),
-    )
-
-
 def _fiber_operator(
     model: AffineMappingTorus, cm: CliffordModule, truncation: int
 ) -> AssembledOperator:
     """Fiberwise Dirac operator at fixed base point, on fiber modes."""
     scaled = model.scaled_fiber()
-    blocks, labels, infos = [], [], []
+    blocks, infos = [], []
     for k in _flat_modes(scaled, truncation):
         p = scaled.dual_momentum(np.array(k))
         blocks.append(cm.gamma(np.append(p, 0.0)))
-        labels.extend(((k, i) for i in range(cm.dim_v)))
         infos.append(BlockInfo(mode=k))
-    matrix, slices = _block_diag(blocks)
-    return AssembledOperator(
-        matrix=matrix,
-        basis_labels=tuple(labels),
-        truncation=truncation,
-        model_ref=model.label() + "|fiber",
-        block_slices=slices,
-        block_info=tuple(infos),
-    )
+    return AssembledOperator(blocks, infos, truncation, model.label() + "|fiber")
 
 
 @dataclass(frozen=True, eq=False)
@@ -560,12 +434,10 @@ def fiber_invariant_split(
             gap_candidates.append(pnorm)
     gap = min(gap_candidates) if gap_candidates else 0.0
     restricted = AssembledOperator(
-        matrix=np.zeros((r, r), dtype=complex),
-        basis_labels=tuple((zero, i) for i in range(r)),
-        truncation=truncation,
-        model_ref=model.label() + "|fiber-invariant",
-        block_slices=(slice(0, r),),
-        block_info=(BlockInfo(mode=zero, invariant=True),),
+        [np.zeros((r, r))],
+        [BlockInfo(mode=zero, invariant=True)],
+        truncation,
+        model.label() + "|fiber-invariant",
     )
     return InvariantSplit(
         fiber_operator=fiber_op,
@@ -605,29 +477,15 @@ def limit_operator(
         raise EmptyInvariantSpaceError(
             "no parallel sections: the model has no collapse limit operator"
         )
-    pieces = superconnection_pieces(model, cm, truncation)
-    gp = cm.gamma(np.zeros(cm.n)) + pieces.zeroth_order + pieces.clifford_curvature
+    gp = np.zeros((cm.dim_v, cm.dim_v))
     gb = cm.gammas[m]
-    blocks, labels, infos = [], [], []
-    counts: dict[tuple[int, ...], int] = {}
-    for u, theta, sub, size, inv in _twisted_circle_blocks(
+    blocks, infos = [], []
+    for u, theta, sub, _, inv in _twisted_circle_blocks(
         gp, gb, lift, 1, model.base_length, model.base_shift, 0.0, truncation
     ):
         blocks.append(sub)
-        mode = (u,)
-        start = counts.get(mode, 0)
-        counts[mode] = start + size
-        labels.extend(((mode, start + i) for i in range(size)))
-        infos.append(BlockInfo(mode=mode, base_index=u, twist=theta, invariant=inv))
-    matrix, slices = _block_diag(blocks)
-    return AssembledOperator(
-        matrix=matrix,
-        basis_labels=tuple(labels),
-        truncation=truncation,
-        model_ref=model.label() + "|limit",
-        block_slices=slices,
-        block_info=tuple(infos),
-    )
+        infos.append(BlockInfo(mode=(u,), base_index=u, twist=theta, invariant=inv))
+    return AssembledOperator(blocks, infos, truncation, model.label() + "|limit")
 
 
 def frame_bundle_operator(
@@ -664,7 +522,7 @@ def frame_bundle_operator(
     lap_values = np.sort(np.array(values))
     dirac_spec = eigensolve(assemble_dirac(model, cm, truncation))
     sq = np.sort(dirac_spec.values**2)
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(sq))) if sq.size else 1.0)
+    tol = _default_tol(sq)
     return (
         Spectrum(values=sq, cluster_tol=tol, source_truncation=truncation),
         Spectrum(values=lap_values, cluster_tol=tol, source_truncation=truncation),
@@ -704,8 +562,8 @@ def eigenvalue_derivative(
     model = FlatTorusModel(basis, shift)
     op = assemble_dirac(model, cm, truncation)
     eigs = []  # (value, mode, vector)
-    for sl, info in zip(op.block_slices, op.block_info):
-        w, v = np.linalg.eigh(op.matrix[sl, sl])
+    for block, info in zip(op.blocks, op.block_info):
+        w, v = np.linalg.eigh(block)
         for i in range(len(w)):
             eigs.append((float(w[i]), info.mode, v[:, i]))
     eigs.sort(key=lambda e: e[0])
@@ -714,7 +572,7 @@ def eigenvalue_derivative(
     lam, mode, vec = eigs[j]
     tol = cluster_tol
     if tol is None:
-        tol = 1e-8 * max(1.0, abs(eigs[0][0]), abs(eigs[-1][0]))
+        tol = _default_tol(np.array([eigs[0][0], eigs[-1][0]]))
     for other in (j - 1, j + 1):
         if 0 <= other < len(eigs) and abs(eigs[other][0] - lam) <= tol:
             raise ValueError(

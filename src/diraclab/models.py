@@ -194,15 +194,12 @@ class AffineMappingTorus:
 
 @dataclass(frozen=True, eq=False)
 class GeometricData:
-    """Frame connection coefficients and norm summary of a model.
+    """Curvature norms and fiber diameter of a model.
 
-    omega[a, b, j] are connection coefficients in an adapted orthonormal
-    frame, antisymmetric in (a, b).  For the flat models built here every
-    entry vanishes, so the curvature, second fundamental form, and
-    horizontal curvature norms are exact zeros; flags record why.
+    For the flat models built here the curvature, second fundamental form,
+    and horizontal curvature norms are exact zeros; flags record why.
     """
 
-    omega: np.ndarray
     norm_r: float
     norm_pi: float
     norm_t: float
@@ -213,11 +210,9 @@ class GeometricData:
 def geometric_data(
     model: FlatTorusModel | AffineMappingTorus, resolution: int = 64
 ) -> GeometricData:
-    """Connection data and fiber diameter of a model."""
+    """Curvature norms and fiber diameter of a model."""
     if isinstance(model, FlatTorusModel):
-        n = model.n
         return GeometricData(
-            omega=np.zeros((n, n, n)),
             norm_r=0.0,
             norm_pi=0.0,
             norm_t=0.0,
@@ -225,9 +220,7 @@ def geometric_data(
             flags=("flat metric: curvature vanishes identically",),
         )
     if isinstance(model, AffineMappingTorus):
-        n = model.n
         return GeometricData(
-            omega=np.zeros((n, n, n)),
             norm_r=0.0,
             norm_pi=0.0,
             norm_t=0.0,

@@ -4,23 +4,21 @@ import numpy as np
 import pytest
 
 from diraclab.assembly import (
+    AssembledOperator,
+    BlockInfo,
     EmptyInvariantSpaceError,
     assemble_dirac,
     bochner_rhs,
-    clifford_curvature_term,
-    curvature_endomorphism,
     eigenvalue_derivative,
     fiber_invariant_split,
     frame_bundle_operator,
     invariant_projector,
     limit_operator,
-    superconnection_pieces,
     write_matrix_text,
-    zeroth_order_term,
 )
 from diraclab.clifford import exterior_module, spinor_gammas
 from diraclab.models import AffineMappingTorus, FlatTorusModel
-from diraclab.spectral import eigensolve, epsilon_close, subset_epsilon_close
+from diraclab.spectral import HERMITICITY_TOL, eigensolve, epsilon_close, subset_epsilon_close
 
 
 def _circle(length=2 * np.pi, shift=0.5):
@@ -252,87 +250,15 @@ def test_invariant_projector_commutes():
     assert int(round(np.trace(proj).real)) == 4 * (2 * 2 + 1)
 
 
-def test_superconnection_pieces_flat_zeros():
+def test_fiber_operator_antiperiodic_gap():
     cm3 = spinor_gammas(3)
     mt = AffineMappingTorus(
         fiber=FlatTorusModel(np.eye(2), np.array([0.5, 0.5])),
         holonomy=-np.eye(2),
         base_length=2 * np.pi,
     )
-    pieces = superconnection_pieces(mt, cm3, 2)
-    assert np.all(pieces.base_connection_coeffs == 0.0)
-    assert np.all(pieces.clifford_curvature == 0.0)
-    assert np.all(pieces.zeroth_order == 0.0)
-    fiber_vals = eigensolve(pieces.fiber_dirac).values
+    fiber_vals = eigensolve(fiber_invariant_split(mt, cm3, 2).fiber_operator).values
     assert np.min(np.abs(fiber_vals)) == pytest.approx(np.pi * np.sqrt(2), abs=1e-9)
-
-
-def test_zeroth_order_term_spinor_cancellation():
-    # symmetric-in-(j,k) coefficients mean a torsion-free second fundamental
-    # form; the spinor expression then collapses to zero identically
-    rng = np.random.default_rng(7)
-    cm = spinor_gammas(3)
-    omega = np.zeros((3, 3, 3))
-    s = rng.standard_normal((3, 3))
-    s = 0.5 * (s + s.T)
-    omega[2, :2, :2] = s[:2, :2]
-    v = zeroth_order_term(cm, omega, (0, 1), (2,))
-    assert np.max(np.abs(v)) < 1e-13
-
-
-def test_zeroth_order_term_nonzero_generic():
-    cm = spinor_gammas(3)
-    omega = np.zeros((3, 3, 3))
-    omega[2, 0, 1] = 1.0  # antisymmetric part survives
-    v = zeroth_order_term(cm, omega, (0, 1), (2,))
-    assert np.max(np.abs(v)) > 0.1
-
-
-def test_zeroth_order_term_exterior_hatted_equivalence():
-    # on the exterior module the same coefficients reproduce the expression
-    # written through the hat family commutators
-    rng = np.random.default_rng(5)
-    cm = exterior_module(3)
-    g, h = cm.gammas, cm.hat_gammas
-    omega = np.zeros((3, 3, 3))
-    s = rng.standard_normal((3, 3))
-    omega[2, :2, :2] = 0.5 * (s + s.T)[:2, :2]
-    v = zeroth_order_term(cm, omega, (0, 1), (2,))
-    v_hat = np.zeros_like(v)
-    for a in (2,):
-        for j in (0, 1):
-            for k in (0, 1):
-                v_hat += -0.25j * omega[a, j, k] * (g[k] @ (h[a] @ h[j] - h[j] @ h[a]))
-    assert np.max(np.abs(v - v_hat)) < 1e-12
-    assert np.max(np.abs(v - v.conj().T)) < 1e-12
-
-
-def test_clifford_curvature_term_two_base_directions():
-    cm = spinor_gammas(4)
-    omega = np.zeros((4, 4, 4))
-    omega[2, 3, 0] = 1.0
-    omega[3, 2, 0] = -1.0
-    t = clifford_curvature_term(cm, omega, (0, 1), (2, 3))
-    assert np.max(np.abs(t)) > 0.1
-    assert np.max(np.abs(t - t.conj().T)) < 1e-12
-    # single base direction: identically zero
-    t1 = clifford_curvature_term(cm, omega, (0, 1, 3), (2,))
-    assert np.all(t1 == 0.0)
-
-
-def test_curvature_endomorphism():
-    cm = spinor_gammas(3)
-    assert np.all(curvature_endomorphism(cm, np.zeros((3, 3, 3, 3))) == 0.0)
-    rng = np.random.default_rng(1)
-    r = rng.standard_normal((3, 3, 3, 3))
-    # impose the symmetries of a curvature tensor
-    r = r - np.transpose(r, (1, 0, 2, 3))
-    r = r - np.transpose(r, (0, 1, 3, 2))
-    r = 0.5 * (r + np.transpose(r, (2, 3, 0, 1)))
-    e = curvature_endomorphism(cm, r)
-    assert np.max(np.abs(e - e.conj().T)) < 1e-12
-    with pytest.raises(ValueError):
-        curvature_endomorphism(cm, np.zeros((2, 2, 2, 2)))
 
 
 def test_frame_bundle_routes_agree():
@@ -398,3 +324,66 @@ def test_write_matrix_text_roundtrip(tmp_path):
         nums = [float(x) for x in ln.split()]
         rows.append([complex(nums[2 * i], nums[2 * i + 1]) for i in range(len(nums) // 2)])
     assert np.array_equal(np.array(rows), op.matrix)
+
+
+def _rot4_mapping():
+    return AffineMappingTorus(
+        fiber=FlatTorusModel(np.eye(2), np.zeros(2)),
+        holonomy=np.array([[0, -1], [1, 0]]),
+        base_length=1.0,
+    )
+
+
+def test_assembled_operator_validation():
+    info = BlockInfo(mode=(0,))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        AssembledOperator([np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]])], [info], 1, "test")
+    # the tolerance is relative to the largest entry
+    scale = 10.0
+    AssembledOperator(
+        [np.array([[0.0, scale], [scale + 0.5 * HERMITICITY_TOL * scale, 0.0]])], [info], 1, "test"
+    )
+    with pytest.raises(ValueError, match="square"):
+        AssembledOperator([np.zeros((2, 3))], [info], 1, "test")
+    with pytest.raises(ValueError, match="block info"):
+        AssembledOperator([np.eye(2), np.eye(1)], [info], 1, "test")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: assemble_dirac(
+            FlatTorusModel(np.array([[1.0, 0.3], [0.0, 1.2]]), np.array([0.5, 0.0])),
+            spinor_gammas(2),
+            2,
+        ),
+        lambda: assemble_dirac(_rot4_mapping(), exterior_module(3), 2),
+        lambda: limit_operator(_rot4_mapping(), exterior_module(3), 2),
+    ],
+    ids=["flat", "rot4_exterior", "rot4_exterior_limit"],
+)
+def test_blocks_match_dense_view(build):
+    op = build()
+    spec = eigensolve(op)
+    assert "matrix" not in op.__dict__  # the dense view is built only on access
+    dense = eigensolve(op.matrix)
+    assert np.max(np.abs(spec.values - dense.values)) <= 1e-12
+    assert op.matrix.shape == (op.dim, op.dim)
+    for block, sl in zip(op.blocks, op.block_slices):
+        assert np.array_equal(op.matrix[sl, sl], block)
+    assert np.count_nonzero(op.matrix) == sum(np.count_nonzero(b) for b in op.blocks)
+    assert sum(s.shape[0] for s in op.stacks) == len(op.blocks)
+
+
+def test_basis_labels_frozen():
+    t2 = FlatTorusModel(np.eye(2), np.array([0.5, 0.0]))
+    op = assemble_dirac(t2, spinor_gammas(2), 1)
+    assert op.basis_labels == (
+        ((-1, -1), 0), ((-1, -1), 1), ((-1, 0), 0), ((-1, 0), 1),
+        ((-1, 1), 0), ((-1, 1), 1), ((0, -1), 0), ((0, -1), 1),
+        ((0, 0), 0), ((0, 0), 1), ((0, 1), 0), ((0, 1), 1),
+    )
+    # blocks of one mode in different twist sectors continue one running index
+    lim = limit_operator(_rot4_mapping(), exterior_module(3), 1)
+    assert len(lim.blocks) > 3
+    assert lim.basis_labels == tuple(((u,), i) for u in (-1, 0, 1) for i in range(8))

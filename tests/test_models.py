@@ -117,14 +117,12 @@ def test_geometric_data_flat_zeros():
     t = FlatTorusModel(np.diag([1.0, 2.0]), np.zeros(2))
     g = geometric_data(t)
     assert g.norm_r == 0.0 and g.norm_pi == 0.0 and g.norm_t == 0.0
-    assert np.all(g.omega == 0.0)
     assert g.diam_z == pytest.approx(np.sqrt(5) / 2)
     mt = AffineMappingTorus(
         fiber=_circle_fiber(), holonomy=np.array([[1]]), base_length=1.0
     ).with_scale(0.25)
     gm = geometric_data(mt)
     assert gm.diam_z == pytest.approx(0.25 * np.pi)
-    assert gm.omega.shape == (2, 2, 2)
     assert len(gm.flags) == 3
 
 

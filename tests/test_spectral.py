@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diraclab.assembly import AssembledOperator, BlockInfo
 from diraclab.spectral import (
     Spectrum,
     cluster_multiplicities,
@@ -39,20 +40,11 @@ def test_eigensolve_matches_numpy():
 
 
 def test_eigensolve_uses_blocks():
-    class Fake:
-        pass
-
     rng = np.random.default_rng(3)
     a = _random_hermitian(rng, 3)
     b = _random_hermitian(rng, 4)
-    m = np.zeros((7, 7), dtype=complex)
-    m[:3, :3] = a
-    m[3:, 3:] = b
-    fake = Fake()
-    fake.matrix = m
-    fake.block_slices = (slice(0, 3), slice(3, 7))
-    fake.truncation = 5
-    spec = eigensolve(fake)
+    op = AssembledOperator([a, b], [BlockInfo(mode=(0,)), BlockInfo(mode=(1,))], 5, "test")
+    spec = eigensolve(op)
     direct = np.sort(np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)]))
     assert np.allclose(spec.values, direct, atol=1e-12)
     assert spec.source_truncation == 5
