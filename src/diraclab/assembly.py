@@ -14,6 +14,12 @@ index).  For a mapping torus the mode tuple is the lexicographically
 smallest fiber mode of the orbit followed by the base Fourier index, and the
 module index refers to the eigenbasis of the orbit twist (the standard basis
 whenever the twist is scalar).
+
+Only the fiber momenta of a mapping torus depend on the fiber scale, as
+1/fiber_scale.  Its assembly is therefore split into a scale-free plan (the
+orbits, their twist sectors, base momenta and block provenance) and a step
+that solves the fiber momenta of one scale and forms the blocks of every
+base index at once; a collapse run builds the plan once for all its scales.
 """
 
 from __future__ import annotations
@@ -43,6 +49,12 @@ __all__ = [
     "eigenvalue_derivative",
     "write_matrix_text",
 ]
+
+
+# Twist diagonalization, twist-angle clustering and fixed-space membership
+# use this absolute tolerance; cross-cluster coupling uses it relative to
+# the largest entry of the symbol.
+STRUCTURE_TOL = 1e-8
 
 
 class EmptyInvariantSpaceError(ValueError):
@@ -149,16 +161,12 @@ def _flat_modes(model: FlatTorusModel, truncation: int) -> list[tuple[int, ...]]
     return [tuple(k) for k in itertools.product(*_mode_ranges(model.spin_shift, truncation))]
 
 
-def _assemble_flat(model: FlatTorusModel, cm: CliffordModule, truncation: int, squares: bool):
+def _flat_momenta(model: FlatTorusModel, cm: CliffordModule, truncation: int):
+    """Retained modes of a flat torus and their momenta, one row per mode."""
     if cm.n != model.n:
         raise ValueError(f"module dimension {cm.n} does not match torus rank {model.n}")
-    blocks, infos = [], []
-    eye = np.eye(cm.dim_v, dtype=complex)
-    for k in _flat_modes(model, truncation):
-        p = model.dual_momentum(np.array(k))
-        blocks.append(float(p @ p) * eye if squares else cm.gamma(p))
-        infos.append(BlockInfo(mode=k))
-    return AssembledOperator(blocks, infos, truncation, model.label())
+    modes = _flat_modes(model, truncation)
+    return modes, model.dual_momentum(np.array(modes))
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +242,17 @@ def _holonomy_orbits(
     return sorted(orbits)
 
 
-def _cluster_angles(thetas: np.ndarray, tol: float = 1e-8) -> list[tuple[float, list[int]]]:
+def _cluster_angles(thetas: np.ndarray) -> list[tuple[float, list[int]]]:
     """Group twist angles (fractions of a turn) into clusters, gluing the
     wrap-around at 1 so that one eigenvalue never splits across 0."""
     items = sorted((float(t) % 1.0, i) for i, t in enumerate(thetas))
     groups: list[list[tuple[float, int]]] = []
     for th, i in items:
-        if groups and th - groups[-1][-1][0] <= tol:
+        if groups and th - groups[-1][-1][0] <= STRUCTURE_TOL:
             groups[-1].append((th, i))
         else:
             groups.append([(th, i)])
-    if len(groups) > 1 and groups[0][0][0] + 1.0 - groups[-1][-1][0] <= tol:
+    if len(groups) > 1 and groups[0][0][0] + 1.0 - groups[-1][-1][0] <= STRUCTURE_TOL:
         moved = [(th - 1.0, i) for th, i in groups.pop()]
         groups[0] = moved + groups[0]
     out = []
@@ -259,80 +267,149 @@ def _loop_phase(base_shift: float, d: int) -> float:
     return -1.0 if (base_shift == 0.5 and d % 2 == 1) else 1.0
 
 
-def _twisted_circle_blocks(
-    gp: np.ndarray,
-    gb: np.ndarray,
-    lift: np.ndarray,
-    d: int,
-    base_length: float,
-    base_shift: float,
-    conn_dot: float,
-    u_max: int,
-    structure_tol: float = 1e-8,
-):
-    """Blocks of a Dirac operator on a circle of length d * base_length with
-    boundary twist (loop phase * lift)^d, fiber symbol gp and base Clifford
-    gb.  Yields (u, theta, block, beta, invariant) in deterministic order,
-    where beta is the block's base momentum.
+@dataclass(frozen=True, eq=False)
+class _TwistSector:
+    """Schur basis q of the twist (loop phase * lift)^d, shared by every
+    orbit of size d, with its clusters of equal twist angle.
 
     invariant marks clusters lying inside the fixed space of the lift, which
-    is where monodromy-parallel sections live.
+    is where monodromy-parallel sections live; coupling masks the entries
+    of a matrix in this basis that join two distinct clusters.
     """
-    dim = gp.shape[0]
+
+    q: np.ndarray
+    gb_q: np.ndarray
+    clusters: tuple[tuple[float, np.ndarray], ...]
+    invariant: tuple[bool, ...]
+    coupling: np.ndarray
+
+
+def _twist_sector(lift: np.ndarray, gb: np.ndarray, d: int, base_shift: float) -> _TwistSector:
+    """Diagonalize the twist of an orbit of size d; gb is the base Clifford."""
     twist = _loop_phase(base_shift, d) * np.linalg.matrix_power(lift, d)
     tmat, q = schur(twist, output="complex")
     off = tmat - np.diag(np.diag(tmat))
-    if np.max(np.abs(off)) > structure_tol:
+    if np.max(np.abs(off)) > STRUCTURE_TOL:
         raise ValueError("orbit twist failed to diagonalize (lift is not unitary?)")
     thetas = np.mod(np.angle(np.diag(tmat)) / (2.0 * np.pi), 1.0)
-    clusters = _cluster_angles(thetas)
-    gp_q = q.conj().T @ gp @ q
-    gb_q = q.conj().T @ gb @ q
-    # cross-cluster coupling must vanish: the twist commutes with the symbol
-    scale = max(1.0, float(np.max(np.abs(gp_q))), float(np.max(np.abs(gb_q))))
-    for a, (_, ia) in enumerate(clusters):
-        for c, (_, ic) in enumerate(clusters):
-            if a == c:
-                continue
-            for mat in (gp_q, gb_q):
-                if np.max(np.abs(mat[np.ix_(ia, ic)])) > structure_tol * scale:
-                    raise ValueError("operator symbol couples distinct twist sectors")
-    fixed_images = np.abs(lift @ q - q).max(axis=0) if dim else np.zeros(0)
-    for u in range(-u_max, u_max + 1):
-        for theta, idxs in clusters:
-            kappa = 2.0 * np.pi * (u + theta) / (d * base_length)
-            beta = kappa - 2.0 * np.pi * conn_dot
-            sub = gp_q[np.ix_(idxs, idxs)] + beta * gb_q[np.ix_(idxs, idxs)]
-            invariant = bool(np.all(fixed_images[idxs] <= structure_tol))
-            yield u, float(theta), sub, beta, invariant
+    clusters = tuple((theta, np.array(idxs)) for theta, idxs in _cluster_angles(thetas))
+    fixed_images = np.abs(lift @ q - q).max(axis=0)
+    owner = np.zeros(len(q), dtype=int)
+    for c, (_, idxs) in enumerate(clusters):
+        owner[idxs] = c
+    return _TwistSector(
+        q=q,
+        gb_q=q.conj().T @ gb @ q,
+        clusters=clusters,
+        invariant=tuple(bool(np.all(fixed_images[idxs] <= STRUCTURE_TOL)) for _, idxs in clusters),
+        coupling=owner[:, None] != owner[None, :],
+    )
 
 
-def _assemble_mapping(
-    model: AffineMappingTorus, cm: CliffordModule, truncation: int, squares: bool
-) -> AssembledOperator:
+def _u_major(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """Blocks of per-cluster (U, s, s) stacks, base index outer, cluster inner."""
+    return [stack[u] for u in range(len(stacks[0])) for stack in stacks]
+
+
+@dataclass(frozen=True, eq=False)
+class _Orbit:
+    """One holonomy orbit on its circle of d base lengths: the twist sector
+    and, per cluster, the base momentum beta of every Fourier index in us."""
+
+    sector: _TwistSector
+    us: range
+    betas: np.ndarray
+
+    def infos(self, rep: tuple[int, ...], zero_mode: bool) -> list[BlockInfo]:
+        sec = self.sector
+        return [
+            BlockInfo(mode=rep + (u,), base_index=u, twist=theta, invariant=zero_mode and inv)
+            for u in self.us
+            for (theta, _), inv in zip(sec.clusters, sec.invariant)
+        ]
+
+    def dirac_blocks(self, gp: np.ndarray) -> list[np.ndarray]:
+        """Dirac blocks for the fiber symbol gp, given in the standard basis."""
+        sec = self.sector
+        gp_q = sec.q.conj().T @ gp @ sec.q
+        # cross-cluster coupling must vanish: the twist commutes with the symbol
+        scale = max(1.0, float(np.max(np.abs(gp_q))), float(np.max(np.abs(sec.gb_q))))
+        if sec.coupling.any():
+            leak = max(np.max(np.abs(gp_q[sec.coupling])), np.max(np.abs(sec.gb_q[sec.coupling])))
+            if leak > STRUCTURE_TOL * scale:
+                raise ValueError("operator symbol couples distinct twist sectors")
+        return _u_major([
+            gp_q[np.ix_(idxs, idxs)] + beta[:, None, None] * sec.gb_q[np.ix_(idxs, idxs)]
+            for (_, idxs), beta in zip(sec.clusters, self.betas)
+        ])
+
+    def bochner_blocks(self, pnorm2: float) -> list[np.ndarray]:
+        """Closed-form Bochner blocks (|p|^2 + beta^2) I at |p|^2 = pnorm2."""
+        return _u_major([
+            (pnorm2 + beta * beta)[:, None, None] * np.eye(len(idxs))
+            for (_, idxs), beta in zip(self.sector.clusters, self.betas)
+        ])
+
+
+def _orbit(sector: _TwistSector, d: int, base_length: float, conn_dot: float, u_max: int) -> _Orbit:
+    us = range(-u_max, u_max + 1)
+    thetas = np.array([theta for theta, _ in sector.clusters])
+    kappa = 2.0 * np.pi * (np.array(us)[None, :] + thetas[:, None]) / (d * base_length)
+    return _Orbit(sector=sector, us=us, betas=kappa - 2.0 * np.pi * conn_dot)
+
+
+@dataclass(frozen=True, eq=False)
+class _MappingPlan:
+    """The part of a mapping-torus assembly that the fiber scale leaves
+    alone: the resolved lift's twist sectors, the holonomy orbits with their
+    base momenta, and the block provenance.  Only the fiber momenta scale
+    (as 1/fiber_scale); dirac and bochner supply them for one scale."""
+
+    model: AffineMappingTorus
+    cm: CliffordModule
+    truncation: int
+    reps: np.ndarray
+    orbits: tuple[_Orbit, ...]
+    block_info: tuple[BlockInfo, ...]
+
+    def _momenta(self, eps: float) -> tuple[AffineMappingTorus, np.ndarray]:
+        scaled = self.model.with_scale(eps)
+        return scaled, scaled.scaled_fiber().dual_momentum(self.reps)
+
+    def dirac(self, eps: float) -> AssembledOperator:
+        """Dirac operator at fiber scale eps."""
+        scaled, p = self._momenta(eps)
+        gp = self.cm.gamma(np.column_stack([p, np.zeros(len(p))]))
+        blocks = [b for orbit, g in zip(self.orbits, gp) for b in orbit.dirac_blocks(g)]
+        return AssembledOperator(blocks, self.block_info, self.truncation, scaled.label())
+
+    def bochner(self, eps: float) -> AssembledOperator:
+        """Connection Laplacian at fiber scale eps, from |p|^2 + beta^2 alone."""
+        scaled, p = self._momenta(eps)
+        pnorm2 = np.sum(p * p, axis=1)
+        blocks = [b for orbit, r in zip(self.orbits, pnorm2) for b in orbit.bochner_blocks(r)]
+        return AssembledOperator(blocks, self.block_info, self.truncation, scaled.label())
+
+
+def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int) -> _MappingPlan:
+    """Build the scale-free plan of a mapping torus once; its dirac(eps)
+    then assembles any fiber scale without redoing orbits or twists."""
     m = model.fiber.n
     lift = _resolve_lift(model, cm)
-    scaled = model.scaled_fiber()
-    gb = cm.gammas[m]
-    blocks, infos = [], []
-    for rep, d in _holonomy_orbits(model, truncation):
+    orbit_sizes = _holonomy_orbits(model, truncation)
+    sectors = {
+        d: _twist_sector(lift, cm.gammas[m], d, model.base_shift)
+        for d in sorted({d for _, d in orbit_sizes})
+    }
+    orbits, infos = [], []
+    for rep, d in orbit_sizes:
         zeta0 = np.array(rep, dtype=float) + model.fiber.spin_shift
-        p0 = scaled.dual_momentum(np.array(rep))
-        gp = cm.gamma(np.append(p0, 0.0))
         conn_dot = float(model.connection @ zeta0)
-        pnorm2 = float(p0 @ p0)
-        zero_mode = bool(np.all(zeta0 == 0.0))
-        for u, theta, sub, beta, inv in _twisted_circle_blocks(
-            gp, gb, lift, d, model.base_length, model.base_shift, conn_dot, d * truncation
-        ):
-            if squares:
-                blocks.append((pnorm2 + beta * beta) * np.eye(sub.shape[0], dtype=complex))
-            else:
-                blocks.append(sub)
-            infos.append(
-                BlockInfo(mode=rep + (u,), base_index=u, twist=theta, invariant=zero_mode and inv)
-            )
-    return AssembledOperator(blocks, infos, truncation, model.label())
+        orbit = _orbit(sectors[d], d, model.base_length, conn_dot, d * truncation)
+        orbits.append(orbit)
+        infos.extend(orbit.infos(rep, zero_mode=bool(np.all(zeta0 == 0.0))))
+    reps = np.array([rep for rep, _ in orbit_sizes]).reshape(len(orbit_sizes), m)
+    return _MappingPlan(model, cm, truncation, reps, tuple(orbits), tuple(infos))
 
 
 def assemble_dirac(
@@ -340,9 +417,11 @@ def assemble_dirac(
 ) -> AssembledOperator:
     """Dirac operator of the model on all retained Fourier modes."""
     if isinstance(model, FlatTorusModel):
-        return _assemble_flat(model, cm, truncation, squares=False)
+        modes, p = _flat_momenta(model, cm, truncation)
+        infos = [BlockInfo(mode=k) for k in modes]
+        return AssembledOperator(cm.gamma(p), infos, truncation, model.label())
     if isinstance(model, AffineMappingTorus):
-        return _assemble_mapping(model, cm, truncation, squares=False)
+        return _mapping_plan(model, cm, truncation).dirac(model.fiber_scale)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -351,34 +430,25 @@ def bochner_rhs(
 ) -> AssembledOperator:
     """Connection Laplacian plus curvature correction, mode by mode.
 
-    Assembled independently of the Dirac operator (squared frequencies
-    rather than squared matrices) on the same labeled basis, so comparing it
-    with the square of assemble_dirac is a genuine two-route identity check.
-    The curvature correction vanishes here because the models are flat.
+    Assembled independently of the Dirac operator, as the closed form
+    (|p|^2 + beta^2) I over the block momenta (never by squaring Dirac
+    blocks), on the same labeled basis, so comparing it with the square of
+    assemble_dirac is a genuine two-route identity check.  The curvature
+    correction vanishes here because the models are flat.
     """
     if isinstance(model, FlatTorusModel):
-        op = _assemble_flat(model, cm, truncation, squares=True)
+        modes, p = _flat_momenta(model, cm, truncation)
+        blocks = np.sum(p * p, axis=1)[:, None, None] * np.eye(cm.dim_v)
+        infos = [BlockInfo(mode=k) for k in modes]
+        op = AssembledOperator(blocks, infos, truncation, model.label())
     elif isinstance(model, AffineMappingTorus):
-        op = _assemble_mapping(model, cm, truncation, squares=True)
+        op = _mapping_plan(model, cm, truncation).bochner(model.fiber_scale)
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
     geo = geometric_data(model)
     if geo.norm_r > 0.0:
         raise ValueError("curvature correction for curved models is out of scope")
     return op
-
-
-def _fiber_operator(
-    model: AffineMappingTorus, cm: CliffordModule, truncation: int
-) -> AssembledOperator:
-    """Fiberwise Dirac operator at fixed base point, on fiber modes."""
-    scaled = model.scaled_fiber()
-    blocks, infos = [], []
-    for k in _flat_modes(scaled, truncation):
-        p = scaled.dual_momentum(np.array(k))
-        blocks.append(cm.gamma(np.append(p, 0.0)))
-        infos.append(BlockInfo(mode=k))
-    return AssembledOperator(blocks, infos, truncation, model.label() + "|fiber")
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,8 +480,15 @@ def fiber_invariant_split(
     """
     lift = _resolve_lift(model, cm)
     fixed = fixed_subspace(holonomy_rep([lift]))
-    fiber_op = _fiber_operator(model, cm, truncation)
     scaled = model.scaled_fiber()
+    modes = _flat_modes(scaled, truncation)
+    p = scaled.dual_momentum(np.array(modes))
+    fiber_op = AssembledOperator(
+        cm.gamma(np.column_stack([p, np.zeros(len(p))])),
+        [BlockInfo(mode=k) for k in modes],
+        truncation,
+        model.label() + "|fiber",
+    )
     zero_mode = bool(np.all(model.fiber.spin_shift == 0.0))
     r = fixed.shape[1] if zero_mode else 0
     dim = fiber_op.dim
@@ -423,15 +500,14 @@ def fiber_invariant_split(
         proj_v = fixed @ fixed.conj().T
         projector[np.ix_(rows, rows)] = proj_v
     gap_candidates = []
-    for k in _flat_modes(scaled, truncation):
-        pnorm = float(np.linalg.norm(scaled.dual_momentum(np.array(k))))
+    for k, pnorm in zip(modes, np.linalg.norm(p, axis=1)):
         if k == zero and zero_mode:
             if r < cm.dim_v:
                 # complement reaches into the zero mode: the fiber operator
                 # vanishes there, so no spectral gap survives
                 gap_candidates.append(0.0)
         else:
-            gap_candidates.append(pnorm)
+            gap_candidates.append(float(pnorm))
     gap = min(gap_candidates) if gap_candidates else 0.0
     restricted = AssembledOperator(
         [np.zeros((r, r))],
@@ -477,15 +553,14 @@ def limit_operator(
         raise EmptyInvariantSpaceError(
             "no parallel sections: the model has no collapse limit operator"
         )
-    gp = np.zeros((cm.dim_v, cm.dim_v))
-    gb = cm.gammas[m]
-    blocks, infos = [], []
-    for u, theta, sub, _, inv in _twisted_circle_blocks(
-        gp, gb, lift, 1, model.base_length, model.base_shift, 0.0, truncation
-    ):
-        blocks.append(sub)
-        infos.append(BlockInfo(mode=(u,), base_index=u, twist=theta, invariant=inv))
-    return AssembledOperator(blocks, infos, truncation, model.label() + "|limit")
+    sector = _twist_sector(lift, cm.gammas[m], 1, model.base_shift)
+    orbit = _orbit(sector, 1, model.base_length, 0.0, truncation)
+    return AssembledOperator(
+        orbit.dirac_blocks(np.zeros((cm.dim_v, cm.dim_v))),
+        orbit.infos((), zero_mode=True),
+        truncation,
+        model.label() + "|limit",
+    )
 
 
 def frame_bundle_operator(
@@ -512,14 +587,10 @@ def frame_bundle_operator(
         raise ValueError("module weights are not half-integral")
     if group_truncation < int(np.max(np.abs(np.round(doubled)))):
         raise ValueError("group-circle truncation cannot carry the module weights")
-    values = []
-    for k in _flat_modes(model, truncation):
-        p = model.dual_momentum(np.array(k))
-        horizontal = float(p @ p)
-        for w in wvals:
-            # equivariance pairs the V-weight w with the group mode -w
-            values.append(horizontal + float(w) ** 2 - c_v)
-    lap_values = np.sort(np.array(values))
+    p = model.dual_momentum(np.array(_flat_modes(model, truncation)))
+    horizontal = np.sum(p * p, axis=1)
+    # equivariance pairs the V-weight w with the group mode -w
+    lap_values = np.sort((horizontal[:, None] + wvals[None, :] ** 2 - c_v).ravel())
     dirac_spec = eigensolve(assemble_dirac(model, cm, truncation))
     sq = np.sort(dirac_spec.values**2)
     tol = _default_tol(sq)
@@ -561,20 +632,31 @@ def eigenvalue_derivative(
     basis = np.linalg.cholesky(g0).T
     model = FlatTorusModel(basis, shift)
     op = assemble_dirac(model, cm, truncation)
-    eigs = []  # (value, mode, vector)
-    for block, info in zip(op.blocks, op.block_info):
-        w, v = np.linalg.eigh(block)
-        for i in range(len(w)):
-            eigs.append((float(w[i]), info.mode, v[:, i]))
-    eigs.sort(key=lambda e: e[0])
-    if not 0 <= j < len(eigs):
-        raise ValueError(f"eigenvalue index {j} out of range for dimension {len(eigs)}")
-    lam, mode, vec = eigs[j]
+    # one eigh per block size; values land in row order (block, then
+    # column), so a stable sort breaks ties in block order
+    sizes = np.array([b.shape[0] for b in op.blocks])
+    starts = np.array([sl.start for sl in op.block_slices])
+    values = np.empty(op.dim)
+    vectors: dict[int, np.ndarray] = {}
+    for stack in op.stacks:
+        d = stack.shape[1]
+        members = np.flatnonzero(sizes == d)
+        w, v = np.linalg.eigh(stack)
+        values[(starts[members, None] + np.arange(d)).ravel()] = w.ravel()
+        vectors.update(zip(members.tolist(), v))
+    order = np.argsort(values, kind="stable")
+    if not 0 <= j < len(values):
+        raise ValueError(f"eigenvalue index {j} out of range for dimension {len(values)}")
+    row = int(order[j])
+    lam = float(values[row])
+    block = int(np.searchsorted(starts, row, side="right")) - 1
+    mode = op.block_info[block].mode
+    vec = vectors[block][:, row - starts[block]]
     tol = cluster_tol
     if tol is None:
-        tol = _default_tol(np.array([eigs[0][0], eigs[-1][0]]))
+        tol = _default_tol(values[order[[0, -1]]])
     for other in (j - 1, j + 1):
-        if 0 <= other < len(eigs) and abs(eigs[other][0] - lam) <= tol:
+        if 0 <= other < len(values) and abs(float(values[order[other]]) - lam) <= tol:
             raise ValueError(
                 f"eigenvalue {lam!r} at index {j} is degenerate within {tol!r}; "
                 "derivative of a single branch is undefined"

@@ -65,11 +65,12 @@ class CliffordModule:
     hat_gammas: np.ndarray | None = field(default=None)
 
     def gamma(self, v: np.ndarray) -> np.ndarray:
-        """Clifford action of a vector v in R^n."""
+        """Clifford action of a vector v in R^n; a (K, n) array of vectors
+        gives the (K, dim_v, dim_v) stack of their actions."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError(f"vector must have shape ({self.n},), got {v.shape}")
-        return np.einsum("j,jkl->kl", v, self.gammas)
+        if v.ndim not in (1, 2) or v.shape[-1] != self.n:
+            raise ValueError(f"vector must have shape ({self.n},) or (K, {self.n}), got {v.shape}")
+        return np.einsum("...j,jkl->...kl", v, self.gammas)
 
     def validate(self, tol: float = RELATION_TOL) -> None:
         res = relation_residuals(self)

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import EmptyInvariantSpaceError, assemble_dirac, fiber_invariant_split, limit_operator
+from .assembly import (
+    EmptyInvariantSpaceError,
+    _mapping_plan,
+    assemble_dirac,
+    fiber_invariant_split,
+    limit_operator,
+)
 from .clifford import CliffordModule
 from .models import (
     AffineMappingTorus,
@@ -128,6 +134,8 @@ def collapse_run(
     epsilons must decrease strictly; tracked_eigenvalues[k-1] follows the
     k-th smallest absolute eigenvalue across scales.  The truncation must be
     large enough that the window never outruns the retained base modes.
+    Orbits, twists and base momenta do not depend on the fiber scale, so
+    they are built once and only the fiber momenta are redone per scale.
     """
     eps = [float(e) for e in epsilons]
     if not eps or any(e <= 0.0 for e in eps):
@@ -142,14 +150,14 @@ def collapse_run(
     except EmptyInvariantSpaceError:
         limit_spec = None
         verdict = "blows_up"
+    plan = _mapping_plan(model, cm, truncation)
     spectra, bounds, tracked_cols = [], [], []
     for e in eps:
-        scaled = model.with_scale(e)
-        spec = eigensolve(assemble_dirac(scaled, cm, truncation))
+        spec = eigensolve(plan.dirac(e))
         if k_max > len(spec):
             raise ValueError(f"k_max={k_max} exceeds spectrum size {len(spec)}")
         spectra.append(spec)
-        bounds.append(spectral_window(geometric_data(scaled), window_a, window_c))
+        bounds.append(spectral_window(geometric_data(model.with_scale(e)), window_a, window_c))
         tracked_cols.append(spec.abs_sorted()[:k_max])
     tracked = tuple(
         tuple(float(col[k]) for col in tracked_cols) for k in range(k_max)
@@ -213,10 +221,8 @@ def blowup_check(
     eps = [float(e) for e in epsilons]
     if not eps or any(e <= 0.0 for e in eps):
         raise ValueError("epsilons must be positive")
-    mins = []
-    for e in eps:
-        spec = eigensolve(assemble_dirac(model.with_scale(e), cm, truncation))
-        mins.append(float(spec.abs_sorted()[0]))
+    plan = _mapping_plan(model, cm, truncation)
+    mins = [float(eigensolve(plan.dirac(e)).abs_sorted()[0]) for e in eps]
     rate = min(m * e for m, e in zip(mins, eps))
     return BlowupReport(epsilons=tuple(eps), min_abs=tuple(mins), rate=float(rate))
 

@@ -57,9 +57,13 @@ class FlatTorusModel:
         return self.lattice_basis.T @ self.lattice_basis
 
     def dual_momentum(self, k: np.ndarray) -> np.ndarray:
-        """Physical momentum 2 pi B^-T (k + shift) of the integer mode k."""
-        k = np.asarray(k, dtype=float)
-        return 2.0 * np.pi * np.linalg.solve(self.lattice_basis.T, k + self.spin_shift)
+        """Physical momentum 2 pi B^-T (k + shift) of the integer mode k.
+
+        k may also be a (K, n) array of modes, one per row; all K momenta
+        then come from one solve, in rows of the result.
+        """
+        zeta = np.asarray(k, dtype=float) + self.spin_shift
+        return 2.0 * np.pi * np.linalg.solve(self.lattice_basis.T, zeta.T).T
 
     def rescaled(self, factor: float) -> "FlatTorusModel":
         if factor <= 0:

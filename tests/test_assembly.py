@@ -7,6 +7,8 @@ from diraclab.assembly import (
     AssembledOperator,
     BlockInfo,
     EmptyInvariantSpaceError,
+    _mapping_plan,
+    _twist_sector,
     assemble_dirac,
     bochner_rhs,
     eigenvalue_derivative,
@@ -387,3 +389,80 @@ def test_basis_labels_frozen():
     lim = limit_operator(_rot4_mapping(), exterior_module(3), 1)
     assert len(lim.blocks) > 3
     assert lim.basis_labels == tuple(((u,), i) for u in (-1, 0, 1) for i in range(8))
+
+
+def _hex_rot6_mapping():
+    hexagonal = np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]])
+    return AffineMappingTorus(
+        fiber=FlatTorusModel(hexagonal, np.zeros(2)),
+        holonomy=np.array([[0, -1], [1, 1]]),
+        base_length=1.3,
+        base_shift=0.5,
+    )
+
+
+@pytest.mark.parametrize(
+    "model,module,truncation",
+    [
+        (_rot4_mapping().with_scale(0.3), spinor_gammas(3), 3),
+        (_rot4_mapping().with_scale(0.3), exterior_module(3), 2),
+        (_hex_rot6_mapping(), spinor_gammas(3), 3),
+        (
+            AffineMappingTorus(
+                fiber=FlatTorusModel(np.eye(2), np.array([0.5, 0.5])),
+                holonomy=-np.eye(2),
+                base_length=2 * np.pi,
+            ),
+            spinor_gammas(3),
+            3,
+        ),
+        (
+            AffineMappingTorus(
+                fiber=FlatTorusModel(np.array([[2 * np.pi]]), np.array([0.5])),
+                holonomy=np.array([[1]]),
+                base_length=2 * np.pi,
+                holonomy_lift=np.eye(2, dtype=complex),
+                connection=np.array([0.25]),
+            ),
+            spinor_gammas(2),
+            3,
+        ),
+    ],
+    ids=["rot4_spinor", "rot4_exterior", "hex_rot6", "minus_identity", "connection"],
+)
+def test_plan_is_scale_free(model, module, truncation):
+    # the plan is built at the model's own fiber scale and reused at others
+    plan = _mapping_plan(model, module, truncation)
+    for eps in (1.0, 0.5, 0.125):
+        scaled = model.with_scale(eps)
+        pairs = [
+            (plan.dirac(eps), assemble_dirac(scaled, module, truncation)),
+            (plan.bochner(eps), bochner_rhs(scaled, module, truncation)),
+        ]
+        for got, ref in pairs:
+            assert got.model_ref == ref.model_ref
+            assert len(got.blocks) == len(ref.blocks)
+            for a, b in zip(got.blocks, ref.blocks):
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b), initial=0.0) <= 1e-12
+            assert [vars(i) for i in got.block_info] == [vars(i) for i in ref.block_info]
+            assert got.basis_labels == ref.basis_labels
+
+
+def test_twist_that_fails_to_diagonalize_is_refused():
+    cm = spinor_gammas(3)
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # not unitary
+    with pytest.raises(ValueError, match="failed to diagonalize"):
+        _twist_sector(shear, cm.gammas[2], 1, 0.0)
+
+
+def test_symbol_coupling_twist_sectors_is_refused():
+    cm = spinor_gammas(3)
+    plan = _mapping_plan(_rot4_mapping(), cm, 1)
+    # the zero mode is its own orbit; its twist is the lift, which splits
+    # into two sectors that gamma_0 would mix
+    (orbit,) = [o for o, rep in zip(plan.orbits, plan.reps) if not rep.any()]
+    assert len(orbit.sector.clusters) == 2
+    orbit.dirac_blocks(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="couples distinct twist sectors"):
+        orbit.dirac_blocks(cm.gammas[0])

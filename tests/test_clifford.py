@@ -40,12 +40,16 @@ def test_gamma_of_vector_squares_to_norm():
             g = cm.gamma(v)
             assert np.allclose(g @ g, (v @ v) * np.eye(cm.dim_v), atol=1e-12)
             assert np.allclose(g, g.conj().T, atol=1e-12)
+        vs = rng.standard_normal((4, cm.n))
+        assert np.array_equal(cm.gamma(vs), np.array([cm.gamma(v) for v in vs]))
 
 
 def test_gamma_rejects_wrong_length():
     cm = spinor_gammas(2)
     with pytest.raises(ValueError):
         cm.gamma(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError):
+        cm.gamma(np.ones((2, 2, 2)))
 
 
 def test_spinor_bounds():

@@ -24,6 +24,16 @@ def test_flat_torus_basics():
     assert "flat_torus" in t.label()
 
 
+def test_dual_momentum_batched_matches_per_mode():
+    basis = np.array([[1.0, 0.3, 0.0], [0.0, 1.2, -0.4], [0.1, 0.0, 0.8]])
+    t = FlatTorusModel(basis, np.array([0.5, 0.0, 0.5]))
+    modes = np.array([[i, j, k] for i in range(-2, 3) for j in range(-2, 2) for k in (0, 3)])
+    batched = t.dual_momentum(modes)
+    per_mode = np.array([t.dual_momentum(k) for k in modes])
+    assert batched.shape == (len(modes), 3)
+    assert np.max(np.abs(batched - per_mode)) <= 1e-13 * np.max(np.abs(per_mode))
+
+
 def test_flat_torus_scalar_coercion():
     t = FlatTorusModel(np.array([[2 * np.pi]]), np.array([0.5]))
     assert t.n == 1
