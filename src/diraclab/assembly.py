@@ -9,7 +9,10 @@ carrying a twisted boundary condition on a circle of d times the base
 length.  Diagonalizing the total twist splits every orbit into blocks that
 are exact in floating point; no discretization error enters anywhere.
 
-Operators are stored as these blocks.  Row labels are (mode tuple, module
+Operators are stored as these blocks, grouped by block size into one
+read-only (B, d, d) stack per size, each in row order; the block provenance
+records every block's size, which fixes the row layout.  Assemblers write
+their blocks straight into the stacks.  Row labels are (mode tuple, module
 index).  For a mapping torus the mode tuple is the lexicographically
 smallest fiber mode of the orbit followed by the base Fourier index, and the
 module index refers to the eigenbasis of the orbit twist (the standard basis
@@ -32,7 +35,7 @@ import numpy as np
 from scipy.linalg import block_diag, schur
 
 from .clifford import CliffordModule, fixed_subspace, holonomy_rep, lift_rotation, casimir
-from .models import AffineMappingTorus, FlatTorusModel, geometric_data, matrix_order
+from .models import AffineMappingTorus, FlatTorusModel, matrix_order
 from .spectral import HERMITICITY_TOL, Spectrum, _default_tol, eigensolve
 
 __all__ = [
@@ -63,9 +66,10 @@ class EmptyInvariantSpaceError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class BlockInfo:
-    """Provenance of one assembled block: mode, base index, twist angle."""
+    """Provenance of one assembled block: mode, size, base index, twist angle."""
 
     mode: tuple[int, ...]
+    size: int
     base_index: int | None = None
     twist: float | None = None
     invariant: bool = False
@@ -75,67 +79,65 @@ class BlockInfo:
 class AssembledOperator:
     """Hermitian operator stored as its diagonal Fourier blocks.
 
-    Block i acts on consecutive rows labeled (block_info[i].mode, j), where
-    j runs on from the rows earlier blocks of the same mode took.  The
-    blocks are copied and made read-only, and Hermiticity is checked once,
-    here.  matrix is the dense block-diagonal view, built on first access.
+    stacks holds the numbers: one read-only (B, d, d) array per block size
+    d, ascending, each listing the blocks of that size in row order.
+    block_info lists every block in row order; block i acts on consecutive
+    rows labeled (block_info[i].mode, j), where j runs on from the rows
+    earlier blocks of the same mode took.  The stacks are made read-only
+    and Hermiticity is checked once, here.  blocks (views into the stacks)
+    and matrix (the dense block-diagonal view) are built on first access.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    stacks: tuple[np.ndarray, ...]
     block_info: tuple[BlockInfo, ...]
     truncation: int
     model_ref: str
 
     def __post_init__(self) -> None:
-        blocks = tuple(np.array(b, dtype=complex) for b in self.blocks)
-        if len(blocks) != len(self.block_info):
-            raise ValueError("one block info required per block")
-        for b in blocks:
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        stacks = [np.asarray(s, dtype=complex) for s in self.stacks]
+        for s in stacks:
+            if s.ndim != 3 or s.shape[1] != s.shape[2]:
                 raise ValueError("operator blocks must be square")
-            b.flags.writeable = False
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "block_info", tuple(self.block_info))
-        stacks = [s for s in self.stacks if s.size]
+            s.flags.writeable = False
+        stacks.sort(key=lambda s: s.shape[1])
+        block_info = tuple(self.block_info)
+        sizes = [info.size for info in block_info]
+        if len(sizes) != sum(len(s) for s in stacks) or any(
+            sizes.count(s.shape[1]) != len(s) for s in stacks
+        ):
+            raise ValueError("one block info required per block")
+        object.__setattr__(self, "stacks", tuple(stacks))
+        object.__setattr__(self, "block_info", block_info)
+        stacks = [s for s in stacks if s.size]
         scale = max([1.0] + [float(np.max(np.abs(s))) for s in stacks])
         herm = max([0.0] + [float(np.max(np.abs(s - s.conj().transpose(0, 2, 1)))) for s in stacks])
         if herm > HERMITICITY_TOL * scale:
             raise ValueError(f"assembled operator is not Hermitian (residual {herm:.3e})")
 
     @cached_property
-    def stacks(self) -> tuple[np.ndarray, ...]:
-        """Read-only (B, d, d) arrays, one per block size d, ascending."""
-        groups: dict[int, list[np.ndarray]] = {}
-        for b in self.blocks:
-            groups.setdefault(b.shape[0], []).append(b)
-        out = []
-        for d in sorted(groups):
-            stack = np.stack(groups[d])
-            stack.flags.writeable = False
-            out.append(stack)
-        return tuple(out)
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The blocks in row order, as read-only views into the stacks."""
+        by_size = {s.shape[1]: iter(s) for s in self.stacks}
+        return tuple(next(by_size[info.size]) for info in self.block_info)
 
     @cached_property
     def block_slices(self) -> tuple[slice, ...]:
-        slices, pos = [], 0
-        for b in self.blocks:
-            slices.append(slice(pos, pos + b.shape[0]))
-            pos += b.shape[0]
-        return tuple(slices)
+        ends = list(itertools.accumulate(info.size for info in self.block_info))
+        return tuple(slice(end - info.size, end) for info, end in zip(self.block_info, ends))
 
     @cached_property
     def basis_labels(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         labels = []
         counts: dict[tuple[int, ...], int] = {}
-        for b, info in zip(self.blocks, self.block_info):
+        for info in self.block_info:
             start = counts.get(info.mode, 0)
-            counts[info.mode] = start + b.shape[0]
-            labels.extend((info.mode, start + i) for i in range(b.shape[0]))
+            counts[info.mode] = start + info.size
+            labels.extend((info.mode, start + i) for i in range(info.size))
         return tuple(labels)
 
     @property
     def dim(self) -> int:
-        return sum(b.shape[0] for b in self.blocks)
+        return sum(s.shape[0] * s.shape[1] for s in self.stacks)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -306,30 +308,28 @@ def _twist_sector(lift: np.ndarray, gb: np.ndarray, d: int, base_shift: float) -
     )
 
 
-def _u_major(stacks: list[np.ndarray]) -> list[np.ndarray]:
-    """Blocks of per-cluster (U, s, s) stacks, base index outer, cluster inner."""
-    return [stack[u] for u in range(len(stacks[0])) for stack in stacks]
-
-
 @dataclass(frozen=True, eq=False)
 class _Orbit:
     """One holonomy orbit on its circle of d base lengths: the twist sector
-    and, per cluster, the base momentum beta of every Fourier index in us."""
+    and, per cluster, the base momentum beta of every Fourier index in us
+    and the rows its blocks take in the stack of their size."""
 
     sector: _TwistSector
     us: range
     betas: np.ndarray
+    rows: tuple[slice, ...]
 
     def infos(self, rep: tuple[int, ...], zero_mode: bool) -> list[BlockInfo]:
         sec = self.sector
         return [
-            BlockInfo(mode=rep + (u,), base_index=u, twist=theta, invariant=zero_mode and inv)
+            BlockInfo(rep + (u,), len(idxs), u, theta, invariant=zero_mode and inv)
             for u in self.us
-            for (theta, _), inv in zip(sec.clusters, sec.invariant)
+            for (theta, idxs), inv in zip(sec.clusters, sec.invariant)
         ]
 
     def dirac_blocks(self, gp: np.ndarray) -> list[np.ndarray]:
-        """Dirac blocks for the fiber symbol gp, given in the standard basis."""
+        """Per cluster, the (U, s, s) Dirac blocks of every base index for
+        the fiber symbol gp, given in the standard basis."""
         sec = self.sector
         gp_q = sec.q.conj().T @ gp @ sec.q
         # cross-cluster coupling must vanish: the twist commutes with the symbol
@@ -338,32 +338,57 @@ class _Orbit:
             leak = max(np.max(np.abs(gp_q[sec.coupling])), np.max(np.abs(sec.gb_q[sec.coupling])))
             if leak > STRUCTURE_TOL * scale:
                 raise ValueError("operator symbol couples distinct twist sectors")
-        return _u_major([
+        return [
             gp_q[np.ix_(idxs, idxs)] + beta[:, None, None] * sec.gb_q[np.ix_(idxs, idxs)]
             for (_, idxs), beta in zip(sec.clusters, self.betas)
-        ])
+        ]
 
     def bochner_blocks(self, pnorm2: float) -> list[np.ndarray]:
-        """Closed-form Bochner blocks (|p|^2 + beta^2) I at |p|^2 = pnorm2."""
-        return _u_major([
+        """Per cluster, the closed-form Bochner blocks (|p|^2 + beta^2) I at
+        |p|^2 = pnorm2."""
+        return [
             (pnorm2 + beta * beta)[:, None, None] * np.eye(len(idxs))
             for (_, idxs), beta in zip(self.sector.clusters, self.betas)
-        ])
+        ]
 
 
-def _orbit(sector: _TwistSector, d: int, base_length: float, conn_dot: float, u_max: int) -> _Orbit:
+def _orbit(
+    sector: _TwistSector, d: int, base_length: float, conn_dot: float, u_max: int,
+    placed: dict[int, int],
+) -> _Orbit:
+    """placed counts, per block size, the blocks earlier orbits took; this
+    orbit's blocks follow them in row order, base index outer and cluster
+    inner, and are added to the count."""
     us = range(-u_max, u_max + 1)
     thetas = np.array([theta for theta, _ in sector.clusters])
     kappa = 2.0 * np.pi * (np.array(us)[None, :] + thetas[:, None]) / (d * base_length)
-    return _Orbit(sector=sector, us=us, betas=kappa - 2.0 * np.pi * conn_dot)
+    sizes = [len(idxs) for _, idxs in sector.clusters]
+    rows = []
+    for c, size in enumerate(sizes):
+        stride = sizes.count(size)
+        start = placed.get(size, 0) + sizes[:c].count(size)
+        rows.append(slice(start, start + stride * len(us), stride))
+    for size in sizes:
+        placed[size] = placed.get(size, 0) + len(us)
+    return _Orbit(sector=sector, us=us, betas=kappa - 2.0 * np.pi * conn_dot, rows=tuple(rows))
+
+
+def _orbit_stacks(orbits, per_orbit, counts: dict[int, int]) -> list[np.ndarray]:
+    """Stacks of counts[d] blocks per size d, holding each orbit's
+    per-cluster blocks at its rows."""
+    stacks = {size: np.empty((count, size, size), dtype=complex) for size, count in counts.items()}
+    for orbit, clusters in zip(orbits, per_orbit):
+        for rows, blocks in zip(orbit.rows, clusters):
+            stacks[blocks.shape[1]][rows] = blocks
+    return list(stacks.values())
 
 
 @dataclass(frozen=True, eq=False)
 class _MappingPlan:
     """The part of a mapping-torus assembly that the fiber scale leaves
     alone: the resolved lift's twist sectors, the holonomy orbits with their
-    base momenta, and the block provenance.  Only the fiber momenta scale
-    (as 1/fiber_scale); dirac and bochner supply them for one scale."""
+    base momenta and rows, and the block provenance.  Only the fiber momenta
+    scale (as 1/fiber_scale); dirac and bochner supply them for one scale."""
 
     model: AffineMappingTorus
     cm: CliffordModule
@@ -371,24 +396,27 @@ class _MappingPlan:
     reps: np.ndarray
     orbits: tuple[_Orbit, ...]
     block_info: tuple[BlockInfo, ...]
+    counts: dict[int, int]
 
     def _momenta(self, eps: float) -> tuple[AffineMappingTorus, np.ndarray]:
         scaled = self.model.with_scale(eps)
         return scaled, scaled.scaled_fiber().dual_momentum(self.reps)
 
+    def _operator(self, per_orbit, scaled: AffineMappingTorus) -> AssembledOperator:
+        stacks = _orbit_stacks(self.orbits, per_orbit, self.counts)
+        return AssembledOperator(stacks, self.block_info, self.truncation, scaled.label())
+
     def dirac(self, eps: float) -> AssembledOperator:
         """Dirac operator at fiber scale eps."""
         scaled, p = self._momenta(eps)
         gp = self.cm.gamma(np.column_stack([p, np.zeros(len(p))]))
-        blocks = [b for orbit, g in zip(self.orbits, gp) for b in orbit.dirac_blocks(g)]
-        return AssembledOperator(blocks, self.block_info, self.truncation, scaled.label())
+        return self._operator([o.dirac_blocks(g) for o, g in zip(self.orbits, gp)], scaled)
 
     def bochner(self, eps: float) -> AssembledOperator:
         """Connection Laplacian at fiber scale eps, from |p|^2 + beta^2 alone."""
         scaled, p = self._momenta(eps)
         pnorm2 = np.sum(p * p, axis=1)
-        blocks = [b for orbit, r in zip(self.orbits, pnorm2) for b in orbit.bochner_blocks(r)]
-        return AssembledOperator(blocks, self.block_info, self.truncation, scaled.label())
+        return self._operator([o.bochner_blocks(r) for o, r in zip(self.orbits, pnorm2)], scaled)
 
 
 def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int) -> _MappingPlan:
@@ -402,14 +430,15 @@ def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int
         for d in sorted({d for _, d in orbit_sizes})
     }
     orbits, infos = [], []
+    placed: dict[int, int] = {}
     for rep, d in orbit_sizes:
         zeta0 = np.array(rep, dtype=float) + model.fiber.spin_shift
         conn_dot = float(model.connection @ zeta0)
-        orbit = _orbit(sectors[d], d, model.base_length, conn_dot, d * truncation)
+        orbit = _orbit(sectors[d], d, model.base_length, conn_dot, d * truncation, placed)
         orbits.append(orbit)
         infos.extend(orbit.infos(rep, zero_mode=bool(np.all(zeta0 == 0.0))))
     reps = np.array([rep for rep, _ in orbit_sizes]).reshape(len(orbit_sizes), m)
-    return _MappingPlan(model, cm, truncation, reps, tuple(orbits), tuple(infos))
+    return _MappingPlan(model, cm, truncation, reps, tuple(orbits), tuple(infos), placed)
 
 
 def assemble_dirac(
@@ -418,8 +447,8 @@ def assemble_dirac(
     """Dirac operator of the model on all retained Fourier modes."""
     if isinstance(model, FlatTorusModel):
         modes, p = _flat_momenta(model, cm, truncation)
-        infos = [BlockInfo(mode=k) for k in modes]
-        return AssembledOperator(cm.gamma(p), infos, truncation, model.label())
+        infos = [BlockInfo(mode=k, size=cm.dim_v) for k in modes]
+        return AssembledOperator([cm.gamma(p)], infos, truncation, model.label())
     if isinstance(model, AffineMappingTorus):
         return _mapping_plan(model, cm, truncation).dirac(model.fiber_scale)
     raise TypeError(f"unsupported model type {type(model).__name__}")
@@ -438,17 +467,12 @@ def bochner_rhs(
     """
     if isinstance(model, FlatTorusModel):
         modes, p = _flat_momenta(model, cm, truncation)
-        blocks = np.sum(p * p, axis=1)[:, None, None] * np.eye(cm.dim_v)
-        infos = [BlockInfo(mode=k) for k in modes]
-        op = AssembledOperator(blocks, infos, truncation, model.label())
-    elif isinstance(model, AffineMappingTorus):
-        op = _mapping_plan(model, cm, truncation).bochner(model.fiber_scale)
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    geo = geometric_data(model)
-    if geo.norm_r > 0.0:
-        raise ValueError("curvature correction for curved models is out of scope")
-    return op
+        stack = np.sum(p * p, axis=1)[:, None, None] * np.eye(cm.dim_v)
+        infos = [BlockInfo(mode=k, size=cm.dim_v) for k in modes]
+        return AssembledOperator([stack], infos, truncation, model.label())
+    if isinstance(model, AffineMappingTorus):
+        return _mapping_plan(model, cm, truncation).bochner(model.fiber_scale)
+    raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,8 +487,6 @@ class InvariantSplit:
     fiber_operator: AssembledOperator
     projector: np.ndarray
     dim: int
-    invariant_vectors: np.ndarray
-    restricted_operator: AssembledOperator
     gap: float
 
 
@@ -484,8 +506,8 @@ def fiber_invariant_split(
     modes = _flat_modes(scaled, truncation)
     p = scaled.dual_momentum(np.array(modes))
     fiber_op = AssembledOperator(
-        cm.gamma(np.column_stack([p, np.zeros(len(p))])),
-        [BlockInfo(mode=k) for k in modes],
+        [cm.gamma(np.column_stack([p, np.zeros(len(p))]))],
+        [BlockInfo(mode=k, size=cm.dim_v) for k in modes],
         truncation,
         model.label() + "|fiber",
     )
@@ -509,20 +531,7 @@ def fiber_invariant_split(
         else:
             gap_candidates.append(float(pnorm))
     gap = min(gap_candidates) if gap_candidates else 0.0
-    restricted = AssembledOperator(
-        [np.zeros((r, r))],
-        [BlockInfo(mode=zero, invariant=True)],
-        truncation,
-        model.label() + "|fiber-invariant",
-    )
-    return InvariantSplit(
-        fiber_operator=fiber_op,
-        projector=projector,
-        dim=r,
-        invariant_vectors=fixed if zero_mode else fixed[:, :0],
-        restricted_operator=restricted,
-        gap=float(gap),
-    )
+    return InvariantSplit(fiber_operator=fiber_op, projector=projector, dim=r, gap=float(gap))
 
 
 def invariant_projector(op: AssembledOperator) -> np.ndarray:
@@ -554,9 +563,10 @@ def limit_operator(
             "no parallel sections: the model has no collapse limit operator"
         )
     sector = _twist_sector(lift, cm.gammas[m], 1, model.base_shift)
-    orbit = _orbit(sector, 1, model.base_length, 0.0, truncation)
+    placed: dict[int, int] = {}
+    orbit = _orbit(sector, 1, model.base_length, 0.0, truncation, placed)
     return AssembledOperator(
-        orbit.dirac_blocks(np.zeros((cm.dim_v, cm.dim_v))),
+        _orbit_stacks([orbit], [orbit.dirac_blocks(np.zeros((cm.dim_v, cm.dim_v)))], placed),
         orbit.infos((), zero_mode=True),
         truncation,
         model.label() + "|limit",
@@ -632,26 +642,20 @@ def eigenvalue_derivative(
     basis = np.linalg.cholesky(g0).T
     model = FlatTorusModel(basis, shift)
     op = assemble_dirac(model, cm, truncation)
-    # one eigh per block size; values land in row order (block, then
-    # column), so a stable sort breaks ties in block order
-    sizes = np.array([b.shape[0] for b in op.blocks])
-    starts = np.array([sl.start for sl in op.block_slices])
-    values = np.empty(op.dim)
-    vectors: dict[int, np.ndarray] = {}
-    for stack in op.stacks:
-        d = stack.shape[1]
-        members = np.flatnonzero(sizes == d)
-        w, v = np.linalg.eigh(stack)
-        values[(starts[members, None] + np.arange(d)).ravel()] = w.ravel()
-        vectors.update(zip(members.tolist(), v))
+    # a flat torus has one block size and its stack is in row order, so the
+    # values land in row order (block, then column) and a stable sort breaks
+    # ties in block order
+    (stack,) = op.stacks
+    w, v = np.linalg.eigh(stack)
+    values = w.ravel()
     order = np.argsort(values, kind="stable")
     if not 0 <= j < len(values):
         raise ValueError(f"eigenvalue index {j} out of range for dimension {len(values)}")
     row = int(order[j])
     lam = float(values[row])
-    block = int(np.searchsorted(starts, row, side="right")) - 1
+    block, col = divmod(row, stack.shape[1])
     mode = op.block_info[block].mode
-    vec = vectors[block][:, row - starts[block]]
+    vec = v[block][:, col]
     tol = cluster_tol
     if tol is None:
         tol = _default_tol(values[order[[0, -1]]])

@@ -66,10 +66,9 @@ from .collapse import (
     blowup_check,
     collapse_run,
     perturbation_bound_check,
-    spectral_window,
     window_agreement,
 )
-from .models import AffineMappingTorus, FlatTorusModel, geometric_data
+from .models import AffineMappingTorus, FlatTorusModel
 from .spectral import (
     epsilon_close,
     eigensolve,
@@ -107,9 +106,10 @@ def _build_flat(cfg: configparser.ConfigParser) -> FlatTorusModel:
     return FlatTorusModel(lattice, shift)
 
 
-def _build_mapping(cfg: configparser.ConfigParser, cm_hint=None) -> AffineMappingTorus:
+def _build_mapping(cfg: configparser.ConfigParser) -> tuple[AffineMappingTorus, CliffordModule]:
     fiber_lattice = _parse_matrix(cfg.get("model", "fiber_lattice"))
     m = fiber_lattice.shape[0]
+    cm = _build_module(cfg, m + 1)
     shift_text = cfg.get("model", "fiber_shift", fallback=None)
     shift = np.zeros(m) if shift_text is None else _parse_vector(shift_text)
     fiber = FlatTorusModel(fiber_lattice, shift)
@@ -123,9 +123,7 @@ def _build_mapping(cfg: configparser.ConfigParser, cm_hint=None) -> AffineMappin
     if lift_kind == "auto":
         lift = None
     elif lift_kind == "identity":
-        if cm_hint is None:
-            raise ValueError("identity lift needs the module dimension")
-        lift = np.eye(cm_hint.dim_v, dtype=complex)
+        lift = np.eye(cm.dim_v, dtype=complex)
     else:
         raise ValueError(f"unknown lift kind {lift_kind!r}")
     return AffineMappingTorus(
@@ -135,13 +133,7 @@ def _build_mapping(cfg: configparser.ConfigParser, cm_hint=None) -> AffineMappin
         holonomy_lift=lift,
         base_shift=base_shift,
         connection=connection,
-    )
-
-
-def _mapping_with_module(cfg: configparser.ConfigParser):
-    fiber_lattice = _parse_matrix(cfg.get("model", "fiber_lattice"))
-    cm = _build_module(cfg, fiber_lattice.shape[0] + 1)
-    return _build_mapping(cfg, cm_hint=cm), cm
+    ), cm
 
 
 def _num(cfg, key, fallback):
@@ -156,7 +148,7 @@ def _numint(cfg, key, fallback):
 # experiments; each returns (passed, results dict)
 
 
-def _run_torus_spectrum(cfg, outdir: Path, seed: int, verbose: bool):
+def _run_torus_spectrum(cfg, outdir: Path, seed: int):
     model = _build_flat(cfg)
     cm = _build_module(cfg, model.n)
     trunc = _numint(cfg, "truncation", 8)
@@ -183,8 +175,8 @@ def _run_torus_spectrum(cfg, outdir: Path, seed: int, verbose: bool):
     return passed, results
 
 
-def _run_window_test(cfg, outdir: Path, seed: int, verbose: bool):
-    model, cm = _mapping_with_module(cfg)
+def _run_window_test(cfg, outdir: Path, seed: int):
+    model, cm = _build_mapping(cfg)
     trunc = _numint(cfg, "truncation", 12)
     eps = [float(x) for x in cfg.get("numeric", "epsilons").split(",")]
     tol = _num(cfg, "tolerance", 1e-9)
@@ -205,8 +197,8 @@ def _run_window_test(cfg, outdir: Path, seed: int, verbose: bool):
     return bool(results["all_matched"]), results
 
 
-def _run_collapse(cfg, outdir: Path, seed: int, verbose: bool):
-    model, cm = _mapping_with_module(cfg)
+def _run_collapse(cfg, outdir: Path, seed: int):
+    model, cm = _build_mapping(cfg)
     trunc = _numint(cfg, "truncation", 12)
     eps = [float(x) for x in cfg.get("numeric", "epsilons").split(",")]
     k_max = _numint(cfg, "k_max", 4)
@@ -235,8 +227,8 @@ def _run_collapse(cfg, outdir: Path, seed: int, verbose: bool):
     return passed, results
 
 
-def _run_blowup(cfg, outdir: Path, seed: int, verbose: bool):
-    model, cm = _mapping_with_module(cfg)
+def _run_blowup(cfg, outdir: Path, seed: int):
+    model, cm = _build_mapping(cfg)
     trunc = _numint(cfg, "truncation", 6)
     eps = [float(x) for x in cfg.get("numeric", "epsilons").split(",")]
     floor = _num(cfg, "rate_floor", 0.4)
@@ -246,7 +238,7 @@ def _run_blowup(cfg, outdir: Path, seed: int, verbose: bool):
     return bool(report.rate >= floor), results
 
 
-def _run_perturbation(cfg, outdir: Path, seed: int, verbose: bool):
+def _run_perturbation(cfg, outdir: Path, seed: int):
     n = _numint(cfg, "dim", 2)
     trials = _numint(cfg, "trials", 5)
     trunc = _numint(cfg, "truncation", 4)
@@ -288,7 +280,7 @@ def _run_perturbation(cfg, outdir: Path, seed: int, verbose: bool):
     return bool(max(ratios) <= c_bound), results
 
 
-def _run_frame_bundle(cfg, outdir: Path, seed: int, verbose: bool):
+def _run_frame_bundle(cfg, outdir: Path, seed: int):
     model = _build_flat(cfg)
     cm = _build_module(cfg, model.n)
     trunc = _numint(cfg, "truncation", 6)
@@ -308,7 +300,7 @@ def _run_frame_bundle(cfg, outdir: Path, seed: int, verbose: bool):
     return bool(match), results
 
 
-def _run_block_identities(cfg, outdir: Path, seed: int, verbose: bool):
+def _run_block_identities(cfg, outdir: Path, seed: int):
     trials = _numint(cfg, "trials", 5)
     p = _numint(cfg, "block_p", 6)
     q = _numint(cfg, "block_q", 6)
@@ -397,7 +389,7 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        passed, results = runner(cfg, outdir, seed, args.verbose)
+        passed, results = runner(cfg, outdir, seed)
     except (ValueError, RuntimeError, KeyError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -218,8 +218,6 @@ def test_fiber_invariant_split_cases():
     assert split.gap == pytest.approx(4.0, abs=1e-12)
     assert np.allclose(split.projector @ split.projector, split.projector, atol=1e-12)
     assert int(round(np.trace(split.projector).real)) == 2
-    assert split.restricted_operator.dim == 2
-    assert np.all(split.restricted_operator.matrix == 0.0)
 
     # antiperiodic fiber: no parallel sections, gap is the smallest momentum
     split2 = fiber_invariant_split(_simple_mapping(fiber_shift=0.5), cm, 3)
@@ -337,21 +335,28 @@ def _rot4_mapping():
 
 
 def test_assembled_operator_validation():
-    info = BlockInfo(mode=(0,))
+    info = BlockInfo(mode=(0,), size=2)
     with pytest.raises(ValueError, match="not Hermitian"):
-        AssembledOperator([np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]])], [info], 1, "test")
+        AssembledOperator([np.array([[[0.0, 1.0], [1.0 + 1e-11, 0.0]]])], [info], 1, "test")
+    # every block of a stack is checked, not just the first
+    with pytest.raises(ValueError, match="not Hermitian"):
+        AssembledOperator(
+            [np.array([np.eye(2), [[0.0, 1.0], [1.0 + 1e-11, 0.0]]])], [info, info], 1, "test"
+        )
     # the tolerance is relative to the largest entry
     scale = 10.0
-    AssembledOperator(
-        [np.array([[0.0, scale], [scale + 0.5 * HERMITICITY_TOL * scale, 0.0]])], [info], 1, "test"
-    )
+    near = scale + 0.5 * HERMITICITY_TOL * scale
+    AssembledOperator([np.array([[[0.0, scale], [near, 0.0]]])], [info], 1, "test")
     with pytest.raises(ValueError, match="square"):
-        AssembledOperator([np.zeros((2, 3))], [info], 1, "test")
+        AssembledOperator([np.zeros((1, 2, 3))], [info], 1, "test")
     with pytest.raises(ValueError, match="block info"):
-        AssembledOperator([np.eye(2), np.eye(1)], [info], 1, "test")
+        AssembledOperator([np.eye(2)[None], np.eye(1)[None]], [info], 1, "test")
+    # as many infos as blocks, but their sizes do not match the stacks
+    with pytest.raises(ValueError, match="block info"):
+        AssembledOperator([np.eye(2)[None]], [BlockInfo(mode=(0,), size=1)], 1, "test")
 
 
-@pytest.mark.parametrize(
+_BLOCK_OPERATORS = pytest.mark.parametrize(
     "build",
     [
         lambda: assemble_dirac(
@@ -364,6 +369,9 @@ def test_assembled_operator_validation():
     ],
     ids=["flat", "rot4_exterior", "rot4_exterior_limit"],
 )
+
+
+@_BLOCK_OPERATORS
 def test_blocks_match_dense_view(build):
     op = build()
     spec = eigensolve(op)
@@ -375,6 +383,36 @@ def test_blocks_match_dense_view(build):
         assert np.array_equal(op.matrix[sl, sl], block)
     assert np.count_nonzero(op.matrix) == sum(np.count_nonzero(b) for b in op.blocks)
     assert sum(s.shape[0] for s in op.stacks) == len(op.blocks)
+
+
+@_BLOCK_OPERATORS
+def test_blocks_are_views_of_read_only_stacks(build):
+    op = build()
+    sizes = [s.shape[1] for s in op.stacks]
+    assert sizes == sorted(set(sizes))  # one stack per size, ascending
+    by_size = dict(zip(sizes, op.stacks))
+    for stack in op.stacks:
+        assert not stack.flags.writeable
+    for block, info in zip(op.blocks, op.block_info):
+        assert block.shape == (info.size, info.size)
+        assert np.shares_memory(block, by_size[info.size])
+        assert not block.flags.writeable
+
+
+def test_bochner_blocks_match_their_provenance():
+    # the zero-mode orbit's twist splits into clusters of sizes 4, 2 and 2,
+    # the size-4 orbits' twist is one cluster of size 8; each block must sit
+    # at the row its info names, the two size-2 clusters told apart by twist
+    model = _rot4_mapping().with_scale(0.3)
+    op = bochner_rhs(model, exterior_module(3), 2)
+    assert sorted({info.size for info in op.block_info}) == [2, 4, 8]
+    for block, info in zip(op.blocks, op.block_info):
+        rep, u = info.mode[:2], info.mode[2]
+        p = model.scaled_fiber().dual_momentum(np.array(rep))
+        d = 1 if rep == (0, 0) else 4
+        beta = 2 * np.pi * (u + info.twist) / (d * model.base_length)
+        expected = (p @ p + beta**2) * np.eye(info.size)
+        assert np.max(np.abs(block - expected)) <= 1e-12 * max(1.0, float(np.max(expected)))
 
 
 def test_basis_labels_frozen():

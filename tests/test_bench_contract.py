@@ -1,0 +1,51 @@
+"""What the benchmark harness under bench/ reads of the package.
+
+The harness wraps named public functions with its span tracer and reads
+the size of assembled operators.  These checks only read bench/; a
+rename in the package that would break the benchmark fails here first.
+"""
+
+import importlib
+import runpy
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from diraclab.assembly import assemble_dirac
+from diraclab.clifford import spinor_gammas
+from diraclab.models import AffineMappingTorus, FlatTorusModel
+
+# run_path compiles the file without writing bytecode next to it
+SPANS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "spans.py"))
+TRACED = SPANS["TRACED"]
+
+
+@pytest.mark.parametrize("layer,func", TRACED, ids=[".".join(t) for t in TRACED])
+def test_traced_functions_resolve(layer, func):
+    assert layer in SPANS["MODULES"]
+    assert callable(getattr(importlib.import_module(f"diraclab.{layer}"), func))
+
+
+@pytest.mark.parametrize(
+    "model,cm",
+    [
+        (FlatTorusModel(np.eye(2), np.array([0.5, 0.0])), spinor_gammas(2)),
+        (
+            AffineMappingTorus(
+                fiber=FlatTorusModel(np.eye(2), np.zeros(2)),
+                holonomy=np.array([[0, -1], [1, 0]]),
+                base_length=1.0,
+                base_shift=0.5,
+            ),
+            spinor_gammas(3),
+        ),
+    ],
+    ids=["flat", "rot4_spinor"],
+)
+def test_assembly_counts_read_operator_size(model, cm):
+    op = assemble_dirac(model, cm, 2)
+    counts = SPANS["_assembly_counts"](op)
+    assert counts["assembly.rows"] == op.dim == sum(b.shape[0] for b in op.blocks)
+    assert counts["assembly.blocks"] == len(op.block_slices) == len(op.blocks)
+    assert counts["assembly.max_block_rows"] == max(b.shape[0] for b in op.blocks)

@@ -43,7 +43,8 @@ def test_eigensolve_uses_blocks():
     rng = np.random.default_rng(3)
     a = _random_hermitian(rng, 3)
     b = _random_hermitian(rng, 4)
-    op = AssembledOperator([a, b], [BlockInfo(mode=(0,)), BlockInfo(mode=(1,))], 5, "test")
+    infos = [BlockInfo(mode=(0,), size=3), BlockInfo(mode=(1,), size=4)]
+    op = AssembledOperator([a[None], b[None]], infos, 5, "test")
     spec = eigensolve(op)
     direct = np.sort(np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)]))
     assert np.allclose(spec.values, direct, atol=1e-12)
