@@ -16,7 +16,7 @@ their blocks straight into the stacks.  Row labels are (mode tuple, module
 index).  For a mapping torus the mode tuple is the lexicographically
 smallest fiber mode of the orbit followed by the base Fourier index, and the
 module index refers to the eigenbasis of the orbit twist (the standard basis
-whenever the twist is scalar).
+whenever the twist is diagonal, in particular scalar).
 
 Only the fiber momenta of a mapping torus depend on the fiber scale, as
 1/fiber_scale.  Its assembly is therefore split into a scale-free plan (the
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag, schur
 
 from .clifford import CliffordModule, fixed_subspace, holonomy_rep, lift_rotation, casimir
 from .models import AffineMappingTorus, FlatTorusModel, matrix_order
@@ -142,7 +141,9 @@ class AssembledOperator:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense block-diagonal view, for consumers that need the full matrix."""
-        dense = block_diag(*self.blocks) if self.blocks else np.zeros((0, 0), dtype=complex)
+        dense = np.zeros((self.dim, self.dim), dtype=complex)
+        for block, sl in zip(self.blocks, self.block_slices):
+            dense[sl, sl] = block
         dense.flags.writeable = False
         return dense
 
@@ -271,40 +272,64 @@ def _loop_phase(base_shift: float, d: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _TwistSector:
-    """Schur basis q of the twist (loop phase * lift)^d, shared by every
+    """Eigenbasis q of the twist (loop phase * lift)^d, shared by every
     orbit of size d, with its clusters of equal twist angle.
 
-    invariant marks clusters lying inside the fixed space of the lift, which
-    is where monodromy-parallel sections live; coupling masks the entries
-    of a matrix in this basis that join two distinct clusters.
+    grids index each cluster's diagonal block of a matrix in this basis, and
+    gb_blocks are those blocks of the base Clifford action.  invariant marks
+    clusters lying inside the fixed space of the lift, which is where
+    monodromy-parallel sections live; coupling masks the entries of a matrix
+    in this basis that join two distinct clusters, and gb_max and gb_leak
+    are the largest entry of the base Clifford action and of its coupling
+    entries.
     """
 
     q: np.ndarray
-    gb_q: np.ndarray
     clusters: tuple[tuple[float, np.ndarray], ...]
+    grids: tuple[tuple[np.ndarray, np.ndarray], ...]
+    gb_blocks: tuple[np.ndarray, ...]
     invariant: tuple[bool, ...]
     coupling: np.ndarray
+    gb_max: float
+    gb_leak: float
 
 
 def _twist_sector(lift: np.ndarray, gb: np.ndarray, d: int, base_shift: float) -> _TwistSector:
     """Diagonalize the twist of an orbit of size d; gb is the base Clifford."""
-    twist = _loop_phase(base_shift, d) * np.linalg.matrix_power(lift, d)
-    tmat, q = schur(twist, output="complex")
-    off = tmat - np.diag(np.diag(tmat))
-    if np.max(np.abs(off)) > STRUCTURE_TOL:
-        raise ValueError("orbit twist failed to diagonalize (lift is not unitary?)")
-    thetas = np.mod(np.angle(np.diag(tmat)) / (2.0 * np.pi), 1.0)
+    twist = _loop_phase(base_shift, d) * np.linalg.matrix_power(np.asarray(lift, dtype=complex), d)
+    vals, q = np.linalg.eig(twist)
+    thetas = np.mod(np.angle(vals) / (2.0 * np.pi), 1.0)
     clusters = tuple((theta, np.array(idxs)) for theta, idxs in _cluster_angles(thetas))
+    # eigenvectors of one cluster need not be orthonormal; one QR over the
+    # columns in cluster order makes them so (distinct clusters of a unitary
+    # twist are orthogonal already).  The QR phases go back onto the columns
+    # so that unit vectors stay put and a diagonal twist keeps q = I; a zero
+    # pivot leaves a zero column, refused below
+    order = np.concatenate([idxs for _, idxs in clusters])
+    qc, r = np.linalg.qr(q[:, order])
+    pivots = np.diag(r)
+    q[:, order] = qc * (pivots / np.maximum(np.abs(pivots), np.finfo(float).tiny))
+    tq = q.conj().T @ twist @ q
+    off = tq - np.diag(np.diag(tq))
+    resid = max(np.max(np.abs(off)), np.max(np.abs(q.conj().T @ q - np.eye(len(q)))))
+    if not resid <= STRUCTURE_TOL:
+        raise ValueError("orbit twist failed to diagonalize (lift is not unitary?)")
     fixed_images = np.abs(lift @ q - q).max(axis=0)
     owner = np.zeros(len(q), dtype=int)
     for c, (_, idxs) in enumerate(clusters):
         owner[idxs] = c
+    coupling = owner[:, None] != owner[None, :]
+    gb_q = q.conj().T @ gb @ q
+    grids = tuple(np.ix_(idxs, idxs) for _, idxs in clusters)
     return _TwistSector(
         q=q,
-        gb_q=q.conj().T @ gb @ q,
         clusters=clusters,
+        grids=grids,
+        gb_blocks=tuple(gb_q[grid] for grid in grids),
         invariant=tuple(bool(np.all(fixed_images[idxs] <= STRUCTURE_TOL)) for _, idxs in clusters),
-        coupling=owner[:, None] != owner[None, :],
+        coupling=coupling,
+        gb_max=float(np.max(np.abs(gb_q))),
+        gb_leak=float(np.max(np.abs(gb_q[coupling]), initial=0.0)),
     )
 
 
@@ -333,14 +358,14 @@ class _Orbit:
         sec = self.sector
         gp_q = sec.q.conj().T @ gp @ sec.q
         # cross-cluster coupling must vanish: the twist commutes with the symbol
-        scale = max(1.0, float(np.max(np.abs(gp_q))), float(np.max(np.abs(sec.gb_q))))
+        scale = max(1.0, float(np.max(np.abs(gp_q))), sec.gb_max)
         if sec.coupling.any():
-            leak = max(np.max(np.abs(gp_q[sec.coupling])), np.max(np.abs(sec.gb_q[sec.coupling])))
+            leak = max(float(np.max(np.abs(gp_q[sec.coupling]))), sec.gb_leak)
             if leak > STRUCTURE_TOL * scale:
                 raise ValueError("operator symbol couples distinct twist sectors")
         return [
-            gp_q[np.ix_(idxs, idxs)] + beta[:, None, None] * sec.gb_q[np.ix_(idxs, idxs)]
-            for (_, idxs), beta in zip(sec.clusters, self.betas)
+            gp_q[grid] + beta[:, None, None] * gb
+            for grid, gb, beta in zip(sec.grids, sec.gb_blocks, self.betas)
         ]
 
     def bochner_blocks(self, pnorm2: float) -> list[np.ndarray]:
@@ -386,13 +411,16 @@ def _orbit_stacks(orbits, per_orbit, counts: dict[int, int]) -> list[np.ndarray]
 @dataclass(frozen=True, eq=False)
 class _MappingPlan:
     """The part of a mapping-torus assembly that the fiber scale leaves
-    alone: the resolved lift's twist sectors, the holonomy orbits with their
-    base momenta and rows, and the block provenance.  Only the fiber momenta
-    scale (as 1/fiber_scale); dirac and bochner supply them for one scale."""
+    alone: the resolved lift and its twist sectors (by orbit size), the
+    holonomy orbits with their base momenta and rows, and the block
+    provenance.  Only the fiber momenta scale (as 1/fiber_scale); dirac and
+    bochner supply them for one scale."""
 
     model: AffineMappingTorus
     cm: CliffordModule
     truncation: int
+    lift: np.ndarray
+    sectors: dict[int, _TwistSector]
     reps: np.ndarray
     orbits: tuple[_Orbit, ...]
     block_info: tuple[BlockInfo, ...]
@@ -438,7 +466,9 @@ def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int
         orbits.append(orbit)
         infos.extend(orbit.infos(rep, zero_mode=bool(np.all(zeta0 == 0.0))))
     reps = np.array([rep for rep, _ in orbit_sizes]).reshape(len(orbit_sizes), m)
-    return _MappingPlan(model, cm, truncation, reps, tuple(orbits), tuple(infos), placed)
+    return _MappingPlan(
+        model, cm, truncation, lift, sectors, reps, tuple(orbits), tuple(infos), placed
+    )
 
 
 def assemble_dirac(
@@ -490,6 +520,14 @@ class InvariantSplit:
     gap: float
 
 
+def _parallel_values(model: AffineMappingTorus, lift: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the values parallel sections take:
+    the fixed space of the lift when the fiber has a zero mode (trivial
+    fiber spin shift), and no columns otherwise."""
+    fixed = fixed_subspace(holonomy_rep([lift]))
+    return fixed if np.all(model.fiber.spin_shift == 0.0) else fixed[:, :0]
+
+
 def fiber_invariant_split(
     model: AffineMappingTorus, cm: CliffordModule, truncation: int
 ) -> InvariantSplit:
@@ -500,8 +538,7 @@ def fiber_invariant_split(
     lift.  The fiber Dirac vanishes on them; the reported gap bounds it away
     from zero on the complement.
     """
-    lift = _resolve_lift(model, cm)
-    fixed = fixed_subspace(holonomy_rep([lift]))
+    parallel = _parallel_values(model, _resolve_lift(model, cm))
     scaled = model.scaled_fiber()
     modes = _flat_modes(scaled, truncation)
     p = scaled.dual_momentum(np.array(modes))
@@ -512,14 +549,14 @@ def fiber_invariant_split(
         model.label() + "|fiber",
     )
     zero_mode = bool(np.all(model.fiber.spin_shift == 0.0))
-    r = fixed.shape[1] if zero_mode else 0
+    r = parallel.shape[1]
     dim = fiber_op.dim
     projector = np.zeros((dim, dim), dtype=complex)
     m = model.fiber.n
     zero = (0,) * m
     if r:
         rows = [i for i, (mode, _) in enumerate(fiber_op.basis_labels) if mode == zero]
-        proj_v = fixed @ fixed.conj().T
+        proj_v = parallel @ parallel.conj().T
         projector[np.ix_(rows, rows)] = proj_v
     gap_candidates = []
     for k, pnorm in zip(modes, np.linalg.norm(p, axis=1)):
@@ -555,18 +592,24 @@ def limit_operator(
     (nontrivial fiber spin shift, or a lift without fixed vectors); that is
     the regime where the whole spectrum escapes to infinity instead.
     """
-    m = model.fiber.n
     lift = _resolve_lift(model, cm)
-    fixed = fixed_subspace(holonomy_rep([lift]))
-    if np.any(model.fiber.spin_shift != 0.0) or fixed.shape[1] == 0:
+    sector = _twist_sector(lift, cm.gammas[model.fiber.n], 1, model.base_shift)
+    return _limit_operator(model, truncation, lift, sector)
+
+
+def _limit_operator(
+    model: AffineMappingTorus, truncation: int, lift: np.ndarray, sector: _TwistSector | None
+) -> AssembledOperator:
+    """limit_operator for a resolved lift and its twist sector of orbit size
+    1, which is only read when parallel sections exist."""
+    if _parallel_values(model, lift).shape[1] == 0:
         raise EmptyInvariantSpaceError(
             "no parallel sections: the model has no collapse limit operator"
         )
-    sector = _twist_sector(lift, cm.gammas[m], 1, model.base_shift)
     placed: dict[int, int] = {}
     orbit = _orbit(sector, 1, model.base_length, 0.0, truncation, placed)
     return AssembledOperator(
-        _orbit_stacks([orbit], [orbit.dirac_blocks(np.zeros((cm.dim_v, cm.dim_v)))], placed),
+        _orbit_stacks([orbit], [orbit.dirac_blocks(np.zeros_like(sector.q))], placed),
         orbit.infos((), zero_mode=True),
         truncation,
         model.label() + "|limit",

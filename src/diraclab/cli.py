@@ -45,6 +45,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import numpy.random
 
 from .assembly import (
     assemble_dirac,

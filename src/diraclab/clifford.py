@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, schur
 
 __all__ = [
     "CliffordModule",
@@ -342,37 +341,63 @@ def fixed_subspace(rep: HolonomyRep, tol: float = 1e-10) -> np.ndarray:
     return vecs[:, keep]
 
 
+def _expm_skew(x: np.ndarray) -> np.ndarray:
+    """exp(x) for a skew-Hermitian x, through the eigenbasis of the Hermitian
+    matrix -ix; any other input is refused."""
+    x = np.asarray(x, dtype=complex)
+    if np.max(np.abs(x + x.conj().T)) > RELATION_TOL * max(1.0, float(np.max(np.abs(x)))):
+        raise ValueError("exponential is taken of skew-Hermitian matrices only")
+    w, v = np.linalg.eigh(-1j * x)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def _standard_order_basis(v: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of the orthonormal columns v, by
+    Gram-Schmidt on the projections of e_0, e_1, ... onto that span, in
+    order; a coordinate subspace gets its own coordinate vectors.  A
+    remainder of norm at most 1e-3 is skipped: the squared remainders of
+    all n projections sum to the dimension of the span, so the skipped ones
+    cannot use it up."""
+    basis: list[np.ndarray] = []
+    for row in v:
+        w = v @ row
+        for b in basis:
+            w = w - (b @ w) * b
+        norm = float(np.linalg.norm(w))
+        if norm > 1e-3:
+            basis.append(w / norm)
+    return np.column_stack(basis)
+
+
 def _special_orthogonal_log(rot: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Real antisymmetric Omega with exp(Omega) = rot, for rot in SO(n).
 
-    The principal matrix logarithm of a rotation by pi is complex, so this
-    goes through the real Schur form instead: 2 x 2 blocks give plane
-    rotations directly and -1 eigenvalues are paired into pi-rotations.
+    rot is normal, so its symmetric part C and skew part A commute: on each
+    eigenspace of C, with eigenvalue cos(theta), A is sin(theta) times a
+    complex structure J, and Omega is theta J there, with theta read off as
+    arctan2(sin, cos).  The principal logarithm of a rotation by pi is
+    complex, so the -1 eigenspace is split into planes of consecutive basis
+    vectors in standard-basis order, each turned by pi with Omega[a, b] =
+    -pi for a < b (the limit of rotations by less than pi from e_a to e_b).
     """
     n = rot.shape[0]
-    t, z = schur(rot, output="real")
-    log_t = np.zeros((n, n))
-    minus_ones: list[int] = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > tol:
-            c, s = t[i, i], t[i + 1, i]
-            if abs(t[i, i] - t[i + 1, i + 1]) > 1e-8 or abs(t[i, i + 1] + s) > 1e-8:
-                raise ValueError("Schur block of an orthogonal matrix is malformed")
-            theta = np.arctan2(s, c)
-            log_t[i, i + 1] = -theta
-            log_t[i + 1, i] = theta
-            i += 2
-        else:
-            if t[i, i] < 0:
-                minus_ones.append(i)
-            i += 1
-    if len(minus_ones) % 2:
-        raise ValueError("odd number of -1 eigenvalues; matrix is not special orthogonal")
-    for i, j in zip(minus_ones[0::2], minus_ones[1::2]):
-        log_t[i, j] = -np.pi
-        log_t[j, i] = np.pi
-    return z @ log_t @ z.T
+    cosines, vecs = np.linalg.eigh(0.5 * (rot + rot.T))
+    skew = 0.5 * (rot - rot.T)
+    cuts = [0] + [i for i in range(1, n) if cosines[i] - cosines[i - 1] > tol] + [n]
+    omega = np.zeros((n, n))
+    for lo, hi in zip(cuts, cuts[1:]):
+        v = vecs[:, lo:hi]
+        a = v.T @ skew @ v
+        sin = float(np.linalg.norm(a - a.T)) / (2.0 * np.sqrt(hi - lo))
+        if sin > tol:
+            theta = np.arctan2(sin, float(np.mean(cosines[lo:hi])))
+            omega += (0.5 * theta / sin) * (v @ a @ v.T)
+        elif cosines[lo] < 0.0:
+            if (hi - lo) % 2:
+                raise ValueError("odd number of -1 eigenvalues; matrix is not special orthogonal")
+            w = _standard_order_basis(v)
+            omega += np.pi * (w[:, 1::2] @ w[:, 0::2].T)
+    return omega - omega.T
 
 
 def lift_rotation(cm: CliffordModule, rot: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -391,13 +416,9 @@ def lift_rotation(cm: CliffordModule, rot: np.ndarray, tol: float = 1e-9) -> np.
     if np.linalg.det(rot) < 0:
         raise ValueError("orientation-reversing isometries have no lift here")
     omega = _special_orthogonal_log(rot)
-    if _opnorm(expm(omega) - rot) > 1e-9:
+    if _opnorm(_expm_skew(omega) - rot) > 1e-9:
         raise ValueError("real logarithm of the rotation failed to verify")
-    gen = np.zeros((cm.dim_v, cm.dim_v), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            gen += 0.5 * omega[a, b] * cm.sigmas[a, b]
-    u = expm(gen)
+    u = _expm_skew(0.5 * np.tensordot(omega, cm.sigmas, axes=2))
     for j in range(n):
         target = cm.gamma(rot[:, j])
         if _opnorm(u @ cm.gammas[j] @ u.conj().T - target) > tol:

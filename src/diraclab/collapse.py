@@ -15,13 +15,14 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random
 
 from .assembly import (
     EmptyInvariantSpaceError,
+    _limit_operator,
     _mapping_plan,
+    _parallel_values,
     assemble_dirac,
-    fiber_invariant_split,
-    limit_operator,
 )
 from .clifford import CliffordModule
 from .models import (
@@ -134,8 +135,9 @@ def collapse_run(
     epsilons must decrease strictly; tracked_eigenvalues[k-1] follows the
     k-th smallest absolute eigenvalue across scales.  The truncation must be
     large enough that the window never outruns the retained base modes.
-    Orbits, twists and base momenta do not depend on the fiber scale, so
-    they are built once and only the fiber momenta are redone per scale.
+    The lift, orbits, twists and base momenta do not depend on the fiber
+    scale, so they are built once and only the fiber momenta are redone per
+    scale; the limit operator is built from the same lift and twist.
     """
     eps = [float(e) for e in epsilons]
     if not eps or any(e <= 0.0 for e in eps):
@@ -144,13 +146,15 @@ def collapse_run(
         raise ValueError("epsilons must decrease strictly")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    plan = _mapping_plan(model, cm, truncation)
     try:
-        limit_spec = eigensolve(limit_operator(model, cm, truncation))
+        # with parallel sections the zero mode is an orbit of size 1
+        limit = _limit_operator(model, truncation, plan.lift, plan.sectors.get(1))
+        limit_spec = eigensolve(limit)
         verdict = "converges"
     except EmptyInvariantSpaceError:
         limit_spec = None
         verdict = "blows_up"
-    plan = _mapping_plan(model, cm, truncation)
     spectra, bounds, tracked_cols = [], [], []
     for e in eps:
         spec = eigensolve(plan.dirac(e))
@@ -213,15 +217,14 @@ def blowup_check(
     Only valid when no parallel sections exist; rate is the largest a with
     min |spec| >= a / epsilon across all requested scales.
     """
-    split = fiber_invariant_split(model, cm, 1)
-    if split.dim > 0:
+    plan = _mapping_plan(model, cm, truncation)
+    if _parallel_values(model, plan.lift).shape[1] > 0:
         raise ValueError(
             "model has parallel sections; its spectrum converges instead of escaping"
         )
     eps = [float(e) for e in epsilons]
     if not eps or any(e <= 0.0 for e in eps):
         raise ValueError("epsilons must be positive")
-    plan = _mapping_plan(model, cm, truncation)
     mins = [float(eigensolve(plan.dirac(e)).abs_sorted()[0]) for e in eps]
     rate = min(m * e for m, e in zip(mins, eps))
     return BlowupReport(epsilons=tuple(eps), min_abs=tuple(mins), rate=float(rate))

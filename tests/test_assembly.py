@@ -18,7 +18,8 @@ from diraclab.assembly import (
     limit_operator,
     write_matrix_text,
 )
-from diraclab.clifford import exterior_module, spinor_gammas
+from diraclab.clifford import exterior_module, lift_rotation, spinor_gammas
+from diraclab.collapse import blowup_check, collapse_run
 from diraclab.models import AffineMappingTorus, FlatTorusModel
 from diraclab.spectral import HERMITICITY_TOL, eigensolve, epsilon_close, subset_epsilon_close
 
@@ -492,6 +493,54 @@ def test_twist_that_fails_to_diagonalize_is_refused():
     shear = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # not unitary
     with pytest.raises(ValueError, match="failed to diagonalize"):
         _twist_sector(shear, cm.gammas[2], 1, 0.0)
+
+
+def test_twist_sector_of_unitary_with_repeated_eigenvalue():
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    w, _ = np.linalg.qr(z)
+    angles = np.array([0.1, 0.1, 0.6, 0.1, 0.35])
+    twist = w @ np.diag(np.exp(2j * np.pi * angles)) @ w.conj().T
+    sector = _twist_sector(twist, np.eye(5), 1, 0.0)
+    q = sector.q
+    assert np.max(np.abs(q.conj().T @ q - np.eye(5))) <= 1e-12
+    tq = q.conj().T @ twist @ q
+    assert np.max(np.abs(tq - np.diag(np.diag(tq)))) <= 1e-12
+    assert [(round(theta, 12), len(idxs)) for theta, idxs in sector.clusters] == [
+        (0.1, 3), (0.35, 1), (0.6, 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "twist",
+    [np.exp(0.3j) * np.eye(3), np.eye(3), np.diag([1j, -1.0, 1j])],
+    ids=["scalar", "identity", "diagonal"],
+)
+def test_twist_sector_keeps_standard_basis(twist):
+    sector = _twist_sector(twist, np.eye(3), 1, 0.0)
+    assert np.array_equal(sector.q, np.eye(3))
+
+
+def test_lift_is_resolved_once_per_run(monkeypatch):
+    import diraclab.assembly as assembly
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lift_rotation(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "lift_rotation", counting)
+    model, cm = _rot4_mapping(), exterior_module(3)
+    collapse_run(model, cm, [1.0, 0.5], 2, 1)
+    assert len(calls) == 1
+    blocking = AffineMappingTorus(
+        fiber=FlatTorusModel(np.eye(2), np.array([0.5, 0.5])),
+        holonomy=-np.eye(2),
+        base_length=2 * np.pi,
+    )
+    blowup_check(blocking, spinor_gammas(3), [1.0, 0.5], 1)
+    assert len(calls) == 2
 
 
 def test_symbol_coupling_twist_sectors_is_refused():

@@ -1,10 +1,14 @@
 """Clifford module relations, Casimir values, holonomy groups, lifts."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from diraclab.clifford import (
     CliffordModule,
+    _expm_skew,
     casimir,
     casimir_blocks,
     exterior_module,
@@ -139,6 +143,87 @@ def test_lift_rotation_exterior():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     u = lift_rotation(cm, rot)
     assert np.allclose(u @ cm.gammas[0] @ u.conj().T, cm.gamma(rot[:, 0]), atol=1e-9)
+
+
+# Lifts computed by the Schur-form logarithm and Pade exponential that the
+# eigenbasis routines replaced, as [re, im] pairs.
+FROZEN_LIFTS = {
+    name: np.array(value)[..., 0] + 1j * np.array(value)[..., 1]
+    for name, value in json.loads((Path(__file__).parent / "frozen_lifts.json").read_text()).items()
+}
+
+
+def _plane_rotation(n, a, b, theta):
+    """Rotation by theta in the (a, b) plane, turning e_a towards e_b."""
+    rot = np.eye(n)
+    rot[a, a] = rot[b, b] = np.cos(theta)
+    rot[b, a] = np.sin(theta)
+    rot[a, b] = -np.sin(theta)
+    return rot
+
+
+@pytest.mark.parametrize("delta", ["1e-3", "1e-6", "1e-9", "1e-12", "0"])
+def test_lift_rotation_near_pi_matches_frozen(delta):
+    # the angle must come from arctan2(sin, cos): arccos(cos) loses half the
+    # digits near pi; from 1e-12 on the rotation is taken as one by pi
+    rot = _plane_rotation(3, 0, 1, np.pi - float(delta))
+    u = lift_rotation(spinor_gammas(3), rot)
+    assert np.max(np.abs(u - FROZEN_LIFTS[f"near_pi_{delta}"])) <= 1e-12
+
+
+@pytest.mark.parametrize("angle", [0.3, 1.1, 2.5, 4.0, 5.5])
+@pytest.mark.parametrize(
+    "shape",
+    [np.eye(2), np.array([[1.0, 0.3], [0.0, 1.2]]), np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]])],
+    ids=["square", "sheared", "hexagonal"],
+)
+def test_lift_of_minus_identity_on_any_lattice(angle, shape):
+    # -I holonomy seen through a lattice basis B is B(-I)B^-1, -I only up to
+    # ulps; its lift must still be that of diag(-1, -1, 1), since the other
+    # sign changes the spectrum of every odd orbit
+    basis = _plane_rotation(2, 0, 1, angle) @ shape
+    rot = np.eye(3)
+    rot[:2, :2] = (basis @ -np.eye(2) @ np.linalg.inv(basis)).T
+    u = lift_rotation(spinor_gammas(3), rot)
+    assert np.max(np.abs(u - FROZEN_LIFTS["minus_identity"])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name,n,planes",
+    [
+        ("so2_a", 2, [((0, 1), 0.7)]),
+        ("so2_b", 2, [((0, 1), -2.9)]),
+        ("so3_a", 3, [((0, 1), 0.4), ((0, 2), -1.9), ((1, 2), 2.6)]),
+        ("so3_b", 3, [((1, 2), 3.0), ((0, 1), 1.3)]),
+        ("so4_a", 4, [((0, 1), 0.8), ((2, 3), -2.2), ((0, 2), 1.7), ((1, 3), 0.3)]),
+        ("so4_b", 4, [((0, 3), 2.9), ((1, 2), -0.6), ((0, 1), 2.2)]),
+    ],
+)
+def test_lift_rotation_matches_frozen(name, n, planes):
+    rot = np.eye(n)
+    for (a, b), theta in planes:
+        rot = rot @ _plane_rotation(n, a, b, theta)
+    u = lift_rotation(spinor_gammas(n), rot)
+    assert np.max(np.abs(u - FROZEN_LIFTS[name])) <= 1e-12
+
+
+@pytest.mark.parametrize("module", [spinor_gammas(3), spinor_gammas(4), exterior_module(3)])
+def test_lift_of_pi_rotation_is_the_limit_from_below(module):
+    # in every coordinate plane (a < b) the lift of the rotation by pi is the
+    # limit of the lifts of rotations by pi - delta from e_a towards e_b
+    n = module.n
+    for a in range(n):
+        for b in range(a + 1, n):
+            at_pi = lift_rotation(module, _plane_rotation(n, a, b, np.pi))
+            below = lift_rotation(module, _plane_rotation(n, a, b, np.pi - 1e-9))
+            assert np.max(np.abs(at_pi - below)) <= 1e-8
+
+
+def test_expm_skew_refuses_non_skew_input():
+    x = np.array([[0.0, -0.4], [0.4, 0.0]])
+    assert np.allclose(_expm_skew(x), _plane_rotation(2, 0, 1, 0.4), atol=1e-15)
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        _expm_skew(np.array([[0.1, -0.4], [0.4, 0.0]]))
 
 
 def test_lift_rotation_rejects_reflection():
