@@ -35,7 +35,7 @@ import numpy as np
 
 from .clifford import CliffordModule, fixed_subspace, holonomy_rep, lift_rotation, casimir
 from .models import AffineMappingTorus, FlatTorusModel, matrix_order
-from .spectral import HERMITICITY_TOL, Spectrum, _default_tol, eigensolve
+from .spectral import HERMITICITY_TOL, STRUCTURE_TOL, Spectrum, _default_tol, eigensolve
 
 __all__ = [
     "AssembledOperator",
@@ -51,12 +51,6 @@ __all__ = [
     "eigenvalue_derivative",
     "write_matrix_text",
 ]
-
-
-# Twist diagonalization, twist-angle clustering and fixed-space membership
-# use this absolute tolerance; cross-cluster coupling uses it relative to
-# the largest entry of the symbol.
-STRUCTURE_TOL = 1e-8
 
 
 class EmptyInvariantSpaceError(ValueError):
@@ -160,8 +154,15 @@ def _mode_ranges(shift: np.ndarray, truncation: int) -> list[range]:
     return ranges
 
 
-def _flat_modes(model: FlatTorusModel, truncation: int) -> list[tuple[int, ...]]:
-    return [tuple(k) for k in itertools.product(*_mode_ranges(model.spin_shift, truncation))]
+def _flat_modes(model: FlatTorusModel, truncation: int) -> np.ndarray:
+    """Retained modes, one row each, in lexicographic order."""
+    ranges = _mode_ranges(model.spin_shift, truncation)
+    grid = np.indices([len(r) for r in ranges]).reshape(len(ranges), -1).T
+    return grid + np.array([r.start for r in ranges], dtype=grid.dtype)
+
+
+def _mode_tuples(modes: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(k) for k in modes.tolist()]
 
 
 def _flat_momenta(model: FlatTorusModel, cm: CliffordModule, truncation: int):
@@ -169,7 +170,7 @@ def _flat_momenta(model: FlatTorusModel, cm: CliffordModule, truncation: int):
     if cm.n != model.n:
         raise ValueError(f"module dimension {cm.n} does not match torus rank {model.n}")
     modes = _flat_modes(model, truncation)
-    return modes, model.dual_momentum(np.array(modes))
+    return _mode_tuples(modes), model.dual_momentum(modes)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +208,9 @@ def _resolve_lift(model: AffineMappingTorus, cm: CliffordModule, tol: float = 1e
     return u
 
 
-def _holonomy_orbits(
-    model: AffineMappingTorus, truncation: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """Orbits of the dual mode map, as (lexicographic representative, size).
+def _holonomy_orbits(model: AffineMappingTorus, truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the dual mode map, as lexicographic representatives (one
+    row each, ascending) and orbit sizes.
 
     Every orbit meeting the truncation window is kept whole, so the block
     structure does not depend on which member seeded it.
@@ -222,27 +222,30 @@ def _holonomy_orbits(
     if np.max(np.abs(carry - carry_int)) > 1e-12:
         raise ValueError("fiber spin shift is not compatible with the holonomy")
     cap = matrix_order(model.holonomy)
-
-    def step(k: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(int(x) for x in phi_t @ np.array(k, dtype=np.int64) + carry_int)
-
+    # images[j] holds the j-th image of every window mode, j = 0 .. cap
     window = _flat_modes(model.fiber, truncation)
-    seen: set[tuple[int, ...]] = set()
-    orbits: list[tuple[tuple[int, ...], int]] = []
-    for k in window:
-        if k in seen:
-            continue
-        orbit = [k]
-        seen.add(k)
-        nxt = step(k)
-        while nxt != k:
-            if len(orbit) > cap:
-                raise RuntimeError("orbit failed to close within the holonomy order")
-            orbit.append(nxt)
-            seen.add(nxt)
-            nxt = step(nxt)
-        orbits.append((min(orbit), len(orbit)))
-    return sorted(orbits)
+    images = [window]
+    for _ in range(cap):
+        images.append(images[-1] @ phi_t.T + carry_int)
+    images = np.stack(images)
+    closes = np.all(images[1:] == window, axis=2)
+    if not np.all(np.any(closes, axis=0)):
+        raise RuntimeError("orbit failed to close within the holonomy order")
+    sizes = np.argmax(closes, axis=0) + 1
+    # no orbit has more than cap members, so images[:cap] covers each mode's
+    # whole orbit; narrow it coordinate by coordinate to the lexicographic
+    # minimum, the orbit's representative
+    cycle = images[:cap]
+    best = np.ones(cycle.shape[:2], dtype=bool)
+    for c in range(cycle.shape[2]):
+        col = np.where(best, cycle[:, :, c], np.iinfo(np.int64).max)
+        best &= col == col.min(axis=0)
+    rep_of = cycle[np.argmax(best, axis=0), np.arange(len(window))]
+    order = np.lexsort(rep_of.T[::-1])
+    rep_of, sizes = rep_of[order], sizes[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(rep_of[1:] != rep_of[:-1], axis=1)
+    return rep_of[new], sizes[new]
 
 
 def _cluster_angles(thetas: np.ndarray) -> list[tuple[float, list[int]]]:
@@ -452,20 +455,19 @@ def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int
     then assembles any fiber scale without redoing orbits or twists."""
     m = model.fiber.n
     lift = _resolve_lift(model, cm)
-    orbit_sizes = _holonomy_orbits(model, truncation)
+    reps, sizes = _holonomy_orbits(model, truncation)
     sectors = {
         d: _twist_sector(lift, cm.gammas[m], d, model.base_shift)
-        for d in sorted({d for _, d in orbit_sizes})
+        for d in sorted(set(sizes.tolist()))
     }
     orbits, infos = [], []
     placed: dict[int, int] = {}
-    for rep, d in orbit_sizes:
+    for rep, d in zip(_mode_tuples(reps), sizes.tolist()):
         zeta0 = np.array(rep, dtype=float) + model.fiber.spin_shift
         conn_dot = float(model.connection @ zeta0)
         orbit = _orbit(sectors[d], d, model.base_length, conn_dot, d * truncation, placed)
         orbits.append(orbit)
         infos.extend(orbit.infos(rep, zero_mode=bool(np.all(zeta0 == 0.0))))
-    reps = np.array([rep for rep, _ in orbit_sizes]).reshape(len(orbit_sizes), m)
     return _MappingPlan(
         model, cm, truncation, lift, sectors, reps, tuple(orbits), tuple(infos), placed
     )
@@ -540,8 +542,9 @@ def fiber_invariant_split(
     """
     parallel = _parallel_values(model, _resolve_lift(model, cm))
     scaled = model.scaled_fiber()
-    modes = _flat_modes(scaled, truncation)
-    p = scaled.dual_momentum(np.array(modes))
+    grid = _flat_modes(scaled, truncation)
+    modes = _mode_tuples(grid)
+    p = scaled.dual_momentum(grid)
     fiber_op = AssembledOperator(
         [cm.gamma(np.column_stack([p, np.zeros(len(p))]))],
         [BlockInfo(mode=k, size=cm.dim_v) for k in modes],
@@ -640,7 +643,7 @@ def frame_bundle_operator(
         raise ValueError("module weights are not half-integral")
     if group_truncation < int(np.max(np.abs(np.round(doubled)))):
         raise ValueError("group-circle truncation cannot carry the module weights")
-    p = model.dual_momentum(np.array(_flat_modes(model, truncation)))
+    p = model.dual_momentum(_flat_modes(model, truncation))
     horizontal = np.sum(p * p, axis=1)
     # equivariance pairs the V-weight w with the group mode -w
     lap_values = np.sort((horizontal[:, None] + wvals[None, :] ** 2 - c_v).ravel())

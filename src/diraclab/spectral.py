@@ -28,6 +28,10 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
+# Twist diagonalization, twist-angle clustering, fixed-space membership and
+# the integrality of a closed-form sign count use this absolute tolerance;
+# cross-cluster coupling uses it relative to the largest entry of the symbol.
+STRUCTURE_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,17 +73,70 @@ def _default_tol(values: np.ndarray) -> float:
     return 1e-8 * max(1.0, scale)
 
 
-def eigensolve(op, cluster_tol: float | None = None) -> Spectrum:
-    """Eigenvalues of a Hermitian operator with a residual check on every
-    eigenpair.
+def _block_max(stack: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of each block of a (B, d, d) stack.  Reduced
+    along the leading axis of a transposed copy, which numpy vectorizes
+    across blocks; a reduction over the two inner axes runs block by block."""
+    return np.abs(stack).reshape(len(stack), -1).T.copy().max(axis=0)
 
-    An assembled operator is solved as its blocks, one batched eigh per
-    block size; its Hermiticity was checked when it was built.  A raw
-    square array is checked and solved dense, which is the reference the
-    block path is tested against.
+
+def _eigh_values(stack: np.ndarray, bscale: np.ndarray) -> np.ndarray:
+    """Batched eigh with a residual check on every eigenpair."""
+    w, v = np.linalg.eigh(stack)
+    resid = _block_max(stack @ v - v * w[:, None, :])
+    if np.any(resid > RESIDUAL_TOL * bscale):
+        raise RuntimeError(f"eigenpair residual {float(np.max(resid)):.3e} exceeds tolerance")
+    return w
+
+
+def _bochner_values(stack: np.ndarray, bscale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenvalues of the blocks whose square is certified
+    scalar, and the mask of those blocks; see eigensolve."""
+    d = stack.shape[1]
+    diag = np.arange(d)
+    sq = stack @ stack
+    c = np.einsum("bii->b", sq).real / d
+    sq[:, diag, diag] -= c[:, None]
+    delta = d * _block_max(sq)
+    r = np.sqrt(np.maximum(c, 0.0))
+    ok = (d * delta < c) & (delta <= RESIDUAL_TOL * bscale * r)
+    nplus = 0.5 * (d + np.einsum("bii->b", stack).real / np.where(ok, r, 1.0))
+    npos = np.rint(nplus)
+    ok &= np.abs(nplus - npos) <= STRUCTURE_TOL
+    w = np.where(diag[None, :] < (d - npos)[:, None], -r[:, None], r[:, None])
+    return w, ok
+
+
+def eigensolve(op, cluster_tol: float | None = None) -> Spectrum:
+    """Eigenvalues of a Hermitian operator, each certified against
+    RESIDUAL_TOL * max(1, largest entry of its block).
+
+    An assembled operator is solved as its size-class stacks; its
+    Hermiticity was checked when it was built.  On the flat models every
+    block squares to a scalar (the Bochner identity D^2 = (|p|^2 + beta^2) I),
+    so its spectrum is +-r and only the sign count is unknown.  Per block D
+    of size d: S = D D, c = Re tr S / d, r = sqrt(c), the bound
+    delta = d max |S - c I| >= ||S - c I||_2 and n+ = (d + Re tr D / r) / 2.
+    The eigenvalues of S are the lam^2 over the eigenvalues lam of D, and by
+    Weyl's inequality each lies within ||S - c I||_2 of c, so
+
+        ||lam| - r| = |lam^2 - c| / (|lam| + r) <= delta / r.
+
+    A block takes the closed form, -r (d - n+ times) and +r (n+ times), only
+    when delta / r <= RESIDUAL_TOL * max(1, max |D_ij|), d delta < r^2 (so
+    r > 0) and n+ lies within STRUCTURE_TOL of an integer.  Every eigenvalue
+    then lies within delta / r < r / d of +r or -r, so the signs split
+    cleanly, tr D / r is within d delta / r^2 < 1 of n+ - (d - n+), the
+    rounded n+ is the true count, and the sorted closed-form values match
+    the sorted eigenvalues to within delta / r.  Every other block of the
+    stack (r = 0, or a square that is not scalar) goes through one batched
+    eigh with a residual check on every eigenpair.  A raw square array is
+    checked and solved dense with that eigh, the reference the block path
+    is tested against.
     """
     stacks = getattr(op, "stacks", None)
-    if stacks is None:
+    dense = stacks is None
+    if dense:
         matrix = np.asarray(op, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("eigensolve needs a square matrix")
@@ -91,11 +148,13 @@ def eigensolve(op, cluster_tol: float | None = None) -> Spectrum:
     for stack in stacks:
         if stack.size == 0:
             continue
-        w, v = np.linalg.eigh(stack)
-        resid = np.max(np.abs(stack @ v - v * w[:, None, :]), axis=(1, 2))
-        bscale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
-        if np.any(resid > RESIDUAL_TOL * bscale):
-            raise RuntimeError(f"eigenpair residual {float(np.max(resid)):.3e} exceeds tolerance")
+        bscale = np.maximum(1.0, _block_max(stack))
+        if dense:
+            w = _eigh_values(stack, bscale)
+        else:
+            w, ok = _bochner_values(stack, bscale)
+            if not ok.all():
+                w[~ok] = _eigh_values(stack[~ok], bscale[~ok])
         chunks.append(w.ravel())
     values = np.sort(np.concatenate(chunks)) if chunks else np.zeros(0)
     tol = _default_tol(values) if cluster_tol is None else cluster_tol

@@ -1,5 +1,7 @@
 """Operator assembly: flat tori, mapping tori, limits, derivatives."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from diraclab.assembly import (
     AssembledOperator,
     BlockInfo,
     EmptyInvariantSpaceError,
+    _flat_modes,
+    _holonomy_orbits,
     _mapping_plan,
+    _mode_ranges,
     _twist_sector,
     assemble_dirac,
     bochner_rhs,
@@ -553,3 +558,56 @@ def test_symbol_coupling_twist_sectors_is_refused():
     orbit.dirac_blocks(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="couples distinct twist sectors"):
         orbit.dirac_blocks(cm.gammas[0])
+
+
+def _loop_orbits(model, truncation):
+    """Reference enumeration: follow every window mode around its orbit."""
+    shift = model.fiber.spin_shift
+    phi_t = model.holonomy.T
+    carry = np.round(phi_t @ shift - shift).astype(np.int64)
+
+    def step(k):
+        return tuple(int(x) for x in phi_t @ np.array(k) + carry)
+
+    seen, orbits = set(), []
+    for k in itertools.product(*_mode_ranges(shift, truncation)):
+        if k in seen:
+            continue
+        orbit = [k]
+        while step(orbit[-1]) != k:
+            orbit.append(step(orbit[-1]))
+        seen.update(orbit)
+        orbits.append((min(orbit), len(orbit)))
+    return sorted(orbits)
+
+
+_HEX = np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]])
+_SHEAR = np.array([[1.0, 0.3], [0.0, 1.1]])
+
+
+@pytest.mark.parametrize(
+    "basis, shift, holonomy",
+    [
+        (np.eye(2), [0.0, 0.0], [[0, -1], [1, 0]]),
+        (np.eye(2), [0.5, 0.5], [[0, -1], [1, 0]]),
+        (_HEX, [0.0, 0.0], [[0, -1], [1, 1]]),
+        (_HEX, [0.0, 0.0], [[-1, -1], [1, 0]]),
+        (_SHEAR, [0.5, 0.0], [[-1, 0], [0, -1]]),
+        (_SHEAR, [0.5, 0.5], [[-1, 0], [0, -1]]),
+        (np.eye(3), [0.5, 0.5, 0.5], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+        (np.array([[1.0]]), [0.5], [[1]]),
+    ],
+    ids=["rot4", "rot4_shift", "hex_rot6", "hex_rot3", "minus_I_x", "minus_I_xy", "perm3", "circle"],
+)
+def test_vectorized_enumeration_matches_loops(basis, shift, holonomy):
+    fiber = FlatTorusModel(basis, np.array(shift))
+    model = AffineMappingTorus(fiber=fiber, holonomy=np.array(holonomy), base_length=1.0)
+    for truncation in (1, 2, 4):
+        modes = _flat_modes(fiber, truncation)
+        assert modes.tolist() == [
+            list(k) for k in itertools.product(*_mode_ranges(fiber.spin_shift, truncation))
+        ]
+        reps, sizes = _holonomy_orbits(model, truncation)
+        assert reps.dtype == np.int64 and reps.shape == (len(sizes), fiber.n)
+        got = [(tuple(r), s) for r, s in zip(reps.tolist(), sizes.tolist())]
+        assert got == _loop_orbits(model, truncation)

@@ -1,9 +1,16 @@
 """Spectrum containers, eigensolver, multiset predicates, CSV round trip."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diraclab.assembly import AssembledOperator, BlockInfo
+import diraclab.spectral as spectral
+from diraclab.assembly import AssembledOperator, BlockInfo, _mapping_plan
+from diraclab.clifford import exterior_module, spinor_gammas
+from diraclab.models import AffineMappingTorus, FlatTorusModel
 from diraclab.spectral import (
     Spectrum,
     cluster_multiplicities,
@@ -49,6 +56,149 @@ def test_eigensolve_uses_blocks():
     direct = np.sort(np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)]))
     assert np.allclose(spec.values, direct, atol=1e-12)
     assert spec.source_truncation == 5
+
+
+def _stack_operator(stack):
+    """An assembled operator holding one stack, one mode per block."""
+    infos = [BlockInfo(mode=(i,), size=stack.shape[1]) for i in range(len(stack))]
+    return AssembledOperator([stack], infos, 1, "test")
+
+
+def _blockwise_eigvalsh(stack):
+    return np.sort(np.linalg.eigvalsh(stack).ravel())
+
+
+def _counting_eigh(monkeypatch, wrong=False):
+    """Count the batched eigh calls spectral makes, recording each input;
+    with wrong=True the eigenvalues come back shifted."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.array(a))
+        w, v = eigh(a, *args, **kwargs)
+        return (w + 1e-6, v) if wrong else (w, v)
+
+    monkeypatch.setattr(spectral.np.linalg, "eigh", counting)
+    return calls
+
+
+MODULES = [spinor_gammas(n) for n in (1, 2, 3, 4)] + [exterior_module(n) for n in (1, 2, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    module=st.sampled_from(range(len(MODULES))),
+    momenta=st.lists(
+        st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=4, max_size=4),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_closed_form_matches_eigvalsh_on_dirac_stacks(module, momenta):
+    cm = MODULES[module]
+    p = np.array([row[: cm.n] for row in momenta] + [[0.0] * cm.n])
+    stack = cm.gamma(p).astype(complex)
+    bscale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+    w, ok = spectral._bochner_values(stack, bscale)
+    # blocks away from p = 0 take the closed form, p = 0 falls back
+    assert ok[np.linalg.norm(p, axis=1) >= 1e-6].all() and not ok[-1]
+    assert np.max(np.abs(np.sort(w[ok], axis=1) - np.linalg.eigvalsh(stack[ok])), initial=0.0) <= 1e-12
+    spec = eigensolve(_stack_operator(stack))
+    assert np.max(np.abs(spec.values - _blockwise_eigvalsh(stack))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scalars=st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=8),
+    size=st.integers(1, 8),
+)
+def test_closed_form_matches_eigvalsh_on_bochner_stacks(scalars, size):
+    a = np.array(scalars + [-3.0, 0.0, 2.5])
+    stack = a[:, None, None] * np.eye(size)
+    spec = eigensolve(_stack_operator(stack))
+    assert np.max(np.abs(spec.values - _blockwise_eigvalsh(stack))) <= 1e-12
+    _, ok = spectral._bochner_values(stack.astype(complex), np.maximum(1.0, np.abs(a)))
+    assert ok[np.abs(a) >= 1e-6].all() and not ok[a == 0.0].any()
+
+
+def _rot4_operator(module, truncation):
+    """Square 2 pi fiber, 90-degree holonomy, base shift 1/2, fiber scale 1/2."""
+    fiber = FlatTorusModel(2 * np.pi * np.eye(2), np.zeros(2))
+    model = AffineMappingTorus(
+        fiber=fiber, holonomy=np.array([[0, -1], [1, 0]]), base_length=2 * np.pi, base_shift=0.5
+    )
+    return _mapping_plan(model, module, truncation).dirac(0.5)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+def test_perturbed_block_falls_back(monkeypatch, entry):
+    # 8x8 blocks: a traceless perturbation of a 2x2 block would still square
+    # to a scalar
+    cm = exterior_module(3)
+    rng = np.random.default_rng(4)
+    stack = cm.gamma(rng.uniform(-3.0, 3.0, size=(5, 3))).astype(complex)
+    i, j = entry
+    stack[2, i, j] += 1e-6
+    if i != j:
+        stack[2, j, i] += 1e-6
+    calls = _counting_eigh(monkeypatch)
+    spec = eigensolve(_stack_operator(stack))
+    # only the perturbed block reaches eigh, and its values are eigh's, not +-r
+    assert len(calls) == 1 and np.array_equal(calls[0], stack[2:3])
+    assert np.max(np.abs(spec.values - _blockwise_eigvalsh(stack))) <= 1e-13
+    r = math.sqrt(float(np.trace(stack[2] @ stack[2]).real) / 8)
+    assert np.max(np.abs(np.abs(np.linalg.eigvalsh(stack[2])) - r)) > 1e-7
+
+
+def test_nonintegral_sign_count_never_takes_closed_form():
+    # D^2 is scalar to within tolerance, but tr D / r puts n+ 5e-8 off an
+    # integer: the closed form (+-r) would be off by 5e-12
+    r, eps = 1e-4, 1e-11
+    stack = np.array([np.diag([r, -r + eps])] * 3, dtype=complex)
+    _, ok = spectral._bochner_values(stack, np.ones(3))
+    assert not ok.any()
+    spec = eigensolve(_stack_operator(stack))
+    assert np.max(np.abs(spec.values - _blockwise_eigvalsh(stack))) <= 1e-15
+
+
+def test_near_zero_block_keeps_its_sign_count():
+    # eigenvalues x, x, -t x, -t x with t = 2 - sqrt(3): the Weyl bound is
+    # far below the residual tolerance and n+ = 2 + (1 - t) x / r = 3 is an
+    # integer, but the true count is 2; only d delta < r^2 refuses the block
+    x, t = 1e-12, 2.0 - math.sqrt(3.0)
+    stack = np.diag([x, x, -t * x, -t * x]).astype(complex)[None]
+    _, ok = spectral._bochner_values(stack, np.ones(1))
+    assert not ok.any()
+    spec = eigensolve(_stack_operator(stack))
+    assert np.array_equal(spec.values, _blockwise_eigvalsh(stack))
+    assert int(np.sum(spec.values > 0)) == 2
+
+
+def test_eigh_calls_per_stack(monkeypatch):
+    ops = [_rot4_operator(spinor_gammas(3), 6), _rot4_operator(exterior_module(3), 3)]
+    calls = _counting_eigh(monkeypatch)
+    for op in ops:
+        eigensolve(op)
+    assert calls == []
+    rng = np.random.default_rng(3)
+    a = _random_hermitian(rng, 3)
+    b = _random_hermitian(rng, 4)
+    infos = [BlockInfo(mode=(0,), size=3), BlockInfo(mode=(1,), size=4)]
+    eigensolve(AssembledOperator([a[None], b[None]], infos, 5, "test"))
+    assert [c.shape for c in calls] == [(1, 3, 3), (1, 4, 4)]
+    calls.clear()
+    stack = np.array([_random_hermitian(rng, 3) for _ in range(5)])
+    eigensolve(_stack_operator(stack))
+    assert [c.shape for c in calls] == [(5, 3, 3)]
+
+
+def test_fallback_refuses_wrong_eigenpairs(monkeypatch):
+    rng = np.random.default_rng(5)
+    stack = np.array([_random_hermitian(rng, 3) for _ in range(4)])
+    _counting_eigh(monkeypatch, wrong=True)
+    with pytest.raises(RuntimeError, match="eigenpair residual"):
+        eigensolve(_stack_operator(stack))
 
 
 def test_eigensolve_rejects_nonhermitian():
