@@ -306,7 +306,8 @@ def perturbation_bound_check(
         lengths.append(float(seg))
         devs.append(dev)
         ratios.append(float(ratio))
-    max_ratio = max(ratios) if ratios else 0.0
+    # np.max, unlike max, lets a NaN ratio through to fail the check
+    max_ratio = float(np.max(ratios)) if ratios else 0.0
     return PerturbationReport(
         ts=tuple(float(t) for t in ts),
         segment_lengths=tuple(lengths),

@@ -238,15 +238,60 @@ def geometric_data(
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def _gram_at(family, t: float) -> np.ndarray:
-    g = np.atleast_2d(np.asarray(family(t), dtype=float))
-    if g.shape[0] != g.shape[1]:
-        raise ValueError("metric family must produce square Gram matrices")
-    if np.max(np.abs(g - g.T)) > 1e-10 * max(1.0, float(np.max(np.abs(g)))):
-        raise ValueError(f"Gram matrix at t={t} is not symmetric")
-    if np.min(np.linalg.eigvalsh(g)) <= 0:
-        raise ValueError(f"Gram matrix at t={t} is not positive definite")
-    return g
+# Checks run on every quadrature node in this order; the first node that
+# fails one is named, with the first check it fails.
+_NODE_CHECKS = (
+    "Gram matrix at t={} is not finite",
+    "Gram matrix at t={} is not symmetric",
+    "Gram matrix at t={} is not positive definite",
+    "metric derivative at t={} is not finite",
+)
+
+
+def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
+    """metric_speed at every parameter in ts, from one stacked evaluation.
+
+    family is called at t, t + fd_step and t - fd_step for each t in turn;
+    the outputs are stacked into (S, n, n) arrays, checked together, and
+    run through one batched cholesky, two batched solves and one batched
+    eigvalsh.  Every output must be the same square matrix shape; a
+    misshapen output is refused at its own parameter, after the value
+    checks of the nodes before it.
+    """
+    params = [s for t in ts for s in (t, t + fd_step, t - fd_step)]
+    outs = [np.atleast_2d(np.asarray(family(s), dtype=float)) for s in params]
+    shape = outs[0].shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(
+            f"metric family must produce square Gram matrices, got shape {shape} at t={ts[0]}"
+        )
+    misshapen = next((i for i, o in enumerate(outs) if o.shape != shape), len(outs))
+    # the value checks cover the outputs before the first misshapen one: the
+    # Gram matrices of the nodes up to it, the derivatives of whole triples
+    grams = np.array(outs[0:misshapen:3]).reshape(-1, *shape)
+    whole = misshapen // 3
+    fails = np.zeros((len(grams), len(_NODE_CHECKS)), dtype=bool)
+    finite = np.isfinite(grams).all(axis=(1, 2))
+    fails[:, 0] = ~finite
+    scale = np.maximum(1.0, np.max(np.abs(grams), axis=(1, 2)))
+    fails[:, 1] = np.max(np.abs(grams - grams.swapaxes(1, 2)), axis=(1, 2)) > 1e-10 * scale
+    safe = np.where(finite[:, None, None], grams, np.eye(shape[0]))
+    fails[:, 2] = np.min(np.linalg.eigvalsh(safe), axis=1) <= 0
+    plus = np.array(outs[1 : 3 * whole : 3]).reshape(-1, *shape)
+    minus = np.array(outs[2 : 3 * whole : 3]).reshape(-1, *shape)
+    gdot = (plus - minus) / (2.0 * fd_step)
+    fails[:whole, 3] = ~np.isfinite(gdot).all(axis=(1, 2))
+    if fails.any():
+        node, check = divmod(int(np.argmax(fails)), len(_NODE_CHECKS))
+        raise ValueError(_NODE_CHECKS[check].format(ts[node]))
+    if misshapen < len(outs):
+        raise ValueError(
+            f"metric family changes shape: {outs[misshapen].shape} at "
+            f"t={params[misshapen]}, {shape} at t={ts[0]}"
+        )
+    chol = np.linalg.cholesky(grams)
+    sym = np.linalg.solve(chol, np.linalg.solve(chol, gdot.swapaxes(1, 2)).swapaxes(1, 2))
+    return np.max(np.abs(np.linalg.eigvalsh(0.5 * (sym + sym.swapaxes(1, 2)))), axis=1)
 
 
 def metric_speed(family, t: float, fd_step: float = 1e-6) -> float:
@@ -254,13 +299,13 @@ def metric_speed(family, t: float, fd_step: float = 1e-6) -> float:
 
     Equals the largest absolute eigenvalue of c^-1 c-dot; the derivative is
     taken by central differences, so the family must extend slightly past
-    the endpoint being queried.
+    the endpoint being queried.  This is the one-point case of the stacked
+    evaluation behind metric_path.  Raises ValueError, naming t, when the
+    family's outputs are not square matrices of one shape, or when the Gram
+    matrix is not finite, symmetric and positive definite, or when its
+    finite-difference derivative is not finite.
     """
-    g = _gram_at(family, t)
-    gdot = (np.asarray(family(t + fd_step), dtype=float) - np.asarray(family(t - fd_step), dtype=float)) / (2.0 * fd_step)
-    chol = np.linalg.cholesky(g)
-    sym = np.linalg.solve(chol, np.linalg.solve(chol, gdot.T).T)
-    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (sym + sym.T)))))
+    return float(_metric_speeds(family, [t], fd_step)[0])
 
 
 def metric_path(
@@ -275,14 +320,18 @@ def metric_path(
     family maps a parameter to a Gram matrix and must be defined on a small
     neighbourhood of the interval (central differences step outside it).
     Composite Simpson quadrature; samples is rounded up to the next odd
-    count when necessary.
+    count when necessary.  The speeds at all nodes come from one stacked
+    evaluation, with the checks and refusals of metric_speed; a failing
+    check names the first node that fails it.  t1 must not lie below t0.
     """
     if samples < 3:
         raise ValueError("need at least 3 quadrature samples")
+    if not t0 <= t1:
+        raise ValueError(f"metric path needs t0 <= t1, got t0={t0}, t1={t1}")
     if samples % 2 == 0:
         samples += 1
     ts = np.linspace(t0, t1, samples)
-    speeds = np.array([metric_speed(family, float(t), fd_step) for t in ts])
+    speeds = _metric_speeds(family, ts.tolist(), fd_step)
     h = (t1 - t0) / (samples - 1)
     weights = np.ones(samples)
     weights[1:-1:2] = 4.0

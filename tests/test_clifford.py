@@ -36,6 +36,96 @@ def test_exterior_relations(n):
     assert max(res.values()) < 1e-12, res
 
 
+def _loop_relation_residuals(cm):
+    """Reference: every relation one index tuple at a time."""
+    n, d = cm.n, cm.dim_v
+    eye = np.eye(d)
+    g, s = cm.gammas, cm.sigmas
+
+    def opnorm(m):
+        return float(np.linalg.norm(m, ord=2))
+
+    res = dict.fromkeys(
+        [
+            "gamma_hermitian",
+            "clifford",
+            "sigma_antihermitian",
+            "sigma_antisymmetric",
+            "so_bracket",
+            "vector_bracket",
+        ],
+        0.0,
+    )
+    for a in range(n):
+        res["gamma_hermitian"] = max(res["gamma_hermitian"], opnorm(g[a] - g[a].conj().T))
+        for b in range(n):
+            anti = g[a] @ g[b] + g[b] @ g[a] - 2.0 * (a == b) * eye
+            res["clifford"] = max(res["clifford"], opnorm(anti))
+            herm = opnorm(s[a, b] + s[a, b].conj().T)
+            res["sigma_antihermitian"] = max(res["sigma_antihermitian"], herm)
+            res["sigma_antisymmetric"] = max(res["sigma_antisymmetric"], opnorm(s[a, b] + s[b, a]))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                lhs = g[a] @ s[b, c] - s[b, c] @ g[a]
+                rhs = (a == b) * g[c] - (a == c) * g[b]
+                res["vector_bracket"] = max(res["vector_bracket"], opnorm(lhs - rhs))
+                for e in range(n):
+                    lhs2 = s[a, b] @ s[c, e] - s[c, e] @ s[a, b]
+                    rhs2 = (
+                        (a == e) * s[b, c]
+                        - (a == c) * s[b, e]
+                        + (b == c) * s[a, e]
+                        - (b == e) * s[a, c]
+                    )
+                    res["so_bracket"] = max(res["so_bracket"], opnorm(lhs2 - rhs2))
+    if cm.hat_gammas is not None:
+        h = cm.hat_gammas
+        hat = 0.0
+        for a in range(n):
+            hat = max(hat, opnorm(h[a] - h[a].conj().T))
+            for b in range(n):
+                hat = max(hat, opnorm(h[a] @ h[b] + h[b] @ h[a] - 2.0 * (a == b) * eye))
+                hat = max(hat, opnorm(g[a] @ h[b] + h[b] @ g[a]))
+        res["hat_family"] = hat
+    return res
+
+
+def _validate_message(res, tol=1e-12):
+    worst = max(res.values())
+    if worst <= tol:
+        return None
+    bad = max(res, key=res.get)
+    return f"module relations violated: {bad} residual {worst:.3e}"
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(spinor_gammas, n) for n in range(1, 9)] + [(exterior_module, n) for n in range(1, 5)],
+)
+def test_stacked_relation_residuals_match_loop(build, n):
+    cm = build(n)
+    rng = np.random.default_rng(n)
+
+    def noisy(x):
+        return x + 1e-3 * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+
+    hats = None if cm.hat_gammas is None else noisy(cm.hat_gammas)
+    perturbed = CliffordModule(
+        n=n, group=cm.group, dim_v=cm.dim_v,
+        gammas=noisy(cm.gammas), sigmas=noisy(cm.sigmas), hat_gammas=hats,
+    )
+    for module in (cm, perturbed):
+        got, want = relation_residuals(module), _loop_relation_residuals(module)
+        assert list(got) == list(want)
+        assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
+    # with n = 1 the brackets of one sigma with itself vanish identically
+    assert min(v for k, v in want.items() if n > 1 or "bracket" not in k) > 1e-4
+    with pytest.raises(ValueError) as err:
+        perturbed.validate()
+    assert str(err.value) == _validate_message(want)
+
+
 def test_gamma_of_vector_squares_to_norm():
     rng = np.random.default_rng(0)
     for cm in (spinor_gammas(3), exterior_module(2)):

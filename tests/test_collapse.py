@@ -183,6 +183,20 @@ def test_perturbation_bound_scaling_family():
     assert 0.05 < rep.max_ratio <= 0.5 + 1e-6
 
 
+def test_perturbation_refuses_nan_metric_speed():
+    # NaN only at the finite-difference probes around the grid point 0.75:
+    # the segment lengths there used to be NaN, which max() skipped
+    g0 = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+    def fam(t):
+        if t != 0.75 and abs(t - 0.75) < 1e-3:
+            return np.full((2, 2), np.nan)
+        return np.exp(2 * t) * g0
+
+    with pytest.raises(ValueError, match=r"derivative at t=0\.75 is not finite"):
+        perturbation_bound_check(fam, spinor_gammas(2), 2, samples=5)
+
+
 def test_perturbation_report_fields():
     cm = spinor_gammas(1)
     rep = perturbation_bound_check(

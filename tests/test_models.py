@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diraclab.models import (
     AffineMappingTorus,
@@ -159,9 +161,129 @@ def test_metric_path_log_family():
 
 
 def test_metric_family_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"t=0\.0 is not symmetric"):
         metric_speed(lambda t: np.array([[1.0, 2.0], [0.0, 1.0]]), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"t=0\.0 is not positive definite"):
         metric_speed(lambda t: np.array([[-1.0]]), 0.0)
     with pytest.raises(ValueError):
         metric_path(lambda t: np.eye(2), samples=2)
+
+
+def test_metric_path_refuses_reversed_interval():
+    def fam(t):
+        return np.exp(2 * t) * np.eye(2)
+
+    with pytest.raises(ValueError, match="t0 <= t1"):
+        metric_path(fam, t0=0.75, t1=0.25)
+    with pytest.raises(ValueError, match="t0 <= t1"):
+        metric_path(fam, t0=float("nan"))
+    assert metric_path(fam, t0=0.5, t1=0.5) == 0.0
+
+
+def test_metric_family_refuses_bad_shapes():
+    with pytest.raises(ValueError, match="must produce square Gram matrices"):
+        metric_speed(lambda t: np.ones((2, 2, 2)), 0.0)
+    with pytest.raises(ValueError, match="must produce square Gram matrices"):
+        metric_path(lambda t: np.ones((2, 3)))
+
+    def grows_off_grid(t):
+        return np.eye(2) if t in (0.0, 0.5, 1.0) else np.eye(3)
+
+    with pytest.raises(ValueError, match=r"changes shape: \(3, 3\) at t=1e-06"):
+        metric_speed(grows_off_grid, 0.0)
+    with pytest.raises(ValueError, match="changes shape"):
+        metric_path(lambda t: np.eye(2) if t < 0.5 else np.eye(3), samples=5)
+
+
+def test_metric_family_refuses_non_finite_values():
+    def nan_gram(t):
+        return np.full((2, 2), np.nan) if t == 0.5 else np.eye(2)
+
+    with pytest.raises(ValueError, match=r"Gram matrix at t=0\.5 is not finite"):
+        metric_path(nan_gram, samples=5)
+
+    def nan_near_half(t):
+        return np.full((2, 2), np.nan) if 0 < abs(t - 0.5) < 1e-3 else np.eye(2)
+
+    with pytest.raises(ValueError, match=r"metric derivative at t=0\.5 is not finite"):
+        metric_path(nan_near_half, samples=5)
+
+
+def test_metric_path_names_first_failing_node():
+    # not positive definite from t = 0.3 on, and also asymmetric from 0.6 on:
+    # the quadrature nodes 0.375, 0.5, ... all fail, 0.375 first
+    def fam(t):
+        g = np.diag([1.0, 0.3 - t])
+        if t > 0.6:
+            g[0, 1] = 1.0
+        return g
+
+    with pytest.raises(ValueError, match=r"^Gram matrix at t=0\.375 is not positive definite$"):
+        metric_path(fam, samples=9)
+
+    # an earlier node's failed check wins over a later node's misshapen output
+    def late_shape(t):
+        if t > 0.8:
+            return np.eye(3)
+        return np.array([[1.0, 1.0], [0.0, 1.0]]) if t == 0.25 else np.eye(2)
+
+    with pytest.raises(ValueError, match=r"t=0\.25 is not symmetric"):
+        metric_path(late_shape, samples=5)
+
+
+def _loop_metric_speed(family, t, fd_step=1e-6):
+    """Reference: one node at a time, with the per-node checks."""
+    g = np.atleast_2d(np.asarray(family(t), dtype=float))
+    if g.shape[0] != g.shape[1]:
+        raise ValueError("metric family must produce square Gram matrices")
+    if np.max(np.abs(g - g.T)) > 1e-10 * max(1.0, float(np.max(np.abs(g)))):
+        raise ValueError(f"Gram matrix at t={t} is not symmetric")
+    if np.min(np.linalg.eigvalsh(g)) <= 0:
+        raise ValueError(f"Gram matrix at t={t} is not positive definite")
+    plus = np.asarray(family(t + fd_step), dtype=float)
+    minus = np.asarray(family(t - fd_step), dtype=float)
+    gdot = (plus - minus) / (2.0 * fd_step)
+    chol = np.linalg.cholesky(g)
+    sym = np.linalg.solve(chol, np.linalg.solve(chol, gdot.T).T)
+    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (sym + sym.T)))))
+
+
+def _loop_metric_path(family, samples, fd_step, t0, t1):
+    if samples % 2 == 0:
+        samples += 1
+    ts = np.linspace(t0, t1, samples)
+    speeds = np.array([_loop_metric_speed(family, float(t), fd_step) for t in ts])
+    weights = np.ones(samples)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float((t1 - t0) / (samples - 1) / 3.0 * np.dot(weights, speeds))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(3, 40),
+    fd_exponent=st.floats(-7.0, -4.0),
+    t0=st.floats(-1.0, 1.0),
+    width=st.floats(0.0, 1.0),
+)
+def test_stacked_metric_path_matches_loop(n, seed, samples, fd_exponent, t0, width):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    chol = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    s = rng.standard_normal((n, n))
+    w, q = np.linalg.eigh(0.5 * (s + s.T))
+    b = rng.standard_normal((n, n))
+
+    def family(t):
+        inner = (q * np.exp(t * w)) @ q.T + np.sin(t) ** 2 * (b @ b.T)
+        return chol @ inner @ chol.T
+
+    fd_step = 10.0**fd_exponent
+    t1 = t0 + width
+    for t in (t0, t1):
+        assert metric_speed(family, t, fd_step) == _loop_metric_speed(family, t, fd_step)
+    assert metric_path(family, samples, fd_step, t0, t1) == _loop_metric_path(
+        family, samples, fd_step, t0, t1
+    )
