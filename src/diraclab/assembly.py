@@ -11,18 +11,20 @@ are exact in floating point; no discretization error enters anywhere.
 
 Operators are stored as these blocks, grouped by block size into one
 read-only (B, d, d) stack per size, each in row order; the block provenance
-records every block's size, which fixes the row layout.  Assemblers write
-their blocks straight into the stacks.  Row labels are (mode tuple, module
-index).  For a mapping torus the mode tuple is the lexicographically
-smallest fiber mode of the orbit followed by the base Fourier index, and the
-module index refers to the eigenbasis of the orbit twist (the standard basis
-whenever the twist is diagonal, in particular scalar).
+is one columnar record whose sizes column fixes the row layout and every
+block's position in its stack.  Assemblers write their blocks straight into
+the stacks.  Row labels are (mode tuple, module index).  For a mapping
+torus the mode tuple is the lexicographically smallest fiber mode of the
+orbit followed by the base Fourier index, and the module index refers to
+the eigenbasis of the orbit twist (the standard basis whenever the twist is
+diagonal, in particular scalar).
 
 Only the fiber momenta of a mapping torus depend on the fiber scale, as
-1/fiber_scale.  Its assembly is therefore split into a scale-free plan (the
-orbits, their twist sectors, base momenta and block provenance) and a step
-that solves the fiber momenta of one scale and forms the blocks of every
-base index at once; a collapse run builds the plan once for all its scales.
+1/fiber_scale.  Its assembly is therefore split into a scale-free plan and
+a step that solves the fiber momenta of one scale.  The orbits of one size
+share a twist sector, so the plan keeps one group per orbit size, and the
+step forms each group's blocks in one broadcast; a collapse run builds the
+plan once for all its scales.  The limit operator is laid out the same way.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .clifford import CliffordModule, fixed_subspace, holonomy_rep, lift_rotation, casimir
-from .models import AffineMappingTorus, FlatTorusModel, matrix_order
+from .models import AffineMappingTorus, FlatTorusModel, _check_fd_step, matrix_order
 from .spectral import HERMITICITY_TOL, STRUCTURE_TOL, Spectrum, _default_tol, eigensolve
 
 __all__ = [
@@ -59,13 +61,30 @@ class EmptyInvariantSpaceError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class BlockInfo:
-    """Provenance of one assembled block: mode, size, base index, twist angle."""
+    """Block provenance, one row per block in row order: modes (B, k) (on a
+    mapping torus, ending in the base Fourier index), sizes (B,), twist
+    angles (B,) in turns (0.0 on flat tori) and invariant flags (B,)."""
 
-    mode: tuple[int, ...]
-    size: int
-    base_index: int | None = None
-    twist: float | None = None
-    invariant: bool = False
+    modes: np.ndarray
+    sizes: np.ndarray
+    twist: np.ndarray
+    invariant: np.ndarray
+
+
+def _flat_info(modes: np.ndarray, size: int) -> BlockInfo:
+    """One untwisted block of the given size per mode row."""
+    n = len(modes)
+    return BlockInfo(modes, np.full(n, size), np.zeros(n), np.zeros(n, dtype=bool))
+
+
+def _rank_within(keys: np.ndarray) -> np.ndarray:
+    """Each entry's rank among the earlier entries with its key (an integer
+    >= 0); with block sizes as keys, each block's position in its stack."""
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys)
+    ranks = np.empty(len(keys), dtype=np.intp)
+    ranks[order] = np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys[order]]
+    return ranks
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,15 +93,16 @@ class AssembledOperator:
 
     stacks holds the numbers: one read-only (B, d, d) array per block size
     d, ascending, each listing the blocks of that size in row order.
-    block_info lists every block in row order; block i acts on consecutive
-    rows labeled (block_info[i].mode, j), where j runs on from the rows
-    earlier blocks of the same mode took.  The stacks are made read-only
-    and Hermiticity is checked once, here.  blocks (views into the stacks)
-    and matrix (the dense block-diagonal view) are built on first access.
+    block_info is the columnar provenance of the blocks in row order: block
+    i takes the next sizes[i] rows, labeled (modes[i], j) with j running on
+    from the rows earlier blocks of that mode took, and the next block of
+    its size's stack.  Stacks and columns are made read-only and checked
+    once, here.  blocks (views into the stacks) and matrix (the dense
+    block-diagonal view) are built on first access.
     """
 
     stacks: tuple[np.ndarray, ...]
-    block_info: tuple[BlockInfo, ...]
+    block_info: BlockInfo
     truncation: int
     model_ref: str
 
@@ -93,14 +113,22 @@ class AssembledOperator:
                 raise ValueError("operator blocks must be square")
             s.flags.writeable = False
         stacks.sort(key=lambda s: s.shape[1])
-        block_info = tuple(self.block_info)
-        sizes = [info.size for info in block_info]
-        if len(sizes) != sum(len(s) for s in stacks) or any(
-            sizes.count(s.shape[1]) != len(s) for s in stacks
+        info = BlockInfo(*(np.asarray(c) for c in vars(self.block_info).values()))
+        if info.modes.ndim != 2:
+            raise ValueError(f"block modes must be a 2-D array, got shape {info.modes.shape}")
+        if any(c.shape != (len(info.modes),) for c in (info.sizes, info.twist, info.invariant)):
+            raise ValueError("block info columns must have one entry per block")
+        if np.any(info.sizes < 1):
+            raise ValueError("block sizes must be at least 1")
+        counts = np.bincount(info.sizes, minlength=max([s.shape[1] + 1 for s in stacks], default=0))
+        if len(info.sizes) != sum(len(s) for s in stacks) or any(
+            counts[s.shape[1]] != len(s) for s in stacks
         ):
             raise ValueError("one block info required per block")
+        for c in vars(info).values():
+            c.flags.writeable = False
         object.__setattr__(self, "stacks", tuple(stacks))
-        object.__setattr__(self, "block_info", block_info)
+        object.__setattr__(self, "block_info", info)
         stacks = [s for s in stacks if s.size]
         scale = max([1.0] + [float(np.max(np.abs(s))) for s in stacks])
         herm = max([0.0] + [float(np.max(np.abs(s - s.conj().transpose(0, 2, 1)))) for s in stacks])
@@ -110,23 +138,21 @@ class AssembledOperator:
     @cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
         """The blocks in row order, as read-only views into the stacks."""
-        by_size = {s.shape[1]: iter(s) for s in self.stacks}
-        return tuple(next(by_size[info.size]) for info in self.block_info)
+        by_size = {s.shape[1]: s for s in self.stacks}
+        sizes = self.block_info.sizes
+        return tuple(by_size[d][r] for d, r in zip(sizes.tolist(), _rank_within(sizes).tolist()))
 
     @cached_property
     def block_slices(self) -> tuple[slice, ...]:
-        ends = list(itertools.accumulate(info.size for info in self.block_info))
-        return tuple(slice(end - info.size, end) for info, end in zip(self.block_info, ends))
+        sizes = self.block_info.sizes.tolist()
+        return tuple(slice(end - d, end) for d, end in zip(sizes, itertools.accumulate(sizes)))
 
     @cached_property
     def basis_labels(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        labels = []
-        counts: dict[tuple[int, ...], int] = {}
-        for info in self.block_info:
-            start = counts.get(info.mode, 0)
-            counts[info.mode] = start + info.size
-            labels.extend((info.mode, start + i) for i in range(info.size))
-        return tuple(labels)
+        modes = np.repeat(self.block_info.modes, self.block_info.sizes, axis=0)
+        _, mode_ids = np.unique(modes, axis=0, return_inverse=True)
+        index = _rank_within(mode_ids.ravel()).tolist()
+        return tuple(zip(map(tuple, modes.tolist()), index))
 
     @property
     def dim(self) -> int:
@@ -146,12 +172,7 @@ def _mode_ranges(shift: np.ndarray, truncation: int) -> list[range]:
     """Per-component integer ranges k with |k + shift| <= truncation."""
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
-    ranges = []
-    for s in shift:
-        lo = int(np.ceil(-truncation - s))
-        hi = int(np.floor(truncation - s))
-        ranges.append(range(lo, hi + 1))
-    return ranges
+    return [range(int(np.ceil(-truncation - s)), int(np.floor(truncation - s)) + 1) for s in shift]
 
 
 def _flat_modes(model: FlatTorusModel, truncation: int) -> np.ndarray:
@@ -161,16 +182,12 @@ def _flat_modes(model: FlatTorusModel, truncation: int) -> np.ndarray:
     return grid + np.array([r.start for r in ranges], dtype=grid.dtype)
 
 
-def _mode_tuples(modes: np.ndarray) -> list[tuple[int, ...]]:
-    return [tuple(k) for k in modes.tolist()]
-
-
 def _flat_momenta(model: FlatTorusModel, cm: CliffordModule, truncation: int):
-    """Retained modes of a flat torus and their momenta, one row per mode."""
+    """Provenance (one block per mode) and momenta of a flat torus's modes."""
     if cm.n != model.n:
         raise ValueError(f"module dimension {cm.n} does not match torus rank {model.n}")
     modes = _flat_modes(model, truncation)
-    return _mode_tuples(modes), model.dual_momentum(modes)
+    return _flat_info(modes, cm.dim_v), model.dual_momentum(modes)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +278,7 @@ def _cluster_angles(thetas: np.ndarray) -> list[tuple[float, list[int]]]:
     if len(groups) > 1 and groups[0][0][0] + 1.0 - groups[-1][-1][0] <= STRUCTURE_TOL:
         moved = [(th - 1.0, i) for th, i in groups.pop()]
         groups[0] = moved + groups[0]
-    out = []
-    for grp in groups:
-        mean = sum(th for th, _ in grp) / len(grp)
-        out.append((mean, [i for _, i in grp]))
-    return out
-
-
-def _loop_phase(base_shift: float, d: int) -> float:
-    # spin structure on the base contributes a sign per loop
-    return -1.0 if (base_shift == 0.5 and d % 2 == 1) else 1.0
+    return [(sum(th for th, _ in grp) / len(grp), [i for _, i in grp]) for grp in groups]
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +307,9 @@ class _TwistSector:
 
 def _twist_sector(lift: np.ndarray, gb: np.ndarray, d: int, base_shift: float) -> _TwistSector:
     """Diagonalize the twist of an orbit of size d; gb is the base Clifford."""
-    twist = _loop_phase(base_shift, d) * np.linalg.matrix_power(np.asarray(lift, dtype=complex), d)
+    # spin structure on the base contributes a sign per loop
+    loop_phase = -1.0 if (base_shift == 0.5 and d % 2 == 1) else 1.0
+    twist = loop_phase * np.linalg.matrix_power(np.asarray(lift, dtype=complex), d)
     vals, q = np.linalg.eig(twist)
     thetas = np.mod(np.angle(vals) / (2.0 * np.pi), 1.0)
     clusters = tuple((theta, np.array(idxs)) for theta, idxs in _cluster_angles(thetas))
@@ -337,87 +347,94 @@ def _twist_sector(lift: np.ndarray, gb: np.ndarray, d: int, base_shift: float) -
 
 
 @dataclass(frozen=True, eq=False)
-class _Orbit:
-    """One holonomy orbit on its circle of d base lengths: the twist sector
-    and, per cluster, the base momentum beta of every Fourier index in us
-    and the rows its blocks take in the stack of their size."""
+class _OrbitGroup:
+    """The orbits of one size, which share a twist sector: their indices into
+    the orbit arrays and, per cluster, the (n, U) base momenta beta of every
+    member and base index and those blocks' positions in their size's stack."""
 
+    members: np.ndarray
     sector: _TwistSector
-    us: range
-    betas: np.ndarray
-    rows: tuple[slice, ...]
-
-    def infos(self, rep: tuple[int, ...], zero_mode: bool) -> list[BlockInfo]:
-        sec = self.sector
-        return [
-            BlockInfo(rep + (u,), len(idxs), u, theta, invariant=zero_mode and inv)
-            for u in self.us
-            for (theta, idxs), inv in zip(sec.clusters, sec.invariant)
-        ]
+    betas: tuple[np.ndarray, ...]
+    positions: tuple[np.ndarray, ...]
 
     def dirac_blocks(self, gp: np.ndarray) -> list[np.ndarray]:
-        """Per cluster, the (U, s, s) Dirac blocks of every base index for
-        the fiber symbol gp, given in the standard basis."""
+        """Per cluster, the (n, U, s, s) Dirac blocks; gp: every orbit's fiber symbol."""
         sec = self.sector
-        gp_q = sec.q.conj().T @ gp @ sec.q
+        gp_q = sec.q.conj().T @ gp[self.members] @ sec.q
         # cross-cluster coupling must vanish: the twist commutes with the symbol
-        scale = max(1.0, float(np.max(np.abs(gp_q))), sec.gb_max)
         if sec.coupling.any():
-            leak = max(float(np.max(np.abs(gp_q[sec.coupling]))), sec.gb_leak)
-            if leak > STRUCTURE_TOL * scale:
+            scale = np.maximum(max(1.0, sec.gb_max), np.max(np.abs(gp_q), axis=(1, 2)))
+            leak = np.maximum(np.max(np.abs(gp_q[:, sec.coupling]), axis=1), sec.gb_leak)
+            if np.any(leak > STRUCTURE_TOL * scale):
                 raise ValueError("operator symbol couples distinct twist sectors")
         return [
-            gp_q[grid] + beta[:, None, None] * gb
-            for grid, gb, beta in zip(sec.grids, sec.gb_blocks, self.betas)
+            gp_q[:, None, rows, cols] + beta[:, :, None, None] * gb
+            for (rows, cols), gb, beta in zip(sec.grids, sec.gb_blocks, self.betas)
         ]
 
-    def bochner_blocks(self, pnorm2: float) -> list[np.ndarray]:
-        """Per cluster, the closed-form Bochner blocks (|p|^2 + beta^2) I at
-        |p|^2 = pnorm2."""
+    def bochner_blocks(self, pnorm2: np.ndarray) -> list[np.ndarray]:
+        """Per cluster, the closed-form Bochner blocks (|p|^2 + beta^2) I of
+        every member and base index; pnorm2 holds every orbit's |p|^2."""
+        p2 = pnorm2[self.members][:, None]
         return [
-            (pnorm2 + beta * beta)[:, None, None] * np.eye(len(idxs))
+            (p2 + beta * beta)[:, :, None, None] * np.eye(len(idxs))
             for (_, idxs), beta in zip(self.sector.clusters, self.betas)
         ]
 
 
-def _orbit(
-    sector: _TwistSector, d: int, base_length: float, conn_dot: float, u_max: int,
-    placed: dict[int, int],
-) -> _Orbit:
-    """placed counts, per block size, the blocks earlier orbits took; this
-    orbit's blocks follow them in row order, base index outer and cluster
-    inner, and are added to the count."""
-    us = range(-u_max, u_max + 1)
-    thetas = np.array([theta for theta, _ in sector.clusters])
-    kappa = 2.0 * np.pi * (np.array(us)[None, :] + thetas[:, None]) / (d * base_length)
-    sizes = [len(idxs) for _, idxs in sector.clusters]
-    rows = []
-    for c, size in enumerate(sizes):
-        stride = sizes.count(size)
-        start = placed.get(size, 0) + sizes[:c].count(size)
-        rows.append(slice(start, start + stride * len(us), stride))
-    for size in sizes:
-        placed[size] = placed.get(size, 0) + len(us)
-    return _Orbit(sector=sector, us=us, betas=kappa - 2.0 * np.pi * conn_dot, rows=tuple(rows))
+def _orbit_layout(
+    sectors: dict[int, _TwistSector], reps: np.ndarray, sizes: np.ndarray,
+    conn_dot: np.ndarray, zero_mode: np.ndarray, base_length: float, truncation: int,
+) -> tuple[BlockInfo, tuple[_OrbitGroup, ...]]:
+    """Block provenance and per-size groups of the orbits reps (in row order)
+    of the given sizes.  An orbit of size d has one block per base index
+    u = -dT .. dT (outer) and cluster of its twist sector (inner); conn_dot
+    pairs its dual mode with the connection; zero_mode marks the zero mode."""
+    per_orbit = {d: (2 * d * truncation + 1) * len(sec.clusters) for d, sec in sectors.items()}
+    counts = np.array([per_orbit[d] for d in sizes.tolist()], dtype=np.int64)
+    offsets, total = np.cumsum(counts) - counts, int(np.sum(counts))
+    # an orbit's blocks take consecutive rows, over which its representative
+    # and zero-mode flag repeat
+    modes = np.repeat(np.column_stack([reps, np.zeros_like(sizes)]), counts, axis=0)
+    invariant = np.repeat(zero_mode, counts)
+    info = BlockInfo(modes, np.empty(total, dtype=np.int64), np.empty(total), invariant)
+    slots = []
+    for d, sec in sectors.items():
+        members = np.flatnonzero(sizes == d)
+        us = np.arange(-d * truncation, d * truncation + 1)
+        thetas = np.array([theta for theta, _ in sec.clusters])
+        # idx[i, a, c]: row-order index of member i's block at us[a] in cluster c
+        idx = offsets[members, None, None] + np.arange(len(us) * len(thetas)).reshape(len(us), -1)
+        info.modes[idx, -1] = us[:, None]
+        info.sizes[idx] = [len(idxs) for _, idxs in sec.clusters]
+        info.twist[idx] = thetas
+        info.invariant[idx] &= np.array(sec.invariant)
+        kappa = 2.0 * np.pi * (us[None, :] + thetas[:, None]) / (d * base_length)
+        shift = (2.0 * np.pi * conn_dot[members])[:, None]
+        slots.append((members, sec, tuple(kappa_c - shift for kappa_c in kappa), idx))
+    positions = _rank_within(info.sizes)
+    return info, tuple(
+        _OrbitGroup(members, sec, betas, tuple(positions[idx].transpose(2, 0, 1)))
+        for members, sec, betas, idx in slots
+    )
 
 
-def _orbit_stacks(orbits, per_orbit, counts: dict[int, int]) -> list[np.ndarray]:
-    """Stacks of counts[d] blocks per size d, holding each orbit's
-    per-cluster blocks at its rows."""
-    stacks = {size: np.empty((count, size, size), dtype=complex) for size, count in counts.items()}
-    for orbit, clusters in zip(orbits, per_orbit):
-        for rows, blocks in zip(orbit.rows, clusters):
-            stacks[blocks.shape[1]][rows] = blocks
-    return list(stacks.values())
+def _group_operator(info: BlockInfo, per_group, truncation: int, label: str):
+    """Operator from per-cluster (positions, blocks) lists, one per group."""
+    counts = np.bincount(info.sizes).tolist()
+    stacks = {d: np.empty((c, d, d), dtype=complex) for d, c in enumerate(counts) if c}
+    for group_positions, clusters in per_group:
+        for positions, blocks in zip(group_positions, clusters):
+            stacks[blocks.shape[-1]][positions] = blocks
+    return AssembledOperator(list(stacks.values()), info, truncation, label)
 
 
 @dataclass(frozen=True, eq=False)
 class _MappingPlan:
     """The part of a mapping-torus assembly that the fiber scale leaves
-    alone: the resolved lift and its twist sectors (by orbit size), the
-    holonomy orbits with their base momenta and rows, and the block
-    provenance.  Only the fiber momenta scale (as 1/fiber_scale); dirac and
-    bochner supply them for one scale."""
+    alone: the resolved lift, its twist sectors and the orbit groups (by
+    orbit size), the orbit representatives and the block provenance.  Only
+    the fiber momenta scale (as 1/fiber_scale); dirac and bochner supply them."""
 
     model: AffineMappingTorus
     cm: CliffordModule
@@ -425,29 +442,26 @@ class _MappingPlan:
     lift: np.ndarray
     sectors: dict[int, _TwistSector]
     reps: np.ndarray
-    orbits: tuple[_Orbit, ...]
-    block_info: tuple[BlockInfo, ...]
-    counts: dict[int, int]
+    groups: tuple[_OrbitGroup, ...]
+    block_info: BlockInfo
 
     def _momenta(self, eps: float) -> tuple[AffineMappingTorus, np.ndarray]:
         scaled = self.model.with_scale(eps)
         return scaled, scaled.scaled_fiber().dual_momentum(self.reps)
 
-    def _operator(self, per_orbit, scaled: AffineMappingTorus) -> AssembledOperator:
-        stacks = _orbit_stacks(self.orbits, per_orbit, self.counts)
-        return AssembledOperator(stacks, self.block_info, self.truncation, scaled.label())
-
     def dirac(self, eps: float) -> AssembledOperator:
         """Dirac operator at fiber scale eps."""
         scaled, p = self._momenta(eps)
         gp = self.cm.gamma(np.column_stack([p, np.zeros(len(p))]))
-        return self._operator([o.dirac_blocks(g) for o, g in zip(self.orbits, gp)], scaled)
+        per_group = [(g.positions, g.dirac_blocks(gp)) for g in self.groups]
+        return _group_operator(self.block_info, per_group, self.truncation, scaled.label())
 
     def bochner(self, eps: float) -> AssembledOperator:
         """Connection Laplacian at fiber scale eps, from |p|^2 + beta^2 alone."""
         scaled, p = self._momenta(eps)
         pnorm2 = np.sum(p * p, axis=1)
-        return self._operator([o.bochner_blocks(r) for o, r in zip(self.orbits, pnorm2)], scaled)
+        per_group = [(g.positions, g.bochner_blocks(pnorm2)) for g in self.groups]
+        return _group_operator(self.block_info, per_group, self.truncation, scaled.label())
 
 
 def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int) -> _MappingPlan:
@@ -460,17 +474,13 @@ def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int
         d: _twist_sector(lift, cm.gammas[m], d, model.base_shift)
         for d in sorted(set(sizes.tolist()))
     }
-    orbits, infos = [], []
-    placed: dict[int, int] = {}
-    for rep, d in zip(_mode_tuples(reps), sizes.tolist()):
-        zeta0 = np.array(rep, dtype=float) + model.fiber.spin_shift
-        conn_dot = float(model.connection @ zeta0)
-        orbit = _orbit(sectors[d], d, model.base_length, conn_dot, d * truncation, placed)
-        orbits.append(orbit)
-        infos.extend(orbit.infos(rep, zero_mode=bool(np.all(zeta0 == 0.0))))
-    return _MappingPlan(
-        model, cm, truncation, lift, sectors, reps, tuple(orbits), tuple(infos), placed
+    zeta0 = reps + model.fiber.spin_shift
+    # one (1, m) @ (m, 1) product per orbit rounds like a dot of one orbit
+    conn_dot = (zeta0[:, None, :] @ model.connection[:, None])[:, 0, 0]
+    info, groups = _orbit_layout(
+        sectors, reps, sizes, conn_dot, ~zeta0.any(axis=1), model.base_length, truncation
     )
+    return _MappingPlan(model, cm, truncation, lift, sectors, reps, groups, info)
 
 
 def assemble_dirac(
@@ -478,9 +488,8 @@ def assemble_dirac(
 ) -> AssembledOperator:
     """Dirac operator of the model on all retained Fourier modes."""
     if isinstance(model, FlatTorusModel):
-        modes, p = _flat_momenta(model, cm, truncation)
-        infos = [BlockInfo(mode=k, size=cm.dim_v) for k in modes]
-        return AssembledOperator([cm.gamma(p)], infos, truncation, model.label())
+        info, p = _flat_momenta(model, cm, truncation)
+        return AssembledOperator([cm.gamma(p)], info, truncation, model.label())
     if isinstance(model, AffineMappingTorus):
         return _mapping_plan(model, cm, truncation).dirac(model.fiber_scale)
     raise TypeError(f"unsupported model type {type(model).__name__}")
@@ -498,10 +507,9 @@ def bochner_rhs(
     correction vanishes here because the models are flat.
     """
     if isinstance(model, FlatTorusModel):
-        modes, p = _flat_momenta(model, cm, truncation)
+        info, p = _flat_momenta(model, cm, truncation)
         stack = np.sum(p * p, axis=1)[:, None, None] * np.eye(cm.dim_v)
-        infos = [BlockInfo(mode=k, size=cm.dim_v) for k in modes]
-        return AssembledOperator([stack], infos, truncation, model.label())
+        return AssembledOperator([stack], info, truncation, model.label())
     if isinstance(model, AffineMappingTorus):
         return _mapping_plan(model, cm, truncation).bochner(model.fiber_scale)
     raise TypeError(f"unsupported model type {type(model).__name__}")
@@ -542,46 +550,35 @@ def fiber_invariant_split(
     """
     parallel = _parallel_values(model, _resolve_lift(model, cm))
     scaled = model.scaled_fiber()
-    grid = _flat_modes(scaled, truncation)
-    modes = _mode_tuples(grid)
-    p = scaled.dual_momentum(grid)
+    modes = _flat_modes(scaled, truncation)
+    p = scaled.dual_momentum(modes)
     fiber_op = AssembledOperator(
         [cm.gamma(np.column_stack([p, np.zeros(len(p))]))],
-        [BlockInfo(mode=k, size=cm.dim_v) for k in modes],
+        _flat_info(modes, cm.dim_v),
         truncation,
         model.label() + "|fiber",
     )
-    zero_mode = bool(np.all(model.fiber.spin_shift == 0.0))
+    # the zero mode, which exists only for the trivial fiber spin shift
+    zero = ~modes.any(axis=1) & bool(np.all(model.fiber.spin_shift == 0.0))
     r = parallel.shape[1]
-    dim = fiber_op.dim
-    projector = np.zeros((dim, dim), dtype=complex)
-    m = model.fiber.n
-    zero = (0,) * m
+    projector = np.zeros((fiber_op.dim, fiber_op.dim), dtype=complex)
     if r:
-        rows = [i for i, (mode, _) in enumerate(fiber_op.basis_labels) if mode == zero]
-        proj_v = parallel @ parallel.conj().T
-        projector[np.ix_(rows, rows)] = proj_v
-    gap_candidates = []
-    for k, pnorm in zip(modes, np.linalg.norm(p, axis=1)):
-        if k == zero and zero_mode:
-            if r < cm.dim_v:
-                # complement reaches into the zero mode: the fiber operator
-                # vanishes there, so no spectral gap survives
-                gap_candidates.append(0.0)
-        else:
-            gap_candidates.append(float(pnorm))
-    gap = min(gap_candidates) if gap_candidates else 0.0
-    return InvariantSplit(fiber_operator=fiber_op, projector=projector, dim=r, gap=float(gap))
+        rows = np.flatnonzero(np.repeat(zero, cm.dim_v))
+        projector[np.ix_(rows, rows)] = parallel @ parallel.conj().T
+    gap_candidates = np.linalg.norm(p, axis=1)[~zero].tolist()
+    if zero.any() and r < cm.dim_v:
+        # complement reaches into the zero mode: the fiber operator
+        # vanishes there, so no spectral gap survives
+        gap_candidates.append(0.0)
+    gap = float(min(gap_candidates, default=0.0))
+    return InvariantSplit(fiber_operator=fiber_op, projector=projector, dim=r, gap=gap)
 
 
 def invariant_projector(op: AssembledOperator) -> np.ndarray:
     """Diagonal projector onto the parallel-section sector of an assembled
     mapping torus operator, read off the block provenance."""
-    diag = np.zeros(op.dim)
-    for info, sl in zip(op.block_info, op.block_slices):
-        if info.invariant:
-            diag[sl] = 1.0
-    return np.diag(diag).astype(complex)
+    info = op.block_info
+    return np.diag(np.repeat(info.invariant, info.sizes).astype(float)).astype(complex)
 
 
 def limit_operator(
@@ -609,14 +606,15 @@ def _limit_operator(
         raise EmptyInvariantSpaceError(
             "no parallel sections: the model has no collapse limit operator"
         )
-    placed: dict[int, int] = {}
-    orbit = _orbit(sector, 1, model.base_length, 0.0, truncation, placed)
-    return AssembledOperator(
-        _orbit_stacks([orbit], [orbit.dirac_blocks(np.zeros_like(sector.q))], placed),
-        orbit.infos((), zero_mode=True),
-        truncation,
-        model.label() + "|limit",
+    # a single zero-mode orbit of size 1, without fiber momentum
+    one = np.ones(1, dtype=np.int64)
+    info, groups = _orbit_layout(
+        {1: sector}, np.zeros((1, 0), dtype=np.int64), one, np.zeros(1), one == 1,
+        model.base_length, truncation,
     )
+    gp = np.zeros((1,) + sector.q.shape, dtype=complex)
+    per_group = [(g.positions, g.dirac_blocks(gp)) for g in groups]
+    return _group_operator(info, per_group, truncation, model.label() + "|limit")
 
 
 def frame_bundle_operator(
@@ -680,14 +678,16 @@ def eigenvalue_derivative(
     The proof-side conjugation by the relative volume density is constant in
     space for flat families and drops out.  j indexes the ascending sorted
     spectrum (0-based); a degenerate eigenvalue there is refused since no
-    single analytic branch passes through it.
+    single analytic branch passes through it.  Without gram_dot the metric
+    velocity is a central difference, and fd_step must be positive and finite.
     """
+    if gram_dot is None:
+        _check_fd_step(fd_step)
     g0 = np.atleast_2d(np.asarray(family(t0), dtype=float))
     n = g0.shape[0]
     shift = np.zeros(n) if spin_shift is None else np.asarray(spin_shift, dtype=float)
     basis = np.linalg.cholesky(g0).T
-    model = FlatTorusModel(basis, shift)
-    op = assemble_dirac(model, cm, truncation)
+    op = assemble_dirac(FlatTorusModel(basis, shift), cm, truncation)
     # a flat torus has one block size and its stack is in row order, so the
     # values land in row order (block, then column) and a stable sort breaks
     # ties in block order
@@ -700,11 +700,8 @@ def eigenvalue_derivative(
     row = int(order[j])
     lam = float(values[row])
     block, col = divmod(row, stack.shape[1])
-    mode = op.block_info[block].mode
     vec = v[block][:, col]
-    tol = cluster_tol
-    if tol is None:
-        tol = _default_tol(values[order[[0, -1]]])
+    tol = _default_tol(values[order[[0, -1]]]) if cluster_tol is None else cluster_tol
     for other in (j - 1, j + 1):
         if 0 <= other < len(values) and abs(float(values[order[other]]) - lam) <= tol:
             raise ValueError(
@@ -718,7 +715,7 @@ def eigenvalue_derivative(
             np.asarray(family(t0 + fd_step), dtype=float)
             - np.asarray(family(t0 - fd_step), dtype=float)
         ) / (2.0 * fd_step)
-    zeta = np.array(mode, dtype=float) + shift
+    zeta = op.block_info.modes[block] + shift
     u = np.array(
         [float(np.real(vec.conj() @ (cm.gamma(basis[:, i]) @ vec))) for i in range(n)]
     )
@@ -731,7 +728,6 @@ def write_matrix_text(op: AssembledOperator, path) -> None:
     """Dense text export: a header line with the shape, then one matrix row
     per line as whitespace-separated real/imaginary pairs (row-major)."""
     lines = [f"# rows={op.dim} cols={op.dim} layout=row-major complex pairs"]
-    for row in op.matrix:
-        lines.append(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row))
+    lines += [" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row) for row in op.matrix]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

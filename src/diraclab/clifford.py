@@ -442,8 +442,6 @@ def lift_rotation(cm: CliffordModule, rot: np.ndarray, tol: float = 1e-9) -> np.
     if _opnorm(_expm_skew(omega) - rot) > 1e-9:
         raise ValueError("real logarithm of the rotation failed to verify")
     u = _expm_skew(0.5 * np.tensordot(omega, cm.sigmas, axes=2))
-    for j in range(n):
-        target = cm.gamma(rot[:, j])
-        if _opnorm(u @ cm.gammas[j] @ u.conj().T - target) > tol:
-            raise ValueError("computed lift fails to intertwine the Clifford action")
+    if _max_opnorm(u @ cm.gammas @ u.conj().T - cm.gamma(rot.T)) > tol:
+        raise ValueError("computed lift fails to intertwine the Clifford action")
     return u

@@ -248,6 +248,11 @@ _NODE_CHECKS = (
 )
 
 
+def _check_fd_step(fd_step: float) -> None:
+    if not 0.0 < fd_step < np.inf:
+        raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
+
+
 def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
     """metric_speed at every parameter in ts, from one stacked evaluation.
 
@@ -258,6 +263,7 @@ def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
     misshapen output is refused at its own parameter, after the value
     checks of the nodes before it.
     """
+    _check_fd_step(fd_step)
     params = [s for t in ts for s in (t, t + fd_step, t - fd_step)]
     outs = [np.atleast_2d(np.asarray(family(s), dtype=float)) for s in params]
     shape = outs[0].shape
@@ -300,10 +306,10 @@ def metric_speed(family, t: float, fd_step: float = 1e-6) -> float:
     Equals the largest absolute eigenvalue of c^-1 c-dot; the derivative is
     taken by central differences, so the family must extend slightly past
     the endpoint being queried.  This is the one-point case of the stacked
-    evaluation behind metric_path.  Raises ValueError, naming t, when the
-    family's outputs are not square matrices of one shape, or when the Gram
-    matrix is not finite, symmetric and positive definite, or when its
-    finite-difference derivative is not finite.
+    evaluation behind metric_path.  Raises ValueError for a step that is
+    not positive and finite, and, naming t, for outputs that are not square
+    matrices of one shape, a Gram matrix that is not finite, symmetric and
+    positive definite, or a finite-difference derivative that is not finite.
     """
     return float(_metric_speeds(family, [t], fd_step)[0])
 

@@ -4,11 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diraclab.assembly import (
     AssembledOperator,
     BlockInfo,
     EmptyInvariantSpaceError,
+    _OrbitGroup,
     _flat_modes,
     _holonomy_orbits,
     _mapping_plan,
@@ -313,6 +316,24 @@ def test_eigenvalue_derivative_refuses_degenerate():
         eigenvalue_derivative(lambda t: (1 + t) * np.eye(2), cm, 2, 0.0, 0)
 
 
+def test_eigenvalue_derivative_refuses_bad_step():
+    def fam(t):
+        return np.array([[(2 * np.pi + t) ** 2]])
+
+    # a zero step used to give nan with only a RuntimeWarning
+    for step in (0.0, -1e-6, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"fd_step must be positive and finite, got {step!r}"):
+            eigenvalue_derivative(
+                fam, spinor_gammas(1), 3, 0.2, 2, spin_shift=np.array([0.5]), fd_step=step
+            )
+    # with an exact velocity the step is not used
+    got = eigenvalue_derivative(
+        fam, spinor_gammas(1), 3, 0.2, 2, spin_shift=np.array([0.5]), fd_step=0.0,
+        gram_dot=lambda t: np.array([[2 * (2 * np.pi + t)]]),
+    )
+    assert np.isfinite(got)
+
+
 def test_eigenvalue_derivative_index_range():
     cm = spinor_gammas(1)
     with pytest.raises(ValueError, match="out of range"):
@@ -340,26 +361,59 @@ def _rot4_mapping():
     )
 
 
+def _info(*sizes):
+    """Untwisted provenance of blocks of the given sizes, one mode each."""
+    n = len(sizes)
+    return BlockInfo(np.arange(n)[:, None], np.array(sizes), np.zeros(n), np.zeros(n, dtype=bool))
+
+
 def test_assembled_operator_validation():
-    info = BlockInfo(mode=(0,), size=2)
+    info = _info(2)
     with pytest.raises(ValueError, match="not Hermitian"):
-        AssembledOperator([np.array([[[0.0, 1.0], [1.0 + 1e-11, 0.0]]])], [info], 1, "test")
+        AssembledOperator([np.array([[[0.0, 1.0], [1.0 + 1e-11, 0.0]]])], info, 1, "test")
     # every block of a stack is checked, not just the first
     with pytest.raises(ValueError, match="not Hermitian"):
         AssembledOperator(
-            [np.array([np.eye(2), [[0.0, 1.0], [1.0 + 1e-11, 0.0]]])], [info, info], 1, "test"
+            [np.array([np.eye(2), [[0.0, 1.0], [1.0 + 1e-11, 0.0]]])], _info(2, 2), 1, "test"
         )
     # the tolerance is relative to the largest entry
     scale = 10.0
     near = scale + 0.5 * HERMITICITY_TOL * scale
-    AssembledOperator([np.array([[[0.0, scale], [near, 0.0]]])], [info], 1, "test")
+    AssembledOperator([np.array([[[0.0, scale], [near, 0.0]]])], info, 1, "test")
     with pytest.raises(ValueError, match="square"):
-        AssembledOperator([np.zeros((1, 2, 3))], [info], 1, "test")
+        AssembledOperator([np.zeros((1, 2, 3))], info, 1, "test")
     with pytest.raises(ValueError, match="block info"):
-        AssembledOperator([np.eye(2)[None], np.eye(1)[None]], [info], 1, "test")
+        AssembledOperator([np.eye(2)[None], np.eye(1)[None]], info, 1, "test")
     # as many infos as blocks, but their sizes do not match the stacks
     with pytest.raises(ValueError, match="block info"):
-        AssembledOperator([np.eye(2)[None]], [BlockInfo(mode=(0,), size=1)], 1, "test")
+        AssembledOperator([np.eye(2)[None]], _info(1), 1, "test")
+    with pytest.raises(ValueError, match="block info"):
+        AssembledOperator([np.eye(2)[None], np.eye(1)[None]], _info(1, 1), 1, "test")
+    # malformed records: columns of unequal length, modes that are not 2-D,
+    # sizes below 1
+    stack = [np.eye(2)[None]]
+    good = vars(_info(2))
+    for column, bad in [
+        ("modes", np.zeros((2, 1), dtype=int)),
+        ("sizes", np.array([2, 2])),
+        ("twist", np.zeros(0)),
+        ("invariant", np.zeros(2, dtype=bool)),
+        ("twist", np.zeros((1, 1))),
+    ]:
+        with pytest.raises(ValueError, match="one entry per block"):
+            AssembledOperator(stack, BlockInfo(**{**good, column: bad}), 1, "test")
+    for modes in (np.zeros(1, dtype=int), np.zeros((1, 1, 1), dtype=int)):
+        with pytest.raises(ValueError, match="must be a 2-D array"):
+            AssembledOperator(stack, BlockInfo(**{**good, "modes": modes}), 1, "test")
+    for sizes in ([0], [-1]):
+        with pytest.raises(ValueError, match="at least 1"):
+            AssembledOperator(
+                [np.zeros((0, 2, 2))], BlockInfo(**{**good, "sizes": np.array(sizes)}), 1, "test"
+            )
+    # the record is read-only once it backs an operator
+    op = AssembledOperator(stack, _info(2), 1, "test")
+    for column in vars(op.block_info).values():
+        assert not column.flags.writeable
 
 
 _BLOCK_OPERATORS = pytest.mark.parametrize(
@@ -399,9 +453,10 @@ def test_blocks_are_views_of_read_only_stacks(build):
     by_size = dict(zip(sizes, op.stacks))
     for stack in op.stacks:
         assert not stack.flags.writeable
-    for block, info in zip(op.blocks, op.block_info):
-        assert block.shape == (info.size, info.size)
-        assert np.shares_memory(block, by_size[info.size])
+    assert len(op.blocks) == len(op.block_info.sizes)
+    for block, size in zip(op.blocks, op.block_info.sizes.tolist()):
+        assert block.shape == (size, size)
+        assert np.shares_memory(block, by_size[size])
         assert not block.flags.writeable
 
 
@@ -411,14 +466,46 @@ def test_bochner_blocks_match_their_provenance():
     # at the row its info names, the two size-2 clusters told apart by twist
     model = _rot4_mapping().with_scale(0.3)
     op = bochner_rhs(model, exterior_module(3), 2)
-    assert sorted({info.size for info in op.block_info}) == [2, 4, 8]
-    for block, info in zip(op.blocks, op.block_info):
-        rep, u = info.mode[:2], info.mode[2]
-        p = model.scaled_fiber().dual_momentum(np.array(rep))
-        d = 1 if rep == (0, 0) else 4
-        beta = 2 * np.pi * (u + info.twist) / (d * model.base_length)
-        expected = (p @ p + beta**2) * np.eye(info.size)
+    info = op.block_info
+    assert sorted(set(info.sizes.tolist())) == [2, 4, 8]
+    assert len(op.blocks) == len(info.modes) == len(info.twist)
+    for block, mode, size, twist in zip(op.blocks, info.modes, info.sizes, info.twist):
+        rep, u = mode[:2], mode[2]
+        p = model.scaled_fiber().dual_momentum(rep)
+        d = 1 if not rep.any() else 4
+        beta = 2 * np.pi * (u + twist) / (d * model.base_length)
+        expected = (p @ p + beta**2) * np.eye(size)
         assert np.max(np.abs(block - expected)) <= 1e-12 * max(1.0, float(np.max(expected)))
+
+
+def test_connection_shifts_each_block_by_its_mode():
+    # beta = 2 pi (u + theta) / L - 2 pi <A, zeta>, read off each block's
+    # provenance; the spectrum alone cannot tell the sign of A (it is
+    # symmetric under (zeta, u) -> (-zeta, -u))
+    model = AffineMappingTorus(
+        fiber=FlatTorusModel(np.array([[2 * np.pi]]), np.array([0.5])),
+        holonomy=np.array([[1]]),
+        base_length=2 * np.pi,
+        holonomy_lift=np.eye(2, dtype=complex),
+        connection=np.array([0.25]),
+    ).with_scale(0.5)
+    op = bochner_rhs(model, spinor_gammas(2), 2)
+    info = op.block_info
+    assert len(op.blocks) == len(info.modes) == 20
+    for block, (k, u), twist in zip(op.blocks, info.modes, info.twist):
+        p = model.scaled_fiber().dual_momentum(np.array([k]))
+        beta = 2 * np.pi * (u + twist) / model.base_length - 2 * np.pi * 0.25 * (k + 0.5)
+        assert np.max(np.abs(block - (p @ p + beta**2) * np.eye(2))) <= 1e-12
+
+
+def test_invariant_flags_only_the_zero_mode():
+    # identity holonomy and lift: every orbit has size 1 and its one cluster
+    # lies in the fixed space of the lift, but only the zero mode carries
+    # parallel sections
+    op = assemble_dirac(_simple_mapping(), spinor_gammas(2), 2)
+    info = op.block_info
+    assert np.array_equal(info.invariant, info.modes[:, 0] == 0)
+    assert np.trace(invariant_projector(op)).real == 2 * 5
 
 
 def test_basis_labels_frozen():
@@ -489,8 +576,69 @@ def test_plan_is_scale_free(model, module, truncation):
             for a, b in zip(got.blocks, ref.blocks):
                 assert a.shape == b.shape
                 assert np.max(np.abs(a - b), initial=0.0) <= 1e-12
-            assert [vars(i) for i in got.block_info] == [vars(i) for i in ref.block_info]
+            for name, column in vars(ref.block_info).items():
+                assert getattr(got.block_info, name).dtype == column.dtype
+                assert np.array_equal(getattr(got.block_info, name), column)
             assert got.basis_labels == ref.basis_labels
+
+
+# finite-order fiber automorphisms in lattice coordinates, with their lattice
+_HOLONOMIES = {
+    "identity": (np.eye(2), [[1, 0], [0, 1]]),
+    "minus_identity": (np.eye(2), [[-1, 0], [0, -1]]),
+    "rot4": (np.eye(2), [[0, -1], [1, 0]]),
+    "hex_rot6": (np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]]), [[0, -1], [1, 1]]),
+    "hex_rot3": (np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]]), [[-1, -1], [1, 0]]),
+}
+
+
+def _compatible(holonomy, shift):
+    carry = np.array(holonomy).T @ shift - shift
+    return np.array_equal(carry, np.round(carry))
+
+
+@st.composite
+def _mapping_models(draw):
+    name = draw(st.sampled_from(sorted(_HOLONOMIES)))
+    basis, holonomy = _HOLONOMIES[name]
+    shift = np.array(draw(st.sampled_from([(0.0, 0.0), (0.5, 0.5), (0.5, 0.0)])))
+    if not _compatible(holonomy, shift):
+        shift = np.zeros(2)
+    angle = draw(st.floats(0.0, 2 * np.pi))
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    scale = draw(st.floats(0.5, 2.0))
+    return AffineMappingTorus(
+        fiber=FlatTorusModel(scale * rotation @ basis, shift),
+        holonomy=np.array(holonomy),
+        base_length=draw(st.floats(0.5, 3.0)),
+        base_shift=draw(st.sampled_from([0.0, 0.5])),
+        fiber_scale=draw(st.floats(0.1, 1.0)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=_mapping_models(),
+    exterior=st.booleans(),
+    truncation=st.integers(1, 3),
+    eps=st.floats(0.05, 2.0),
+)
+def test_plan_matches_assembly_over_model_space(model, exterior, truncation, eps):
+    module = exterior_module(3) if exterior else spinor_gammas(3)
+    got = _mapping_plan(model, module, truncation).dirac(eps)
+    scaled = model.with_scale(eps)
+    ref = assemble_dirac(scaled, module, truncation)
+    assert got.model_ref == ref.model_ref
+    rhs = bochner_rhs(scaled, module, truncation)
+    for op in (got, rhs):
+        for name, column in vars(ref.block_info).items():
+            assert np.array_equal(getattr(op.block_info, name), column)
+    assert len(got.blocks) == len(ref.blocks)
+    for a, b in zip(got.blocks, ref.blocks):
+        assert np.array_equal(a, b)
+    # every block squares to its closed-form Bochner block (|p|^2 + beta^2) I
+    for d, r in zip(got.blocks, rhs.blocks):
+        assert np.max(np.abs(d @ d - r)) <= 1e-12 * max(1.0, float(np.max(np.abs(r))))
 
 
 def test_twist_that_fails_to_diagonalize_is_refused():
@@ -551,13 +699,28 @@ def test_lift_is_resolved_once_per_run(monkeypatch):
 def test_symbol_coupling_twist_sectors_is_refused():
     cm = spinor_gammas(3)
     plan = _mapping_plan(_rot4_mapping(), cm, 1)
-    # the zero mode is its own orbit; its twist is the lift, which splits
-    # into two sectors that gamma_0 would mix
-    (orbit,) = [o for o, rep in zip(plan.orbits, plan.reps) if not rep.any()]
-    assert len(orbit.sector.clusters) == 2
-    orbit.dirac_blocks(np.zeros((2, 2)))
+    # the zero mode is the only orbit of size 1; its twist is the lift,
+    # which splits into two sectors that gamma_0 would mix
+    (zero,) = np.flatnonzero(~plan.reps.any(axis=1))
+    (group,) = [g for g in plan.groups if zero in g.members]
+    assert group.members.tolist() == [zero]
+    assert len(group.sector.clusters) == 2
+    gp = np.zeros((len(plan.reps), 2, 2), dtype=complex)
+    group.dirac_blocks(gp)
+    gp[zero] = cm.gammas[0]
     with pytest.raises(ValueError, match="couples distinct twist sectors"):
-        orbit.dirac_blocks(cm.gammas[0])
+        group.dirac_blocks(gp)
+    # the check is relative to each member's own scale: a small leak in one
+    # member is refused although another member's symbol is far larger
+    pair = _OrbitGroup(
+        np.array([0, 1]), group.sector, tuple(np.vstack([b, b]) for b in group.betas),
+        group.positions,
+    )
+    gp = np.array([1e6 * cm.gammas[2], 1e-3 * cm.gammas[0]])
+    with pytest.raises(ValueError, match="couples distinct twist sectors"):
+        pair.dirac_blocks(gp)
+    gp[1] = 0.0
+    assert [b.shape for b in pair.dirac_blocks(gp)] == [(2, 3, 1, 1), (2, 3, 1, 1)]
 
 
 def _loop_orbits(model, truncation):

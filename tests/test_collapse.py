@@ -195,6 +195,8 @@ def test_perturbation_refuses_nan_metric_speed():
 
     with pytest.raises(ValueError, match=r"derivative at t=0\.75 is not finite"):
         perturbation_bound_check(fam, spinor_gammas(2), 2, samples=5)
+    with pytest.raises(ValueError, match=r"fd_step must be positive and finite, got 0\.0"):
+        perturbation_bound_check(fam, spinor_gammas(2), 2, samples=5, fd_step=0.0)
 
 
 def test_perturbation_report_fields():

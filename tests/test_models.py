@@ -167,6 +167,13 @@ def test_metric_family_validation():
         metric_speed(lambda t: np.array([[-1.0]]), 0.0)
     with pytest.raises(ValueError):
         metric_path(lambda t: np.eye(2), samples=2)
+    # a step that is not positive and finite is named, not reported as a
+    # non-finite derivative (a zero step divides by zero)
+    for step in (0.0, -1e-6, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"fd_step must be positive and finite, got {step!r}"):
+            metric_speed(lambda t: np.eye(2), 0.0, fd_step=step)
+        with pytest.raises(ValueError, match=rf"fd_step must be positive and finite, got {step!r}"):
+            metric_path(lambda t: np.eye(2), fd_step=step)
 
 
 def test_metric_path_refuses_reversed_interval():

@@ -50,18 +50,22 @@ def test_eigensolve_uses_blocks():
     rng = np.random.default_rng(3)
     a = _random_hermitian(rng, 3)
     b = _random_hermitian(rng, 4)
-    infos = [BlockInfo(mode=(0,), size=3), BlockInfo(mode=(1,), size=4)]
-    op = AssembledOperator([a[None], b[None]], infos, 5, "test")
+    op = AssembledOperator([a[None], b[None]], _info(3, 4), 5, "test")
     spec = eigensolve(op)
     direct = np.sort(np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)]))
     assert np.allclose(spec.values, direct, atol=1e-12)
     assert spec.source_truncation == 5
 
 
+def _info(*sizes):
+    """Untwisted provenance of blocks of the given sizes, one mode each."""
+    n = len(sizes)
+    return BlockInfo(np.arange(n)[:, None], np.array(sizes), np.zeros(n), np.zeros(n, dtype=bool))
+
+
 def _stack_operator(stack):
     """An assembled operator holding one stack, one mode per block."""
-    infos = [BlockInfo(mode=(i,), size=stack.shape[1]) for i in range(len(stack))]
-    return AssembledOperator([stack], infos, 1, "test")
+    return AssembledOperator([stack], _info(*[stack.shape[1]] * len(stack)), 1, "test")
 
 
 def _blockwise_eigvalsh(stack):
@@ -184,8 +188,7 @@ def test_eigh_calls_per_stack(monkeypatch):
     rng = np.random.default_rng(3)
     a = _random_hermitian(rng, 3)
     b = _random_hermitian(rng, 4)
-    infos = [BlockInfo(mode=(0,), size=3), BlockInfo(mode=(1,), size=4)]
-    eigensolve(AssembledOperator([a[None], b[None]], infos, 5, "test"))
+    eigensolve(AssembledOperator([a[None], b[None]], _info(3, 4), 5, "test"))
     assert [c.shape for c in calls] == [(1, 3, 3), (1, 4, 4)]
     calls.clear()
     stack = np.array([_random_hermitian(rng, 3) for _ in range(5)])
