@@ -434,7 +434,10 @@ class _MappingPlan:
     """The part of a mapping-torus assembly that the fiber scale leaves
     alone: the resolved lift, its twist sectors and the orbit groups (by
     orbit size), the orbit representatives and the block provenance.  Only
-    the fiber momenta scale (as 1/fiber_scale); dirac and bochner supply them."""
+    the fiber momenta scale (as 1/fiber_scale); dirac and bochner supply them
+    for scaled, the plan's model at the wanted fiber scale (the model itself
+    or model.with_scale(eps)), so a caller that needs the scaled model too
+    builds it once."""
 
     model: AffineMappingTorus
     cm: CliffordModule
@@ -445,28 +448,26 @@ class _MappingPlan:
     groups: tuple[_OrbitGroup, ...]
     block_info: BlockInfo
 
-    def _momenta(self, eps: float) -> tuple[AffineMappingTorus, np.ndarray]:
-        scaled = self.model.with_scale(eps)
-        return scaled, scaled.scaled_fiber().dual_momentum(self.reps)
-
-    def dirac(self, eps: float) -> AssembledOperator:
-        """Dirac operator at fiber scale eps."""
-        scaled, p = self._momenta(eps)
+    def dirac(self, scaled: AffineMappingTorus) -> AssembledOperator:
+        """Dirac operator at the fiber scale of scaled."""
+        p = scaled.scaled_fiber().dual_momentum(self.reps)
         gp = self.cm.gamma(np.column_stack([p, np.zeros(len(p))]))
         per_group = [(g.positions, g.dirac_blocks(gp)) for g in self.groups]
         return _group_operator(self.block_info, per_group, self.truncation, scaled.label())
 
-    def bochner(self, eps: float) -> AssembledOperator:
-        """Connection Laplacian at fiber scale eps, from |p|^2 + beta^2 alone."""
-        scaled, p = self._momenta(eps)
+    def bochner(self, scaled: AffineMappingTorus) -> AssembledOperator:
+        """Connection Laplacian at the fiber scale of scaled, from
+        |p|^2 + beta^2 alone."""
+        p = scaled.scaled_fiber().dual_momentum(self.reps)
         pnorm2 = np.sum(p * p, axis=1)
         per_group = [(g.positions, g.bochner_blocks(pnorm2)) for g in self.groups]
         return _group_operator(self.block_info, per_group, self.truncation, scaled.label())
 
 
 def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int) -> _MappingPlan:
-    """Build the scale-free plan of a mapping torus once; its dirac(eps)
-    then assembles any fiber scale without redoing orbits or twists."""
+    """Build the scale-free plan of a mapping torus once; its
+    dirac(model.with_scale(eps)) then assembles any fiber scale without
+    redoing orbits or twists."""
     m = model.fiber.n
     lift = _resolve_lift(model, cm)
     reps, sizes = _holonomy_orbits(model, truncation)
@@ -491,7 +492,7 @@ def assemble_dirac(
         info, p = _flat_momenta(model, cm, truncation)
         return AssembledOperator([cm.gamma(p)], info, truncation, model.label())
     if isinstance(model, AffineMappingTorus):
-        return _mapping_plan(model, cm, truncation).dirac(model.fiber_scale)
+        return _mapping_plan(model, cm, truncation).dirac(model)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -511,7 +512,7 @@ def bochner_rhs(
         stack = np.sum(p * p, axis=1)[:, None, None] * np.eye(cm.dim_v)
         return AssembledOperator([stack], info, truncation, model.label())
     if isinstance(model, AffineMappingTorus):
-        return _mapping_plan(model, cm, truncation).bochner(model.fiber_scale)
+        return _mapping_plan(model, cm, truncation).bochner(model)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 

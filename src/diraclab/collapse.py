@@ -157,11 +157,12 @@ def collapse_run(
         verdict = "blows_up"
     spectra, bounds, tracked_cols = [], [], []
     for e in eps:
-        spec = eigensolve(plan.dirac(e))
+        scaled = model.with_scale(e)
+        spec = eigensolve(plan.dirac(scaled))
         if k_max > len(spec):
             raise ValueError(f"k_max={k_max} exceeds spectrum size {len(spec)}")
         spectra.append(spec)
-        bounds.append(spectral_window(geometric_data(model.with_scale(e)), window_a, window_c))
+        bounds.append(spectral_window(geometric_data(scaled), window_a, window_c))
         tracked_cols.append(spec.abs_sorted()[:k_max])
     tracked = tuple(
         tuple(float(col[k]) for col in tracked_cols) for k in range(k_max)
@@ -225,7 +226,7 @@ def blowup_check(
     eps = [float(e) for e in epsilons]
     if not eps or any(e <= 0.0 for e in eps):
         raise ValueError("epsilons must be positive")
-    mins = [float(eigensolve(plan.dirac(e)).abs_sorted()[0]) for e in eps]
+    mins = [float(eigensolve(plan.dirac(model.with_scale(e))).abs_sorted()[0]) for e in eps]
     rate = min(m * e for m, e in zip(mins, eps))
     return BlowupReport(epsilons=tuple(eps), min_abs=tuple(mins), rate=float(rate))
 

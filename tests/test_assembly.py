@@ -567,8 +567,8 @@ def test_plan_is_scale_free(model, module, truncation):
     for eps in (1.0, 0.5, 0.125):
         scaled = model.with_scale(eps)
         pairs = [
-            (plan.dirac(eps), assemble_dirac(scaled, module, truncation)),
-            (plan.bochner(eps), bochner_rhs(scaled, module, truncation)),
+            (plan.dirac(scaled), assemble_dirac(scaled, module, truncation)),
+            (plan.bochner(scaled), bochner_rhs(scaled, module, truncation)),
         ]
         for got, ref in pairs:
             assert got.model_ref == ref.model_ref
@@ -625,8 +625,8 @@ def _mapping_models(draw):
 )
 def test_plan_matches_assembly_over_model_space(model, exterior, truncation, eps):
     module = exterior_module(3) if exterior else spinor_gammas(3)
-    got = _mapping_plan(model, module, truncation).dirac(eps)
     scaled = model.with_scale(eps)
+    got = _mapping_plan(model, module, truncation).dirac(scaled)
     ref = assemble_dirac(scaled, module, truncation)
     assert got.model_ref == ref.model_ref
     rhs = bochner_rhs(scaled, module, truncation)

@@ -126,22 +126,100 @@ def test_closed_form_matches_eigvalsh_on_bochner_stacks(scalars, size):
     assert ok[np.abs(a) >= 1e-6].all() and not ok[a == 0.0].any()
 
 
+def _matmul_bochner_values(stack, bscale):
+    """_bochner_values squaring every stack with one batched matmul, as it
+    did for all block sizes before small blocks went batch-last: the
+    reference for the batch-last path."""
+    d = stack.shape[1]
+    diag = np.arange(d)
+    sq = stack @ stack
+    c = np.einsum("bii->b", sq).real / d
+    sq[:, diag, diag] -= c[:, None]
+    delta = d * spectral._block_max(sq)
+    r = np.sqrt(np.maximum(c, 0.0))
+    ok = (d * delta < c) & (delta <= spectral.RESIDUAL_TOL * bscale * r)
+    nplus = 0.5 * (d + np.einsum("bii->b", stack).real / np.where(ok, r, 1.0))
+    npos = np.rint(nplus)
+    ok &= np.abs(nplus - npos) <= spectral.STRUCTURE_TOL
+    w = np.where(diag[None, :] < (d - npos)[:, None], -r[:, None], r[:, None])
+    return w, ok
+
+
+def _assert_matches_matmul(stack):
+    assert stack.shape[1] <= spectral.BATCH_LAST_MAX_ROWS
+    bscale = np.maximum(1.0, spectral._block_max(stack))
+    w, ok = spectral._bochner_values(stack, bscale)
+    w_ref, ok_ref = _matmul_bochner_values(stack, bscale)
+    assert np.array_equal(ok, ok_ref)
+    r = np.max(np.abs(w_ref), axis=1, initial=0.0)
+    assert (np.max(np.abs(w - w_ref), axis=1) <= 1e-14 * np.maximum(1.0, r)).all()
+
+
+SMALL_SPINORS = [spinor_gammas(n) for n in (1, 2, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    module=st.sampled_from(range(len(SMALL_SPINORS))),
+    momenta=st.lists(
+        st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=3, max_size=3),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_batch_last_matches_matmul_on_dirac_stacks(module, momenta):
+    cm = SMALL_SPINORS[module]
+    p = np.array([row[: cm.n] for row in momenta] + [[0.0] * cm.n])
+    _assert_matches_matmul(cm.gamma(p).astype(complex))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(1, 3),
+    blocks=st.lists(
+        st.tuples(
+            st.floats(0.0, 1e3), st.lists(st.booleans(), min_size=3, max_size=3), st.booleans()
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_last_matches_matmul_on_signed_scalar_stacks(size, blocks, seed):
+    # U diag(+-r) U^H with a random unitary U per block; a perturbed block
+    # has its first eigenvalue moved by 1e-6 r, which for d = 3 can keep the
+    # sign count integral, so that only the Weyl bound refuses it
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((len(blocks), size, size)) + 1j * rng.standard_normal(
+        (len(blocks), size, size)
+    )
+    u = np.linalg.qr(g)[0]
+    diag = np.array([[r if s else -r for s in signs[:size]] for r, signs, _ in blocks])
+    diag[:, 0] *= [1.0 + 1e-6 * perturbed for _, _, perturbed in blocks]
+    _assert_matches_matmul((u * diag[:, None, :]) @ u.conj().transpose(0, 2, 1))
+
+
 def _rot4_operator(module, truncation):
     """Square 2 pi fiber, 90-degree holonomy, base shift 1/2, fiber scale 1/2."""
     fiber = FlatTorusModel(2 * np.pi * np.eye(2), np.zeros(2))
     model = AffineMappingTorus(
         fiber=fiber, holonomy=np.array([[0, -1], [1, 0]]), base_length=2 * np.pi, base_shift=0.5
     )
-    return _mapping_plan(model, module, truncation).dirac(0.5)
+    return _mapping_plan(model, module, truncation).dirac(model.with_scale(0.5))
 
 
-@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
-def test_perturbed_block_falls_back(monkeypatch, entry):
-    # 8x8 blocks: a traceless perturbation of a 2x2 block would still square
-    # to a scalar
-    cm = exterior_module(3)
+@pytest.mark.parametrize(
+    "module, entry",
+    [(exterior_module(3), (0, 0)), (exterior_module(3), (0, 1)), (spinor_gammas(3), (0, 0))],
+    ids=["diagonal", "off_diagonal", "spinor_diagonal"],
+)
+def test_perturbed_block_falls_back(monkeypatch, module, entry):
+    # 8x8 blocks take the batched matmul and 2x2 blocks the batch-last
+    # square; a 2x2 block gets a diagonal perturbation, because a traceless
+    # one would still square to a scalar
     rng = np.random.default_rng(4)
-    stack = cm.gamma(rng.uniform(-3.0, 3.0, size=(5, 3))).astype(complex)
+    stack = module.gamma(rng.uniform(-3.0, 3.0, size=(5, 3))).astype(complex)
+    d = stack.shape[1]
     i, j = entry
     stack[2, i, j] += 1e-6
     if i != j:
@@ -151,7 +229,7 @@ def test_perturbed_block_falls_back(monkeypatch, entry):
     # only the perturbed block reaches eigh, and its values are eigh's, not +-r
     assert len(calls) == 1 and np.array_equal(calls[0], stack[2:3])
     assert np.max(np.abs(spec.values - _blockwise_eigvalsh(stack))) <= 1e-13
-    r = math.sqrt(float(np.trace(stack[2] @ stack[2]).real) / 8)
+    r = math.sqrt(float(np.trace(stack[2] @ stack[2]).real) / d)
     assert np.max(np.abs(np.abs(np.linalg.eigvalsh(stack[2])) - r)) > 1e-7
 
 
