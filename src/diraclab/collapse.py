@@ -15,14 +15,15 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.random
 
 from .assembly import (
+    AssembledOperator,
     EmptyInvariantSpaceError,
+    _flat_info,
+    _flat_modes,
     _limit_operator,
     _mapping_plan,
     _parallel_values,
-    assemble_dirac,
 )
 from .clifford import CliffordModule
 from .models import (
@@ -32,7 +33,14 @@ from .models import (
     geometric_data,
     metric_path,
 )
-from .spectral import MatchResult, Spectrum, eigensolve, epsilon_close, sinh_rescale, window_intersect
+from .spectral import (
+    MatchResult,
+    Spectrum,
+    _stack_values,
+    eigensolve,
+    epsilon_close,
+    window_intersect,
+)
 
 __all__ = [
     "DEFAULT_WINDOW_A",
@@ -275,46 +283,59 @@ def perturbation_bound_check(
     band of the sorted spectrum is tracked: eigenvalues near the truncation
     edge can enter or leave the retained window as the metric moves, which
     is an artifact of finite truncation, not of the estimate.
+
+    Every argument is checked before family is first called (quad_samples
+    and fd_step by metric_path).  All segment lengths come from one
+    metric_path call, whose checks name the first node with a bad Gram
+    matrix.  family is then called once per grid point: samples +
+    3 (1 + (samples - 1)(q - 1)) calls in all, with q the odd quadrature
+    count.  The grid tori share their modes, so their Dirac blocks form one
+    stack, solved in one pass of eigensolve's per-stack solver; each grid
+    point's model and operator are still checked on their own.
     """
     if samples < 2:
         raise ValueError("need at least two parameter samples")
-    ts = np.linspace(0.0, 1.0, samples)
-    g0 = np.atleast_2d(np.asarray(family(ts[0]), dtype=float))
-    n = g0.shape[0]
+    if not 0.0 < curvature_bound < np.inf:
+        raise ValueError(f"curvature bound must be positive and finite, got {curvature_bound!r}")
+    n = cm.n
     shift = np.zeros(n) if spin_shift is None else np.asarray(spin_shift, dtype=float)
-
-    def rescaled_values(t: float) -> np.ndarray:
-        gram = np.atleast_2d(np.asarray(family(t), dtype=float))
-        basis = np.linalg.cholesky(gram).T
-        spec = eigensolve(assemble_dirac(FlatTorusModel(basis, shift), cm, truncation))
-        return sinh_rescale(spec, curvature_bound).values
-
-    all_values = [rescaled_values(t) for t in ts]
-    dim = len(all_values[0])
+    modes = _flat_modes(FlatTorusModel(np.eye(n), shift), truncation)
+    dim = len(modes) * cm.dim_v
     tc = track_count if track_count is not None else max(1, dim // 2)
     if not 1 <= tc <= dim:
         raise ValueError(f"track_count must lie in [1, {dim}]")
+    ts = np.linspace(0.0, 1.0, samples)
+    lengths = metric_path(family, quad_samples, fd_step, ts[:-1], ts[1:])
+    tori = []
+    for t in ts:
+        gram = np.atleast_2d(np.asarray(family(t), dtype=float))
+        if gram.shape != (n, n):
+            raise ValueError(f"module dimension {n} does not match torus rank {gram.shape[0]}")
+        tori.append(FlatTorusModel(np.linalg.cholesky(gram).T, shift))
+    stack = cm.gamma(np.concatenate([torus.dual_momentum(modes) for torus in tori]))
+    info = _flat_info(modes, cm.dim_v)
+    for block in stack.reshape(samples, len(modes), cm.dim_v, cm.dim_v):
+        # built for its Hermiticity check, against this grid point's own scale
+        AssembledOperator([block], info, truncation, "")
+    values = np.sort(_stack_values(stack).reshape(samples, dim), axis=1)
+    # sinh_rescale row by row, sorted again as its Spectrum is
+    rescaled = np.sort(np.arcsinh(values / float(np.sqrt(curvature_bound))), axis=1)
     lo = (dim - tc) // 2
-    band = slice(lo, lo + tc)
-    lengths, devs, ratios = [], [], []
-    for i in range(samples - 1):
-        seg = metric_path(family, samples=quad_samples, fd_step=fd_step, t0=ts[i], t1=ts[i + 1])
-        dev = float(np.max(np.abs(all_values[i + 1][band] - all_values[i][band])))
+    devs = np.max(np.abs(np.diff(rescaled[:, lo : lo + tc], axis=0)), axis=1)
+    ratios = []
+    for seg, dev in zip(lengths.tolist(), devs.tolist()):
         if seg < 1e-15:
-            ratio = 0.0 if dev <= 1e-12 else float("inf")
+            ratios.append(0.0 if dev <= 1e-12 else float("inf"))
         else:
-            ratio = dev / seg
-        lengths.append(float(seg))
-        devs.append(dev)
-        ratios.append(float(ratio))
+            ratios.append(dev / seg)
     # np.max, unlike max, lets a NaN ratio through to fail the check
-    max_ratio = float(np.max(ratios)) if ratios else 0.0
+    max_ratio = float(np.max(ratios))
     return PerturbationReport(
-        ts=tuple(float(t) for t in ts),
-        segment_lengths=tuple(lengths),
-        max_deviations=tuple(devs),
+        ts=tuple(ts.tolist()),
+        segment_lengths=tuple(lengths.tolist()),
+        max_deviations=tuple(devs.tolist()),
         ratios=tuple(ratios),
-        max_ratio=float(max_ratio),
+        max_ratio=max_ratio,
         bound_constant=float(bound_constant),
         track_count=tc,
         passed=bool(max_ratio <= bound_constant),

@@ -265,13 +265,22 @@ def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
     """
     _check_fd_step(fd_step)
     params = [s for t in ts for s in (t, t + fd_step, t - fd_step)]
-    outs = [np.atleast_2d(np.asarray(family(s), dtype=float)) for s in params]
+    raw = [family(s) for s in params]
+    try:
+        # the usual case, outputs of one shape, converts in one call
+        outs = np.array(raw, dtype=float)
+        outs = outs.reshape(len(raw), *np.atleast_2d(outs[0]).shape)
+        misshapen = len(outs)
+    except ValueError:
+        outs = [np.atleast_2d(np.asarray(o, dtype=float)) for o in raw]
+        misshapen = None
     shape = outs[0].shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(
             f"metric family must produce square Gram matrices, got shape {shape} at t={ts[0]}"
         )
-    misshapen = next((i for i, o in enumerate(outs) if o.shape != shape), len(outs))
+    if misshapen is None:
+        misshapen = next((i for i, o in enumerate(outs) if o.shape != shape), len(outs))
     # the value checks cover the outputs before the first misshapen one: the
     # Gram matrices of the nodes up to it, the derivatives of whole triples
     grams = np.array(outs[0:misshapen:3]).reshape(-1, *shape)
@@ -318,28 +327,45 @@ def metric_path(
     family,
     samples: int = 129,
     fd_step: float = 1e-6,
-    t0: float = 0.0,
-    t1: float = 1.0,
-) -> float:
+    t0: float | np.ndarray = 0.0,
+    t1: float | np.ndarray = 1.0,
+) -> float | np.ndarray:
     """Path length of a metric family: integral of metric_speed over [t0, t1].
 
     family maps a parameter to a Gram matrix and must be defined on a small
     neighbourhood of the interval (central differences step outside it).
     Composite Simpson quadrature; samples is rounded up to the next odd
-    count when necessary.  The speeds at all nodes come from one stacked
-    evaluation, with the checks and refusals of metric_speed; a failing
-    check names the first node that fails it.  t1 must not lie below t0.
+    count when necessary.  t0 and t1 may also be 1-D arrays of segment ends;
+    the result is then an array with one length per segment, each equal to
+    the scalar call on that segment.  A segment that starts where the one
+    before it ends shares that node (np.linspace hits both ends exactly), so
+    it is evaluated once.  The speeds at all nodes of all segments come from
+    one stacked evaluation, with the checks and refusals of metric_speed; a
+    failing check names the first node, in segment order, that fails it.
+    t1 must not lie below t0.
     """
     if samples < 3:
         raise ValueError("need at least 3 quadrature samples")
-    if not t0 <= t1:
-        raise ValueError(f"metric path needs t0 <= t1, got t0={t0}, t1={t1}")
+    starts, ends = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
+    if starts.ndim > 1:
+        raise ValueError(f"segment ends must be scalars or 1-D arrays, got shape {starts.shape}")
+    starts, ends = np.atleast_1d(starts, ends)
+    backwards = ~(starts <= ends)
+    if backwards.any():
+        i = int(np.argmax(backwards))
+        raise ValueError(f"metric path needs t0 <= t1, got t0={starts[i]}, t1={ends[i]}")
     if samples % 2 == 0:
         samples += 1
-    ts = np.linspace(t0, t1, samples)
-    speeds = _metric_speeds(family, ts.tolist(), fd_step)
-    h = (t1 - t0) / (samples - 1)
+    if not len(starts):
+        return np.zeros(0)
+    nodes = np.array([np.linspace(a, b, samples) for a, b in zip(starts, ends)])
+    fresh = np.ones(nodes.shape, dtype=bool)
+    fresh[1:, 0] = nodes[1:, 0] != nodes[:-1, -1]
+    index = np.cumsum(fresh).reshape(nodes.shape) - 1
+    speeds = _metric_speeds(family, nodes[fresh].tolist(), fd_step)[index]
     weights = np.ones(samples)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(weights, speeds))
+    h = (ends - starts) / (samples - 1)
+    lengths = np.array([step / 3.0 * np.dot(weights, row) for step, row in zip(h, speeds)])
+    return float(lengths[0]) if np.ndim(t0) == np.ndim(t1) == 0 else lengths

@@ -134,6 +134,19 @@ def _bochner_values(stack: np.ndarray, bscale: np.ndarray) -> tuple[np.ndarray, 
     return w, ok
 
 
+def _stack_values(stack: np.ndarray) -> np.ndarray:
+    """Certified eigenvalues (B, d) of a nonempty (B, d, d) stack of
+    Hermitian blocks: the closed form where it is certified, one batched
+    eigh for the other blocks; see eigensolve.  Each block's values depend
+    on that block alone, so stacking blocks of several operators solves
+    each operator as eigensolve would."""
+    bscale = np.maximum(1.0, _block_max(stack))
+    w, ok = _bochner_values(stack, bscale)
+    if not ok.all():
+        w[~ok] = _eigh_values(stack[~ok], bscale[~ok])
+    return w
+
+
 def eigensolve(op, cluster_tol: float | None = None) -> Spectrum:
     """Eigenvalues of a Hermitian operator, each certified against
     RESIDUAL_TOL * max(1, largest entry of its block).
@@ -179,13 +192,10 @@ def eigensolve(op, cluster_tol: float | None = None) -> Spectrum:
     for stack in stacks:
         if stack.size == 0:
             continue
-        bscale = np.maximum(1.0, _block_max(stack))
         if dense:
-            w = _eigh_values(stack, bscale)
+            w = _eigh_values(stack, np.maximum(1.0, _block_max(stack)))
         else:
-            w, ok = _bochner_values(stack, bscale)
-            if not ok.all():
-                w[~ok] = _eigh_values(stack[~ok], bscale[~ok])
+            w = _stack_values(stack)
         chunks.append(w.ravel())
     values = np.concatenate(chunks) if chunks else np.zeros(0)
     tol = _default_tol(values) if cluster_tol is None else cluster_tol

@@ -616,7 +616,7 @@ def _mapping_models(draw):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     model=_mapping_models(),
     exterior=st.booleans(),

@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diraclab.clifford import spinor_gammas
+from diraclab.clifford import exterior_module, spinor_gammas
 from diraclab.collapse import (
+    PerturbationReport,
     blowup_check,
     check_fiber_gap_bound,
     collapse_run,
@@ -16,7 +19,8 @@ from diraclab.collapse import (
     window_agreement,
 )
 from diraclab.assembly import assemble_dirac, fiber_invariant_split
-from diraclab.models import AffineMappingTorus, FlatTorusModel, geometric_data
+from diraclab.models import AffineMappingTorus, FlatTorusModel, geometric_data, metric_path
+from diraclab.spectral import eigensolve, sinh_rescale
 
 
 def _canonical_mapping(fiber_shift=0.0, base_shift=0.5):
@@ -213,6 +217,152 @@ def test_perturbation_report_fields():
         perturbation_bound_check(lambda t: np.eye(1), cm, 2, samples=1)
     with pytest.raises(ValueError):
         perturbation_bound_check(lambda t: np.eye(1), cm, 2, track_count=99)
+
+
+def _loop_perturbation_bound_check(
+    family, cm, truncation, curvature_bound=1.0, bound_constant=5.0, samples=9,
+    spin_shift=None, track_count=None, quad_samples=33, fd_step=1e-6,
+):
+    """Reference: one metric_path per segment, one assembly and eigensolve
+    per grid point."""
+    ts = np.linspace(0.0, 1.0, samples)
+    n = np.atleast_2d(family(ts[0])).shape[0]
+    shift = np.zeros(n) if spin_shift is None else np.asarray(spin_shift, dtype=float)
+    values = []
+    for t in ts:
+        basis = np.linalg.cholesky(np.atleast_2d(np.asarray(family(t), dtype=float))).T
+        spec = eigensolve(assemble_dirac(FlatTorusModel(basis, shift), cm, truncation))
+        values.append(sinh_rescale(spec, curvature_bound).values)
+    dim = len(values[0])
+    tc = track_count if track_count is not None else max(1, dim // 2)
+    band = slice((dim - tc) // 2, (dim - tc) // 2 + tc)
+    lengths, devs, ratios = [], [], []
+    for i in range(samples - 1):
+        seg = metric_path(family, quad_samples, fd_step, ts[i], ts[i + 1])
+        dev = float(np.max(np.abs(values[i + 1][band] - values[i][band])))
+        if seg < 1e-15:
+            ratio = 0.0 if dev <= 1e-12 else float("inf")
+        else:
+            ratio = dev / seg
+        lengths.append(seg)
+        devs.append(dev)
+        ratios.append(ratio)
+    max_ratio = float(np.max(ratios))
+    return PerturbationReport(
+        ts=tuple(float(t) for t in ts),
+        segment_lengths=tuple(lengths),
+        max_deviations=tuple(devs),
+        ratios=tuple(ratios),
+        max_ratio=max_ratio,
+        bound_constant=float(bound_constant),
+        track_count=tc,
+        passed=bool(max_ratio <= bound_constant),
+    )
+
+
+def _spd_family(n, seed, speed=0.8):
+    """t -> C exp(t S) C^T, the CLI's family of SPD Gram matrices."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    chol = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    s = rng.standard_normal((n, n))
+    s = 0.5 * (s + s.T)
+    w, q = np.linalg.eigh(s * speed / max(1.0, float(np.linalg.norm(s, 2))))
+
+    def family(t):
+        return chol @ ((q * np.exp(t * w)) @ q.T) @ chol.T
+
+    return family
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(2, 9),
+    quad_samples=st.integers(3, 8),
+    truncation=st.integers(1, 4),
+    half_shift=st.lists(st.booleans(), min_size=3, max_size=3),
+    default_shift=st.booleans(),
+    exterior=st.booleans(),
+    track=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    curvature_bound=st.floats(0.25, 4.0),
+)
+def test_stacked_perturbation_check_matches_loop(
+    n, seed, samples, quad_samples, truncation, half_shift, default_shift, exterior, track,
+    curvature_bound,
+):
+    cm = exterior_module(n) if exterior else spinor_gammas(n)
+    shift = None if default_shift else 0.5 * np.array(half_shift[:n], dtype=float)
+    dim = assemble_dirac(FlatTorusModel(np.eye(n), np.zeros(n) if shift is None else shift), cm, truncation).dim
+    track_count = None if track is None else 1 + int(track * (dim - 1))
+    family = _spd_family(n, seed)
+    args = dict(
+        curvature_bound=curvature_bound, samples=samples, spin_shift=shift,
+        track_count=track_count, quad_samples=quad_samples,
+    )
+    got = perturbation_bound_check(family, cm, truncation, **args)
+    assert got == _loop_perturbation_bound_check(family, cm, truncation, **args)
+
+
+def _counting(family):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return family(t)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("samples, quad_samples", [(5, 33), (2, 3), (4, 6), (9, 8)])
+def test_perturbation_family_evaluation_count(samples, quad_samples):
+    family, calls = _counting(_spd_family(2, 7))
+    perturbation_bound_check(family, spinor_gammas(2), 2, samples=samples, quad_samples=quad_samples)
+    q = quad_samples + 1 - quad_samples % 2
+    # one call per grid point, three per distinct quadrature node
+    assert len(calls) == samples + 3 * (1 + (samples - 1) * (q - 1))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(samples=1), "need at least two parameter samples"),
+        (dict(quad_samples=2), "need at least 3 quadrature samples"),
+        (dict(fd_step=0.0), "fd_step must be positive and finite, got 0.0"),
+        (dict(fd_step=float("nan")), "fd_step must be positive and finite, got nan"),
+        (dict(curvature_bound=0.0), "curvature bound must be positive and finite, got 0.0"),
+        (dict(curvature_bound=-1.0), "curvature bound must be positive and finite, got -1.0"),
+        (dict(curvature_bound=float("inf")), "curvature bound must be positive and finite, got inf"),
+        (dict(truncation=0), "truncation must be at least 1"),
+        (dict(spin_shift=[0.5]), "spin shift length must match the lattice rank"),
+        (dict(spin_shift=[0.5, 0.25]), "spin shift entries must be 0 or 1/2"),
+        (dict(track_count=0), r"track_count must lie in \[1, 50\]"),
+        (dict(track_count=51), r"track_count must lie in \[1, 50\]"),
+    ],
+)
+def test_perturbation_refuses_arguments_before_calling_family(kwargs, message):
+    family, calls = _counting(_spd_family(2, 3))
+    args = dict(truncation=2) | kwargs
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        perturbation_bound_check(family, spinor_gammas(2), **args)
+    assert calls == []
+
+
+def test_perturbation_names_the_indefinite_node():
+    # indefinite from t = 0.6 on: the first quadrature node past it is
+    # 0.5 + 13/128 on the segment [0.5, 0.75]; it used to raise a bare
+    # LinAlgError from cholesky at the grid point 0.75
+    def family(t):
+        return np.diag([1.0, 0.6 - t])
+
+    with pytest.raises(ValueError, match=r"^Gram matrix at t=0\.6015625 is not positive definite$"):
+        perturbation_bound_check(family, spinor_gammas(2), 2, samples=5)
+
+
+def test_perturbation_refuses_module_of_other_rank():
+    with pytest.raises(ValueError, match="module dimension 2 does not match torus rank 3"):
+        perturbation_bound_check(lambda t: np.eye(3), spinor_gammas(2), 1, samples=2, quad_samples=3)
 
 
 def test_rayleigh_minimax():

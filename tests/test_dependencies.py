@@ -1,4 +1,5 @@
-"""The package runs on numpy alone: no code path loads scipy."""
+"""Import-time dependencies: the package runs on numpy alone, and
+`import diraclab` loads no more of numpy than numpy itself does."""
 
 import json
 import os
@@ -30,14 +31,44 @@ print(json.dumps({"verdict": report.verdict, "scipy": scipy}))
 """
 
 
-def test_no_scipy_module_is_loaded():
+def _run(script: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         check=True,
     )
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_no_scipy_module_is_loaded():
+    out = _run(SCRIPT)
     assert out["verdict"] == "converges"
     assert out["scipy"] == []
+
+
+RANDOM_SCRIPT = """
+import json, sys
+import numpy
+by_numpy = "numpy.random" in sys.modules
+import diraclab
+by_package = "numpy.random" in sys.modules
+op = diraclab.assemble_dirac(
+    diraclab.FlatTorusModel(numpy.eye(1), numpy.zeros(1)), diraclab.spinor_gammas(1), 2
+)
+ok = diraclab.rayleigh_minimax_check(op, 2, trials=3).ok
+import diraclab.cli
+print(json.dumps({
+    "by_numpy": by_numpy, "by_package": by_package, "ok": ok,
+    "by_cli": "numpy.random" in sys.modules,
+}))
+"""
+
+
+def test_import_does_not_load_numpy_random():
+    # the random generator is loaded on first use; the CLI, whose
+    # experiments draw random numbers, still loads it at import
+    out = _run(RANDOM_SCRIPT)
+    assert out["by_package"] == out["by_numpy"]
+    assert out["ok"] and out["by_cli"]

@@ -266,7 +266,7 @@ def _loop_metric_path(family, samples, fd_step, t0, t1):
     return float((t1 - t0) / (samples - 1) / 3.0 * np.dot(weights, speeds))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     n=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
@@ -294,3 +294,77 @@ def test_stacked_metric_path_matches_loop(n, seed, samples, fd_exponent, t0, wid
     assert metric_path(family, samples, fd_step, t0, t1) == _loop_metric_path(
         family, samples, fd_step, t0, t1
     )
+
+
+def _first_refusal(calls):
+    """Message of the first call in turn that raises, or None."""
+    for call in calls:
+        try:
+            call()
+        except ValueError as err:
+            return str(err)
+    return None
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(3, 12),
+    cuts=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=7),
+    contiguous=st.booleans(),
+    threshold=st.one_of(st.none(), st.floats(-1.0, 1.0)),
+)
+def test_metric_path_array_ends_match_scalar_calls(n, seed, samples, cuts, contiguous, threshold):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    chol = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    s = rng.standard_normal((n, n))
+    w, q = np.linalg.eigh(0.5 * (s + s.T))
+    evaluated = []
+
+    def family(t):
+        evaluated.append(t)
+        g = chol @ ((q * np.exp(t * w)) @ q.T) @ chol.T
+        # indefinite past the threshold, so that a refusal names a node
+        return g if threshold is None or t <= threshold else -g
+
+    cuts = sorted(cuts)
+    if contiguous:
+        t0, t1 = np.array(cuts[:-1]), np.array(cuts[1:])
+    else:
+        # separate segments, some of them of zero length
+        t0, t1 = np.array(cuts[0::2]), np.array(cuts[1::2] + cuts[-1:])[: len(cuts[0::2])]
+    scalar_calls = [
+        lambda a=a, b=b: metric_path(family, samples, 1e-6, a, b) for a, b in zip(t0, t1)
+    ]
+    expected = _first_refusal(scalar_calls)
+    if expected is not None:
+        with pytest.raises(ValueError) as err:
+            metric_path(family, samples, 1e-6, t0, t1)
+        assert str(err.value) == expected
+        return
+    ref = [call() for call in scalar_calls]
+    evaluated.clear()
+    got = metric_path(family, samples, 1e-6, t0, t1)
+    assert isinstance(got, np.ndarray) and got.dtype == float
+    assert got.tolist() == ref
+    # one node per segment end that starts the next segment is shared
+    odd = samples + 1 - samples % 2
+    shared = int(np.sum(t0[1:] == t1[:-1]))
+    assert len(evaluated) == 3 * (len(t0) * odd - shared)
+
+
+def test_metric_path_array_ends_shapes_and_refusals():
+    def fam(t):
+        return np.exp(2 * t) * np.eye(2)
+
+    one = metric_path(fam, 9, t0=0.25, t1=0.5)
+    assert isinstance(one, float)
+    assert metric_path(fam, 9, t0=np.array([0.25]), t1=np.array([0.5])).tolist() == [one]
+    # a scalar end broadcasts against an array end
+    assert metric_path(fam, 9, t0=0.25, t1=np.array([0.5, 0.25])).tolist() == [one, 0.0]
+    with pytest.raises(ValueError, match=r"t0 <= t1, got t0=0\.5, t1=0\.25"):
+        metric_path(fam, t0=np.array([0.0, 0.5]), t1=np.array([0.5, 0.25]))
+    with pytest.raises(ValueError, match="scalars or 1-D arrays"):
+        metric_path(fam, t0=np.zeros((2, 2)), t1=np.ones((2, 2)))

@@ -90,7 +90,7 @@ def _counting_eigh(monkeypatch, wrong=False):
 MODULES = [spinor_gammas(n) for n in (1, 2, 3, 4)] + [exterior_module(n) for n in (1, 2, 3)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     module=st.sampled_from(range(len(MODULES))),
     momenta=st.lists(
@@ -112,7 +112,7 @@ def test_closed_form_matches_eigvalsh_on_dirac_stacks(module, momenta):
     assert np.max(np.abs(spec.values - _blockwise_eigvalsh(stack))) <= 1e-12
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     scalars=st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=8),
     size=st.integers(1, 8),
@@ -158,7 +158,7 @@ def _assert_matches_matmul(stack):
 SMALL_SPINORS = [spinor_gammas(n) for n in (1, 2, 3)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     module=st.sampled_from(range(len(SMALL_SPINORS))),
     momenta=st.lists(
@@ -173,7 +173,7 @@ def test_batch_last_matches_matmul_on_dirac_stacks(module, momenta):
     _assert_matches_matmul(cm.gamma(p).astype(complex))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     size=st.integers(1, 3),
     blocks=st.lists(
