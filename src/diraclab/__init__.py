@@ -14,7 +14,6 @@ from .assembly import (
     eigenvalue_derivative,
     fiber_invariant_split,
     frame_bundle_operator,
-    invariant_projector,
     limit_operator,
     write_matrix_text,
 )
@@ -28,7 +27,6 @@ from .blockres import (
 from .clifford import (
     CliffordModule,
     casimir,
-    casimir_blocks,
     exterior_module,
     fixed_subspace,
     holonomy_rep,
@@ -55,16 +53,13 @@ from .models import (
     geometric_data,
     matrix_order,
     metric_path,
-    metric_speed,
 )
 from .spectral import (
     MatchResult,
     Spectrum,
-    cluster_multiplicities,
     eigensolve,
     epsilon_close,
     sinh_rescale,
-    spectrum_from_csv,
     spectrum_to_csv,
     subset_epsilon_close,
     window_intersect,

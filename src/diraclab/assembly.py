@@ -36,8 +36,9 @@ from functools import cached_property
 import numpy as np
 
 from .clifford import CliffordModule, fixed_subspace, holonomy_rep, lift_rotation, casimir
-from .models import AffineMappingTorus, FlatTorusModel, _check_fd_step, matrix_order
-from .spectral import HERMITICITY_TOL, STRUCTURE_TOL, Spectrum, _default_tol, eigensolve
+from .models import FD_STEP, AffineMappingTorus, FlatTorusModel, _check_fd_step, matrix_order
+from .spectral import HERMITICITY_TOL, LIFT_TOL, SHIFT_INTEGRALITY_TOL, STRUCTURE_TOL, UNITARITY_TOL
+from .spectral import WEIGHT_TOL, Spectrum, _default_tol, _require_hermitian, eigensolve
 
 __all__ = [
     "AssembledOperator",
@@ -47,12 +48,14 @@ __all__ = [
     "assemble_dirac",
     "bochner_rhs",
     "fiber_invariant_split",
-    "invariant_projector",
     "limit_operator",
     "frame_bundle_operator",
     "eigenvalue_derivative",
     "write_matrix_text",
 ]
+
+
+_NOT_HERMITIAN = "assembled operator is not Hermitian (residual {residual:.3e})"
 
 
 class EmptyInvariantSpaceError(ValueError):
@@ -129,11 +132,7 @@ class AssembledOperator:
             c.flags.writeable = False
         object.__setattr__(self, "stacks", tuple(stacks))
         object.__setattr__(self, "block_info", info)
-        stacks = [s for s in stacks if s.size]
-        scale = max([1.0] + [float(np.max(np.abs(s))) for s in stacks])
-        herm = max([0.0] + [float(np.max(np.abs(s - s.conj().transpose(0, 2, 1)))) for s in stacks])
-        if herm > HERMITICITY_TOL * scale:
-            raise ValueError(f"assembled operator is not Hermitian (residual {herm:.3e})")
+        _require_hermitian(stacks, HERMITICITY_TOL, _NOT_HERMITIAN)
 
     @cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -194,12 +193,13 @@ def _flat_momenta(model: FlatTorusModel, cm: CliffordModule, truncation: int):
 # mapping torus assembly
 
 
-def _resolve_lift(model: AffineMappingTorus, cm: CliffordModule, tol: float = 1e-9) -> np.ndarray:
+def _resolve_lift(model: AffineMappingTorus, cm: CliffordModule) -> np.ndarray:
     """Unitary acting on module values after one base loop.
 
     Must intertwine the Clifford action with the physical fiber rotation
     transposed (the rotation the dual modes undergo), and fix the base
     direction; without that the operator would not close up on the quotient.
+    A given lift is checked as lift_rotation checks the lift it computes.
     """
     m = model.fiber.n
     if cm.n != m + 1:
@@ -209,15 +209,15 @@ def _resolve_lift(model: AffineMappingTorus, cm: CliffordModule, tol: float = 1e
     rot = np.eye(m + 1)
     rot[:m, :m] = phys.T
     if model.holonomy_lift is None:
-        return lift_rotation(cm, rot, tol=tol)
+        return lift_rotation(cm, rot)
     u = model.holonomy_lift
     if u.shape != (cm.dim_v, cm.dim_v):
         raise ValueError("holonomy lift has the wrong shape for this module")
     eye = np.eye(cm.dim_v)
-    if np.linalg.norm(u.conj().T @ u - eye, 2) > 1e-10:
+    if np.linalg.norm(u.conj().T @ u - eye, 2) > UNITARITY_TOL:
         raise ValueError("holonomy lift is not unitary")
     for j in range(cm.n):
-        if np.linalg.norm(u @ cm.gammas[j] @ u.conj().T - cm.gamma(rot[:, j]), 2) > tol:
+        if np.linalg.norm(u @ cm.gammas[j] @ u.conj().T - cm.gamma(rot[:, j]), 2) > LIFT_TOL:
             raise ValueError(
                 "holonomy lift does not intertwine the Clifford action with the "
                 "fiber rotation; pass holonomy_lift=None to compute a geometric lift"
@@ -236,7 +236,7 @@ def _holonomy_orbits(model: AffineMappingTorus, truncation: int) -> tuple[np.nda
     delta = model.fiber.spin_shift
     carry = phi_t @ delta - delta
     carry_int = np.round(carry).astype(np.int64)
-    if np.max(np.abs(carry - carry_int)) > 1e-12:
+    if np.max(np.abs(carry - carry_int)) > SHIFT_INTEGRALITY_TOL:
         raise ValueError("fiber spin shift is not compatible with the holonomy")
     cap = matrix_order(model.holonomy)
     # images[j] holds the j-th image of every window mode, j = 0 .. cap
@@ -575,13 +575,6 @@ def fiber_invariant_split(
     return InvariantSplit(fiber_operator=fiber_op, projector=projector, dim=r, gap=gap)
 
 
-def invariant_projector(op: AssembledOperator) -> np.ndarray:
-    """Diagonal projector onto the parallel-section sector of an assembled
-    mapping torus operator, read off the block provenance."""
-    info = op.block_info
-    return np.diag(np.repeat(info.invariant, info.sizes).astype(float)).astype(complex)
-
-
 def limit_operator(
     model: AffineMappingTorus, cm: CliffordModule, truncation: int
 ) -> AssembledOperator:
@@ -638,7 +631,7 @@ def frame_bundle_operator(
     c_v = casimir(cm)
     wvals, _ = np.linalg.eigh(-1j * cm.sigmas[0, 1])
     doubled = 2.0 * wvals
-    if np.max(np.abs(doubled - np.round(doubled))) > 1e-9:
+    if np.max(np.abs(doubled - np.round(doubled))) > WEIGHT_TOL:
         raise ValueError("module weights are not half-integral")
     if group_truncation < int(np.max(np.abs(np.round(doubled)))):
         raise ValueError("group-circle truncation cannot carry the module weights")
@@ -663,8 +656,7 @@ def eigenvalue_derivative(
     j: int,
     spin_shift: np.ndarray | None = None,
     gram_dot=None,
-    fd_step: float = 1e-6,
-    cluster_tol: float | None = None,
+    fd_step: float = FD_STEP,
 ) -> float:
     """Derivative of the j-th sorted Dirac eigenvalue along a metric family.
 
@@ -678,9 +670,10 @@ def eigenvalue_derivative(
 
     The proof-side conjugation by the relative volume density is constant in
     space for flat families and drops out.  j indexes the ascending sorted
-    spectrum (0-based); a degenerate eigenvalue there is refused since no
-    single analytic branch passes through it.  Without gram_dot the metric
-    velocity is a central difference, and fd_step must be positive and finite.
+    spectrum (0-based); an eigenvalue within CLUSTER_TOL * max(1, largest
+    |eigenvalue|) of a neighbour is refused, since no single analytic branch
+    passes through it.  Without gram_dot the metric velocity is a central
+    difference, and fd_step must be positive and finite.
     """
     if gram_dot is None:
         _check_fd_step(fd_step)
@@ -702,7 +695,7 @@ def eigenvalue_derivative(
     lam = float(values[row])
     block, col = divmod(row, stack.shape[1])
     vec = v[block][:, col]
-    tol = _default_tol(values[order[[0, -1]]]) if cluster_tol is None else cluster_tol
+    tol = _default_tol(values[order[[0, -1]]])
     for other in (j - 1, j + 1):
         if 0 <= other < len(values) and abs(float(values[order[other]]) - lam) <= tol:
             raise ValueError(

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import CONDITION_CAP, INPUT_HERMITICITY_TOL, NEUMANN_MAX_TERMS
+from .spectral import NEUMANN_SERIES_TOL, _require_hermitian
+
 __all__ = [
     "BlockMatrix2x2",
     "schur_complement",
@@ -23,9 +26,6 @@ __all__ = [
     "neumann_factorization_check",
     "neumann_inverse",
 ]
-
-CONDITION_CAP = 1e12
-HERMITICITY_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,28 +62,28 @@ class BlockMatrix2x2:
         return np.vstack([top, bot])
 
 
-def _checked_inverse(m: np.ndarray, what: str, cond_cap: float) -> np.ndarray:
+def _checked_inverse(m: np.ndarray, what: str) -> np.ndarray:
     cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > CONDITION_CAP:
         raise ValueError(f"{what} is numerically singular (condition {cond:.3e})")
     return np.linalg.inv(m)
 
 
-def schur_complement(m: BlockMatrix2x2, cond_cap: float = CONDITION_CAP) -> np.ndarray:
+def schur_complement(m: BlockMatrix2x2) -> np.ndarray:
     """delta - gamma alpha^-1 beta."""
-    ainv = _checked_inverse(m.alpha, "alpha block", cond_cap)
+    ainv = _checked_inverse(m.alpha, "alpha block")
     return m.delta - m.gamma @ ainv @ m.beta
 
 
-def schur_inverse(m: BlockMatrix2x2, cond_cap: float = CONDITION_CAP) -> np.ndarray:
+def schur_inverse(m: BlockMatrix2x2) -> np.ndarray:
     """Dense inverse assembled from the block formula.
 
     Requires both the alpha block and the Schur complement to be invertible
     within the condition cap; the result satisfies M M^-1 = I to rounding.
     """
-    ainv = _checked_inverse(m.alpha, "alpha block", cond_cap)
+    ainv = _checked_inverse(m.alpha, "alpha block")
     s = m.delta - m.gamma @ ainv @ m.beta
-    sinv = _checked_inverse(s, "Schur complement", cond_cap)
+    sinv = _checked_inverse(s, "Schur complement")
     tl = ainv + ainv @ m.beta @ sinv @ m.gamma @ ainv
     tr = -ainv @ m.beta @ sinv
     bl = -sinv @ m.gamma @ ainv
@@ -101,9 +101,9 @@ def _delta_sqrt_pair(
     nonzero shift it must be Hermitian (the shift moves the spectrum off
     the real axis, so the principal root exists regardless of sign).
     """
-    scale = max(1.0, float(np.max(np.abs(delta))) if delta.size else 1.0)
-    if float(np.max(np.abs(delta - delta.conj().T))) > HERMITICITY_TOL * scale:
-        raise ValueError("delta block must be Hermitian up to the imaginary shift")
+    _require_hermitian(
+        [delta], INPUT_HERMITICITY_TOL, "delta block must be Hermitian up to the imaginary shift"
+    )
     w, v = np.linalg.eigh(delta)
     if imag_shift == 0.0:
         if np.min(w) <= 0.0:
@@ -130,11 +130,7 @@ class NeumannReport:
         return self.invertible
 
 
-def neumann_factorization_check(
-    m: BlockMatrix2x2,
-    imag_shift: float = 0.0,
-    cond_cap: float = CONDITION_CAP,
-) -> NeumannReport:
+def neumann_factorization_check(m: BlockMatrix2x2, imag_shift: float = 0.0) -> NeumannReport:
     """Verify s = d^(1/2) (1 - x) d^(1/2) and report |x|.
 
     Here d = delta + i*shift and x = d^(-1/2) gamma (alpha + i*shift)^(-1)
@@ -145,7 +141,7 @@ def neumann_factorization_check(
     shifted_delta = m.delta + 1j * imag_shift * np.eye(m.delta.shape[0])
     shifted_alpha = m.alpha + 1j * imag_shift * np.eye(m.alpha.shape[0])
     sq, sq_inv = _delta_sqrt_pair(m.delta, imag_shift)
-    ainv = _checked_inverse(shifted_alpha, "alpha block", cond_cap)
+    ainv = _checked_inverse(shifted_alpha, "alpha block")
     x = sq_inv @ m.gamma @ ainv @ m.beta @ sq_inv
     eye = np.eye(x.shape[0])
     recon = sq @ (eye - x) @ sq
@@ -160,21 +156,17 @@ def neumann_factorization_check(
     )
 
 
-def neumann_inverse(
-    m: BlockMatrix2x2,
-    imag_shift: float = 0.0,
-    series_tol: float = 1e-14,
-    max_terms: int = 10000,
-    cond_cap: float = CONDITION_CAP,
-) -> np.ndarray:
+def neumann_inverse(m: BlockMatrix2x2, imag_shift: float = 0.0) -> np.ndarray:
     """Invert the Schur complement by summing the Neumann series.
 
-    Converges iff the contraction norm is below one; compared against the
-    direct inverse this exercises the factorization end to end.
+    Converges iff the contraction norm is below one; the sum stops at the
+    first term with no entry of NEUMANN_SERIES_TOL or more, and is refused
+    after NEUMANN_MAX_TERMS terms.  Compared against the direct inverse
+    this exercises the factorization end to end.
     """
     shifted_alpha = m.alpha + 1j * imag_shift * np.eye(m.alpha.shape[0])
     sq, sq_inv = _delta_sqrt_pair(m.delta, imag_shift)
-    ainv = _checked_inverse(shifted_alpha, "alpha block", cond_cap)
+    ainv = _checked_inverse(shifted_alpha, "alpha block")
     x = sq_inv @ m.gamma @ ainv @ m.beta @ sq_inv
     norm = float(np.linalg.norm(x, 2))
     if norm >= 1.0:
@@ -182,10 +174,10 @@ def neumann_inverse(
     eye = np.eye(x.shape[0], dtype=complex)
     total = eye.copy()
     term = eye.copy()
-    for _ in range(max_terms):
+    for _ in range(NEUMANN_MAX_TERMS):
         term = term @ x
         total += term
-        if float(np.max(np.abs(term))) < series_tol:
+        if float(np.max(np.abs(term))) < NEUMANN_SERIES_TOL:
             break
     else:
         raise RuntimeError("Neumann series failed to reach tolerance")

@@ -71,6 +71,10 @@ from .collapse import (
 )
 from .models import AffineMappingTorus, FlatTorusModel
 from .spectral import (
+    BLOCK_INVERSE_TOL,
+    FACTORIZATION_TOL,
+    SPECTRUM_MATCH_TOL,
+    SQUARE_IDENTITY_TOL,
     epsilon_close,
     eigensolve,
     spectrum_to_csv,
@@ -153,7 +157,7 @@ def _run_torus_spectrum(cfg, outdir: Path, seed: int):
     model = _build_flat(cfg)
     cm = _build_module(cfg, model.n)
     trunc = _numint(cfg, "truncation", 8)
-    tol = _num(cfg, "tolerance", 1e-10)
+    tol = _num(cfg, "tolerance", SQUARE_IDENTITY_TOL)
     op = assemble_dirac(model, cm, trunc)
     spec = eigensolve(op)
     squared = np.sort(spec.values**2)
@@ -180,7 +184,7 @@ def _run_window_test(cfg, outdir: Path, seed: int):
     model, cm = _build_mapping(cfg)
     trunc = _numint(cfg, "truncation", 12)
     eps = [float(x) for x in cfg.get("numeric", "epsilons").split(",")]
-    tol = _num(cfg, "tolerance", 1e-9)
+    tol = _num(cfg, "tolerance", SPECTRUM_MATCH_TOL)
     wa = _num(cfg, "window_a", DEFAULT_WINDOW_A)
     wc = _num(cfg, "window_c", DEFAULT_WINDOW_C)
     report = collapse_run(model, cm, eps, k_max=1, truncation=trunc, window_a=wa, window_c=wc)
@@ -203,7 +207,7 @@ def _run_collapse(cfg, outdir: Path, seed: int):
     trunc = _numint(cfg, "truncation", 12)
     eps = [float(x) for x in cfg.get("numeric", "epsilons").split(",")]
     k_max = _numint(cfg, "k_max", 4)
-    tol = _num(cfg, "tolerance", 1e-9)
+    tol = _num(cfg, "tolerance", SPECTRUM_MATCH_TOL)
     wa = _num(cfg, "window_a", DEFAULT_WINDOW_A)
     wc = _num(cfg, "window_c", DEFAULT_WINDOW_C)
     report = collapse_run(model, cm, eps, k_max=k_max, truncation=trunc, window_a=wa, window_c=wc)
@@ -287,7 +291,7 @@ def _run_frame_bundle(cfg, outdir: Path, seed: int):
     cm = _build_module(cfg, model.n)
     trunc = _numint(cfg, "truncation", 6)
     gtrunc = _numint(cfg, "group_truncation", 4)
-    tol = _num(cfg, "tolerance", 1e-9)
+    tol = _num(cfg, "tolerance", SPECTRUM_MATCH_TOL)
     sq, lap = frame_bundle_operator(model, cm, trunc, gtrunc)
     match = epsilon_close(sq, lap, tol)
     prefix = cfg.get("output", "prefix", fallback="run")
@@ -345,7 +349,11 @@ def _run_block_identities(cfg, outdir: Path, seed: int):
         "series_residual": series_resid,
         "series_cases": series_cases,
     }
-    passed = inv_resid <= 1e-8 and fact_resid <= 1e-10 and series_resid <= 1e-8
+    passed = (
+        inv_resid <= BLOCK_INVERSE_TOL
+        and fact_resid <= FACTORIZATION_TOL
+        and series_resid <= BLOCK_INVERSE_TOL
+    )
     return passed, results
 
 

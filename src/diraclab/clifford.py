@@ -25,6 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spectral import ANGLE_TOL, CASIMIR_TOL, HERMITICITY_TOL, LIFT_TOL, PROJECTOR_TOL
+from .spectral import RELATION_TOL, UNITARITY_TOL, _require_hermitian
+
 __all__ = [
     "CliffordModule",
     "HolonomyRep",
@@ -32,7 +35,6 @@ __all__ = [
     "exterior_module",
     "relation_residuals",
     "casimir",
-    "casimir_blocks",
     "holonomy_rep",
     "fixed_subspace",
     "lift_rotation",
@@ -42,8 +44,6 @@ _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _ID2 = np.eye(2, dtype=complex)
-
-RELATION_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +71,11 @@ class CliffordModule:
             raise ValueError(f"vector must have shape ({self.n},) or (K, {self.n}), got {v.shape}")
         return np.einsum("...j,jkl->...kl", v, self.gammas)
 
-    def validate(self, tol: float = RELATION_TOL) -> None:
+    def validate(self) -> None:
+        """Refuse a module with a relation residual above RELATION_TOL."""
         res = relation_residuals(self)
         worst = max(res.values())
-        if worst > tol:
+        if worst > RELATION_TOL:
             bad = max(res, key=res.get)
             raise ValueError(f"module relations violated: {bad} residual {worst:.3e}")
 
@@ -252,40 +253,18 @@ def _casimir_matrix(cm: CliffordModule) -> np.ndarray:
     return c
 
 
-def casimir(cm: CliffordModule, tol: float = 1e-10) -> float:
+def casimir(cm: CliffordModule) -> float:
     """Casimir scalar c_V with -sum_{a<b} sigma_ab^2 = c_V Id.
 
-    Raises if the sum is not scalar on V (reducible modules mixing
-    inequivalent blocks); use casimir_blocks for those.
+    Raises if the sum is not scalar on V to within CASIMIR_TOL (reducible
+    modules mixing inequivalent blocks).
     """
     c = _casimir_matrix(cm)
     value = np.trace(c).real / cm.dim_v
     dev = _opnorm(c - value * np.eye(cm.dim_v))
-    if dev > tol * max(1.0, abs(value)):
-        raise ValueError(
-            f"casimir not scalar on this module (deviation {dev:.3e}); "
-            "use casimir_blocks"
-        )
+    if dev > CASIMIR_TOL * max(1.0, abs(value)):
+        raise ValueError(f"casimir not scalar on this module (deviation {dev:.3e})")
     return float(value)
-
-
-def casimir_blocks(cm: CliffordModule, tol: float = 1e-8) -> list[tuple[float, int]]:
-    """Casimir values with multiplicities, one entry per isotypic eigenvalue.
-
-    The Casimir matrix is Hermitian positive semidefinite, and constant on
-    each irreducible summand, so its eigenvalue clusters report the values
-    carried by the isotypic blocks.
-    """
-    vals = np.linalg.eigvalsh(_casimir_matrix(cm))
-    out: list[tuple[float, int]] = []
-    for v in vals:
-        if out and abs(v - out[-1][0]) <= tol:
-            prev, mult = out[-1]
-            # running mean keeps the reported value centered on the cluster
-            out[-1] = ((prev * mult + v) / (mult + 1), mult + 1)
-        else:
-            out.append((float(v), 1))
-    return [(float(v), m) for v, m in out]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +289,7 @@ def _unitary_key(u: np.ndarray, digits: int = 9) -> bytes:
 def holonomy_rep(
     generators: list[np.ndarray] | tuple[np.ndarray, ...],
     max_order: int = 1024,
-    tol: float = 1e-10,
+    tol: float = UNITARITY_TOL,
 ) -> HolonomyRep:
     """Close a generating set of unitaries into a finite group.
 
@@ -348,7 +327,7 @@ def holonomy_rep(
     return HolonomyRep(dim_v=d, generators=tuple(gens), elements=elems, group_order=len(elems))
 
 
-def fixed_subspace(rep: HolonomyRep, tol: float = 1e-10) -> np.ndarray:
+def fixed_subspace(rep: HolonomyRep, tol: float = PROJECTOR_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the subspace fixed by the whole group.
 
     Uses the averaging projector P = |F|^-1 sum_g g, which is an orthogonal
@@ -367,10 +346,9 @@ def fixed_subspace(rep: HolonomyRep, tol: float = 1e-10) -> np.ndarray:
 def _expm_skew(x: np.ndarray) -> np.ndarray:
     """exp(x) for a skew-Hermitian x, through the eigenbasis of the Hermitian
     matrix -ix; any other input is refused."""
-    x = np.asarray(x, dtype=complex)
-    if np.max(np.abs(x + x.conj().T)) > RELATION_TOL * max(1.0, float(np.max(np.abs(x)))):
-        raise ValueError("exponential is taken of skew-Hermitian matrices only")
-    w, v = np.linalg.eigh(-1j * x)
+    h = -1j * np.asarray(x, dtype=complex)
+    _require_hermitian([h], HERMITICITY_TOL, "exponential is taken of skew-Hermitian matrices only")
+    w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
@@ -392,7 +370,7 @@ def _standard_order_basis(v: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def _special_orthogonal_log(rot: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _special_orthogonal_log(rot: np.ndarray) -> np.ndarray:
     """Real antisymmetric Omega with exp(Omega) = rot, for rot in SO(n).
 
     rot is normal, so its symmetric part C and skew part A commute: on each
@@ -402,17 +380,19 @@ def _special_orthogonal_log(rot: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     complex, so the -1 eigenspace is split into planes of consecutive basis
     vectors in standard-basis order, each turned by pi with Omega[a, b] =
     -pi for a < b (the limit of rotations by less than pi from e_a to e_b).
+    Cosines within ANGLE_TOL are one eigenspace, and a sine of at most
+    ANGLE_TOL is a zero angle.
     """
     n = rot.shape[0]
     cosines, vecs = np.linalg.eigh(0.5 * (rot + rot.T))
     skew = 0.5 * (rot - rot.T)
-    cuts = [0] + [i for i in range(1, n) if cosines[i] - cosines[i - 1] > tol] + [n]
+    cuts = [0] + [i for i in range(1, n) if cosines[i] - cosines[i - 1] > ANGLE_TOL] + [n]
     omega = np.zeros((n, n))
     for lo, hi in zip(cuts, cuts[1:]):
         v = vecs[:, lo:hi]
         a = v.T @ skew @ v
         sin = float(np.linalg.norm(a - a.T)) / (2.0 * np.sqrt(hi - lo))
-        if sin > tol:
+        if sin > ANGLE_TOL:
             theta = np.arctan2(sin, float(np.mean(cosines[lo:hi])))
             omega += (0.5 * theta / sin) * (v @ a @ v.T)
         elif cosines[lo] < 0.0:
@@ -423,25 +403,26 @@ def _special_orthogonal_log(rot: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return omega - omega.T
 
 
-def lift_rotation(cm: CliffordModule, rot: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def lift_rotation(cm: CliffordModule, rot: np.ndarray) -> np.ndarray:
     """Unitary U on V with U gamma(v) U* = gamma(rot v) for all v.
 
     rot must be special orthogonal; the lift is exp of a real logarithm of
-    the rotation pushed through the sigma generators.  The intertwining
-    property is verified before returning.
+    the rotation pushed through the sigma generators.  rot must be
+    orthogonal to within UNITARITY_TOL; the logarithm and the intertwining
+    property are verified to within LIFT_TOL before returning.
     """
     rot = np.asarray(rot, dtype=float)
     n = cm.n
     if rot.shape != (n, n):
         raise ValueError(f"rotation must be {n} x {n}")
-    if _opnorm(rot.T @ rot - np.eye(n)) > 1e-10:
+    if _opnorm(rot.T @ rot - np.eye(n)) > UNITARITY_TOL:
         raise ValueError("matrix is not orthogonal")
     if np.linalg.det(rot) < 0:
         raise ValueError("orientation-reversing isometries have no lift here")
     omega = _special_orthogonal_log(rot)
-    if _opnorm(_expm_skew(omega) - rot) > 1e-9:
+    if _opnorm(_expm_skew(omega) - rot) > LIFT_TOL:
         raise ValueError("real logarithm of the rotation failed to verify")
     u = _expm_skew(0.5 * np.tensordot(omega, cm.sigmas, axes=2))
-    if _max_opnorm(u @ cm.gammas @ u.conj().T - cm.gamma(rot.T)) > tol:
+    if _max_opnorm(u @ cm.gammas @ u.conj().T - cm.gamma(rot.T)) > LIFT_TOL:
         raise ValueError("computed lift fails to intertwine the Clifford action")
     return u

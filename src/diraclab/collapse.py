@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
-    AssembledOperator,
+    _NOT_HERMITIAN,
     EmptyInvariantSpaceError,
-    _flat_info,
     _flat_modes,
     _limit_operator,
     _mapping_plan,
@@ -27,6 +26,7 @@ from .assembly import (
 )
 from .clifford import CliffordModule
 from .models import (
+    FD_STEP,
     AffineMappingTorus,
     FlatTorusModel,
     GeometricData,
@@ -34,8 +34,14 @@ from .models import (
     metric_path,
 )
 from .spectral import (
+    HERMITICITY_TOL,
+    INEQUALITY_SLACK,
+    NULL_SEGMENT_DEVIATION,
+    NULL_SEGMENT_LENGTH,
+    SPECTRUM_MATCH_TOL,
     MatchResult,
     Spectrum,
+    _require_hermitian,
     _stack_values,
     eigensolve,
     epsilon_close,
@@ -62,6 +68,18 @@ DEFAULT_WINDOW_A = float(np.pi) ** 2
 DEFAULT_WINDOW_C = 10.0
 
 
+def _window_square(geom: GeometricData, window_a: float, window_c: float) -> float:
+    """window_a / diam(fiber)^2 - window_c * (|R| + |II|^2 + |T|^2), refusing
+    window constants outside a > 0, c >= 0 and a fiber diameter that is not
+    positive (NaN included)."""
+    if not (window_a > 0.0 and window_c >= 0.0):
+        raise ValueError("window constants must satisfy a > 0, c >= 0")
+    if not geom.diam_z > 0.0:
+        raise ValueError("fiber diameter must be positive")
+    penalty = geom.norm_r + geom.norm_pi**2 + geom.norm_t**2
+    return window_a / geom.diam_z**2 - window_c * penalty
+
+
 def spectral_window(
     geom: GeometricData,
     window_a: float = DEFAULT_WINDOW_A,
@@ -72,13 +90,7 @@ def spectral_window(
     The square is  window_a / diam(fiber)^2 - window_c * (|R| + |II|^2 + |T|^2);
     a nonpositive square means the window is empty (width 0).
     """
-    if window_a <= 0.0 or window_c < 0.0:
-        raise ValueError("window constants must satisfy a > 0, c >= 0")
-    if geom.diam_z <= 0.0:
-        raise ValueError("fiber diameter must be positive")
-    penalty = geom.norm_r + geom.norm_pi**2 + geom.norm_t**2
-    square = window_a / geom.diam_z**2 - window_c * penalty
-    return float(np.sqrt(max(square, 0.0)))
+    return float(np.sqrt(max(_window_square(geom, window_a, window_c), 0.0)))
 
 
 def check_fiber_gap_bound(
@@ -86,18 +98,16 @@ def check_fiber_gap_bound(
     geom: GeometricData,
     window_a: float = DEFAULT_WINDOW_A,
     window_c: float = DEFAULT_WINDOW_C,
-    slack: float = 1e-9,
 ) -> bool:
     """Fiber gap squared must dominate the window square.
 
     This is what makes the window safe: everything the fiber operator does
-    outside the parallel sections happens above the window.  slack absorbs
-    exact-equality cases in floating point.
+    outside the parallel sections happens above the window.  A slack of
+    INEQUALITY_SLACK * max(1, |square|) absorbs exact-equality cases in
+    floating point.  Refuses what spectral_window refuses.
     """
-    square = window_a / geom.diam_z**2 - window_c * (
-        geom.norm_r + geom.norm_pi**2 + geom.norm_t**2
-    )
-    return bool(gap * gap >= square - slack * max(1.0, abs(square)))
+    square = _window_square(geom, window_a, window_c)
+    return bool(gap * gap >= square - INEQUALITY_SLACK * max(1.0, abs(square)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +195,7 @@ def collapse_run(
     )
 
 
-def window_agreement(report: CollapseReport, tol: float = 1e-9) -> list[MatchResult]:
+def window_agreement(report: CollapseReport, tol: float = SPECTRUM_MATCH_TOL) -> list[MatchResult]:
     """Windowed multiset comparison at every scale of a convergent run."""
     if report.limit_spectrum is None:
         raise ValueError("window agreement needs a convergent run")
@@ -273,7 +283,7 @@ def perturbation_bound_check(
     spin_shift=None,
     track_count: int | None = None,
     quad_samples: int = 33,
-    fd_step: float = 1e-6,
+    fd_step: float = FD_STEP,
 ) -> PerturbationReport:
     """Sinh-rescaled spectra move no faster than the metric path length.
 
@@ -313,10 +323,9 @@ def perturbation_bound_check(
             raise ValueError(f"module dimension {n} does not match torus rank {gram.shape[0]}")
         tori.append(FlatTorusModel(np.linalg.cholesky(gram).T, shift))
     stack = cm.gamma(np.concatenate([torus.dual_momentum(modes) for torus in tori]))
-    info = _flat_info(modes, cm.dim_v)
     for block in stack.reshape(samples, len(modes), cm.dim_v, cm.dim_v):
-        # built for its Hermiticity check, against this grid point's own scale
-        AssembledOperator([block], info, truncation, "")
+        # each grid point's operator is checked against its own scale
+        _require_hermitian([block], HERMITICITY_TOL, _NOT_HERMITIAN)
     values = np.sort(_stack_values(stack).reshape(samples, dim), axis=1)
     # sinh_rescale row by row, sorted again as its Spectrum is
     rescaled = np.sort(np.arcsinh(values / float(np.sqrt(curvature_bound))), axis=1)
@@ -324,8 +333,8 @@ def perturbation_bound_check(
     devs = np.max(np.abs(np.diff(rescaled[:, lo : lo + tc], axis=0)), axis=1)
     ratios = []
     for seg, dev in zip(lengths.tolist(), devs.tolist()):
-        if seg < 1e-15:
-            ratios.append(0.0 if dev <= 1e-12 else float("inf"))
+        if seg < NULL_SEGMENT_LENGTH:
+            ratios.append(0.0 if dev <= NULL_SEGMENT_DEVIATION else float("inf"))
         else:
             ratios.append(dev / seg)
     # np.max, unlike max, lets a NaN ratio through to fail the check
@@ -353,14 +362,13 @@ class RayleighReport:
         return self.ok
 
 
-def rayleigh_minimax_check(
-    op, k: int, trials: int = 20, seed: int = 0, slack: float = 1e-9
-) -> RayleighReport:
+def rayleigh_minimax_check(op, k: int, trials: int = 20, seed: int = 0) -> RayleighReport:
     """Random k-dimensional trial subspaces never beat the k-th eigenvalue.
 
     For the squared operator, the largest Rayleigh quotient over any
     k-dimensional subspace is at least the k-th smallest eigenvalue; random
-    subspaces probe that variational inequality.
+    subspaces probe that variational inequality, with a slack of
+    INEQUALITY_SLACK * max(1, |eigenvalue|).
     """
     matrix = np.asarray(getattr(op, "matrix", op), dtype=complex)
     dim = matrix.shape[0]
@@ -376,5 +384,5 @@ def rayleigh_minimax_check(
         small = q.conj().T @ square @ q
         top = float(np.linalg.eigvalsh(small)[-1])
         worst = min(worst, top - target)
-    ok = worst >= -slack * max(1.0, abs(target))
+    ok = worst >= -INEQUALITY_SLACK * max(1.0, abs(target))
     return RayleighReport(ok=bool(ok), target=target, worst_margin=worst, trials=trials)

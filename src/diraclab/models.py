@@ -15,15 +15,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spectral import CONNECTION_INVARIANCE_TOL, DIAGONAL_GRAM_TOL, INPUT_HERMITICITY_TOL
+from .spectral import METRIC_INVARIANCE_TOL, SHIFT_INTEGRALITY_TOL, SINGULAR_DET_TOL
+
 __all__ = [
     "FlatTorusModel",
     "AffineMappingTorus",
     "GeometricData",
     "geometric_data",
     "metric_path",
-    "metric_speed",
     "matrix_order",
 ]
+
+# central-difference step of a metric family's derivative, in its parameter
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,11 +46,11 @@ class FlatTorusModel:
         n = basis.shape[0]
         if basis.shape != (n, n):
             raise ValueError("lattice basis must be square")
-        if abs(np.linalg.det(basis)) < 1e-12:
+        if abs(np.linalg.det(basis)) < SINGULAR_DET_TOL:
             raise ValueError("lattice basis is singular")
         if shift.shape != (n,):
             raise ValueError("spin shift length must match the lattice rank")
-        if not np.all(np.isin(shift, (0.0, 0.5))):
+        if not np.all((shift == 0.0) | (shift == 0.5)):
             raise ValueError("spin shift entries must be 0 or 1/2")
 
     @property
@@ -79,7 +84,7 @@ class FlatTorusModel:
         """
         g = self.gram
         scale = float(np.max(np.abs(g)))
-        if np.max(np.abs(g - np.diag(np.diag(g)))) <= 1e-12 * scale:
+        if np.max(np.abs(g - np.diag(np.diag(g)))) <= DIAGONAL_GRAM_TOL * scale:
             return 0.5 * float(np.sqrt(np.sum(np.diag(g))))
         return _covering_radius_grid(self.lattice_basis, resolution)
 
@@ -151,16 +156,18 @@ class AffineMappingTorus:
         if round(np.linalg.det(phi.astype(float))) != 1:
             raise ValueError("holonomy must preserve orientation (determinant 1)")
         g = self.fiber.gram
-        if np.max(np.abs(phi.T @ g @ phi - g)) > 1e-10 * max(1.0, float(np.max(np.abs(g)))):
+        scale = max(1.0, float(np.max(np.abs(g))))
+        if np.max(np.abs(phi.T @ g @ phi - g)) > METRIC_INVARIANCE_TOL * scale:
             raise ValueError("holonomy does not preserve the fiber metric")
         matrix_order(phi)  # raises when not finite order
         shift = self.fiber.spin_shift
-        if np.max(np.abs(np.mod(phi.T @ shift - shift + 0.5, 1.0) - 0.5)) > 1e-12:
+        if np.max(np.abs(np.mod(phi.T @ shift - shift + 0.5, 1.0) - 0.5)) > SHIFT_INTEGRALITY_TOL:
             raise ValueError("fiber spin shift is not holonomy invariant")
         conn = np.zeros(m) if self.connection is None else np.asarray(self.connection, dtype=float)
         if conn.shape != (m,):
             raise ValueError("connection form length must match the fiber rank")
-        if np.max(np.abs(phi @ conn - conn)) > 1e-12 * max(1.0, float(np.max(np.abs(conn)))):
+        scale = max(1.0, float(np.max(np.abs(conn))))
+        if np.max(np.abs(phi @ conn - conn)) > CONNECTION_INVARIANCE_TOL * scale:
             raise ValueError("connection form must be holonomy invariant")
         object.__setattr__(self, "connection", conn)
         if self.base_length <= 0:
@@ -254,7 +261,9 @@ def _check_fd_step(fd_step: float) -> None:
 
 
 def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
-    """metric_speed at every parameter in ts, from one stacked evaluation.
+    """Metric-relative speed sup_v |d/dt c(v, v)| / c(v, v) at every
+    parameter in ts, from one stacked evaluation: the largest absolute
+    eigenvalue of c^-1 c-dot, with c-dot a central difference of step fd_step.
 
     family is called at t, t + fd_step and t - fd_step for each t in turn;
     the outputs are stacked into (S, n, n) arrays, checked together, and
@@ -289,7 +298,9 @@ def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
     finite = np.isfinite(grams).all(axis=(1, 2))
     fails[:, 0] = ~finite
     scale = np.maximum(1.0, np.max(np.abs(grams), axis=(1, 2)))
-    fails[:, 1] = np.max(np.abs(grams - grams.swapaxes(1, 2)), axis=(1, 2)) > 1e-10 * scale
+    fails[:, 1] = (
+        np.max(np.abs(grams - grams.swapaxes(1, 2)), axis=(1, 2)) > INPUT_HERMITICITY_TOL * scale
+    )
     safe = np.where(finite[:, None, None], grams, np.eye(shape[0]))
     fails[:, 2] = np.min(np.linalg.eigvalsh(safe), axis=1) <= 0
     plus = np.array(outs[1 : 3 * whole : 3]).reshape(-1, *shape)
@@ -309,40 +320,31 @@ def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvalsh(0.5 * (sym + sym.swapaxes(1, 2)))), axis=1)
 
 
-def metric_speed(family, t: float, fd_step: float = 1e-6) -> float:
-    """Metric-relative speed sup_v |d/dt c(v, v)| / c(v, v) at parameter t.
-
-    Equals the largest absolute eigenvalue of c^-1 c-dot; the derivative is
-    taken by central differences, so the family must extend slightly past
-    the endpoint being queried.  This is the one-point case of the stacked
-    evaluation behind metric_path.  Raises ValueError for a step that is
-    not positive and finite, and, naming t, for outputs that are not square
-    matrices of one shape, a Gram matrix that is not finite, symmetric and
-    positive definite, or a finite-difference derivative that is not finite.
-    """
-    return float(_metric_speeds(family, [t], fd_step)[0])
-
-
 def metric_path(
     family,
     samples: int = 129,
-    fd_step: float = 1e-6,
+    fd_step: float = FD_STEP,
     t0: float | np.ndarray = 0.0,
     t1: float | np.ndarray = 1.0,
 ) -> float | np.ndarray:
-    """Path length of a metric family: integral of metric_speed over [t0, t1].
+    """Path length of a metric family: the integral over [t0, t1] of its
+    metric-relative speed sup_v |d/dt c(v, v)| / c(v, v), the largest
+    absolute eigenvalue of c^-1 c-dot.
 
     family maps a parameter to a Gram matrix and must be defined on a small
-    neighbourhood of the interval (central differences step outside it).
-    Composite Simpson quadrature; samples is rounded up to the next odd
-    count when necessary.  t0 and t1 may also be 1-D arrays of segment ends;
-    the result is then an array with one length per segment, each equal to
-    the scalar call on that segment.  A segment that starts where the one
+    neighbourhood of the interval: c-dot is the central difference of step
+    fd_step, which must be positive and finite.  Composite Simpson
+    quadrature; samples is rounded up to the next odd count when necessary.
+    t0 and t1 may also be 1-D arrays of segment ends; the result is then an
+    array with one length per segment, each equal to the scalar call on that
+    segment.  A segment that starts where the one
     before it ends shares that node (np.linspace hits both ends exactly), so
     it is evaluated once.  The speeds at all nodes of all segments come from
-    one stacked evaluation, with the checks and refusals of metric_speed; a
-    failing check names the first node, in segment order, that fails it.
-    t1 must not lie below t0.
+    one stacked evaluation.  It refuses, naming the first node in segment
+    order that fails the check, outputs that are not square matrices of one
+    shape, a Gram matrix that is not finite, symmetric (to within
+    INPUT_HERMITICITY_TOL) and positive definite, and a finite-difference
+    derivative that is not finite.  t1 must not lie below t0.
     """
     if samples < 3:
         raise ValueError("need at least 3 quadrature samples")

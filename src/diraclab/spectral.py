@@ -1,10 +1,16 @@
-"""Spectra of assembled operators, multiset comparison, and CSV round trip.
+"""Spectra of assembled operators, multiset comparison, CSV export, and the
+tolerance policy.
 
 Spectra are ascending sorted arrays tagged with a clustering tolerance and
 the truncation that produced them.  Comparisons run over sorted values:
 equality of multisets of reals at tolerance eps is exactly pointwise
 closeness of the sorted sequences, and subset containment is decided by the
 greedy two-pointer injection, which is optimal for sorted sequences.
+
+Every tolerance the package compares against is an entry of the table
+below.  Only window_agreement, the CLI's INI keys and the holonomy closure
+(holonomy_rep, fixed_subspace) take a tolerance as an option, and their
+defaults are entries of the table.
 """
 
 from __future__ import annotations
@@ -21,17 +27,42 @@ __all__ = [
     "epsilon_close",
     "subset_epsilon_close",
     "window_intersect",
-    "cluster_multiplicities",
     "spectrum_to_csv",
-    "spectrum_from_csv",
 ]
 
-RESIDUAL_TOL = 1e-10
-HERMITICITY_TOL = 1e-12
-# Twist diagonalization, twist-angle clustering, fixed-space membership and
-# the integrality of a closed-form sign count use this absolute tolerance;
-# cross-cluster coupling uses it relative to the largest entry of the symbol.
+# Tolerance policy.  Each entry's comment says what it bounds and its scale:
+# "abs" compares the raw quantity, "rel" compares it with the entry times
+# max(1, largest entry of the checked matrix), "rel X" with the entry times
+# max(1, |X|).  Matrix quantities are largest entries, "op" operator norms.
+RESIDUAL_TOL = 1e-10  # eigenpair residual and closed-form square defect; rel block
+HERMITICITY_TOL = 1e-12  # M - M^H of an assembled or solved operator, of -iX for exp(X); rel
+INPUT_HERMITICITY_TOL = 1e-10  # M - M^H of a delta block or a Gram matrix; rel
+# twist diagonalization, angle clusters, fixed space and sign-count
+# integrality: abs; twist-sector coupling: rel largest symbol entry
 STRUCTURE_TOL = 1e-8
+CLUSTER_TOL = 1e-8  # gap inside an eigenvalue cluster; rel largest |eigenvalue|
+RELATION_TOL = 1e-12  # Clifford module relation residuals; op, abs
+CASIMIR_TOL = 1e-10  # Casimir sum minus its scalar c; op, rel c
+UNITARITY_TOL = 1e-10  # U^H U - I of a lift or holonomy generator, R^T R - I; op, abs
+PROJECTOR_TOL = 1e-10  # P - P^H of an averaging projector, eigenvalues off {0, 1}; op, abs
+ANGLE_TOL = 1e-10  # equal cosines and zero sines in the logarithm of a rotation; abs
+LIFT_TOL = 1e-9  # exp(log R) - R, and U gamma U^H - gamma(R) for the lift U of R; op, abs
+WEIGHT_TOL = 1e-9  # twice a module weight minus the nearest integer; abs
+SINGULAR_DET_TOL = 1e-12  # |det| of a singular lattice basis; abs
+DIAGONAL_GRAM_TOL = 1e-12  # off-diagonal Gram entries of a rectangle; times largest entry
+METRIC_INVARIANCE_TOL = 1e-10  # phi^T G phi - G of a holonomy phi; rel G
+CONNECTION_INVARIANCE_TOL = 1e-12  # phi A - A of the connection form A; rel A
+SHIFT_INTEGRALITY_TOL = 1e-12  # phi^T s - s off Z^m, s the fiber spin shift; abs
+INEQUALITY_SLACK = 1e-9  # fiber-gap and Rayleigh min-max inequalities; rel right side
+SPECTRUM_MATCH_TOL = 1e-9  # paired eigenvalues of two spectra compared as multisets; abs
+NULL_SEGMENT_LENGTH = 1e-15  # metric path length of a segment treated as zero; abs
+NULL_SEGMENT_DEVIATION = 1e-12  # spectral shift allowed on such a segment; abs
+SQUARE_IDENTITY_TOL = 1e-10  # squared Dirac minus Bochner eigenvalues; rel largest
+CONDITION_CAP = 1e12  # condition number of a block treated as singular
+NEUMANN_SERIES_TOL = 1e-14  # last Neumann term summed; abs
+NEUMANN_MAX_TERMS = 10000  # Neumann terms summed before the series is refused
+BLOCK_INVERSE_TOL = 1e-8  # M M^-1 - I, and Neumann minus direct inverse; abs
+FACTORIZATION_TOL = 1e-10  # Neumann factorization residual; rel Schur complement
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +101,18 @@ class MatchResult:
 
 def _default_tol(values: np.ndarray) -> float:
     scale = float(np.max(np.abs(values))) if values.size else 0.0
-    return 1e-8 * max(1.0, scale)
+    return CLUSTER_TOL * max(1.0, scale)
+
+
+def _require_hermitian(stacks, tol: float, message: str) -> None:
+    """Raise ValueError(message) unless max|M - M^H| <= tol * max(1, max|M|)
+    over every matrix M of the (..., d, d) arrays stacks.  message may name
+    the residual as {residual}."""
+    stacks = [s for s in stacks if s.size]
+    scale = max([1.0] + [float(np.max(np.abs(s))) for s in stacks])
+    resid = max([0.0] + [float(np.max(np.abs(s - s.conj().swapaxes(-1, -2)))) for s in stacks])
+    if resid > tol * scale:
+        raise ValueError(message.format(residual=resid))
 
 
 def _block_max(stack: np.ndarray) -> np.ndarray:
@@ -147,9 +189,10 @@ def _stack_values(stack: np.ndarray) -> np.ndarray:
     return w
 
 
-def eigensolve(op, cluster_tol: float | None = None) -> Spectrum:
+def eigensolve(op) -> Spectrum:
     """Eigenvalues of a Hermitian operator, each certified against
-    RESIDUAL_TOL * max(1, largest entry of its block).
+    RESIDUAL_TOL * max(1, largest entry of its block), clustered at
+    CLUSTER_TOL * max(1, largest |eigenvalue|).
 
     An assembled operator is solved as its size-class stacks; its
     Hermiticity was checked when it was built.  On the flat models every
@@ -184,9 +227,7 @@ def eigensolve(op, cluster_tol: float | None = None) -> Spectrum:
         matrix = np.asarray(op, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("eigensolve needs a square matrix")
-        scale = max(1.0, float(np.max(np.abs(matrix))) if matrix.size else 1.0)
-        if matrix.size and float(np.max(np.abs(matrix - matrix.conj().T))) > HERMITICITY_TOL * scale:
-            raise ValueError("operator is not Hermitian")
+        _require_hermitian([matrix], HERMITICITY_TOL, "operator is not Hermitian")
         stacks = (matrix[None],)
     chunks = []
     for stack in stacks:
@@ -198,10 +239,9 @@ def eigensolve(op, cluster_tol: float | None = None) -> Spectrum:
             w = _stack_values(stack)
         chunks.append(w.ravel())
     values = np.concatenate(chunks) if chunks else np.zeros(0)
-    tol = _default_tol(values) if cluster_tol is None else cluster_tol
     return Spectrum(
         values=values,
-        cluster_tol=tol,
+        cluster_tol=_default_tol(values),
         source_truncation=getattr(op, "truncation", None),
     )
 
@@ -270,37 +310,11 @@ def window_intersect(spec: Spectrum, bound: float) -> Spectrum:
     )
 
 
-def cluster_multiplicities(spec: Spectrum) -> list[tuple[float, int]]:
-    """(mean value, multiplicity) per cluster, splitting where consecutive
-    sorted values gap by more than the cluster tolerance."""
-    out: list[tuple[float, int]] = []
-    vals = spec.values
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > spec.cluster_tol:
-            chunk = vals[start:i]
-            out.append((float(np.mean(chunk)), len(chunk)))
-            start = i
-    return out
-
-
 def spectrum_to_csv(spec: Spectrum, path) -> None:
     """One eigenvalue per line in full repr precision, after a comment line
-    carrying the truncation and tolerance; round trips exactly."""
+    carrying the truncation and tolerance; every value parses back exactly."""
     lines = [f"# truncation={spec.source_truncation!r} cluster_tol={spec.cluster_tol!r}"]
     lines.extend(repr(float(v)) for v in spec.values)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def spectrum_from_csv(path) -> Spectrum:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("missing spectrum header line")
-    header = lines[0][1:].strip()
-    fields = dict(part.split("=", 1) for part in header.split())
-    trunc = None if fields["truncation"] == "None" else int(fields["truncation"])
-    tol = float(fields["cluster_tol"])
-    values = np.array([float(ln) for ln in lines[1:]])
-    return Spectrum(values=values, cluster_tol=tol, source_truncation=trunc)

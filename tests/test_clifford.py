@@ -8,9 +8,9 @@ import pytest
 
 from diraclab.clifford import (
     CliffordModule,
+    _casimir_matrix,
     _expm_skew,
     casimir,
-    casimir_blocks,
     exterior_module,
     fixed_subspace,
     holonomy_rep,
@@ -18,6 +18,7 @@ from diraclab.clifford import (
     relation_residuals,
     spinor_gammas,
 )
+from diraclab.spectral import RELATION_TOL
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -91,9 +92,9 @@ def _loop_relation_residuals(cm):
     return res
 
 
-def _validate_message(res, tol=1e-12):
+def _validate_message(res):
     worst = max(res.values())
-    if worst <= tol:
+    if worst <= RELATION_TOL:
         return None
     bad = max(res, key=res.get)
     return f"module relations violated: {bad} residual {worst:.3e}"
@@ -167,9 +168,10 @@ def test_casimir_pinned_values():
 
 
 def test_exterior_casimir_blocks():
-    blocks = casimir_blocks(exterior_module(2))
-    assert [(round(v, 10), m) for v, m in blocks] == [(0.0, 2), (1.0, 2)]
-    with pytest.raises(ValueError):
+    # the exterior module mixes the Casimir values 0 and 1, twice each
+    values = np.linalg.eigvalsh(_casimir_matrix(exterior_module(2)))
+    assert np.allclose(values, [0.0, 0.0, 1.0, 1.0], atol=1e-10)
+    with pytest.raises(ValueError, match="casimir not scalar on this module"):
         casimir(exterior_module(2))
 
 

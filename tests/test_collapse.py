@@ -1,6 +1,7 @@
 """Collapse runs, windows, blow-up rates, perturbation bounds."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from diraclab.collapse import (
     window_agreement,
 )
 from diraclab.assembly import assemble_dirac, fiber_invariant_split
-from diraclab.models import AffineMappingTorus, FlatTorusModel, geometric_data, metric_path
+from diraclab.models import (
+    AffineMappingTorus,
+    FlatTorusModel,
+    GeometricData,
+    geometric_data,
+    metric_path,
+)
 from diraclab.spectral import eigensolve, sinh_rescale
 
 
@@ -57,6 +64,30 @@ def test_spectral_window_empty_and_validation():
         spectral_window(geom, window_a=0.0)
     with pytest.raises(ValueError):
         spectral_window(replace(geom, diam_z=0.0))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (dict(window_a=0.0), "window constants must satisfy a > 0, c >= 0"),
+        (dict(window_a=-5.0, window_c=-1.0), "window constants must satisfy a > 0, c >= 0"),
+        (dict(window_c=-1.0), "window constants must satisfy a > 0, c >= 0"),
+        (dict(diam_z=0.0), "fiber diameter must be positive"),
+        (dict(diam_z=-1.0), "fiber diameter must be positive"),
+        (dict(window_a=float("nan")), "window constants must satisfy a > 0, c >= 0"),
+        (dict(window_c=float("nan")), "window constants must satisfy a > 0, c >= 0"),
+        (dict(diam_z=float("nan")), "fiber diameter must be positive"),
+    ],
+)
+def test_window_refusals_shared_by_gap_bound(args, message):
+    # the gap bound refuses what the window refuses, rather than passing
+    # vacuously on a window it cannot form
+    diam = args.pop("diam_z", 1.0)
+    geom = GeometricData(0.0, 0.0, 0.0, diam)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        spectral_window(geom, **args)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_fiber_gap_bound(0.0, geom, **args)
 
 
 def test_fiber_gap_dominates_window():

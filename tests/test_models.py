@@ -10,8 +10,8 @@ from diraclab.models import (
     FlatTorusModel,
     geometric_data,
     matrix_order,
+    _metric_speeds,
     metric_path,
-    metric_speed,
 )
 
 
@@ -24,6 +24,20 @@ def test_flat_torus_basics():
     half = t.rescaled(0.5)
     assert np.allclose(half.lattice_basis, np.diag([1.0, 1.5]))
     assert "flat_torus" in t.label()
+
+
+@pytest.mark.parametrize(
+    "entry, accepted",
+    [(0.0, True), (-0.0, True), (0.5, True)]
+    + [(x, False) for x in (0.25, -0.5, 1.0, float("nan"), float("inf"), -float("inf"))],
+)
+def test_spin_shift_entries(entry, accepted):
+    shift = np.array([0.0, entry])
+    if accepted:
+        assert FlatTorusModel(np.eye(2), shift).spin_shift[1] == entry
+    else:
+        with pytest.raises(ValueError, match="spin shift entries must be 0 or 1/2"):
+            FlatTorusModel(np.eye(2), shift)
 
 
 def test_dual_momentum_batched_matches_per_mode():
@@ -143,7 +157,7 @@ def test_metric_speed_and_path_closed_form():
     def fam(t):
         return np.array([[(2 * np.pi + t) ** 2]])
 
-    s = metric_speed(fam, 0.0)
+    s = _metric_speeds(fam, [0.0], 1e-6)[0]
     assert s == pytest.approx(2.0 / (2 * np.pi), rel=1e-8)
     length = metric_path(fam, samples=65)
     assert length == pytest.approx(2 * np.log((2 * np.pi + 1) / (2 * np.pi)), rel=1e-8)
@@ -162,16 +176,14 @@ def test_metric_path_log_family():
 
 def test_metric_family_validation():
     with pytest.raises(ValueError, match=r"t=0\.0 is not symmetric"):
-        metric_speed(lambda t: np.array([[1.0, 2.0], [0.0, 1.0]]), 0.0)
+        metric_path(lambda t: np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match=r"t=0\.0 is not positive definite"):
-        metric_speed(lambda t: np.array([[-1.0]]), 0.0)
+        metric_path(lambda t: np.array([[-1.0]]))
     with pytest.raises(ValueError):
         metric_path(lambda t: np.eye(2), samples=2)
     # a step that is not positive and finite is named, not reported as a
     # non-finite derivative (a zero step divides by zero)
     for step in (0.0, -1e-6, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match=rf"fd_step must be positive and finite, got {step!r}"):
-            metric_speed(lambda t: np.eye(2), 0.0, fd_step=step)
         with pytest.raises(ValueError, match=rf"fd_step must be positive and finite, got {step!r}"):
             metric_path(lambda t: np.eye(2), fd_step=step)
 
@@ -189,7 +201,7 @@ def test_metric_path_refuses_reversed_interval():
 
 def test_metric_family_refuses_bad_shapes():
     with pytest.raises(ValueError, match="must produce square Gram matrices"):
-        metric_speed(lambda t: np.ones((2, 2, 2)), 0.0)
+        metric_path(lambda t: np.ones((2, 2, 2)))
     with pytest.raises(ValueError, match="must produce square Gram matrices"):
         metric_path(lambda t: np.ones((2, 3)))
 
@@ -197,7 +209,7 @@ def test_metric_family_refuses_bad_shapes():
         return np.eye(2) if t in (0.0, 0.5, 1.0) else np.eye(3)
 
     with pytest.raises(ValueError, match=r"changes shape: \(3, 3\) at t=1e-06"):
-        metric_speed(grows_off_grid, 0.0)
+        metric_path(grows_off_grid, samples=3)
     with pytest.raises(ValueError, match="changes shape"):
         metric_path(lambda t: np.eye(2) if t < 0.5 else np.eye(3), samples=5)
 
@@ -290,7 +302,7 @@ def test_stacked_metric_path_matches_loop(n, seed, samples, fd_exponent, t0, wid
     fd_step = 10.0**fd_exponent
     t1 = t0 + width
     for t in (t0, t1):
-        assert metric_speed(family, t, fd_step) == _loop_metric_speed(family, t, fd_step)
+        assert _metric_speeds(family, [t], fd_step)[0] == _loop_metric_speed(family, t, fd_step)
     assert metric_path(family, samples, fd_step, t0, t1) == _loop_metric_path(
         family, samples, fd_step, t0, t1
     )
