@@ -37,8 +37,9 @@ import numpy as np
 
 from .clifford import CliffordModule, fixed_subspace, holonomy_rep, lift_rotation, casimir
 from .models import FD_STEP, AffineMappingTorus, FlatTorusModel, _check_fd_step, matrix_order
-from .spectral import HERMITICITY_TOL, LIFT_TOL, SHIFT_INTEGRALITY_TOL, STRUCTURE_TOL, UNITARITY_TOL
-from .spectral import WEIGHT_TOL, Spectrum, _default_tol, _require_hermitian, eigensolve
+from .spectral import HERMITICITY_TOL, LIFT_TOL, RESIDUAL_TOL, SHIFT_INTEGRALITY_TOL, STRUCTURE_TOL
+from .spectral import UNITARITY_TOL, WEIGHT_TOL, Spectrum, _default_tol, _require_hermitian
+from .spectral import eigensolve
 
 __all__ = [
     "AssembledOperator",
@@ -419,6 +420,144 @@ def _orbit_layout(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _CertifiedSpectrum:
+    """Certified spectrum of a set of blocks: block b has the eigenvalue
+    -r[b] nneg[b] times and +r[b] npos[b] times."""
+
+    r: np.ndarray
+    nneg: np.ndarray
+    npos: np.ndarray
+    truncation: int
+
+    def spectrum(self) -> Spectrum:
+        values = np.concatenate([np.repeat(-self.r, self.nneg), np.repeat(self.r, self.npos)])
+        return Spectrum(
+            values=values, cluster_tol=_default_tol(values), source_truncation=self.truncation
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _BlockSymbols:
+    """Scale-free symbols of a plan's blocks; see _MappingPlan.symbol_spectrum.
+
+    Per block, in no particular order and batch-last (block axis last): the
+    orbit whose fiber momentum it takes, its base momentum beta and size s,
+    and for the restricted gammas G_k = q_c^H gamma_k q_c (fiber directions,
+    then the base) their real traces (n, B), the Clifford defects
+    A_kl = ||H_k H_l + H_l H_k - 2 delta_kl I||_F of their Hermitian parts
+    H_k (n, n, B), and max |G_k - G_k^H| (n, B).  Per orbit, for the gammas
+    F_k = q^H gamma_k q of its twist sector: the largest entry of each
+    fiber F_k and of the base F_m that joins two clusters (zero when the
+    sector has one cluster), the Gram matrix Re tr(F_k^H F_l) of the fiber
+    F_k, and max(1, max |F_m|).
+    """
+
+    orbit: np.ndarray
+    beta: np.ndarray
+    sizes: np.ndarray
+    trace: np.ndarray
+    defect: np.ndarray
+    skew: np.ndarray
+    leak: np.ndarray
+    base_leak: np.ndarray
+    gram: np.ndarray
+    base_max: np.ndarray
+
+    def orbit_part(self, orbit: int) -> _BlockSymbols:
+        """The symbols of one orbit's blocks, as orbit 0."""
+        rows = self.orbit == orbit
+        return _BlockSymbols(
+            np.zeros(np.count_nonzero(rows), dtype=np.intp),
+            *(getattr(self, f)[..., rows] for f in ("beta", "sizes", "trace", "defect", "skew")),
+            *(getattr(self, f)[[orbit]] for f in ("leak", "base_leak", "gram", "base_max")),
+        )
+
+    def solve(self, p: np.ndarray, dim_v: int, truncation: int) -> _CertifiedSpectrum | None:
+        """Certified spectrum at the orbit fiber momenta p (O, m), or None
+        when a block fails its certificate; see _MappingPlan.symbol_spectrum."""
+        leak = np.maximum(np.einsum("ok,ok->o", np.abs(p), self.leak), self.base_leak)
+        frob = np.sqrt(np.maximum(np.einsum("ok,okl,ol->o", p, self.gram, p), 0.0))
+        if np.any(leak > STRUCTURE_TOL * np.maximum(self.base_max, frob / dim_v)):
+            raise ValueError("operator symbol couples distinct twist sectors")
+        x = np.empty((len(self.trace), len(self.beta)))
+        x[:-1] = np.take(p.T, self.orbit, axis=1)
+        x[-1] = self.beta
+        ax = np.abs(x)
+        r2 = np.einsum("kb,kb->b", x, x)
+        delta = 0.5 * np.einsum("kb,klb,lb->b", ax, self.defect, ax)
+        bscale = np.maximum(1.0, np.sqrt(np.maximum(r2 - delta, 0.0)) / self.sizes)
+        resid = float(np.max(np.einsum("kb,kb->b", ax, self.skew), initial=0.0))
+        if resid > HERMITICITY_TOL * float(np.max(bscale, initial=1.0)):
+            raise ValueError(_NOT_HERMITIAN.format(residual=resid))
+        r = np.sqrt(r2)
+        zero = ~x.any(axis=0)
+        nplus = 0.5 * (self.sizes + np.einsum("kb,kb->b", x, self.trace) / np.where(zero, 1.0, r))
+        npos = np.rint(nplus)
+        ok = (self.sizes * delta < r2) & (delta <= RESIDUAL_TOL * bscale * r)
+        ok &= np.abs(nplus - npos) <= STRUCTURE_TOL
+        if not np.all(ok | zero):
+            return None
+        npos = np.where(zero, self.sizes, npos).astype(np.intp)
+        return _CertifiedSpectrum(r, self.sizes - npos, npos, truncation)
+
+
+def _cluster_constants(gc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Traces, Clifford defects and skew parts (see _BlockSymbols) of a
+    (C, n, s, s) stack of restricted gammas, batch-last."""
+    n, s = gc.shape[1], gc.shape[-1]
+    skew = gc - gc.conj().swapaxes(-1, -2)
+    h = gc - 0.5 * skew
+    prod = h[:, :, None] @ h[:, None]
+    anti = prod + prod.swapaxes(1, 2)
+    # the (k, k) pairs, a strided view of the flattened pair axis
+    anti.reshape(len(gc), n * n, s, s)[:, :: n + 1] -= 2.0 * np.eye(s)
+    return (
+        np.trace(gc, axis1=-2, axis2=-1).real.T,
+        np.sqrt(np.sum(np.abs(anti) ** 2, axis=(-2, -1))).transpose(1, 2, 0),
+        np.abs(skew).reshape(len(gc), n, -1).max(axis=-1).T,
+    )
+
+
+def _block_symbols(
+    groups: tuple[_OrbitGroup, ...], gammas: np.ndarray, orbits: int
+) -> _BlockSymbols:
+    """Symbols of the blocks of the groups, whose members number orbits in
+    all.  The clusters of one size are reduced as one stack."""
+    n = len(gammas)
+    m = n - 1
+    leak, base_leak = np.zeros((orbits, m)), np.zeros(orbits)
+    gram, base_max = np.zeros((orbits, m, m)), np.ones(orbits)
+    orbit, beta, by_size = [], [], {}
+    for g in groups:
+        sec = g.sector
+        gq = sec.q.conj().T @ gammas @ sec.q
+        if sec.coupling.any():
+            leak[g.members] = np.abs(gq[:m, sec.coupling]).max(axis=1)
+            base_leak[g.members] = sec.gb_leak
+        gram[g.members] = np.einsum("kij,lij->kl", gq[:m].conj(), gq[:m]).real
+        base_max[g.members] = max(1.0, sec.gb_max)
+        members = np.repeat(g.members, g.betas[0].shape[1])
+        for (rows, cols), b in zip(sec.grids, g.betas):
+            by_size.setdefault(len(rows), []).append((len(orbit), gq[:, rows, cols]))
+            orbit.append(members)
+            beta.append(b.ravel())
+    counts = np.array([len(o) for o in orbit])
+    sizes = np.zeros(len(orbit), dtype=np.intp)
+    consts = [np.zeros((n, len(orbit))), np.zeros((n, n, len(orbit))), np.zeros((n, len(orbit)))]
+    for s, items in by_size.items():
+        index = [i for i, _ in items]
+        sizes[index] = s
+        for out, c in zip(consts, _cluster_constants(np.stack([gc for _, gc in items]))):
+            out[..., index] = c
+    return _BlockSymbols(
+        np.concatenate(orbit),
+        np.concatenate(beta),
+        *(np.repeat(c, counts, axis=-1) for c in [sizes] + consts),
+        leak, base_leak, gram, base_max,
+    )
+
+
 def _group_operator(info: BlockInfo, per_group, truncation: int, label: str):
     """Operator from per-cluster (positions, blocks) lists, one per group."""
     counts = np.bincount(info.sizes).tolist()
@@ -462,6 +601,60 @@ class _MappingPlan:
         pnorm2 = np.sum(p * p, axis=1)
         per_group = [(g.positions, g.bochner_blocks(pnorm2)) for g in self.groups]
         return _group_operator(self.block_info, per_group, self.truncation, scaled.label())
+
+    @cached_property
+    def symbols(self) -> _BlockSymbols:
+        """The blocks' scale-free symbols, computed on first use."""
+        return _block_symbols(self.groups, self.cm.gammas, len(self.reps))
+
+    def symbol_spectrum(self, scaled: AffineMappingTorus) -> _CertifiedSpectrum | None:
+        """Spectrum at the fiber scale of scaled from the block symbols,
+        without forming a block; None when a block fails its certificate,
+        and the caller then takes the block path,
+        eigensolve(self.dirac(scaled)).
+
+        A block is D = sum_k x_k G_k with x = (p, beta), p the fiber momentum
+        of its orbit and G_k the gammas restricted to its twist cluster of s
+        rows.  The certificate is for its Hermitian part H = sum_k x_k H_k;
+        D - H is bounded by the Hermiticity check below.  With r^2 =
+        |p|^2 + beta^2,
+
+            H^2 - r^2 I = 1/2 sum_kl x_k x_l (H_k H_l + H_l H_k - 2 delta_kl I),
+
+        so ||H^2 - r^2 I||_2 <= ||H^2 - r^2 I||_F <= delta = 1/2 |x|^T A |x|,
+        A the cluster's Clifford defects: on a flat fiber D^2 = r^2 I up to
+        delta.  tr H = p . t_c + beta tb_c, with t_c and tb_c the cluster's
+        traces.  By Weyl's inequality every eigenvalue of H^2 lies within
+        delta of r^2.  eigensolve's argument then applies unchanged with
+        n+ = (s + tr H / r) / 2, and with max(1, sqrt(r^2 - delta) / s) as
+        the block scale.  That scale is at most eigensolve's
+        max(1, max |D_ij|), because sqrt(r^2 - delta) <= ||H||_2
+        <= s max |H_ij| <= s max |D_ij|, so the tests are at least as strict
+        as eigensolve's.  A block with x = 0 is exactly zero and gives s zeros.
+
+        The block path's two refusals are evaluated as bounds linear in |x|,
+        each against a lower bound of the scale its block-path check uses,
+        so each is at least as strict.  Twist-sector coupling, per orbit:
+        the entries dirac_blocks drops are at most
+        max(sum_k |p_k| leak_k, base leak), and the largest entry of the
+        sector-basis fiber symbol F(p) is at least
+        ||F(p)||_F / dim_v = sqrt(p^T W p) / dim_v.  Hermiticity, over all
+        blocks as AssembledOperator checks it:
+        max |D - D^H| <= sum_k |x_k| max |G_k - G_k^H|, against
+        max(1, max over blocks of sqrt(r^2 - delta) / s).
+        """
+        p = scaled.scaled_fiber().dual_momentum(self.reps)
+        return self.symbols.solve(p, self.cm.dim_v, self.truncation)
+
+    def limit_symbol_spectrum(self) -> _CertifiedSpectrum | None:
+        """Spectrum of the limit operator as symbol_spectrum finds it: the
+        blocks of the zero-mode orbit with p = 0, so r = |beta|.  None when a
+        block fails its certificate, and the caller then solves the limit
+        operator.  Raises EmptyInvariantSpaceError as limit_operator does."""
+        _require_parallel(self.model, self.lift)
+        (zero,) = np.flatnonzero(~self.reps.any(axis=1))
+        p = np.zeros((1, self.reps.shape[1]))
+        return self.symbols.orbit_part(zero).solve(p, self.cm.dim_v, self.truncation)
 
 
 def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int) -> _MappingPlan:
@@ -539,6 +732,14 @@ def _parallel_values(model: AffineMappingTorus, lift: np.ndarray) -> np.ndarray:
     return fixed if np.all(model.fiber.spin_shift == 0.0) else fixed[:, :0]
 
 
+def _require_parallel(model: AffineMappingTorus, lift: np.ndarray) -> None:
+    """Raise EmptyInvariantSpaceError unless parallel sections exist."""
+    if _parallel_values(model, lift).shape[1] == 0:
+        raise EmptyInvariantSpaceError(
+            "no parallel sections: the model has no collapse limit operator"
+        )
+
+
 def fiber_invariant_split(
     model: AffineMappingTorus, cm: CliffordModule, truncation: int
 ) -> InvariantSplit:
@@ -596,10 +797,7 @@ def _limit_operator(
 ) -> AssembledOperator:
     """limit_operator for a resolved lift and its twist sector of orbit size
     1, which is only read when parallel sections exist."""
-    if _parallel_values(model, lift).shape[1] == 0:
-        raise EmptyInvariantSpaceError(
-            "no parallel sections: the model has no collapse limit operator"
-        )
+    _require_parallel(model, lift)
     # a single zero-mode orbit of size 1, without fiber momentum
     one = np.ones(1, dtype=np.int64)
     info, groups = _orbit_layout(

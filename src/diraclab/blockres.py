@@ -45,6 +45,8 @@ class BlockMatrix2x2:
         p, q = a.shape[0], d.shape[0]
         if a.shape != (p, p) or d.shape != (q, q):
             raise ValueError("diagonal blocks must be square")
+        if p == 0 or q == 0:
+            raise ValueError("diagonal blocks must not be empty")
         if b.shape != (p, q) or g.shape != (q, p):
             raise ValueError("off-diagonal blocks have inconsistent shapes")
         for name, m in (("alpha", a), ("beta", b), ("gamma", g), ("delta", d)):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
-    _NOT_HERMITIAN,
     EmptyInvariantSpaceError,
     _flat_modes,
     _limit_operator,
@@ -155,7 +154,10 @@ def collapse_run(
     large enough that the window never outruns the retained base modes.
     The lift, orbits, twists and base momenta do not depend on the fiber
     scale, so they are built once and only the fiber momenta are redone per
-    scale; the limit operator is built from the same lift and twist.
+    scale.  Each scale, and the limit (the zero-mode orbit's blocks without
+    fiber momentum), is solved from the plan's certified block symbols,
+    without forming an operator; a scale with a block that fails its
+    certificate takes the block path, eigensolve of the assembled operator.
     """
     eps = [float(e) for e in epsilons]
     if not eps or any(e <= 0.0 for e in eps):
@@ -166,9 +168,13 @@ def collapse_run(
         raise ValueError("k_max must be at least 1")
     plan = _mapping_plan(model, cm, truncation)
     try:
-        # with parallel sections the zero mode is an orbit of size 1
-        limit = _limit_operator(model, truncation, plan.lift, plan.sectors.get(1))
-        limit_spec = eigensolve(limit)
+        limit = plan.limit_symbol_spectrum()
+        if limit is None:
+            # with parallel sections the zero mode is an orbit of size 1
+            limit_op = _limit_operator(model, truncation, plan.lift, plan.sectors.get(1))
+            limit_spec = eigensolve(limit_op)
+        else:
+            limit_spec = limit.spectrum()
         verdict = "converges"
     except EmptyInvariantSpaceError:
         limit_spec = None
@@ -176,7 +182,8 @@ def collapse_run(
     spectra, bounds, tracked_cols = [], [], []
     for e in eps:
         scaled = model.with_scale(e)
-        spec = eigensolve(plan.dirac(scaled))
+        solved = plan.symbol_spectrum(scaled)
+        spec = eigensolve(plan.dirac(scaled)) if solved is None else solved.spectrum()
         if k_max > len(spec):
             raise ValueError(f"k_max={k_max} exceeds spectrum size {len(spec)}")
         spectra.append(spec)
@@ -234,7 +241,9 @@ def blowup_check(
     """Fit the escape rate of the smallest absolute eigenvalue.
 
     Only valid when no parallel sections exist; rate is the largest a with
-    min |spec| >= a / epsilon across all requested scales.
+    min |spec| >= a / epsilon across all requested scales.  Each scale's
+    min |spec| is the smallest certified r over the plan's block symbols,
+    or the block path's when a block fails its certificate.
     """
     plan = _mapping_plan(model, cm, truncation)
     if _parallel_values(model, plan.lift).shape[1] > 0:
@@ -244,7 +253,14 @@ def blowup_check(
     eps = [float(e) for e in epsilons]
     if not eps or any(e <= 0.0 for e in eps):
         raise ValueError("epsilons must be positive")
-    mins = [float(eigensolve(plan.dirac(model.with_scale(e))).abs_sorted()[0]) for e in eps]
+    mins = []
+    for e in eps:
+        scaled = model.with_scale(e)
+        solved = plan.symbol_spectrum(scaled)
+        if solved is None:
+            mins.append(float(eigensolve(plan.dirac(scaled)).abs_sorted()[0]))
+        else:
+            mins.append(float(np.min(solved.r)))
     rate = min(m * e for m, e in zip(mins, eps))
     return BlowupReport(epsilons=tuple(eps), min_abs=tuple(mins), rate=float(rate))
 
@@ -323,9 +339,10 @@ def perturbation_bound_check(
             raise ValueError(f"module dimension {n} does not match torus rank {gram.shape[0]}")
         tori.append(FlatTorusModel(np.linalg.cholesky(gram).T, shift))
     stack = cm.gamma(np.concatenate([torus.dual_momentum(modes) for torus in tori]))
-    for block in stack.reshape(samples, len(modes), cm.dim_v, cm.dim_v):
+    for t, block in zip(ts.tolist(), stack.reshape(samples, len(modes), cm.dim_v, cm.dim_v)):
         # each grid point's operator is checked against its own scale
-        _require_hermitian([block], HERMITICITY_TOL, _NOT_HERMITIAN)
+        message = f"Dirac operator at grid point t={t!r} is not Hermitian"
+        _require_hermitian([block], HERMITICITY_TOL, message + " (residual {residual:.3e})")
     values = np.sort(_stack_values(stack).reshape(samples, dim), axis=1)
     # sinh_rescale row by row, sorted again as its Spectrum is
     rescaled = np.sort(np.arcsinh(values / float(np.sqrt(curvature_bound))), axis=1)

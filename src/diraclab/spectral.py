@@ -220,6 +220,14 @@ def eigensolve(op) -> Spectrum:
     not scalar) goes through one batched eigh with a residual check on
     every eigenpair.  A raw square array is checked and solved dense with
     that eigh, the reference the block path is tested against.
+
+    A mapping-torus plan certifies the same closed form from its block
+    symbols without forming the blocks (assembly._MappingPlan.symbol_spectrum):
+    it bounds ||D^2 - r^2 I|| by delta = 1/2 |x|^T A |x| from per-cluster
+    Clifford defects A, takes tr D = p . t_c + beta tb_c, and applies the
+    tests above with a lower bound of the block scale.  collapse_run and
+    blowup_check solve through it and use this solver only for a scale with
+    a block it cannot certify.
     """
     stacks = getattr(op, "stacks", None)
     dense = stacks is None

@@ -25,10 +25,16 @@ from diraclab.assembly import (
     limit_operator,
     write_matrix_text,
 )
-from diraclab.clifford import exterior_module, lift_rotation, spinor_gammas
+from diraclab.clifford import CliffordModule, exterior_module, lift_rotation, spinor_gammas
 from diraclab.collapse import blowup_check, collapse_run
 from diraclab.models import AffineMappingTorus, FlatTorusModel
-from diraclab.spectral import HERMITICITY_TOL, eigensolve, epsilon_close, subset_epsilon_close
+from diraclab.spectral import (
+    HERMITICITY_TOL,
+    STRUCTURE_TOL,
+    eigensolve,
+    epsilon_close,
+    subset_epsilon_close,
+)
 
 
 def _circle(length=2 * np.pi, shift=0.5):
@@ -641,6 +647,176 @@ def test_plan_matches_assembly_over_model_space(model, exterior, truncation, eps
     # every block squares to its closed-form Bochner block (|p|^2 + beta^2) I
     for d, r in zip(got.blocks, rhs.blocks):
         assert np.max(np.abs(d @ d - r)) <= 1e-12 * max(1.0, float(np.max(np.abs(r))))
+
+
+def _multiplicities(values):
+    """Sizes of the runs of a sorted array whose neighbours lie within
+    1e-9 * max(1, |value|) of each other."""
+    gaps = np.diff(values) > 1e-9 * np.maximum(1.0, np.abs(values[1:]))
+    return np.diff(np.flatnonzero(np.concatenate([[True], gaps, [True]])))
+
+
+def _assert_same_spectrum(got, ref):
+    assert got.source_truncation == ref.source_truncation
+    assert len(got) == len(ref)
+    a, b = got.values, ref.values
+    assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert np.array_equal(_multiplicities(a), _multiplicities(b))
+    assert got.cluster_tol == pytest.approx(ref.cluster_tol, rel=1e-13)
+
+
+@settings(max_examples=40)
+@given(
+    model=_mapping_models(),
+    exterior=st.booleans(),
+    truncation=st.integers(1, 3),
+    eps=st.floats(0.05, 2.0),
+)
+def test_symbol_spectra_match_block_path_over_model_space(model, exterior, truncation, eps):
+    module = exterior_module(3) if exterior else spinor_gammas(3)
+    plan = _mapping_plan(model, module, truncation)
+    scaled = model.with_scale(eps)
+    ref = eigensolve(plan.dirac(scaled))
+    solved = plan.symbol_spectrum(scaled)
+    # on valid modules every block is certified, so the block path is never taken
+    assert solved is not None
+    _assert_same_spectrum(solved.spectrum(), ref)
+    # blowup_check's minimum |lambda| is the smallest certified r
+    smallest = ref.abs_sorted()[0]
+    assert abs(float(np.min(solved.r)) - smallest) <= 1e-13 * max(1.0, smallest)
+    try:
+        limit = plan.limit_symbol_spectrum()
+    except EmptyInvariantSpaceError:
+        with pytest.raises(EmptyInvariantSpaceError):
+            limit_operator(model, module, truncation)
+        return
+    assert limit is not None
+    _assert_same_spectrum(limit.spectrum(), eigensolve(limit_operator(model, module, truncation)))
+
+
+def test_symbol_zero_blocks_are_zeros():
+    # identity holonomy and lift with periodic base: the zero mode at base
+    # index 0 is a zero block, which takes dim_v zeros without a certificate
+    cm = spinor_gammas(3)
+    model = AffineMappingTorus(
+        fiber=FlatTorusModel(np.eye(2), np.zeros(2)),
+        holonomy=np.eye(2),
+        base_length=1.0,
+        holonomy_lift=np.eye(2, dtype=complex),
+    )
+    plan = _mapping_plan(model, cm, 2)
+    for solved, ref in [
+        (plan.symbol_spectrum(model), eigensolve(plan.dirac(model))),
+        (plan.limit_symbol_spectrum(), eigensolve(limit_operator(model, cm, 2))),
+    ]:
+        assert solved is not None
+        spec = solved.spectrum()
+        _assert_same_spectrum(spec, ref)
+        assert np.count_nonzero(spec.values == 0.0) == cm.dim_v
+        assert float(np.min(solved.r)) == 0.0
+
+
+def _non_clifford_spinor(base_factor=1.0, skew=0.0):
+    """spinor_gammas(3) with the base gamma scaled and gamma_0 made
+    non-Hermitian by skew."""
+    cm = spinor_gammas(3)
+    gammas = cm.gammas.copy()
+    gammas[2] *= base_factor
+    gammas[0, 1, 0] += skew
+    return CliffordModule(3, "spin", 2, gammas, cm.sigmas)
+
+
+def _identity_mapping():
+    return AffineMappingTorus(
+        fiber=FlatTorusModel(np.eye(2), np.zeros(2)),
+        holonomy=np.eye(2),
+        base_length=1.0,
+        holonomy_lift=np.eye(2, dtype=complex),
+        base_shift=0.5,
+    )
+
+
+def test_uncertified_symbols_take_the_block_path():
+    # a base gamma squaring to (1 + 1e-6)^2 breaks D^2 = r^2 I by far more
+    # than the certificate allows: no block may take the closed form
+    cm = _non_clifford_spinor(base_factor=1.0 + 1e-6)
+    model = _identity_mapping()
+    plan = _mapping_plan(model, cm, 2)
+    eps = [1.0, 0.5]
+    assert all(plan.symbol_spectrum(model.with_scale(e)) is None for e in eps)
+    assert plan.limit_symbol_spectrum() is None
+    report = collapse_run(model, cm, eps, 2, 2)
+    for e, spec in zip(eps, report.spectra_per_eps):
+        assert np.array_equal(spec.values, eigensolve(plan.dirac(model.with_scale(e))).values)
+    assert np.array_equal(
+        report.limit_spectrum.values, eigensolve(limit_operator(model, cm, 2)).values
+    )
+
+
+def test_symbol_path_refuses_non_hermitian_symbols(monkeypatch):
+    import diraclab.assembly as assembly
+
+    def no_operator(*args):
+        raise AssertionError("block path taken")
+
+    cm = _non_clifford_spinor(skew=1e-6)
+    model = _identity_mapping()
+    message = r"^assembled operator is not Hermitian \(residual "
+    with pytest.raises(ValueError, match=message):
+        collapse_run(model, cm, [1.0], 1, 2)
+    monkeypatch.setattr(assembly, "_group_operator", no_operator)
+    with pytest.raises(ValueError, match=message):
+        collapse_run(model, cm, [1.0], 1, 2)
+
+
+def test_symbol_path_refuses_coupling_twist_sectors():
+    cm = spinor_gammas(3)
+    plan = _mapping_plan(_rot4_mapping(), cm, 1)
+    (zero,) = np.flatnonzero(~plan.reps.any(axis=1))
+    (group,) = [g for g in plan.groups if zero in g.members]
+    p = np.zeros((len(plan.reps), 2))
+    assert plan.symbols.solve(p, cm.dim_v, 1) is not None
+    # gamma_0 mixes the two sectors of the zero mode's twist; the symbol
+    # path refuses whenever dirac_blocks does, relative to each orbit's scale
+    for size in (1e-12, 5e-9, 2e-8, 1e-6, 1.0, 1e6):
+        p[zero] = (size, 0.0)
+        try:
+            group.dirac_blocks(cm.gamma(np.column_stack([p, np.zeros(len(p))])))
+            block_refuses = False
+        except ValueError:
+            block_refuses = True
+        try:
+            plan.symbols.solve(p, cm.dim_v, 1)
+            symbol_refuses = False
+        except ValueError as err:
+            assert str(err) == "operator symbol couples distinct twist sectors"
+            symbol_refuses = True
+        assert symbol_refuses >= block_refuses
+        assert symbol_refuses == (size > STRUCTURE_TOL)
+    p[:] = 1e6
+    p[zero] = (1e-3, 0.0)
+    with pytest.raises(ValueError, match="couples distinct twist sectors"):
+        plan.symbols.solve(p, cm.dim_v, 1)
+
+
+def test_collapse_runs_build_no_operator_per_scale(monkeypatch):
+    import diraclab.assembly as assembly
+
+    def no_operator(*args):
+        raise AssertionError("an operator was assembled")
+
+    monkeypatch.setattr(assembly, "_group_operator", no_operator)
+    for cm in (spinor_gammas(3), exterior_module(3)):
+        report = collapse_run(_rot4_mapping(), cm, [1.0, 0.5, 0.25], 2, 3)
+        assert len(report.spectra_per_eps) == 3
+    blocking = AffineMappingTorus(
+        fiber=FlatTorusModel(np.eye(2), np.array([0.5, 0.5])),
+        holonomy=np.array([[0, -1], [1, 0]]),
+        base_length=2 * np.pi,
+        base_shift=0.5,
+    )
+    assert blowup_check(blocking, spinor_gammas(3), [1.0, 0.5], 3).rate > 0.0
 
 
 def test_twist_that_fails_to_diagonalize_is_refused():

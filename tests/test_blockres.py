@@ -34,6 +34,21 @@ def test_block_shape_validation():
         BlockMatrix2x2(np.ones(2), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
 
 
+@pytest.mark.parametrize("imag_shift", [0.0, 1.0])
+def test_empty_diagonal_blocks_are_refused(imag_shift):
+    eye = np.eye(2)
+    with pytest.raises(ValueError, match="^diagonal blocks must not be empty$"):
+        neumann_factorization_check(
+            BlockMatrix2x2(eye, np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0))),
+            imag_shift=imag_shift,
+        )
+    with pytest.raises(ValueError, match="^diagonal blocks must not be empty$"):
+        neumann_factorization_check(
+            BlockMatrix2x2(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), eye),
+            imag_shift=imag_shift,
+        )
+
+
 def test_dense_assembly():
     m = _random_block(2, 3)
     dense = m.dense()

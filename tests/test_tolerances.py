@@ -153,5 +153,7 @@ def test_hermiticity_is_relative_to_the_largest_entry(check, tol, message):
 def test_perturbation_grid_operators_are_checked():
     gammas = np.array([[[0.0, 1.0], [1.0 + 1e-6, 0.0]]], dtype=complex)
     bad = CliffordModule(1, "spin", 2, gammas, np.zeros((1, 1, 2, 2), dtype=complex))
-    with pytest.raises(ValueError, match=r"assembled operator is not Hermitian \(residual "):
+    with pytest.raises(
+        ValueError, match=r"^Dirac operator at grid point t=0\.0 is not Hermitian \(residual "
+    ):
         perturbation_bound_check(lambda t: np.array([[1.0 + t]]), bad, 2, samples=3)
