@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import CliffordModule, fixed_subspace, holonomy_rep, lift_rotation, casimir
+from .clifford import CliffordModule, _exceeds, fixed_subspace, holonomy_rep, lift_rotation, casimir
 from .models import FD_STEP, AffineMappingTorus, FlatTorusModel, _check_fd_step, matrix_order
 from .spectral import HERMITICITY_TOL, LIFT_TOL, RESIDUAL_TOL, SHIFT_INTEGRALITY_TOL, STRUCTURE_TOL
 from .spectral import UNITARITY_TOL, WEIGHT_TOL, Spectrum, _default_tol, _require_hermitian
@@ -214,15 +214,13 @@ def _resolve_lift(model: AffineMappingTorus, cm: CliffordModule) -> np.ndarray:
     u = model.holonomy_lift
     if u.shape != (cm.dim_v, cm.dim_v):
         raise ValueError("holonomy lift has the wrong shape for this module")
-    eye = np.eye(cm.dim_v)
-    if np.linalg.norm(u.conj().T @ u - eye, 2) > UNITARITY_TOL:
+    if _exceeds(u.conj().T @ u - np.eye(cm.dim_v), UNITARITY_TOL):
         raise ValueError("holonomy lift is not unitary")
-    for j in range(cm.n):
-        if np.linalg.norm(u @ cm.gammas[j] @ u.conj().T - cm.gamma(rot[:, j]), 2) > LIFT_TOL:
-            raise ValueError(
-                "holonomy lift does not intertwine the Clifford action with the "
-                "fiber rotation; pass holonomy_lift=None to compute a geometric lift"
-            )
+    if _exceeds(u @ cm.gammas @ u.conj().T - cm.gamma(rot.T), LIFT_TOL):
+        raise ValueError(
+            "holonomy lift does not intertwine the Clifford action with the "
+            "fiber rotation; pass holonomy_lift=None to compute a geometric lift"
+        )
     return u
 
 

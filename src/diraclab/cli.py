@@ -243,6 +243,26 @@ def _run_blowup(cfg, outdir: Path, seed: int):
     return bool(report.rate >= floor), results
 
 
+def _eigen_exponential_family(rng, n: int, speed: float):
+    """Stacked metric family t -> C exp(t S) C^T, with C C^T a random SPD
+    Gram matrix and S a random symmetric matrix of operator norm at most
+    speed, both drawn from rng.  A scalar t gives one Gram matrix, a 1-D
+    array of S values an (S, n, n) stack with the same entries bit for bit."""
+    a = rng.standard_normal((n, n))
+    chol = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    s = rng.standard_normal((n, n))
+    s = 0.5 * (s + s.T)
+    s *= speed / max(1.0, float(np.linalg.norm(s, 2)))
+    w, q = np.linalg.eigh(s)
+
+    def family(t):
+        t = np.asarray(t)[..., None, None]
+        return chol @ ((q * np.exp(t * w)) @ q.T) @ chol.T
+
+    family.stacked = True
+    return family
+
+
 def _run_perturbation(cfg, outdir: Path, seed: int):
     n = _numint(cfg, "dim", 2)
     trials = _numint(cfg, "trials", 5)
@@ -255,20 +275,8 @@ def _run_perturbation(cfg, outdir: Path, seed: int):
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(trials):
-        a = rng.standard_normal((n, n))
-        g0 = a @ a.T + n * np.eye(n)
-        chol = np.linalg.cholesky(g0)
-        s = rng.standard_normal((n, n))
-        s = 0.5 * (s + s.T)
-        s *= speed / max(1.0, float(np.linalg.norm(s, 2)))
-        w, q = np.linalg.eigh(s)
-
-        def family(t, _chol=chol, _w=w, _q=q):
-            inner = (_q * np.exp(t * _w)) @ _q.T
-            return _chol @ inner @ _chol.T
-
         rep = perturbation_bound_check(
-            family,
+            _eigen_exponential_family(rng, n, speed),
             cm,
             trunc,
             curvature_bound=k_bound,

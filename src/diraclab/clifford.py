@@ -81,12 +81,32 @@ class CliffordModule:
 
 
 def _opnorm(m: np.ndarray) -> float:
+    """Operator norm; an all-zero matrix is 0.0 without an svd."""
+    if not m.any():
+        return 0.0
     return float(np.linalg.norm(m, ord=2))
 
 
 def _max_opnorm(stack: np.ndarray) -> float:
-    """Largest operator norm over a stack of matrices, from one batched svd."""
+    """Largest operator norm over a stack of matrices, from one batched svd;
+    an all-zero stack is 0.0 without one."""
+    if not stack.any():
+        return 0.0
     return float(np.max(np.linalg.svd(stack, compute_uv=False)[..., 0]))
+
+
+def _exceeds(stack: np.ndarray, tol: float) -> bool:
+    """Whether the largest operator norm over a stack of matrices (or of one
+    matrix) exceeds tol.
+
+    The Frobenius norm is never below the operator norm, so when no matrix
+    has a Frobenius norm above tol / 2 the answer is no without an svd; the
+    half leaves room for the rounding of both norms.  Otherwise the verdict
+    is _max_opnorm's.
+    """
+    if np.max(np.linalg.norm(stack, axis=(-2, -1))) <= 0.5 * tol:
+        return False
+    return _max_opnorm(stack) > tol
 
 
 def _kron_chain(mats: list[np.ndarray]) -> np.ndarray:
@@ -304,7 +324,7 @@ def holonomy_rep(
     for g in gens:
         if g.shape != (d, d):
             raise ValueError("generators must share a square shape")
-        if _opnorm(g.conj().T @ g - eye) > tol:
+        if _exceeds(g.conj().T @ g - eye, tol):
             raise ValueError("generator is not unitary")
     elements = {_unitary_key(eye): eye}
     frontier = [eye]
@@ -334,7 +354,7 @@ def fixed_subspace(rep: HolonomyRep, tol: float = PROJECTOR_TOL) -> np.ndarray:
     projection because the group is closed under adjoints.
     """
     p = sum(rep.elements) / rep.group_order
-    if _opnorm(p - p.conj().T) > tol:
+    if _exceeds(p - p.conj().T, tol):
         raise ValueError("averaging operator failed to be Hermitian")
     vals, vecs = np.linalg.eigh(p)
     keep = vals > 0.5
@@ -415,14 +435,14 @@ def lift_rotation(cm: CliffordModule, rot: np.ndarray) -> np.ndarray:
     n = cm.n
     if rot.shape != (n, n):
         raise ValueError(f"rotation must be {n} x {n}")
-    if _opnorm(rot.T @ rot - np.eye(n)) > UNITARITY_TOL:
+    if _exceeds(rot.T @ rot - np.eye(n), UNITARITY_TOL):
         raise ValueError("matrix is not orthogonal")
     if np.linalg.det(rot) < 0:
         raise ValueError("orientation-reversing isometries have no lift here")
     omega = _special_orthogonal_log(rot)
-    if _opnorm(_expm_skew(omega) - rot) > LIFT_TOL:
+    if _exceeds(_expm_skew(omega) - rot, LIFT_TOL):
         raise ValueError("real logarithm of the rotation failed to verify")
     u = _expm_skew(0.5 * np.tensordot(omega, cm.sigmas, axes=2))
-    if _max_opnorm(u @ cm.gammas @ u.conj().T - cm.gamma(rot.T)) > LIFT_TOL:
+    if _exceeds(u @ cm.gammas @ u.conj().T - cm.gamma(rot.T), LIFT_TOL):
         raise ValueError("computed lift fails to intertwine the Clifford action")
     return u

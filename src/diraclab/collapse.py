@@ -29,6 +29,7 @@ from .models import (
     AffineMappingTorus,
     FlatTorusModel,
     GeometricData,
+    _stacked_values,
     geometric_data,
     metric_path,
 )
@@ -138,6 +139,15 @@ class CollapseReport:
             fh.write("\n")
 
 
+def _check_epsilons(epsilons) -> list[float]:
+    eps = [float(e) for e in epsilons]
+    if not eps or any(e <= 0.0 for e in eps):
+        raise ValueError("epsilons must be positive")
+    if not np.isfinite(eps).all():
+        raise ValueError(f"epsilons must be finite, got {eps!r}")
+    return eps
+
+
 def collapse_run(
     model: AffineMappingTorus,
     cm: CliffordModule,
@@ -159,9 +169,7 @@ def collapse_run(
     without forming an operator; a scale with a block that fails its
     certificate takes the block path, eigensolve of the assembled operator.
     """
-    eps = [float(e) for e in epsilons]
-    if not eps or any(e <= 0.0 for e in eps):
-        raise ValueError("epsilons must be positive")
+    eps = _check_epsilons(epsilons)
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must decrease strictly")
     if k_max < 1:
@@ -250,9 +258,7 @@ def blowup_check(
         raise ValueError(
             "model has parallel sections; its spectrum converges instead of escaping"
         )
-    eps = [float(e) for e in epsilons]
-    if not eps or any(e <= 0.0 for e in eps):
-        raise ValueError("epsilons must be positive")
+    eps = _check_epsilons(epsilons)
     mins = []
     for e in eps:
         scaled = model.with_scale(e)
@@ -315,9 +321,11 @@ def perturbation_bound_check(
     metric_path call, whose checks name the first node with a bad Gram
     matrix.  family is then called once per grid point: samples +
     3 (1 + (samples - 1)(q - 1)) calls in all, with q the odd quadrature
-    count.  The grid tori share their modes, so their Dirac blocks form one
-    stack, solved in one pass of eigensolve's per-stack solver; each grid
-    point's model and operator are still checked on their own.
+    count.  A stacked family (see metric_path) is called twice: once by
+    metric_path and once on the array of grid points.  The grid tori share
+    their modes, so their Dirac blocks form one stack, solved in one pass of
+    eigensolve's per-stack solver; each grid point's model and operator are
+    still checked on their own.
     """
     if samples < 2:
         raise ValueError("need at least two parameter samples")
@@ -332,9 +340,12 @@ def perturbation_bound_check(
         raise ValueError(f"track_count must lie in [1, {dim}]")
     ts = np.linspace(0.0, 1.0, samples)
     lengths = metric_path(family, quad_samples, fd_step, ts[:-1], ts[1:])
+    if getattr(family, "stacked", False):
+        grams = _stacked_values(family, ts)
+    else:
+        grams = [np.atleast_2d(np.asarray(family(t), dtype=float)) for t in ts]
     tori = []
-    for t in ts:
-        gram = np.atleast_2d(np.asarray(family(t), dtype=float))
+    for gram in grams:
         if gram.shape != (n, n):
             raise ValueError(f"module dimension {n} does not match torus rank {gram.shape[0]}")
         tori.append(FlatTorusModel(np.linalg.cholesky(gram).T, shift))

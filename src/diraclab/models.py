@@ -10,7 +10,7 @@ unitary lift on the module.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +46,8 @@ class FlatTorusModel:
         n = basis.shape[0]
         if basis.shape != (n, n):
             raise ValueError("lattice basis must be square")
+        if not np.isfinite(basis).all():
+            raise ValueError("lattice basis must be finite")
         if abs(np.linalg.det(basis)) < SINGULAR_DET_TOL:
             raise ValueError("lattice basis is singular")
         if shift.shape != (n,):
@@ -124,6 +126,13 @@ def matrix_order(m: np.ndarray, cap: int = 1024) -> int:
     raise ValueError(f"matrix order exceeds cap {cap}; holonomy must be finite")
 
 
+def _check_fiber_scale(eps: float) -> None:
+    if eps <= 0:
+        raise ValueError("fiber scale must be positive")
+    if not np.isfinite(eps):
+        raise ValueError(f"fiber scale must be finite, got {eps!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class AffineMappingTorus:
     """Torus bundle over a circle glued by a finite-order lattice automorphism.
@@ -166,16 +175,19 @@ class AffineMappingTorus:
         conn = np.zeros(m) if self.connection is None else np.asarray(self.connection, dtype=float)
         if conn.shape != (m,):
             raise ValueError("connection form length must match the fiber rank")
+        if not np.isfinite(conn).all():
+            raise ValueError("connection form must be finite")
         scale = max(1.0, float(np.max(np.abs(conn))))
         if np.max(np.abs(phi @ conn - conn)) > CONNECTION_INVARIANCE_TOL * scale:
             raise ValueError("connection form must be holonomy invariant")
         object.__setattr__(self, "connection", conn)
         if self.base_length <= 0:
             raise ValueError("base length must be positive")
+        if not np.isfinite(self.base_length):
+            raise ValueError(f"base length must be finite, got {self.base_length!r}")
         if self.base_shift not in (0.0, 0.5):
             raise ValueError("base spin shift must be 0 or 1/2")
-        if self.fiber_scale <= 0:
-            raise ValueError("fiber scale must be positive")
+        _check_fiber_scale(self.fiber_scale)
         if self.holonomy_lift is not None:
             lift = np.asarray(self.holonomy_lift, dtype=complex)
             if lift.ndim != 2 or lift.shape[0] != lift.shape[1]:
@@ -191,7 +203,12 @@ class AffineMappingTorus:
         return self.fiber.rescaled(self.fiber_scale)
 
     def with_scale(self, eps: float) -> "AffineMappingTorus":
-        return dataclasses.replace(self, fiber_scale=eps)
+        """This model at fiber scale eps: a copy of the validated instance,
+        of which only the new scale is checked."""
+        _check_fiber_scale(eps)
+        out = copy.copy(self)
+        object.__setattr__(out, "fiber_scale", eps)
+        return out
 
     def label(self) -> str:
         hol = ";".join(",".join(str(int(x)) for x in row) for row in self.holonomy)
@@ -260,29 +277,49 @@ def _check_fd_step(fd_step: float) -> None:
         raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
 
 
+def _stacked_values(family, params: np.ndarray) -> np.ndarray:
+    """One call of a stacked family on the 1-D array params; the output must
+    be an (S, n, n) array, S the number of parameters."""
+    out = np.asarray(family(params), dtype=float)
+    s = len(params)
+    if out.ndim != 3 or out.shape[0] != s or out.shape[1] != out.shape[2]:
+        raise ValueError(
+            f"stacked metric family must map {s} parameters to an ({s}, n, n) array, "
+            f"got shape {out.shape}"
+        )
+    return out
+
+
 def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
     """Metric-relative speed sup_v |d/dt c(v, v)| / c(v, v) at every
     parameter in ts, from one stacked evaluation: the largest absolute
     eigenvalue of c^-1 c-dot, with c-dot a central difference of step fd_step.
 
-    family is called at t, t + fd_step and t - fd_step for each t in turn;
-    the outputs are stacked into (S, n, n) arrays, checked together, and
-    run through one batched cholesky, two batched solves and one batched
-    eigvalsh.  Every output must be the same square matrix shape; a
-    misshapen output is refused at its own parameter, after the value
-    checks of the nodes before it.
+    family is evaluated at t, t + fd_step and t - fd_step for each t in
+    turn.  A stacked family (one with the attribute stacked = True) gets
+    all these parameters in one call, as a 1-D array, and must return their
+    Gram matrices as one (S, n, n) array.  Any other family is called once
+    per parameter, and its outputs are stacked here; each must be the same
+    square matrix shape, and a misshapen output is refused at its own
+    parameter, after the value checks of the nodes before it.  The stack is
+    checked as a whole and run through one batched cholesky, two batched
+    solves and one batched eigvalsh.
     """
     _check_fd_step(fd_step)
     params = [s for t in ts for s in (t, t + fd_step, t - fd_step)]
-    raw = [family(s) for s in params]
-    try:
-        # the usual case, outputs of one shape, converts in one call
-        outs = np.array(raw, dtype=float)
-        outs = outs.reshape(len(raw), *np.atleast_2d(outs[0]).shape)
+    if getattr(family, "stacked", False):
+        outs = _stacked_values(family, np.array(params))
         misshapen = len(outs)
-    except ValueError:
-        outs = [np.atleast_2d(np.asarray(o, dtype=float)) for o in raw]
-        misshapen = None
+    else:
+        raw = [family(s) for s in params]
+        try:
+            # the usual case, outputs of one shape, converts in one call
+            outs = np.array(raw, dtype=float)
+            outs = outs.reshape(len(raw), *np.atleast_2d(outs[0]).shape)
+            misshapen = len(outs)
+        except ValueError:
+            outs = [np.atleast_2d(np.asarray(o, dtype=float)) for o in raw]
+            misshapen = None
     shape = outs[0].shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(
@@ -333,7 +370,10 @@ def metric_path(
 
     family maps a parameter to a Gram matrix and must be defined on a small
     neighbourhood of the interval: c-dot is the central difference of step
-    fd_step, which must be positive and finite.  Composite Simpson
+    fd_step, which must be positive and finite.  A family with the attribute
+    stacked = True instead maps a 1-D array of S parameters to an (S, n, n)
+    array of Gram matrices; it is called once per metric_path call, and an
+    output of any other shape is refused.  Composite Simpson
     quadrature; samples is rounded up to the next odd count when necessary.
     t0 and t1 may also be 1-D arrays of segment ends; the result is then an
     array with one length per segment, each equal to the scalar call on that

@@ -16,6 +16,7 @@ from diraclab.assembly import (
     _holonomy_orbits,
     _mapping_plan,
     _mode_ranges,
+    _resolve_lift,
     _twist_sector,
     assemble_dirac,
     bochner_rhs,
@@ -25,11 +26,13 @@ from diraclab.assembly import (
     limit_operator,
     write_matrix_text,
 )
-from diraclab.clifford import CliffordModule, exterior_module, lift_rotation, spinor_gammas
+from diraclab.clifford import CliffordModule, _expm_skew, exterior_module, lift_rotation, spinor_gammas
 from diraclab.collapse import blowup_check, collapse_run
 from diraclab.models import AffineMappingTorus, FlatTorusModel
 from diraclab.spectral import (
     HERMITICITY_TOL,
+    LIFT_TOL,
+    UNITARITY_TOL,
     STRUCTURE_TOL,
     eigensolve,
     epsilon_close,
@@ -952,3 +955,41 @@ def test_vectorized_enumeration_matches_loops(basis, shift, holonomy):
         assert reps.dtype == np.int64 and reps.shape == (len(sizes), fiber.n)
         got = [(tuple(r), s) for r, s in zip(reps.tolist(), sizes.tolist())]
         assert got == _loop_orbits(model, truncation)
+
+
+def _loop_lift_refusal(model, cm, u):
+    """Reference: the given-lift checks one generator at a time."""
+    b = model.fiber.lattice_basis
+    m = model.fiber.n
+    rot = np.eye(m + 1)
+    rot[:m, :m] = (b @ model.holonomy @ np.linalg.inv(b)).T
+    if np.linalg.norm(u.conj().T @ u - np.eye(cm.dim_v), 2) > UNITARITY_TOL:
+        return "holonomy lift is not unitary"
+    for j in range(cm.n):
+        if np.linalg.norm(u @ cm.gammas[j] @ u.conj().T - cm.gamma(rot[:, j]), 2) > LIFT_TOL:
+            return "holonomy lift does not intertwine"
+    return None
+
+
+@pytest.mark.parametrize("build", [spinor_gammas, exterior_module])
+@pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-10, 4e-10, 1e-9, 4e-9, 1e-6])
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-11, 1.0 + 1e-9])
+def test_given_lift_checks_match_loop(build, delta, scale):
+    cm = build(3)
+    geometric = _mapping_plan(_rot4_mapping(), cm, 1).lift
+    h = np.random.default_rng(3).standard_normal((cm.dim_v, cm.dim_v))
+    h = (h + h.T) / np.linalg.norm(h + h.T, 2)
+    # a unitary (for scale 1) that intertwines to within about 2 delta
+    u = scale * geometric @ _expm_skew(1j * delta * h)
+    model = AffineMappingTorus(
+        fiber=FlatTorusModel(np.eye(2), np.zeros(2)),
+        holonomy=np.array([[0, -1], [1, 0]]),
+        base_length=1.0,
+        holonomy_lift=u,
+    )
+    expected = _loop_lift_refusal(model, cm, u)
+    if expected is None:
+        assert _resolve_lift(model, cm) is model.holonomy_lift
+    else:
+        with pytest.raises(ValueError, match=f"^{expected}"):
+            _resolve_lift(model, cm)

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, report structure, reproducibility."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -232,6 +233,35 @@ def test_config_errors_exit_two(tmp_path, capsys):
     code, _ = _run(tmp_path, no_eps, sub="noeps")
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "config, old, new, message",
+    [
+        # nan <= 0 is False: these used to pass quietly, or fail late with
+        # another message, or exit 3
+        (WINDOW_CFG, f"base_length = {CIRCLE}", "base_length = nan", "base length must be finite, got nan"),
+        (COLLAPSE_CFG, f"base_length = {CIRCLE}", "base_length = nan", "base length must be finite, got nan"),
+        (COLLAPSE_CFG, f"base_length = {CIRCLE}", "base_length = inf", "base length must be finite, got inf"),
+        (WINDOW_CFG, "epsilons = 1.0,0.5,0.25,0.125", "epsilons = 1.0,nan",
+         r"epsilons must be finite, got \[1\.0, nan\]"),
+        (COLLAPSE_CFG, "epsilons = 1.0,0.5", "epsilons = inf,1.0",
+         r"epsilons must be finite, got \[inf, 1\.0\]"),
+        (BLOWUP_CFG, "epsilons = 1.0,0.5,0.25", "epsilons = 1.0,nan",
+         r"epsilons must be finite, got \[1\.0, nan\]"),
+        (TORUS_CFG, f"lattice = {CIRCLE}", "lattice = nan", "lattice basis must be finite"),
+        (TORUS_CFG, f"lattice = {CIRCLE}", "lattice = inf", "lattice basis must be finite"),
+        (FRAME_CFG, "lattice = 1,0;0,1.5", "lattice = 1,0;0,inf", "lattice basis must be finite"),
+        (COLLAPSE_CFG, f"fiber_lattice = {CIRCLE}", "fiber_lattice = nan", "lattice basis must be finite"),
+        (COLLAPSE_CFG, "base_shift = 0.5", "base_shift = 0.5\nconnection = nan", "connection form must be finite"),
+    ],
+)
+def test_non_finite_inputs_exit_two(tmp_path, capsys, config, old, new, message):
+    assert old in config
+    code, out = _run(tmp_path, config.replace(old, new))
+    assert code == 2
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert not list(out.glob("*_report.json"))
 
 
 @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))

@@ -5,11 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diraclab.clifford import (
     CliffordModule,
     _casimir_matrix,
+    _exceeds,
     _expm_skew,
+    _max_opnorm,
+    _opnorm,
     casimir,
     exterior_module,
     fixed_subspace,
@@ -18,7 +23,7 @@ from diraclab.clifford import (
     relation_residuals,
     spinor_gammas,
 )
-from diraclab.spectral import RELATION_TOL
+from diraclab.spectral import LIFT_TOL, RELATION_TOL, UNITARITY_TOL
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -337,3 +342,72 @@ def test_validate_catches_broken_module():
     )
     with pytest.raises(ValueError):
         broken.validate()
+
+
+def _svd_exceeds(stack, tol):
+    """Reference: the largest operator norm from an svd, against tol."""
+    return float(np.max(np.linalg.svd(stack, compute_uv=False)[..., 0])) > tol
+
+
+@settings(max_examples=200)
+@given(
+    d=st.integers(2, 8),
+    batch=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["unitary", "random", "rank_one"]),
+    position=st.floats(0.0, 1.0, exclude_min=True),
+    tol_exponent=st.floats(-13.0, -6.0),
+)
+def test_exceeds_matches_svd_where_frobenius_is_above_tol(d, batch, seed, kind, position, tol_exponent):
+    # every matrix gets a Frobenius norm in (tol, sqrt(d) tol], where only
+    # the svd decides; a scaled unitary has operator norm at most tol there
+    rng = np.random.default_rng(seed)
+    tol = 10.0**tol_exponent
+    z = rng.standard_normal((batch, d, d)) + 1j * rng.standard_normal((batch, d, d))
+    if kind == "unitary":
+        z = np.linalg.qr(z)[0]
+    elif kind == "rank_one":
+        z = z[:, :, :1] @ z[:, :1, :]
+    frobenius = tol * d ** (0.5 * position)
+    stack = z * (frobenius / np.linalg.norm(z, axis=(-2, -1)))[:, None, None]
+    assert _exceeds(stack, tol) == _svd_exceeds(stack, tol) == (_max_opnorm(stack) > tol)
+    assert _exceeds(stack[0], tol) == _svd_exceeds(stack[0], tol)
+
+
+@pytest.mark.parametrize("tol", [RELATION_TOL, UNITARITY_TOL, LIFT_TOL])
+def test_exceeds_edge_cases(tol):
+    eye = np.eye(4, dtype=complex)
+    # Frobenius norm 1.8 tol, operator norm 0.9 tol: only the svd says no
+    assert not _exceeds(0.9 * tol * eye, tol)
+    assert _exceeds(1.1 * tol * eye, tol)
+    assert _exceeds(np.stack([0.0 * eye, 1.1 * tol * eye]), tol)
+    # exact zeros and tiny residuals never reach the svd
+    zeros = np.zeros((3, 4, 4), dtype=complex)
+    tiny = 1e-3 * tol * np.random.default_rng(0).standard_normal((3, 4, 4))
+    for stack in (zeros, zeros[0], tiny, tiny[0]):
+        assert not _exceeds(stack, tol) and not _svd_exceeds(stack, tol)
+    assert _opnorm(zeros[0]) == 0.0 and _max_opnorm(zeros) == 0.0
+
+
+def test_module_builds_and_lifts_take_no_svd(monkeypatch):
+    # every residual of these modules and lifts is an exact zero or far below
+    # its tolerance, so no check needs an svd
+    norm = np.linalg.norm
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    def frobenius_only(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            raise AssertionError("operator norm taken")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "norm", frobenius_only)
+    for n in range(1, 9):
+        assert set(relation_residuals(spinor_gammas(n)).values()) == {0.0}
+    for n in range(1, 5):
+        assert set(relation_residuals(exterior_module(n)).values()) == {0.0}
+    quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    for cm in (spinor_gammas(3), exterior_module(3)):
+        lift_rotation(cm, quarter)

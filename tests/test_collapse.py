@@ -20,6 +20,7 @@ from diraclab.collapse import (
     window_agreement,
 )
 from diraclab.assembly import assemble_dirac, fiber_invariant_split
+from diraclab.cli import _eigen_exponential_family
 from diraclab.models import (
     AffineMappingTorus,
     FlatTorusModel,
@@ -353,6 +354,119 @@ def test_perturbation_family_evaluation_count(samples, quad_samples):
     q = quad_samples + 1 - quad_samples % 2
     # one call per grid point, three per distinct quadrature node
     assert len(calls) == samples + 3 * (1 + (samples - 1) * (q - 1))
+
+
+def _scalar_view(family):
+    """The same family without the stacked attribute: called once per t."""
+
+    def scalar(t):
+        return family(t)
+
+    return scalar
+
+
+def _stacked_counting(family):
+    sizes = []
+
+    def stacked(t):
+        sizes.append(len(t))
+        return family(t)
+
+    stacked.stacked = True
+    return stacked, sizes
+
+
+@pytest.mark.parametrize("seed", [1, 7, 123])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cli_family_stacked_output_matches_scalar_calls(seed, n):
+    family = _eigen_exponential_family(np.random.default_rng(seed), n, 0.8)
+    assert family.stacked is True
+    # grid points, quadrature nodes and their central-difference probes
+    ts = np.linspace(0.0, 1.0, 129)
+    params = np.concatenate([ts, ts + 1e-6, ts - 1e-6])
+    stacked = family(params)
+    assert stacked.shape == (len(params), n, n)
+    assert stacked.tobytes() == np.array([family(float(t)) for t in params]).tobytes()
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(2, 9),
+    quad_samples=st.integers(3, 8),
+    truncation=st.integers(1, 3),
+    exterior=st.booleans(),
+    speed=st.floats(0.1, 2.0),
+    curvature_bound=st.floats(0.25, 4.0),
+)
+def test_stacked_family_perturbation_report_matches_scalar(
+    n, seed, samples, quad_samples, truncation, exterior, speed, curvature_bound
+):
+    cm = exterior_module(n) if exterior else spinor_gammas(n)
+    family = _eigen_exponential_family(np.random.default_rng(seed), n, speed)
+    stacked, sizes = _stacked_counting(family)
+    args = dict(samples=samples, quad_samples=quad_samples, curvature_bound=curvature_bound)
+    got = perturbation_bound_check(stacked, cm, truncation, **args)
+    assert got == perturbation_bound_check(_scalar_view(family), cm, truncation, **args)
+    q = quad_samples + 1 - quad_samples % 2
+    assert sizes == [3 * (1 + (samples - 1) * (q - 1)), samples]
+
+
+def test_stacked_family_is_called_twice_per_check():
+    family = _eigen_exponential_family(np.random.default_rng(7), 2, 0.8)
+    stacked, sizes = _stacked_counting(family)
+    scalar, calls = _counting(_scalar_view(family))
+    cm = spinor_gammas(2)
+    assert perturbation_bound_check(stacked, cm, 3, samples=5) == perturbation_bound_check(
+        scalar, cm, 3, samples=5
+    )
+    assert sizes == [387, 5]
+    assert len(calls) == 392
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("indefinite", r"^Gram matrix at t=0\.6015625 is not positive definite$"),
+        ("nan", r"^Gram matrix at t=0\.6015625 is not finite$"),
+        ("nan_probe", r"^metric derivative at t=0\.75 is not finite$"),
+    ],
+)
+def test_stacked_family_refusals_match_scalar(bad, message):
+    def gram(t):
+        t = np.asarray(t)[..., None, None]
+        g = np.exp(t * np.array([1.0, -1.0])) * np.eye(2)
+        if bad == "indefinite":
+            return np.where(t > 0.6, -g, g)
+        if bad == "nan":
+            return np.where(t > 0.6, np.nan, g)
+        return np.where((t != 0.75) & (np.abs(t - 0.75) < 1e-3), np.nan, g)
+
+    stacked, sizes = _stacked_counting(gram)
+    for family in (stacked, _scalar_view(gram)):
+        with pytest.raises(ValueError, match=message):
+            perturbation_bound_check(family, spinor_gammas(2), 2, samples=5)
+    assert sizes == [387]
+
+
+def test_stacked_family_grid_output_shape_is_checked():
+    def family(t):
+        # right for the quadrature pass, one matrix short on the grid
+        out = np.broadcast_to(np.eye(2), (len(t), 2, 2))
+        return out if len(t) > 5 else out[1:]
+
+    family.stacked = True
+    message = r"^stacked metric family must map 5 parameters to an \(5, n, n\) array, got shape \(4, 2, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        perturbation_bound_check(family, spinor_gammas(2), 2, samples=5)
+
+    def wrong_rank(t):
+        return np.broadcast_to(np.eye(3), (len(t), 3, 3))
+
+    wrong_rank.stacked = True
+    with pytest.raises(ValueError, match="^module dimension 2 does not match torus rank 3$"):
+        perturbation_bound_check(wrong_rank, spinor_gammas(2), 1, samples=2, quad_samples=3)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Model geometry: tori, mapping tori, diameters, metric paths."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from diraclab.models import (
     _metric_speeds,
     metric_path,
 )
+from diraclab.spectral import SINGULAR_DET_TOL
 
 
 def test_flat_torus_basics():
@@ -63,6 +66,17 @@ def test_flat_torus_validation():
         FlatTorusModel(np.eye(2), np.array([0.3, 0.0]))
     with pytest.raises(ValueError):
         FlatTorusModel(np.eye(2), np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_flat_torus_refuses_non_finite_basis(bad):
+    with pytest.raises(ValueError, match="^lattice basis must be finite$"):
+        FlatTorusModel(np.array([[1.0, 0.0], [0.0, bad]]), np.zeros(2))
+    with pytest.raises(ValueError, match="^lattice basis must be finite$"):
+        FlatTorusModel(np.array([[bad]]), np.zeros(1))
+    # the singular check keeps its message
+    with pytest.raises(ValueError, match="^lattice basis is singular$"):
+        FlatTorusModel(0.5 * SINGULAR_DET_TOL * np.eye(1), np.zeros(1))
 
 
 def test_diameter_rectangle_closed_form():
@@ -130,6 +144,51 @@ def test_mapping_torus_validation():
         )
     with pytest.raises(ValueError):  # bad base length
         AffineMappingTorus(fiber=fib2, holonomy=np.eye(2), base_length=0.0)
+
+
+def _mapping(**kwargs):
+    args = dict(fiber=_circle_fiber(0.5), holonomy=np.array([[1]]), base_length=2 * np.pi)
+    return AffineMappingTorus(**(args | kwargs))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(base_length=float("nan")), "base length must be finite, got nan"),
+        (dict(base_length=float("inf")), "base length must be finite, got inf"),
+        (dict(base_length=-float("inf")), "base length must be positive"),
+        (dict(base_length=0.0), "base length must be positive"),
+        (dict(fiber_scale=float("nan")), "fiber scale must be finite, got nan"),
+        (dict(fiber_scale=float("inf")), "fiber scale must be finite, got inf"),
+        (dict(fiber_scale=0.0), "fiber scale must be positive"),
+        (dict(connection=np.array([np.nan])), "connection form must be finite"),
+        (dict(connection=np.array([np.inf])), "connection form must be finite"),
+    ],
+)
+def test_mapping_torus_refuses_non_finite_inputs(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _mapping(**kwargs)
+
+
+def test_with_scale_copies_and_checks_only_the_scale():
+    mt = _mapping(base_shift=0.5, connection=np.array([0.25]))
+    scaled = mt.with_scale(0.25)
+    assert scaled is not mt and mt.fiber_scale == 1.0 and scaled.fiber_scale == 0.25
+    # a copy of the validated instance: every other field is the same object
+    for name in ("fiber", "holonomy", "base_length", "holonomy_lift", "base_shift", "connection"):
+        assert getattr(scaled, name) is getattr(mt, name)
+    assert scaled.label() == _mapping(
+        base_shift=0.5, connection=np.array([0.25]), fiber_scale=0.25
+    ).label()
+    for eps, message in [
+        (0.0, "fiber scale must be positive"),
+        (-1.0, "fiber scale must be positive"),
+        (-float("inf"), "fiber scale must be positive"),
+        (float("nan"), "fiber scale must be finite, got nan"),
+        (float("inf"), "fiber scale must be finite, got inf"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mt.with_scale(eps)
 
 
 def test_mapping_torus_shift_compatible_cases():
@@ -380,3 +439,104 @@ def test_metric_path_array_ends_shapes_and_refusals():
         metric_path(fam, t0=np.array([0.0, 0.5]), t1=np.array([0.5, 0.25]))
     with pytest.raises(ValueError, match="scalars or 1-D arrays"):
         metric_path(fam, t0=np.zeros((2, 2)), t1=np.ones((2, 2)))
+
+
+def _spd_families(n, seed, bad=None, threshold=0.0):
+    """Scalar and stacked versions of t -> C exp(t S) C^T; past threshold
+    the Gram matrix is negated (bad="indefinite") or NaN (bad="nan")."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    chol = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    s = rng.standard_normal((n, n))
+    w, q = np.linalg.eigh(0.5 * (s + s.T))
+
+    def gram(t):
+        g = chol @ ((q * np.exp(t * w)) @ q.T) @ chol.T
+        if bad == "indefinite":
+            return np.where(t > threshold, -g, g)
+        if bad == "nan":
+            return np.where(t > threshold, np.nan, g)
+        return g
+
+    def stacked(t):
+        calls.append(len(t))
+        return gram(np.asarray(t)[:, None, None])
+
+    calls = []
+    stacked.stacked = True
+    return gram, stacked, calls
+
+
+def _refusal(call):
+    try:
+        return call(), None
+    except ValueError as err:
+        return None, str(err)
+
+
+@settings(max_examples=80)
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(3, 12),
+    cuts=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=7),
+    contiguous=st.booleans(),
+    fd_exponent=st.floats(-7.0, -4.0),
+    bad=st.sampled_from([None, "indefinite", "nan"]),
+    threshold=st.floats(-1.0, 1.0),
+)
+def test_stacked_family_matches_scalar_family(
+    n, seed, samples, cuts, contiguous, fd_exponent, bad, threshold
+):
+    scalar, stacked, calls = _spd_families(n, seed, bad, threshold)
+    cuts = sorted(cuts)
+    if contiguous:
+        t0, t1 = np.array(cuts[:-1]), np.array(cuts[1:])
+    else:
+        t0, t1 = np.array(cuts[0::2]), np.array(cuts[1::2] + cuts[-1:])[: len(cuts[0::2])]
+    fd_step = 10.0**fd_exponent
+    for ends in ((t0, t1), (float(t0[0]), float(t1[0]))):
+        calls.clear()
+        want, want_err = _refusal(lambda: metric_path(scalar, samples, fd_step, *ends))
+        got, got_err = _refusal(lambda: metric_path(stacked, samples, fd_step, *ends))
+        # the same lengths bit for bit, or the same refusal
+        assert got_err == want_err
+        if want_err is None:
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert len(calls) == 1
+
+
+def test_stacked_family_is_called_once_per_path():
+    scalar, stacked, calls = _spd_families(2, 5)
+    speeds = _metric_speeds(stacked, [0.0, 0.5], 1e-6)
+    assert calls == [6]
+    assert speeds.tolist() == _metric_speeds(scalar, [0.0, 0.5], 1e-6).tolist()
+    calls.clear()
+    metric_path(stacked, 9, t0=np.array([0.0, 0.5]), t1=np.array([0.5, 1.0]))
+    # 17 distinct nodes, three parameters each
+    assert calls == [51]
+
+
+@pytest.mark.parametrize(
+    "output, shape",
+    [
+        (lambda t: np.ones((len(t), 2, 3)), "(27, 2, 3)"),
+        (lambda t: np.eye(2), "(2, 2)"),
+        (lambda t: np.ones((len(t) - 1, 2, 2)), "(26, 2, 2)"),
+        (lambda t: np.ones((len(t), 2)), "(27, 2)"),
+        (lambda t: np.ones((len(t), 1, 2, 2)), "(27, 1, 2, 2)"),
+        (lambda t: 1.0, "()"),
+    ],
+)
+def test_stacked_family_refuses_wrong_output_shape(output, shape):
+    def family(t):
+        return output(t)
+
+    family.stacked = True
+    message = (
+        r"^stacked metric family must map 27 parameters to an \(27, n, n\) array, "
+        rf"got shape {re.escape(shape)}$"
+    )
+    with pytest.raises(ValueError, match=message):
+        metric_path(family, samples=9)
