@@ -80,13 +80,6 @@ class CliffordModule:
             raise ValueError(f"module relations violated: {bad} residual {worst:.3e}")
 
 
-def _opnorm(m: np.ndarray) -> float:
-    """Operator norm; an all-zero matrix is 0.0 without an svd."""
-    if not m.any():
-        return 0.0
-    return float(np.linalg.norm(m, ord=2))
-
-
 def _max_opnorm(stack: np.ndarray) -> float:
     """Largest operator norm over a stack of matrices, from one batched svd;
     an all-zero stack is 0.0 without one."""
@@ -281,7 +274,7 @@ def casimir(cm: CliffordModule) -> float:
     """
     c = _casimir_matrix(cm)
     value = np.trace(c).real / cm.dim_v
-    dev = _opnorm(c - value * np.eye(cm.dim_v))
+    dev = _max_opnorm(c - value * np.eye(cm.dim_v))
     if dev > CASIMIR_TOL * max(1.0, abs(value)):
         raise ValueError(f"casimir not scalar on this module (deviation {dev:.3e})")
     return float(value)

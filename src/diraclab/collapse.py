@@ -29,7 +29,7 @@ from .models import (
     AffineMappingTorus,
     FlatTorusModel,
     GeometricData,
-    _stacked_values,
+    _family_values,
     geometric_data,
     metric_path,
 )
@@ -340,10 +340,7 @@ def perturbation_bound_check(
         raise ValueError(f"track_count must lie in [1, {dim}]")
     ts = np.linspace(0.0, 1.0, samples)
     lengths = metric_path(family, quad_samples, fd_step, ts[:-1], ts[1:])
-    if getattr(family, "stacked", False):
-        grams = _stacked_values(family, ts)
-    else:
-        grams = [np.atleast_2d(np.asarray(family(t), dtype=float)) for t in ts]
+    grams = _family_values(family, ts)
     tori = []
     for gram in grams:
         if gram.shape != (n, n):

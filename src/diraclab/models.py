@@ -277,17 +277,32 @@ def _check_fd_step(fd_step: float) -> None:
         raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
 
 
-def _stacked_values(family, params: np.ndarray) -> np.ndarray:
-    """One call of a stacked family on the 1-D array params; the output must
-    be an (S, n, n) array, S the number of parameters."""
-    out = np.asarray(family(params), dtype=float)
-    s = len(params)
-    if out.ndim != 3 or out.shape[0] != s or out.shape[1] != out.shape[2]:
-        raise ValueError(
-            f"stacked metric family must map {s} parameters to an ({s}, n, n) array, "
-            f"got shape {out.shape}"
-        )
-    return out
+def _family_values(family, params) -> np.ndarray | list[np.ndarray]:
+    """The Gram matrices of family at the parameters params, in order.
+
+    A stacked family (one with the attribute stacked = True) is called once,
+    on params as a 1-D array, and must return an (S, n, n) array, S the
+    number of parameters; an output of any other shape is refused.  Any
+    other family is called once per parameter.  Its outputs, each taken at
+    least 2-D, come back as one (S, ...) array when they share a shape and
+    as a list otherwise.
+    """
+    if getattr(family, "stacked", False):
+        s = len(params)
+        out = np.asarray(family(np.asarray(params)), dtype=float)
+        if out.ndim != 3 or out.shape[0] != s or out.shape[1] != out.shape[2]:
+            raise ValueError(
+                f"stacked metric family must map {s} parameters to an ({s}, n, n) array, "
+                f"got shape {out.shape}"
+            )
+        return out
+    raw = [family(t) for t in params]
+    try:
+        # the usual case, outputs of one shape, converts in one call
+        outs = np.array(raw, dtype=float)
+        return outs.reshape(len(raw), *np.atleast_2d(outs[0]).shape)
+    except ValueError:
+        return [np.atleast_2d(np.asarray(o, dtype=float)) for o in raw]
 
 
 def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
@@ -296,37 +311,24 @@ def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
     eigenvalue of c^-1 c-dot, with c-dot a central difference of step fd_step.
 
     family is evaluated at t, t + fd_step and t - fd_step for each t in
-    turn.  A stacked family (one with the attribute stacked = True) gets
-    all these parameters in one call, as a 1-D array, and must return their
-    Gram matrices as one (S, n, n) array.  Any other family is called once
-    per parameter, and its outputs are stacked here; each must be the same
-    square matrix shape, and a misshapen output is refused at its own
-    parameter, after the value checks of the nodes before it.  The stack is
+    turn, through _family_values: a stacked family gets all these
+    parameters in one call.  Every output must be the same square matrix
+    shape, and a misshapen output is refused at its own parameter, after
+    the value checks of the nodes before it.  The stack is
     checked as a whole and run through one batched cholesky, two batched
     solves and one batched eigvalsh.
     """
     _check_fd_step(fd_step)
     params = [s for t in ts for s in (t, t + fd_step, t - fd_step)]
-    if getattr(family, "stacked", False):
-        outs = _stacked_values(family, np.array(params))
-        misshapen = len(outs)
-    else:
-        raw = [family(s) for s in params]
-        try:
-            # the usual case, outputs of one shape, converts in one call
-            outs = np.array(raw, dtype=float)
-            outs = outs.reshape(len(raw), *np.atleast_2d(outs[0]).shape)
-            misshapen = len(outs)
-        except ValueError:
-            outs = [np.atleast_2d(np.asarray(o, dtype=float)) for o in raw]
-            misshapen = None
+    outs = _family_values(family, params)
     shape = outs[0].shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(
             f"metric family must produce square Gram matrices, got shape {shape} at t={ts[0]}"
         )
-    if misshapen is None:
-        misshapen = next((i for i, o in enumerate(outs) if o.shape != shape), len(outs))
+    misshapen = len(outs)
+    if isinstance(outs, list):
+        misshapen = next((i for i, o in enumerate(outs) if o.shape != shape), misshapen)
     # the value checks cover the outputs before the first misshapen one: the
     # Gram matrices of the nodes up to it, the derivatives of whole triples
     grams = np.array(outs[0:misshapen:3]).reshape(-1, *shape)

@@ -14,7 +14,6 @@ from diraclab.clifford import (
     _exceeds,
     _expm_skew,
     _max_opnorm,
-    _opnorm,
     casimir,
     exterior_module,
     fixed_subspace,
@@ -386,7 +385,7 @@ def test_exceeds_edge_cases(tol):
     tiny = 1e-3 * tol * np.random.default_rng(0).standard_normal((3, 4, 4))
     for stack in (zeros, zeros[0], tiny, tiny[0]):
         assert not _exceeds(stack, tol) and not _svd_exceeds(stack, tol)
-    assert _opnorm(zeros[0]) == 0.0 and _max_opnorm(zeros) == 0.0
+    assert _max_opnorm(zeros[0]) == 0.0 and _max_opnorm(zeros) == 0.0
 
 
 def test_module_builds_and_lifts_take_no_svd(monkeypatch):

@@ -5,7 +5,7 @@ tree's ``src/`` on the path, at seeds 1, 7 and 123, and lists every artifact
 whose bytes differ (or that only one tree wrote) and every exit code that
 differs.  The configs come from this repository's ``tests/test_cli.py``.
 
-    python tools/diff_cli_artifacts.py OLD_TREE NEW_TREE [--seeds 1,7,123] [--keep DIR]
+    python tools/diff_cli_artifacts.py OLD_TREE NEW_TREE
 
 Exit status: 0 when everything is identical, 1 otherwise.
 """
@@ -20,6 +20,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+SEEDS = ("1", "7", "123")
 
 # Runs in a fresh interpreter per tree: argv is src dir, tests dir, output
 # dir, then the seeds.  Prints the exit codes as one JSON object.
@@ -42,9 +43,9 @@ print(json.dumps(codes))
 """
 
 
-def run_tree(tree: Path, out: Path, seeds: list[str]) -> dict[str, int]:
+def run_tree(tree: Path, out: Path) -> dict[str, int]:
     proc = subprocess.run(
-        [sys.executable, "-c", _RUNNER, str(tree / "src"), str(REPO / "tests"), str(out), *seeds],
+        [sys.executable, "-c", _RUNNER, str(tree / "src"), str(REPO / "tests"), str(out), *SEEDS],
         capture_output=True,
         text=True,
         check=True,
@@ -52,10 +53,10 @@ def run_tree(tree: Path, out: Path, seeds: list[str]) -> dict[str, int]:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def compare(old: Path, new: Path, seeds: list[str], work: Path) -> list[str]:
+def compare(old: Path, new: Path, work: Path) -> list[str]:
     """One line per differing artifact or exit code; empty when identical."""
-    codes_old = run_tree(old, work / "old", seeds)
-    codes_new = run_tree(new, work / "new", seeds)
+    codes_old = run_tree(old, work / "old")
+    codes_new = run_tree(new, work / "new")
     diffs = [
         f"exit code {key}: {codes_old[key]} -> {codes_new[key]}"
         for key in codes_old
@@ -77,19 +78,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="source tree holding src/diraclab")
     parser.add_argument("new", type=Path, help="source tree holding src/diraclab")
-    parser.add_argument("--seeds", default="1,7,123", help="comma-separated experiment seeds")
-    parser.add_argument("--keep", type=Path, help="write the artifacts here and keep them")
     args = parser.parse_args(argv)
-    seeds = args.seeds.split(",")
-    if args.keep is not None:
-        args.keep.mkdir(parents=True, exist_ok=True)
-        diffs = compare(args.old.resolve(), args.new.resolve(), seeds, args.keep.resolve())
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            diffs = compare(args.old.resolve(), args.new.resolve(), seeds, Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        diffs = compare(args.old.resolve(), args.new.resolve(), Path(tmp))
     for line in diffs:
         print(line)
-    print(f"{len(diffs)} difference(s) over {len(seeds)} seed(s)")
+    print(f"{len(diffs)} difference(s) over {len(SEEDS)} seed(s)")
     return 1 if diffs else 0
 
 
