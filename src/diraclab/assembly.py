@@ -16,15 +16,19 @@ block's position in its stack.  Assemblers write their blocks straight into
 the stacks.  Row labels are (mode tuple, module index).  For a mapping
 torus the mode tuple is the lexicographically smallest fiber mode of the
 orbit followed by the base Fourier index, and the module index refers to
-the eigenbasis of the orbit twist (the standard basis whenever the twist is
-diagonal, in particular scalar).
+the lift basis (the standard basis whenever the lift is diagonal).
 
-Only the fiber momenta of a mapping torus depend on the fiber scale, as
-1/fiber_scale.  Its assembly is therefore split into a scale-free plan and
-a step that solves the fiber momenta of one scale.  The orbits of one size
-share a twist sector, so the plan keeps one group per orbit size, and the
-step forms each group's blocks in one broadcast; a collapse run builds the
-plan once for all its scales.  The limit operator is laid out the same way.
+The lift is diagonalized once, by one eig and one QR over its clusters of
+equal eigen-angle.  Every power of the lift, so every orbit twist, is
+diagonal in that orthonormal basis, whose lift-fixed columns also decide
+whether parallel sections exist.  Only the fiber momenta of a mapping torus
+depend on the fiber scale, as 1/fiber_scale.  Its assembly is therefore
+split into a scale-free plan and a step that solves the fiber momenta of a
+scale.  The orbits of one size share a twist sector, so the plan keeps one
+group per orbit size, and the step forms each group's blocks in one
+broadcast.  A collapse run builds the plan once and solves all its scales
+in one stacked pass over the plan's block symbols (see the symbols
+module).  The limit operator is laid out the same way.
 """
 
 from __future__ import annotations
@@ -35,11 +39,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import CliffordModule, _exceeds, fixed_subspace, holonomy_rep, lift_rotation, casimir
+from .clifford import CliffordModule, _exceeds, lift_rotation, casimir
+from .clifford import _CLOSURE_EXCEEDED, _MAX_HOLONOMY_ORDER
 from .models import FD_STEP, AffineMappingTorus, FlatTorusModel, _check_fd_step, matrix_order
-from .spectral import HERMITICITY_TOL, LIFT_TOL, RESIDUAL_TOL, SHIFT_INTEGRALITY_TOL, STRUCTURE_TOL
+from .spectral import HERMITICITY_TOL, LIFT_TOL, SHIFT_INTEGRALITY_TOL, STRUCTURE_TOL
 from .spectral import UNITARITY_TOL, WEIGHT_TOL, Spectrum, _default_tol, _require_hermitian
 from .spectral import eigensolve
+from .symbols import _NOT_HERMITIAN, _block_symbols, _BlockSymbols, _CertifiedSpectrum, _SymbolSolution
 
 __all__ = [
     "AssembledOperator",
@@ -54,9 +60,6 @@ __all__ = [
     "eigenvalue_derivative",
     "write_matrix_text",
 ]
-
-
-_NOT_HERMITIAN = "assembled operator is not Hermitian (residual {residual:.3e})"
 
 
 class EmptyInvariantSpaceError(ValueError):
@@ -281,9 +284,65 @@ def _cluster_angles(thetas: np.ndarray) -> list[tuple[float, list[int]]]:
 
 
 @dataclass(frozen=True, eq=False)
+class _LiftBasis:
+    """Orthonormal eigenbasis q (columns) of a resolved lift, in which every
+    power of the lift, and so every orbit twist, is diagonal.
+
+    angles holds the lift's eigen-angles (fractions of a turn) by column,
+    fixed marks the columns the lift fixes, |lift q_j - q_j| <= STRUCTURE_TOL,
+    and ortho is max |q^H q - I|.
+    """
+
+    lift: np.ndarray
+    q: np.ndarray
+    angles: np.ndarray
+    fixed: np.ndarray
+    ortho: float
+
+
+def _lift_basis(lift: np.ndarray) -> _LiftBasis:
+    """Diagonalize the lift once: one eig, then one QR over its clusters of
+    equal eigen-angle."""
+    lift = np.asarray(lift, dtype=complex)
+    vals, q = np.linalg.eig(lift)
+    angles = np.mod(np.angle(vals) / (2.0 * np.pi), 1.0)
+    # eigenvectors of one cluster need not be orthonormal; one QR over the
+    # columns in cluster order makes them so (distinct clusters of a unitary
+    # lift are orthogonal already).  The QR phases go back onto the columns
+    # so that unit vectors stay put and a diagonal lift keeps q = I; a zero
+    # pivot leaves a zero column, which every twist sector refuses
+    order = np.concatenate([idxs for _, idxs in _cluster_angles(angles)])
+    qc, r = np.linalg.qr(q[:, order])
+    pivots = np.diag(r)
+    q[:, order] = qc * (pivots / np.maximum(np.abs(pivots), np.finfo(float).tiny))
+    return _LiftBasis(
+        lift=lift,
+        q=q,
+        angles=angles,
+        fixed=np.abs(lift @ q - q).max(axis=0) <= STRUCTURE_TOL,
+        ortho=float(np.max(np.abs(q.conj().T @ q - np.eye(len(q))))),
+    )
+
+
+def _parallel_columns(model: AffineMappingTorus, basis: _LiftBasis) -> np.ndarray:
+    """Mask of the lift-basis columns spanning the values parallel sections
+    take: the lift's fixed columns when the fiber has a zero mode (trivial
+    fiber spin shift), and none otherwise.
+
+    First refuses, with holonomy_rep's message, a lift whose powers do not
+    close within _MAX_HOLONOMY_ORDER: no k up to it takes every eigen-angle to
+    within STRUCTURE_TOL of a whole turn.
+    """
+    turns = np.arange(1, _MAX_HOLONOMY_ORDER + 1)[:, None] * basis.angles
+    if not np.any(np.all(np.abs(turns - np.rint(turns)) <= STRUCTURE_TOL, axis=1)):
+        raise ValueError(_CLOSURE_EXCEEDED.format(max_order=_MAX_HOLONOMY_ORDER))
+    return basis.fixed & bool(np.all(model.fiber.spin_shift == 0.0))
+
+
+@dataclass(frozen=True, eq=False)
 class _TwistSector:
-    """Eigenbasis q of the twist (loop phase * lift)^d, shared by every
-    orbit of size d, with its clusters of equal twist angle.
+    """The twist (loop phase * lift)^d shared by every orbit of size d, in
+    the lift basis q, with its clusters of equal twist angle.
 
     grids index each cluster's diagonal block of a matrix in this basis, and
     gb_blocks are those blocks of the base Clifford action.  invariant marks
@@ -304,41 +363,30 @@ class _TwistSector:
     gb_leak: float
 
 
-def _twist_sector(lift: np.ndarray, gb: np.ndarray, d: int, base_shift: float) -> _TwistSector:
-    """Diagonalize the twist of an orbit of size d; gb is the base Clifford."""
+def _twist_sector(basis: _LiftBasis, gb_q: np.ndarray, d: int, base_shift: float) -> _TwistSector:
+    """Twist sector of an orbit of size d; gb_q is the base Clifford action
+    in the lift basis."""
     # spin structure on the base contributes a sign per loop
     loop_phase = -1.0 if (base_shift == 0.5 and d % 2 == 1) else 1.0
-    twist = loop_phase * np.linalg.matrix_power(np.asarray(lift, dtype=complex), d)
-    vals, q = np.linalg.eig(twist)
-    thetas = np.mod(np.angle(vals) / (2.0 * np.pi), 1.0)
+    q = basis.q
+    tq = q.conj().T @ (loop_phase * np.linalg.matrix_power(basis.lift, d)) @ q
+    diag = np.diag(tq)
+    thetas = np.mod(np.angle(diag) / (2.0 * np.pi), 1.0)
     clusters = tuple((theta, np.array(idxs)) for theta, idxs in _cluster_angles(thetas))
-    # eigenvectors of one cluster need not be orthonormal; one QR over the
-    # columns in cluster order makes them so (distinct clusters of a unitary
-    # twist are orthogonal already).  The QR phases go back onto the columns
-    # so that unit vectors stay put and a diagonal twist keeps q = I; a zero
-    # pivot leaves a zero column, refused below
-    order = np.concatenate([idxs for _, idxs in clusters])
-    qc, r = np.linalg.qr(q[:, order])
-    pivots = np.diag(r)
-    q[:, order] = qc * (pivots / np.maximum(np.abs(pivots), np.finfo(float).tiny))
-    tq = q.conj().T @ twist @ q
-    off = tq - np.diag(np.diag(tq))
-    resid = max(np.max(np.abs(off)), np.max(np.abs(q.conj().T @ q - np.eye(len(q)))))
+    resid = max(np.max(np.abs(tq - np.diag(diag))), basis.ortho)
     if not resid <= STRUCTURE_TOL:
         raise ValueError("orbit twist failed to diagonalize (lift is not unitary?)")
-    fixed_images = np.abs(lift @ q - q).max(axis=0)
     owner = np.zeros(len(q), dtype=int)
     for c, (_, idxs) in enumerate(clusters):
         owner[idxs] = c
     coupling = owner[:, None] != owner[None, :]
-    gb_q = q.conj().T @ gb @ q
     grids = tuple(np.ix_(idxs, idxs) for _, idxs in clusters)
     return _TwistSector(
         q=q,
         clusters=clusters,
         grids=grids,
         gb_blocks=tuple(gb_q[grid] for grid in grids),
-        invariant=tuple(bool(np.all(fixed_images[idxs] <= STRUCTURE_TOL)) for _, idxs in clusters),
+        invariant=tuple(bool(np.all(basis.fixed[idxs])) for _, idxs in clusters),
         coupling=coupling,
         gb_max=float(np.max(np.abs(gb_q))),
         gb_leak=float(np.max(np.abs(gb_q[coupling]), initial=0.0)),
@@ -418,144 +466,6 @@ def _orbit_layout(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _CertifiedSpectrum:
-    """Certified spectrum of a set of blocks: block b has the eigenvalue
-    -r[b] nneg[b] times and +r[b] npos[b] times."""
-
-    r: np.ndarray
-    nneg: np.ndarray
-    npos: np.ndarray
-    truncation: int
-
-    def spectrum(self) -> Spectrum:
-        values = np.concatenate([np.repeat(-self.r, self.nneg), np.repeat(self.r, self.npos)])
-        return Spectrum(
-            values=values, cluster_tol=_default_tol(values), source_truncation=self.truncation
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class _BlockSymbols:
-    """Scale-free symbols of a plan's blocks; see _MappingPlan.symbol_spectrum.
-
-    Per block, in no particular order and batch-last (block axis last): the
-    orbit whose fiber momentum it takes, its base momentum beta and size s,
-    and for the restricted gammas G_k = q_c^H gamma_k q_c (fiber directions,
-    then the base) their real traces (n, B), the Clifford defects
-    A_kl = ||H_k H_l + H_l H_k - 2 delta_kl I||_F of their Hermitian parts
-    H_k (n, n, B), and max |G_k - G_k^H| (n, B).  Per orbit, for the gammas
-    F_k = q^H gamma_k q of its twist sector: the largest entry of each
-    fiber F_k and of the base F_m that joins two clusters (zero when the
-    sector has one cluster), the Gram matrix Re tr(F_k^H F_l) of the fiber
-    F_k, and max(1, max |F_m|).
-    """
-
-    orbit: np.ndarray
-    beta: np.ndarray
-    sizes: np.ndarray
-    trace: np.ndarray
-    defect: np.ndarray
-    skew: np.ndarray
-    leak: np.ndarray
-    base_leak: np.ndarray
-    gram: np.ndarray
-    base_max: np.ndarray
-
-    def orbit_part(self, orbit: int) -> _BlockSymbols:
-        """The symbols of one orbit's blocks, as orbit 0."""
-        rows = self.orbit == orbit
-        return _BlockSymbols(
-            np.zeros(np.count_nonzero(rows), dtype=np.intp),
-            *(getattr(self, f)[..., rows] for f in ("beta", "sizes", "trace", "defect", "skew")),
-            *(getattr(self, f)[[orbit]] for f in ("leak", "base_leak", "gram", "base_max")),
-        )
-
-    def solve(self, p: np.ndarray, dim_v: int, truncation: int) -> _CertifiedSpectrum | None:
-        """Certified spectrum at the orbit fiber momenta p (O, m), or None
-        when a block fails its certificate; see _MappingPlan.symbol_spectrum."""
-        leak = np.maximum(np.einsum("ok,ok->o", np.abs(p), self.leak), self.base_leak)
-        frob = np.sqrt(np.maximum(np.einsum("ok,okl,ol->o", p, self.gram, p), 0.0))
-        if np.any(leak > STRUCTURE_TOL * np.maximum(self.base_max, frob / dim_v)):
-            raise ValueError("operator symbol couples distinct twist sectors")
-        x = np.empty((len(self.trace), len(self.beta)))
-        x[:-1] = np.take(p.T, self.orbit, axis=1)
-        x[-1] = self.beta
-        ax = np.abs(x)
-        r2 = np.einsum("kb,kb->b", x, x)
-        delta = 0.5 * np.einsum("kb,klb,lb->b", ax, self.defect, ax)
-        bscale = np.maximum(1.0, np.sqrt(np.maximum(r2 - delta, 0.0)) / self.sizes)
-        resid = float(np.max(np.einsum("kb,kb->b", ax, self.skew), initial=0.0))
-        if resid > HERMITICITY_TOL * float(np.max(bscale, initial=1.0)):
-            raise ValueError(_NOT_HERMITIAN.format(residual=resid))
-        r = np.sqrt(r2)
-        zero = ~x.any(axis=0)
-        nplus = 0.5 * (self.sizes + np.einsum("kb,kb->b", x, self.trace) / np.where(zero, 1.0, r))
-        npos = np.rint(nplus)
-        ok = (self.sizes * delta < r2) & (delta <= RESIDUAL_TOL * bscale * r)
-        ok &= np.abs(nplus - npos) <= STRUCTURE_TOL
-        if not np.all(ok | zero):
-            return None
-        npos = np.where(zero, self.sizes, npos).astype(np.intp)
-        return _CertifiedSpectrum(r, self.sizes - npos, npos, truncation)
-
-
-def _cluster_constants(gc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Traces, Clifford defects and skew parts (see _BlockSymbols) of a
-    (C, n, s, s) stack of restricted gammas, batch-last."""
-    n, s = gc.shape[1], gc.shape[-1]
-    skew = gc - gc.conj().swapaxes(-1, -2)
-    h = gc - 0.5 * skew
-    prod = h[:, :, None] @ h[:, None]
-    anti = prod + prod.swapaxes(1, 2)
-    # the (k, k) pairs, a strided view of the flattened pair axis
-    anti.reshape(len(gc), n * n, s, s)[:, :: n + 1] -= 2.0 * np.eye(s)
-    return (
-        np.trace(gc, axis1=-2, axis2=-1).real.T,
-        np.sqrt(np.sum(np.abs(anti) ** 2, axis=(-2, -1))).transpose(1, 2, 0),
-        np.abs(skew).reshape(len(gc), n, -1).max(axis=-1).T,
-    )
-
-
-def _block_symbols(
-    groups: tuple[_OrbitGroup, ...], gammas: np.ndarray, orbits: int
-) -> _BlockSymbols:
-    """Symbols of the blocks of the groups, whose members number orbits in
-    all.  The clusters of one size are reduced as one stack."""
-    n = len(gammas)
-    m = n - 1
-    leak, base_leak = np.zeros((orbits, m)), np.zeros(orbits)
-    gram, base_max = np.zeros((orbits, m, m)), np.ones(orbits)
-    orbit, beta, by_size = [], [], {}
-    for g in groups:
-        sec = g.sector
-        gq = sec.q.conj().T @ gammas @ sec.q
-        if sec.coupling.any():
-            leak[g.members] = np.abs(gq[:m, sec.coupling]).max(axis=1)
-            base_leak[g.members] = sec.gb_leak
-        gram[g.members] = np.einsum("kij,lij->kl", gq[:m].conj(), gq[:m]).real
-        base_max[g.members] = max(1.0, sec.gb_max)
-        members = np.repeat(g.members, g.betas[0].shape[1])
-        for (rows, cols), b in zip(sec.grids, g.betas):
-            by_size.setdefault(len(rows), []).append((len(orbit), gq[:, rows, cols]))
-            orbit.append(members)
-            beta.append(b.ravel())
-    counts = np.array([len(o) for o in orbit])
-    sizes = np.zeros(len(orbit), dtype=np.intp)
-    consts = [np.zeros((n, len(orbit))), np.zeros((n, n, len(orbit))), np.zeros((n, len(orbit)))]
-    for s, items in by_size.items():
-        index = [i for i, _ in items]
-        sizes[index] = s
-        for out, c in zip(consts, _cluster_constants(np.stack([gc for _, gc in items]))):
-            out[..., index] = c
-    return _BlockSymbols(
-        np.concatenate(orbit),
-        np.concatenate(beta),
-        *(np.repeat(c, counts, axis=-1) for c in [sizes] + consts),
-        leak, base_leak, gram, base_max,
-    )
-
-
 def _group_operator(info: BlockInfo, per_group, truncation: int, label: str):
     """Operator from per-cluster (positions, blocks) lists, one per group."""
     counts = np.bincount(info.sizes).tolist()
@@ -569,17 +479,18 @@ def _group_operator(info: BlockInfo, per_group, truncation: int, label: str):
 @dataclass(frozen=True, eq=False)
 class _MappingPlan:
     """The part of a mapping-torus assembly that the fiber scale leaves
-    alone: the resolved lift, its twist sectors and the orbit groups (by
-    orbit size), the orbit representatives and the block provenance.  Only
-    the fiber momenta scale (as 1/fiber_scale); dirac and bochner supply them
-    for scaled, the plan's model at the wanted fiber scale (the model itself
-    or model.with_scale(eps)), so a caller that needs the scaled model too
-    builds it once."""
+    alone: the lift basis, the gammas in it, the twist sectors and the orbit
+    groups (by orbit size), the orbit representatives and the block
+    provenance.  Only the fiber momenta scale (as 1/fiber_scale); dirac and
+    bochner supply them for scaled, the plan's model at the wanted fiber
+    scale (the model itself or model.with_scale(eps)), so a caller that needs
+    the scaled model too builds it once."""
 
     model: AffineMappingTorus
     cm: CliffordModule
     truncation: int
-    lift: np.ndarray
+    basis: _LiftBasis
+    gammas_q: np.ndarray
     sectors: dict[int, _TwistSector]
     reps: np.ndarray
     groups: tuple[_OrbitGroup, ...]
@@ -603,67 +514,49 @@ class _MappingPlan:
     @cached_property
     def symbols(self) -> _BlockSymbols:
         """The blocks' scale-free symbols, computed on first use."""
-        return _block_symbols(self.groups, self.cm.gammas, len(self.reps))
+        return _block_symbols(self.groups, self.gammas_q, len(self.reps))
 
-    def symbol_spectrum(self, scaled: AffineMappingTorus) -> _CertifiedSpectrum | None:
-        """Spectrum at the fiber scale of scaled from the block symbols,
-        without forming a block; None when a block fails its certificate,
-        and the caller then takes the block path,
+    def symbol_spectra(self, fibers: list[FlatTorusModel]) -> _SymbolSolution:
+        """Spectra at E fiber scales from the block symbols, given each
+        scale's scaled fiber, in one pass and without forming a block.  Its
+        at(i) is scale i's spectrum, or None when a block fails its
+        certificate, and the caller then takes the block path,
         eigensolve(self.dirac(scaled)).
 
-        A block is D = sum_k x_k G_k with x = (p, beta), p the fiber momentum
-        of its orbit and G_k the gammas restricted to its twist cluster of s
-        rows.  The certificate is for its Hermitian part H = sum_k x_k H_k;
-        D - H is bounded by the Hermiticity check below.  With r^2 =
-        |p|^2 + beta^2,
-
-            H^2 - r^2 I = 1/2 sum_kl x_k x_l (H_k H_l + H_l H_k - 2 delta_kl I),
-
-        so ||H^2 - r^2 I||_2 <= ||H^2 - r^2 I||_F <= delta = 1/2 |x|^T A |x|,
-        A the cluster's Clifford defects: on a flat fiber D^2 = r^2 I up to
-        delta.  tr H = p . t_c + beta tb_c, with t_c and tb_c the cluster's
-        traces.  By Weyl's inequality every eigenvalue of H^2 lies within
-        delta of r^2.  eigensolve's argument then applies unchanged with
-        n+ = (s + tr H / r) / 2, and with max(1, sqrt(r^2 - delta) / s) as
-        the block scale.  That scale is at most eigensolve's
-        max(1, max |D_ij|), because sqrt(r^2 - delta) <= ||H||_2
-        <= s max |H_ij| <= s max |D_ij|, so the tests are at least as strict
-        as eigensolve's.  A block with x = 0 is exactly zero and gives s zeros.
-
-        The block path's two refusals are evaluated as bounds linear in |x|,
-        each against a lower bound of the scale its block-path check uses,
-        so each is at least as strict.  Twist-sector coupling, per orbit:
-        the entries dirac_blocks drops are at most
-        max(sum_k |p_k| leak_k, base leak), and the largest entry of the
-        sector-basis fiber symbol F(p) is at least
-        ||F(p)||_F / dim_v = sqrt(p^T W p) / dim_v.  Hermiticity, over all
-        blocks as AssembledOperator checks it:
-        max |D - D^H| <= sum_k |x_k| max |G_k - G_k^H|, against
-        max(1, max over blocks of sqrt(r^2 - delta) / s).
+        The certificate, and why each of its tests is at least as strict
+        as the block path's, are set out in the symbols module.
         """
-        p = scaled.scaled_fiber().dual_momentum(self.reps)
+        p = np.array([f.dual_momentum(self.reps) for f in fibers])
+        p = p.reshape(len(fibers), *self.reps.shape)
         return self.symbols.solve(p, self.cm.dim_v, self.truncation)
 
     def limit_symbol_spectrum(self) -> _CertifiedSpectrum | None:
-        """Spectrum of the limit operator as symbol_spectrum finds it: the
+        """Spectrum of the limit operator as symbol_spectra finds it: the
         blocks of the zero-mode orbit with p = 0, so r = |beta|.  None when a
         block fails its certificate, and the caller then solves the limit
         operator.  Raises EmptyInvariantSpaceError as limit_operator does."""
-        _require_parallel(self.model, self.lift)
+        _require_parallel(self.model, self.basis)
         (zero,) = np.flatnonzero(~self.reps.any(axis=1))
-        p = np.zeros((1, self.reps.shape[1]))
-        return self.symbols.orbit_part(zero).solve(p, self.cm.dim_v, self.truncation)
+        p = np.zeros((1, 1, self.reps.shape[1]))
+        return self.symbols.orbit_part(zero).solve(p, self.cm.dim_v, self.truncation).at(0)
+
+
+def _in_basis(basis: _LiftBasis, gammas: np.ndarray) -> np.ndarray:
+    """The gammas q^H gamma_k q in the lift basis."""
+    return basis.q.conj().T @ gammas @ basis.q
 
 
 def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int) -> _MappingPlan:
     """Build the scale-free plan of a mapping torus once; its
     dirac(model.with_scale(eps)) then assembles any fiber scale without
-    redoing orbits or twists."""
+    redoing orbits or twists.  The lift is diagonalized once, and every
+    twist sector shares that basis."""
     m = model.fiber.n
-    lift = _resolve_lift(model, cm)
+    basis = _lift_basis(_resolve_lift(model, cm))
+    gammas_q = _in_basis(basis, cm.gammas)
     reps, sizes = _holonomy_orbits(model, truncation)
     sectors = {
-        d: _twist_sector(lift, cm.gammas[m], d, model.base_shift)
+        d: _twist_sector(basis, gammas_q[m], d, model.base_shift)
         for d in sorted(set(sizes.tolist()))
     }
     zeta0 = reps + model.fiber.spin_shift
@@ -672,7 +565,7 @@ def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int
     info, groups = _orbit_layout(
         sectors, reps, sizes, conn_dot, ~zeta0.any(axis=1), model.base_length, truncation
     )
-    return _MappingPlan(model, cm, truncation, lift, sectors, reps, groups, info)
+    return _MappingPlan(model, cm, truncation, basis, gammas_q, sectors, reps, groups, info)
 
 
 def assemble_dirac(
@@ -722,17 +615,9 @@ class InvariantSplit:
     gap: float
 
 
-def _parallel_values(model: AffineMappingTorus, lift: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the values parallel sections take:
-    the fixed space of the lift when the fiber has a zero mode (trivial
-    fiber spin shift), and no columns otherwise."""
-    fixed = fixed_subspace(holonomy_rep([lift]))
-    return fixed if np.all(model.fiber.spin_shift == 0.0) else fixed[:, :0]
-
-
-def _require_parallel(model: AffineMappingTorus, lift: np.ndarray) -> None:
+def _require_parallel(model: AffineMappingTorus, basis: _LiftBasis) -> None:
     """Raise EmptyInvariantSpaceError unless parallel sections exist."""
-    if _parallel_values(model, lift).shape[1] == 0:
+    if not _parallel_columns(model, basis).any():
         raise EmptyInvariantSpaceError(
             "no parallel sections: the model has no collapse limit operator"
         )
@@ -748,7 +633,8 @@ def fiber_invariant_split(
     lift.  The fiber Dirac vanishes on them; the reported gap bounds it away
     from zero on the complement.
     """
-    parallel = _parallel_values(model, _resolve_lift(model, cm))
+    basis = _lift_basis(_resolve_lift(model, cm))
+    parallel = basis.q[:, _parallel_columns(model, basis)]
     scaled = model.scaled_fiber()
     modes = _flat_modes(scaled, truncation)
     p = scaled.dual_momentum(modes)
@@ -785,17 +671,18 @@ def limit_operator(
     (nontrivial fiber spin shift, or a lift without fixed vectors); that is
     the regime where the whole spectrum escapes to infinity instead.
     """
-    lift = _resolve_lift(model, cm)
-    sector = _twist_sector(lift, cm.gammas[model.fiber.n], 1, model.base_shift)
-    return _limit_operator(model, truncation, lift, sector)
+    basis = _lift_basis(_resolve_lift(model, cm))
+    gb_q = _in_basis(basis, cm.gammas[model.fiber.n])
+    sector = _twist_sector(basis, gb_q, 1, model.base_shift)
+    return _limit_operator(model, truncation, basis, sector)
 
 
 def _limit_operator(
-    model: AffineMappingTorus, truncation: int, lift: np.ndarray, sector: _TwistSector | None
+    model: AffineMappingTorus, truncation: int, basis: _LiftBasis, sector: _TwistSector | None
 ) -> AssembledOperator:
-    """limit_operator for a resolved lift and its twist sector of orbit size
-    1, which is only read when parallel sections exist."""
-    _require_parallel(model, lift)
+    """limit_operator for a lift basis and its twist sector of orbit size 1,
+    which is only read when parallel sections exist."""
+    _require_parallel(model, basis)
     # a single zero-mode orbit of size 1, without fiber momentum
     one = np.ones(1, dtype=np.int64)
     info, groups = _orbit_layout(

@@ -142,7 +142,10 @@ def _build_mapping(cfg: configparser.ConfigParser) -> tuple[AffineMappingTorus, 
 
 
 def _num(cfg, key, fallback):
-    return cfg.getfloat("numeric", key, fallback=fallback)
+    value = cfg.getfloat("numeric", key, fallback=fallback)
+    if not np.isfinite(value):
+        raise ValueError(f"[numeric] {key} must be finite, got {value!r}")
+    return value
 
 
 def _numint(cfg, key, fallback):
@@ -423,7 +426,7 @@ def main(argv=None) -> int:
     }
     report_path = outdir / f"{prefix}_report.json"
     with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
         fh.write("\n")
     if args.verbose:
         status = "PASS" if passed else "FAIL"

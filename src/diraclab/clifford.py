@@ -299,9 +299,18 @@ def _unitary_key(u: np.ndarray, digits: int = 9) -> bytes:
     return (np.round(u, digits) + 0.0).tobytes()
 
 
+# largest group holonomy_rep closes by default, and its refusal beyond that;
+# assembly refuses a lift whose powers do not close within it the same way
+_MAX_HOLONOMY_ORDER = 1024
+_CLOSURE_EXCEEDED = (
+    "holonomy closure exceeded {max_order} elements; "
+    "generators do not span a small finite group"
+)
+
+
 def holonomy_rep(
     generators: list[np.ndarray] | tuple[np.ndarray, ...],
-    max_order: int = 1024,
+    max_order: int = _MAX_HOLONOMY_ORDER,
     tol: float = UNITARITY_TOL,
 ) -> HolonomyRep:
     """Close a generating set of unitaries into a finite group.
@@ -329,10 +338,7 @@ def holonomy_rep(
                 k = _unitary_key(p)
                 if k not in elements:
                     if len(elements) >= max_order:
-                        raise ValueError(
-                            f"holonomy closure exceeded {max_order} elements; "
-                            "generators do not span a small finite group"
-                        )
+                        raise ValueError(_CLOSURE_EXCEEDED.format(max_order=max_order))
                     elements[k] = p
                     nxt.append(p)
         frontier = nxt

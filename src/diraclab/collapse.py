@@ -21,7 +21,7 @@ from .assembly import (
     _flat_modes,
     _limit_operator,
     _mapping_plan,
-    _parallel_values,
+    _parallel_columns,
 )
 from .clifford import CliffordModule
 from .models import (
@@ -135,7 +135,11 @@ class CollapseReport:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
+            # writelines takes the encoder's chunks from C, without
+            # json.dump's Python loop of writes or the joined copy json.dumps
+            # holds (about 4x the output at its peak)
+            encoder = json.JSONEncoder(indent=2, sort_keys=True)
+            fh.writelines(encoder.iterencode(self.to_json_dict()))
             fh.write("\n")
 
 
@@ -146,6 +150,22 @@ def _check_epsilons(epsilons) -> list[float]:
     if not np.isfinite(eps).all():
         raise ValueError(f"epsilons must be finite, got {eps!r}")
     return eps
+
+
+def _scaled_models(model: AffineMappingTorus, eps: list[float]):
+    """Each scale's model and scaled fiber, built once.  Stops at the first
+    scale whose fiber is refused and returns that refusal as well (else
+    None); the caller raises it in that scale's turn, after the refusals of
+    the scales before it."""
+    scaled, fibers = [], []
+    for e in eps:
+        at_scale = model.with_scale(e)
+        try:
+            fibers.append(at_scale.scaled_fiber())
+        except ValueError as err:
+            return scaled, fibers, err
+        scaled.append(at_scale)
+    return scaled, fibers, None
 
 
 def collapse_run(
@@ -163,11 +183,16 @@ def collapse_run(
     k-th smallest absolute eigenvalue across scales.  The truncation must be
     large enough that the window never outruns the retained base modes.
     The lift, orbits, twists and base momenta do not depend on the fiber
-    scale, so they are built once and only the fiber momenta are redone per
-    scale.  Each scale, and the limit (the zero-mode orbit's blocks without
-    fiber momentum), is solved from the plan's certified block symbols,
-    without forming an operator; a scale with a block that fails its
-    certificate takes the block path, eigensolve of the assembled operator.
+    scale, so they are built once: the lift is diagonalized once, every
+    twist sector and the parallel-section test read that one basis, and the
+    gammas are conjugated into it once.  Each scale's model and scaled fiber
+    are built once, for its fiber momenta.  The limit (the
+    zero-mode orbit's blocks without fiber momentum) and then all scales at
+    once are solved from the plan's certified block symbols, without forming
+    an operator; a scale with a block that fails its certificate takes the
+    block path, eigensolve of the assembled operator.  Refusals come scale
+    by scale, each scale's in the order twist-sector coupling, Hermiticity,
+    block path, k_max, window.
     """
     eps = _check_epsilons(epsilons)
     if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -179,7 +204,7 @@ def collapse_run(
         limit = plan.limit_symbol_spectrum()
         if limit is None:
             # with parallel sections the zero mode is an orbit of size 1
-            limit_op = _limit_operator(model, truncation, plan.lift, plan.sectors.get(1))
+            limit_op = _limit_operator(model, truncation, plan.basis, plan.sectors.get(1))
             limit_spec = eigensolve(limit_op)
         else:
             limit_spec = limit.spectrum()
@@ -187,16 +212,19 @@ def collapse_run(
     except EmptyInvariantSpaceError:
         limit_spec = None
         verdict = "blows_up"
+    scaled, fibers, refused = _scaled_models(model, eps)
+    solved = plan.symbol_spectra(fibers)
     spectra, bounds, tracked_cols = [], [], []
-    for e in eps:
-        scaled = model.with_scale(e)
-        solved = plan.symbol_spectrum(scaled)
-        spec = eigensolve(plan.dirac(scaled)) if solved is None else solved.spectrum()
+    for i, at_scale in enumerate(scaled):
+        certified = solved.at(i)
+        spec = eigensolve(plan.dirac(at_scale)) if certified is None else certified.spectrum()
         if k_max > len(spec):
             raise ValueError(f"k_max={k_max} exceeds spectrum size {len(spec)}")
         spectra.append(spec)
-        bounds.append(spectral_window(geometric_data(scaled), window_a, window_c))
+        bounds.append(spectral_window(geometric_data(at_scale), window_a, window_c))
         tracked_cols.append(spec.abs_sorted()[:k_max])
+    if refused is not None:
+        raise refused
     tracked = tuple(
         tuple(float(col[k]) for col in tracked_cols) for k in range(k_max)
     )
@@ -249,24 +277,31 @@ def blowup_check(
     """Fit the escape rate of the smallest absolute eigenvalue.
 
     Only valid when no parallel sections exist; rate is the largest a with
-    min |spec| >= a / epsilon across all requested scales.  Each scale's
-    min |spec| is the smallest certified r over the plan's block symbols,
-    or the block path's when a block fails its certificate.
+    min |spec| >= a / epsilon across all requested scales.  The plan's one
+    lift basis decides whether parallel sections exist.  Each scale's model
+    and scaled fiber are built once, all scales are solved from the plan's
+    block symbols in one pass, and each scale's min |spec| is the smallest
+    certified r, or the block path's when a block fails its certificate.
+    Refusals come scale by scale, each scale's in the order twist-sector
+    coupling, Hermiticity, block path.
     """
     plan = _mapping_plan(model, cm, truncation)
-    if _parallel_values(model, plan.lift).shape[1] > 0:
+    if _parallel_columns(model, plan.basis).any():
         raise ValueError(
             "model has parallel sections; its spectrum converges instead of escaping"
         )
     eps = _check_epsilons(epsilons)
+    scaled, fibers, refused = _scaled_models(model, eps)
+    solved = plan.symbol_spectra(fibers)
     mins = []
-    for e in eps:
-        scaled = model.with_scale(e)
-        solved = plan.symbol_spectrum(scaled)
-        if solved is None:
-            mins.append(float(eigensolve(plan.dirac(scaled)).abs_sorted()[0]))
+    for i, at_scale in enumerate(scaled):
+        certified = solved.at(i)
+        if certified is None:
+            mins.append(float(eigensolve(plan.dirac(at_scale)).abs_sorted()[0]))
         else:
-            mins.append(float(np.min(solved.r)))
+            mins.append(float(np.min(certified.r)))
+    if refused is not None:
+        raise refused
     rate = min(m * e for m, e in zip(mins, eps))
     return BlowupReport(epsilons=tuple(eps), min_abs=tuple(mins), rate=float(rate))
 

@@ -37,8 +37,8 @@ __all__ = [
 RESIDUAL_TOL = 1e-10  # eigenpair residual and closed-form square defect; rel block
 HERMITICITY_TOL = 1e-12  # M - M^H of an assembled or solved operator, of -iX for exp(X); rel
 INPUT_HERMITICITY_TOL = 1e-10  # M - M^H of a delta block or a Gram matrix; rel
-# twist diagonalization, angle clusters, fixed space and sign-count
-# integrality: abs; twist-sector coupling: rel largest symbol entry
+# twist diagonalization, angle clusters, fixed space, lift order and
+# sign-count integrality: abs; twist-sector coupling: rel largest symbol entry
 STRUCTURE_TOL = 1e-8
 CLUSTER_TOL = 1e-8  # gap inside an eigenvalue cluster; rel largest |eigenvalue|
 RELATION_TOL = 1e-12  # Clifford module relation residuals; op, abs
@@ -222,7 +222,7 @@ def eigensolve(op) -> Spectrum:
     that eigh, the reference the block path is tested against.
 
     A mapping-torus plan certifies the same closed form from its block
-    symbols without forming the blocks (assembly._MappingPlan.symbol_spectrum):
+    symbols without forming the blocks, for all scales at once (symbols):
     it bounds ||D^2 - r^2 I|| by delta = 1/2 |x|^T A |x| from per-cluster
     Clifford defects A, takes tr D = p . t_c + beta tb_c, and applies the
     tests above with a lower bound of the block scale.  collapse_run and

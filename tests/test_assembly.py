@@ -14,6 +14,8 @@ from diraclab.assembly import (
     _OrbitGroup,
     _flat_modes,
     _holonomy_orbits,
+    _in_basis,
+    _lift_basis,
     _mapping_plan,
     _mode_ranges,
     _resolve_lift,
@@ -681,7 +683,7 @@ def test_symbol_spectra_match_block_path_over_model_space(model, exterior, trunc
     plan = _mapping_plan(model, module, truncation)
     scaled = model.with_scale(eps)
     ref = eigensolve(plan.dirac(scaled))
-    solved = plan.symbol_spectrum(scaled)
+    solved = plan.symbol_spectra([scaled.scaled_fiber()]).at(0)
     # on valid modules every block is certified, so the block path is never taken
     assert solved is not None
     _assert_same_spectrum(solved.spectrum(), ref)
@@ -710,7 +712,7 @@ def test_symbol_zero_blocks_are_zeros():
     )
     plan = _mapping_plan(model, cm, 2)
     for solved, ref in [
-        (plan.symbol_spectrum(model), eigensolve(plan.dirac(model))),
+        (plan.symbol_spectra([model.scaled_fiber()]).at(0), eigensolve(plan.dirac(model))),
         (plan.limit_symbol_spectrum(), eigensolve(limit_operator(model, cm, 2))),
     ]:
         assert solved is not None
@@ -747,7 +749,8 @@ def test_uncertified_symbols_take_the_block_path():
     model = _identity_mapping()
     plan = _mapping_plan(model, cm, 2)
     eps = [1.0, 0.5]
-    assert all(plan.symbol_spectrum(model.with_scale(e)) is None for e in eps)
+    solved = plan.symbol_spectra([model.with_scale(e).scaled_fiber() for e in eps])
+    assert [solved.at(i) for i in range(len(eps))] == [None] * len(eps)
     assert plan.limit_symbol_spectrum() is None
     report = collapse_run(model, cm, eps, 2, 2)
     for e, spec in zip(eps, report.spectra_per_eps):
@@ -779,7 +782,7 @@ def test_symbol_path_refuses_coupling_twist_sectors():
     (zero,) = np.flatnonzero(~plan.reps.any(axis=1))
     (group,) = [g for g in plan.groups if zero in g.members]
     p = np.zeros((len(plan.reps), 2))
-    assert plan.symbols.solve(p, cm.dim_v, 1) is not None
+    assert plan.symbols.solve(p[None], cm.dim_v, 1).at(0) is not None
     # gamma_0 mixes the two sectors of the zero mode's twist; the symbol
     # path refuses whenever dirac_blocks does, relative to each orbit's scale
     for size in (1e-12, 5e-9, 2e-8, 1e-6, 1.0, 1e6):
@@ -790,7 +793,7 @@ def test_symbol_path_refuses_coupling_twist_sectors():
         except ValueError:
             block_refuses = True
         try:
-            plan.symbols.solve(p, cm.dim_v, 1)
+            plan.symbols.solve(p[None], cm.dim_v, 1).at(0)
             symbol_refuses = False
         except ValueError as err:
             assert str(err) == "operator symbol couples distinct twist sectors"
@@ -800,7 +803,7 @@ def test_symbol_path_refuses_coupling_twist_sectors():
     p[:] = 1e6
     p[zero] = (1e-3, 0.0)
     with pytest.raises(ValueError, match="couples distinct twist sectors"):
-        plan.symbols.solve(p, cm.dim_v, 1)
+        plan.symbols.solve(p[None], cm.dim_v, 1).at(0)
 
 
 def test_collapse_runs_build_no_operator_per_scale(monkeypatch):
@@ -822,11 +825,18 @@ def test_collapse_runs_build_no_operator_per_scale(monkeypatch):
     assert blowup_check(blocking, spinor_gammas(3), [1.0, 0.5], 3).rate > 0.0
 
 
+def _sector(lift, gb):
+    """The twist sector of orbit size 1 (periodic base) of lift, with the
+    base Clifford action gb."""
+    basis = _lift_basis(lift)
+    return _twist_sector(basis, _in_basis(basis, gb), 1, 0.0)
+
+
 def test_twist_that_fails_to_diagonalize_is_refused():
     cm = spinor_gammas(3)
     shear = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # not unitary
     with pytest.raises(ValueError, match="failed to diagonalize"):
-        _twist_sector(shear, cm.gammas[2], 1, 0.0)
+        _sector(shear, cm.gammas[2])
 
 
 def test_twist_sector_of_unitary_with_repeated_eigenvalue():
@@ -835,7 +845,7 @@ def test_twist_sector_of_unitary_with_repeated_eigenvalue():
     w, _ = np.linalg.qr(z)
     angles = np.array([0.1, 0.1, 0.6, 0.1, 0.35])
     twist = w @ np.diag(np.exp(2j * np.pi * angles)) @ w.conj().T
-    sector = _twist_sector(twist, np.eye(5), 1, 0.0)
+    sector = _sector(twist, np.eye(5))
     q = sector.q
     assert np.max(np.abs(q.conj().T @ q - np.eye(5))) <= 1e-12
     tq = q.conj().T @ twist @ q
@@ -851,7 +861,7 @@ def test_twist_sector_of_unitary_with_repeated_eigenvalue():
     ids=["scalar", "identity", "diagonal"],
 )
 def test_twist_sector_keeps_standard_basis(twist):
-    sector = _twist_sector(twist, np.eye(3), 1, 0.0)
+    sector = _sector(twist, np.eye(3))
     assert np.array_equal(sector.q, np.eye(3))
 
 
@@ -976,7 +986,7 @@ def _loop_lift_refusal(model, cm, u):
 @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-11, 1.0 + 1e-9])
 def test_given_lift_checks_match_loop(build, delta, scale):
     cm = build(3)
-    geometric = _mapping_plan(_rot4_mapping(), cm, 1).lift
+    geometric = _mapping_plan(_rot4_mapping(), cm, 1).basis.lift
     h = np.random.default_rng(3).standard_normal((cm.dim_v, cm.dim_v))
     h = (h + h.T) / np.linalg.norm(h + h.T, 2)
     # a unitary (for scale 1) that intertwines to within about 2 delta

@@ -254,6 +254,13 @@ def test_config_errors_exit_two(tmp_path, capsys):
         (FRAME_CFG, "lattice = 1,0;0,1.5", "lattice = 1,0;0,inf", "lattice basis must be finite"),
         (COLLAPSE_CFG, f"fiber_lattice = {CIRCLE}", "fiber_lattice = nan", "lattice basis must be finite"),
         (COLLAPSE_CFG, "base_shift = 0.5", "base_shift = 0.5\nconnection = nan", "connection form must be finite"),
+        # non-finite [numeric] thresholds used to exit 3, a failed assertion
+        (WINDOW_CFG, "[numeric]", "[numeric]\ntolerance = nan", r"\[numeric\] tolerance must be finite, got nan"),
+        (TORUS_CFG, "[numeric]", "[numeric]\ntolerance = nan", r"\[numeric\] tolerance must be finite, got nan"),
+        (BLOWUP_CFG, "[numeric]", "[numeric]\nrate_floor = nan", r"\[numeric\] rate_floor must be finite, got nan"),
+        (PERT_CFG, "[numeric]", "[numeric]\nbound_constant = nan",
+         r"\[numeric\] bound_constant must be finite, got nan"),
+        (WINDOW_CFG, "[numeric]", "[numeric]\nwindow_a = inf", r"\[numeric\] window_a must be finite, got inf"),
     ],
 )
 def test_non_finite_inputs_exit_two(tmp_path, capsys, config, old, new, message):

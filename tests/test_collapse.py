@@ -196,6 +196,97 @@ def test_blowup_refuses_convergent_model():
         blowup_check(_canonical_mapping(), cm, [1.0], 2)
 
 
+def _rot4_spinor_model():
+    # no parallel sections, so no limit is solved before the scales
+    return AffineMappingTorus(
+        fiber=FlatTorusModel(np.eye(2), np.zeros(2)),
+        holonomy=np.array([[0, -1], [1, 0]]),
+        base_length=1.0,
+    )
+
+
+def _inject(monkeypatch, faults):
+    """Make the stacked symbol solve report the given faults, {scale index:
+    set of "coupled", "hermitian", "uncertified"}, and make the block path
+    raise RuntimeError("block path")."""
+    import dataclasses
+
+    import diraclab.assembly as assembly
+    import diraclab.symbols as symbols
+
+    original = symbols._BlockSymbols.solve
+
+    def solve(self, p, dim_v, truncation):
+        out = original(self, p, dim_v, truncation)
+        coupled, resid, certified = out.coupled.copy(), out.resid.copy(), out.certified.copy()
+        for i, kinds in faults.items():
+            if i < len(p):
+                coupled[i] |= "coupled" in kinds
+                resid[i] = np.inf if "hermitian" in kinds else resid[i]
+                certified[i] &= "uncertified" not in kinds
+        return dataclasses.replace(out, coupled=coupled, resid=resid, certified=certified)
+
+    def block_path(self, scaled):
+        raise RuntimeError("block path")
+
+    monkeypatch.setattr(symbols._BlockSymbols, "solve", solve)
+    monkeypatch.setattr(assembly._MappingPlan, "dirac", block_path)
+
+
+COUPLED = r"^operator symbol couples distinct twist sectors$"
+HERMITIAN = r"^assembled operator is not Hermitian \(residual inf\)$"
+BLOCK_PATH = r"^block path$"
+K_MAX = r"^k_max=1000000 exceeds spectrum size 214$"
+WINDOW = r"^window constants must satisfy a > 0, c >= 0$"
+SINGULAR = r"^lattice basis is singular$"
+
+
+# Refusals come scale by scale, and within a scale in the order: its fiber,
+# twist-sector coupling, Hermiticity, block path, k_max, window.  A scale's
+# fiber is singular at eps = 1e-7 (|det| = 1e-14).
+@pytest.mark.parametrize(
+    "faults, epsilons, k_max, window_a, message",
+    [
+        ({1: {"coupled"}}, [1.0, 0.5], 10**6, 1.0, K_MAX),
+        ({1: {"coupled"}}, [1.0, 0.5], 2, -1.0, WINDOW),
+        ({1: {"coupled"}}, [1.0, 0.5], 2, 1.0, COUPLED),
+        ({0: {"coupled"}}, [1.0, 0.5], 10**6, -1.0, COUPLED),
+        ({1: {"coupled", "hermitian", "uncertified"}}, [1.0, 0.5], 2, 1.0, COUPLED),
+        ({1: {"hermitian"}}, [1.0, 0.5], 2, -1.0, WINDOW),
+        ({0: {"hermitian", "uncertified"}}, [1.0, 0.5], 10**6, 1.0, HERMITIAN),
+        ({1: {"uncertified"}}, [1.0, 0.5], 2, -1.0, WINDOW),
+        ({0: {"uncertified"}}, [1.0, 0.5], 10**6, -1.0, BLOCK_PATH),
+        ({}, [1.0, 1e-7], 10**6, 1.0, K_MAX),
+        ({}, [1.0, 1e-7], 2, -1.0, WINDOW),
+        ({}, [1.0, 1e-7], 2, 1.0, SINGULAR),
+        ({0: {"coupled"}}, [1.0, 1e-7], 2, 1.0, COUPLED),
+        ({0: {"coupled"}}, [1e-7, 1e-8], 10**6, -1.0, SINGULAR),
+    ],
+)
+def test_collapse_refusals_keep_scale_order(monkeypatch, faults, epsilons, k_max, window_a, message):
+    _inject(monkeypatch, faults)
+    with pytest.raises((ValueError, RuntimeError), match=message):
+        collapse_run(_rot4_spinor_model(), spinor_gammas(3), epsilons, k_max, 2, window_a=window_a)
+
+
+@pytest.mark.parametrize(
+    "faults, epsilons, message",
+    [
+        ({1: {"coupled"}}, [1.0, 0.5], COUPLED),
+        ({1: {"coupled", "hermitian"}}, [1.0, 0.5], COUPLED),
+        ({1: {"hermitian", "uncertified"}}, [1.0, 0.5], HERMITIAN),
+        ({0: {"uncertified"}, 1: {"coupled"}}, [1.0, 0.5], BLOCK_PATH),
+        ({0: {"coupled"}}, [1.0, 1e-7], COUPLED),
+        ({1: {"coupled"}}, [1e-7, 1.0], SINGULAR),
+        ({}, [1.0, 1e-7], SINGULAR),
+    ],
+)
+def test_blowup_refusals_keep_scale_order(monkeypatch, faults, epsilons, message):
+    _inject(monkeypatch, faults)
+    with pytest.raises((ValueError, RuntimeError), match=message):
+        blowup_check(_rot4_spinor_model(), spinor_gammas(3), epsilons, 2)
+
+
 def test_perturbation_bound_constant_family():
     cm = spinor_gammas(2)
     rep = perturbation_bound_check(lambda t: np.diag([1.0, 2.0]), cm, 3, samples=3)

@@ -1,0 +1,82 @@
+"""Time one benchmark workload on two source trees, in alternating pairs.
+
+Each run is a fresh interpreter that imports the tree's own
+``bench/workloads.py`` and ``src/``, builds the workload with ``setup`` and
+times one ``run`` call.  Pair i (from 1) runs both trees at seed i; the tree
+that goes first alternates from pair to pair.  The tool prints every pair,
+then each tree's median ``wall_s`` and ``peak_rss_mib`` (``ru_maxrss`` of
+the run's process) and how many pairs the new tree won on ``wall_s``.
+
+    python tools/pair_timing.py OLD_TREE NEW_TREE --workload collapse_spinor_rot4 --pairs 20
+
+It is a quick check before the longer ``bench/run.py`` runs: one call per
+process, no reference check and no set-up timing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# argv: tree, workload, seed, work dir.  Prints one JSON object.
+_RUNNER = """
+import json, resource, sys, time
+from pathlib import Path
+tree, workload, seed, work = sys.argv[1:5]
+sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "bench")]
+import workloads
+state = workloads.setup(workload, int(seed), "full", Path(work))
+start = time.perf_counter()
+workloads.run(state)
+wall = time.perf_counter() - start
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"wall_s": wall, "peak_rss_mib": rss}))
+"""
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict[str, float]:
+    with tempfile.TemporaryDirectory() as work:
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUNNER, str(tree), workload, str(seed), work],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", type=Path, help="source tree holding src/ and bench/")
+    parser.add_argument("new", type=Path, help="source tree holding src/ and bench/")
+    parser.add_argument("--workload", required=True, help="a workload name of bench/workloads.py")
+    parser.add_argument("--pairs", type=int, default=10, help="number of pairs (default 10)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    trees = {"old": args.old.resolve(), "new": args.new.resolve()}
+    results: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
+    wins = 0
+    for i in range(args.pairs):
+        seed = 1 + i
+        order = ("old", "new") if i % 2 == 0 else ("new", "old")
+        for side in order:
+            results[side].append(run_once(trees[side], args.workload, seed))
+        old, new = results["old"][-1]["wall_s"], results["new"][-1]["wall_s"]
+        wins += new < old
+        print(f"pair {i + 1} seed {seed} ({order[0]} first): old {old:.5f} s, new {new:.5f} s")
+    for side in ("old", "new"):
+        wall = statistics.median(r["wall_s"] for r in results[side])
+        rss = statistics.median(r["peak_rss_mib"] for r in results[side])
+        print(f"{side}: median wall_s {wall:.5f}, median peak_rss_mib {rss:.3f}")
+    print(f"new won {wins}/{args.pairs} pairs on wall_s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
