@@ -16,12 +16,12 @@ block's position in its stack.  Assemblers write their blocks straight into
 the stacks.  Row labels are (mode tuple, module index).  For a mapping
 torus the mode tuple is the lexicographically smallest fiber mode of the
 orbit followed by the base Fourier index, and the module index refers to
-the lift basis (the standard basis whenever the lift is diagonal).
+the lift basis (the standard basis for a given diagonal lift).
 
-The lift is diagonalized once, by one eig and one QR over its clusters of
-equal eigen-angle.  Every power of the lift, so every orbit twist, is
-diagonal in that orthonormal basis, whose lift-fixed columns also decide
-whether parallel sections exist.  Only the fiber momenta of a mapping torus
+The lift is diagonalized once, a computed one with its generator's eigh.
+Every power of the lift, so every orbit twist, is diagonal in that
+orthonormal basis, whose lift-fixed columns also decide whether parallel
+sections exist.  Only the fiber momenta of a mapping torus
 depend on the fiber scale, as 1/fiber_scale.  Its assembly is therefore
 split into a scale-free plan and a step that solves the fiber momenta of a
 scale.  The orbits of one size share a twist sector, so the plan keeps one
@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import CliffordModule, _exceeds, lift_rotation, casimir
+from .clifford import CliffordModule, _exceeds, _lift_factors, casimir
 from .clifford import _CLOSURE_EXCEEDED, _MAX_HOLONOMY_ORDER
 from .models import FD_STEP, AffineMappingTorus, FlatTorusModel, _check_fd_step, matrix_order
 from .spectral import HERMITICITY_TOL, LIFT_TOL, SHIFT_INTEGRALITY_TOL, STRUCTURE_TOL
@@ -197,13 +197,14 @@ def _flat_momenta(model: FlatTorusModel, cm: CliffordModule, truncation: int):
 # mapping torus assembly
 
 
-def _resolve_lift(model: AffineMappingTorus, cm: CliffordModule) -> np.ndarray:
-    """Unitary acting on module values after one base loop.
+def _resolve_lift(model: AffineMappingTorus, cm: CliffordModule) -> _LiftBasis:
+    """Lift basis of the unitary acting on module values after one base loop.
 
     Must intertwine the Clifford action with the physical fiber rotation
     transposed (the rotation the dual modes undergo), and fix the base
     direction; without that the operator would not close up on the quotient.
-    A given lift is checked as lift_rotation checks the lift it computes.
+    A computed lift brings the eigh basis it is built from; a given one is
+    checked as lift_rotation checks its own, then diagonalized by _lift_basis.
     """
     m = model.fiber.n
     if cm.n != m + 1:
@@ -213,7 +214,8 @@ def _resolve_lift(model: AffineMappingTorus, cm: CliffordModule) -> np.ndarray:
     rot = np.eye(m + 1)
     rot[:m, :m] = phys.T
     if model.holonomy_lift is None:
-        return lift_rotation(cm, rot)
+        u, w, v = _lift_factors(cm, rot)
+        return _LiftBasis(u, v, np.mod(w / (2.0 * np.pi), 1.0))
     u = model.holonomy_lift
     if u.shape != (cm.dim_v, cm.dim_v):
         raise ValueError("holonomy lift has the wrong shape for this module")
@@ -224,7 +226,7 @@ def _resolve_lift(model: AffineMappingTorus, cm: CliffordModule) -> np.ndarray:
             "holonomy lift does not intertwine the Clifford action with the "
             "fiber rotation; pass holonomy_lift=None to compute a geometric lift"
         )
-    return u
+    return _lift_basis(u)
 
 
 def _holonomy_orbits(model: AffineMappingTorus, truncation: int) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +288,7 @@ def _cluster_angles(thetas: np.ndarray) -> list[tuple[float, list[int]]]:
 @dataclass(frozen=True, eq=False)
 class _LiftBasis:
     """Orthonormal eigenbasis q (columns) of a resolved lift, in which every
-    power of the lift, and so every orbit twist, is diagonal.
+    power of the lift is diagonal.
 
     angles holds the lift's eigen-angles (fractions of a turn) by column,
     fixed marks the columns the lift fixes, |lift q_j - q_j| <= STRUCTURE_TOL,
@@ -296,12 +298,18 @@ class _LiftBasis:
     lift: np.ndarray
     q: np.ndarray
     angles: np.ndarray
-    fixed: np.ndarray
-    ortho: float
+
+    @cached_property
+    def fixed(self) -> np.ndarray:
+        return np.abs(self.lift @ self.q - self.q).max(axis=0) <= STRUCTURE_TOL
+
+    @cached_property
+    def ortho(self) -> float:
+        return float(np.max(np.abs(self.q.conj().T @ self.q - np.eye(len(self.q)))))
 
 
 def _lift_basis(lift: np.ndarray) -> _LiftBasis:
-    """Diagonalize the lift once: one eig, then one QR over its clusters of
+    """Diagonalize a given lift: one eig, then one QR over its clusters of
     equal eigen-angle."""
     lift = np.asarray(lift, dtype=complex)
     vals, q = np.linalg.eig(lift)
@@ -315,13 +323,7 @@ def _lift_basis(lift: np.ndarray) -> _LiftBasis:
     qc, r = np.linalg.qr(q[:, order])
     pivots = np.diag(r)
     q[:, order] = qc * (pivots / np.maximum(np.abs(pivots), np.finfo(float).tiny))
-    return _LiftBasis(
-        lift=lift,
-        q=q,
-        angles=angles,
-        fixed=np.abs(lift @ q - q).max(axis=0) <= STRUCTURE_TOL,
-        ortho=float(np.max(np.abs(q.conj().T @ q - np.eye(len(q))))),
-    )
+    return _LiftBasis(lift, q, angles)
 
 
 def _parallel_columns(model: AffineMappingTorus, basis: _LiftBasis) -> np.ndarray:
@@ -549,10 +551,9 @@ def _in_basis(basis: _LiftBasis, gammas: np.ndarray) -> np.ndarray:
 def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int) -> _MappingPlan:
     """Build the scale-free plan of a mapping torus once; its
     dirac(model.with_scale(eps)) then assembles any fiber scale without
-    redoing orbits or twists.  The lift is diagonalized once, and every
-    twist sector shares that basis."""
+    redoing orbits or twists."""
     m = model.fiber.n
-    basis = _lift_basis(_resolve_lift(model, cm))
+    basis = _resolve_lift(model, cm)
     gammas_q = _in_basis(basis, cm.gammas)
     reps, sizes = _holonomy_orbits(model, truncation)
     sectors = {
@@ -633,7 +634,7 @@ def fiber_invariant_split(
     lift.  The fiber Dirac vanishes on them; the reported gap bounds it away
     from zero on the complement.
     """
-    basis = _lift_basis(_resolve_lift(model, cm))
+    basis = _resolve_lift(model, cm)
     parallel = basis.q[:, _parallel_columns(model, basis)]
     scaled = model.scaled_fiber()
     modes = _flat_modes(scaled, truncation)
@@ -644,7 +645,6 @@ def fiber_invariant_split(
         truncation,
         model.label() + "|fiber",
     )
-    # the zero mode, which exists only for the trivial fiber spin shift
     zero = ~modes.any(axis=1) & bool(np.all(model.fiber.spin_shift == 0.0))
     r = parallel.shape[1]
     projector = np.zeros((fiber_op.dim, fiber_op.dim), dtype=complex)
@@ -671,7 +671,7 @@ def limit_operator(
     (nontrivial fiber spin shift, or a lift without fixed vectors); that is
     the regime where the whole spectrum escapes to infinity instead.
     """
-    basis = _lift_basis(_resolve_lift(model, cm))
+    basis = _resolve_lift(model, cm)
     gb_q = _in_basis(basis, cm.gammas[model.fiber.n])
     sector = _twist_sector(basis, gb_q, 1, model.base_shift)
     return _limit_operator(model, truncation, basis, sector)

@@ -3,7 +3,10 @@
 Every experiment reads one config file, writes a JSON report (plus
 experiment-specific CSV or text artifacts) into the output directory, and
 exits 0 when its declared assertions hold, 3 when they fail, 2 on config
-errors.  Outputs are byte-reproducible: fixed seeds, sorted JSON keys, repr
+errors.  [numeric] values are read, and refused, before any model is built:
+a threshold must be finite, a tolerance or bound nonnegative, and a setting
+under which a pass would check nothing (zero trials, a rate floor <= 0) is
+refused.  Outputs are byte-reproducible: fixed seeds, sorted JSON keys, repr
 floats, no timestamps.
 
 Config layout:
@@ -148,8 +151,23 @@ def _num(cfg, key, fallback):
     return value
 
 
+def _nonnegative(cfg, key, fallback):
+    value = _num(cfg, key, fallback)
+    if value < 0.0:
+        raise ValueError(f"[numeric] {key} must be nonnegative, got {value!r}")
+    return value
+
+
 def _numint(cfg, key, fallback):
     return cfg.getint("numeric", key, fallback=fallback)
+
+
+def _trials(cfg, fallback):
+    """[numeric] trials, refused below 1: zero trials would check nothing."""
+    trials = _numint(cfg, "trials", fallback)
+    if trials < 1:
+        raise ValueError(f"[numeric] trials must be at least 1, got {trials}")
+    return trials
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +175,10 @@ def _numint(cfg, key, fallback):
 
 
 def _run_torus_spectrum(cfg, outdir: Path, seed: int):
+    trunc = _numint(cfg, "truncation", 8)
+    tol = _nonnegative(cfg, "tolerance", SQUARE_IDENTITY_TOL)
     model = _build_flat(cfg)
     cm = _build_module(cfg, model.n)
-    trunc = _numint(cfg, "truncation", 8)
-    tol = _num(cfg, "tolerance", SQUARE_IDENTITY_TOL)
     op = assemble_dirac(model, cm, trunc)
     spec = eigensolve(op)
     squared = np.sort(spec.values**2)
@@ -184,12 +202,12 @@ def _run_torus_spectrum(cfg, outdir: Path, seed: int):
 
 
 def _run_window_test(cfg, outdir: Path, seed: int):
-    model, cm = _build_mapping(cfg)
     trunc = _numint(cfg, "truncation", 12)
     eps = [float(x) for x in cfg.get("numeric", "epsilons").split(",")]
-    tol = _num(cfg, "tolerance", SPECTRUM_MATCH_TOL)
+    tol = _nonnegative(cfg, "tolerance", SPECTRUM_MATCH_TOL)
     wa = _num(cfg, "window_a", DEFAULT_WINDOW_A)
     wc = _num(cfg, "window_c", DEFAULT_WINDOW_C)
+    model, cm = _build_mapping(cfg)
     report = collapse_run(model, cm, eps, k_max=1, truncation=trunc, window_a=wa, window_c=wc)
     if report.verdict != "converges":
         return False, {"error": "model has no limit operator; window test undefined"}
@@ -206,13 +224,13 @@ def _run_window_test(cfg, outdir: Path, seed: int):
 
 
 def _run_collapse(cfg, outdir: Path, seed: int):
-    model, cm = _build_mapping(cfg)
     trunc = _numint(cfg, "truncation", 12)
     eps = [float(x) for x in cfg.get("numeric", "epsilons").split(",")]
     k_max = _numint(cfg, "k_max", 4)
-    tol = _num(cfg, "tolerance", SPECTRUM_MATCH_TOL)
+    tol = _nonnegative(cfg, "tolerance", SPECTRUM_MATCH_TOL)
     wa = _num(cfg, "window_a", DEFAULT_WINDOW_A)
     wc = _num(cfg, "window_c", DEFAULT_WINDOW_C)
+    model, cm = _build_mapping(cfg)
     report = collapse_run(model, cm, eps, k_max=k_max, truncation=trunc, window_a=wa, window_c=wc)
     prefix = cfg.get("output", "prefix", fallback="run")
     report.save(outdir / f"{prefix}_collapse.json")
@@ -236,10 +254,13 @@ def _run_collapse(cfg, outdir: Path, seed: int):
 
 
 def _run_blowup(cfg, outdir: Path, seed: int):
-    model, cm = _build_mapping(cfg)
     trunc = _numint(cfg, "truncation", 6)
     eps = [float(x) for x in cfg.get("numeric", "epsilons").split(",")]
     floor = _num(cfg, "rate_floor", 0.4)
+    if floor <= 0.0:
+        # every rate is at least 0, so such a floor passes any spectrum
+        raise ValueError(f"[numeric] rate_floor must be positive, got {floor!r}")
+    model, cm = _build_mapping(cfg)
     report = blowup_check(model, cm, eps, trunc)
     results = report.to_json_dict()
     results["rate_floor"] = float(floor)
@@ -268,10 +289,10 @@ def _eigen_exponential_family(rng, n: int, speed: float):
 
 def _run_perturbation(cfg, outdir: Path, seed: int):
     n = _numint(cfg, "dim", 2)
-    trials = _numint(cfg, "trials", 5)
+    trials = _trials(cfg, 5)
     trunc = _numint(cfg, "truncation", 4)
     k_bound = _num(cfg, "curvature_bound", 1.0)
-    c_bound = _num(cfg, "bound_constant", 5.0)
+    c_bound = _nonnegative(cfg, "bound_constant", 5.0)
     samples = _numint(cfg, "samples", 9)
     speed = _num(cfg, "speed_scale", 0.8)
     cm = _build_module(cfg, n) if cfg.has_section("model") else spinor_gammas(n)
@@ -298,11 +319,11 @@ def _run_perturbation(cfg, outdir: Path, seed: int):
 
 
 def _run_frame_bundle(cfg, outdir: Path, seed: int):
-    model = _build_flat(cfg)
-    cm = _build_module(cfg, model.n)
     trunc = _numint(cfg, "truncation", 6)
     gtrunc = _numint(cfg, "group_truncation", 4)
-    tol = _num(cfg, "tolerance", SPECTRUM_MATCH_TOL)
+    tol = _nonnegative(cfg, "tolerance", SPECTRUM_MATCH_TOL)
+    model = _build_flat(cfg)
+    cm = _build_module(cfg, model.n)
     sq, lap = frame_bundle_operator(model, cm, trunc, gtrunc)
     match = epsilon_close(sq, lap, tol)
     prefix = cfg.get("output", "prefix", fallback="run")
@@ -318,7 +339,7 @@ def _run_frame_bundle(cfg, outdir: Path, seed: int):
 
 
 def _run_block_identities(cfg, outdir: Path, seed: int):
-    trials = _numint(cfg, "trials", 5)
+    trials = _trials(cfg, 5)
     p = _numint(cfg, "block_p", 6)
     q = _numint(cfg, "block_q", 6)
     shifts_text = cfg.get("numeric", "imag_shifts", fallback="0.0,1.0,2.0")

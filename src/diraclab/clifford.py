@@ -362,13 +362,19 @@ def fixed_subspace(rep: HolonomyRep, tol: float = PROJECTOR_TOL) -> np.ndarray:
     return vecs[:, keep]
 
 
-def _expm_skew(x: np.ndarray) -> np.ndarray:
-    """exp(x) for a skew-Hermitian x, through the eigenbasis of the Hermitian
-    matrix -ix; any other input is refused."""
+def _expm_skew_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(x) for a skew-Hermitian x, with the eigh (w, v) of the Hermitian
+    matrix -ix it is built from: exp(x) = v diag(exp(i w)) v^H, v unitary.
+    Any other input is refused."""
     h = -1j * np.asarray(x, dtype=complex)
     _require_hermitian([h], HERMITICITY_TOL, "exponential is taken of skew-Hermitian matrices only")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)) @ v.conj().T, w, v
+
+
+def _expm_skew(x: np.ndarray) -> np.ndarray:
+    """exp(x) for a skew-Hermitian x; see _expm_skew_factors."""
+    return _expm_skew_factors(x)[0]
 
 
 def _standard_order_basis(v: np.ndarray) -> np.ndarray:
@@ -430,6 +436,13 @@ def lift_rotation(cm: CliffordModule, rot: np.ndarray) -> np.ndarray:
     orthogonal to within UNITARITY_TOL; the logarithm and the intertwining
     property are verified to within LIFT_TOL before returning.
     """
+    return _lift_factors(cm, rot)[0]
+
+
+def _lift_factors(cm: CliffordModule, rot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lift_rotation's U with the eigh (w, v) of its Hermitian generator:
+    U = v diag(exp(i w)) v^H, so v is an orthonormal eigenbasis of U and
+    w / 2 pi its eigen-angles in turns.  Same checks, in the same order."""
     rot = np.asarray(rot, dtype=float)
     n = cm.n
     if rot.shape != (n, n):
@@ -441,7 +454,7 @@ def lift_rotation(cm: CliffordModule, rot: np.ndarray) -> np.ndarray:
     omega = _special_orthogonal_log(rot)
     if _exceeds(_expm_skew(omega) - rot, LIFT_TOL):
         raise ValueError("real logarithm of the rotation failed to verify")
-    u = _expm_skew(0.5 * np.tensordot(omega, cm.sigmas, axes=2))
+    u, w, v = _expm_skew_factors(0.5 * np.tensordot(omega, cm.sigmas, axes=2))
     if _exceeds(u @ cm.gammas @ u.conj().T - cm.gamma(rot.T), LIFT_TOL):
         raise ValueError("computed lift fails to intertwine the Clifford action")
-    return u
+    return u, w, v

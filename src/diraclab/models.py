@@ -248,18 +248,23 @@ def geometric_data(
             flags=("flat metric: curvature vanishes identically",),
         )
     if isinstance(model, AffineMappingTorus):
-        return GeometricData(
-            norm_r=0.0,
-            norm_pi=0.0,
-            norm_t=0.0,
-            diam_z=model.scaled_fiber().diameter(resolution),
-            flags=(
-                "flat total space: curvature vanishes identically",
-                "fibers are totally geodesic (parallel flat metrics)",
-                "one-dimensional base: horizontal curvature is identically zero",
-            ),
-        )
+        return _mapping_geometry(model.scaled_fiber(), resolution)
     raise TypeError(f"unsupported model type {type(model).__name__}")
+
+
+def _mapping_geometry(scaled_fiber: FlatTorusModel, resolution: int = 64) -> GeometricData:
+    """geometric_data of a mapping torus, given its scaled fiber."""
+    return GeometricData(
+        norm_r=0.0,
+        norm_pi=0.0,
+        norm_t=0.0,
+        diam_z=scaled_fiber.diameter(resolution),
+        flags=(
+            "flat total space: curvature vanishes identically",
+            "fibers are totally geodesic (parallel flat metrics)",
+            "one-dimensional base: horizontal curvature is identically zero",
+        ),
+    )
 
 
 # Checks run on every quadrature node in this order; the first node that

@@ -28,7 +28,7 @@ from diraclab.assembly import (
     limit_operator,
     write_matrix_text,
 )
-from diraclab.clifford import CliffordModule, _expm_skew, exterior_module, lift_rotation, spinor_gammas
+from diraclab.clifford import CliffordModule, _expm_skew, _lift_factors, exterior_module, spinor_gammas
 from diraclab.collapse import blowup_check, collapse_run
 from diraclab.models import AffineMappingTorus, FlatTorusModel
 from diraclab.spectral import (
@@ -872,9 +872,10 @@ def test_lift_is_resolved_once_per_run(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return lift_rotation(*args, **kwargs)
+        return _lift_factors(*args, **kwargs)
 
-    monkeypatch.setattr(assembly, "lift_rotation", counting)
+    # a computed lift is lift_rotation's, with the factors it is built from
+    monkeypatch.setattr(assembly, "_lift_factors", counting)
     model, cm = _rot4_mapping(), exterior_module(3)
     collapse_run(model, cm, [1.0, 0.5], 2, 1)
     assert len(calls) == 1
@@ -999,7 +1000,7 @@ def test_given_lift_checks_match_loop(build, delta, scale):
     )
     expected = _loop_lift_refusal(model, cm, u)
     if expected is None:
-        assert _resolve_lift(model, cm) is model.holonomy_lift
+        assert _resolve_lift(model, cm).lift is model.holonomy_lift
     else:
         with pytest.raises(ValueError, match=f"^{expected}"):
             _resolve_lift(model, cm)

@@ -264,11 +264,55 @@ def test_config_errors_exit_two(tmp_path, capsys):
     ],
 )
 def test_non_finite_inputs_exit_two(tmp_path, capsys, config, old, new, message):
+    _assert_refused(tmp_path, capsys, config, old, new, message)
+
+
+def _assert_refused(tmp_path, capsys, config, old, new, message):
+    """The config with old replaced by new exits 2 with exactly message
+    and writes no report."""
     assert old in config
     code, out = _run(tmp_path, config.replace(old, new))
     assert code == 2
     assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
     assert not list(out.glob("*_report.json"))
+
+
+@pytest.mark.parametrize(
+    "config, old, new, message",
+    [
+        # a negative tolerance or bound constant is a configuration error in
+        # every experiment; torus_spectrum and perturbation used to exit 3
+        (TORUS_CFG, "[numeric]", "[numeric]\ntolerance = -1", r"\[numeric\] tolerance must be nonnegative, got -1\.0"),
+        (WINDOW_CFG, "[numeric]", "[numeric]\ntolerance = -1", r"\[numeric\] tolerance must be nonnegative, got -1\.0"),
+        (COLLAPSE_CFG, "[numeric]", "[numeric]\ntolerance = -1", r"\[numeric\] tolerance must be nonnegative, got -1\.0"),
+        (FRAME_CFG, "[numeric]", "[numeric]\ntolerance = -1e-3",
+         r"\[numeric\] tolerance must be nonnegative, got -0\.001"),
+        (PERT_CFG, "[numeric]", "[numeric]\nbound_constant = -1",
+         r"\[numeric\] bound_constant must be nonnegative, got -1\.0"),
+        # settings under which a pass checks nothing: they used to exit 0
+        # (or 2 with numpy's zero-size reduction error for perturbation)
+        (BLOCK_CFG, "trials = 3", "trials = 0", r"\[numeric\] trials must be at least 1, got 0"),
+        (PERT_CFG, "trials = 2", "trials = 0", r"\[numeric\] trials must be at least 1, got 0"),
+        (BLOWUP_CFG, "[numeric]", "[numeric]\nrate_floor = 0", r"\[numeric\] rate_floor must be positive, got 0\.0"),
+        (BLOWUP_CFG, "[numeric]", "[numeric]\nrate_floor = -1", r"\[numeric\] rate_floor must be positive, got -1\.0"),
+    ],
+    ids=[
+        "torus_tolerance", "window_tolerance", "collapse_tolerance", "frame_tolerance",
+        "perturbation_bound", "block_trials", "perturbation_trials", "blowup_floor_0",
+        "blowup_floor_negative",
+    ],
+)
+def test_vacuous_or_negative_thresholds_exit_two(tmp_path, capsys, monkeypatch, config, old, new, message):
+    import diraclab.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+
+    # the refusal comes before any model, module or random draw is made
+    for name in ("_build_mapping", "_build_module", "spinor_gammas"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.np.random, "default_rng", no_work)
+    _assert_refused(tmp_path, capsys, config, old, new, message)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))

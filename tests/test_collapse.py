@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from diraclab.clifford import exterior_module, spinor_gammas
 from diraclab.collapse import (
+    DEFAULT_WINDOW_A,
     PerturbationReport,
+    _smallest_abs,
     blowup_check,
     check_fiber_gap_bound,
     collapse_run,
@@ -29,6 +31,7 @@ from diraclab.models import (
     metric_path,
 )
 from diraclab.spectral import eigensolve, sinh_rescale
+from test_assembly import _mapping_models
 
 
 def _canonical_mapping(fiber_shift=0.0, base_shift=0.5):
@@ -285,6 +288,55 @@ def test_blowup_refusals_keep_scale_order(monkeypatch, faults, epsilons, message
     _inject(monkeypatch, faults)
     with pytest.raises((ValueError, RuntimeError), match=message):
         blowup_check(_rot4_spinor_model(), spinor_gammas(3), epsilons, 2)
+
+
+def _parent_window_and_tracked(model, report, k_max, window_c):
+    """Window bounds and tracked values by the formulas collapse_run used
+    before it read each scale's fiber and partitioned |lambda|: geometric_data
+    of each scale's model, and a full sort of every |eigenvalue|."""
+    bounds = tuple(
+        spectral_window(geometric_data(model.with_scale(e)), DEFAULT_WINDOW_A, window_c)
+        for e in report.epsilons
+    )
+    cols = [spec.abs_sorted()[:k_max] for spec in report.spectra_per_eps]
+    return bounds, tuple(tuple(float(col[k]) for col in cols) for k in range(k_max))
+
+
+@settings(max_examples=30)
+@given(
+    model=_mapping_models(),
+    exterior=st.booleans(),
+    truncation=st.integers(1, 2),
+    epsilons=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3, unique=True),
+    k_share=st.floats(0.0, 1.0),
+    window_c=st.sampled_from([0.0, 10.0]),
+)
+def test_window_and_tracked_values_match_parent_formulas(
+    model, exterior, truncation, epsilons, k_share, window_c
+):
+    cm = exterior_module(3) if exterior else spinor_gammas(3)
+    eps = sorted(epsilons, reverse=True)
+    size = len(collapse_run(model, cm, eps[:1], 1, truncation).spectra_per_eps[0])
+    for k_max in (1 + int(k_share * (size - 1)), size):
+        report = collapse_run(model, cm, eps, k_max, truncation, window_c=window_c)
+        got = (report.window_bounds, report.tracked_eigenvalues)
+        assert got == _parent_window_and_tracked(model, report, k_max, window_c)
+
+
+def test_tracked_values_keep_ties_at_k_max():
+    for values in ([-2.0, -1.0, -1.0, -0.0, 0.0, 0.5, 1.0, 1.0, 2.0], [-3.0, -1.0], [0.5, 1.0, 1.0]):
+        values = np.array(values)
+        for k in range(1, len(values) + 1):
+            got, ref = _smallest_abs(values, k), np.sort(np.abs(values))[:k]
+            assert np.array_equal(got, ref) and not np.signbit(got).any()
+    model, cm = _rot4_spinor_model(), spinor_gammas(3)
+    first = collapse_run(model, cm, [1.0], 1, 2).spectra_per_eps[0].abs_sorted()
+    # k_max where the k-th and (k+1)-th smallest |lambda| tie, and all of them
+    ties = np.flatnonzero(first[:-1] == first[1:]) + 1
+    assert len(ties) and len(first) not in ties
+    for k_max in (int(ties[0]), int(ties[-1]), len(first)):
+        report = collapse_run(model, cm, [1.0, 0.5, 0.25], k_max, 2)
+        assert report.tracked_eigenvalues == _parent_window_and_tracked(model, report, k_max, 10.0)[1]
 
 
 def test_perturbation_bound_constant_family():

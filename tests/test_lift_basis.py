@@ -1,6 +1,7 @@
 """One lift basis per plan and one stacked symbol solve over all fiber scales,
 against the code they replace: an eig of every orbit size's twist, the
-fixed space of the group the lift generates, and one solve per scale."""
+fixed space of the group the lift generates, one solve per scale, and the
+eig + QR basis of a computed lift."""
 
 import itertools
 
@@ -24,7 +25,7 @@ from diraclab.clifford import exterior_module, fixed_subspace, holonomy_rep, spi
 from diraclab.collapse import blowup_check, collapse_run
 from diraclab.models import AffineMappingTorus, FlatTorusModel
 from diraclab.spectral import HERMITICITY_TOL, RESIDUAL_TOL, STRUCTURE_TOL
-from test_assembly import _mapping_models
+from test_assembly import _assert_same_spectrum, _mapping_models
 
 CLOSURE = "holonomy closure exceeded 1024 elements; generators do not span a small finite group"
 
@@ -53,6 +54,19 @@ def _reference_sector(lift, d, base_shift):
         (theta, len(idxs), bool(np.all(fixed_images[idxs] <= STRUCTURE_TOL)))
         for theta, idxs in clusters
     ]
+
+
+def _reference_lift_basis(lift):
+    """(q, angles) of a lift from one eig and one QR over its clusters of
+    equal eigen-angle, QR phases put back: the basis plans took for a
+    computed lift before they read the eigh basis of its generator."""
+    vals, q = np.linalg.eig(lift)
+    angles = np.mod(np.angle(vals) / (2.0 * np.pi), 1.0)
+    order = np.concatenate([idxs for _, idxs in _cluster_angles(angles)])
+    qc, r = np.linalg.qr(q[:, order])
+    pivots = np.diag(r)
+    q[:, order] = qc * (pivots / np.maximum(np.abs(pivots), np.finfo(float).tiny))
+    return q, angles
 
 
 def _reference_parallel(model, lift):
@@ -146,10 +160,14 @@ def _lifted_models(draw):
     else:
         order = draw(st.integers(1, 12))
         phase = 0.1 * np.sqrt(2.0) if kind == "irrational" else draw(st.integers(0, order - 1)) / order
-        geometric = _resolve_lift(model, cm)
+        geometric = _resolve_lift(model, cm).lift
         flip = _commuting_involution(cm, geometric, draw(st.integers(0, 2**32 - 1)))
         lift = np.exp(2j * np.pi * phase) * flip @ geometric
-    lifted = AffineMappingTorus(
+    return _with_lift(model, lift), cm, kind
+
+
+def _with_lift(model, lift):
+    return AffineMappingTorus(
         fiber=model.fiber,
         holonomy=model.holonomy,
         base_length=model.base_length,
@@ -157,7 +175,6 @@ def _lifted_models(draw):
         base_shift=model.base_shift,
         fiber_scale=model.fiber_scale,
     )
-    return lifted, cm, kind
 
 
 def _canonical(clusters):
@@ -170,18 +187,37 @@ def _canonical(clusters):
     return sorted(clusters, key=key)
 
 
+def _assert_same_clusters(got, ref):
+    """Equal (theta, size, flag) clusters: thetas within 1e-12 of a turn,
+    sizes and flags equal."""
+    got, ref = _canonical(got), _canonical(ref)
+    assert [c[1:] for c in got] == [c[1:] for c in ref]
+    for (a, *_), (b, *_) in zip(got, ref):
+        turn = abs(a - b) % 1.0
+        assert min(turn, 1.0 - turn) <= 1e-12
+
+
+def _sector_clusters(sector):
+    return [(t, len(idxs), inv) for (t, idxs), inv in zip(sector.clusters, sector.invariant)]
+
+
+def _parallel_outcome(model, basis):
+    """The parallel verdict (and the mask's size), or the closure refusal."""
+    try:
+        return int(np.count_nonzero(_parallel_columns(model, basis)))
+    except ValueError as err:
+        return str(err)
+
+
 @settings(max_examples=40)
 @given(lifted=_lifted_models(), truncation=st.integers(1, 3))
 def test_lift_basis_matches_per_size_eig_over_model_space(lifted, truncation):
     model, cm, kind = lifted
     plan = _mapping_plan(model, cm, truncation)
     for d, sector in plan.sectors.items():
-        got = _canonical([(t, len(idxs), inv) for (t, idxs), inv in zip(sector.clusters, sector.invariant)])
-        ref = _canonical(_reference_sector(plan.basis.lift, d, model.base_shift))
-        assert [c[1:] for c in got] == [c[1:] for c in ref]
-        for (a, *_), (b, *_) in zip(got, ref):
-            turn = abs(a - b) % 1.0
-            assert min(turn, 1.0 - turn) <= 1e-12
+        _assert_same_clusters(
+            _sector_clusters(sector), _reference_sector(plan.basis.lift, d, model.base_shift)
+        )
     try:
         ref_dim, ref_parallel = _reference_parallel(model, plan.basis.lift)
     except ValueError as err:
@@ -193,6 +229,49 @@ def test_lift_basis_matches_per_size_eig_over_model_space(lifted, truncation):
     assert kind != "irrational"
     assert np.count_nonzero(plan.basis.fixed) == ref_dim
     assert bool(_parallel_columns(model, plan.basis).any()) == ref_parallel
+
+
+@settings(max_examples=40)
+@given(
+    model=_mapping_models(),
+    exterior=st.booleans(),
+    truncation=st.integers(1, 3),
+    epsilons=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3, unique=True),
+)
+def test_computed_lift_basis_matches_eig_qr_over_model_space(model, exterior, truncation, epsilons):
+    # the model space of test_plan_matches_assembly_over_model_space; the
+    # same model given its computed lift takes the eig + QR path
+    cm = exterior_module(3) if exterior else spinor_gammas(3)
+    basis = _resolve_lift(model, cm)
+    q, angles = _reference_lift_basis(basis.lift)
+    assert basis.ortho <= 1e-13
+    assert np.max(np.abs(basis.lift @ basis.q - basis.q * np.exp(2j * np.pi * basis.angles))) <= 1e-13
+    ref_fixed = np.abs(basis.lift @ q - q).max(axis=0) <= STRUCTURE_TOL
+
+    def lift_clusters(angles, fixed):
+        # per cluster of equal eigen-angle: the fixed flags of its columns
+        return [(t, len(idxs), sorted(fixed[idxs].tolist())) for t, idxs in _cluster_angles(angles)]
+
+    _assert_same_clusters(lift_clusters(basis.angles, basis.fixed), lift_clusters(angles, ref_fixed))
+    given_model = _with_lift(model, basis.lift)
+    ref_basis = _resolve_lift(given_model, cm)
+    assert np.array_equal(ref_basis.q, q) and np.array_equal(ref_basis.angles, angles)
+    plan, ref_plan = _mapping_plan(model, cm, truncation), _mapping_plan(given_model, cm, truncation)
+    assert sorted(plan.sectors) == sorted(ref_plan.sectors)
+    for d, sector in plan.sectors.items():
+        _assert_same_clusters(_sector_clusters(sector), _sector_clusters(ref_plan.sectors[d]))
+        _assert_same_clusters(
+            _sector_clusters(sector), _reference_sector(basis.lift, d, model.base_shift)
+        )
+    assert _parallel_outcome(model, basis) == _parallel_outcome(given_model, ref_basis)
+    eps = sorted(epsilons, reverse=True)
+    got, ref = collapse_run(model, cm, eps, 1, truncation), collapse_run(given_model, cm, eps, 1, truncation)
+    assert got.verdict == ref.verdict
+    for a, b in zip(got.spectra_per_eps + (got.limit_spectrum,), ref.spectra_per_eps + (ref.limit_spectrum,)):
+        if b is None:
+            assert a is None
+        else:
+            _assert_same_spectrum(a, b)
 
 
 @settings(max_examples=40)
@@ -257,34 +336,47 @@ def _blocking_mapping():
 
 
 def test_lift_is_diagonalized_once_per_plan(monkeypatch):
-    calls = []
-    eig = np.linalg.eig
+    # a computed lift takes the eigh basis of its generator: no eig or QR;
+    # a given lift takes one eig and one QR
+    calls = {"eig": 0, "qr": 0}
 
-    def counting(a):
-        calls.append(1)
-        return eig(a)
+    def counting(name):
+        original = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eig", counting)
+        def count(a, *args, **kwargs):
+            calls[name] += 1
+            return original(a, *args, **kwargs)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+
+    def given_lift(model, cm):
+        return _with_lift(model, _resolve_lift(model, cm).lift)
+
     for model, cm, sizes in [
         (_three_size_mapping(), spinor_gammas(5), [1, 2, 4]),
         (_rot4_mapping(), exterior_module(3), [1, 4]),
         (_blocking_mapping(), spinor_gammas(3), [2]),
     ]:
-        calls.clear()
-        plan = _mapping_plan(model, cm, 2)
-        assert sorted(plan.sectors) == sizes
-        assert len(calls) == 1
+        for lifted, count in ((model, 0), (given_lift(model, cm), 1)):
+            calls.update(eig=0, qr=0)
+            plan = _mapping_plan(lifted, cm, 2)
+            assert sorted(plan.sectors) == sizes
+            assert calls == {"eig": count, "qr": count}
     runs = [
-        lambda: collapse_run(_three_size_mapping(), spinor_gammas(5), [1.0, 0.5, 0.25], 2, 2),
-        lambda: collapse_run(_rot4_mapping(), exterior_module(3), [1.0, 0.5], 2, 2),
-        lambda: blowup_check(_blocking_mapping(), spinor_gammas(3), [1.0, 0.5], 2),
-        lambda: limit_operator(_rot4_mapping(), exterior_module(3), 2),
-        lambda: fiber_invariant_split(_rot4_mapping(), exterior_module(3), 2),
+        (_three_size_mapping(), spinor_gammas(5), lambda m, cm: collapse_run(m, cm, [1.0, 0.5, 0.25], 2, 2)),
+        (_rot4_mapping(), exterior_module(3), lambda m, cm: collapse_run(m, cm, [1.0, 0.5], 2, 2)),
+        (_blocking_mapping(), spinor_gammas(3), lambda m, cm: blowup_check(m, cm, [1.0, 0.5], 2)),
+        (_rot4_mapping(), exterior_module(3), lambda m, cm: limit_operator(m, cm, 2)),
+        (_rot4_mapping(), exterior_module(3), lambda m, cm: fiber_invariant_split(m, cm, 2)),
     ]
-    for run in runs:
-        calls.clear()
-        run()
-        assert len(calls) == 1
+    for model, cm, run in runs:
+        for lifted, count in ((model, 0), (given_lift(model, cm), 1)):
+            calls.update(eig=0, qr=0)
+            run(lifted, cm)
+            assert calls == {"eig": count, "qr": count}
 
 
 def test_collapse_path_builds_no_holonomy_group(monkeypatch):

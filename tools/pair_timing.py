@@ -4,8 +4,12 @@ Each run is a fresh interpreter that imports the tree's own
 ``bench/workloads.py`` and ``src/``, builds the workload with ``setup`` and
 times one ``run`` call.  Pair i (from 1) runs both trees at seed i; the tree
 that goes first alternates from pair to pair.  The tool prints every pair,
-then each tree's median ``wall_s`` and ``peak_rss_mib`` (``ru_maxrss`` of
-the run's process) and how many pairs the new tree won on ``wall_s``.
+then each tree's median and quartiles of ``wall_s`` and its median
+``peak_rss_mib`` (``ru_maxrss`` of the run's process), the new tree's
+median ``wall_s`` change relative to the old one's beside the old tree's
+interquartile range, and how many pairs the new tree won on ``wall_s``.  A
+gain holds when the new tree wins at least nine pairs in ten and the
+medians differ by more than the old tree's interquartile range.
 
     python tools/pair_timing.py OLD_TREE NEW_TREE --workload collapse_spinor_rot4 --pairs 20
 
@@ -70,10 +74,21 @@ def main(argv=None) -> int:
         old, new = results["old"][-1]["wall_s"], results["new"][-1]["wall_s"]
         wins += new < old
         print(f"pair {i + 1} seed {seed} ({order[0]} first): old {old:.5f} s, new {new:.5f} s")
+    medians, iqrs = {}, {}
     for side in ("old", "new"):
-        wall = statistics.median(r["wall_s"] for r in results[side])
+        wall = [r["wall_s"] for r in results[side]]
+        q1, q2, q3 = statistics.quantiles(wall, n=4, method="inclusive") if len(wall) > 1 else wall * 3
+        medians[side], iqrs[side] = q2, q3 - q1
         rss = statistics.median(r["peak_rss_mib"] for r in results[side])
-        print(f"{side}: median wall_s {wall:.5f}, median peak_rss_mib {rss:.3f}")
+        print(
+            f"{side}: wall_s median {q2:.5f}, quartiles {q1:.5f} {q3:.5f} (IQR {q3 - q1:.5f}); "
+            f"median peak_rss_mib {rss:.3f}"
+        )
+    change = medians["new"] - medians["old"]
+    print(
+        f"median wall_s change {change:+.5f} s ({100.0 * change / medians['old']:+.1f}%), "
+        f"|change| {'>' if abs(change) > iqrs['old'] else '<='} old IQR {iqrs['old']:.5f}"
+    )
     print(f"new won {wins}/{args.pairs} pairs on wall_s")
     return 0
 
