@@ -525,8 +525,9 @@ class _MappingPlan:
         certificate, and the caller then takes the block path,
         eigensolve(self.dirac(scaled)).
 
-        The certificate, and why each of its tests is at least as strict
-        as the block path's, are set out in the symbols module.
+        The certificate is set out in the symbols module, with why its
+        refusals are at least as strict as the block path's and its error
+        bound is held to eigensolve's residual tolerance.
         """
         p = np.array([f.dual_momentum(self.reps) for f in fibers])
         p = p.reshape(len(fibers), *self.reps.shape)

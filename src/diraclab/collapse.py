@@ -371,9 +371,9 @@ def perturbation_bound_check(
     3 (1 + (samples - 1)(q - 1)) calls in all, with q the odd quadrature
     count.  A stacked family (see metric_path) is called twice: once by
     metric_path and once on the array of grid points.  The grid tori share
-    their modes, so their Dirac blocks form one stack, solved in one pass of
-    eigensolve's per-stack solver; each grid point's model and operator are
-    still checked on their own.
+    their modes, so their Dirac blocks form one stack, solved by the one
+    batched eigh with residual check that eigensolve runs per stack; each
+    grid point's model and operator are still checked on their own.
     """
     if samples < 2:
         raise ValueError("need at least two parameter samples")

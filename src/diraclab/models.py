@@ -77,18 +77,19 @@ class FlatTorusModel:
             raise ValueError("scale factor must be positive")
         return FlatTorusModel(factor * self.lattice_basis, self.spin_shift.copy())
 
-    def diameter(self, resolution: int = 64) -> float:
+    def diameter(self) -> float:
         """Intrinsic diameter, i.e. the covering radius of the lattice.
 
         Diagonal Gram matrices (rectangles) use the closed form
         sqrt(sum of squared edge lengths) / 2; otherwise the farthest point
-        from the lattice is searched on a grid over the fundamental domain.
+        from the lattice is searched on a grid of GRID_RESOLUTION points per
+        lattice direction over the fundamental domain.
         """
         g = self.gram
         scale = float(np.max(np.abs(g)))
         if np.max(np.abs(g - np.diag(np.diag(g)))) <= DIAGONAL_GRAM_TOL * scale:
             return 0.5 * float(np.sqrt(np.sum(np.diag(g))))
-        return _covering_radius_grid(self.lattice_basis, resolution)
+        return _covering_radius_grid(self.lattice_basis)
 
     def label(self) -> str:
         basis = ";".join(",".join(repr(float(x)) for x in row) for row in self.lattice_basis)
@@ -96,17 +97,21 @@ class FlatTorusModel:
         return f"flat_torus[basis={basis} shift={shift}]"
 
 
-def _covering_radius_grid(basis: np.ndarray, resolution: int, window: int = 2) -> float:
-    if resolution < 2:
-        raise ValueError("grid resolution must be at least 2")
+# grid diameter search: points per lattice direction, and the translates
+# -GRID_WINDOW .. GRID_WINDOW + 1 per direction searched for the nearest
+GRID_RESOLUTION = 64
+GRID_WINDOW = 2
+
+
+def _covering_radius_grid(basis: np.ndarray) -> float:
     n = basis.shape[0]
     if n > 3:
         raise ValueError("grid diameter search supported up to rank 3")
-    axes = [np.arange(resolution) / resolution] * n
+    axes = [np.arange(GRID_RESOLUTION) / GRID_RESOLUTION] * n
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     best = np.full(mesh.shape[0], np.inf)
     offsets = np.stack(
-        np.meshgrid(*([np.arange(-window, window + 2)] * n), indexing="ij"), axis=-1
+        np.meshgrid(*([np.arange(-GRID_WINDOW, GRID_WINDOW + 2)] * n), indexing="ij"), axis=-1
     ).reshape(-1, n)
     for off in offsets:
         d = (mesh - off) @ basis.T
@@ -235,30 +240,28 @@ class GeometricData:
     flags: tuple[str, ...] = field(default=())
 
 
-def geometric_data(
-    model: FlatTorusModel | AffineMappingTorus, resolution: int = 64
-) -> GeometricData:
+def geometric_data(model: FlatTorusModel | AffineMappingTorus) -> GeometricData:
     """Curvature norms and fiber diameter of a model."""
     if isinstance(model, FlatTorusModel):
         return GeometricData(
             norm_r=0.0,
             norm_pi=0.0,
             norm_t=0.0,
-            diam_z=model.diameter(resolution),
+            diam_z=model.diameter(),
             flags=("flat metric: curvature vanishes identically",),
         )
     if isinstance(model, AffineMappingTorus):
-        return _mapping_geometry(model.scaled_fiber(), resolution)
+        return _mapping_geometry(model.scaled_fiber())
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def _mapping_geometry(scaled_fiber: FlatTorusModel, resolution: int = 64) -> GeometricData:
+def _mapping_geometry(scaled_fiber: FlatTorusModel) -> GeometricData:
     """geometric_data of a mapping torus, given its scaled fiber."""
     return GeometricData(
         norm_r=0.0,
         norm_pi=0.0,
         norm_t=0.0,
-        diam_z=scaled_fiber.diameter(resolution),
+        diam_z=scaled_fiber.diameter(),
         flags=(
             "flat total space: curvature vanishes identically",
             "fibers are totally geodesic (parallel flat metrics)",

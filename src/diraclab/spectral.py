@@ -34,7 +34,7 @@ __all__ = [
 # "abs" compares the raw quantity, "rel" compares it with the entry times
 # max(1, largest entry of the checked matrix), "rel X" with the entry times
 # max(1, |X|).  Matrix quantities are largest entries, "op" operator norms.
-RESIDUAL_TOL = 1e-10  # eigenpair residual and closed-form square defect; rel block
+RESIDUAL_TOL = 1e-10  # eigenpair residual, and a symbol-certified block's Weyl bound; rel block
 HERMITICITY_TOL = 1e-12  # M - M^H of an assembled or solved operator, of -iX for exp(X); rel
 INPUT_HERMITICITY_TOL = 1e-10  # M - M^H of a delta block or a Gram matrix; rel
 # twist diagonalization, angle clusters, fixed space, lift order and
@@ -122,130 +122,36 @@ def _block_max(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).reshape(len(stack), -1).T.copy().max(axis=0)
 
 
-def _eigh_values(stack: np.ndarray, bscale: np.ndarray) -> np.ndarray:
-    """Batched eigh with a residual check on every eigenpair."""
+def _stack_values(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues (B, d) of a nonempty (B, d, d) stack of Hermitian blocks
+    from one batched eigh, every eigenpair's residual checked against
+    RESIDUAL_TOL * max(1, largest entry of its block).  Each block's values
+    depend on that block alone, so stacking blocks of several operators
+    solves each operator as eigensolve would."""
     w, v = np.linalg.eigh(stack)
     resid = _block_max(stack @ v - v * w[:, None, :])
-    if np.any(resid > RESIDUAL_TOL * bscale):
+    if np.any(resid > RESIDUAL_TOL * np.maximum(1.0, _block_max(stack))):
         raise RuntimeError(f"eigenpair residual {float(np.max(resid)):.3e} exceeds tolerance")
     return w
 
 
-# Stacks of blocks with at most this many rows are squared batch-last: the
-# stack is copied once into a (d, d, B) layout and S = D D is formed as d
-# broadcast multiply-adds over the block axis.  A batched matmul pays about
-# 0.3-0.6 us per tiny complex matrix, but beats the broadcasts on larger
-# blocks.  Measured crossover of the whole square-and-defect step on random
-# Hermitian stacks of B = 50-2000 blocks (2-core x86-64, numpy 2.4):
-# batch-last is 1.5-10x faster at d = 2 and 3, ties matmul at d = 4 and 5
-# with B = 2000, and loses at d = 8 (0.55 against 0.34 ms for 300 blocks).
-BATCH_LAST_MAX_ROWS = 3
-
-
-def _square_defect(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per block D of a (B, d, d) stack: c = Re tr(D D) / d, the bound
-    delta = d max |D D - c I| and Re tr D; see eigensolve."""
-    d = stack.shape[1]
-    diag = np.arange(d)
-    if d <= BATCH_LAST_MAX_ROWS:
-        x = stack.transpose(1, 2, 0).copy()
-        sq = x[:, :1] * x[None, 0]
-        for k in range(1, d):
-            sq += x[:, k : k + 1] * x[None, k]
-        c = np.trace(sq).real / d
-        sq[diag, diag] -= c
-        delta = d * np.abs(sq).reshape(d * d, -1).max(axis=0)
-        return c, delta, np.trace(x).real
-    sq = stack @ stack
-    c = np.einsum("bii->b", sq).real / d
-    sq[:, diag, diag] -= c[:, None]
-    return c, d * _block_max(sq), np.einsum("bii->b", stack).real
-
-
-def _bochner_values(stack: np.ndarray, bscale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigenvalues of the blocks whose square is certified
-    scalar, and the mask of those blocks; see eigensolve."""
-    d = stack.shape[1]
-    c, delta, trace = _square_defect(stack)
-    r = np.sqrt(np.maximum(c, 0.0))
-    ok = (d * delta < c) & (delta <= RESIDUAL_TOL * bscale * r)
-    nplus = 0.5 * (d + trace / np.where(ok, r, 1.0))
-    npos = np.rint(nplus)
-    ok &= np.abs(nplus - npos) <= STRUCTURE_TOL
-    w = np.where(np.arange(d)[None, :] < (d - npos)[:, None], -r[:, None], r[:, None])
-    return w, ok
-
-
-def _stack_values(stack: np.ndarray) -> np.ndarray:
-    """Certified eigenvalues (B, d) of a nonempty (B, d, d) stack of
-    Hermitian blocks: the closed form where it is certified, one batched
-    eigh for the other blocks; see eigensolve.  Each block's values depend
-    on that block alone, so stacking blocks of several operators solves
-    each operator as eigensolve would."""
-    bscale = np.maximum(1.0, _block_max(stack))
-    w, ok = _bochner_values(stack, bscale)
-    if not ok.all():
-        w[~ok] = _eigh_values(stack[~ok], bscale[~ok])
-    return w
-
-
 def eigensolve(op) -> Spectrum:
-    """Eigenvalues of a Hermitian operator, each certified against
-    RESIDUAL_TOL * max(1, largest entry of its block), clustered at
-    CLUSTER_TOL * max(1, largest |eigenvalue|).
+    """Eigenvalues of a Hermitian operator, one _stack_values call per
+    size-class stack, clustered at CLUSTER_TOL * max(1, largest |eigenvalue|).
 
-    An assembled operator is solved as its size-class stacks; its
-    Hermiticity was checked when it was built.  On the flat models every
-    block squares to a scalar (the Bochner identity D^2 = (|p|^2 + beta^2) I),
-    so its spectrum is +-r and only the sign count is unknown.  Per block D
-    of size d: S = D D, c = Re tr S / d, r = sqrt(c), the bound
-    delta = d max |S - c I| >= ||S - c I||_2 and n+ = (d + Re tr D / r) / 2.
-    The eigenvalues of S are the lam^2 over the eigenvalues lam of D, and by
-    Weyl's inequality each lies within ||S - c I||_2 of c, so
-
-        ||lam| - r| = |lam^2 - c| / (|lam| + r) <= delta / r.
-
-    A block takes the closed form, -r (d - n+ times) and +r (n+ times), only
-    when delta / r <= RESIDUAL_TOL * max(1, max |D_ij|), d delta < r^2 (so
-    r > 0) and n+ lies within STRUCTURE_TOL of an integer.  Every eigenvalue
-    then lies within delta / r < r / d of +r or -r, so the signs split
-    cleanly, tr D / r is within d delta / r^2 < 1 of n+ - (d - n+), the
-    rounded n+ is the true count, and the sorted closed-form values match
-    the sorted eigenvalues to within delta / r.  Stacks of blocks with at
-    most BATCH_LAST_MAX_ROWS rows (the 1x1 and 2x2 blocks that fill the
-    spinor mapping tori) are squared batch-last, as d broadcast
-    multiply-adds over the block axis, because a batched matmul pays a
-    fixed cost per tiny matrix; larger blocks are squared by one batched
-    matmul.  Every other block of the stack (r = 0, or a square that is
-    not scalar) goes through one batched eigh with a residual check on
-    every eigenpair.  A raw square array is checked and solved dense with
-    that eigh, the reference the block path is tested against.
-
-    A mapping-torus plan certifies the same closed form from its block
-    symbols without forming the blocks, for all scales at once (symbols):
-    it bounds ||D^2 - r^2 I|| by delta = 1/2 |x|^T A |x| from per-cluster
-    Clifford defects A, takes tr D = p . t_c + beta tb_c, and applies the
-    tests above with a lower bound of the block scale.  collapse_run and
-    blowup_check solve through it and use this solver only for a scale with
-    a block it cannot certify.
+    An assembled operator's Hermiticity was checked when it was built; a
+    raw square array is checked here and solved as a stack of one block.
+    collapse_run and blowup_check solve a mapping torus from its block
+    symbols (symbols) and call this only where that certificate refuses.
     """
     stacks = getattr(op, "stacks", None)
-    dense = stacks is None
-    if dense:
+    if stacks is None:
         matrix = np.asarray(op, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("eigensolve needs a square matrix")
         _require_hermitian([matrix], HERMITICITY_TOL, "operator is not Hermitian")
         stacks = (matrix[None],)
-    chunks = []
-    for stack in stacks:
-        if stack.size == 0:
-            continue
-        if dense:
-            w = _eigh_values(stack, np.maximum(1.0, _block_max(stack)))
-        else:
-            w = _stack_values(stack)
-        chunks.append(w.ravel())
+    chunks = [_stack_values(stack).ravel() for stack in stacks if stack.size]
     values = np.concatenate(chunks) if chunks else np.zeros(0)
     return Spectrum(
         values=values,

@@ -1,4 +1,7 @@
-"""Certified spectra of a mapping-torus plan's blocks from their symbols.
+"""Certified spectra of a mapping-torus plan's blocks from their symbols:
+the package's one closed-form certificate, for the spectrum +-r that the
+Bochner identity gives every block on the flat models.  eigensolve solves
+every block it refuses with eigh.
 
 A block is D = sum_k x_k G_k with x = (p, beta), p the fiber momentum
 of its orbit and G_k the gammas restricted to its twist cluster of s
@@ -9,17 +12,21 @@ D - H is bounded by the Hermiticity check below.  With r^2 =
     H^2 - r^2 I = 1/2 sum_kl x_k x_l (H_k H_l + H_l H_k - 2 delta_kl I),
 
 so ||H^2 - r^2 I||_2 <= ||H^2 - r^2 I||_F <= delta = 1/2 |x|^T A |x|,
-A the cluster's Clifford defects: on a flat fiber D^2 = r^2 I up to
-delta.  tr H = p . t_c + beta tb_c, with t_c and tb_c the cluster's
-traces.  By Weyl's inequality every eigenvalue of H^2 lies within
-delta of r^2.  eigensolve's argument then applies unchanged with
-n+ = (s + tr H / r) / 2, and with max(1, sqrt(r^2 - delta) / s) as
-the block scale.  That scale is at most eigensolve's
-max(1, max |D_ij|), because sqrt(r^2 - delta) <= ||H||_2
-<= s max |H_ij| <= s max |D_ij|, so the tests are at least as strict
-as eigensolve's.  A block with x = 0 is exactly zero and gives s zeros.
-Traces and defects do not depend on the scale, so every fiber scale is
-solved from the same constants in one vector pass.
+A the cluster's Clifford defects.  By Weyl's inequality each eigenvalue
+lam^2 of H^2 lies within delta of r^2, so ||lam| - r| <= delta / r.
+With n+ = (s + tr H / r) / 2, where tr H = p . t_c + beta tb_c from the
+cluster's traces, a block takes -r (s - n+ times) and +r (n+ times)
+only when s delta < r^2 (so r > 0), delta / r <= RESIDUAL_TOL *
+max(1, sqrt(r^2 - delta) / s), and n+ lies within STRUCTURE_TOL of an
+integer.  Every eigenvalue then lies within delta / r < r / s of +r or
+-r, so the signs split cleanly; with n of them positive, tr H / r is
+within s delta / r^2 < 1 of n - (s - n), so the rounded n+ is n, and
+the sorted values match the eigenvalues to within delta / r.  The block
+scale is at most eigensolve's max(1, max |D_ij|), as sqrt(r^2 - delta)
+<= ||H||_2 <= s max |H_ij| <= s max |D_ij|, so that error meets
+eigensolve's residual tolerance.  A block with x = 0 is exactly zero
+and gives s zeros.  Traces and defects do not depend on the scale, so
+every fiber scale is solved from the same constants in one vector pass.
 
 The block path's two refusals are evaluated as bounds linear in |x|,
 each against a lower bound of the scale its block-path check uses,

@@ -90,7 +90,7 @@ def test_diameter_hexagonal_grid():
     # hexagonal lattice: covering radius is the circumradius 1/sqrt(3)
     basis = np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]])
     t = FlatTorusModel(basis, np.zeros(2))
-    assert t.diameter(resolution=96) == pytest.approx(1 / np.sqrt(3), rel=2e-2)
+    assert t.diameter() == pytest.approx(1 / np.sqrt(3), rel=2e-2)
 
 
 def test_matrix_order():

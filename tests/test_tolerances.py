@@ -46,8 +46,6 @@ TABLE = {
     "BLOCK_INVERSE_TOL": 1e-8,
     "FACTORIZATION_TOL": 1e-10,
 }
-# spectral's one numeric constant that is not a tolerance
-NOT_TOLERANCES = {"BATCH_LAST_MAX_ROWS"}
 
 
 def _module_constants(tree: ast.Module) -> dict[str, ast.Constant]:
@@ -73,7 +71,8 @@ def test_table_values_are_pinned():
     for name, value in TABLE.items():
         got = getattr(spectral, name)
         assert type(got) is type(value) and got == value, name
-    assert set(_module_constants(_parse("spectral.py"))) == set(TABLE) | NOT_TOLERANCES
+    # every numeric constant of spectral is an entry of the table
+    assert set(_module_constants(_parse("spectral.py"))) == set(TABLE)
 
 
 def test_table_entries_are_defined_once():

@@ -2,9 +2,12 @@
 
 Each run is a fresh interpreter that imports the tree's own
 ``bench/workloads.py`` and ``src/``, builds the workload with ``setup`` and
-times one ``run`` call.  Pair i (from 1) runs both trees at seed i; the tree
-that goes first alternates from pair to pair.  The tool prints every pair,
-then each tree's median and quartiles of ``wall_s`` and its median
+times one ``run`` call.  Pair i (from 1) runs each tree 5 times at seed
+i, the two trees taking turns, and each side of the pair is the median of
+its tree's 5 runs: a single cold call is bimodal on a loaded host and
+cannot resolve a change of about 0.5 ms.  The tree that goes first
+alternates from pair to pair.  The tool prints every pair, then each
+tree's median and quartiles of its pair ``wall_s`` values and its median
 ``peak_rss_mib`` (``ru_maxrss`` of the run's process), the new tree's
 median ``wall_s`` change relative to the old one's beside the old tree's
 interquartile range, and how many pairs the new tree won on ``wall_s``.  A
@@ -14,7 +17,8 @@ medians differ by more than the old tree's interquartile range.
     python tools/pair_timing.py OLD_TREE NEW_TREE --workload collapse_spinor_rot4 --pairs 20
 
 It is a quick check before the longer ``bench/run.py`` runs: one call per
-process, no reference check and no set-up timing.
+process, no reference check and no set-up timing.  A pair costs 10
+processes, each with its own ``setup``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# fresh processes per tree and pair; each side of a pair is their median
+PROCESSES = 5
 
 # argv: tree, workload, seed, work dir.  Prints one JSON object.
 _RUNNER = """
@@ -54,6 +61,11 @@ def run_once(tree: Path, workload: str, seed: int) -> dict[str, float]:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def run_side(runs: list[dict[str, float]]) -> dict[str, float]:
+    """One side of a pair: the median of each metric over its runs."""
+    return {key: statistics.median(r[key] for r in runs) for key in runs[0]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="source tree holding src/ and bench/")
@@ -69,8 +81,12 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         seed = 1 + i
         order = ("old", "new") if i % 2 == 0 else ("new", "old")
+        runs: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
+        for _ in range(PROCESSES):
+            for side in order:
+                runs[side].append(run_once(trees[side], args.workload, seed))
         for side in order:
-            results[side].append(run_once(trees[side], args.workload, seed))
+            results[side].append(run_side(runs[side]))
         old, new = results["old"][-1]["wall_s"], results["new"][-1]["wall_s"]
         wins += new < old
         print(f"pair {i + 1} seed {seed} ({order[0]} first): old {old:.5f} s, new {new:.5f} s")
