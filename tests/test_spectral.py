@@ -126,6 +126,31 @@ def _rot4_operator(module, truncation):
     return _mapping_plan(model, module, truncation).dirac(model.with_scale(0.5))
 
 
+@pytest.mark.parametrize(
+    "module, entry",
+    [(exterior_module(3), (0, 0)), (exterior_module(3), (0, 1)), (spinor_gammas(3), (0, 0))],
+    ids=["diagonal", "off_diagonal", "spinor_diagonal"],
+)
+def test_perturbed_block_falls_back(monkeypatch, module, entry):
+    # 8x8 and 2x2 Dirac blocks, one perturbed so that it no longer squares
+    # to a scalar (a 2x2 block gets a diagonal perturbation, because a
+    # traceless one would still square to a scalar); symbols refuses it
+    rng = np.random.default_rng(4)
+    stack = module.gamma(rng.uniform(-3.0, 3.0, size=(5, 3))).astype(complex)
+    d = stack.shape[1]
+    i, j = entry
+    stack[2, i, j] += 1e-6
+    if i != j:
+        stack[2, j, i] += 1e-6
+    calls = _counting_eigh(monkeypatch)
+    spec = eigensolve(_stack_operator(stack))
+    # the whole stack reaches one eigh, and its values are eigh's, not +-r
+    assert len(calls) == 1 and np.array_equal(calls[0], stack)
+    assert np.max(np.abs(spec.values - _blockwise_eigvalsh(stack))) <= 1e-13
+    r = math.sqrt(float(np.trace(stack[2] @ stack[2]).real) / d)
+    assert np.max(np.abs(np.abs(np.linalg.eigvalsh(stack[2])) - r)) > 1e-7
+
+
 def test_nonintegral_sign_count_block_keeps_its_values():
     # D^2 is scalar to within tolerance, but tr D / r puts n+ 5e-8 off an
     # integer: +-r would be off by 5e-12 (symbols refuses this block)

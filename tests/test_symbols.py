@@ -4,7 +4,9 @@ block whose +-r it would get wrong, on hand-built cluster constants."""
 import math
 
 import numpy as np
+import pytest
 
+from diraclab.clifford import exterior_module, spinor_gammas
 from diraclab.spectral import RESIDUAL_TOL, STRUCTURE_TOL, eigensolve
 from diraclab.symbols import _BlockSymbols, _cluster_constants
 
@@ -68,3 +70,25 @@ def test_nonintegral_sign_count_never_takes_closed_form():
             assert solved.spectrum().values.tolist() == [-r, r]
     spec = eigensolve(r * gamma)
     assert np.max(np.abs(spec.values - np.array([-r + eps, r]))) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "module, entry",
+    [(exterior_module(3), (0, 0)), (exterior_module(3), (0, 1)), (spinor_gammas(3), (0, 0))],
+    ids=["diagonal", "off_diagonal", "spinor_diagonal"],
+)
+def test_perturbed_block_is_refused(module, entry):
+    # a Dirac block p gamma is certified as +-|p|; moving one entry by 1e-6
+    # breaks gamma^2 = |p|^2, and the certificate refuses the block
+    rng = np.random.default_rng(4)
+    p = rng.uniform(-3.0, 3.0, size=3)
+    pn = float(np.linalg.norm(p))
+    block = module.gamma(p[None])[0].astype(complex)
+    solved = _solve(_one_block(block / pn), pn)
+    assert solved is not None
+    assert np.max(np.abs(solved.spectrum().values - np.linalg.eigvalsh(block))) <= 1e-13
+    i, j = entry
+    block[i, j] += 1e-6
+    if i != j:
+        block[j, i] += 1e-6
+    assert _solve(_one_block(block / pn), pn) is None
