@@ -12,6 +12,8 @@ randomized min-max sanity check.
 from __future__ import annotations
 
 import json
+import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -424,6 +426,28 @@ def perturbation_bound_check(
     )
 
 
+class _Normals:
+    """Seeded standard normal draws from random.Random(seed), for the
+    package's randomized checks; numpy.random is never loaded.  A negative
+    seed is refused, as random.Random would take its absolute value."""
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        self._random = random.Random(seed)
+
+    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Draws of the given shape: one Box-Muller step over pairs (u, v) of
+        53-bit uniforms in [0, 1) from one randbytes call, the radius
+        sqrt(-2 log(1 - u)) (finite, as 1 - u > 0) times exp(2 pi i v)
+        giving two draws, its real and imaginary parts."""
+        size = math.prod(shape)
+        half = (size + 1) // 2
+        u = (np.frombuffer(self._random.randbytes(16 * half), dtype="<u8") >> 11) * 2.0**-53
+        z = np.sqrt(-2.0 * np.log1p(-u[:half])) * np.exp((2j * np.pi) * u[half:])
+        return z.view(np.float64)[:size].reshape(shape)
+
+
 @dataclass(frozen=True)
 class RayleighReport:
     ok: bool
@@ -441,7 +465,9 @@ def rayleigh_minimax_check(op, k: int, trials: int = 20, seed: int = 0) -> Rayle
     For the squared operator, the largest Rayleigh quotient over any
     k-dimensional subspace is at least the k-th smallest eigenvalue; random
     subspaces probe that variational inequality, with a slack of
-    INEQUALITY_SLACK * max(1, |eigenvalue|).
+    INEQUALITY_SLACK * max(1, |eigenvalue|).  The subspaces are drawn from
+    random.Random(seed), so worst_margin at a given seed differs from
+    versions that drew them from numpy.random; a negative seed is refused.
     """
     matrix = np.asarray(getattr(op, "matrix", op), dtype=complex)
     dim = matrix.shape[0]
@@ -449,7 +475,7 @@ def rayleigh_minimax_check(op, k: int, trials: int = 20, seed: int = 0) -> Rayle
         raise ValueError(f"k must lie in [1, {dim}]")
     square = matrix @ matrix
     target = float(np.linalg.eigvalsh(square)[k - 1])
-    rng = np.random.default_rng(seed)
+    rng = _Normals(seed)
     worst = float("inf")
     for _ in range(trials):
         z = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))

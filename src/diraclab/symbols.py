@@ -34,8 +34,12 @@ so each is at least as strict.  Twist-sector coupling, per orbit:
 the entries dirac_blocks drops are at most
 max(sum_k |p_k| leak_k, base leak), and the largest entry of the
 sector-basis fiber symbol F(p) is at least
-||F(p)||_F / dim_v = sqrt(p^T W p) / dim_v.  Hermiticity, over all
-blocks as AssembledOperator checks it:
+||F(p)||_F / dim_v = sqrt(p^T W p) / dim_v.  That bound is loose
+where F(p) commutes with the twist although no single F_k does, as
+for a mode on the axis of a rank-3 rotation; at each scale and orbit
+where it trips, the leak is measured as dirac_blocks measures it, from
+F(p) = sum_k p_k F_k itself, so no orbit the block path accepts is
+refused.  Hermiticity, over all blocks as AssembledOperator checks it:
 max |D - D^H| <= sum_k |x_k| max |G_k - G_k^H|, against
 max(1, max over blocks of sqrt(r^2 - delta) / s).
 
@@ -118,8 +122,9 @@ class _BlockSymbols:
     F_k = q^H gamma_k q in the lift basis, per orbit: the largest entry of
     each fiber F_k and of the base F_m that joins two clusters of the
     orbit's twist sector (zero when the sector has one cluster), and
-    max(1, max |F_m|); and once, the Gram matrix Re tr(F_k^H F_l) (m, m) of
-    the fiber F_k.
+    max(1, max |F_m|), and the mask of the entries that join two clusters
+    of its twist sector (O, dim_v, dim_v); and once, the fiber F_k
+    (m, dim_v, dim_v) and their Gram matrix Re tr(F_k^H F_l) (m, m).
     """
 
     orbit: np.ndarray
@@ -133,6 +138,8 @@ class _BlockSymbols:
     base_leak: np.ndarray
     gram: np.ndarray
     base_max: np.ndarray
+    coupling: np.ndarray
+    fiber: np.ndarray
 
     def orbit_part(self, orbit: int) -> _BlockSymbols:
         """The symbols of one orbit's blocks, as orbit 0."""
@@ -149,6 +156,8 @@ class _BlockSymbols:
             self.base_leak[[orbit]],
             self.gram,
             self.base_max[[orbit]],
+            self.coupling[[orbit]],
+            self.fiber,
         )
 
     def solve(self, p: np.ndarray, dim_v: int, truncation: int) -> _SymbolSolution:
@@ -176,7 +185,17 @@ class _BlockSymbols:
                 frob2 += self.gram[k, l] * p[..., k] * p[..., l]
         leak = np.maximum(leak, self.base_leak)
         frob = np.sqrt(np.maximum(frob2, 0.0))
-        coupled = np.any(leak > STRUCTURE_TOL * np.maximum(self.base_max, frob / dim_v), axis=1)
+        coupled = leak > STRUCTURE_TOL * np.maximum(self.base_max, frob / dim_v)
+        if coupled.any():
+            # where the bound trips, the leak of F(p) itself against the
+            # block path's scale
+            e, o = np.nonzero(coupled)
+            f = np.abs(np.einsum("tk,kij->tij", p[e, o], self.fiber))
+            exact = np.max(f, axis=(1, 2), where=self.coupling[o], initial=0.0)
+            exact = np.maximum(exact, self.base_leak[o])
+            scale = np.maximum(self.base_max[o], np.max(f, axis=(1, 2)))
+            coupled[e, o] = exact > STRUCTURE_TOL * scale
+        coupled = coupled.any(axis=1)
         # per scale, orbit and cluster: the fiber parts of tr H, of the
         # skew bound, and of the defect bound (fiber pairs, fiber-base pairs)
         shape = (n_scales, n_orbits, self.trace.shape[1])
@@ -272,12 +291,14 @@ def _block_symbols(groups: tuple, gammas_q: np.ndarray, orbits: int) -> _BlockSy
     leak, base_leak = np.zeros((orbits, m)), np.zeros(orbits)
     gram = np.einsum("kij,lij->kl", gammas_q[:m].conj(), gammas_q[:m]).real
     base_max = np.ones(orbits)
+    coupling = np.zeros((orbits,) + gammas_q.shape[1:], dtype=bool)
     orbit, beta, by_size = [], [], {}
     for g in groups:
         sec = g.sector
         if sec.coupling.any():
             leak[g.members] = np.abs(gammas_q[:m, sec.coupling]).max(axis=1)
             base_leak[g.members] = sec.gb_leak
+            coupling[g.members] = sec.coupling
         base_max[g.members] = max(1.0, sec.gb_max)
         members = np.repeat(g.members, g.betas[0].shape[1])
         for (rows, cols), b in zip(sec.grids, g.betas):
@@ -298,5 +319,5 @@ def _block_symbols(groups: tuple, gammas_q: np.ndarray, orbits: int) -> _BlockSy
         np.concatenate(beta),
         np.repeat(sizes, counts),
         *consts,
-        leak, base_leak, gram, base_max,
+        leak, base_leak, gram, base_max, coupling, gammas_q[:m],
     )

@@ -722,6 +722,38 @@ def test_symbol_zero_blocks_are_zeros():
         assert float(np.min(solved.r)) == 0.0
 
 
+def _fcc_cyclic_mapping(fiber_shift):
+    """FCC fiber, the 3-fold cyclic permutation as holonomy, auto lift and
+    base shift 1/2: a mode on the rotation axis has a symbol that commutes
+    with the twist although no single fiber gamma does."""
+    fcc = np.pi * np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    return AffineMappingTorus(
+        fiber=FlatTorusModel(fcc, np.full(3, fiber_shift)),
+        holonomy=np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+        base_length=2 * np.pi,
+        base_shift=0.5,
+    )
+
+
+@pytest.mark.parametrize("truncation", [1, 2])
+@pytest.mark.parametrize("fiber_shift", [0.0, 0.5])
+def test_symbol_path_accepts_rank_three_axis_modes(fiber_shift, truncation):
+    # the symbol path's triangle bound on the twist-sector leak trips on the
+    # axis modes; it used to refuse what the block path accepts.  collapse_run
+    # takes one scale, as each costs a rank-3 fiber diameter (over a second)
+    cm = spinor_gammas(4)
+    model = _fcc_cyclic_mapping(fiber_shift)
+    plan = _mapping_plan(model, cm, truncation)
+    eps = [1.0, 0.5]
+    refs = [eigensolve(plan.dirac(model.with_scale(e))) for e in eps]
+    report = collapse_run(model, cm, eps[:1], 2, truncation)
+    _assert_same_spectrum(report.spectra_per_eps[0], refs[0])
+    blowup = blowup_check(model, cm, eps, truncation)
+    for got, ref in zip(blowup.min_abs, refs):
+        smallest = ref.abs_sorted()[0]
+        assert abs(got - smallest) <= 1e-13 * max(1.0, smallest)
+
+
 def _non_clifford_spinor(base_factor=1.0, skew=0.0):
     """spinor_gammas(3) with the base gamma scaled and gamma_0 made
     non-Hermitian by skew."""

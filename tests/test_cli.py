@@ -311,7 +311,7 @@ def test_vacuous_or_negative_thresholds_exit_two(tmp_path, capsys, monkeypatch, 
     # the refusal comes before any model, module or random draw is made
     for name in ("_build_mapping", "_build_module", "spinor_gammas"):
         monkeypatch.setattr(cli, name, no_work)
-    monkeypatch.setattr(cli.np.random, "default_rng", no_work)
+    monkeypatch.setattr(cli, "_Normals", no_work)
     _assert_refused(tmp_path, capsys, config, old, new, message)
 
 
@@ -331,3 +331,19 @@ def test_seed_override_lands_in_report(tmp_path):
     assert code == 0
     data = json.loads((out / "blk_report.json").read_text())
     assert data["seed"] == 123
+
+
+@pytest.mark.parametrize("name", ["perturbation", "block_identities"])
+def test_negative_seed_exits_two(tmp_path, capsys, monkeypatch, name):
+    import diraclab.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+
+    # random.Random would draw from abs(seed); the seed is refused first
+    for fn in ("_build_module", "spinor_gammas", "_eigen_exponential_family", "BlockMatrix2x2"):
+        monkeypatch.setattr(cli, fn, no_work)
+    code, out = _run(tmp_path, ALL_CONFIGS[name], extra=["--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not list(out.glob("*_report.json"))

@@ -12,6 +12,7 @@ from diraclab.clifford import exterior_module, spinor_gammas
 from diraclab.collapse import (
     DEFAULT_WINDOW_A,
     PerturbationReport,
+    _Normals,
     _smallest_abs,
     blowup_check,
     check_fiber_gap_bound,
@@ -663,3 +664,14 @@ def test_rayleigh_minimax():
         rayleigh_minimax_check(op, 0)
     with pytest.raises(ValueError):
         rayleigh_minimax_check(op, op.dim + 1)
+    with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+        rayleigh_minimax_check(op, 1, seed=-1)
+
+
+def test_normals_are_seeded_standard_normal_draws():
+    a = _Normals(5).standard_normal((3, 7))
+    assert a.shape == (3, 7) and a.dtype == np.float64
+    assert a.tobytes() == _Normals(5).standard_normal((3, 7)).tobytes()
+    assert not np.any(a == _Normals(6).standard_normal((3, 7)))
+    z = _Normals(2024).standard_normal((100_000,))
+    assert abs(z.mean()) < 0.02 and abs(z.var() - 1.0) < 0.03

@@ -1,11 +1,13 @@
-"""Import-time dependencies: the package runs on numpy alone, and
-`import diraclab` loads no more of numpy than numpy itself does."""
+"""Import-time dependencies: the package runs on numpy alone, and no path
+through it loads more of numpy than numpy itself does."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from test_cli import ALL_CONFIGS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -31,9 +33,9 @@ print(json.dumps({"verdict": report.verdict, "scipy": scipy}))
 """
 
 
-def _run(script: str) -> dict:
+def _run(script: str, *args: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
@@ -51,24 +53,34 @@ def test_no_scipy_module_is_loaded():
 RANDOM_SCRIPT = """
 import json, sys
 import numpy
-by_numpy = "numpy.random" in sys.modules
 import diraclab
-by_package = "numpy.random" in sys.modules
+loaded = {"import diraclab": "numpy.random" in sys.modules}
+import diraclab.cli
+loaded["import diraclab.cli"] = "numpy.random" in sys.modules
 op = diraclab.assemble_dirac(
     diraclab.FlatTorusModel(numpy.eye(1), numpy.zeros(1)), diraclab.spinor_gammas(1), 2
 )
 ok = diraclab.rayleigh_minimax_check(op, 2, trials=3).ok
-import diraclab.cli
-print(json.dumps({
-    "by_numpy": by_numpy, "by_package": by_package, "ok": ok,
-    "by_cli": "numpy.random" in sys.modules,
-}))
+loaded["rayleigh_minimax_check"] = "numpy.random" in sys.modules
+codes = {cfg: diraclab.cli.main(["--config", cfg, "--out", cfg + ".out"]) for cfg in sys.argv[1:]}
+loaded["cli.main"] = "numpy.random" in sys.modules
+print(json.dumps({"loaded": loaded, "ok": ok, "codes": codes}))
 """
 
 
-def test_import_does_not_load_numpy_random():
-    # the random generator is loaded on first use; the CLI, whose
-    # experiments draw random numbers, still loads it at import
-    out = _run(RANDOM_SCRIPT)
-    assert out["by_package"] == out["by_numpy"]
-    assert out["ok"] and out["by_cli"]
+def test_import_does_not_load_numpy_random(tmp_path):
+    # seeded draws come from the standard library's generator, so neither
+    # the package, nor the CLI, nor any experiment loads numpy.random
+    paths = []
+    for name, text in sorted(ALL_CONFIGS.items()):
+        paths.append(str(tmp_path / f"{name}.ini"))
+        Path(paths[-1]).write_text(text)
+    out = _run(RANDOM_SCRIPT, *paths)
+    assert out["ok"]
+    assert out["codes"] == dict.fromkeys(paths, 0)
+    assert out["loaded"] == {
+        "import diraclab": False,
+        "import diraclab.cli": False,
+        "rayleigh_minimax_check": False,
+        "cli.main": False,
+    }

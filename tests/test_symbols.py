@@ -30,6 +30,8 @@ def _one_block(fiber_gamma):
         base_leak=np.zeros(1),
         gram=np.array([[float(np.sum(np.abs(fiber_gamma) ** 2))]]),
         base_max=np.ones(1),
+        coupling=np.zeros((1, s, s), dtype=bool),
+        fiber=gc[0, :1],
     )
 
 

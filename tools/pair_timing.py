@@ -7,8 +7,11 @@ i, the two trees taking turns, and each side of the pair is the median of
 its tree's 5 runs: a single cold call is bimodal on a loaded host and
 cannot resolve a change of about 0.5 ms.  The tree that goes first
 alternates from pair to pair.  The tool prints every pair, then each
-tree's median and quartiles of its pair ``wall_s`` values and its median
-``peak_rss_mib`` (``ru_maxrss`` of the run's process), the new tree's
+tree's median and quartiles of its pair ``wall_s`` values, its median
+``setup_s`` (from just before the process is spawned to the start of
+``run``, as ``bench/worker.py`` times it: interpreter start, imports and
+``setup``) and its median ``peak_rss_mib`` (``ru_maxrss`` of the run's
+process), the new tree's
 median ``wall_s`` change relative to the old one's beside the old tree's
 interquartile range, and how many pairs the new tree won on ``wall_s``.  A
 gain holds when the new tree wins at least nine pairs in ten and the
@@ -17,8 +20,8 @@ medians differ by more than the old tree's interquartile range.
     python tools/pair_timing.py OLD_TREE NEW_TREE --workload collapse_spinor_rot4 --pairs 20
 
 It is a quick check before the longer ``bench/run.py`` runs: one call per
-process, no reference check and no set-up timing.  A pair costs 10
-processes, each with its own ``setup``.
+process and no reference check.  A pair costs 10 processes, each with its
+own ``setup``.
 """
 
 from __future__ import annotations
@@ -29,31 +32,35 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 # fresh processes per tree and pair; each side of a pair is their median
 PROCESSES = 5
 
-# argv: tree, workload, seed, work dir.  Prints one JSON object.
+# argv: tree, workload, seed, work dir, the parent's time.monotonic() just
+# before the spawn.  Prints one JSON object.
 _RUNNER = """
 import json, resource, sys, time
 from pathlib import Path
-tree, workload, seed, work = sys.argv[1:5]
+tree, workload, seed, work, t_spawn = sys.argv[1:6]
 sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "bench")]
 import workloads
 state = workloads.setup(workload, int(seed), "full", Path(work))
+setup = time.monotonic() - float(t_spawn)
 start = time.perf_counter()
 workloads.run(state)
 wall = time.perf_counter() - start
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"wall_s": wall, "peak_rss_mib": rss}))
+print(json.dumps({"wall_s": wall, "setup_s": setup, "peak_rss_mib": rss}))
 """
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict[str, float]:
     with tempfile.TemporaryDirectory() as work:
         proc = subprocess.run(
-            [sys.executable, "-c", _RUNNER, str(tree), workload, str(seed), work],
+            [sys.executable, "-c", _RUNNER, str(tree), workload, str(seed), work,
+             repr(time.monotonic())],
             capture_output=True,
             text=True,
             check=True,
@@ -95,10 +102,11 @@ def main(argv=None) -> int:
         wall = [r["wall_s"] for r in results[side]]
         q1, q2, q3 = statistics.quantiles(wall, n=4, method="inclusive") if len(wall) > 1 else wall * 3
         medians[side], iqrs[side] = q2, q3 - q1
+        setup = statistics.median(r["setup_s"] for r in results[side])
         rss = statistics.median(r["peak_rss_mib"] for r in results[side])
         print(
             f"{side}: wall_s median {q2:.5f}, quartiles {q1:.5f} {q3:.5f} (IQR {q3 - q1:.5f}); "
-            f"median peak_rss_mib {rss:.3f}"
+            f"median setup_s {setup:.4f}; median peak_rss_mib {rss:.3f}"
         )
     change = medians["new"] - medians["old"]
     print(
