@@ -531,7 +531,7 @@ class _MappingPlan:
         """
         p = np.array([f.dual_momentum(self.reps) for f in fibers])
         p = p.reshape(len(fibers), *self.reps.shape)
-        return self.symbols.solve(p, self.cm.dim_v, self.truncation)
+        return self.symbols.solve(p, self.truncation)
 
     def limit_symbol_spectrum(self) -> _CertifiedSpectrum | None:
         """Spectrum of the limit operator as symbol_spectra finds it: the
@@ -541,7 +541,7 @@ class _MappingPlan:
         _require_parallel(self.model, self.basis)
         (zero,) = np.flatnonzero(~self.reps.any(axis=1))
         p = np.zeros((1, 1, self.reps.shape[1]))
-        return self.symbols.orbit_part(zero).solve(p, self.cm.dim_v, self.truncation).at(0)
+        return self.symbols.orbit_part(zero).solve(p, self.truncation).at(0)
 
 
 def _in_basis(basis: _LiftBasis, gammas: np.ndarray) -> np.ndarray:

@@ -437,15 +437,9 @@ class _Normals:
         self._random = random.Random(seed)
 
     def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Draws of the given shape: one Box-Muller step over pairs (u, v) of
-        53-bit uniforms in [0, 1) from one randbytes call, the radius
-        sqrt(-2 log(1 - u)) (finite, as 1 - u > 0) times exp(2 pi i v)
-        giving two draws, its real and imaginary parts."""
-        size = math.prod(shape)
-        half = (size + 1) // 2
-        u = (np.frombuffer(self._random.randbytes(16 * half), dtype="<u8") >> 11) * 2.0**-53
-        z = np.sqrt(-2.0 * np.log1p(-u[:half])) * np.exp((2j * np.pi) * u[half:])
-        return z.view(np.float64)[:size].reshape(shape)
+        """Draws of the given shape, in row-major order."""
+        draws = [self._random.gauss(0.0, 1.0) for _ in range(math.prod(shape))]
+        return np.array(draws, dtype=float).reshape(shape)
 
 
 @dataclass(frozen=True)

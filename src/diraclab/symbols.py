@@ -28,20 +28,17 @@ eigensolve's residual tolerance.  A block with x = 0 is exactly zero
 and gives s zeros.  Traces and defects do not depend on the scale, so
 every fiber scale is solved from the same constants in one vector pass.
 
-The block path's two refusals are evaluated as bounds linear in |x|,
-each against a lower bound of the scale its block-path check uses,
-so each is at least as strict.  Twist-sector coupling, per orbit:
-the entries dirac_blocks drops are at most
-max(sum_k |p_k| leak_k, base leak), and the largest entry of the
-sector-basis fiber symbol F(p) is at least
-||F(p)||_F / dim_v = sqrt(p^T W p) / dim_v.  That bound is loose
-where F(p) commutes with the twist although no single F_k does, as
-for a mode on the axis of a rank-3 rotation; at each scale and orbit
-where it trips, the leak is measured as dirac_blocks measures it, from
-F(p) = sum_k p_k F_k itself, so no orbit the block path accepts is
-refused.  Hermiticity, over all blocks as AssembledOperator checks it:
-max |D - D^H| <= sum_k |x_k| max |G_k - G_k^H|, against
-max(1, max over blocks of sqrt(r^2 - delta) / s).
+The block path's two refusals are evaluated so that each is at least
+as strict as its block-path check.  Twist-sector coupling, per orbit
+whose twist sector has more than one cluster: the entries dirac_blocks
+drops are measured as it measures them, from the sector-basis fiber
+symbol F(p) = sum_k p_k F_k itself, against the same scale, so an orbit
+is refused exactly where the block path refuses it (as for a mode on the
+axis of a rank-3 rotation, F(p) may commute with the twist although no
+single F_k does).  Hermiticity, a bound linear in |x| over all blocks
+as AssembledOperator checks it: max |D - D^H| <= sum_k |x_k|
+max |G_k - G_k^H|, against max(1, max over blocks of
+sqrt(r^2 - delta) / s), a lower bound of the block path's scale.
 
 The symbols are scale-free and built once per plan (assembly._MappingPlan);
 solve takes the orbit fiber momenta of all wanted scales at once.
@@ -120,11 +117,10 @@ class _BlockSymbols:
     A_kl = ||H_k H_l + H_l H_k - 2 delta_kl I||_F of their Hermitian parts
     H_k (n, n, C), and max |G_k - G_k^H| (n, C).  For the gammas
     F_k = q^H gamma_k q in the lift basis, per orbit: the largest entry of
-    each fiber F_k and of the base F_m that joins two clusters of the
-    orbit's twist sector (zero when the sector has one cluster), and
-    max(1, max |F_m|), and the mask of the entries that join two clusters
-    of its twist sector (O, dim_v, dim_v); and once, the fiber F_k
-    (m, dim_v, dim_v) and their Gram matrix Re tr(F_k^H F_l) (m, m).
+    the base F_m that joins two clusters of the orbit's twist sector (zero
+    when the sector has one cluster), max(1, max |F_m|), and the mask of
+    the entries that join two clusters of its twist sector
+    (O, dim_v, dim_v); and once, the fiber F_k (m, dim_v, dim_v).
     """
 
     orbit: np.ndarray
@@ -134,9 +130,7 @@ class _BlockSymbols:
     trace: np.ndarray
     defect: np.ndarray
     skew: np.ndarray
-    leak: np.ndarray
     base_leak: np.ndarray
-    gram: np.ndarray
     base_max: np.ndarray
     coupling: np.ndarray
     fiber: np.ndarray
@@ -152,15 +146,13 @@ class _BlockSymbols:
             self.trace,
             self.defect,
             self.skew,
-            self.leak[[orbit]],
             self.base_leak[[orbit]],
-            self.gram,
             self.base_max[[orbit]],
             self.coupling[[orbit]],
             self.fiber,
         )
 
-    def solve(self, p: np.ndarray, dim_v: int, truncation: int) -> _SymbolSolution:
+    def solve(self, p: np.ndarray, truncation: int) -> _SymbolSolution:
         """The certificates at the orbit fiber momenta p (E, O, m) of E fiber
         scales, in one pass; see the module docstring.
 
@@ -173,29 +165,19 @@ class _BlockSymbols:
         1/2 |x|^T A |x| enter once, doubled."""
         n_scales, n_orbits, m = p.shape
         ap = np.abs(p)
-        # per scale and orbit: the coupling entries dirac_blocks drops, and
-        # the squared Frobenius norm of the sector-basis fiber symbol
-        leak = np.zeros((n_scales, n_orbits))
-        frob2 = np.zeros((n_scales, n_orbits))
+        # per scale and orbit with a coupling mask: the entries of F(p) that
+        # dirac_blocks drops, against its scale
+        coupled = np.zeros(n_scales, dtype=bool)
+        masked = np.flatnonzero(self.coupling.any(axis=(1, 2)))
+        if len(masked):
+            f = np.abs(np.einsum("eok,kij->eoij", p[:, masked], self.fiber))
+            leak = np.max(f, axis=(2, 3), where=self.coupling[masked], initial=0.0)
+            leak = np.maximum(leak, self.base_leak[masked])
+            scale = np.maximum(self.base_max[masked], np.max(f, axis=(2, 3)))
+            coupled = np.any(leak > STRUCTURE_TOL * scale, axis=1)
         pp = np.zeros((n_scales, n_orbits))
         for k in range(m):
-            leak += ap[..., k] * self.leak[:, k]
             pp += p[..., k] * p[..., k]
-            for l in range(m):
-                frob2 += self.gram[k, l] * p[..., k] * p[..., l]
-        leak = np.maximum(leak, self.base_leak)
-        frob = np.sqrt(np.maximum(frob2, 0.0))
-        coupled = leak > STRUCTURE_TOL * np.maximum(self.base_max, frob / dim_v)
-        if coupled.any():
-            # where the bound trips, the leak of F(p) itself against the
-            # block path's scale
-            e, o = np.nonzero(coupled)
-            f = np.abs(np.einsum("tk,kij->tij", p[e, o], self.fiber))
-            exact = np.max(f, axis=(1, 2), where=self.coupling[o], initial=0.0)
-            exact = np.maximum(exact, self.base_leak[o])
-            scale = np.maximum(self.base_max[o], np.max(f, axis=(1, 2)))
-            coupled[e, o] = exact > STRUCTURE_TOL * scale
-        coupled = coupled.any(axis=1)
         # per scale, orbit and cluster: the fiber parts of tr H, of the
         # skew bound, and of the defect bound (fiber pairs, fiber-base pairs)
         shape = (n_scales, n_orbits, self.trace.shape[1])
@@ -288,15 +270,13 @@ def _block_symbols(groups: tuple, gammas_q: np.ndarray, orbits: int) -> _BlockSy
     reduced as one stack."""
     n = len(gammas_q)
     m = n - 1
-    leak, base_leak = np.zeros((orbits, m)), np.zeros(orbits)
-    gram = np.einsum("kij,lij->kl", gammas_q[:m].conj(), gammas_q[:m]).real
+    base_leak = np.zeros(orbits)
     base_max = np.ones(orbits)
     coupling = np.zeros((orbits,) + gammas_q.shape[1:], dtype=bool)
     orbit, beta, by_size = [], [], {}
     for g in groups:
         sec = g.sector
         if sec.coupling.any():
-            leak[g.members] = np.abs(gammas_q[:m, sec.coupling]).max(axis=1)
             base_leak[g.members] = sec.gb_leak
             coupling[g.members] = sec.coupling
         base_max[g.members] = max(1.0, sec.gb_max)
@@ -319,5 +299,5 @@ def _block_symbols(groups: tuple, gammas_q: np.ndarray, orbits: int) -> _BlockSy
         np.concatenate(beta),
         np.repeat(sizes, counts),
         *consts,
-        leak, base_leak, gram, base_max, coupling, gammas_q[:m],
+        base_leak, base_max, coupling, gammas_q[:m],
     )

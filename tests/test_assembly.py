@@ -814,7 +814,7 @@ def test_symbol_path_refuses_coupling_twist_sectors():
     (zero,) = np.flatnonzero(~plan.reps.any(axis=1))
     (group,) = [g for g in plan.groups if zero in g.members]
     p = np.zeros((len(plan.reps), 2))
-    assert plan.symbols.solve(p[None], cm.dim_v, 1).at(0) is not None
+    assert plan.symbols.solve(p[None], 1).at(0) is not None
     # gamma_0 mixes the two sectors of the zero mode's twist; the symbol
     # path refuses whenever dirac_blocks does, relative to each orbit's scale
     for size in (1e-12, 5e-9, 2e-8, 1e-6, 1.0, 1e6):
@@ -825,7 +825,7 @@ def test_symbol_path_refuses_coupling_twist_sectors():
         except ValueError:
             block_refuses = True
         try:
-            plan.symbols.solve(p[None], cm.dim_v, 1).at(0)
+            plan.symbols.solve(p[None], 1).at(0)
             symbol_refuses = False
         except ValueError as err:
             assert str(err) == "operator symbol couples distinct twist sectors"
@@ -835,7 +835,7 @@ def test_symbol_path_refuses_coupling_twist_sectors():
     p[:] = 1e6
     p[zero] = (1e-3, 0.0)
     with pytest.raises(ValueError, match="couples distinct twist sectors"):
-        plan.symbols.solve(p[None], cm.dim_v, 1).at(0)
+        plan.symbols.solve(p[None], 1).at(0)
 
 
 def test_collapse_runs_build_no_operator_per_scale(monkeypatch):

@@ -220,8 +220,8 @@ def _inject(monkeypatch, faults):
 
     original = symbols._BlockSymbols.solve
 
-    def solve(self, p, dim_v, truncation):
-        out = original(self, p, dim_v, truncation)
+    def solve(self, p, truncation):
+        out = original(self, p, truncation)
         coupled, resid, certified = out.coupled.copy(), out.resid.copy(), out.certified.copy()
         for i, kinds in faults.items():
             if i < len(p):

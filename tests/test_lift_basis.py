@@ -76,16 +76,17 @@ def _reference_parallel(model, lift):
     return fixed.shape[1], fixed.shape[1] > 0 and bool(np.all(model.fiber.spin_shift == 0.0))
 
 
-def _reference_solve(sym, p, dim_v):
-    """One scale's solve at the orbit fiber momenta p (O, m), with every
-    cluster constant repeated per block: (r, nneg, npos), or None."""
+def _reference_solve(sym, p):
+    """One scale's solve at the orbit fiber momenta p (O, m), orbit by orbit
+    for the coupling check and with every cluster constant repeated per
+    block: (r, nneg, npos), or None."""
+    for o in np.flatnonzero(sym.coupling.any(axis=(1, 2))):
+        f = np.abs(np.einsum("k,kij->ij", p[o], sym.fiber))
+        leak = max(np.max(f[sym.coupling[o]]), sym.base_leak[o])
+        if leak > STRUCTURE_TOL * max(sym.base_max[o], np.max(f)):
+            raise ValueError("operator symbol couples distinct twist sectors")
     c = sym.cluster
     trace, defect, skew = sym.trace[:, c], sym.defect[:, :, c], sym.skew[:, c]
-    gram = np.broadcast_to(sym.gram, (len(p),) + sym.gram.shape)
-    leak = np.maximum(np.einsum("ok,ok->o", np.abs(p), sym.leak), sym.base_leak)
-    frob = np.sqrt(np.maximum(np.einsum("ok,okl,ol->o", p, gram, p), 0.0))
-    if np.any(leak > STRUCTURE_TOL * np.maximum(sym.base_max, frob / dim_v)):
-        raise ValueError("operator symbol couples distinct twist sectors")
     x = np.empty((len(trace), len(sym.beta)))
     x[:-1] = np.take(p.T, sym.orbit, axis=1)
     x[-1] = sym.beta
@@ -289,10 +290,10 @@ def test_stacked_solve_matches_per_scale_solve_over_model_space(lifted, truncati
     if len(zero):
         cases.append((plan.symbols.orbit_part(zero[0]), np.zeros((1, 1, p.shape[2]))))
     for symbols, momenta in cases:
-        solved = symbols.solve(momenta, cm.dim_v, truncation)
+        solved = symbols.solve(momenta, truncation)
         for i, scale in enumerate(momenta):
             try:
-                ref = _reference_solve(symbols, scale, cm.dim_v)
+                ref = _reference_solve(symbols, scale)
             except ValueError as err:
                 with pytest.raises(ValueError) as raised:
                     solved.at(i)

@@ -26,9 +26,7 @@ def _one_block(fiber_gamma):
         trace=trace,
         defect=defect,
         skew=skew,
-        leak=np.zeros((1, 1)),
         base_leak=np.zeros(1),
-        gram=np.array([[float(np.sum(np.abs(fiber_gamma) ** 2))]]),
         base_max=np.ones(1),
         coupling=np.zeros((1, s, s), dtype=bool),
         fiber=gc[0, :1],
@@ -37,7 +35,7 @@ def _one_block(fiber_gamma):
 
 def _solve(sym, p):
     """The certified spectrum of the block at fiber momentum p, or None."""
-    return sym.solve(np.array([[[p]]]), int(sym.sizes[0]), 1).at(0)
+    return sym.solve(np.array([[[p]]]), 1).at(0)
 
 
 def test_near_zero_block_keeps_its_sign_count():
