@@ -45,7 +45,7 @@ from .models import FD_STEP, AffineMappingTorus, FlatTorusModel, _check_fd_step,
 from .spectral import HERMITICITY_TOL, LIFT_TOL, SHIFT_INTEGRALITY_TOL, STRUCTURE_TOL
 from .spectral import UNITARITY_TOL, WEIGHT_TOL, Spectrum, _default_tol, _require_hermitian
 from .spectral import eigensolve
-from .symbols import _NOT_HERMITIAN, _block_symbols, _BlockSymbols, _CertifiedSpectrum, _SymbolSolution
+from .symbols import _COUPLED, _NOT_HERMITIAN, _block_symbols, _BlockSymbols, _SymbolSolution
 
 __all__ = [
     "AssembledOperator",
@@ -350,9 +350,7 @@ class _TwistSector:
     gb_blocks are those blocks of the base Clifford action.  invariant marks
     clusters lying inside the fixed space of the lift, which is where
     monodromy-parallel sections live; coupling masks the entries of a matrix
-    in this basis that join two distinct clusters, and gb_max and gb_leak
-    are the largest entry of the base Clifford action and of its coupling
-    entries.
+    in this basis that join two distinct clusters.
     """
 
     q: np.ndarray
@@ -361,8 +359,6 @@ class _TwistSector:
     gb_blocks: tuple[np.ndarray, ...]
     invariant: tuple[bool, ...]
     coupling: np.ndarray
-    gb_max: float
-    gb_leak: float
 
 
 def _twist_sector(basis: _LiftBasis, gb_q: np.ndarray, d: int, base_shift: float) -> _TwistSector:
@@ -390,8 +386,6 @@ def _twist_sector(basis: _LiftBasis, gb_q: np.ndarray, d: int, base_shift: float
         gb_blocks=tuple(gb_q[grid] for grid in grids),
         invariant=tuple(bool(np.all(basis.fixed[idxs])) for _, idxs in clusters),
         coupling=coupling,
-        gb_max=float(np.max(np.abs(gb_q))),
-        gb_leak=float(np.max(np.abs(gb_q[coupling]), initial=0.0)),
     )
 
 
@@ -407,15 +401,10 @@ class _OrbitGroup:
     positions: tuple[np.ndarray, ...]
 
     def dirac_blocks(self, gp: np.ndarray) -> list[np.ndarray]:
-        """Per cluster, the (n, U, s, s) Dirac blocks; gp: every orbit's fiber symbol."""
+        """Per cluster, the (n, U, s, s) Dirac blocks; gp: every orbit's
+        fiber symbol, checked by the plan's coupled."""
         sec = self.sector
         gp_q = sec.q.conj().T @ gp[self.members] @ sec.q
-        # cross-cluster coupling must vanish: the twist commutes with the symbol
-        if sec.coupling.any():
-            scale = np.maximum(max(1.0, sec.gb_max), np.max(np.abs(gp_q), axis=(1, 2)))
-            leak = np.maximum(np.max(np.abs(gp_q[:, sec.coupling]), axis=1), sec.gb_leak)
-            if np.any(leak > STRUCTURE_TOL * scale):
-                raise ValueError("operator symbol couples distinct twist sectors")
         return [
             gp_q[:, None, rows, cols] + beta[:, :, None, None] * gb
             for (rows, cols), gb, beta in zip(sec.grids, sec.gb_blocks, self.betas)
@@ -482,11 +471,12 @@ def _group_operator(info: BlockInfo, per_group, truncation: int, label: str):
 class _MappingPlan:
     """The part of a mapping-torus assembly that the fiber scale leaves
     alone: the lift basis, the gammas in it, the twist sectors and the orbit
-    groups (by orbit size), the orbit representatives and the block
-    provenance.  Only the fiber momenta scale (as 1/fiber_scale); dirac and
-    bochner supply them for scaled, the plan's model at the wanted fiber
-    scale (the model itself or model.with_scale(eps)), so a caller that needs
-    the scaled model too builds it once."""
+    groups (by orbit size), the orbit representatives, the block provenance
+    and per orbit its twist sector's coupling mask (O, dim_v, dim_v).  Only
+    the fiber momenta scale (as 1/fiber_scale); dirac and bochner supply them
+    for scaled, the plan's model at the wanted fiber scale (the model itself
+    or model.with_scale(eps)), so a caller that needs the scaled model too
+    builds it once."""
 
     model: AffineMappingTorus
     cm: CliffordModule
@@ -497,10 +487,14 @@ class _MappingPlan:
     reps: np.ndarray
     groups: tuple[_OrbitGroup, ...]
     block_info: BlockInfo
+    coupling: np.ndarray
 
     def dirac(self, scaled: AffineMappingTorus) -> AssembledOperator:
-        """Dirac operator at the fiber scale of scaled."""
+        """Dirac operator at the fiber scale of scaled; refuses a coupling
+        symbol before forming a block."""
         p = scaled.scaled_fiber().dual_momentum(self.reps)
+        if self.coupled(p[None], slice(None))[0]:
+            raise ValueError(_COUPLED)
         gp = self.cm.gamma(np.column_stack([p, np.zeros(len(p))]))
         per_group = [(g.positions, g.dirac_blocks(gp)) for g in self.groups]
         return _group_operator(self.block_info, per_group, self.truncation, scaled.label())
@@ -513,35 +507,58 @@ class _MappingPlan:
         per_group = [(g.positions, g.bochner_blocks(pnorm2)) for g in self.groups]
         return _group_operator(self.block_info, per_group, self.truncation, scaled.label())
 
+    def coupled(self, p: np.ndarray, orbits: slice | np.ndarray) -> np.ndarray:
+        """Per scale of the fiber momenta p (E, O, m) of the orbits indexed,
+        whether the symbol couples distinct twist sectors: over the orbits
+        whose sector has several clusters, in one einsum, an entry joining
+        two clusters of F(p) = sum_k p_k F_k or of the base F_m is above
+        STRUCTURE_TOL max(1, their largest entry).  F(p) may commute with
+        the twist although no F_k does, on a rank-3 rotation's axis."""
+        masks = self.coupling[orbits]
+        masked = np.flatnonzero(masks.any(axis=(1, 2)))
+        m = p.shape[2]
+        f = np.abs(np.einsum("eok,kij->eoij", p[:, masked], self.gammas_q[:m]))
+        f = np.maximum(f, np.abs(self.gammas_q[m]))
+        leak = np.max(f, axis=(2, 3), where=masks[masked], initial=0.0)
+        return np.any(leak > STRUCTURE_TOL * np.max(f, axis=(2, 3), initial=1.0), axis=1)
+
     @cached_property
     def symbols(self) -> _BlockSymbols:
         """The blocks' scale-free symbols, computed on first use."""
-        return _block_symbols(self.groups, self.gammas_q, len(self.reps))
+        return _block_symbols(self.groups, self.gammas_q)
 
     def symbol_spectra(self, fibers: list[FlatTorusModel]) -> _SymbolSolution:
         """Spectra at E fiber scales from the block symbols, given each
         scale's scaled fiber, in one pass and without forming a block.  Its
         at(i) is scale i's spectrum, or None when a block fails its
         certificate, and the caller then takes the block path,
-        eigensolve(self.dirac(scaled)).
+        eigensolve(self.dirac(scaled)).  at(i) raises scale i's coupling.
 
         The certificate is set out in the symbols module, with why its
-        refusals are at least as strict as the block path's and its error
-        bound is held to eigensolve's residual tolerance.
+        Hermiticity refusal is at least as strict as the block path's and
+        its error bound is held to eigensolve's residual tolerance.
         """
         p = np.array([f.dual_momentum(self.reps) for f in fibers])
         p = p.reshape(len(fibers), *self.reps.shape)
-        return self.symbols.solve(p, self.truncation)
+        return self.symbols.solve(p, self.truncation, self.coupled(p, slice(None)))
 
-    def limit_symbol_spectrum(self) -> _CertifiedSpectrum | None:
+    def limit_orbit(self) -> int:
+        """The zero-mode orbit, the limit's; refuses as limit_operator does,
+        a coupling symbol at p = 0 included."""
+        _require_parallel(self.model, self.basis)
+        zero = np.flatnonzero(~self.reps.any(axis=1))
+        if self.coupled(np.zeros((1, 1, self.reps.shape[1])), zero)[0]:
+            raise ValueError(_COUPLED)
+        return int(zero[0])
+
+    def limit_symbol_spectrum(self) -> Spectrum | None:
         """Spectrum of the limit operator as symbol_spectra finds it: the
         blocks of the zero-mode orbit with p = 0, so r = |beta|.  None when a
         block fails its certificate, and the caller then solves the limit
-        operator.  Raises EmptyInvariantSpaceError as limit_operator does."""
-        _require_parallel(self.model, self.basis)
-        (zero,) = np.flatnonzero(~self.reps.any(axis=1))
+        operator.  Refuses first as limit_orbit does."""
+        part = self.symbols.orbit_part(self.limit_orbit())
         p = np.zeros((1, 1, self.reps.shape[1]))
-        return self.symbols.orbit_part(zero).solve(p, self.truncation).at(0)
+        return part.solve(p, self.truncation, np.zeros(1, dtype=bool)).at(0)
 
 
 def _in_basis(basis: _LiftBasis, gammas: np.ndarray) -> np.ndarray:
@@ -567,7 +584,10 @@ def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int
     info, groups = _orbit_layout(
         sectors, reps, sizes, conn_dot, ~zeta0.any(axis=1), model.base_length, truncation
     )
-    return _MappingPlan(model, cm, truncation, basis, gammas_q, sectors, reps, groups, info)
+    coupling = np.array([sectors[d].coupling for d in sizes.tolist()])
+    return _MappingPlan(
+        model, cm, truncation, basis, gammas_q, sectors, reps, groups, info, coupling
+    )
 
 
 def assemble_dirac(
@@ -606,13 +626,12 @@ def bochner_rhs(
 class InvariantSplit:
     """Parallel-section data of the fiber operator.
 
-    projector acts on the fiber operator's basis and selects the zero mode
-    tensored with the fixed space of the holonomy lift; gap is the smallest
-    absolute fiber eigenvalue on the orthogonal complement.
+    dim is the dimension of the parallel sections, the zero mode tensored
+    with the fixed space of the holonomy lift; gap is the smallest absolute
+    fiber eigenvalue on the orthogonal complement.
     """
 
     fiber_operator: AssembledOperator
-    projector: np.ndarray
     dim: int
     gap: float
 
@@ -636,7 +655,7 @@ def fiber_invariant_split(
     from zero on the complement.
     """
     basis = _resolve_lift(model, cm)
-    parallel = basis.q[:, _parallel_columns(model, basis)]
+    r = int(np.count_nonzero(_parallel_columns(model, basis)))
     scaled = model.scaled_fiber()
     modes = _flat_modes(scaled, truncation)
     p = scaled.dual_momentum(modes)
@@ -647,18 +666,13 @@ def fiber_invariant_split(
         model.label() + "|fiber",
     )
     zero = ~modes.any(axis=1) & bool(np.all(model.fiber.spin_shift == 0.0))
-    r = parallel.shape[1]
-    projector = np.zeros((fiber_op.dim, fiber_op.dim), dtype=complex)
-    if r:
-        rows = np.flatnonzero(np.repeat(zero, cm.dim_v))
-        projector[np.ix_(rows, rows)] = parallel @ parallel.conj().T
     gap_candidates = np.linalg.norm(p, axis=1)[~zero].tolist()
     if zero.any() and r < cm.dim_v:
         # complement reaches into the zero mode: the fiber operator
         # vanishes there, so no spectral gap survives
         gap_candidates.append(0.0)
     gap = float(min(gap_candidates, default=0.0))
-    return InvariantSplit(fiber_operator=fiber_op, projector=projector, dim=r, gap=gap)
+    return InvariantSplit(fiber_operator=fiber_op, dim=r, gap=gap)
 
 
 def limit_operator(
@@ -670,20 +684,16 @@ def limit_operator(
 
     Raises EmptyInvariantSpaceError when no nonzero parallel sections exist
     (nontrivial fiber spin shift, or a lift without fixed vectors); that is
-    the regime where the whole spectrum escapes to infinity instead.
+    the regime where the whole spectrum escapes to infinity instead.  The
+    model's plan refuses first.
     """
-    basis = _resolve_lift(model, cm)
-    gb_q = _in_basis(basis, cm.gammas[model.fiber.n])
-    sector = _twist_sector(basis, gb_q, 1, model.base_shift)
-    return _limit_operator(model, truncation, basis, sector)
+    return _limit_operator(_mapping_plan(model, cm, truncation))
 
 
-def _limit_operator(
-    model: AffineMappingTorus, truncation: int, basis: _LiftBasis, sector: _TwistSector | None
-) -> AssembledOperator:
-    """limit_operator for a lift basis and its twist sector of orbit size 1,
-    which is only read when parallel sections exist."""
-    _require_parallel(model, basis)
+def _limit_operator(plan: _MappingPlan) -> AssembledOperator:
+    """limit_operator from the plan of its model."""
+    plan.limit_orbit()
+    model, truncation, sector = plan.model, plan.truncation, plan.sectors[1]
     # a single zero-mode orbit of size 1, without fiber momentum
     one = np.ones(1, dtype=np.int64)
     info, groups = _orbit_layout(

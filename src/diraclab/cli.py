@@ -418,23 +418,24 @@ def main(argv=None) -> int:
 
     cfg = configparser.ConfigParser()
     cfg.optionxform = str
-    read = cfg.read(args.config)
-    if not read:
-        print(f"error: cannot read config {args.config}", file=sys.stderr)
-        return 2
+    # a malformed file (no section header, a duplicate section) fails the
+    # read, and a malformed seed its getint: config errors, exit 2
     try:
-        name = cfg.get("experiment", "name")
-        runner = _EXPERIMENTS[name]
-    except (configparser.Error, KeyError):
-        known = ", ".join(sorted(_EXPERIMENTS))
-        print(f"error: missing or unknown experiment name; known: {known}", file=sys.stderr)
-        return 2
-    seed = args.seed
-    if seed is None:
-        seed = cfg.getint("numeric", "seed", fallback=DEFAULT_SEED)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
+        if not cfg.read(args.config):
+            print(f"error: cannot read config {args.config}", file=sys.stderr)
+            return 2
+        try:
+            name = cfg.get("experiment", "name")
+            runner = _EXPERIMENTS[name]
+        except (configparser.Error, KeyError):
+            known = ", ".join(sorted(_EXPERIMENTS))
+            print(f"error: missing or unknown experiment name; known: {known}", file=sys.stderr)
+            return 2
+        seed = args.seed
+        if seed is None:
+            seed = cfg.getint("numeric", "seed", fallback=DEFAULT_SEED)
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
         passed, results = runner(cfg, outdir, seed)
     except (ValueError, RuntimeError, KeyError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -180,6 +180,13 @@ def _scaled_models(model: AffineMappingTorus, eps: list[float]):
     return scaled, fibers, None
 
 
+def _solved(spec: Spectrum | None, operator) -> Spectrum:
+    """A spectrum the symbol path solved, or where it left the spectrum to
+    the block path (None), eigensolve of the operator that operator()
+    assembles."""
+    return eigensolve(operator()) if spec is None else spec
+
+
 def collapse_run(
     model: AffineMappingTorus,
     cm: CliffordModule,
@@ -202,11 +209,13 @@ def collapse_run(
     fiber gives both its momenta and its window's diameter.  The limit (the
     zero-mode orbit's blocks without fiber momentum) and then all scales at
     once are solved from the plan's certified block symbols, without forming
-    an operator; a scale with a block that fails its certificate takes the
-    block path, eigensolve of the assembled operator.  A scale's k_max
-    tracked values come from a sort of its at most 2 k_max eigenvalues
-    nearest zero, not of all of them.  Refusals come scale
-    by scale, each scale's in the order twist-sector coupling, Hermiticity,
+    an operator; the limit or a scale with a block that fails its
+    certificate takes the block path, eigensolve of the assembled operator.
+    The plan's one twist-sector coupling check serves both paths: it runs
+    once for all scales, and once for the limit at the zero mode alone.  A
+    scale's k_max tracked values come from a sort of its at most 2 k_max
+    eigenvalues nearest zero, not of all of them.  Refusals come scale by
+    scale, each scale's in the order twist-sector coupling, Hermiticity,
     block path, k_max, window.
     """
     eps = _check_epsilons(epsilons)
@@ -216,13 +225,7 @@ def collapse_run(
         raise ValueError("k_max must be at least 1")
     plan = _mapping_plan(model, cm, truncation)
     try:
-        limit = plan.limit_symbol_spectrum()
-        if limit is None:
-            # with parallel sections the zero mode is an orbit of size 1
-            limit_op = _limit_operator(model, truncation, plan.basis, plan.sectors.get(1))
-            limit_spec = eigensolve(limit_op)
-        else:
-            limit_spec = limit.spectrum()
+        limit_spec = _solved(plan.limit_symbol_spectrum(), lambda: _limit_operator(plan))
         verdict = "converges"
     except EmptyInvariantSpaceError:
         limit_spec = None
@@ -231,8 +234,7 @@ def collapse_run(
     solved = plan.symbol_spectra(fibers)
     spectra, bounds, tracked_cols = [], [], []
     for i, at_scale in enumerate(scaled):
-        certified = solved.at(i)
-        spec = eigensolve(plan.dirac(at_scale)) if certified is None else certified.spectrum()
+        spec = _solved(solved.at(i), lambda: plan.dirac(at_scale))
         if k_max > len(spec):
             raise ValueError(f"k_max={k_max} exceeds spectrum size {len(spec)}")
         spectra.append(spec)
@@ -294,11 +296,12 @@ def blowup_check(
     Only valid when no parallel sections exist; rate is the largest a with
     min |spec| >= a / epsilon across all requested scales.  The plan's one
     lift basis decides whether parallel sections exist.  Each scale's model
-    and scaled fiber are built once, all scales are solved from the plan's
-    block symbols in one pass, and each scale's min |spec| is the smallest
-    certified r, or the block path's when a block fails its certificate.
-    Refusals come scale by scale, each scale's in the order twist-sector
-    coupling, Hermiticity, block path.
+    and scaled fiber are built once, and all scales are solved from the
+    plan's block symbols in one pass, as in collapse_run; each scale's
+    min |spec| is read off its spectrum, the certified one or the block
+    path's when a block fails its certificate.  Refusals come scale by
+    scale, each scale's in the order twist-sector coupling, Hermiticity,
+    block path.
     """
     plan = _mapping_plan(model, cm, truncation)
     if _parallel_columns(model, plan.basis).any():
@@ -310,11 +313,8 @@ def blowup_check(
     solved = plan.symbol_spectra(fibers)
     mins = []
     for i, at_scale in enumerate(scaled):
-        certified = solved.at(i)
-        if certified is None:
-            mins.append(float(eigensolve(plan.dirac(at_scale)).abs_sorted()[0]))
-        else:
-            mins.append(float(np.min(certified.r)))
+        spec = _solved(solved.at(i), lambda: plan.dirac(at_scale))
+        mins.append(float(_smallest_abs(spec.values, 1)[0]))
     if refused is not None:
         raise refused
     rate = min(m * e for m, e in zip(mins, eps))
@@ -461,12 +461,15 @@ def rayleigh_minimax_check(op, k: int, trials: int = 20, seed: int = 0) -> Rayle
     subspaces probe that variational inequality, with a slack of
     INEQUALITY_SLACK * max(1, |eigenvalue|).  The subspaces are drawn from
     random.Random(seed), so worst_margin at a given seed differs from
-    versions that drew them from numpy.random; a negative seed is refused.
+    versions that drew them from numpy.random; a negative seed is refused,
+    and so is trials < 1, which would check nothing.
     """
     matrix = np.asarray(getattr(op, "matrix", op), dtype=complex)
     dim = matrix.shape[0]
     if not 1 <= k <= dim:
         raise ValueError(f"k must lie in [1, {dim}]")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     square = matrix @ matrix
     target = float(np.linalg.eigvalsh(square)[k - 1])
     rng = _Normals(seed)

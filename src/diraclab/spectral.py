@@ -46,7 +46,7 @@ CASIMIR_TOL = 1e-10  # Casimir sum minus its scalar c; op, rel c
 UNITARITY_TOL = 1e-10  # U^H U - I of a lift or holonomy generator, R^T R - I; op, abs
 PROJECTOR_TOL = 1e-10  # P - P^H of an averaging projector, eigenvalues off {0, 1}; op, abs
 ANGLE_TOL = 1e-10  # equal cosines and zero sines in the logarithm of a rotation; abs
-LIFT_TOL = 1e-9  # exp(log R) - R, and U gamma U^H - gamma(R) for the lift U of R; op, abs
+LIFT_TOL = 1e-9  # U gamma U^H - gamma(R) for the lift U of R (and so exp(log R) - R); op, abs
 WEIGHT_TOL = 1e-9  # twice a module weight minus the nearest integer; abs
 SINGULAR_DET_TOL = 1e-12  # |det| of a singular lattice basis; abs
 DIAGONAL_GRAM_TOL = 1e-12  # off-diagonal Gram entries of a rectangle; times largest entry

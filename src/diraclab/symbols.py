@@ -28,17 +28,14 @@ eigensolve's residual tolerance.  A block with x = 0 is exactly zero
 and gives s zeros.  Traces and defects do not depend on the scale, so
 every fiber scale is solved from the same constants in one vector pass.
 
-The block path's two refusals are evaluated so that each is at least
-as strict as its block-path check.  Twist-sector coupling, per orbit
-whose twist sector has more than one cluster: the entries dirac_blocks
-drops are measured as it measures them, from the sector-basis fiber
-symbol F(p) = sum_k p_k F_k itself, against the same scale, so an orbit
-is refused exactly where the block path refuses it (as for a mode on the
-axis of a rank-3 rotation, F(p) may commute with the twist although no
-single F_k does).  Hermiticity, a bound linear in |x| over all blocks
-as AssembledOperator checks it: max |D - D^H| <= sum_k |x_k|
-max |G_k - G_k^H|, against max(1, max over blocks of
-sqrt(r^2 - delta) / s), a lower bound of the block path's scale.
+Twist-sector coupling is not checked here: the plan's one check
+(assembly._MappingPlan.coupled) flags every scale, for this path and the
+block path alike, and solve takes its flags.  The block path's other
+refusal, Hermiticity, is evaluated so that it is at least as strict as the
+block path's check: a bound linear in |x| over all blocks as
+AssembledOperator checks it, max |D - D^H| <= sum_k |x_k| max |G_k - G_k^H|,
+against max(1, max over blocks of sqrt(r^2 - delta) / s), a lower bound of
+the block path's scale.
 
 The symbols are scale-free and built once per plan (assembly._MappingPlan);
 solve takes the orbit fiber momenta of all wanted scales at once.
@@ -52,35 +49,21 @@ import numpy as np
 
 from .spectral import HERMITICITY_TOL, RESIDUAL_TOL, STRUCTURE_TOL, Spectrum, _default_tol
 
-# the message of an assembled operator that fails its Hermiticity check; the
-# symbol path refuses with it where the block path would
+# the messages of an operator whose symbol couples distinct twist sectors
+# and of an assembled operator that fails its Hermiticity check; the symbol
+# path refuses with them where the block path would
+_COUPLED = "operator symbol couples distinct twist sectors"
 _NOT_HERMITIAN = "assembled operator is not Hermitian (residual {residual:.3e})"
-
-
-@dataclass(frozen=True, eq=False)
-class _CertifiedSpectrum:
-    """Certified spectrum of a set of blocks: block b has the eigenvalue
-    -r[b] nneg[b] times and +r[b] npos[b] times."""
-
-    r: np.ndarray
-    nneg: np.ndarray
-    npos: np.ndarray
-    truncation: int
-
-    def spectrum(self) -> Spectrum:
-        values = np.concatenate([np.repeat(-self.r, self.nneg), np.repeat(self.r, self.npos)])
-        return Spectrum(
-            values=values, cluster_tol=_default_tol(values), source_truncation=self.truncation
-        )
 
 
 @dataclass(frozen=True, eq=False)
 class _SymbolSolution:
     """Symbol spectra of a plan's blocks at E fiber scales, solved in one
-    pass (see the module docstring).  Per scale: whether the symbol
-    couples distinct twist sectors, the Hermiticity residual and its limit,
-    and whether every block is certified; per scale and block, r and the
-    count of +r (floats, integral where certified); per block, its size."""
+    pass (see the module docstring).  Per scale: the plan's flag of whether
+    the symbol couples distinct twist sectors, the Hermiticity residual and
+    its limit, and whether every block is certified; per scale and block, r
+    and the count of +r (floats, integral where certified); per block, its
+    size."""
 
     coupled: np.ndarray
     resid: np.ndarray
@@ -91,18 +74,23 @@ class _SymbolSolution:
     sizes: np.ndarray
     truncation: int
 
-    def at(self, i: int) -> _CertifiedSpectrum | None:
-        """Certified spectrum of scale i, or None when a block fails its
+    def at(self, i: int) -> Spectrum | None:
+        """Certified spectrum of scale i, each block b taking -r[b] (s - n+
+        times) and +r[b] (n+ times), or None when a block fails its
         certificate and the caller takes the block path.  Raises, in the
         block path's order, scale i's refusals: coupling, then Hermiticity."""
         if self.coupled[i]:
-            raise ValueError("operator symbol couples distinct twist sectors")
+            raise ValueError(_COUPLED)
         if self.resid[i] > self.limit[i]:
             raise ValueError(_NOT_HERMITIAN.format(residual=float(self.resid[i])))
         if not self.certified[i]:
             return None
         npos = self.npos[i].astype(np.intp)
-        return _CertifiedSpectrum(self.r[i], self.sizes - npos, npos, self.truncation)
+        r = self.r[i]
+        values = np.concatenate([np.repeat(-r, self.sizes - npos), np.repeat(r, npos)])
+        return Spectrum(
+            values=values, cluster_tol=_default_tol(values), source_truncation=self.truncation
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,12 +103,7 @@ class _BlockSymbols:
     restricted gammas G_k = q_c^H gamma_k q_c (fiber directions, then the
     base): their real traces (n, C), the Clifford defects
     A_kl = ||H_k H_l + H_l H_k - 2 delta_kl I||_F of their Hermitian parts
-    H_k (n, n, C), and max |G_k - G_k^H| (n, C).  For the gammas
-    F_k = q^H gamma_k q in the lift basis, per orbit: the largest entry of
-    the base F_m that joins two clusters of the orbit's twist sector (zero
-    when the sector has one cluster), max(1, max |F_m|), and the mask of
-    the entries that join two clusters of its twist sector
-    (O, dim_v, dim_v); and once, the fiber F_k (m, dim_v, dim_v).
+    H_k (n, n, C), and max |G_k - G_k^H| (n, C).
     """
 
     orbit: np.ndarray
@@ -130,10 +113,6 @@ class _BlockSymbols:
     trace: np.ndarray
     defect: np.ndarray
     skew: np.ndarray
-    base_leak: np.ndarray
-    base_max: np.ndarray
-    coupling: np.ndarray
-    fiber: np.ndarray
 
     def orbit_part(self, orbit: int) -> _BlockSymbols:
         """The symbols of one orbit's blocks, as orbit 0."""
@@ -146,15 +125,12 @@ class _BlockSymbols:
             self.trace,
             self.defect,
             self.skew,
-            self.base_leak[[orbit]],
-            self.base_max[[orbit]],
-            self.coupling[[orbit]],
-            self.fiber,
         )
 
-    def solve(self, p: np.ndarray, truncation: int) -> _SymbolSolution:
+    def solve(self, p: np.ndarray, truncation: int, coupled: np.ndarray) -> _SymbolSolution:
         """The certificates at the orbit fiber momenta p (E, O, m) of E fiber
-        scales, in one pass; see the module docstring.
+        scales, in one pass, with the plan's coupling flags (E,) of those
+        momenta; see the module docstring.
 
         The sums over directions k of a block, with x = (p of its orbit,
         beta), split into a fiber part, summed per scale, orbit and cluster
@@ -165,16 +141,6 @@ class _BlockSymbols:
         1/2 |x|^T A |x| enter once, doubled."""
         n_scales, n_orbits, m = p.shape
         ap = np.abs(p)
-        # per scale and orbit with a coupling mask: the entries of F(p) that
-        # dirac_blocks drops, against its scale
-        coupled = np.zeros(n_scales, dtype=bool)
-        masked = np.flatnonzero(self.coupling.any(axis=(1, 2)))
-        if len(masked):
-            f = np.abs(np.einsum("eok,kij->eoij", p[:, masked], self.fiber))
-            leak = np.max(f, axis=(2, 3), where=self.coupling[masked], initial=0.0)
-            leak = np.maximum(leak, self.base_leak[masked])
-            scale = np.maximum(self.base_max[masked], np.max(f, axis=(2, 3)))
-            coupled = np.any(leak > STRUCTURE_TOL * scale, axis=1)
         pp = np.zeros((n_scales, n_orbits))
         for k in range(m):
             pp += p[..., k] * p[..., k]
@@ -262,24 +228,15 @@ def _cluster_constants(gc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     )
 
 
-def _block_symbols(groups: tuple, gammas_q: np.ndarray, orbits: int) -> _BlockSymbols:
-    """Symbols of the blocks of a plan's orbit groups (assembly._OrbitGroup),
-    whose members number orbits in all; gammas_q are the module's gammas in
-    the lift basis.  Each group's
+def _block_symbols(groups: tuple, gammas_q: np.ndarray) -> _BlockSymbols:
+    """Symbols of the blocks of a plan's orbit groups (assembly._OrbitGroup);
+    gammas_q are the module's gammas in the lift basis.  Each group's
     clusters are clusters of the symbols, and the clusters of one size are
     reduced as one stack."""
     n = len(gammas_q)
-    m = n - 1
-    base_leak = np.zeros(orbits)
-    base_max = np.ones(orbits)
-    coupling = np.zeros((orbits,) + gammas_q.shape[1:], dtype=bool)
     orbit, beta, by_size = [], [], {}
     for g in groups:
         sec = g.sector
-        if sec.coupling.any():
-            base_leak[g.members] = sec.gb_leak
-            coupling[g.members] = sec.coupling
-        base_max[g.members] = max(1.0, sec.gb_max)
         members = np.repeat(g.members, g.betas[0].shape[1])
         for (rows, cols), b in zip(sec.grids, g.betas):
             by_size.setdefault(len(rows), []).append((len(orbit), gammas_q[:, rows, cols]))
@@ -299,5 +256,4 @@ def _block_symbols(groups: tuple, gammas_q: np.ndarray, orbits: int) -> _BlockSy
         np.concatenate(beta),
         np.repeat(sizes, counts),
         *consts,
-        base_leak, base_max, coupling, gammas_q[:m],
     )

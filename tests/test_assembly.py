@@ -11,7 +11,6 @@ from diraclab.assembly import (
     AssembledOperator,
     BlockInfo,
     EmptyInvariantSpaceError,
-    _OrbitGroup,
     _flat_modes,
     _holonomy_orbits,
     _in_basis,
@@ -28,7 +27,9 @@ from diraclab.assembly import (
     limit_operator,
     write_matrix_text,
 )
-from diraclab.clifford import CliffordModule, _expm_skew, _lift_factors, exterior_module, spinor_gammas
+from diraclab.clifford import (
+    CliffordModule, _expm_skew_factors, _lift_factors, exterior_module, spinor_gammas,
+)
 from diraclab.collapse import blowup_check, collapse_run
 from diraclab.models import AffineMappingTorus, FlatTorusModel
 from diraclab.spectral import (
@@ -235,8 +236,6 @@ def test_fiber_invariant_split_cases():
     split = fiber_invariant_split(_simple_mapping().with_scale(0.25), cm, 3)
     assert split.dim == 2
     assert split.gap == pytest.approx(4.0, abs=1e-12)
-    assert np.allclose(split.projector @ split.projector, split.projector, atol=1e-12)
-    assert int(round(np.trace(split.projector).real)) == 2
 
     # antiperiodic fiber: no parallel sections, gap is the smallest momentum
     split2 = fiber_invariant_split(_simple_mapping(fiber_shift=0.5), cm, 3)
@@ -686,10 +685,10 @@ def test_symbol_spectra_match_block_path_over_model_space(model, exterior, trunc
     solved = plan.symbol_spectra([scaled.scaled_fiber()]).at(0)
     # on valid modules every block is certified, so the block path is never taken
     assert solved is not None
-    _assert_same_spectrum(solved.spectrum(), ref)
-    # blowup_check's minimum |lambda| is the smallest certified r
+    _assert_same_spectrum(solved, ref)
+    # blowup_check's minimum |lambda|, read off the certified spectrum
     smallest = ref.abs_sorted()[0]
-    assert abs(float(np.min(solved.r)) - smallest) <= 1e-13 * max(1.0, smallest)
+    assert abs(float(solved.abs_sorted()[0]) - smallest) <= 1e-13 * max(1.0, smallest)
     try:
         limit = plan.limit_symbol_spectrum()
     except EmptyInvariantSpaceError:
@@ -697,7 +696,7 @@ def test_symbol_spectra_match_block_path_over_model_space(model, exterior, trunc
             limit_operator(model, module, truncation)
         return
     assert limit is not None
-    _assert_same_spectrum(limit.spectrum(), eigensolve(limit_operator(model, module, truncation)))
+    _assert_same_spectrum(limit, eigensolve(limit_operator(model, module, truncation)))
 
 
 def test_symbol_zero_blocks_are_zeros():
@@ -716,10 +715,9 @@ def test_symbol_zero_blocks_are_zeros():
         (plan.limit_symbol_spectrum(), eigensolve(limit_operator(model, cm, 2))),
     ]:
         assert solved is not None
-        spec = solved.spectrum()
-        _assert_same_spectrum(spec, ref)
-        assert np.count_nonzero(spec.values == 0.0) == cm.dim_v
-        assert float(np.min(solved.r)) == 0.0
+        _assert_same_spectrum(solved, ref)
+        assert np.count_nonzero(solved.values == 0.0) == cm.dim_v
+        assert float(solved.abs_sorted()[0]) == 0.0
 
 
 def _fcc_cyclic_mapping(fiber_shift):
@@ -808,34 +806,50 @@ def test_symbol_path_refuses_non_hermitian_symbols(monkeypatch):
         collapse_run(model, cm, [1.0], 1, 2)
 
 
+class _GivenMomenta:
+    """Stands in for a scaled model, and for its scaled fiber, whose orbit
+    fiber momenta are p."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def scaled_fiber(self):
+        return self
+
+    def dual_momentum(self, reps):
+        return self.p.copy()
+
+    def label(self):
+        return "given momenta"
+
+
+def _refusal(run):
+    """The message of the ValueError run() raises, or None."""
+    try:
+        run()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
 def test_symbol_path_refuses_coupling_twist_sectors():
+    # gamma_0 mixes the two sectors of the zero mode's twist.  The block and
+    # symbol paths take their verdict from the plan's one coupling check, so
+    # they refuse the same momenta with the same message, the last case
+    # with every other orbit's symbol far larger
     cm = spinor_gammas(3)
     plan = _mapping_plan(_rot4_mapping(), cm, 1)
     (zero,) = np.flatnonzero(~plan.reps.any(axis=1))
-    (group,) = [g for g in plan.groups if zero in g.members]
-    p = np.zeros((len(plan.reps), 2))
-    assert plan.symbols.solve(p[None], 1).at(0) is not None
-    # gamma_0 mixes the two sectors of the zero mode's twist; the symbol
-    # path refuses whenever dirac_blocks does, relative to each orbit's scale
-    for size in (1e-12, 5e-9, 2e-8, 1e-6, 1.0, 1e6):
+    message = "operator symbol couples distinct twist sectors"
+    cases = [(size, 0.0) for size in (0.0, 1e-12, 5e-9, 2e-8, 1e-6, 1.0, 1e6)] + [(1e-3, 1e6)]
+    for size, elsewhere in cases:
+        p = np.full((len(plan.reps), 2), elsewhere)
         p[zero] = (size, 0.0)
-        try:
-            group.dirac_blocks(cm.gamma(np.column_stack([p, np.zeros(len(p))])))
-            block_refuses = False
-        except ValueError:
-            block_refuses = True
-        try:
-            plan.symbols.solve(p[None], 1).at(0)
-            symbol_refuses = False
-        except ValueError as err:
-            assert str(err) == "operator symbol couples distinct twist sectors"
-            symbol_refuses = True
-        assert symbol_refuses >= block_refuses
-        assert symbol_refuses == (size > STRUCTURE_TOL)
-    p[:] = 1e6
-    p[zero] = (1e-3, 0.0)
-    with pytest.raises(ValueError, match="couples distinct twist sectors"):
-        plan.symbols.solve(p[None], 1).at(0)
+        given = _GivenMomenta(p)
+        block = _refusal(lambda: plan.dirac(given))
+        symbol = _refusal(lambda: plan.symbol_spectra([given]).at(0))
+        assert block == symbol
+        assert block == (message if size > STRUCTURE_TOL else None)
 
 
 def test_collapse_runs_build_no_operator_per_scale(monkeypatch):
@@ -920,7 +934,9 @@ def test_lift_is_resolved_once_per_run(monkeypatch):
     assert len(calls) == 2
 
 
-def test_symbol_coupling_twist_sectors_is_refused():
+def test_symbol_coupling_twist_sectors_is_refused(monkeypatch):
+    import diraclab.assembly as assembly
+
     cm = spinor_gammas(3)
     plan = _mapping_plan(_rot4_mapping(), cm, 1)
     # the zero mode is the only orbit of size 1; its twist is the lift,
@@ -929,22 +945,63 @@ def test_symbol_coupling_twist_sectors_is_refused():
     (group,) = [g for g in plan.groups if zero in g.members]
     assert group.members.tolist() == [zero]
     assert len(group.sector.clusters) == 2
-    gp = np.zeros((len(plan.reps), 2, 2), dtype=complex)
-    group.dirac_blocks(gp)
-    gp[zero] = cm.gammas[0]
+    assert plan.coupling[zero].any() and not np.delete(plan.coupling, zero, axis=0).any()
+    p = np.zeros((2, len(plan.reps), 2))
+    p[1, zero] = (1.0, 0.0)
+    assert plan.coupled(p, slice(None)).tolist() == [False, True]
+
+    # the block path refuses before it forms a block
+    def no_blocks(*args):
+        raise AssertionError("a block was formed")
+
+    monkeypatch.setattr(assembly._OrbitGroup, "dirac_blocks", no_blocks)
     with pytest.raises(ValueError, match="couples distinct twist sectors"):
-        group.dirac_blocks(gp)
-    # the check is relative to each member's own scale: a small leak in one
-    # member is refused although another member's symbol is far larger
-    pair = _OrbitGroup(
-        np.array([0, 1]), group.sector, tuple(np.vstack([b, b]) for b in group.betas),
-        group.positions,
-    )
-    gp = np.array([1e6 * cm.gammas[2], 1e-3 * cm.gammas[0]])
-    with pytest.raises(ValueError, match="couples distinct twist sectors"):
-        pair.dirac_blocks(gp)
-    gp[1] = 0.0
-    assert [b.shape for b in pair.dirac_blocks(gp)] == [(2, 3, 1, 1), (2, 3, 1, 1)]
+        plan.dirac(_GivenMomenta(p[1]))
+
+
+def test_limit_takes_the_plan_coupling_check_at_the_zero_mode(monkeypatch):
+    # limit_operator and the limit's symbol solve both ask the plan's one
+    # check, for the zero-mode orbit alone at p = 0, before any block
+    import diraclab.assembly as assembly
+
+    asked = []
+
+    def flag_every_scale(self, p, orbits):
+        asked.append((p.tolist(), self.reps[orbits].tolist()))
+        return np.ones(len(p), dtype=bool)
+
+    def no_blocks(*args):
+        raise AssertionError("a block was formed")
+
+    monkeypatch.setattr(assembly._MappingPlan, "coupled", flag_every_scale)
+    monkeypatch.setattr(assembly._OrbitGroup, "dirac_blocks", no_blocks)
+    model, cm = _rot4_mapping(), exterior_module(3)
+    plan = _mapping_plan(model, cm, 2)
+    for run in (lambda: limit_operator(model, cm, 2), plan.limit_symbol_spectrum):
+        asked.clear()
+        with pytest.raises(ValueError, match="^operator symbol couples distinct twist sectors$"):
+            run()
+        assert asked == [([[[0.0, 0.0]]], [[0, 0]])]
+
+
+def test_coupling_check_is_relative_to_each_orbit():
+    # FCC fiber turned by the cyclic permutation: the modes (a, a, a) lie on
+    # the rotation axis, and each is an orbit of size 1 in the zero mode's
+    # twist sector.  gamma(p) commutes with the twist along the axis, so a
+    # large axis symbol leaks nothing, and a small leak at the zero mode is
+    # refused against the zero mode's own scale
+    cm = spinor_gammas(4)
+    model = _fcc_cyclic_mapping(0.0)
+    plan = _mapping_plan(model, cm, 1)
+    axis = np.flatnonzero(np.all(plan.reps == plan.reps[:, :1], axis=1))
+    assert len(axis) == 3 and plan.coupling[axis].any(axis=(1, 2)).all()
+    big = 1e6 * model.fiber.dual_momentum(np.ones((1, 3)))
+    (zero,) = np.flatnonzero(~plan.reps.any(axis=1))
+    p = np.zeros((3, 2, 3))
+    p[:, 0] = big[0]
+    p[1, 1] = (1e-3, 0.0, 0.0)
+    p[2, 1] = big[0]
+    assert plan.coupled(p, [axis[-1], zero]).tolist() == [False, True, False]
 
 
 def _loop_orbits(model, truncation):
@@ -1023,7 +1080,7 @@ def test_given_lift_checks_match_loop(build, delta, scale):
     h = np.random.default_rng(3).standard_normal((cm.dim_v, cm.dim_v))
     h = (h + h.T) / np.linalg.norm(h + h.T, 2)
     # a unitary (for scale 1) that intertwines to within about 2 delta
-    u = scale * geometric @ _expm_skew(1j * delta * h)
+    u = scale * geometric @ _expm_skew_factors(1j * delta * h)[0]
     model = AffineMappingTorus(
         fiber=FlatTorusModel(np.eye(2), np.zeros(2)),
         holonomy=np.array([[0, -1], [1, 0]]),

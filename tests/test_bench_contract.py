@@ -27,6 +27,16 @@ def test_traced_functions_resolve(layer, func):
     assert callable(getattr(importlib.import_module(f"diraclab.{layer}"), func))
 
 
+def test_collapse_binds_the_traced_eigensolve():
+    # the tracer wraps eigensolve in every module namespace that binds it,
+    # and the collapse solves reach the block path through collapse's own
+    # binding, which must be spectral's function
+    import diraclab.collapse
+    import diraclab.spectral
+
+    assert diraclab.collapse.eigensolve is diraclab.spectral.eigensolve
+
+
 @pytest.mark.parametrize(
     "model,cm",
     [

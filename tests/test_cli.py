@@ -234,6 +234,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert code == 2
     capsys.readouterr()
 
+    # a file configparser cannot parse, and a seed that is no integer, are
+    # config errors too: exit 2 with a message, not a traceback
+    for sub, text in [
+        ("noheader", "name = collapse\n" + COLLAPSE_CFG),
+        ("duplicate", COLLAPSE_CFG + "[experiment]\nname = collapse\n"),
+        ("badseed", COLLAPSE_CFG.replace("[numeric]", "[numeric]\nseed = abc")),
+    ]:
+        code, _ = _run(tmp_path, text, sub=sub)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 @pytest.mark.parametrize(
     "config, old, new, message",

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diraclab.clifford as clifford
 from diraclab.clifford import (
     CliffordModule,
     _casimir_matrix,
     _exceeds,
-    _expm_skew,
+    _expm_skew_factors,
     _max_opnorm,
     casimir,
     exterior_module,
@@ -317,9 +318,37 @@ def test_lift_of_pi_rotation_is_the_limit_from_below(module):
 
 def test_expm_skew_refuses_non_skew_input():
     x = np.array([[0.0, -0.4], [0.4, 0.0]])
-    assert np.allclose(_expm_skew(x), _plane_rotation(2, 0, 1, 0.4), atol=1e-15)
+    assert np.allclose(_expm_skew_factors(x)[0], _plane_rotation(2, 0, 1, 0.4), atol=1e-15)
     with pytest.raises(ValueError, match="skew-Hermitian"):
-        _expm_skew(np.array([[0.1, -0.4], [0.4, 0.0]]))
+        _expm_skew_factors(np.array([[0.1, -0.4], [0.4, 0.0]]))
+
+
+@pytest.mark.parametrize("module", [spinor_gammas(3), spinor_gammas(4), exterior_module(3)])
+@pytest.mark.parametrize("plane", [(0, 1), (0, 2), (1, 2)])
+def test_corrupted_logarithm_fails_the_intertwining_check(monkeypatch, module, plane):
+    # the lift is verified once, by U gamma U^H = gamma(R^T): a logarithm of
+    # the rotation off by 1e-6, in its own plane or across it, moves
+    # exp(log R) and that residual alike (gamma is an isometry), both far
+    # above LIFT_TOL
+    n = module.n
+    rot = _plane_rotation(n, 0, 1, 0.7)
+    original = clifford._special_orthogonal_log
+    a, b = plane
+
+    def corrupted(r):
+        omega = original(r)
+        omega[a, b] += 1e-6
+        omega[b, a] -= 1e-6
+        return omega
+
+    u = lift_rotation(module, rot)
+    monkeypatch.setattr(clifford, "_special_orthogonal_log", corrupted)
+    omega = corrupted(rot)
+    assert _exceeds(_expm_skew_factors(omega)[0] - rot, 100.0 * LIFT_TOL)
+    with pytest.raises(ValueError, match="^computed lift fails to intertwine the Clifford action$"):
+        lift_rotation(module, rot)
+    # the uncorrupted lift passes the same check
+    assert not _exceeds(u @ module.gammas @ u.conj().T - module.gamma(rot.T), LIFT_TOL)
 
 
 def test_lift_rotation_rejects_reflection():

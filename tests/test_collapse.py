@@ -210,21 +210,20 @@ def _rot4_spinor_model():
 
 
 def _inject(monkeypatch, faults):
-    """Make the stacked symbol solve report the given faults, {scale index:
-    set of "coupled", "hermitian", "uncertified"}, and make the block path
-    raise RuntimeError("block path")."""
+    """Make the stacked solve of all scales report the given faults, {scale
+    index: set of "coupled", "hermitian", "uncertified"}, and make the block
+    path raise RuntimeError("block path")."""
     import dataclasses
 
     import diraclab.assembly as assembly
-    import diraclab.symbols as symbols
 
-    original = symbols._BlockSymbols.solve
+    original = assembly._MappingPlan.symbol_spectra
 
-    def solve(self, p, truncation):
-        out = original(self, p, truncation)
+    def symbol_spectra(self, fibers):
+        out = original(self, fibers)
         coupled, resid, certified = out.coupled.copy(), out.resid.copy(), out.certified.copy()
         for i, kinds in faults.items():
-            if i < len(p):
+            if i < len(fibers):
                 coupled[i] |= "coupled" in kinds
                 resid[i] = np.inf if "hermitian" in kinds else resid[i]
                 certified[i] &= "uncertified" not in kinds
@@ -233,7 +232,7 @@ def _inject(monkeypatch, faults):
     def block_path(self, scaled):
         raise RuntimeError("block path")
 
-    monkeypatch.setattr(symbols._BlockSymbols, "solve", solve)
+    monkeypatch.setattr(assembly._MappingPlan, "symbol_spectra", symbol_spectra)
     monkeypatch.setattr(assembly._MappingPlan, "dirac", block_path)
 
 
@@ -666,6 +665,10 @@ def test_rayleigh_minimax():
         rayleigh_minimax_check(op, op.dim + 1)
     with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
         rayleigh_minimax_check(op, 1, seed=-1)
+    # no trial would check nothing, yet report ok with an infinite margin
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match=rf"^trials must be at least 1, got {trials}$"):
+            rayleigh_minimax_check(op, 1, trials=trials)
 
 
 def test_normals_are_seeded_standard_normal_draws():

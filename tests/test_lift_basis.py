@@ -76,14 +76,17 @@ def _reference_parallel(model, lift):
     return fixed.shape[1], fixed.shape[1] > 0 and bool(np.all(model.fiber.spin_shift == 0.0))
 
 
-def _reference_solve(sym, p):
+def _reference_solve(sym, p, masks, gammas_q):
     """One scale's solve at the orbit fiber momenta p (O, m), orbit by orbit
-    for the coupling check and with every cluster constant repeated per
-    block: (r, nneg, npos), or None."""
-    for o in np.flatnonzero(sym.coupling.any(axis=(1, 2))):
-        f = np.abs(np.einsum("k,kij->ij", p[o], sym.fiber))
-        leak = max(np.max(f[sym.coupling[o]]), sym.base_leak[o])
-        if leak > STRUCTURE_TOL * max(sym.base_max[o], np.max(f)):
+    for the coupling check (each orbit's twist-sector mask in masks, the
+    gammas in the lift basis in gammas_q) and with every cluster constant
+    repeated per block: (r, nneg, npos), or None."""
+    m = p.shape[1]
+    base = np.abs(gammas_q[m])
+    for o in np.flatnonzero(masks.any(axis=(1, 2))):
+        f = np.abs(np.einsum("k,kij->ij", p[o], gammas_q[:m]))
+        leak = max(np.max(f[masks[o]]), np.max(base[masks[o]]))
+        if leak > STRUCTURE_TOL * max(1.0, np.max(base), np.max(f)):
             raise ValueError("operator symbol couples distinct twist sectors")
     c = sym.cluster
     trace, defect, skew = sym.trace[:, c], sym.defect[:, :, c], sym.skew[:, c]
@@ -285,15 +288,15 @@ def test_stacked_solve_matches_per_scale_solve_over_model_space(lifted, truncati
     model, cm, _ = lifted
     plan = _mapping_plan(model, cm, truncation)
     p = np.array([model.with_scale(e).scaled_fiber().dual_momentum(plan.reps) for e in epsilons])
-    cases = [(plan.symbols, p)]
+    cases = [(plan.symbols, p, slice(None))]
     zero = np.flatnonzero(~plan.reps.any(axis=1))
     if len(zero):
-        cases.append((plan.symbols.orbit_part(zero[0]), np.zeros((1, 1, p.shape[2]))))
-    for symbols, momenta in cases:
-        solved = symbols.solve(momenta, truncation)
+        cases.append((plan.symbols.orbit_part(zero[0]), np.zeros((1, 1, p.shape[2])), zero))
+    for symbols, momenta, orbits in cases:
+        solved = symbols.solve(momenta, truncation, plan.coupled(momenta, orbits))
         for i, scale in enumerate(momenta):
             try:
-                ref = _reference_solve(symbols, scale)
+                ref = _reference_solve(symbols, scale, plan.coupling[orbits], plan.gammas_q)
             except ValueError as err:
                 with pytest.raises(ValueError) as raised:
                     solved.at(i)
@@ -302,9 +305,13 @@ def test_stacked_solve_matches_per_scale_solve_over_model_space(lifted, truncati
             got = solved.at(i)
             assert (got is None) == (ref is None)
             if got is not None:
-                for a, b in zip((got.r, got.nneg, got.npos), ref):
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
-                assert got.truncation == truncation
+                r, nneg, npos = ref
+                assert np.array_equal(solved.r[i], r)
+                assert np.array_equal(solved.npos[i].astype(np.intp), npos)
+                assert np.array_equal(symbols.sizes - npos, nneg)
+                values = np.sort(np.concatenate([np.repeat(-r, nneg), np.repeat(r, npos)]))
+                assert np.array_equal(got.values, values)
+                assert got.source_truncation == truncation
 
 
 def _three_size_mapping():
