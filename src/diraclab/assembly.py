@@ -24,11 +24,13 @@ orthonormal basis, whose lift-fixed columns also decide whether parallel
 sections exist.  Only the fiber momenta of a mapping torus
 depend on the fiber scale, as 1/fiber_scale.  Its assembly is therefore
 split into a scale-free plan and a step that solves the fiber momenta of a
-scale.  The orbits of one size share a twist sector, so the plan keeps one
-group per orbit size, and the step forms each group's blocks in one
-broadcast.  A collapse run builds the plan once and solves all its scales
-in one stacked pass over the plan's block symbols (see the symbols
-module).  The limit operator is laid out the same way.
+scale.  The plan keeps one block table: per block in row order its orbit,
+its twist cluster and its base momentum, and per cluster size the gammas
+restricted to those clusters as one stack.  The step forms each size
+class's blocks from these rows.  A collapse run builds the plan once and
+solves all its scales in one stacked pass over the symbols of the same rows
+(see the symbols module).  The limit operator is the zero-mode orbit's rows
+at zero fiber momentum.
 """
 
 from __future__ import annotations
@@ -344,26 +346,20 @@ def _parallel_columns(model: AffineMappingTorus, basis: _LiftBasis) -> np.ndarra
 @dataclass(frozen=True, eq=False)
 class _TwistSector:
     """The twist (loop phase * lift)^d shared by every orbit of size d, in
-    the lift basis q, with its clusters of equal twist angle.
+    the lift basis, with its clusters of equal twist angle.
 
-    grids index each cluster's diagonal block of a matrix in this basis, and
-    gb_blocks are those blocks of the base Clifford action.  invariant marks
-    clusters lying inside the fixed space of the lift, which is where
-    monodromy-parallel sections live; coupling masks the entries of a matrix
-    in this basis that join two distinct clusters.
+    invariant marks clusters lying inside the fixed space of the lift, which
+    is where monodromy-parallel sections live; coupling masks the entries
+    of a matrix in the lift basis that join two distinct clusters.
     """
 
-    q: np.ndarray
     clusters: tuple[tuple[float, np.ndarray], ...]
-    grids: tuple[tuple[np.ndarray, np.ndarray], ...]
-    gb_blocks: tuple[np.ndarray, ...]
     invariant: tuple[bool, ...]
     coupling: np.ndarray
 
 
-def _twist_sector(basis: _LiftBasis, gb_q: np.ndarray, d: int, base_shift: float) -> _TwistSector:
-    """Twist sector of an orbit of size d; gb_q is the base Clifford action
-    in the lift basis."""
+def _twist_sector(basis: _LiftBasis, d: int, base_shift: float) -> _TwistSector:
+    """Twist sector of an orbit of size d."""
     # spin structure on the base contributes a sign per loop
     loop_phase = -1.0 if (base_shift == 0.5 and d % 2 == 1) else 1.0
     q = basis.q
@@ -377,66 +373,34 @@ def _twist_sector(basis: _LiftBasis, gb_q: np.ndarray, d: int, base_shift: float
     owner = np.zeros(len(q), dtype=int)
     for c, (_, idxs) in enumerate(clusters):
         owner[idxs] = c
-    coupling = owner[:, None] != owner[None, :]
-    grids = tuple(np.ix_(idxs, idxs) for _, idxs in clusters)
     return _TwistSector(
-        q=q,
         clusters=clusters,
-        grids=grids,
-        gb_blocks=tuple(gb_q[grid] for grid in grids),
         invariant=tuple(bool(np.all(basis.fixed[idxs])) for _, idxs in clusters),
-        coupling=coupling,
+        coupling=owner[:, None] != owner[None, :],
     )
-
-
-@dataclass(frozen=True, eq=False)
-class _OrbitGroup:
-    """The orbits of one size, which share a twist sector: their indices into
-    the orbit arrays and, per cluster, the (n, U) base momenta beta of every
-    member and base index and those blocks' positions in their size's stack."""
-
-    members: np.ndarray
-    sector: _TwistSector
-    betas: tuple[np.ndarray, ...]
-    positions: tuple[np.ndarray, ...]
-
-    def dirac_blocks(self, gp: np.ndarray) -> list[np.ndarray]:
-        """Per cluster, the (n, U, s, s) Dirac blocks; gp: every orbit's
-        fiber symbol, checked by the plan's coupled."""
-        sec = self.sector
-        gp_q = sec.q.conj().T @ gp[self.members] @ sec.q
-        return [
-            gp_q[:, None, rows, cols] + beta[:, :, None, None] * gb
-            for (rows, cols), gb, beta in zip(sec.grids, sec.gb_blocks, self.betas)
-        ]
-
-    def bochner_blocks(self, pnorm2: np.ndarray) -> list[np.ndarray]:
-        """Per cluster, the closed-form Bochner blocks (|p|^2 + beta^2) I of
-        every member and base index; pnorm2 holds every orbit's |p|^2."""
-        p2 = pnorm2[self.members][:, None]
-        return [
-            (p2 + beta * beta)[:, :, None, None] * np.eye(len(idxs))
-            for (_, idxs), beta in zip(self.sector.clusters, self.betas)
-        ]
 
 
 def _orbit_layout(
     sectors: dict[int, _TwistSector], reps: np.ndarray, sizes: np.ndarray,
     conn_dot: np.ndarray, zero_mode: np.ndarray, base_length: float, truncation: int,
-) -> tuple[BlockInfo, tuple[_OrbitGroup, ...]]:
-    """Block provenance and per-size groups of the orbits reps (in row order)
-    of the given sizes.  An orbit of size d has one block per base index
-    u = -dT .. dT (outer) and cluster of its twist sector (inner); conn_dot
-    pairs its dual mode with the connection; zero_mode marks the zero mode."""
+) -> tuple[BlockInfo, np.ndarray, np.ndarray, np.ndarray]:
+    """Block provenance and block table of the orbits reps (in row order) of
+    the given sizes: per block, its orbit, its twist cluster (numbered over
+    the sectors in order) and its base momentum beta.  An orbit of size d has
+    one block per base index u = -dT .. dT (outer) and cluster of its twist
+    sector (inner); conn_dot pairs its dual mode with the connection;
+    zero_mode marks the zero mode."""
     per_orbit = {d: (2 * d * truncation + 1) * len(sec.clusters) for d, sec in sectors.items()}
     counts = np.array([per_orbit[d] for d in sizes.tolist()], dtype=np.int64)
     offsets, total = np.cumsum(counts) - counts, int(np.sum(counts))
-    # an orbit's blocks take consecutive rows, over which its representative
-    # and zero-mode flag repeat
+    # an orbit's blocks take consecutive rows, over which its representative,
+    # index and zero-mode flag repeat
     modes = np.repeat(np.column_stack([reps, np.zeros_like(sizes)]), counts, axis=0)
     invariant = np.repeat(zero_mode, counts)
     info = BlockInfo(modes, np.empty(total, dtype=np.int64), np.empty(total), invariant)
-    slots = []
+    orbit = np.repeat(np.arange(len(sizes)), counts)
+    cluster, beta = np.empty(total, dtype=np.intp), np.empty(total)
+    first = 0
     for d, sec in sectors.items():
         members = np.flatnonzero(sizes == d)
         us = np.arange(-d * truncation, d * truncation + 1)
@@ -447,35 +411,27 @@ def _orbit_layout(
         info.sizes[idx] = [len(idxs) for _, idxs in sec.clusters]
         info.twist[idx] = thetas
         info.invariant[idx] &= np.array(sec.invariant)
-        kappa = 2.0 * np.pi * (us[None, :] + thetas[:, None]) / (d * base_length)
-        shift = (2.0 * np.pi * conn_dot[members])[:, None]
-        slots.append((members, sec, tuple(kappa_c - shift for kappa_c in kappa), idx))
-    positions = _rank_within(info.sizes)
-    return info, tuple(
-        _OrbitGroup(members, sec, betas, tuple(positions[idx].transpose(2, 0, 1)))
-        for members, sec, betas, idx in slots
-    )
-
-
-def _group_operator(info: BlockInfo, per_group, truncation: int, label: str):
-    """Operator from per-cluster (positions, blocks) lists, one per group."""
-    counts = np.bincount(info.sizes).tolist()
-    stacks = {d: np.empty((c, d, d), dtype=complex) for d, c in enumerate(counts) if c}
-    for group_positions, clusters in per_group:
-        for positions, blocks in zip(group_positions, clusters):
-            stacks[blocks.shape[-1]][positions] = blocks
-    return AssembledOperator(list(stacks.values()), info, truncation, label)
+        cluster[idx] = first + np.arange(len(thetas))
+        kappa = 2.0 * np.pi * (us[:, None] + thetas) / (d * base_length)
+        beta[idx] = kappa - (2.0 * np.pi * conn_dot[members])[:, None, None]
+        first += len(thetas)
+    return info, orbit, cluster, beta
 
 
 @dataclass(frozen=True, eq=False)
 class _MappingPlan:
     """The part of a mapping-torus assembly that the fiber scale leaves
-    alone: the lift basis, the gammas in it, the twist sectors and the orbit
-    groups (by orbit size), the orbit representatives, the block provenance
-    and per orbit its twist sector's coupling mask (O, dim_v, dim_v).  Only
-    the fiber momenta scale (as 1/fiber_scale); dirac and bochner supply them
-    for scaled, the plan's model at the wanted fiber scale (the model itself
-    or model.with_scale(eps)), so a caller that needs the scaled model too
+    alone: the lift basis, the gammas in it, the twist sectors (by orbit
+    size), the orbit representatives, per orbit its twist sector's coupling
+    mask (O, dim_v, dim_v), and one block table.  The table is the block
+    provenance and, per block in row order, its orbit, its twist cluster
+    and its base momentum beta; per cluster size s, clusters holds those
+    clusters' numbers (C_s,), their lift-basis columns (C_s, s) and the
+    gammas restricted to them (C_s, n, s, s).  The block path, the symbol
+    certificate and the limit all read these rows.  Only the fiber momenta
+    scale (as 1/fiber_scale); dirac and bochner supply them for scaled, the
+    plan's model at the wanted fiber scale (the model itself or
+    model.with_scale(eps)), so a caller that needs the scaled model too
     builds it once."""
 
     model: AffineMappingTorus
@@ -485,9 +441,12 @@ class _MappingPlan:
     gammas_q: np.ndarray
     sectors: dict[int, _TwistSector]
     reps: np.ndarray
-    groups: tuple[_OrbitGroup, ...]
-    block_info: BlockInfo
     coupling: np.ndarray
+    block_info: BlockInfo
+    orbit: np.ndarray
+    cluster: np.ndarray
+    beta: np.ndarray
+    clusters: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def dirac(self, scaled: AffineMappingTorus) -> AssembledOperator:
         """Dirac operator at the fiber scale of scaled; refuses a coupling
@@ -495,17 +454,41 @@ class _MappingPlan:
         p = scaled.scaled_fiber().dual_momentum(self.reps)
         if self.coupled(p[None], slice(None))[0]:
             raise ValueError(_COUPLED)
+        return self._operator(slice(None), p, self.block_info, scaled.label())
+
+    def _operator(
+        self, rows: slice, p: np.ndarray, info: BlockInfo, label: str
+    ) -> AssembledOperator:
+        """Dirac operator of the table's rows in rows, with provenance info;
+        p holds the fiber momenta of their orbits, from the first row's on.
+        Per size class, the blocks take their orbit and cluster's part of
+        q^H gamma(p) q plus beta times their cluster's base gamma."""
         gp = self.cm.gamma(np.column_stack([p, np.zeros(len(p))]))
-        per_group = [(g.positions, g.dirac_blocks(gp)) for g in self.groups]
-        return _group_operator(self.block_info, per_group, self.truncation, scaled.label())
+        gp_q = self.basis.q.conj().T @ gp @ self.basis.q
+        orbit, cluster, beta = self.orbit[rows], self.cluster[rows], self.beta[rows]
+        orbit = orbit - orbit[0]
+        sizes = self.block_info.sizes[rows]
+        stacks = []
+        for s, (ids, cols, gammas) in self.clusters.items():
+            at = np.flatnonzero(sizes == s)
+            if len(at):
+                c = np.searchsorted(ids, cluster.take(at))
+                fiber = gp_q[:, cols[:, :, None], cols[:, None, :]].reshape(-1, s, s)
+                blocks = np.take(fiber, orbit.take(at) * len(ids) + c, axis=0)
+                base = np.take(gammas[:, -1], c, axis=0)
+                base *= beta.take(at)[:, None, None]
+                blocks += base
+                stacks.append(blocks)
+        return AssembledOperator(stacks, info, self.truncation, label)
 
     def bochner(self, scaled: AffineMappingTorus) -> AssembledOperator:
         """Connection Laplacian at the fiber scale of scaled, from
         |p|^2 + beta^2 alone."""
         p = scaled.scaled_fiber().dual_momentum(self.reps)
-        pnorm2 = np.sum(p * p, axis=1)
-        per_group = [(g.positions, g.bochner_blocks(pnorm2)) for g in self.groups]
-        return _group_operator(self.block_info, per_group, self.truncation, scaled.label())
+        r2 = np.sum(p * p, axis=1)[self.orbit] + self.beta * self.beta
+        sizes = self.block_info.sizes
+        stacks = [r2[sizes == s, None, None] * np.eye(s) for s in self.clusters]
+        return AssembledOperator(stacks, self.block_info, self.truncation, scaled.label())
 
     def coupled(self, p: np.ndarray, orbits: slice | np.ndarray) -> np.ndarray:
         """Per scale of the fiber momenta p (E, O, m) of the orbits indexed,
@@ -525,7 +508,9 @@ class _MappingPlan:
     @cached_property
     def symbols(self) -> _BlockSymbols:
         """The blocks' scale-free symbols, computed on first use."""
-        return _block_symbols(self.groups, self.gammas_q)
+        return _block_symbols(
+            self.orbit, self.cluster, self.beta, self.block_info.sizes, self.clusters.values()
+        )
 
     def symbol_spectra(self, fibers: list[FlatTorusModel]) -> _SymbolSolution:
         """Spectra at E fiber scales from the block symbols, given each
@@ -570,23 +555,26 @@ def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int
     """Build the scale-free plan of a mapping torus once; its
     dirac(model.with_scale(eps)) then assembles any fiber scale without
     redoing orbits or twists."""
-    m = model.fiber.n
     basis = _resolve_lift(model, cm)
     gammas_q = _in_basis(basis, cm.gammas)
     reps, sizes = _holonomy_orbits(model, truncation)
-    sectors = {
-        d: _twist_sector(basis, gammas_q[m], d, model.base_shift)
-        for d in sorted(set(sizes.tolist()))
-    }
+    sectors = {d: _twist_sector(basis, d, model.base_shift) for d in sorted(set(sizes.tolist()))}
     zeta0 = reps + model.fiber.spin_shift
     # one (1, m) @ (m, 1) product per orbit rounds like a dot of one orbit
     conn_dot = (zeta0[:, None, :] @ model.connection[:, None])[:, 0, 0]
-    info, groups = _orbit_layout(
+    table = _orbit_layout(
         sectors, reps, sizes, conn_dot, ~zeta0.any(axis=1), model.base_length, truncation
     )
+    cols = [idxs for sec in sectors.values() for _, idxs in sec.clusters]
+    clusters = {}
+    for s in sorted({len(c) for c in cols}):
+        ids = np.array([i for i, c in enumerate(cols) if len(c) == s])
+        grid = np.array([cols[i] for i in ids])
+        gammas = gammas_q[:, grid[:, :, None], grid[:, None, :]].swapaxes(0, 1)
+        clusters[s] = (ids, grid, gammas)
     coupling = np.array([sectors[d].coupling for d in sizes.tolist()])
     return _MappingPlan(
-        model, cm, truncation, basis, gammas_q, sectors, reps, groups, info, coupling
+        model, cm, truncation, basis, gammas_q, sectors, reps, coupling, *table, clusters
     )
 
 
@@ -691,18 +679,16 @@ def limit_operator(
 
 
 def _limit_operator(plan: _MappingPlan) -> AssembledOperator:
-    """limit_operator from the plan of its model."""
-    plan.limit_orbit()
-    model, truncation, sector = plan.model, plan.truncation, plan.sectors[1]
-    # a single zero-mode orbit of size 1, without fiber momentum
-    one = np.ones(1, dtype=np.int64)
-    info, groups = _orbit_layout(
-        {1: sector}, np.zeros((1, 0), dtype=np.int64), one, np.zeros(1), one == 1,
-        model.base_length, truncation,
+    """limit_operator from the plan of its model: the zero-mode orbit's
+    rows at p = 0, labeled by their base index alone."""
+    zero = plan.limit_orbit()
+    rows = slice(*np.searchsorted(plan.orbit, [zero, zero + 1]))
+    full = plan.block_info
+    info = BlockInfo(
+        full.modes[rows, -1:], full.sizes[rows], full.twist[rows], full.invariant[rows]
     )
-    gp = np.zeros((1,) + sector.q.shape, dtype=complex)
-    per_group = [(g.positions, g.dirac_blocks(gp)) for g in groups]
-    return _group_operator(info, per_group, truncation, model.label() + "|limit")
+    p = np.zeros((1, plan.reps.shape[1]))
+    return plan._operator(rows, p, info, plan.model.label() + "|limit")
 
 
 def frame_bundle_operator(

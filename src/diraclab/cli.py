@@ -4,14 +4,15 @@ Every experiment reads one config file, writes a JSON report (plus
 experiment-specific CSV or text artifacts) into the output directory, and
 exits 0 when its declared assertions hold, 3 when they fail, 2 on config
 errors.  [numeric] values are read, and refused, before any model is built:
-a threshold must be finite, a tolerance or bound nonnegative, and a setting
-under which a pass would check nothing (zero trials, a rate floor <= 0) is
-refused.  Outputs are byte-reproducible: fixed seeds, sorted JSON keys, repr
-floats, no timestamps.  The seeded draws of perturbation and
-block_identities come from random.Random(seed), and a negative seed exits 2.
-Their seed-dependent results (max_ratio and ratios; inverse_residual,
-factorization_residual, series_residual and series_cases) therefore differ
-from versions that drew from numpy.random at the same seed.
+a threshold or imaginary shift must be finite, a tolerance or bound
+nonnegative, and a setting under which a pass would check nothing (zero
+trials, a rate floor <= 0) is refused.  Outputs are byte-reproducible:
+fixed seeds, sorted JSON keys, repr floats, no timestamps.  The seeded
+draws of perturbation and block_identities come from random.Random(seed),
+and a negative seed exits 2.  Their seed-dependent results (max_ratio and
+ratios; inverse_residual, factorization_residual, series_residual and
+series_cases) therefore differ from versions that drew from numpy.random
+at the same seed.
 
 Config layout:
 
@@ -162,6 +163,11 @@ def _nonnegative(cfg, key, fallback):
     return value
 
 
+def _numlist(cfg, key, **fallback):
+    """[numeric] key as a comma-separated list of floats, for the caller to check."""
+    return [float(x) for x in cfg.get("numeric", key, **fallback).split(",")]
+
+
 def _numint(cfg, key, fallback):
     return cfg.getint("numeric", key, fallback=fallback)
 
@@ -207,7 +213,7 @@ def _run_torus_spectrum(cfg, outdir: Path, seed: int):
 
 def _run_window_test(cfg, outdir: Path, seed: int):
     trunc = _numint(cfg, "truncation", 12)
-    eps = [float(x) for x in cfg.get("numeric", "epsilons").split(",")]
+    eps = _numlist(cfg, "epsilons")
     tol = _nonnegative(cfg, "tolerance", SPECTRUM_MATCH_TOL)
     wa = _num(cfg, "window_a", DEFAULT_WINDOW_A)
     wc = _num(cfg, "window_c", DEFAULT_WINDOW_C)
@@ -229,7 +235,7 @@ def _run_window_test(cfg, outdir: Path, seed: int):
 
 def _run_collapse(cfg, outdir: Path, seed: int):
     trunc = _numint(cfg, "truncation", 12)
-    eps = [float(x) for x in cfg.get("numeric", "epsilons").split(",")]
+    eps = _numlist(cfg, "epsilons")
     k_max = _numint(cfg, "k_max", 4)
     tol = _nonnegative(cfg, "tolerance", SPECTRUM_MATCH_TOL)
     wa = _num(cfg, "window_a", DEFAULT_WINDOW_A)
@@ -259,7 +265,7 @@ def _run_collapse(cfg, outdir: Path, seed: int):
 
 def _run_blowup(cfg, outdir: Path, seed: int):
     trunc = _numint(cfg, "truncation", 6)
-    eps = [float(x) for x in cfg.get("numeric", "epsilons").split(",")]
+    eps = _numlist(cfg, "epsilons")
     floor = _num(cfg, "rate_floor", 0.4)
     if floor <= 0.0:
         # every rate is at least 0, so such a floor passes any spectrum
@@ -346,8 +352,9 @@ def _run_block_identities(cfg, outdir: Path, seed: int):
     trials = _trials(cfg, 5)
     p = _numint(cfg, "block_p", 6)
     q = _numint(cfg, "block_q", 6)
-    shifts_text = cfg.get("numeric", "imag_shifts", fallback="0.0,1.0,2.0")
-    shifts = [float(x) for x in shifts_text.split(",")]
+    shifts = _numlist(cfg, "imag_shifts", fallback="0.0,1.0,2.0")
+    if not np.isfinite(shifts).all():
+        raise ValueError(f"[numeric] imag_shifts must be finite, got {shifts!r}")
     rng = _Normals(seed)
     inv_resid = 0.0
     fact_resid = 0.0

@@ -76,7 +76,7 @@ class Spectrum:
     def __post_init__(self) -> None:
         v = np.sort(np.asarray(self.values, dtype=float).ravel())
         object.__setattr__(self, "values", v)
-        if self.cluster_tol < 0.0:
+        if not self.cluster_tol >= 0.0:
             raise ValueError("cluster tolerance must be nonnegative")
 
     def __len__(self) -> int:
@@ -176,7 +176,7 @@ def sinh_rescale(spec: Spectrum, curvature_bound: float) -> Spectrum:
 def epsilon_close(a: Spectrum, b: Spectrum, eps: float) -> MatchResult:
     """Multiset equality at tolerance eps, with the sorted pairing as
     witness.  Unequal lengths fail outright."""
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError("tolerance must be nonnegative")
     va, vb = a.values, b.values
     if len(va) != len(vb):
@@ -197,7 +197,7 @@ def subset_epsilon_close(a: Spectrum, b: Spectrum, eps: float) -> MatchResult:
     b-value within eps.  For sorted data the greedy choice is safe, so
     failure here means no injection exists at this tolerance.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError("tolerance must be nonnegative")
     va, vb = a.values, b.values
     pairs = []

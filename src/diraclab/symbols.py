@@ -37,8 +37,9 @@ AssembledOperator checks it, max |D - D^H| <= sum_k |x_k| max |G_k - G_k^H|,
 against max(1, max over blocks of sqrt(r^2 - delta) / s), a lower bound of
 the block path's scale.
 
-The symbols are scale-free and built once per plan (assembly._MappingPlan);
-solve takes the orbit fiber momenta of all wanted scales at once.
+The symbols are scale-free and built once per plan (assembly._MappingPlan)
+from the plan's block table, the rows that its block path and limit read
+too; solve takes the orbit fiber momenta of all wanted scales at once.
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ class _SymbolSolution:
 class _BlockSymbols:
     """Scale-free symbols of a plan's blocks; see the module docstring.
 
-    Per block (B), in no particular order: the orbit whose fiber momentum it
-    takes, its twist cluster (the index of its cluster constants), its base
-    momentum beta and its size s.  Per cluster (C, batch-last), for the
+    Per block (B), in row order: the orbit whose fiber momentum it takes
+    (ascending), its twist cluster (the index of its cluster constants), its
+    base momentum beta and its size s.  Per cluster (C, batch-last), for the
     restricted gammas G_k = q_c^H gamma_k q_c (fiber directions, then the
     base): their real traces (n, C), the Clifford defects
     A_kl = ||H_k H_l + H_l H_k - 2 delta_kl I||_F of their Hermitian parts
@@ -116,9 +117,9 @@ class _BlockSymbols:
 
     def orbit_part(self, orbit: int) -> _BlockSymbols:
         """The symbols of one orbit's blocks, as orbit 0."""
-        rows = self.orbit == orbit
+        rows = slice(*np.searchsorted(self.orbit, [orbit, orbit + 1]))
         return _BlockSymbols(
-            np.zeros(np.count_nonzero(rows), dtype=np.intp),
+            np.zeros(rows.stop - rows.start, dtype=np.intp),
             self.cluster[rows],
             self.beta[rows],
             self.sizes[rows],
@@ -228,32 +229,17 @@ def _cluster_constants(gc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     )
 
 
-def _block_symbols(groups: tuple, gammas_q: np.ndarray) -> _BlockSymbols:
-    """Symbols of the blocks of a plan's orbit groups (assembly._OrbitGroup);
-    gammas_q are the module's gammas in the lift basis.  Each group's
-    clusters are clusters of the symbols, and the clusters of one size are
-    reduced as one stack."""
-    n = len(gammas_q)
-    orbit, beta, by_size = [], [], {}
-    for g in groups:
-        sec = g.sector
-        members = np.repeat(g.members, g.betas[0].shape[1])
-        for (rows, cols), b in zip(sec.grids, g.betas):
-            by_size.setdefault(len(rows), []).append((len(orbit), gammas_q[:, rows, cols]))
-            orbit.append(members)
-            beta.append(b.ravel())
-    counts = np.array([len(o) for o in orbit])
-    sizes = np.zeros(len(orbit), dtype=np.intp)
-    consts = [np.zeros((n, len(orbit))), np.zeros((n, n, len(orbit))), np.zeros((n, len(orbit)))]
-    for s, items in by_size.items():
-        index = [i for i, _ in items]
-        sizes[index] = s
-        for out, c in zip(consts, _cluster_constants(np.stack([gc for _, gc in items]))):
-            out[..., index] = c
-    return _BlockSymbols(
-        np.concatenate(orbit),
-        np.repeat(np.arange(len(counts)), counts),
-        np.concatenate(beta),
-        np.repeat(sizes, counts),
-        *consts,
-    )
+def _block_symbols(
+    orbit: np.ndarray, cluster: np.ndarray, beta: np.ndarray, sizes: np.ndarray, clusters
+) -> _BlockSymbols:
+    """Symbols of a plan's blocks from its block table (assembly._MappingPlan):
+    per block in row order its orbit, cluster, beta and size, and per
+    cluster size the clusters' numbers, lift-basis columns (unused here) and
+    restricted gammas (C_s, n, s, s), each stack reduced at once."""
+    stacks = [(ids, gammas) for ids, _, gammas in clusters]
+    n, count = stacks[0][1].shape[1], sum(len(ids) for ids, _ in stacks)
+    consts = [np.zeros((n, count)), np.zeros((n, n, count)), np.zeros((n, count))]
+    for ids, gammas in stacks:
+        for out, c in zip(consts, _cluster_constants(gammas)):
+            out[..., ids] = c
+    return _BlockSymbols(orbit, cluster, beta, sizes, *consts)

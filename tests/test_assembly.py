@@ -13,7 +13,6 @@ from diraclab.assembly import (
     EmptyInvariantSpaceError,
     _flat_modes,
     _holonomy_orbits,
-    _in_basis,
     _lift_basis,
     _mapping_plan,
     _mode_ranges,
@@ -653,6 +652,42 @@ def test_plan_matches_assembly_over_model_space(model, exterior, truncation, eps
         assert np.max(np.abs(d @ d - r)) <= 1e-12 * max(1.0, float(np.max(np.abs(r))))
 
 
+@settings(max_examples=40)
+@given(
+    drawn=_mapping_models(),
+    exterior=st.booleans(),
+    truncation=st.integers(1, 3),
+    eps=st.floats(0.05, 2.0),
+)
+def test_limit_operator_is_the_plan_zero_mode_rows(drawn, exterior, truncation, eps):
+    # the drawn model with the trivial fiber spin shift, so that it has a
+    # zero-mode orbit; its limit operator is that orbit's rows of the plan's
+    # table at p = 0, which the block path forms at every fiber scale alike
+    model = AffineMappingTorus(
+        fiber=FlatTorusModel(drawn.fiber.lattice_basis, np.zeros(2)),
+        holonomy=drawn.holonomy,
+        base_length=drawn.base_length,
+        base_shift=drawn.base_shift,
+        fiber_scale=drawn.fiber_scale,
+    )
+    module = exterior_module(3) if exterior else spinor_gammas(3)
+    plan = _mapping_plan(model, module, truncation)
+    try:
+        limit = limit_operator(model, module, truncation)
+    except EmptyInvariantSpaceError:
+        assert not exterior and not np.array_equal(model.holonomy, np.eye(2))
+        return
+    op = plan.dirac(model.with_scale(eps))
+    zero = np.flatnonzero(~op.block_info.modes[:, :-1].any(axis=1))
+    assert len(zero) == len(limit.blocks) and np.array_equal(zero, np.arange(zero[0], zero[-1] + 1))
+    for got, want in zip(limit.blocks, [op.blocks[i] for i in zero]):
+        assert got.tobytes() == want.tobytes()
+    info = op.block_info
+    assert np.array_equal(limit.block_info.modes, info.modes[zero, -1:])
+    for name in ("sizes", "twist", "invariant"):
+        assert np.array_equal(getattr(limit.block_info, name), getattr(info, name)[zero])
+
+
 def _multiplicities(values):
     """Sizes of the runs of a sorted array whose neighbours lie within
     1e-9 * max(1, |value|) of each other."""
@@ -801,7 +836,7 @@ def test_symbol_path_refuses_non_hermitian_symbols(monkeypatch):
     message = r"^assembled operator is not Hermitian \(residual "
     with pytest.raises(ValueError, match=message):
         collapse_run(model, cm, [1.0], 1, 2)
-    monkeypatch.setattr(assembly, "_group_operator", no_operator)
+    monkeypatch.setattr(assembly._MappingPlan, "_operator", no_operator)
     with pytest.raises(ValueError, match=message):
         collapse_run(model, cm, [1.0], 1, 2)
 
@@ -858,7 +893,7 @@ def test_collapse_runs_build_no_operator_per_scale(monkeypatch):
     def no_operator(*args):
         raise AssertionError("an operator was assembled")
 
-    monkeypatch.setattr(assembly, "_group_operator", no_operator)
+    monkeypatch.setattr(assembly._MappingPlan, "_operator", no_operator)
     for cm in (spinor_gammas(3), exterior_module(3)):
         report = collapse_run(_rot4_mapping(), cm, [1.0, 0.5, 0.25], 2, 3)
         assert len(report.spectra_per_eps) == 3
@@ -871,18 +906,17 @@ def test_collapse_runs_build_no_operator_per_scale(monkeypatch):
     assert blowup_check(blocking, spinor_gammas(3), [1.0, 0.5], 3).rate > 0.0
 
 
-def _sector(lift, gb):
-    """The twist sector of orbit size 1 (periodic base) of lift, with the
-    base Clifford action gb."""
+def _sector(lift):
+    """The lift basis of lift and its twist sector of orbit size 1
+    (periodic base)."""
     basis = _lift_basis(lift)
-    return _twist_sector(basis, _in_basis(basis, gb), 1, 0.0)
+    return basis, _twist_sector(basis, 1, 0.0)
 
 
 def test_twist_that_fails_to_diagonalize_is_refused():
-    cm = spinor_gammas(3)
     shear = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # not unitary
     with pytest.raises(ValueError, match="failed to diagonalize"):
-        _sector(shear, cm.gammas[2])
+        _sector(shear)
 
 
 def test_twist_sector_of_unitary_with_repeated_eigenvalue():
@@ -891,8 +925,8 @@ def test_twist_sector_of_unitary_with_repeated_eigenvalue():
     w, _ = np.linalg.qr(z)
     angles = np.array([0.1, 0.1, 0.6, 0.1, 0.35])
     twist = w @ np.diag(np.exp(2j * np.pi * angles)) @ w.conj().T
-    sector = _sector(twist, np.eye(5))
-    q = sector.q
+    basis, sector = _sector(twist)
+    q = basis.q
     assert np.max(np.abs(q.conj().T @ q - np.eye(5))) <= 1e-12
     tq = q.conj().T @ twist @ q
     assert np.max(np.abs(tq - np.diag(np.diag(tq)))) <= 1e-12
@@ -907,8 +941,8 @@ def test_twist_sector_of_unitary_with_repeated_eigenvalue():
     ids=["scalar", "identity", "diagonal"],
 )
 def test_twist_sector_keeps_standard_basis(twist):
-    sector = _sector(twist, np.eye(3))
-    assert np.array_equal(sector.q, np.eye(3))
+    basis, _ = _sector(twist)
+    assert np.array_equal(basis.q, np.eye(3))
 
 
 def test_lift_is_resolved_once_per_run(monkeypatch):
@@ -942,9 +976,10 @@ def test_symbol_coupling_twist_sectors_is_refused(monkeypatch):
     # the zero mode is the only orbit of size 1; its twist is the lift,
     # which splits into two sectors that gamma_0 would mix
     (zero,) = np.flatnonzero(~plan.reps.any(axis=1))
-    (group,) = [g for g in plan.groups if zero in g.members]
-    assert group.members.tolist() == [zero]
-    assert len(group.sector.clusters) == 2
+    _, sizes = _holonomy_orbits(plan.model, 1)
+    assert np.flatnonzero(sizes == 1).tolist() == [zero]
+    assert len(plan.sectors[1].clusters) == 2
+    assert set(plan.cluster[plan.orbit == zero].tolist()) == {0, 1}
     assert plan.coupling[zero].any() and not np.delete(plan.coupling, zero, axis=0).any()
     p = np.zeros((2, len(plan.reps), 2))
     p[1, zero] = (1.0, 0.0)
@@ -954,7 +989,7 @@ def test_symbol_coupling_twist_sectors_is_refused(monkeypatch):
     def no_blocks(*args):
         raise AssertionError("a block was formed")
 
-    monkeypatch.setattr(assembly._OrbitGroup, "dirac_blocks", no_blocks)
+    monkeypatch.setattr(assembly._MappingPlan, "_operator", no_blocks)
     with pytest.raises(ValueError, match="couples distinct twist sectors"):
         plan.dirac(_GivenMomenta(p[1]))
 
@@ -974,7 +1009,7 @@ def test_limit_takes_the_plan_coupling_check_at_the_zero_mode(monkeypatch):
         raise AssertionError("a block was formed")
 
     monkeypatch.setattr(assembly._MappingPlan, "coupled", flag_every_scale)
-    monkeypatch.setattr(assembly._OrbitGroup, "dirac_blocks", no_blocks)
+    monkeypatch.setattr(assembly._MappingPlan, "_operator", no_blocks)
     model, cm = _rot4_mapping(), exterior_module(3)
     plan = _mapping_plan(model, cm, 2)
     for run in (lambda: limit_operator(model, cm, 2), plan.limit_symbol_spectrum):

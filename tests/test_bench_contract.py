@@ -1,11 +1,14 @@
 """What the benchmark harness under bench/ reads of the package.
 
 The harness wraps named public functions with its span tracer and reads
-the size of assembled operators.  These checks only read bench/; a
-rename in the package that would break the benchmark fails here first.
+the size of assembled operators, and it checks each workload's outputs
+against bench/reference.json.  These checks only read bench/; a rename in
+the package that would break the benchmark, or a change that moves a
+frozen observable, fails here first.
 """
 
 import importlib
+import json
 import runpy
 from pathlib import Path
 
@@ -16,9 +19,12 @@ from diraclab.assembly import assemble_dirac
 from diraclab.clifford import spinor_gammas
 from diraclab.models import AffineMappingTorus, FlatTorusModel
 
-# run_path compiles the file without writing bytecode next to it
-SPANS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "spans.py"))
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+# run_path compiles a file without writing bytecode next to it
+SPANS = runpy.run_path(str(BENCH / "spans.py"))
 TRACED = SPANS["TRACED"]
+WORKLOADS = runpy.run_path(str(BENCH / "workloads.py"))
+REFERENCE = json.loads((BENCH / "reference.json").read_text())
 
 
 @pytest.mark.parametrize("layer,func", TRACED, ids=[".".join(t) for t in TRACED])
@@ -59,3 +65,18 @@ def test_assembly_counts_read_operator_size(model, cm):
     assert counts["assembly.rows"] == op.dim == sum(b.shape[0] for b in op.blocks)
     assert counts["assembly.blocks"] == len(op.block_slices) == len(op.blocks)
     assert counts["assembly.max_block_rows"] == max(b.shape[0] for b in op.blocks)
+
+
+@pytest.mark.parametrize("size", ["smoke", "full"])
+@pytest.mark.parametrize("name", sorted(REFERENCE["full"]))
+def test_workload_outputs_match_reference(tmp_path, name, size):
+    # the check bench/worker.py makes after a timed run, in-process: every
+    # frozen observable of the workload, compared as workloads.compare does
+    state = WORKLOADS["setup"](name, 1, size, tmp_path)
+    observed = WORKLOADS["observe"](state, WORKLOADS["run"](state))
+    failed = [
+        key
+        for key, want in REFERENCE[size][name].items()
+        if key not in observed or not WORKLOADS["compare"](observed[key], want)
+    ]
+    assert failed == []

@@ -267,6 +267,9 @@ def test_config_errors_exit_two(tmp_path, capsys):
         (COLLAPSE_CFG, "base_shift = 0.5", "base_shift = 0.5\nconnection = nan", "connection form must be finite"),
         # non-finite [numeric] thresholds used to exit 3, a failed assertion
         (WINDOW_CFG, "[numeric]", "[numeric]\ntolerance = nan", r"\[numeric\] tolerance must be finite, got nan"),
+        # a non-finite shift used to reach LAPACK: "SVD did not converge"
+        (BLOCK_CFG, "trials = 3", "trials = 3\nimag_shifts = 0.0,nan,inf",
+         r"\[numeric\] imag_shifts must be finite, got \[0\.0, nan, inf\]"),
         (TORUS_CFG, "[numeric]", "[numeric]\ntolerance = nan", r"\[numeric\] tolerance must be finite, got nan"),
         (BLOWUP_CFG, "[numeric]", "[numeric]\nrate_floor = nan", r"\[numeric\] rate_floor must be finite, got nan"),
         (PERT_CFG, "[numeric]", "[numeric]\nbound_constant = nan",

@@ -32,8 +32,10 @@ def test_spectrum_sorts_and_validates():
     assert s.values.tolist() == [-1.0, 2.0, 3.0]
     assert len(s) == 3
     assert s.abs_sorted().tolist() == [1.0, 2.0, 3.0]
-    with pytest.raises(ValueError):
-        Spectrum(np.array([1.0]), -1.0)
+    # a NaN tolerance compares False with everything and used to pass
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="^cluster tolerance must be nonnegative$"):
+            Spectrum(np.array([1.0]), tol)
 
 
 def test_eigensolve_matches_numpy():
@@ -224,6 +226,9 @@ def test_epsilon_close_basic():
     assert not epsilon_close(a, b, 1e-12).ok
     assert not epsilon_close(a, Spectrum(np.array([1.0]), 1e-8), 1.0).ok
     assert epsilon_close(Spectrum(np.zeros(0), 0.0), Spectrum(np.zeros(0), 0.0), 0.0).ok
+    for eps in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+            epsilon_close(a, b, eps)
 
 
 def test_subset_epsilon_close_witness():
@@ -231,6 +236,12 @@ def test_subset_epsilon_close_witness():
     b = Spectrum(np.array([-2.0, 0.5, 1.0, 7.0]), 1e-8)
     m = subset_epsilon_close(a, b, 1e-12)
     assert m.ok and m.pairs == ((0, 1), (1, 2))
+    # a NaN tolerance used to match anything: {0, 5} into {100, 200, 300}
+    # gave ok with max_deviation 195
+    far = (Spectrum(np.array([0.0, 5.0]), 1e-8), Spectrum(np.array([100.0, 200.0, 300.0]), 1e-8))
+    for eps in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+            subset_epsilon_close(*far, eps)
     # repeated values need distinct partners
     rep = subset_epsilon_close(
         Spectrum(np.array([1.0, 1.0]), 1e-8), Spectrum(np.array([1.0]), 1e-8), 1e-3
