@@ -23,10 +23,11 @@ Every power of the lift, so every orbit twist, is diagonal in that
 orthonormal basis, whose lift-fixed columns also decide whether parallel
 sections exist.  Only the fiber momenta of a mapping torus
 depend on the fiber scale, as 1/fiber_scale.  Its assembly is therefore
-split into a scale-free plan and a step that solves the fiber momenta of a
-scale.  The plan keeps one block table: per block in row order its orbit,
-its twist cluster and its base momentum, and per cluster size the gammas
-restricted to those clusters as one stack.  The step forms each size
+split into a scale-free plan, which solves the orbits' fiber momenta at
+unit scale, and a step that divides them by the scale.  The plan keeps
+one block table: per block in row order its orbit, its twist cluster and
+its base momentum, and per cluster size the gammas restricted to those
+clusters as one stack.  The step forms each size
 class's blocks from these rows.  A collapse run builds the plan once and
 solves all its scales in one stacked pass over the symbols of the same rows
 (see the symbols module).  The limit operator is the zero-mode orbit's rows
@@ -43,7 +44,8 @@ import numpy as np
 
 from .clifford import CliffordModule, _exceeds, _lift_factors, casimir
 from .clifford import _CLOSURE_EXCEEDED, _MAX_HOLONOMY_ORDER
-from .models import FD_STEP, AffineMappingTorus, FlatTorusModel, _check_fd_step, matrix_order
+from .models import FD_STEP, AffineMappingTorus, FlatTorusModel, _check_fd_step, _check_scaled
+from .models import matrix_order
 from .spectral import HERMITICITY_TOL, LIFT_TOL, SHIFT_INTEGRALITY_TOL, STRUCTURE_TOL
 from .spectral import UNITARITY_TOL, WEIGHT_TOL, Spectrum, _default_tol, _require_hermitian
 from .spectral import eigensolve
@@ -422,17 +424,17 @@ def _orbit_layout(
 class _MappingPlan:
     """The part of a mapping-torus assembly that the fiber scale leaves
     alone: the lift basis, the gammas in it, the twist sectors (by orbit
-    size), the orbit representatives, per orbit its twist sector's coupling
-    mask (O, dim_v, dim_v), and one block table.  The table is the block
+    size), the orbit representatives and their fiber momenta at unit fiber
+    scale (O, m), per orbit its twist sector's coupling mask
+    (O, dim_v, dim_v), and one block table.  The table is the block
     provenance and, per block in row order, its orbit, its twist cluster
     and its base momentum beta; per cluster size s, clusters holds those
     clusters' numbers (C_s,), their lift-basis columns (C_s, s) and the
     gammas restricted to them (C_s, n, s, s).  The block path, the symbol
     certificate and the limit all read these rows.  Only the fiber momenta
-    scale (as 1/fiber_scale); dirac and bochner supply them for scaled, the
-    plan's model at the wanted fiber scale (the model itself or
-    model.with_scale(eps)), so a caller that needs the scaled model too
-    builds it once."""
+    scale, as 1/fiber_scale: dirac and bochner (of scaled, the plan's model
+    at the wanted scale) and symbol_spectra divide the unit-scale ones by
+    the scale (_scaled_momenta)."""
 
     model: AffineMappingTorus
     cm: CliffordModule
@@ -441,6 +443,7 @@ class _MappingPlan:
     gammas_q: np.ndarray
     sectors: dict[int, _TwistSector]
     reps: np.ndarray
+    unit_momenta: np.ndarray
     coupling: np.ndarray
     block_info: BlockInfo
     orbit: np.ndarray
@@ -449,9 +452,9 @@ class _MappingPlan:
     clusters: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def dirac(self, scaled: AffineMappingTorus) -> AssembledOperator:
-        """Dirac operator at the fiber scale of scaled; refuses a coupling
-        symbol before forming a block."""
-        p = scaled.scaled_fiber().dual_momentum(self.reps)
+        """Dirac operator at the fiber scale of scaled; refuses a scale out
+        of range, then a coupling symbol, before forming a block."""
+        p = _scaled_momenta(self.unit_momenta, [scaled.fiber_scale])[0]
         if self.coupled(p[None], slice(None))[0]:
             raise ValueError(_COUPLED)
         return self._operator(slice(None), p, self.block_info, scaled.label())
@@ -484,7 +487,7 @@ class _MappingPlan:
     def bochner(self, scaled: AffineMappingTorus) -> AssembledOperator:
         """Connection Laplacian at the fiber scale of scaled, from
         |p|^2 + beta^2 alone."""
-        p = scaled.scaled_fiber().dual_momentum(self.reps)
+        p = _scaled_momenta(self.unit_momenta, [scaled.fiber_scale])[0]
         r2 = np.sum(p * p, axis=1)[self.orbit] + self.beta * self.beta
         sizes = self.block_info.sizes
         stacks = [r2[sizes == s, None, None] * np.eye(s) for s in self.clusters]
@@ -512,19 +515,18 @@ class _MappingPlan:
             self.orbit, self.cluster, self.beta, self.block_info.sizes, self.clusters.values()
         )
 
-    def symbol_spectra(self, fibers: list[FlatTorusModel]) -> _SymbolSolution:
-        """Spectra at E fiber scales from the block symbols, given each
-        scale's scaled fiber, in one pass and without forming a block.  Its
-        at(i) is scale i's spectrum, or None when a block fails its
-        certificate, and the caller then takes the block path,
-        eigensolve(self.dirac(scaled)).  at(i) raises scale i's coupling.
+    def symbol_spectra(self, eps: list[float]) -> _SymbolSolution:
+        """Spectra at the E fiber scales eps from the block symbols, in one
+        pass and without forming a block, after _scaled_momenta's refusal.
+        Its at(i) is scale i's spectrum, or None when a block fails its
+        certificate and the caller takes the block path, eigensolve of
+        dirac(model.with_scale(eps[i])).  at(i) raises scale i's coupling.
 
         The certificate is set out in the symbols module, with why its
         Hermiticity refusal is at least as strict as the block path's and
         its error bound is held to eigensolve's residual tolerance.
         """
-        p = np.array([f.dual_momentum(self.reps) for f in fibers])
-        p = p.reshape(len(fibers), *self.reps.shape)
+        p = _scaled_momenta(self.unit_momenta, eps)
         return self.symbols.solve(p, self.truncation, self.coupled(p, slice(None)))
 
     def limit_orbit(self) -> int:
@@ -546,6 +548,15 @@ class _MappingPlan:
         return part.solve(p, self.truncation, np.zeros(1, dtype=bool)).at(0)
 
 
+def _scaled_momenta(unit: np.ndarray, eps: list[float]) -> np.ndarray:
+    """Fiber momenta (E, K, m) at the fiber scales eps, unit (K, m) / eps;
+    refuses first, naming it, a scale at which one overflows when squared."""
+    eps = [float(e) for e in eps]
+    top = float(np.sqrt(np.max(np.sum(unit * unit, axis=1))))
+    _check_scaled("a fiber momentum", eps, [top / e for e in eps])
+    return unit / np.array(eps)[:, None, None]
+
+
 def _in_basis(basis: _LiftBasis, gammas: np.ndarray) -> np.ndarray:
     """The gammas q^H gamma_k q in the lift basis."""
     return basis.q.conj().T @ gammas @ basis.q
@@ -554,7 +565,7 @@ def _in_basis(basis: _LiftBasis, gammas: np.ndarray) -> np.ndarray:
 def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int) -> _MappingPlan:
     """Build the scale-free plan of a mapping torus once; its
     dirac(model.with_scale(eps)) then assembles any fiber scale without
-    redoing orbits or twists."""
+    redoing orbits, twists or the momenta's solve."""
     basis = _resolve_lift(model, cm)
     gammas_q = _in_basis(basis, cm.gammas)
     reps, sizes = _holonomy_orbits(model, truncation)
@@ -573,8 +584,9 @@ def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int
         gammas = gammas_q[:, grid[:, :, None], grid[:, None, :]].swapaxes(0, 1)
         clusters[s] = (ids, grid, gammas)
     coupling = np.array([sectors[d].coupling for d in sizes.tolist()])
+    unit = model.fiber.dual_momentum(reps)
     return _MappingPlan(
-        model, cm, truncation, basis, gammas_q, sectors, reps, coupling, *table, clusters
+        model, cm, truncation, basis, gammas_q, sectors, reps, unit, coupling, *table, clusters
     )
 
 
@@ -644,9 +656,8 @@ def fiber_invariant_split(
     """
     basis = _resolve_lift(model, cm)
     r = int(np.count_nonzero(_parallel_columns(model, basis)))
-    scaled = model.scaled_fiber()
-    modes = _flat_modes(scaled, truncation)
-    p = scaled.dual_momentum(modes)
+    modes = _flat_modes(model.fiber, truncation)
+    p = _scaled_momenta(model.fiber.dual_momentum(modes), [model.fiber_scale])[0]
     fiber_op = AssembledOperator(
         [cm.gamma(np.column_stack([p, np.zeros(len(p))]))],
         _flat_info(modes, cm.dim_v),

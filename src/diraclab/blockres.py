@@ -120,6 +120,15 @@ def _delta_sqrt_pair(
     return sq, sq_inv
 
 
+def _neumann_parts(m: BlockMatrix2x2, imag_shift: float):
+    """d^(1/2) and d^(-1/2) for d = delta + i*shift, the checked inverse of
+    a = alpha + i*shift, and x = d^(-1/2) gamma a^(-1) beta d^(-1/2)."""
+    shifted_alpha = m.alpha + 1j * imag_shift * np.eye(m.alpha.shape[0])
+    sq, sq_inv = _delta_sqrt_pair(m.delta, imag_shift)
+    ainv = _checked_inverse(shifted_alpha, "alpha block")
+    return sq, sq_inv, ainv, sq_inv @ m.gamma @ ainv @ m.beta @ sq_inv
+
+
 @dataclass(frozen=True)
 class NeumannReport:
     """Residual of the factorization and the contraction norm of x."""
@@ -141,10 +150,7 @@ def neumann_factorization_check(m: BlockMatrix2x2, imag_shift: float = 0.0) -> N
     Schur complement through the Neumann series.
     """
     shifted_delta = m.delta + 1j * imag_shift * np.eye(m.delta.shape[0])
-    shifted_alpha = m.alpha + 1j * imag_shift * np.eye(m.alpha.shape[0])
-    sq, sq_inv = _delta_sqrt_pair(m.delta, imag_shift)
-    ainv = _checked_inverse(shifted_alpha, "alpha block")
-    x = sq_inv @ m.gamma @ ainv @ m.beta @ sq_inv
+    sq, sq_inv, ainv, x = _neumann_parts(m, imag_shift)
     eye = np.eye(x.shape[0])
     recon = sq @ (eye - x) @ sq
     target = shifted_delta - m.gamma @ ainv @ m.beta
@@ -166,10 +172,7 @@ def neumann_inverse(m: BlockMatrix2x2, imag_shift: float = 0.0) -> np.ndarray:
     after NEUMANN_MAX_TERMS terms.  Compared against the direct inverse
     this exercises the factorization end to end.
     """
-    shifted_alpha = m.alpha + 1j * imag_shift * np.eye(m.alpha.shape[0])
-    sq, sq_inv = _delta_sqrt_pair(m.delta, imag_shift)
-    ainv = _checked_inverse(shifted_alpha, "alpha block")
-    x = sq_inv @ m.gamma @ ainv @ m.beta @ sq_inv
+    _, sq_inv, _, x = _neumann_parts(m, imag_shift)
     norm = float(np.linalg.norm(x, 2))
     if norm >= 1.0:
         raise ValueError(f"Neumann series diverges (contraction norm {norm:.6f} >= 1)")

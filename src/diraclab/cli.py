@@ -444,7 +444,9 @@ def main(argv=None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         passed, results = runner(cfg, outdir, seed)
-    except (ValueError, RuntimeError, KeyError, configparser.Error) as exc:
+    # an --out that names a file, or a path below one, is a config error too
+    except (ValueError, RuntimeError, KeyError, configparser.Error, FileExistsError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     prefix = cfg.get("output", "prefix", fallback="run")

@@ -31,6 +31,7 @@ from .models import (
     AffineMappingTorus,
     FlatTorusModel,
     GeometricData,
+    _check_scaled,
     _family_values,
     _mapping_geometry,
     metric_path,
@@ -72,14 +73,17 @@ DEFAULT_WINDOW_C = 10.0
 
 def _window_square(geom: GeometricData, window_a: float, window_c: float) -> float:
     """window_a / diam(fiber)^2 - window_c * (|R| + |II|^2 + |T|^2), refusing
-    window constants outside a > 0, c >= 0 and a fiber diameter that is not
-    positive (NaN included)."""
+    window constants outside a > 0, c >= 0, a fiber diameter that is not
+    positive (NaN included), and one whose square is 0 or overflows."""
     if not (window_a > 0.0 and window_c >= 0.0):
         raise ValueError("window constants must satisfy a > 0, c >= 0")
     if not geom.diam_z > 0.0:
         raise ValueError("fiber diameter must be positive")
+    square = float(geom.diam_z) * float(geom.diam_z)
+    if not 0.0 < square < np.inf:
+        raise ValueError(f"fiber diameter {geom.diam_z!r} is out of range: its square is 0 or inf")
     penalty = geom.norm_r + geom.norm_pi**2 + geom.norm_t**2
-    return window_a / geom.diam_z**2 - window_c * penalty
+    return window_a / square - window_c * penalty
 
 
 def spectral_window(
@@ -164,22 +168,6 @@ def _smallest_abs(values: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.abs(values[max(i - k, 0) : i + k]))[:k]
 
 
-def _scaled_models(model: AffineMappingTorus, eps: list[float]):
-    """Each scale's model and scaled fiber, built once.  Stops at the first
-    scale whose fiber is refused and returns that refusal as well (else
-    None); the caller raises it in that scale's turn, after the refusals of
-    the scales before it."""
-    scaled, fibers = [], []
-    for e in eps:
-        at_scale = model.with_scale(e)
-        try:
-            fibers.append(at_scale.scaled_fiber())
-        except ValueError as err:
-            return scaled, fibers, err
-        scaled.append(at_scale)
-    return scaled, fibers, None
-
-
 def _solved(spec: Spectrum | None, operator) -> Spectrum:
     """A spectrum the symbol path solved, or where it left the spectrum to
     the block path (None), eigensolve of the operator that operator()
@@ -205,18 +193,19 @@ def collapse_run(
     scale, so they are built once: the lift is diagonalized once (a computed
     lift by the eigh that builds it), every twist sector and the
     parallel-section test read that one basis, and the gammas are conjugated
-    into it once.  Each scale's model and scaled fiber are built once; the
-    fiber gives both its momenta and its window's diameter.  The limit (the
-    zero-mode orbit's blocks without fiber momentum) and then all scales at
-    once are solved from the plan's certified block symbols, without forming
-    an operator; the limit or a scale with a block that fails its
-    certificate takes the block path, eigensolve of the assembled operator.
-    The plan's one twist-sector coupling check serves both paths: it runs
-    once for all scales, and once for the limit at the zero mode alone.  A
-    scale's k_max tracked values come from a sort of its at most 2 k_max
-    eigenvalues nearest zero, not of all of them.  Refusals come scale by
-    scale, each scale's in the order twist-sector coupling, Hermiticity,
-    block path, k_max, window.
+    into it once.  Each scale divides the plan's unit-scale fiber momenta by
+    epsilon, and its window takes epsilon times the one fiber diameter.  All
+    scales at once and then the limit (the zero-mode orbit's blocks without
+    fiber momentum) are solved from the plan's certified block symbols,
+    without forming an operator; the limit or a scale with a block that
+    fails its certificate takes the block path, eigensolve of the assembled
+    operator.  The plan's one twist-sector coupling check serves both
+    paths: it runs once for all scales, and once for the limit at the zero
+    mode alone.  A scale's k_max tracked values come from a sort of its at
+    most 2 k_max eigenvalues nearest zero, not of all of them.  A scale at
+    which the fiber diameter or a momentum overflows when squared is
+    refused first, by name; then each scale's refusals come in the order
+    coupling, Hermiticity, block path, k_max, window.
     """
     eps = _check_epsilons(epsilons)
     if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -224,24 +213,23 @@ def collapse_run(
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     plan = _mapping_plan(model, cm, truncation)
+    diam = model.fiber.diameter()
+    _check_scaled("the fiber diameter", eps, [e * diam for e in eps])
+    solved = plan.symbol_spectra(eps)
     try:
         limit_spec = _solved(plan.limit_symbol_spectrum(), lambda: _limit_operator(plan))
         verdict = "converges"
     except EmptyInvariantSpaceError:
         limit_spec = None
         verdict = "blows_up"
-    scaled, fibers, refused = _scaled_models(model, eps)
-    solved = plan.symbol_spectra(fibers)
     spectra, bounds, tracked_cols = [], [], []
-    for i, at_scale in enumerate(scaled):
-        spec = _solved(solved.at(i), lambda: plan.dirac(at_scale))
+    for i, e in enumerate(eps):
+        spec = _solved(solved.at(i), lambda: plan.dirac(model.with_scale(e)))
         if k_max > len(spec):
             raise ValueError(f"k_max={k_max} exceeds spectrum size {len(spec)}")
         spectra.append(spec)
-        bounds.append(spectral_window(_mapping_geometry(fibers[i]), window_a, window_c))
+        bounds.append(spectral_window(_mapping_geometry(e * diam), window_a, window_c))
         tracked_cols.append(_smallest_abs(spec.values, k_max))
-    if refused is not None:
-        raise refused
     tracked = tuple(
         tuple(float(col[k]) for col in tracked_cols) for k in range(k_max)
     )
@@ -295,13 +283,11 @@ def blowup_check(
 
     Only valid when no parallel sections exist; rate is the largest a with
     min |spec| >= a / epsilon across all requested scales.  The plan's one
-    lift basis decides whether parallel sections exist.  Each scale's model
-    and scaled fiber are built once, and all scales are solved from the
-    plan's block symbols in one pass, as in collapse_run; each scale's
-    min |spec| is read off its spectrum, the certified one or the block
-    path's when a block fails its certificate.  Refusals come scale by
-    scale, each scale's in the order twist-sector coupling, Hermiticity,
-    block path.
+    lift basis decides whether parallel sections exist.  All scales are
+    solved from the plan's block symbols in one pass, as in collapse_run;
+    each scale's min |spec| is read off its spectrum, the certified one or
+    the block path's when a block fails its certificate.  Refusals come as
+    in collapse_run, without the diameter, k_max and window.
     """
     plan = _mapping_plan(model, cm, truncation)
     if _parallel_columns(model, plan.basis).any():
@@ -309,14 +295,11 @@ def blowup_check(
             "model has parallel sections; its spectrum converges instead of escaping"
         )
     eps = _check_epsilons(epsilons)
-    scaled, fibers, refused = _scaled_models(model, eps)
-    solved = plan.symbol_spectra(fibers)
+    solved = plan.symbol_spectra(eps)
     mins = []
-    for i, at_scale in enumerate(scaled):
-        spec = _solved(solved.at(i), lambda: plan.dirac(at_scale))
+    for i, e in enumerate(eps):
+        spec = _solved(solved.at(i), lambda: plan.dirac(model.with_scale(e)))
         mins.append(float(_smallest_abs(spec.values, 1)[0]))
-    if refused is not None:
-        raise refused
     rate = min(m * e for m, e in zip(mins, eps))
     return BlowupReport(epsilons=tuple(eps), min_abs=tuple(mins), rate=float(rate))
 

@@ -72,11 +72,6 @@ class FlatTorusModel:
         zeta = np.asarray(k, dtype=float) + self.spin_shift
         return 2.0 * np.pi * np.linalg.solve(self.lattice_basis.T, zeta.T).T
 
-    def rescaled(self, factor: float) -> "FlatTorusModel":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return FlatTorusModel(factor * self.lattice_basis, self.spin_shift.copy())
-
     def diameter(self) -> float:
         """Intrinsic diameter, i.e. the covering radius of the lattice.
 
@@ -136,6 +131,13 @@ def _check_fiber_scale(eps: float) -> None:
         raise ValueError("fiber scale must be positive")
     if not np.isfinite(eps):
         raise ValueError(f"fiber scale must be finite, got {eps!r}")
+
+
+def _check_scaled(what: str, eps: list[float], sizes: list[float]) -> None:
+    """Refuse the first scale of eps whose size (a float) of what overflows when squared."""
+    for e, x in zip(eps, sizes):
+        if not np.isfinite(x * x):
+            raise ValueError(f"fiber scale {e!r} is out of range: {what} overflows when squared")
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,9 +206,6 @@ class AffineMappingTorus:
         """Total space dimension: fiber rank plus the base circle."""
         return self.fiber.n + 1
 
-    def scaled_fiber(self) -> FlatTorusModel:
-        return self.fiber.rescaled(self.fiber_scale)
-
     def with_scale(self, eps: float) -> "AffineMappingTorus":
         """This model at fiber scale eps: a copy of the validated instance,
         of which only the new scale is checked."""
@@ -251,17 +250,18 @@ def geometric_data(model: FlatTorusModel | AffineMappingTorus) -> GeometricData:
             flags=("flat metric: curvature vanishes identically",),
         )
     if isinstance(model, AffineMappingTorus):
-        return _mapping_geometry(model.scaled_fiber())
+        return _mapping_geometry(model.fiber_scale * model.fiber.diameter())
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def _mapping_geometry(scaled_fiber: FlatTorusModel) -> GeometricData:
-    """geometric_data of a mapping torus, given its scaled fiber."""
+def _mapping_geometry(diam: float) -> GeometricData:
+    """geometric_data of a mapping torus whose scaled fiber has diameter
+    diam, fiber_scale times its fiber's."""
     return GeometricData(
         norm_r=0.0,
         norm_pi=0.0,
         norm_t=0.0,
-        diam_z=scaled_fiber.diameter(),
+        diam_z=diam,
         flags=(
             "flat total space: curvature vanishes identically",
             "fibers are totally geodesic (parallel flat metrics)",

@@ -1,5 +1,6 @@
 """Operator assembly: flat tori, mapping tori, limits, derivatives."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -44,6 +45,12 @@ from diraclab.spectral import (
 
 def _circle(length=2 * np.pi, shift=0.5):
     return FlatTorusModel(np.array([[length]]), np.array([shift]))
+
+
+def _scaled_fiber(model, eps):
+    """The fiber of model with its lattice scaled by eps, as a torus of its
+    own: an independent route to the fiber momenta at scale eps."""
+    return FlatTorusModel(eps * model.fiber.lattice_basis, model.fiber.spin_shift)
 
 
 def _simple_mapping(fiber_shift=0.0, base_shift=0.5, lift="identity"):
@@ -482,7 +489,7 @@ def test_bochner_blocks_match_their_provenance():
     assert len(op.blocks) == len(info.modes) == len(info.twist)
     for block, mode, size, twist in zip(op.blocks, info.modes, info.sizes, info.twist):
         rep, u = mode[:2], mode[2]
-        p = model.scaled_fiber().dual_momentum(rep)
+        p = _scaled_fiber(model, model.fiber_scale).dual_momentum(rep)
         d = 1 if not rep.any() else 4
         beta = 2 * np.pi * (u + twist) / (d * model.base_length)
         expected = (p @ p + beta**2) * np.eye(size)
@@ -504,7 +511,7 @@ def test_connection_shifts_each_block_by_its_mode():
     info = op.block_info
     assert len(op.blocks) == len(info.modes) == 20
     for block, (k, u), twist in zip(op.blocks, info.modes, info.twist):
-        p = model.scaled_fiber().dual_momentum(np.array([k]))
+        p = _scaled_fiber(model, model.fiber_scale).dual_momentum(np.array([k]))
         beta = 2 * np.pi * (u + twist) / model.base_length - 2 * np.pi * 0.25 * (k + 0.5)
         assert np.max(np.abs(block - (p @ p + beta**2) * np.eye(2))) <= 1e-12
 
@@ -715,9 +722,8 @@ def _assert_same_spectrum(got, ref):
 def test_symbol_spectra_match_block_path_over_model_space(model, exterior, truncation, eps):
     module = exterior_module(3) if exterior else spinor_gammas(3)
     plan = _mapping_plan(model, module, truncation)
-    scaled = model.with_scale(eps)
-    ref = eigensolve(plan.dirac(scaled))
-    solved = plan.symbol_spectra([scaled.scaled_fiber()]).at(0)
+    ref = eigensolve(plan.dirac(model.with_scale(eps)))
+    solved = plan.symbol_spectra([eps]).at(0)
     # on valid modules every block is certified, so the block path is never taken
     assert solved is not None
     _assert_same_spectrum(solved, ref)
@@ -746,7 +752,7 @@ def test_symbol_zero_blocks_are_zeros():
     )
     plan = _mapping_plan(model, cm, 2)
     for solved, ref in [
-        (plan.symbol_spectra([model.scaled_fiber()]).at(0), eigensolve(plan.dirac(model))),
+        (plan.symbol_spectra([model.fiber_scale]).at(0), eigensolve(plan.dirac(model))),
         (plan.limit_symbol_spectrum(), eigensolve(limit_operator(model, cm, 2))),
     ]:
         assert solved is not None
@@ -773,14 +779,15 @@ def _fcc_cyclic_mapping(fiber_shift):
 def test_symbol_path_accepts_rank_three_axis_modes(fiber_shift, truncation):
     # the symbol path's triangle bound on the twist-sector leak trips on the
     # axis modes; it used to refuse what the block path accepts.  collapse_run
-    # takes one scale, as each costs a rank-3 fiber diameter (over a second)
+    # takes both scales for the cost of one rank-3 fiber diameter
     cm = spinor_gammas(4)
     model = _fcc_cyclic_mapping(fiber_shift)
     plan = _mapping_plan(model, cm, truncation)
     eps = [1.0, 0.5]
     refs = [eigensolve(plan.dirac(model.with_scale(e))) for e in eps]
-    report = collapse_run(model, cm, eps[:1], 2, truncation)
-    _assert_same_spectrum(report.spectra_per_eps[0], refs[0])
+    report = collapse_run(model, cm, eps, 2, truncation)
+    for got, ref in zip(report.spectra_per_eps, refs):
+        _assert_same_spectrum(got, ref)
     blowup = blowup_check(model, cm, eps, truncation)
     for got, ref in zip(blowup.min_abs, refs):
         smallest = ref.abs_sorted()[0]
@@ -814,7 +821,7 @@ def test_uncertified_symbols_take_the_block_path():
     model = _identity_mapping()
     plan = _mapping_plan(model, cm, 2)
     eps = [1.0, 0.5]
-    solved = plan.symbol_spectra([model.with_scale(e).scaled_fiber() for e in eps])
+    solved = plan.symbol_spectra(eps)
     assert [solved.at(i) for i in range(len(eps))] == [None] * len(eps)
     assert plan.limit_symbol_spectrum() is None
     report = collapse_run(model, cm, eps, 2, 2)
@@ -841,21 +848,11 @@ def test_symbol_path_refuses_non_hermitian_symbols(monkeypatch):
         collapse_run(model, cm, [1.0], 1, 2)
 
 
-class _GivenMomenta:
-    """Stands in for a scaled model, and for its scaled fiber, whose orbit
-    fiber momenta are p."""
-
-    def __init__(self, p):
-        self.p = p
-
-    def scaled_fiber(self):
-        return self
-
-    def dual_momentum(self, reps):
-        return self.p.copy()
-
-    def label(self):
-        return "given momenta"
+def _given_momenta(plan, p):
+    """The plan with the orbit fiber momenta p at unit fiber scale, so that
+    its dirac at the model's unit scale and its symbol_spectra([1.0]) take
+    p itself (p / 1.0)."""
+    return dataclasses.replace(plan, unit_momenta=p)
 
 
 def _refusal(run):
@@ -880,9 +877,9 @@ def test_symbol_path_refuses_coupling_twist_sectors():
     for size, elsewhere in cases:
         p = np.full((len(plan.reps), 2), elsewhere)
         p[zero] = (size, 0.0)
-        given = _GivenMomenta(p)
-        block = _refusal(lambda: plan.dirac(given))
-        symbol = _refusal(lambda: plan.symbol_spectra([given]).at(0))
+        given = _given_momenta(plan, p)
+        block = _refusal(lambda: given.dirac(plan.model.with_scale(1.0)))
+        symbol = _refusal(lambda: given.symbol_spectra([1.0]).at(0))
         assert block == symbol
         assert block == (message if size > STRUCTURE_TOL else None)
 
@@ -991,7 +988,7 @@ def test_symbol_coupling_twist_sectors_is_refused(monkeypatch):
 
     monkeypatch.setattr(assembly._MappingPlan, "_operator", no_blocks)
     with pytest.raises(ValueError, match="couples distinct twist sectors"):
-        plan.dirac(_GivenMomenta(p[1]))
+        _given_momenta(plan, p[1]).dirac(plan.model.with_scale(1.0))
 
 
 def test_limit_takes_the_plan_coupling_check_at_the_zero_mode(monkeypatch):

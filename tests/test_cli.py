@@ -245,6 +245,14 @@ def test_config_errors_exit_two(tmp_path, capsys):
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    # an --out that names an existing file, or a path below one, cannot be
+    # the output directory: exit 2 with a message, not a traceback
+    cfg = tmp_path / "outfile.ini"
+    cfg.write_text(COLLAPSE_CFG)
+    for out in (cfg, cfg / "below"):
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 @pytest.mark.parametrize(
     "config, old, new, message",
@@ -275,6 +283,13 @@ def test_config_errors_exit_two(tmp_path, capsys):
         (PERT_CFG, "[numeric]", "[numeric]\nbound_constant = nan",
          r"\[numeric\] bound_constant must be finite, got nan"),
         (WINDOW_CFG, "[numeric]", "[numeric]\nwindow_a = inf", r"\[numeric\] window_a must be finite, got inf"),
+        # scales whose momenta or window diameter overflow when squared: the
+        # first was refused as a singular lattice, the second raised
+        # OverflowError or gave a window of 0
+        (COLLAPSE_CFG, "epsilons = 1.0,0.5", "epsilons = 1.0,1e-200",
+         r"fiber scale 1e-200 is out of range: a fiber momentum overflows when squared"),
+        (WINDOW_CFG, "epsilons = 1.0,0.5,0.25,0.125", "epsilons = 1e200,1.0",
+         r"fiber scale 1e\+200 is out of range: the fiber diameter overflows when squared"),
     ],
 )
 def test_non_finite_inputs_exit_two(tmp_path, capsys, config, old, new, message):

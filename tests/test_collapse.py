@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,11 +29,13 @@ from diraclab.models import (
     AffineMappingTorus,
     FlatTorusModel,
     GeometricData,
+    _mapping_geometry,
     geometric_data,
     metric_path,
 )
+from diraclab.assembly import _mapping_plan
 from diraclab.spectral import eigensolve, sinh_rescale
-from test_assembly import _mapping_models
+from test_assembly import _assert_same_spectrum, _given_momenta, _mapping_models, _scaled_fiber
 
 
 def _canonical_mapping(fiber_shift=0.0, base_shift=0.5):
@@ -82,6 +85,10 @@ def test_spectral_window_empty_and_validation():
         (dict(window_a=float("nan")), "window constants must satisfy a > 0, c >= 0"),
         (dict(window_c=float("nan")), "window constants must satisfy a > 0, c >= 0"),
         (dict(diam_z=float("nan")), "fiber diameter must be positive"),
+        # squares that underflow or overflow used to raise ZeroDivisionError
+        # or OverflowError (a geometric_data at fiber scale 1e-170 or 1e160)
+        (dict(diam_z=1e-170), "fiber diameter 1e-170 is out of range: its square is 0 or inf"),
+        (dict(diam_z=1e160), "fiber diameter 1e+160 is out of range: its square is 0 or inf"),
     ],
 )
 def test_window_refusals_shared_by_gap_bound(args, message):
@@ -219,11 +226,11 @@ def _inject(monkeypatch, faults):
 
     original = assembly._MappingPlan.symbol_spectra
 
-    def symbol_spectra(self, fibers):
-        out = original(self, fibers)
+    def symbol_spectra(self, eps):
+        out = original(self, eps)
         coupled, resid, certified = out.coupled.copy(), out.resid.copy(), out.certified.copy()
         for i, kinds in faults.items():
-            if i < len(fibers):
+            if i < len(eps):
                 coupled[i] |= "coupled" in kinds
                 resid[i] = np.inf if "hermitian" in kinds else resid[i]
                 certified[i] &= "uncertified" not in kinds
@@ -241,12 +248,15 @@ HERMITIAN = r"^assembled operator is not Hermitian \(residual inf\)$"
 BLOCK_PATH = r"^block path$"
 K_MAX = r"^k_max=1000000 exceeds spectrum size 214$"
 WINDOW = r"^window constants must satisfy a > 0, c >= 0$"
-SINGULAR = r"^lattice basis is singular$"
+MOMENTUM = r"^fiber scale 1e-200 is out of range: a fiber momentum overflows when squared$"
+DIAMETER = r"^fiber scale 1e\+200 is out of range: the fiber diameter overflows when squared$"
 
 
-# Refusals come scale by scale, and within a scale in the order: its fiber,
-# twist-sector coupling, Hermiticity, block path, k_max, window.  A scale's
-# fiber is singular at eps = 1e-7 (|det| = 1e-14).
+# A scale out of range is refused first, before any scale is solved: a
+# fiber momentum overflows when squared at eps = 1e-200, and (collapse_run
+# only) the fiber diameter at eps = 1e200.  Then refusals come scale by
+# scale, and within a scale in the order: twist-sector coupling,
+# Hermiticity, block path, k_max, window.  eps = 1e-7 is in range.
 @pytest.mark.parametrize(
     "faults, epsilons, k_max, window_a, message",
     [
@@ -261,9 +271,9 @@ SINGULAR = r"^lattice basis is singular$"
         ({0: {"uncertified"}}, [1.0, 0.5], 10**6, -1.0, BLOCK_PATH),
         ({}, [1.0, 1e-7], 10**6, 1.0, K_MAX),
         ({}, [1.0, 1e-7], 2, -1.0, WINDOW),
-        ({}, [1.0, 1e-7], 2, 1.0, SINGULAR),
+        ({0: {"coupled"}}, [1e200, 1.0], 10**6, -1.0, DIAMETER),
         ({0: {"coupled"}}, [1.0, 1e-7], 2, 1.0, COUPLED),
-        ({0: {"coupled"}}, [1e-7, 1e-8], 10**6, -1.0, SINGULAR),
+        ({0: {"coupled"}}, [1e-7, 1e-200], 10**6, -1.0, MOMENTUM),
     ],
 )
 def test_collapse_refusals_keep_scale_order(monkeypatch, faults, epsilons, k_max, window_a, message):
@@ -280,8 +290,8 @@ def test_collapse_refusals_keep_scale_order(monkeypatch, faults, epsilons, k_max
         ({1: {"hermitian", "uncertified"}}, [1.0, 0.5], HERMITIAN),
         ({0: {"uncertified"}, 1: {"coupled"}}, [1.0, 0.5], BLOCK_PATH),
         ({0: {"coupled"}}, [1.0, 1e-7], COUPLED),
-        ({1: {"coupled"}}, [1e-7, 1.0], SINGULAR),
-        ({}, [1.0, 1e-7], SINGULAR),
+        ({1: {"coupled"}}, [1e-7, 1.0], COUPLED),
+        ({0: {"coupled"}}, [1e200, 1e-200], MOMENTUM),
     ],
 )
 def test_blowup_refusals_keep_scale_order(monkeypatch, faults, epsilons, message):
@@ -290,10 +300,81 @@ def test_blowup_refusals_keep_scale_order(monkeypatch, faults, epsilons, message
         blowup_check(_rot4_spinor_model(), spinor_gammas(3), epsilons, 2)
 
 
+def test_small_scales_run_and_out_of_range_ones_are_refused():
+    # a unit-square fiber at eps = 1e-7 was refused as "lattice basis is
+    # singular" (|det| = 1e-14); its spectrum matches the block path's.
+    # Scales whose momenta or diameter overflow when squared are refused by
+    # name, without a RuntimeWarning (an error under this suite's settings)
+    # or an OverflowError
+    model, cm = _rot4_spinor_model(), spinor_gammas(3)
+    report = collapse_run(model, cm, [1.0, 1e-7], 2, 2)
+    blowup = blowup_check(model, cm, [1.0, 1e-7], 2)
+    plan = _mapping_plan(model, cm, 2)
+    ref = eigensolve(plan.dirac(model.with_scale(1e-7)))
+    _assert_same_spectrum(report.spectra_per_eps[1], ref)
+    assert blowup.min_abs[1] == pytest.approx(ref.abs_sorted()[0], rel=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run, message in [
+            (lambda: collapse_run(model, cm, [1.0, 1e-200], 2, 2), MOMENTUM),
+            (lambda: collapse_run(model, cm, [1e200, 1.0], 2, 2), DIAMETER),
+            (lambda: blowup_check(model, cm, [1.0, 1e-200], 2), MOMENTUM),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                run()
+
+
+def test_collapse_builds_no_fiber_per_scale(monkeypatch):
+    # every scale divides the plan's unit-scale momenta by eps, and
+    # collapse_run's windows take eps times the one fiber diameter
+    converging, escaping, cm = _canonical_mapping(), _rot4_spinor_model(), spinor_gammas(3)
+    built, diameters = [], []
+    post_init, diameter = FlatTorusModel.__post_init__, FlatTorusModel.diameter
+
+    def counting_post_init(self):
+        built.append(1)
+        post_init(self)
+
+    def counting_diameter(self):
+        diameters.append(1)
+        return diameter(self)
+
+    monkeypatch.setattr(FlatTorusModel, "__post_init__", counting_post_init)
+    monkeypatch.setattr(FlatTorusModel, "diameter", counting_diameter)
+    for eps in ([1.0], [1.0, 0.5, 0.25, 0.125]):
+        collapse_run(converging, spinor_gammas(2), eps, 1, 3)
+        collapse_run(escaping, cm, eps, 1, 2)
+        blowup_check(escaping, cm, eps, 2)
+        assert (len(built), len(diameters)) == (0, 2)
+        built.clear()
+        diameters.clear()
+
+
+@settings(max_examples=30)
+@given(
+    model=_mapping_models(),
+    exterior=st.booleans(),
+    truncation=st.integers(1, 3),
+    eps=st.floats(0.05, 2.0),
+)
+def test_scaled_momenta_and_window_match_the_scaled_fiber(model, exterior, truncation, eps):
+    # at a non-dyadic scale, dividing the unit-scale momenta and multiplying
+    # the diameter round differently from solving and searching the fiber
+    # rescaled by eps, but only in the last digits
+    cm = exterior_module(3) if exterior else spinor_gammas(3)
+    report = collapse_run(model, cm, [eps], 1, truncation)
+    fiber = _scaled_fiber(model, eps)
+    plan = _mapping_plan(model, cm, truncation)
+    old = _given_momenta(plan, fiber.dual_momentum(plan.reps))
+    _assert_same_spectrum(report.spectra_per_eps[0], eigensolve(old.dirac(model.with_scale(1.0))))
+    window = spectral_window(_mapping_geometry(fiber.diameter()))
+    assert abs(report.window_bounds[0] - window) <= 1e-15 * window
+
+
 def _parent_window_and_tracked(model, report, k_max, window_c):
     """Window bounds and tracked values by the formulas collapse_run used
-    before it read each scale's fiber and partitioned |lambda|: geometric_data
-    of each scale's model, and a full sort of every |eigenvalue|."""
+    before it partitioned |lambda|: geometric_data of each scale's model,
+    and a full sort of every |eigenvalue|."""
     bounds = tuple(
         spectral_window(geometric_data(model.with_scale(e)), DEFAULT_WINDOW_A, window_c)
         for e in report.epsilons

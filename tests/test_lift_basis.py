@@ -25,7 +25,7 @@ from diraclab.clifford import exterior_module, fixed_subspace, holonomy_rep, spi
 from diraclab.collapse import blowup_check, collapse_run
 from diraclab.models import AffineMappingTorus, FlatTorusModel
 from diraclab.spectral import HERMITICITY_TOL, RESIDUAL_TOL, STRUCTURE_TOL
-from test_assembly import _assert_same_spectrum, _mapping_models
+from test_assembly import _assert_same_spectrum, _mapping_models, _scaled_fiber
 
 CLOSURE = "holonomy closure exceeded 1024 elements; generators do not span a small finite group"
 
@@ -287,7 +287,7 @@ def test_computed_lift_basis_matches_eig_qr_over_model_space(model, exterior, tr
 def test_stacked_solve_matches_per_scale_solve_over_model_space(lifted, truncation, epsilons):
     model, cm, _ = lifted
     plan = _mapping_plan(model, cm, truncation)
-    p = np.array([model.with_scale(e).scaled_fiber().dual_momentum(plan.reps) for e in epsilons])
+    p = np.array([_scaled_fiber(model, e).dual_momentum(plan.reps) for e in epsilons])
     cases = [(plan.symbols, p, slice(None))]
     zero = np.flatnonzero(~plan.reps.any(axis=1))
     if len(zero):

@@ -1,17 +1,21 @@
 """Time one benchmark workload on two source trees, in alternating pairs.
 
-Each run is a fresh interpreter that imports the tree's own
-``bench/workloads.py`` and ``src/``, builds the workload with ``setup`` and
-times one ``run`` call.  Pair i (from 1) runs each tree 5 times at seed
+Each run is the tree's own ``bench/worker.py --mode rep``, started as
+``bench/run.py`` starts it (from the tree, with its ``src/`` on
+``PYTHONPATH``), so it times what the benchmark gate times: one ``run``
+call after ``setup``, whose outputs the worker then checks against the
+tree's ``bench/reference.json``.  A run whose worker fails, or whose
+checks fail, is reported as failed and not timed, and the tool stops with
+exit status 1.  Pair i (from 1) runs each tree 5 times at seed
 i, the two trees taking turns, and each side of the pair is the median of
 its tree's 5 runs: a single cold call is bimodal on a loaded host and
 cannot resolve a change of about 0.5 ms.  The tree that goes first
 alternates from pair to pair.  The tool prints every pair, then each
 tree's median and quartiles of its pair ``wall_s`` values, its median
 ``setup_s`` (from just before the process is spawned to the start of
-``run``, as ``bench/worker.py`` times it: interpreter start, imports and
-``setup``) and its median ``peak_rss_mib`` (``ru_maxrss`` of the run's
-process), the new tree's
+``run``: interpreter start, imports and ``setup``) and its median
+``peak_rss_mib`` (``ru_maxrss`` of the run's process, read before the
+checks), the new tree's
 median ``wall_s`` change relative to the old one's beside the old tree's
 interquartile range, and how many pairs the new tree won on ``wall_s``.  A
 gain holds when the new tree wins at least nine pairs in ten and the
@@ -19,15 +23,16 @@ medians differ by more than the old tree's interquartile range.
 
     python tools/pair_timing.py OLD_TREE NEW_TREE --workload collapse_spinor_rot4 --pairs 20
 
-It is a quick check before the longer ``bench/run.py`` runs: one call per
-process and no reference check.  A pair costs 10 processes, each with its
-own ``setup``.
+It is a quick check before the longer ``bench/run.py`` runs, with one
+call per process.  A pair costs 10 processes, each with its own
+``setup``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -38,34 +43,36 @@ from pathlib import Path
 # fresh processes per tree and pair; each side of a pair is their median
 PROCESSES = 5
 
-# argv: tree, workload, seed, work dir, the parent's time.monotonic() just
-# before the spawn.  Prints one JSON object.
-_RUNNER = """
-import json, resource, sys, time
-from pathlib import Path
-tree, workload, seed, work, t_spawn = sys.argv[1:6]
-sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "bench")]
-import workloads
-state = workloads.setup(workload, int(seed), "full", Path(work))
-setup = time.monotonic() - float(t_spawn)
-start = time.perf_counter()
-workloads.run(state)
-wall = time.perf_counter() - start
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"wall_s": wall, "setup_s": setup, "peak_rss_mib": rss}))
-"""
+# the metrics each run reports, from its worker's JSON line
+METRICS = ("wall_s", "setup_s", "peak_rss_mib")
+
+
+class RunFailed(Exception):
+    """A worker that failed, or whose outputs failed their checks."""
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict[str, float]:
+    """One ``bench/worker.py --mode rep`` run of the tree; its metrics, or
+    RunFailed."""
     with tempfile.TemporaryDirectory() as work:
+        cmd = [
+            sys.executable, str(tree / "bench" / "worker.py"), "--mode", "rep",
+            "--workload", workload, "--seed", str(seed), "--workdir", work,
+        ]
         proc = subprocess.run(
-            [sys.executable, "-c", _RUNNER, str(tree), workload, str(seed), work,
-             repr(time.monotonic())],
+            [*cmd, "--t-spawn", repr(time.monotonic())],
+            cwd=tree,
+            env=dict(os.environ, PYTHONPATH=str(tree / "src")),
             capture_output=True,
             text=True,
-            check=True,
         )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RunFailed(f"worker exit {proc.returncode}: {proc.stderr.strip()[-2000:]}")
+    report = json.loads(lines[-1])
+    if report["failed_checks"]:
+        raise RunFailed(f"failed checks {report['failed_checks']}")
+    return {key: report[key] for key in METRICS}
 
 
 def run_side(runs: list[dict[str, float]]) -> dict[str, float]:
@@ -91,7 +98,11 @@ def main(argv=None) -> int:
         runs: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
         for _ in range(PROCESSES):
             for side in order:
-                runs[side].append(run_once(trees[side], args.workload, seed))
+                try:
+                    runs[side].append(run_once(trees[side], args.workload, seed))
+                except RunFailed as err:
+                    print(f"pair {i + 1} seed {seed}: {side} FAILED, not timed: {err}")
+                    return 1
         for side in order:
             results[side].append(run_side(runs[side]))
         old, new = results["old"][-1]["wall_s"], results["new"][-1]["wall_s"]
