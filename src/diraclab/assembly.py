@@ -434,7 +434,7 @@ class _MappingPlan:
     certificate and the limit all read these rows.  Only the fiber momenta
     scale, as 1/fiber_scale: dirac and bochner (of scaled, the plan's model
     at the wanted scale) and symbol_spectra divide the unit-scale ones by
-    the scale (_scaled_momenta)."""
+    the scale (_scaled_momenta).  Every block is formed by _blocks."""
 
     model: AffineMappingTorus
     cm: CliffordModule
@@ -457,19 +457,18 @@ class _MappingPlan:
         p = _scaled_momenta(self.unit_momenta, [scaled.fiber_scale])[0]
         if self.coupled(p[None], slice(None))[0]:
             raise ValueError(_COUPLED)
-        return self._operator(slice(None), p, self.block_info, scaled.label())
+        stacks = self._blocks(slice(None), p)
+        return AssembledOperator(stacks, self.block_info, self.truncation, scaled.label())
 
-    def _operator(
-        self, rows: slice, p: np.ndarray, info: BlockInfo, label: str
-    ) -> AssembledOperator:
-        """Dirac operator of the table's rows in rows, with provenance info;
-        p holds the fiber momenta of their orbits, from the first row's on.
-        Per size class, the blocks take their orbit and cluster's part of
-        q^H gamma(p) q plus beta times their cluster's base gamma."""
+    def _blocks(self, rows: slice | np.ndarray, p: np.ndarray) -> list[np.ndarray]:
+        """The blocks of the table's rows in rows (a slice, or ascending
+        indices) at the orbit fiber momenta p (O, m), one stack per size
+        class present, ascending, each in row order.  The blocks take their
+        orbit and cluster's part of q^H gamma(p) q plus beta times their
+        cluster's base gamma."""
         gp = self.cm.gamma(np.column_stack([p, np.zeros(len(p))]))
         gp_q = self.basis.q.conj().T @ gp @ self.basis.q
         orbit, cluster, beta = self.orbit[rows], self.cluster[rows], self.beta[rows]
-        orbit = orbit - orbit[0]
         sizes = self.block_info.sizes[rows]
         stacks = []
         for s, (ids, cols, gammas) in self.clusters.items():
@@ -482,7 +481,7 @@ class _MappingPlan:
                 base *= beta.take(at)[:, None, None]
                 blocks += base
                 stacks.append(blocks)
-        return AssembledOperator(stacks, info, self.truncation, label)
+        return stacks
 
     def bochner(self, scaled: AffineMappingTorus) -> AssembledOperator:
         """Connection Laplacian at the fiber scale of scaled, from
@@ -512,40 +511,47 @@ class _MappingPlan:
     def symbols(self) -> _BlockSymbols:
         """The blocks' scale-free symbols, computed on first use."""
         return _block_symbols(
-            self.orbit, self.cluster, self.beta, self.block_info.sizes, self.clusters.values()
+            self.orbit, self.cluster, self.beta, self.block_info.sizes, self.unit_momenta,
+            self.clusters.values(),
         )
 
     def symbol_spectra(self, eps: list[float]) -> _SymbolSolution:
         """Spectra at the E fiber scales eps from the block symbols, in one
-        pass and without forming a block, after _scaled_momenta's refusal.
-        Its at(i) is scale i's spectrum, or None when a block fails its
-        certificate and the caller takes the block path, eigensolve of
-        dirac(model.with_scale(eps[i])).  at(i) raises scale i's coupling.
+        pass, after _scaled_momenta's refusal.  Its at(i) is scale i's
+        spectrum; it raises scale i's coupling, and forms and solves only
+        the blocks that fail their certificate.
 
         The certificate is set out in the symbols module, with why its
         Hermiticity refusal is at least as strict as the block path's and
         its error bound is held to eigensolve's residual tolerance.
         """
         p = _scaled_momenta(self.unit_momenta, eps)
-        return self.symbols.solve(p, self.truncation, self.coupled(p, slice(None)))
+        w = 1.0 / np.array(eps, dtype=float)
+        coupled = self.coupled(p, slice(None))
+        return self.symbols.solve(
+            p, w, self.truncation, coupled, lambda i, rows: self._blocks(rows, p[i])
+        )
 
-    def limit_orbit(self) -> int:
-        """The zero-mode orbit, the limit's; refuses as limit_operator does,
-        a coupling symbol at p = 0 included."""
+    def limit_rows(self) -> slice:
+        """The rows of the zero-mode orbit, the limit's; refuses as
+        limit_operator does, a coupling symbol at p = 0 included."""
         _require_parallel(self.model, self.basis)
         zero = np.flatnonzero(~self.reps.any(axis=1))
         if self.coupled(np.zeros((1, 1, self.reps.shape[1])), zero)[0]:
             raise ValueError(_COUPLED)
-        return int(zero[0])
+        return slice(*np.searchsorted(self.orbit, [zero[0], zero[0] + 1]))
 
-    def limit_symbol_spectrum(self) -> Spectrum | None:
+    def limit_symbol_spectrum(self) -> Spectrum:
         """Spectrum of the limit operator as symbol_spectra finds it: the
-        blocks of the zero-mode orbit with p = 0, so r = |beta|.  None when a
-        block fails its certificate, and the caller then solves the limit
-        operator.  Refuses first as limit_orbit does."""
-        part = self.symbols.orbit_part(self.limit_orbit())
-        p = np.zeros((1, 1, self.reps.shape[1]))
-        return part.solve(p, self.truncation, np.zeros(1, dtype=bool)).at(0)
+        blocks of the zero-mode orbit with p = 0, so r = |beta|.  Refuses
+        first as limit_rows does."""
+        rows = self.limit_rows()
+        p = np.zeros_like(self.unit_momenta)
+        part = self.symbols.orbit_part(rows)
+        return part.solve(
+            p[None, :1], np.zeros(1), self.truncation, np.zeros(1, dtype=bool),
+            lambda i, at: self._blocks(at + rows.start, p),
+        ).at(0)
 
 
 def _scaled_momenta(unit: np.ndarray, eps: list[float]) -> np.ndarray:
@@ -684,22 +690,17 @@ def limit_operator(
     Raises EmptyInvariantSpaceError when no nonzero parallel sections exist
     (nontrivial fiber spin shift, or a lift without fixed vectors); that is
     the regime where the whole spectrum escapes to infinity instead.  The
-    model's plan refuses first.
+    model's plan refuses first.  The operator is the zero-mode orbit's rows
+    of the plan's table at p = 0, labeled by their base index alone.
     """
-    return _limit_operator(_mapping_plan(model, cm, truncation))
-
-
-def _limit_operator(plan: _MappingPlan) -> AssembledOperator:
-    """limit_operator from the plan of its model: the zero-mode orbit's
-    rows at p = 0, labeled by their base index alone."""
-    zero = plan.limit_orbit()
-    rows = slice(*np.searchsorted(plan.orbit, [zero, zero + 1]))
+    plan = _mapping_plan(model, cm, truncation)
+    rows = plan.limit_rows()
     full = plan.block_info
     info = BlockInfo(
         full.modes[rows, -1:], full.sizes[rows], full.twist[rows], full.invariant[rows]
     )
-    p = np.zeros((1, plan.reps.shape[1]))
-    return plan._operator(rows, p, info, plan.model.label() + "|limit")
+    stacks = plan._blocks(rows, np.zeros_like(plan.unit_momenta))
+    return AssembledOperator(stacks, info, truncation, model.label() + "|limit")
 
 
 def frame_bundle_operator(

@@ -285,9 +285,9 @@ def _eigen_exponential_family(rng, n: int, speed: float):
     a = rng.standard_normal((n, n))
     chol = np.linalg.cholesky(a @ a.T + n * np.eye(n))
     s = rng.standard_normal((n, n))
-    s = 0.5 * (s + s.T)
-    s *= speed / max(1.0, float(np.linalg.norm(s, 2)))
-    w, q = np.linalg.eigh(s)
+    # the operator norm of the symmetric s is its largest |eigenvalue|
+    w, q = np.linalg.eigh(0.5 * (s + s.T))
+    w *= speed / max(1.0, float(np.max(np.abs(w))))
 
     def family(t):
         t = np.asarray(t)[..., None, None]

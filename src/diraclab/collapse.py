@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (
-    EmptyInvariantSpaceError,
-    _flat_modes,
-    _limit_operator,
-    _mapping_plan,
-    _parallel_columns,
-)
+from .assembly import EmptyInvariantSpaceError, _flat_modes, _mapping_plan, _parallel_columns
 from .clifford import CliffordModule
 from .models import (
     FD_STEP,
@@ -46,7 +40,7 @@ from .spectral import (
     Spectrum,
     _require_hermitian,
     _stack_values,
-    eigensolve,
+    eigensolve,  # not called here; bench/smoke.py reads it as collapse.eigensolve
     epsilon_close,
     window_intersect,
 )
@@ -168,13 +162,6 @@ def _smallest_abs(values: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.abs(values[max(i - k, 0) : i + k]))[:k]
 
 
-def _solved(spec: Spectrum | None, operator) -> Spectrum:
-    """A spectrum the symbol path solved, or where it left the spectrum to
-    the block path (None), eigensolve of the operator that operator()
-    assembles."""
-    return eigensolve(operator()) if spec is None else spec
-
-
 def collapse_run(
     model: AffineMappingTorus,
     cm: CliffordModule,
@@ -196,16 +183,16 @@ def collapse_run(
     into it once.  Each scale divides the plan's unit-scale fiber momenta by
     epsilon, and its window takes epsilon times the one fiber diameter.  All
     scales at once and then the limit (the zero-mode orbit's blocks without
-    fiber momentum) are solved from the plan's certified block symbols,
-    without forming an operator; the limit or a scale with a block that
-    fails its certificate takes the block path, eigensolve of the assembled
-    operator.  The plan's one twist-sector coupling check serves both
-    paths: it runs once for all scales, and once for the limit at the zero
-    mode alone.  A scale's k_max tracked values come from a sort of its at
-    most 2 k_max eigenvalues nearest zero, not of all of them.  A scale at
-    which the fiber diameter or a momentum overflows when squared is
-    refused first, by name; then each scale's refusals come in the order
-    coupling, Hermiticity, block path, k_max, window.
+    fiber momentum) are solved from the plan's block symbols, without
+    forming an operator: a certified block takes its closed form, and only
+    the blocks that fail their certificate are formed from the plan's table
+    and solved by eigh.  The plan's one twist-sector coupling check runs
+    once for all scales, and once for the limit at the zero mode alone.  A
+    scale's k_max tracked values come from a sort of its at most 2 k_max
+    eigenvalues nearest zero, not of all of them.  A scale at which the
+    fiber diameter or a momentum overflows when squared is refused first,
+    by name; then each scale's refusals come in the order coupling,
+    Hermiticity, the eigh of its uncertified blocks, k_max, window.
     """
     eps = _check_epsilons(epsilons)
     if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -217,14 +204,14 @@ def collapse_run(
     _check_scaled("the fiber diameter", eps, [e * diam for e in eps])
     solved = plan.symbol_spectra(eps)
     try:
-        limit_spec = _solved(plan.limit_symbol_spectrum(), lambda: _limit_operator(plan))
+        limit_spec = plan.limit_symbol_spectrum()
         verdict = "converges"
     except EmptyInvariantSpaceError:
         limit_spec = None
         verdict = "blows_up"
     spectra, bounds, tracked_cols = [], [], []
     for i, e in enumerate(eps):
-        spec = _solved(solved.at(i), lambda: plan.dirac(model.with_scale(e)))
+        spec = solved.at(i)
         if k_max > len(spec):
             raise ValueError(f"k_max={k_max} exceeds spectrum size {len(spec)}")
         spectra.append(spec)
@@ -284,9 +271,8 @@ def blowup_check(
     Only valid when no parallel sections exist; rate is the largest a with
     min |spec| >= a / epsilon across all requested scales.  The plan's one
     lift basis decides whether parallel sections exist.  All scales are
-    solved from the plan's block symbols in one pass, as in collapse_run;
-    each scale's min |spec| is read off its spectrum, the certified one or
-    the block path's when a block fails its certificate.  Refusals come as
+    solved from the plan's block symbols in one pass, as in collapse_run,
+    and each scale's min |spec| is read off its spectrum.  Refusals come as
     in collapse_run, without the diameter, k_max and window.
     """
     plan = _mapping_plan(model, cm, truncation)
@@ -296,10 +282,7 @@ def blowup_check(
         )
     eps = _check_epsilons(epsilons)
     solved = plan.symbol_spectra(eps)
-    mins = []
-    for i, e in enumerate(eps):
-        spec = _solved(solved.at(i), lambda: plan.dirac(model.with_scale(e)))
-        mins.append(float(_smallest_abs(spec.values, 1)[0]))
+    mins = [float(_smallest_abs(solved.at(i).values, 1)[0]) for i in range(len(eps))]
     rate = min(m * e for m, e in zip(mins, eps))
     return BlowupReport(epsilons=tuple(eps), min_abs=tuple(mins), rate=float(rate))
 

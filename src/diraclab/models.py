@@ -48,7 +48,10 @@ class FlatTorusModel:
             raise ValueError("lattice basis must be square")
         if not np.isfinite(basis).all():
             raise ValueError("lattice basis must be finite")
-        if abs(np.linalg.det(basis)) < SINGULAR_DET_TOL:
+        # the Hadamard ratio |det B| / prod_j |b_j|, of the basis scaled to
+        # largest entry 1 so that neither side overflows
+        unit = basis / max(float(np.max(np.abs(basis))), np.finfo(float).tiny)
+        if abs(np.linalg.det(unit)) <= SINGULAR_DET_TOL * np.prod(np.linalg.norm(unit, axis=0)):
             raise ValueError("lattice basis is singular")
         if shift.shape != (n,):
             raise ValueError("spin shift length must match the lattice rank")

@@ -48,7 +48,7 @@ PROJECTOR_TOL = 1e-10  # P - P^H of an averaging projector, eigenvalues off {0, 
 ANGLE_TOL = 1e-10  # equal cosines and zero sines in the logarithm of a rotation; abs
 LIFT_TOL = 1e-9  # U gamma U^H - gamma(R) for the lift U of R (and so exp(log R) - R); op, abs
 WEIGHT_TOL = 1e-9  # twice a module weight minus the nearest integer; abs
-SINGULAR_DET_TOL = 1e-12  # |det| of a singular lattice basis; abs
+SINGULAR_DET_TOL = 1e-12  # |det| of a singular lattice basis; rel product of column norms
 DIAGONAL_GRAM_TOL = 1e-12  # off-diagonal Gram entries of a rectangle; times largest entry
 METRIC_INVARIANCE_TOL = 1e-10  # phi^T G phi - G of a holonomy phi; rel G
 CONNECTION_INVARIANCE_TOL = 1e-12  # phi A - A of the connection form A; rel A
@@ -142,7 +142,8 @@ def eigensolve(op) -> Spectrum:
     An assembled operator's Hermiticity was checked when it was built; a
     raw square array is checked here and solved as a stack of one block.
     collapse_run and blowup_check solve a mapping torus from its block
-    symbols (symbols) and call this only where that certificate refuses.
+    symbols (symbols) and never call this; the blocks that certificate
+    refuses are solved by _stack_values, as here.
     """
     stacks = getattr(op, "stacks", None)
     if stacks is None:

@@ -1,32 +1,43 @@
 """Certified spectra of a mapping-torus plan's blocks from their symbols:
 the package's one closed-form certificate, for the spectrum +-r that the
-Bochner identity gives every block on the flat models.  eigensolve solves
-every block it refuses with eigh.
+Bochner identity gives every block on the flat models.  Blocks it refuses
+are formed from the plan's block table and solved by eigh.
 
-A block is D = sum_k x_k G_k with x = (p, beta), p the fiber momentum
-of its orbit and G_k the gammas restricted to its twist cluster of s
-rows.  The certificate is for its Hermitian part H = sum_k x_k H_k;
-D - H is bounded by the Hermiticity check below.  With r^2 =
-|p|^2 + beta^2,
+A block is D = sum_k x_k G_k with x = (p, beta), p the fiber momentum of
+its orbit and G_k the gammas restricted to its twist cluster of s rows.
+The certificate is for its Hermitian part H = sum_k x_k H_k; D - H is
+bounded by the Hermiticity check below.  With r^2 = |p|^2 + beta^2 and
+F = sum_{k<m} p_k H_k,
 
-    H^2 - r^2 I = 1/2 sum_kl x_k x_l (H_k H_l + H_l H_k - 2 delta_kl I),
+    H^2 - r^2 I = (F^2 - |p|^2 I) + beta {F, H_m} + beta^2 (H_m^2 - I).
 
-so ||H^2 - r^2 I||_2 <= ||H^2 - r^2 I||_F <= delta = 1/2 |x|^T A |x|,
-A the cluster's Clifford defects.  By Weyl's inequality each eigenvalue
-lam^2 of H^2 lies within delta of r^2, so ||lam| - r| <= delta / r.
+At fiber scale eps, p is the orbit's unit-scale momentum over eps, so the
+three terms have the Frobenius norms a / eps^2, |beta| b / eps and
+beta^2 c: a = ||F^2 - |p|^2 I|| and b = ||{F, H_m}|| at unit scale and
+c = ||H_m^2 - I||, measured once per orbit and cluster.  So ||H^2 - r^2 I||_2
+<= delta = a / eps^2 + |beta| b / eps + beta^2 c.  By Weyl's inequality each
+eigenvalue lam^2 of H^2 lies within delta of r^2, so ||lam| - r| <= delta / r.
 With n+ = (s + tr H / r) / 2, where tr H = p . t_c + beta tb_c from the
-cluster's traces, a block takes -r (s - n+ times) and +r (n+ times)
-only when s delta < r^2 (so r > 0), delta / r <= RESIDUAL_TOL *
-max(1, sqrt(r^2 - delta) / s), and n+ lies within STRUCTURE_TOL of an
-integer.  Every eigenvalue then lies within delta / r < r / s of +r or
--r, so the signs split cleanly; with n of them positive, tr H / r is
-within s delta / r^2 < 1 of n - (s - n), so the rounded n+ is n, and
-the sorted values match the eigenvalues to within delta / r.  The block
-scale is at most eigensolve's max(1, max |D_ij|), as sqrt(r^2 - delta)
-<= ||H||_2 <= s max |H_ij| <= s max |D_ij|, so that error meets
-eigensolve's residual tolerance.  A block with x = 0 is exactly zero
-and gives s zeros.  Traces and defects do not depend on the scale, so
-every fiber scale is solved from the same constants in one vector pass.
+cluster's traces, a block takes -r (s - n+ times) and +r (n+ times) only
+when s delta < r^2 (so r > 0), delta / r <= RESIDUAL_TOL * max(1,
+sqrt(r^2 - delta) / s), and n+ lies within STRUCTURE_TOL of an integer.
+Every eigenvalue then lies within delta / r < r / s of +r or -r, so the
+signs split cleanly; with n of them positive, tr H / r is within
+s delta / r^2 < 1 of n - (s - n), so the rounded n+ is n, and the sorted
+values match the eigenvalues to within delta / r.  The block scale is at
+most eigensolve's max(1, max |D_ij|), as sqrt(r^2 - delta) <= ||H||_2 <=
+s max |H_ij| <= s max |D_ij|, so that error meets eigensolve's residual
+tolerance.  A block with x = 0 is exactly zero and gives s zeros; the
+limit, at p = 0, takes 1 / eps = 0.
+
+The norms are exact where a bound over pairs of directions is not: a
+cluster that mixes the fiber gammas (the FCC cyclic models) leaves each
+H_k far from squaring to I, while F^2 = |p|^2 I, as the plan's coupling
+check keeps the cluster invariant under gamma(p).  Rounding in a, b, c,
+p / eps and r^2 is O(u (m + s)) r^2, u the unit roundoff, as each is a
+short sum of products of entries bounded by |x| and the gammas'.  It moves
+||lam| - r| by O(u (m + s)) r: the order of eigh's own backward error, and
+for s <= 16 over a thousand times below RESIDUAL_TOL * max(1, r / s).
 
 Twist-sector coupling is not checked here: the plan's one check
 (assembly._MappingPlan.coupled) flags every scale, for this path and the
@@ -44,11 +55,13 @@ too; solve takes the orbit fiber momenta of all wanted scales at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .spectral import HERMITICITY_TOL, RESIDUAL_TOL, STRUCTURE_TOL, Spectrum, _default_tol
+from .spectral import _stack_values
 
 # the messages of an operator whose symbol couples distinct twist sectors
 # and of an assembled operator that fails its Hermiticity check; the symbol
@@ -62,9 +75,10 @@ class _SymbolSolution:
     """Symbol spectra of a plan's blocks at E fiber scales, solved in one
     pass (see the module docstring).  Per scale: the plan's flag of whether
     the symbol couples distinct twist sectors, the Hermiticity residual and
-    its limit, and whether every block is certified; per scale and block, r
-    and the count of +r (floats, integral where certified); per block, its
-    size."""
+    its limit; per scale and block, whether the block is certified, r and
+    the count of +r (floats, integral where certified); per block, its
+    size; and blocks(i, rows), the stacks by size class of scale i's blocks
+    at the given rows, formed from the plan's block table."""
 
     coupled: np.ndarray
     resid: np.ndarray
@@ -74,21 +88,26 @@ class _SymbolSolution:
     npos: np.ndarray
     sizes: np.ndarray
     truncation: int
+    blocks: Callable[[int, np.ndarray], list[np.ndarray]]
 
-    def at(self, i: int) -> Spectrum | None:
-        """Certified spectrum of scale i, each block b taking -r[b] (s - n+
-        times) and +r[b] (n+ times), or None when a block fails its
-        certificate and the caller takes the block path.  Raises, in the
-        block path's order, scale i's refusals: coupling, then Hermiticity."""
+    def at(self, i: int) -> Spectrum:
+        """Spectrum of scale i: each certified block b takes -r[b] (s - n+
+        times) and +r[b] (n+ times); the others are formed and solved by one
+        batched eigh per size class with its residual check.  Raises first,
+        in the block path's order, scale i's refusals: coupling, then
+        Hermiticity."""
         if self.coupled[i]:
             raise ValueError(_COUPLED)
         if self.resid[i] > self.limit[i]:
             raise ValueError(_NOT_HERMITIAN.format(residual=float(self.resid[i])))
-        if not self.certified[i]:
-            return None
+        ok, r = self.certified[i], self.r[i]
         npos = self.npos[i].astype(np.intp)
-        r = self.r[i]
-        values = np.concatenate([np.repeat(-r, self.sizes - npos), np.repeat(r, npos)])
+        npos *= ok
+        chunks = [np.repeat(-r, (self.sizes - npos) * ok), np.repeat(r, npos)]
+        rows = np.flatnonzero(~ok)
+        if len(rows):
+            chunks += [_stack_values(stack).ravel() for stack in self.blocks(i, rows)]
+        values = np.concatenate(chunks)
         return Spectrum(
             values=values, cluster_tol=_default_tol(values), source_truncation=self.truncation
         )
@@ -102,9 +121,9 @@ class _BlockSymbols:
     (ascending), its twist cluster (the index of its cluster constants), its
     base momentum beta and its size s.  Per cluster (C, batch-last), for the
     restricted gammas G_k = q_c^H gamma_k q_c (fiber directions, then the
-    base): their real traces (n, C), the Clifford defects
-    A_kl = ||H_k H_l + H_l H_k - 2 delta_kl I||_F of their Hermitian parts
-    H_k (n, n, C), and max |G_k - G_k^H| (n, C).
+    base): their real traces (n, C) and max |G_k - G_k^H| (n, C).  Per orbit
+    and cluster at the orbit's unit-scale fiber momentum, the norms a and b
+    (O, C), and per cluster c (C,).
     """
 
     orbit: np.ndarray
@@ -112,50 +131,44 @@ class _BlockSymbols:
     beta: np.ndarray
     sizes: np.ndarray
     trace: np.ndarray
-    defect: np.ndarray
     skew: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
 
-    def orbit_part(self, orbit: int) -> _BlockSymbols:
-        """The symbols of one orbit's blocks, as orbit 0."""
-        rows = slice(*np.searchsorted(self.orbit, [orbit, orbit + 1]))
-        return _BlockSymbols(
-            np.zeros(rows.stop - rows.start, dtype=np.intp),
-            self.cluster[rows],
-            self.beta[rows],
-            self.sizes[rows],
-            self.trace,
-            self.defect,
-            self.skew,
+    def orbit_part(self, rows: slice) -> _BlockSymbols:
+        """The symbols of the rows of one orbit, as orbit 0."""
+        o, orbit = int(self.orbit[rows.start]), np.zeros(rows.stop - rows.start, dtype=np.intp)
+        return replace(
+            self, orbit=orbit, cluster=self.cluster[rows], beta=self.beta[rows],
+            sizes=self.sizes[rows], a=self.a[o : o + 1], b=self.b[o : o + 1],
         )
 
-    def solve(self, p: np.ndarray, truncation: int, coupled: np.ndarray) -> _SymbolSolution:
+    def solve(
+        self, p: np.ndarray, w: np.ndarray, truncation: int, coupled: np.ndarray, blocks
+    ) -> _SymbolSolution:
         """The certificates at the orbit fiber momenta p (E, O, m) of E fiber
-        scales, in one pass, with the plan's coupling flags (E,) of those
-        momenta; see the module docstring.
+        scales, their unit-scale momenta times w (E,), 1 / eps, in one pass,
+        with the plan's coupling flags (E,) of those momenta and its blocks
+        routine (see _SymbolSolution); see the module docstring.
 
         The sums over directions k of a block, with x = (p of its orbit,
         beta), split into a fiber part, summed per scale, orbit and cluster
         (E, O, C) and then taken per block, and a base part in beta.  The
         fiber terms are summed first and in order of k, as a sum over all of
-        x in order of k does, so r and the traces round alike.  The Clifford
-        defects are symmetric in k and l, so the fiber-base pairs of
-        1/2 |x|^T A |x| enter once, doubled."""
+        x in order of k does, so r and the traces round alike."""
         n_scales, n_orbits, m = p.shape
         ap = np.abs(p)
         pp = np.zeros((n_scales, n_orbits))
         for k in range(m):
             pp += p[..., k] * p[..., k]
-        # per scale, orbit and cluster: the fiber parts of tr H, of the
-        # skew bound, and of the defect bound (fiber pairs, fiber-base pairs)
+        # per scale, orbit and cluster: the fiber parts of tr H and of the
+        # skew bound
         shape = (n_scales, n_orbits, self.trace.shape[1])
-        tr_f, skew_f, pairs_f, base_f = (np.zeros(shape) for _ in range(4))
+        tr_f, skew_f = np.zeros(shape), np.zeros(shape)
         for k in range(m):
-            pk, apk = p[..., k, None], ap[..., k, None]
-            tr_f += pk * self.trace[k]
-            skew_f += apk * self.skew[k]
-            base_f += apk * self.defect[k, m]
-            for l in range(m):
-                pairs_f += apk * self.defect[k, l] * ap[..., l, None]
+            tr_f += p[..., k, None] * self.trace[k]
+            skew_f += ap[..., k, None] * self.skew[k]
         entry = self.orbit * shape[2] + self.cluster
 
         def per_block(a: np.ndarray) -> np.ndarray:
@@ -169,11 +182,10 @@ class _BlockSymbols:
         herm += abeta * self.skew[m, c]
         resid = np.max(herm, axis=1, initial=0.0)
         del herm
-        delta = per_block(base_f)
-        delta *= 2.0 * abeta
-        delta += per_block(pairs_f)
-        delta += beta * beta * self.defect[m, m, c]
-        delta *= 0.5
+        # delta = a / eps^2 + |beta| b / eps + beta^2 c
+        delta = np.outer(w * w, self.a.ravel()[entry])
+        delta += np.outer(w, abeta * self.b.ravel()[entry])
+        delta += beta * beta * self.c[c]
         r2 = np.take(pp, self.orbit, axis=1)
         r2 += beta * beta
         # bscale = max(1, sqrt(max(r2 - delta, 0)) / s)
@@ -201,45 +213,43 @@ class _BlockSymbols:
         del nplus
         np.copyto(npos, self.sizes, where=zero)
         return _SymbolSolution(
-            coupled=coupled,
-            resid=resid,
-            limit=limit,
-            certified=np.all(ok | zero, axis=1),
-            r=r,
-            npos=npos,
-            sizes=self.sizes,
-            truncation=truncation,
+            coupled, resid, limit, ok | zero, r, npos, self.sizes, truncation, blocks
         )
 
 
-def _cluster_constants(gc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Traces, Clifford defects and skew parts (see _BlockSymbols) of a
-    (C, n, s, s) stack of restricted gammas, batch-last."""
-    n, s = gc.shape[1], gc.shape[-1]
+def _block_symbols(
+    orbit: np.ndarray, cluster: np.ndarray, beta: np.ndarray, sizes: np.ndarray,
+    unit: np.ndarray, clusters,
+) -> _BlockSymbols:
+    """Symbols of a plan's blocks from its block table (assembly._MappingPlan):
+    per block in row order its orbit, cluster, beta and size, the orbits'
+    unit-scale fiber momenta (O, m), and per cluster size the clusters'
+    numbers, lift-basis columns (unused here) and restricted gammas
+    (C_s, n, s, s).  All clusters are reduced at once, their gammas padded
+    with zeros to the largest size, which leaves every product, trace and
+    norm unchanged.  With the Hermitian parts H_k, H^2 - r^2 I =
+    1/2 sum_kl x_k x_l (H_k H_l + H_l H_k - 2 delta_kl I), whose fiber-fiber,
+    fiber-base and base-base parts have the norms a, |beta| b and beta^2 c."""
+    stacks = [(ids, gammas) for ids, _, gammas in clusters]
+    n, s = stacks[0][1].shape[1], max(gammas.shape[-1] for _, gammas in stacks)
+    m, count = unit.shape[1], sum(len(ids) for ids, _ in stacks)
+    gc, eye = np.zeros((count, n, s, s), dtype=complex), np.zeros((count, s, s))
+    for ids, gammas in stacks:
+        d = gammas.shape[-1]
+        gc[ids, :, :d, :d] = gammas
+        eye[ids, :d, :d] = np.eye(d)
     skew = gc - gc.conj().swapaxes(-1, -2)
     h = gc - 0.5 * skew
     prod = h[:, :, None] @ h[:, None]
     anti = prod + prod.swapaxes(1, 2)
     # the (k, k) pairs, a strided view of the flattened pair axis
-    anti.reshape(len(gc), n * n, s, s)[:, :: n + 1] -= 2.0 * np.eye(s)
-    return (
-        np.trace(gc, axis1=-2, axis2=-1).real.T,
-        np.sqrt(np.sum(np.abs(anti) ** 2, axis=(-2, -1))).transpose(1, 2, 0),
-        np.abs(skew).reshape(len(gc), n, -1).max(axis=-1).T,
-    )
-
-
-def _block_symbols(
-    orbit: np.ndarray, cluster: np.ndarray, beta: np.ndarray, sizes: np.ndarray, clusters
-) -> _BlockSymbols:
-    """Symbols of a plan's blocks from its block table (assembly._MappingPlan):
-    per block in row order its orbit, cluster, beta and size, and per
-    cluster size the clusters' numbers, lift-basis columns (unused here) and
-    restricted gammas (C_s, n, s, s), each stack reduced at once."""
-    stacks = [(ids, gammas) for ids, _, gammas in clusters]
-    n, count = stacks[0][1].shape[1], sum(len(ids) for ids, _ in stacks)
-    consts = [np.zeros((n, count)), np.zeros((n, n, count)), np.zeros((n, count))]
-    for ids, gammas in stacks:
-        for out, c in zip(consts, _cluster_constants(gammas)):
-            out[..., ids] = c
-    return _BlockSymbols(orbit, cluster, beta, sizes, *consts)
+    anti.reshape(count, n * n, s, s)[:, :: n + 1] -= 2.0 * eye[:, None]
+    # the fiber-fiber and fiber-base parts (C, O, s * s) at unit scale, each
+    # one matmul of the flattened pairs with p_k p_l or p_k
+    flat = anti.reshape(count, n, n, s * s)
+    pairs = (unit[:, :, None] * unit[:, None]).reshape(len(unit), m * m)
+    fiber, cross = pairs @ flat[:, :m, :m].reshape(count, m * m, s * s), unit @ flat[:, :m, m]
+    a, b, c = (np.sqrt(np.sum(np.abs(x) ** 2, axis=-1)) for x in (fiber, cross, flat[:, m, m]))
+    trace = np.trace(gc, axis1=-2, axis2=-1).real.T
+    skew_max = np.abs(skew).reshape(count, n, -1).max(axis=-1).T
+    return _BlockSymbols(orbit, cluster, beta, sizes, trace, skew_max, 0.5 * a.T, b.T, 0.5 * c)

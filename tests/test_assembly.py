@@ -723,9 +723,10 @@ def test_symbol_spectra_match_block_path_over_model_space(model, exterior, trunc
     module = exterior_module(3) if exterior else spinor_gammas(3)
     plan = _mapping_plan(model, module, truncation)
     ref = eigensolve(plan.dirac(model.with_scale(eps)))
-    solved = plan.symbol_spectra([eps]).at(0)
-    # on valid modules every block is certified, so the block path is never taken
-    assert solved is not None
+    symbols = plan.symbol_spectra([eps])
+    solved = symbols.at(0)
+    # on valid modules every block is certified, so no block is formed
+    assert symbols.certified.all()
     _assert_same_spectrum(solved, ref)
     # blowup_check's minimum |lambda|, read off the certified spectrum
     smallest = ref.abs_sorted()[0]
@@ -736,13 +737,15 @@ def test_symbol_spectra_match_block_path_over_model_space(model, exterior, trunc
         with pytest.raises(EmptyInvariantSpaceError):
             limit_operator(model, module, truncation)
         return
-    assert limit is not None
     _assert_same_spectrum(limit, eigensolve(limit_operator(model, module, truncation)))
 
 
-def test_symbol_zero_blocks_are_zeros():
+def test_symbol_zero_blocks_are_zeros(monkeypatch):
     # identity holonomy and lift with periodic base: the zero mode at base
     # index 0 is a zero block, which takes dim_v zeros without a certificate
+    # and without being formed
+    import diraclab.assembly as assembly
+
     cm = spinor_gammas(3)
     model = AffineMappingTorus(
         fiber=FlatTorusModel(np.eye(2), np.zeros(2)),
@@ -751,11 +754,10 @@ def test_symbol_zero_blocks_are_zeros():
         holonomy_lift=np.eye(2, dtype=complex),
     )
     plan = _mapping_plan(model, cm, 2)
-    for solved, ref in [
-        (plan.symbol_spectra([model.fiber_scale]).at(0), eigensolve(plan.dirac(model))),
-        (plan.limit_symbol_spectrum(), eigensolve(limit_operator(model, cm, 2))),
-    ]:
-        assert solved is not None
+    refs = [eigensolve(plan.dirac(model)), eigensolve(limit_operator(model, cm, 2))]
+    monkeypatch.setattr(assembly._MappingPlan, "_blocks", _no_blocks)
+    solved = [plan.symbol_spectra([model.fiber_scale]).at(0), plan.limit_symbol_spectrum()]
+    for solved, ref in zip(solved, refs):
         _assert_same_spectrum(solved, ref)
         assert np.count_nonzero(solved.values == 0.0) == cm.dim_v
         assert float(solved.abs_sorted()[0]) == 0.0
@@ -774,17 +776,27 @@ def _fcc_cyclic_mapping(fiber_shift):
     )
 
 
+def _no_blocks(*args):
+    raise AssertionError("a block was formed")
+
+
 @pytest.mark.parametrize("truncation", [1, 2])
 @pytest.mark.parametrize("fiber_shift", [0.0, 0.5])
-def test_symbol_path_accepts_rank_three_axis_modes(fiber_shift, truncation):
+def test_symbol_path_accepts_rank_three_axis_modes(monkeypatch, fiber_shift, truncation):
     # the symbol path's triangle bound on the twist-sector leak trips on the
-    # axis modes; it used to refuse what the block path accepts.  collapse_run
-    # takes both scales for the cost of one rank-3 fiber diameter
+    # axis modes; it used to refuse what the block path accepts.  Every block
+    # is certified, as the twist clusters are invariant under gamma(p) though
+    # not under each fiber gamma, so no block is formed.  collapse_run takes
+    # both scales for the cost of one rank-3 fiber diameter
+    import diraclab.assembly as assembly
+
     cm = spinor_gammas(4)
     model = _fcc_cyclic_mapping(fiber_shift)
     plan = _mapping_plan(model, cm, truncation)
     eps = [1.0, 0.5]
     refs = [eigensolve(plan.dirac(model.with_scale(e))) for e in eps]
+    assert plan.symbol_spectra(eps).certified.all()
+    monkeypatch.setattr(assembly._MappingPlan, "_blocks", _no_blocks)
     report = collapse_run(model, cm, eps, 2, truncation)
     for got, ref in zip(report.spectra_per_eps, refs):
         _assert_same_spectrum(got, ref)
@@ -816,20 +828,51 @@ def _identity_mapping():
 
 def test_uncertified_symbols_take_the_block_path():
     # a base gamma squaring to (1 + 1e-6)^2 breaks D^2 = r^2 I by far more
-    # than the certificate allows: no block may take the closed form
+    # than the certificate allows (its G^2 - I term): no block may take the
+    # closed form, and each is formed from the plan's table and solved by
+    # eigh exactly as the block path solves it
     cm = _non_clifford_spinor(base_factor=1.0 + 1e-6)
     model = _identity_mapping()
     plan = _mapping_plan(model, cm, 2)
     eps = [1.0, 0.5]
     solved = plan.symbol_spectra(eps)
-    assert [solved.at(i) for i in range(len(eps))] == [None] * len(eps)
-    assert plan.limit_symbol_spectrum() is None
+    assert not solved.certified.any()
     report = collapse_run(model, cm, eps, 2, 2)
-    for e, spec in zip(eps, report.spectra_per_eps):
-        assert np.array_equal(spec.values, eigensolve(plan.dirac(model.with_scale(e))).values)
-    assert np.array_equal(
-        report.limit_spectrum.values, eigensolve(limit_operator(model, cm, 2)).values
-    )
+    for i, e in enumerate(eps):
+        ref = eigensolve(plan.dirac(model.with_scale(e))).values
+        assert np.array_equal(solved.at(i).values, ref)
+        assert np.array_equal(report.spectra_per_eps[i].values, ref)
+    limit = eigensolve(limit_operator(model, cm, 2)).values
+    assert np.array_equal(plan.limit_symbol_spectrum().values, limit)
+    assert np.array_equal(report.limit_spectrum.values, limit)
+
+
+def _tilted_base_spinor(tilt):
+    """spinor_gammas(3) with the base gamma turned towards gamma_0 by the
+    angle tilt: it still squares to I and anticommutes with gamma_1, but
+    {gamma_0, base} = 2 sin(tilt) I."""
+    cm = spinor_gammas(3)
+    gammas = cm.gammas.copy()
+    gammas[2] = np.cos(tilt) * cm.gammas[2] + np.sin(tilt) * cm.gammas[0]
+    return CliffordModule(3, "spin", 2, gammas, cm.sigmas)
+
+
+def test_base_gamma_that_fails_to_anticommute_is_not_certified():
+    # D^2 = (r^2 + 2 beta p_0 sin(tilt)) I, so only the cross term {F, G}
+    # separates |lambda| from r: the blocks with p_0 beta != 0 fail their
+    # certificate and are solved by eigh, the rest take +-r
+    cm = _tilted_base_spinor(1e-3)
+    model = _identity_mapping()
+    plan = _mapping_plan(model, cm, 2)
+    eps = [1.0, 0.5]
+    solved = plan.symbol_spectra(eps)
+    p0 = plan.unit_momenta[plan.orbit, 0]
+    assert np.array_equal(solved.certified, np.broadcast_to(p0 == 0.0, solved.certified.shape))
+    report = collapse_run(model, cm, eps, 2, 2)
+    for i, e in enumerate(eps):
+        ref = eigensolve(plan.dirac(model.with_scale(e)))
+        _assert_same_spectrum(solved.at(i), ref)
+        _assert_same_spectrum(report.spectra_per_eps[i], ref)
 
 
 def test_symbol_path_refuses_non_hermitian_symbols(monkeypatch):
@@ -843,7 +886,7 @@ def test_symbol_path_refuses_non_hermitian_symbols(monkeypatch):
     message = r"^assembled operator is not Hermitian \(residual "
     with pytest.raises(ValueError, match=message):
         collapse_run(model, cm, [1.0], 1, 2)
-    monkeypatch.setattr(assembly._MappingPlan, "_operator", no_operator)
+    monkeypatch.setattr(assembly._MappingPlan, "_blocks", no_operator)
     with pytest.raises(ValueError, match=message):
         collapse_run(model, cm, [1.0], 1, 2)
 
@@ -890,7 +933,7 @@ def test_collapse_runs_build_no_operator_per_scale(monkeypatch):
     def no_operator(*args):
         raise AssertionError("an operator was assembled")
 
-    monkeypatch.setattr(assembly._MappingPlan, "_operator", no_operator)
+    monkeypatch.setattr(assembly._MappingPlan, "_blocks", no_operator)
     for cm in (spinor_gammas(3), exterior_module(3)):
         report = collapse_run(_rot4_mapping(), cm, [1.0, 0.5, 0.25], 2, 3)
         assert len(report.spectra_per_eps) == 3
@@ -986,7 +1029,7 @@ def test_symbol_coupling_twist_sectors_is_refused(monkeypatch):
     def no_blocks(*args):
         raise AssertionError("a block was formed")
 
-    monkeypatch.setattr(assembly._MappingPlan, "_operator", no_blocks)
+    monkeypatch.setattr(assembly._MappingPlan, "_blocks", no_blocks)
     with pytest.raises(ValueError, match="couples distinct twist sectors"):
         _given_momenta(plan, p[1]).dirac(plan.model.with_scale(1.0))
 
@@ -1006,7 +1049,7 @@ def test_limit_takes_the_plan_coupling_check_at_the_zero_mode(monkeypatch):
         raise AssertionError("a block was formed")
 
     monkeypatch.setattr(assembly._MappingPlan, "coupled", flag_every_scale)
-    monkeypatch.setattr(assembly._MappingPlan, "_operator", no_blocks)
+    monkeypatch.setattr(assembly._MappingPlan, "_blocks", no_blocks)
     model, cm = _rot4_mapping(), exterior_module(3)
     plan = _mapping_plan(model, cm, 2)
     for run in (lambda: limit_operator(model, cm, 2), plan.limit_symbol_spectrum):

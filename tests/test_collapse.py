@@ -23,7 +23,7 @@ from diraclab.collapse import (
     spectral_window,
     window_agreement,
 )
-from diraclab.assembly import assemble_dirac, fiber_invariant_split
+from diraclab.assembly import assemble_dirac, fiber_invariant_split, limit_operator
 from diraclab.cli import _eigen_exponential_family
 from diraclab.models import (
     AffineMappingTorus,
@@ -35,7 +35,15 @@ from diraclab.models import (
 )
 from diraclab.assembly import _mapping_plan
 from diraclab.spectral import eigensolve, sinh_rescale
-from test_assembly import _assert_same_spectrum, _given_momenta, _mapping_models, _scaled_fiber
+from test_assembly import (
+    _assert_same_spectrum,
+    _given_momenta,
+    _identity_mapping,
+    _mapping_models,
+    _non_clifford_spinor,
+    _scaled_fiber,
+    _tilted_base_spinor,
+)
 
 
 def _canonical_mapping(fiber_shift=0.0, base_shift=0.5):
@@ -218,8 +226,9 @@ def _rot4_spinor_model():
 
 def _inject(monkeypatch, faults):
     """Make the stacked solve of all scales report the given faults, {scale
-    index: set of "coupled", "hermitian", "uncertified"}, and make the block
-    path raise RuntimeError("block path")."""
+    index: set of "coupled", "hermitian", "uncertified"}, and make forming a
+    block from the plan's table, which an uncertified block takes, raise
+    RuntimeError("block path")."""
     import dataclasses
 
     import diraclab.assembly as assembly
@@ -236,11 +245,11 @@ def _inject(monkeypatch, faults):
                 certified[i] &= "uncertified" not in kinds
         return dataclasses.replace(out, coupled=coupled, resid=resid, certified=certified)
 
-    def block_path(self, scaled):
+    def block_path(self, rows, p):
         raise RuntimeError("block path")
 
     monkeypatch.setattr(assembly._MappingPlan, "symbol_spectra", symbol_spectra)
-    monkeypatch.setattr(assembly._MappingPlan, "dirac", block_path)
+    monkeypatch.setattr(assembly._MappingPlan, "_blocks", block_path)
 
 
 COUPLED = r"^operator symbol couples distinct twist sectors$"
@@ -298,6 +307,67 @@ def test_blowup_refusals_keep_scale_order(monkeypatch, faults, epsilons, message
     _inject(monkeypatch, faults)
     with pytest.raises((ValueError, RuntimeError), match=message):
         blowup_check(_rot4_spinor_model(), spinor_gammas(3), epsilons, 2)
+
+
+def _no_block_path(*args):
+    raise AssertionError("the block path was taken")
+
+
+def _check_without_block_path(model, cm, eps, truncation):
+    """collapse_run and, where the model has no parallel sections,
+    blowup_check, with plan.dirac and limit_operator raising, against
+    eigensolve of the block path's operators."""
+    import diraclab.assembly as assembly
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assembly._MappingPlan, "dirac", _no_block_path)
+        patch.setattr(assembly, "limit_operator", _no_block_path)
+        report = collapse_run(model, cm, eps, 1, truncation)
+        blowup = None
+        if report.verdict == "blows_up":
+            blowup = blowup_check(model, cm, eps, truncation)
+    plan = _mapping_plan(model, cm, truncation)
+    for i, e in enumerate(eps):
+        ref = eigensolve(plan.dirac(model.with_scale(e)))
+        _assert_same_spectrum(report.spectra_per_eps[i], ref)
+        if blowup is not None:
+            smallest = ref.abs_sorted()[0]
+            assert abs(blowup.min_abs[i] - smallest) <= 1e-13 * max(1.0, smallest)
+    if report.limit_spectrum is not None:
+        limit = eigensolve(limit_operator(model, cm, truncation))
+        _assert_same_spectrum(report.limit_spectrum, limit)
+
+
+@settings(max_examples=30)
+@given(
+    model=_mapping_models(),
+    exterior=st.booleans(),
+    truncation=st.integers(1, 2),
+    epsilons=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3, unique=True),
+)
+def test_collapse_never_takes_the_block_path(model, exterior, truncation, epsilons):
+    cm = exterior_module(3) if exterior else spinor_gammas(3)
+    _check_without_block_path(model, cm, sorted(epsilons, reverse=True), truncation)
+
+
+@pytest.mark.parametrize("fiber_shift", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "module",
+    [_non_clifford_spinor(base_factor=1.0 + 1e-6), _tilted_base_spinor(1e-3)],
+    ids=["base_squares_off_one", "base_fails_to_anticommute"],
+)
+def test_uncertified_blocks_never_take_the_block_path(module, fiber_shift):
+    # blocks that fail their certificate are formed from the plan's table
+    # and solved by eigh, in collapse_run, in its limit and in blowup_check
+    model = _identity_mapping()
+    model = AffineMappingTorus(
+        fiber=FlatTorusModel(model.fiber.lattice_basis, np.full(2, fiber_shift)),
+        holonomy=model.holonomy,
+        base_length=model.base_length,
+        holonomy_lift=model.holonomy_lift,
+        base_shift=model.base_shift,
+    )
+    _check_without_block_path(model, module, [1.0, 0.5], 2)
 
 
 def test_small_scales_run_and_out_of_range_ones_are_refused():

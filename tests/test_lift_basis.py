@@ -24,7 +24,7 @@ from diraclab.assembly import (
 from diraclab.clifford import exterior_module, fixed_subspace, holonomy_rep, spinor_gammas
 from diraclab.collapse import blowup_check, collapse_run
 from diraclab.models import AffineMappingTorus, FlatTorusModel
-from diraclab.spectral import HERMITICITY_TOL, RESIDUAL_TOL, STRUCTURE_TOL
+from diraclab.spectral import HERMITICITY_TOL, RESIDUAL_TOL, STRUCTURE_TOL, eigensolve
 from test_assembly import _assert_same_spectrum, _mapping_models, _scaled_fiber
 
 CLOSURE = "holonomy closure exceeded 1024 elements; generators do not span a small finite group"
@@ -76,11 +76,29 @@ def _reference_parallel(model, lift):
     return fixed.shape[1], fixed.shape[1] > 0 and bool(np.all(model.fiber.spin_shift == 0.0))
 
 
-def _reference_solve(sym, p, masks, gammas_q):
-    """One scale's solve at the orbit fiber momenta p (O, m), orbit by orbit
-    for the coupling check (each orbit's twist-sector mask in masks, the
-    gammas in the lift basis in gammas_q) and with every cluster constant
-    repeated per block: (r, nneg, npos), or None."""
+def _reference_defects(plan):
+    """Per cluster (batch-last), the Clifford defects
+    A_kl = ||H_k H_l + H_l H_k - 2 delta_kl I||_F (n, n, C) of the Hermitian
+    parts H_k of its restricted gammas: the constants of the bound
+    1/2 |x|^T A |x| that the certificate took before its three exact norms."""
+    n = len(plan.gammas_q)
+    out = np.zeros((n, n, sum(len(ids) for ids, _, _ in plan.clusters.values())))
+    for ids, _, gc in plan.clusters.values():
+        s = gc.shape[-1]
+        h = gc - 0.5 * (gc - gc.conj().swapaxes(-1, -2))
+        prod = h[:, :, None] @ h[:, None]
+        anti = prod + prod.swapaxes(1, 2)
+        anti.reshape(len(gc), n * n, s, s)[:, :: n + 1] -= 2.0 * np.eye(s)
+        out[..., ids] = np.sqrt(np.sum(np.abs(anti) ** 2, axis=(-2, -1))).transpose(1, 2, 0)
+    return out
+
+
+def _reference_solve(sym, defects, p, masks, gammas_q):
+    """One scale's solve at the orbit fiber momenta p (O, m) with the bound
+    1/2 |x|^T A |x| of the defects A, orbit by orbit for the coupling check
+    (each orbit's twist-sector mask in masks, the gammas in the lift basis
+    in gammas_q) and with every cluster constant repeated per block: per
+    block whether it is certified, r and the count of +r."""
     m = p.shape[1]
     base = np.abs(gammas_q[m])
     for o in np.flatnonzero(masks.any(axis=(1, 2))):
@@ -89,7 +107,7 @@ def _reference_solve(sym, p, masks, gammas_q):
         if leak > STRUCTURE_TOL * max(1.0, np.max(base), np.max(f)):
             raise ValueError("operator symbol couples distinct twist sectors")
     c = sym.cluster
-    trace, defect, skew = sym.trace[:, c], sym.defect[:, :, c], sym.skew[:, c]
+    trace, defect, skew = sym.trace[:, c], defects[:, :, c], sym.skew[:, c]
     x = np.empty((len(trace), len(sym.beta)))
     x[:-1] = np.take(p.T, sym.orbit, axis=1)
     x[-1] = sym.beta
@@ -106,10 +124,7 @@ def _reference_solve(sym, p, masks, gammas_q):
     npos = np.rint(nplus)
     ok = (sym.sizes * delta < r2) & (delta <= RESIDUAL_TOL * bscale * r)
     ok &= np.abs(nplus - npos) <= STRUCTURE_TOL
-    if not np.all(ok | zero):
-        return None
-    npos = np.where(zero, sym.sizes, npos).astype(np.intp)
-    return r, sym.sizes - npos, npos
+    return ok | zero, r, np.where(zero, sym.sizes, npos).astype(np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -285,33 +300,45 @@ def test_computed_lift_basis_matches_eig_qr_over_model_space(model, exterior, tr
     epsilons=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4),
 )
 def test_stacked_solve_matches_per_scale_solve_over_model_space(lifted, truncation, epsilons):
+    # every block the bound over pairs of directions certified stays
+    # certified, with the same values; the spectra match the block path's
     model, cm, _ = lifted
     plan = _mapping_plan(model, cm, truncation)
     p = np.array([_scaled_fiber(model, e).dual_momentum(plan.reps) for e in epsilons])
-    cases = [(plan.symbols, p, slice(None))]
+    w = 1.0 / np.array(epsilons)
+    cases = [(plan.symbols, p, w, slice(None), lambda i, rows: plan._blocks(rows, p[i]))]
     zero = np.flatnonzero(~plan.reps.any(axis=1))
     if len(zero):
-        cases.append((plan.symbols.orbit_part(zero[0]), np.zeros((1, 1, p.shape[2])), zero))
-    for symbols, momenta, orbits in cases:
-        solved = symbols.solve(momenta, truncation, plan.coupled(momenta, orbits))
+        rows = slice(*np.searchsorted(plan.orbit, [zero[0], zero[0] + 1]))
+        at_zero = np.zeros_like(plan.unit_momenta)
+        cases.append((
+            plan.symbols.orbit_part(rows), np.zeros((1, 1, p.shape[2])), np.zeros(1), zero,
+            lambda i, at: plan._blocks(at + rows.start, at_zero),
+        ))
+    defects = _reference_defects(plan)
+    for symbols, momenta, factors, orbits, blocks in cases:
+        solved = symbols.solve(momenta, factors, truncation, plan.coupled(momenta, orbits), blocks)
         for i, scale in enumerate(momenta):
             try:
-                ref = _reference_solve(symbols, scale, plan.coupling[orbits], plan.gammas_q)
+                ref = _reference_solve(symbols, defects, scale, plan.coupling[orbits], plan.gammas_q)
             except ValueError as err:
                 with pytest.raises(ValueError) as raised:
                     solved.at(i)
                 assert str(raised.value) == str(err)
                 continue
             got = solved.at(i)
-            assert (got is None) == (ref is None)
-            if got is not None:
-                r, nneg, npos = ref
-                assert np.array_equal(solved.r[i], r)
-                assert np.array_equal(solved.npos[i].astype(np.intp), npos)
-                assert np.array_equal(symbols.sizes - npos, nneg)
+            ok, r, npos = ref
+            assert np.all(solved.certified[i][ok])
+            assert np.array_equal(solved.r[i], r)
+            assert np.array_equal(solved.npos[i][ok].astype(np.intp), npos[ok])
+            if ok.all():
+                nneg = symbols.sizes - npos
                 values = np.sort(np.concatenate([np.repeat(-r, nneg), np.repeat(r, npos)]))
                 assert np.array_equal(got.values, values)
-                assert got.source_truncation == truncation
+            assert got.source_truncation == truncation
+    for e in epsilons:
+        ref = eigensolve(plan.dirac(model.with_scale(e)))
+        _assert_same_spectrum(plan.symbol_spectra([e]).at(0), ref)
 
 
 def _three_size_mapping():

@@ -72,9 +72,20 @@ def test_flat_torus_refuses_non_finite_basis(bad):
         FlatTorusModel(np.array([[1.0, 0.0], [0.0, bad]]), np.zeros(2))
     with pytest.raises(ValueError, match="^lattice basis must be finite$"):
         FlatTorusModel(np.array([[bad]]), np.zeros(1))
-    # the singular check keeps its message
-    with pytest.raises(ValueError, match="^lattice basis is singular$"):
-        FlatTorusModel(0.5 * SINGULAR_DET_TOL * np.eye(1), np.zeros(1))
+
+
+def test_singular_lattice_check_is_relative_to_the_column_norms():
+    # |det B| <= SINGULAR_DET_TOL prod_j |b_j| is refused, so a small
+    # well-conditioned lattice builds at any scale, and a zero basis or
+    # nearly parallel columns keep the refusal and its message
+    for scale in (1e-7, 0.5 * SINGULAR_DET_TOL, 1e-200, 1e200):
+        assert FlatTorusModel(scale * np.eye(2), np.zeros(2)).n == 2
+    for basis in (np.zeros((2, 2)), np.zeros((1, 1)), [[1.0, 1.0], [0.0, 1e-13]],
+                  [[1.0, 0.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="^lattice basis is singular$"):
+            FlatTorusModel(np.array(basis), np.zeros(len(basis)))
+    # the bound itself: a Hadamard ratio just above it builds
+    FlatTorusModel(np.array([[1.0, 1.0], [0.0, 2.0 * SINGULAR_DET_TOL]]), np.zeros(2))
 
 
 def test_diameter_rectangle_closed_form():
