@@ -42,7 +42,6 @@ from .collapse import (
     check_fiber_gap_bound,
     collapse_run,
     perturbation_bound_check,
-    rayleigh_minimax_check,
     spectral_window,
     window_agreement,
 )

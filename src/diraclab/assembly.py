@@ -31,7 +31,9 @@ clusters as one stack.  The step forms each size
 class's blocks from these rows.  A collapse run builds the plan once and
 solves all its scales in one stacked pass over the symbols of the same rows
 (see the symbols module).  The limit operator is the zero-mode orbit's rows
-at zero fiber momentum.
+at zero fiber momentum; as that orbit's momentum is zero at every scale,
+a collapse run reads the limit's spectrum off those rows of the scales'
+solution.
 """
 
 from __future__ import annotations
@@ -431,10 +433,11 @@ class _MappingPlan:
     and its base momentum beta; per cluster size s, clusters holds those
     clusters' numbers (C_s,), their lift-basis columns (C_s, s) and the
     gammas restricted to them (C_s, n, s, s).  The block path, the symbol
-    certificate and the limit all read these rows.  Only the fiber momenta
-    scale, as 1/fiber_scale: dirac and bochner (of scaled, the plan's model
-    at the wanted scale) and symbol_spectra divide the unit-scale ones by
-    the scale (_scaled_momenta).  Every block is formed by _blocks."""
+    certificate and the limit all read these rows; the limit's are
+    limit_rows, the zero-mode orbit's.  Only the fiber momenta scale, as
+    1/fiber_scale: dirac and bochner (of scaled, the plan's model at the
+    wanted scale) and symbol_spectra divide the unit-scale ones by the scale
+    (_scaled_momenta).  Every block is formed by _blocks."""
 
     model: AffineMappingTorus
     cm: CliffordModule
@@ -455,7 +458,7 @@ class _MappingPlan:
         """Dirac operator at the fiber scale of scaled; refuses a scale out
         of range, then a coupling symbol, before forming a block."""
         p = _scaled_momenta(self.unit_momenta, [scaled.fiber_scale])[0]
-        if self.coupled(p[None], slice(None))[0]:
+        if self.coupled(p[None], slice(None)).any():
             raise ValueError(_COUPLED)
         stacks = self._blocks(slice(None), p)
         return AssembledOperator(stacks, self.block_info, self.truncation, scaled.label())
@@ -493,19 +496,21 @@ class _MappingPlan:
         return AssembledOperator(stacks, self.block_info, self.truncation, scaled.label())
 
     def coupled(self, p: np.ndarray, orbits: slice | np.ndarray) -> np.ndarray:
-        """Per scale of the fiber momenta p (E, O, m) of the orbits indexed,
-        whether the symbol couples distinct twist sectors: over the orbits
-        whose sector has several clusters, in one einsum, an entry joining
-        two clusters of F(p) = sum_k p_k F_k or of the base F_m is above
-        STRUCTURE_TOL max(1, their largest entry).  F(p) may commute with
-        the twist although no F_k does, on a rank-3 rotation's axis."""
+        """Per scale and orbit (E, O) of the fiber momenta p (E, O, m) of the
+        orbits indexed, whether the symbol couples distinct twist sectors:
+        over the orbits whose sector has several clusters, in one einsum, an
+        entry joining two clusters of F(p) = sum_k p_k F_k or of the base F_m
+        is above STRUCTURE_TOL max(1, their largest entry).  F(p) may commute
+        with the twist although no F_k does, on a rank-3 rotation's axis."""
         masks = self.coupling[orbits]
         masked = np.flatnonzero(masks.any(axis=(1, 2)))
         m = p.shape[2]
         f = np.abs(np.einsum("eok,kij->eoij", p[:, masked], self.gammas_q[:m]))
         f = np.maximum(f, np.abs(self.gammas_q[m]))
         leak = np.max(f, axis=(2, 3), where=masks[masked], initial=0.0)
-        return np.any(leak > STRUCTURE_TOL * np.max(f, axis=(2, 3), initial=1.0), axis=1)
+        flags = np.zeros(p.shape[:2], dtype=bool)
+        flags[:, masked] = leak > STRUCTURE_TOL * np.max(f, axis=(2, 3), initial=1.0)
+        return flags
 
     @cached_property
     def symbols(self) -> _BlockSymbols:
@@ -518,8 +523,9 @@ class _MappingPlan:
     def symbol_spectra(self, eps: list[float]) -> _SymbolSolution:
         """Spectra at the E fiber scales eps from the block symbols, in one
         pass, after _scaled_momenta's refusal.  Its at(i) is scale i's
-        spectrum; it raises scale i's coupling, and forms and solves only
-        the blocks that fail their certificate.
+        spectrum and at(i, limit_rows()) the limit's, the same at every i;
+        each raises the coupling and Hermiticity of its rows, and forms and
+        solves only the blocks that fail their certificate.
 
         The certificate is set out in the symbols module, with why its
         Hermiticity refusal is at least as strict as the block path's and
@@ -537,21 +543,9 @@ class _MappingPlan:
         limit_operator does, a coupling symbol at p = 0 included."""
         _require_parallel(self.model, self.basis)
         zero = np.flatnonzero(~self.reps.any(axis=1))
-        if self.coupled(np.zeros((1, 1, self.reps.shape[1])), zero)[0]:
+        if self.coupled(np.zeros((1, 1, self.reps.shape[1])), zero).any():
             raise ValueError(_COUPLED)
         return slice(*np.searchsorted(self.orbit, [zero[0], zero[0] + 1]))
-
-    def limit_symbol_spectrum(self) -> Spectrum:
-        """Spectrum of the limit operator as symbol_spectra finds it: the
-        blocks of the zero-mode orbit with p = 0, so r = |beta|.  Refuses
-        first as limit_rows does."""
-        rows = self.limit_rows()
-        p = np.zeros_like(self.unit_momenta)
-        part = self.symbols.orbit_part(rows)
-        return part.solve(
-            p[None, :1], np.zeros(1), self.truncation, np.zeros(1, dtype=bool),
-            lambda i, at: self._blocks(at + rows.start, p),
-        ).at(0)
 
 
 def _scaled_momenta(unit: np.ndarray, eps: list[float]) -> np.ndarray:

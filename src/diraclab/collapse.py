@@ -5,8 +5,7 @@ is an explicit fiber-diameter term minus a curvature/second-fundamental-form
 penalty.  Inside the window the shrinking-family spectra must match the
 limit operator's; when no parallel sections exist the whole spectrum must
 escape at rate 1/epsilon instead.  Both verdicts are produced here, along
-with the sinh-rescaled Lipschitz estimate for metric deformations and a
-randomized min-max sanity check.
+with the sinh-rescaled Lipschitz estimate for metric deformations.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +56,6 @@ __all__ = [
     "blowup_check",
     "PerturbationReport",
     "perturbation_bound_check",
-    "RayleighReport",
-    "rayleigh_minimax_check",
 ]
 
 DEFAULT_WINDOW_A = float(np.pi) ** 2
@@ -182,16 +179,19 @@ def collapse_run(
     parallel-section test read that one basis, and the gammas are conjugated
     into it once.  Each scale divides the plan's unit-scale fiber momenta by
     epsilon, and its window takes epsilon times the one fiber diameter.  All
-    scales at once and then the limit (the zero-mode orbit's blocks without
-    fiber momentum) are solved from the plan's block symbols, without
+    scales are solved at once from the plan's block symbols, without
     forming an operator: a certified block takes its closed form, and only
     the blocks that fail their certificate are formed from the plan's table
-    and solved by eigh.  The plan's one twist-sector coupling check runs
-    once for all scales, and once for the limit at the zero mode alone.  A
-    scale's k_max tracked values come from a sort of its at most 2 k_max
-    eigenvalues nearest zero, not of all of them.  A scale at which the
-    fiber diameter or a momentum overflows when squared is refused first,
-    by name; then each scale's refusals come in the order coupling,
+    and solved by eigh.  The limit is read off that one solution: its
+    blocks are the zero-mode orbit's rows (plan.limit_rows), whose fiber
+    momentum is zero at every scale, so the first scale's rows serve.  The
+    plan's one twist-sector coupling check runs once for all scales, and
+    once for the limit at the zero mode alone.  A scale's k_max tracked
+    values come from a sort of its at most 2 k_max eigenvalues nearest
+    zero, not of all of them.  A scale at which the fiber diameter or a
+    momentum overflows when squared is refused first, by name; then the
+    limit's refusals over its rows (coupling, Hermiticity, the eigh of its
+    uncertified blocks), and then each scale's in the order coupling,
     Hermiticity, the eigh of its uncertified blocks, k_max, window.
     """
     eps = _check_epsilons(epsilons)
@@ -204,7 +204,7 @@ def collapse_run(
     _check_scaled("the fiber diameter", eps, [e * diam for e in eps])
     solved = plan.symbol_spectra(eps)
     try:
-        limit_spec = plan.limit_symbol_spectrum()
+        limit_spec = solved.at(0, plan.limit_rows())
         verdict = "converges"
     except EmptyInvariantSpaceError:
         limit_spec = None
@@ -406,45 +406,3 @@ class _Normals:
         """Draws of the given shape, in row-major order."""
         draws = [self._random.gauss(0.0, 1.0) for _ in range(math.prod(shape))]
         return np.array(draws, dtype=float).reshape(shape)
-
-
-@dataclass(frozen=True)
-class RayleighReport:
-    ok: bool
-    target: float
-    worst_margin: float
-    trials: int
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def rayleigh_minimax_check(op, k: int, trials: int = 20, seed: int = 0) -> RayleighReport:
-    """Random k-dimensional trial subspaces never beat the k-th eigenvalue.
-
-    For the squared operator, the largest Rayleigh quotient over any
-    k-dimensional subspace is at least the k-th smallest eigenvalue; random
-    subspaces probe that variational inequality, with a slack of
-    INEQUALITY_SLACK * max(1, |eigenvalue|).  The subspaces are drawn from
-    random.Random(seed), so worst_margin at a given seed differs from
-    versions that drew them from numpy.random; a negative seed is refused,
-    and so is trials < 1, which would check nothing.
-    """
-    matrix = np.asarray(getattr(op, "matrix", op), dtype=complex)
-    dim = matrix.shape[0]
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must lie in [1, {dim}]")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    square = matrix @ matrix
-    target = float(np.linalg.eigvalsh(square)[k - 1])
-    rng = _Normals(seed)
-    worst = float("inf")
-    for _ in range(trials):
-        z = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
-        q, _ = np.linalg.qr(z)
-        small = q.conj().T @ square @ q
-        top = float(np.linalg.eigvalsh(small)[-1])
-        worst = min(worst, top - target)
-    ok = worst >= -INEQUALITY_SLACK * max(1.0, abs(target))
-    return RayleighReport(ok=bool(ok), target=target, worst_margin=worst, trials=trials)

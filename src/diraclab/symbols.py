@@ -27,8 +27,12 @@ s delta / r^2 < 1 of n - (s - n), so the rounded n+ is n, and the sorted
 values match the eigenvalues to within delta / r.  The block scale is at
 most eigensolve's max(1, max |D_ij|), as sqrt(r^2 - delta) <= ||H||_2 <=
 s max |H_ij| <= s max |D_ij|, so that error meets eigensolve's residual
-tolerance.  A block with x = 0 is exactly zero and gives s zeros; the
-limit, at p = 0, takes 1 / eps = 0.
+tolerance.  A block with x = 0 is exactly zero and gives s zeros.
+
+The limit's blocks are the zero-mode orbit's, whose fiber momentum is 0 at
+every scale: there a = b = 0 and delta = beta^2 c whatever 1 / eps is, so
+every scale's solution holds the limit's certificate in those rows, and
+_SymbolSolution.at reads it off them.
 
 The norms are exact where a bound over pairs of directions is not: a
 cluster that mixes the fiber gammas (the FCC cyclic models) leaves each
@@ -40,13 +44,16 @@ short sum of products of entries bounded by |x| and the gammas'.  It moves
 for s <= 16 over a thousand times below RESIDUAL_TOL * max(1, r / s).
 
 Twist-sector coupling is not checked here: the plan's one check
-(assembly._MappingPlan.coupled) flags every scale, for this path and the
-block path alike, and solve takes its flags.  The block path's other
-refusal, Hermiticity, is evaluated so that it is at least as strict as the
-block path's check: a bound linear in |x| over all blocks as
-AssembledOperator checks it, max |D - D^H| <= sum_k |x_k| max |G_k - G_k^H|,
-against max(1, max over blocks of sqrt(r^2 - delta) / s), a lower bound of
-the block path's scale.
+(assembly._MappingPlan.coupled) flags every scale and orbit, for this path
+and the block path alike, and solve takes its flags.  The block path's
+other refusal, Hermiticity, is evaluated so that it is at least as strict
+as the block path's check: a bound linear in |x| per block,
+max |D - D^H| <= sum_k |x_k| max |G_k - G_k^H|, whose maximum over the
+solved rows is held against max(1, max over those rows of
+sqrt(r^2 - delta) / s), a lower bound of the block path's scale.  Both
+refusals are kept per block and reduced over the rows a spectrum takes, so
+a scale's refusal stands for the block path's check of its operator, and
+the limit's for limit_operator's.
 
 The symbols are scale-free and built once per plan (assembly._MappingPlan)
 from the plan's block table, the rows that its block path and limit read
@@ -55,7 +62,7 @@ too; solve takes the orbit fiber momenta of all wanted scales at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -73,40 +80,44 @@ _NOT_HERMITIAN = "assembled operator is not Hermitian (residual {residual:.3e})"
 @dataclass(frozen=True, eq=False)
 class _SymbolSolution:
     """Symbol spectra of a plan's blocks at E fiber scales, solved in one
-    pass (see the module docstring).  Per scale: the plan's flag of whether
-    the symbol couples distinct twist sectors, the Hermiticity residual and
-    its limit; per scale and block, whether the block is certified, r and
-    the count of +r (floats, integral where certified); per block, its
-    size; and blocks(i, rows), the stacks by size class of scale i's blocks
-    at the given rows, formed from the plan's block table."""
+    pass (see the module docstring).  Per scale and orbit, the plan's flag
+    of whether the symbol couples distinct twist sectors; per scale and
+    block, the Hermiticity bound herm, the block scale bscale, whether the
+    block is certified, r and the count of +r (floats, integral where
+    certified); per block, its orbit and size; and blocks(i, rows), the
+    stacks by size class of scale i's blocks at the given rows, formed from
+    the plan's block table."""
 
     coupled: np.ndarray
-    resid: np.ndarray
-    limit: np.ndarray
+    herm: np.ndarray
+    bscale: np.ndarray
     certified: np.ndarray
     r: np.ndarray
     npos: np.ndarray
+    orbit: np.ndarray
     sizes: np.ndarray
     truncation: int
     blocks: Callable[[int, np.ndarray], list[np.ndarray]]
 
-    def at(self, i: int) -> Spectrum:
-        """Spectrum of scale i: each certified block b takes -r[b] (s - n+
-        times) and +r[b] (n+ times); the others are formed and solved by one
-        batched eigh per size class with its residual check.  Raises first,
-        in the block path's order, scale i's refusals: coupling, then
-        Hermiticity."""
-        if self.coupled[i]:
+    def at(self, i: int, rows: slice = slice(None)) -> Spectrum:
+        """Spectrum of scale i over the rows given (all, or one orbit's):
+        each certified block b takes -r[b] (s - n+ times) and +r[b] (n+
+        times); the others are formed and solved by one batched eigh per
+        size class with its residual check.  Raises first, in the block
+        path's order, the refusals of those rows: coupling over their
+        orbits, then Hermiticity against their largest block scale."""
+        if np.take(self.coupled[i], self.orbit[rows]).any():
             raise ValueError(_COUPLED)
-        if self.resid[i] > self.limit[i]:
-            raise ValueError(_NOT_HERMITIAN.format(residual=float(self.resid[i])))
-        ok, r = self.certified[i], self.r[i]
-        npos = self.npos[i].astype(np.intp)
+        resid = np.max(self.herm[i, rows], initial=0.0)
+        if resid > HERMITICITY_TOL * np.max(self.bscale[i, rows], initial=1.0):
+            raise ValueError(_NOT_HERMITIAN.format(residual=float(resid)))
+        ok, r, sizes = self.certified[i, rows], self.r[i, rows], self.sizes[rows]
+        npos = self.npos[i, rows].astype(np.intp)
         npos *= ok
-        chunks = [np.repeat(-r, (self.sizes - npos) * ok), np.repeat(r, npos)]
-        rows = np.flatnonzero(~ok)
-        if len(rows):
-            chunks += [_stack_values(stack).ravel() for stack in self.blocks(i, rows)]
+        chunks = [np.repeat(-r, (sizes - npos) * ok), np.repeat(r, npos)]
+        if not ok.all():
+            at = np.arange(len(self.sizes))[rows][~ok]
+            chunks += [_stack_values(stack).ravel() for stack in self.blocks(i, at)]
         values = np.concatenate(chunks)
         return Spectrum(
             values=values, cluster_tol=_default_tol(values), source_truncation=self.truncation
@@ -136,21 +147,13 @@ class _BlockSymbols:
     b: np.ndarray
     c: np.ndarray
 
-    def orbit_part(self, rows: slice) -> _BlockSymbols:
-        """The symbols of the rows of one orbit, as orbit 0."""
-        o, orbit = int(self.orbit[rows.start]), np.zeros(rows.stop - rows.start, dtype=np.intp)
-        return replace(
-            self, orbit=orbit, cluster=self.cluster[rows], beta=self.beta[rows],
-            sizes=self.sizes[rows], a=self.a[o : o + 1], b=self.b[o : o + 1],
-        )
-
     def solve(
         self, p: np.ndarray, w: np.ndarray, truncation: int, coupled: np.ndarray, blocks
     ) -> _SymbolSolution:
         """The certificates at the orbit fiber momenta p (E, O, m) of E fiber
         scales, their unit-scale momenta times w (E,), 1 / eps, in one pass,
-        with the plan's coupling flags (E,) of those momenta and its blocks
-        routine (see _SymbolSolution); see the module docstring.
+        with the plan's coupling flags (E, O) of those momenta and its
+        blocks routine (see _SymbolSolution); see the module docstring.
 
         The sums over directions k of a block, with x = (p of its orbit,
         beta), split into a fiber part, summed per scale, orbit and cluster
@@ -174,14 +177,13 @@ class _BlockSymbols:
         def per_block(a: np.ndarray) -> np.ndarray:
             return np.take(a.reshape(n_scales, shape[1] * shape[2]), entry, axis=1)
 
+        # herm and bscale are kept per block for the solution; the other
         # (E, B) arrays are updated in place and dropped once used, so that
         # few of them live at a time
         c = self.cluster
         beta, abeta = self.beta, np.abs(self.beta)
         herm = per_block(skew_f)
         herm += abeta * self.skew[m, c]
-        resid = np.max(herm, axis=1, initial=0.0)
-        del herm
         # delta = a / eps^2 + |beta| b / eps + beta^2 c
         delta = np.outer(w * w, self.a.ravel()[entry])
         delta += np.outer(w, abeta * self.b.ravel()[entry])
@@ -194,13 +196,10 @@ class _BlockSymbols:
         np.sqrt(bscale, out=bscale)
         bscale /= self.sizes
         np.maximum(bscale, 1.0, out=bscale)
-        limit = HERMITICITY_TOL * np.max(bscale, axis=1, initial=1.0)
         r = np.sqrt(r2)
         ok = self.sizes * delta < r2
-        bscale *= RESIDUAL_TOL
-        bscale *= r
-        ok &= delta <= bscale
-        del bscale, delta, r2
+        ok &= delta <= bscale * RESIDUAL_TOL * r
+        del delta, r2
         zero = np.take(~p.any(axis=2), self.orbit, axis=1) & (beta == 0.0)
         # nplus = (s + tr H / r) / 2
         nplus = per_block(tr_f)
@@ -213,7 +212,7 @@ class _BlockSymbols:
         del nplus
         np.copyto(npos, self.sizes, where=zero)
         return _SymbolSolution(
-            coupled, resid, limit, ok | zero, r, npos, self.sizes, truncation, blocks
+            coupled, herm, bscale, ok | zero, r, npos, self.orbit, self.sizes, truncation, blocks
         )
 
 

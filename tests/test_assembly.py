@@ -732,12 +732,60 @@ def test_symbol_spectra_match_block_path_over_model_space(model, exterior, trunc
     smallest = ref.abs_sorted()[0]
     assert abs(float(solved.abs_sorted()[0]) - smallest) <= 1e-13 * max(1.0, smallest)
     try:
-        limit = plan.limit_symbol_spectrum()
+        limit = symbols.at(0, plan.limit_rows())
     except EmptyInvariantSpaceError:
         with pytest.raises(EmptyInvariantSpaceError):
             limit_operator(model, module, truncation)
         return
     _assert_same_spectrum(limit, eigensolve(limit_operator(model, module, truncation)))
+
+
+@settings(max_examples=40)
+@given(
+    drawn=_mapping_models(),
+    exterior=st.booleans(),
+    truncation=st.integers(1, 3),
+    epsilons=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3, unique=True),
+)
+def test_limit_is_the_zero_mode_rows_of_every_scale(drawn, exterior, truncation, epsilons):
+    # the drawn model with the trivial fiber spin shift; its zero-mode orbit
+    # has p = 0 at every scale, so each scale's solution holds the limit's
+    # spectrum, bit for bit, in the limit's rows
+    model = AffineMappingTorus(
+        fiber=FlatTorusModel(drawn.fiber.lattice_basis, np.zeros(2)),
+        holonomy=drawn.holonomy,
+        base_length=drawn.base_length,
+        base_shift=drawn.base_shift,
+    )
+    module = exterior_module(3) if exterior else spinor_gammas(3)
+    plan = _mapping_plan(model, module, truncation)
+    try:
+        rows = plan.limit_rows()
+    except EmptyInvariantSpaceError:
+        assert not exterior and not np.array_equal(model.holonomy, np.eye(2))
+        return
+    solved = plan.symbol_spectra(epsilons)
+    limits = [solved.at(i, rows) for i in range(len(epsilons))]
+    for limit in limits[1:]:
+        assert limit.values.tobytes() == limits[0].values.tobytes()
+        assert limit.cluster_tol == limits[0].cluster_tol
+    _assert_same_spectrum(limits[0], eigensolve(limit_operator(model, module, truncation)))
+
+
+def test_limit_rows_refuse_only_their_own_hermiticity():
+    # gamma_0, a fiber gamma, fails Hermiticity while the base gamma
+    # passes: every scale is refused, but the limit's rows take no fiber
+    # momentum, so their Hermiticity bound is the base gamma's and they
+    # solve as limit_operator's blocks do
+    cm = _non_clifford_spinor(skew=1e-6)
+    model = _identity_mapping()
+    plan = _mapping_plan(model, cm, 2)
+    solved = plan.symbol_spectra([1.0, 0.5])
+    limit = eigensolve(limit_operator(model, cm, 2))
+    for i in range(2):
+        with pytest.raises(ValueError, match=r"^assembled operator is not Hermitian \(residual "):
+            solved.at(i)
+        _assert_same_spectrum(solved.at(i, plan.limit_rows()), limit)
 
 
 def test_symbol_zero_blocks_are_zeros(monkeypatch):
@@ -756,7 +804,8 @@ def test_symbol_zero_blocks_are_zeros(monkeypatch):
     plan = _mapping_plan(model, cm, 2)
     refs = [eigensolve(plan.dirac(model)), eigensolve(limit_operator(model, cm, 2))]
     monkeypatch.setattr(assembly._MappingPlan, "_blocks", _no_blocks)
-    solved = [plan.symbol_spectra([model.fiber_scale]).at(0), plan.limit_symbol_spectrum()]
+    scales = plan.symbol_spectra([model.fiber_scale])
+    solved = [scales.at(0), scales.at(0, plan.limit_rows())]
     for solved, ref in zip(solved, refs):
         _assert_same_spectrum(solved, ref)
         assert np.count_nonzero(solved.values == 0.0) == cm.dim_v
@@ -843,7 +892,8 @@ def test_uncertified_symbols_take_the_block_path():
         assert np.array_equal(solved.at(i).values, ref)
         assert np.array_equal(report.spectra_per_eps[i].values, ref)
     limit = eigensolve(limit_operator(model, cm, 2)).values
-    assert np.array_equal(plan.limit_symbol_spectrum().values, limit)
+    for i in range(len(eps)):
+        assert np.array_equal(solved.at(i, plan.limit_rows()).values, limit)
     assert np.array_equal(report.limit_spectrum.values, limit)
 
 
@@ -1023,7 +1073,7 @@ def test_symbol_coupling_twist_sectors_is_refused(monkeypatch):
     assert plan.coupling[zero].any() and not np.delete(plan.coupling, zero, axis=0).any()
     p = np.zeros((2, len(plan.reps), 2))
     p[1, zero] = (1.0, 0.0)
-    assert plan.coupled(p, slice(None)).tolist() == [False, True]
+    assert np.argwhere(plan.coupled(p, slice(None))).tolist() == [[1, zero]]
 
     # the block path refuses before it forms a block
     def no_blocks(*args):
@@ -1035,15 +1085,16 @@ def test_symbol_coupling_twist_sectors_is_refused(monkeypatch):
 
 
 def test_limit_takes_the_plan_coupling_check_at_the_zero_mode(monkeypatch):
-    # limit_operator and the limit's symbol solve both ask the plan's one
-    # check, for the zero-mode orbit alone at p = 0, before any block
+    # limit_operator and the limit's rows, which collapse_run reads off the
+    # scales' solution, both ask the plan's one check, for the zero-mode
+    # orbit alone at p = 0, before any block
     import diraclab.assembly as assembly
 
     asked = []
 
     def flag_every_scale(self, p, orbits):
         asked.append((p.tolist(), self.reps[orbits].tolist()))
-        return np.ones(len(p), dtype=bool)
+        return np.ones(p.shape[:2], dtype=bool)
 
     def no_blocks(*args):
         raise AssertionError("a block was formed")
@@ -1052,7 +1103,7 @@ def test_limit_takes_the_plan_coupling_check_at_the_zero_mode(monkeypatch):
     monkeypatch.setattr(assembly._MappingPlan, "_blocks", no_blocks)
     model, cm = _rot4_mapping(), exterior_module(3)
     plan = _mapping_plan(model, cm, 2)
-    for run in (lambda: limit_operator(model, cm, 2), plan.limit_symbol_spectrum):
+    for run in (lambda: limit_operator(model, cm, 2), plan.limit_rows):
         asked.clear()
         with pytest.raises(ValueError, match="^operator symbol couples distinct twist sectors$"):
             run()
@@ -1076,7 +1127,7 @@ def test_coupling_check_is_relative_to_each_orbit():
     p[:, 0] = big[0]
     p[1, 1] = (1e-3, 0.0, 0.0)
     p[2, 1] = big[0]
-    assert plan.coupled(p, [axis[-1], zero]).tolist() == [False, True, False]
+    assert plan.coupled(p, [axis[-1], zero]).tolist() == [[False, False], [False, True], [False, False]]
 
 
 def _loop_orbits(model, truncation):

@@ -19,7 +19,6 @@ from diraclab.collapse import (
     check_fiber_gap_bound,
     collapse_run,
     perturbation_bound_check,
-    rayleigh_minimax_check,
     spectral_window,
     window_agreement,
 )
@@ -226,9 +225,9 @@ def _rot4_spinor_model():
 
 def _inject(monkeypatch, faults):
     """Make the stacked solve of all scales report the given faults, {scale
-    index: set of "coupled", "hermitian", "uncertified"}, and make forming a
-    block from the plan's table, which an uncertified block takes, raise
-    RuntimeError("block path")."""
+    index: set of "coupled", "hermitian", "uncertified"}, on every orbit or
+    block of the scale, and make forming a block from the plan's table,
+    which an uncertified block takes, raise RuntimeError("block path")."""
     import dataclasses
 
     import diraclab.assembly as assembly
@@ -237,13 +236,13 @@ def _inject(monkeypatch, faults):
 
     def symbol_spectra(self, eps):
         out = original(self, eps)
-        coupled, resid, certified = out.coupled.copy(), out.resid.copy(), out.certified.copy()
+        coupled, herm, certified = out.coupled.copy(), out.herm.copy(), out.certified.copy()
         for i, kinds in faults.items():
             if i < len(eps):
                 coupled[i] |= "coupled" in kinds
-                resid[i] = np.inf if "hermitian" in kinds else resid[i]
+                herm[i] = np.inf if "hermitian" in kinds else herm[i]
                 certified[i] &= "uncertified" not in kinds
-        return dataclasses.replace(out, coupled=coupled, resid=resid, certified=certified)
+        return dataclasses.replace(out, coupled=coupled, herm=herm, certified=certified)
 
     def block_path(self, rows, p):
         raise RuntimeError("block path")
@@ -418,6 +417,29 @@ def test_collapse_builds_no_fiber_per_scale(monkeypatch):
         assert (len(built), len(diameters)) == (0, 2)
         built.clear()
         diameters.clear()
+
+
+def test_collapse_solves_the_symbols_once_per_run(monkeypatch):
+    # the scales and the limit come from one solve of the plan's symbols,
+    # whether the run converges or blows up
+    import diraclab.symbols as symbols
+
+    calls = []
+    solve = symbols._BlockSymbols.solve
+
+    def counting_solve(self, *args):
+        calls.append(1)
+        return solve(self, *args)
+
+    monkeypatch.setattr(symbols._BlockSymbols, "solve", counting_solve)
+    for model, cm, verdict in [
+        (_canonical_mapping(), spinor_gammas(2), "converges"),
+        (_rot4_spinor_model(), spinor_gammas(3), "blows_up"),
+    ]:
+        calls.clear()
+        report = collapse_run(model, cm, [1.0, 0.5, 0.25], 2, 3)
+        assert report.verdict == verdict
+        assert len(calls) == 1
 
 
 @settings(max_examples=30)
@@ -804,28 +826,12 @@ def test_perturbation_refuses_module_of_other_rank():
         perturbation_bound_check(lambda t: np.eye(3), spinor_gammas(2), 1, samples=2, quad_samples=3)
 
 
-def test_rayleigh_minimax():
-    cm = spinor_gammas(2)
-    t2 = FlatTorusModel(np.diag([1.0, 1.3]), np.array([0.5, 0.0]))
-    op = assemble_dirac(t2, cm, 3)
-    for k in (1, 3, op.dim):
-        assert rayleigh_minimax_check(op, k, trials=8, seed=1).ok
-    with pytest.raises(ValueError):
-        rayleigh_minimax_check(op, 0)
-    with pytest.raises(ValueError):
-        rayleigh_minimax_check(op, op.dim + 1)
-    with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
-        rayleigh_minimax_check(op, 1, seed=-1)
-    # no trial would check nothing, yet report ok with an infinite margin
-    for trials in (0, -1):
-        with pytest.raises(ValueError, match=rf"^trials must be at least 1, got {trials}$"):
-            rayleigh_minimax_check(op, 1, trials=trials)
-
-
 def test_normals_are_seeded_standard_normal_draws():
     a = _Normals(5).standard_normal((3, 7))
     assert a.shape == (3, 7) and a.dtype == np.float64
     assert a.tobytes() == _Normals(5).standard_normal((3, 7)).tobytes()
     assert not np.any(a == _Normals(6).standard_normal((3, 7)))
+    with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+        _Normals(-1)
     z = _Normals(2024).standard_normal((100_000,))
     assert abs(z.mean()) < 0.02 and abs(z.var() - 1.0) < 0.03

@@ -57,14 +57,9 @@ import diraclab
 loaded = {"import diraclab": "numpy.random" in sys.modules}
 import diraclab.cli
 loaded["import diraclab.cli"] = "numpy.random" in sys.modules
-op = diraclab.assemble_dirac(
-    diraclab.FlatTorusModel(numpy.eye(1), numpy.zeros(1)), diraclab.spinor_gammas(1), 2
-)
-ok = diraclab.rayleigh_minimax_check(op, 2, trials=3).ok
-loaded["rayleigh_minimax_check"] = "numpy.random" in sys.modules
 codes = {cfg: diraclab.cli.main(["--config", cfg, "--out", cfg + ".out"]) for cfg in sys.argv[1:]}
 loaded["cli.main"] = "numpy.random" in sys.modules
-print(json.dumps({"loaded": loaded, "ok": ok, "codes": codes}))
+print(json.dumps({"loaded": loaded, "codes": codes}))
 """
 
 
@@ -76,11 +71,9 @@ def test_import_does_not_load_numpy_random(tmp_path):
         paths.append(str(tmp_path / f"{name}.ini"))
         Path(paths[-1]).write_text(text)
     out = _run(RANDOM_SCRIPT, *paths)
-    assert out["ok"]
     assert out["codes"] == dict.fromkeys(paths, 0)
     assert out["loaded"] == {
         "import diraclab": False,
         "import diraclab.cli": False,
-        "rayleigh_minimax_check": False,
         "cli.main": False,
     }

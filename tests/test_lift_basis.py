@@ -4,6 +4,7 @@ fixed space of the group the lift generates, one solve per scale, and the
 eig + QR basis of a computed lift."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -306,31 +307,37 @@ def test_stacked_solve_matches_per_scale_solve_over_model_space(lifted, truncati
     plan = _mapping_plan(model, cm, truncation)
     p = np.array([_scaled_fiber(model, e).dual_momentum(plan.reps) for e in epsilons])
     w = 1.0 / np.array(epsilons)
-    cases = [(plan.symbols, p, w, slice(None), lambda i, rows: plan._blocks(rows, p[i]))]
-    zero = np.flatnonzero(~plan.reps.any(axis=1))
+    sym = plan.symbols
+    solved = sym.solve(
+        p, w, truncation, plan.coupled(p, slice(None)), lambda i, rows: plan._blocks(rows, p[i])
+    )
+    # every scale's rows, and the rows of every scale of the orbit without
+    # fiber momentum (the zero mode under the trivial fiber spin shift, the
+    # limit's rows) against a reference solve of that orbit alone
+    cases = [(sym, p, slice(None), slice(None))]
+    zero = np.flatnonzero(~plan.unit_momenta.any(axis=1))
     if len(zero):
         rows = slice(*np.searchsorted(plan.orbit, [zero[0], zero[0] + 1]))
-        at_zero = np.zeros_like(plan.unit_momenta)
-        cases.append((
-            plan.symbols.orbit_part(rows), np.zeros((1, 1, p.shape[2])), np.zeros(1), zero,
-            lambda i, at: plan._blocks(at + rows.start, at_zero),
-        ))
+        part = SimpleNamespace(
+            orbit=np.zeros(rows.stop - rows.start, dtype=np.intp), cluster=sym.cluster[rows],
+            beta=sym.beta[rows], sizes=sym.sizes[rows], trace=sym.trace, skew=sym.skew,
+        )
+        cases.append((part, p[:, zero], zero, rows))
     defects = _reference_defects(plan)
-    for symbols, momenta, factors, orbits, blocks in cases:
-        solved = symbols.solve(momenta, factors, truncation, plan.coupled(momenta, orbits), blocks)
+    for symbols, momenta, orbits, rows in cases:
         for i, scale in enumerate(momenta):
             try:
                 ref = _reference_solve(symbols, defects, scale, plan.coupling[orbits], plan.gammas_q)
             except ValueError as err:
                 with pytest.raises(ValueError) as raised:
-                    solved.at(i)
+                    solved.at(i, rows)
                 assert str(raised.value) == str(err)
                 continue
-            got = solved.at(i)
+            got = solved.at(i, rows)
             ok, r, npos = ref
-            assert np.all(solved.certified[i][ok])
-            assert np.array_equal(solved.r[i], r)
-            assert np.array_equal(solved.npos[i][ok].astype(np.intp), npos[ok])
+            assert np.all(solved.certified[i, rows][ok])
+            assert np.array_equal(solved.r[i, rows], r)
+            assert np.array_equal(solved.npos[i, rows][ok].astype(np.intp), npos[ok])
             if ok.all():
                 nneg = symbols.sizes - npos
                 values = np.sort(np.concatenate([np.repeat(-r, nneg), np.repeat(r, npos)]))

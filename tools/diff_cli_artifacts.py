@@ -1,9 +1,14 @@
-"""Compare the CLI artifacts of two source trees byte for byte.
+"""Compare the CLI artifacts and collapse reports of two source trees byte
+for byte.
 
 Runs the seven experiments of ``tests/test_cli.py::ALL_CONFIGS`` with each
-tree's ``src/`` on the path, at seeds 1, 7 and 123, and lists every artifact
-whose bytes differ (or that only one tree wrote) and every exit code that
-differs.  The configs come from this repository's ``tests/test_cli.py``.
+tree's ``src/`` on the path, at seeds 1, 7 and 123, and saves the
+``CollapseReport`` of both rot4 benchmark workloads (``ROT4`` of
+``bench/workloads.py``, through its ``setup`` and ``run``) at sizes smoke
+and full and the same seeds, as ``seedS/WORKLOAD/SIZE.json``.  It lists
+every file whose bytes differ (or that only one tree wrote) and every
+exit code that differs.  The configs and workloads come from this
+repository's ``tests/test_cli.py`` and ``bench/workloads.py``.
 
     python tools/diff_cli_artifacts.py OLD_TREE NEW_TREE
 
@@ -22,30 +27,40 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = ("1", "7", "123")
 
-# Runs in a fresh interpreter per tree: argv is src dir, tests dir, output
-# dir, then the seeds.  Prints the exit codes as one JSON object.
+# Runs in a fresh interpreter per tree: argv is src dir, tests dir, bench
+# dir, output dir, then the seeds.  Prints the exit codes as one JSON object.
 _RUNNER = """
 import json, sys
-src, tests, out = sys.argv[1:4]
-sys.path[:0] = [src, tests]
+src, tests, bench, out = sys.argv[1:5]
+sys.path[:0] = [src, tests, bench]
 from test_cli import ALL_CONFIGS
 from diraclab.cli import main
+import workloads
 from pathlib import Path
 codes = {}
-for seed in sys.argv[4:]:
+for seed in sys.argv[5:]:
     for name, text in sorted(ALL_CONFIGS.items()):
         run = Path(out) / f"seed{seed}" / name
         run.mkdir(parents=True)
         cfg = run.parent / f"{name}.ini"
         cfg.write_text(text)
         codes[f"seed{seed}/{name}"] = main(["--config", str(cfg), "--out", str(run), "--seed", seed])
+    for name in sorted(workloads.ROT4):
+        run = Path(out) / f"seed{seed}" / name
+        run.mkdir(parents=True)
+        for size in ("smoke", "full"):
+            state = workloads.setup(name, int(seed), size, run)
+            workloads.run(state)["report"].save(run / f"{size}.json")
 print(json.dumps(codes))
 """
 
 
 def run_tree(tree: Path, out: Path) -> dict[str, int]:
     proc = subprocess.run(
-        [sys.executable, "-c", _RUNNER, str(tree / "src"), str(REPO / "tests"), str(out), *SEEDS],
+        [
+            sys.executable, "-c", _RUNNER, str(tree / "src"), str(REPO / "tests"),
+            str(REPO / "bench"), str(out), *SEEDS,
+        ],
         capture_output=True,
         text=True,
         check=True,

@@ -10,16 +10,16 @@ exit status 1.  Pair i (from 1) runs each tree 5 times at seed
 i, the two trees taking turns, and each side of the pair is the median of
 its tree's 5 runs: a single cold call is bimodal on a loaded host and
 cannot resolve a change of about 0.5 ms.  The tree that goes first
-alternates from pair to pair.  The tool prints every pair, then each
-tree's median and quartiles of its pair ``wall_s`` values, its median
-``setup_s`` (from just before the process is spawned to the start of
-``run``: interpreter start, imports and ``setup``) and its median
-``peak_rss_mib`` (``ru_maxrss`` of the run's process, read before the
-checks), the new tree's
-median ``wall_s`` change relative to the old one's beside the old tree's
-interquartile range, and how many pairs the new tree won on ``wall_s``.  A
-gain holds when the new tree wins at least nine pairs in ten and the
-medians differ by more than the old tree's interquartile range.
+alternates from pair to pair.  The tool prints every pair's ``wall_s``,
+then judges each metric alike: ``wall_s``, ``setup_s`` (from just before
+the process is spawned to the start of ``run``: interpreter start, imports
+and ``setup``) and ``peak_rss_mib`` (``ru_maxrss`` of the run's process,
+read before the checks).  For each it prints each tree's median and
+quartiles over its pairs, the new tree's median change relative to the
+old one's beside the old tree's interquartile range, and how many pairs
+the new tree won (a lower value wins).  A gain on a metric holds when
+the new tree wins at least nine pairs in ten and the medians differ by
+more than the old tree's interquartile range.
 
     python tools/pair_timing.py OLD_TREE NEW_TREE --workload collapse_spinor_rot4 --pairs 20
 
@@ -80,6 +80,25 @@ def run_side(runs: list[dict[str, float]]) -> dict[str, float]:
     return {key: statistics.median(r[key] for r in runs) for key in runs[0]}
 
 
+def judge(key: str, old: list[float], new: list[float]) -> None:
+    """Print one metric's verdict over the pairs: each tree's median and
+    quartiles, the median change against the old tree's IQR, and the pairs
+    the new tree won."""
+    stats = {}
+    for side, values in (("old", old), ("new", new)):
+        q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+        q1, q2, q3 = stats[side] = q
+        print(f"{key} {side}: median {q2:.5f}, quartiles {q1:.5f} {q3:.5f} (IQR {q3 - q1:.5f})")
+    iqr = stats["old"][2] - stats["old"][0]
+    change = stats["new"][1] - stats["old"][1]
+    wins = sum(b < a for a, b in zip(old, new))
+    print(
+        f"{key}: median change {change:+.5f} ({100.0 * change / stats['old'][1]:+.1f}%), "
+        f"|change| {'>' if abs(change) > iqr else '<='} old IQR {iqr:.5f}; "
+        f"new won {wins}/{len(old)} pairs"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="source tree holding src/ and bench/")
@@ -91,7 +110,6 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     trees = {"old": args.old.resolve(), "new": args.new.resolve()}
     results: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
-    wins = 0
     for i in range(args.pairs):
         seed = 1 + i
         order = ("old", "new") if i % 2 == 0 else ("new", "old")
@@ -106,25 +124,9 @@ def main(argv=None) -> int:
         for side in order:
             results[side].append(run_side(runs[side]))
         old, new = results["old"][-1]["wall_s"], results["new"][-1]["wall_s"]
-        wins += new < old
         print(f"pair {i + 1} seed {seed} ({order[0]} first): old {old:.5f} s, new {new:.5f} s")
-    medians, iqrs = {}, {}
-    for side in ("old", "new"):
-        wall = [r["wall_s"] for r in results[side]]
-        q1, q2, q3 = statistics.quantiles(wall, n=4, method="inclusive") if len(wall) > 1 else wall * 3
-        medians[side], iqrs[side] = q2, q3 - q1
-        setup = statistics.median(r["setup_s"] for r in results[side])
-        rss = statistics.median(r["peak_rss_mib"] for r in results[side])
-        print(
-            f"{side}: wall_s median {q2:.5f}, quartiles {q1:.5f} {q3:.5f} (IQR {q3 - q1:.5f}); "
-            f"median setup_s {setup:.4f}; median peak_rss_mib {rss:.3f}"
-        )
-    change = medians["new"] - medians["old"]
-    print(
-        f"median wall_s change {change:+.5f} s ({100.0 * change / medians['old']:+.1f}%), "
-        f"|change| {'>' if abs(change) > iqrs['old'] else '<='} old IQR {iqrs['old']:.5f}"
-    )
-    print(f"new won {wins}/{args.pairs} pairs on wall_s")
+    for key in METRICS:
+        judge(key, [r[key] for r in results["old"]], [r[key] for r in results["new"]])
     return 0
 
 
