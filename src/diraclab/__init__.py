@@ -39,7 +39,6 @@ from .collapse import (
     CollapseReport,
     PerturbationReport,
     blowup_check,
-    check_fiber_gap_bound,
     collapse_run,
     perturbation_bound_check,
     spectral_window,

@@ -31,7 +31,6 @@ from .models import (
 )
 from .spectral import (
     HERMITICITY_TOL,
-    INEQUALITY_SLACK,
     NULL_SEGMENT_DEVIATION,
     NULL_SEGMENT_LENGTH,
     SPECTRUM_MATCH_TOL,
@@ -48,7 +47,6 @@ __all__ = [
     "DEFAULT_WINDOW_A",
     "DEFAULT_WINDOW_C",
     "spectral_window",
-    "check_fiber_gap_bound",
     "CollapseReport",
     "collapse_run",
     "window_agreement",
@@ -62,21 +60,6 @@ DEFAULT_WINDOW_A = float(np.pi) ** 2
 DEFAULT_WINDOW_C = 10.0
 
 
-def _window_square(geom: GeometricData, window_a: float, window_c: float) -> float:
-    """window_a / diam(fiber)^2 - window_c * (|R| + |II|^2 + |T|^2), refusing
-    window constants outside a > 0, c >= 0, a fiber diameter that is not
-    positive (NaN included), and one whose square is 0 or overflows."""
-    if not (window_a > 0.0 and window_c >= 0.0):
-        raise ValueError("window constants must satisfy a > 0, c >= 0")
-    if not geom.diam_z > 0.0:
-        raise ValueError("fiber diameter must be positive")
-    square = float(geom.diam_z) * float(geom.diam_z)
-    if not 0.0 < square < np.inf:
-        raise ValueError(f"fiber diameter {geom.diam_z!r} is out of range: its square is 0 or inf")
-    penalty = geom.norm_r + geom.norm_pi**2 + geom.norm_t**2
-    return window_a / square - window_c * penalty
-
-
 def spectral_window(
     geom: GeometricData,
     window_a: float = DEFAULT_WINDOW_A,
@@ -85,26 +68,19 @@ def spectral_window(
     """Width of the surviving-spectrum window for the given geometry.
 
     The square is  window_a / diam(fiber)^2 - window_c * (|R| + |II|^2 + |T|^2);
-    a nonpositive square means the window is empty (width 0).
+    a nonpositive square means the window is empty (width 0).  Refuses
+    window constants outside a > 0, c >= 0, a fiber diameter that is not
+    positive (NaN included), and one whose square is 0 or overflows.
     """
-    return float(np.sqrt(max(_window_square(geom, window_a, window_c), 0.0)))
-
-
-def check_fiber_gap_bound(
-    gap: float,
-    geom: GeometricData,
-    window_a: float = DEFAULT_WINDOW_A,
-    window_c: float = DEFAULT_WINDOW_C,
-) -> bool:
-    """Fiber gap squared must dominate the window square.
-
-    This is what makes the window safe: everything the fiber operator does
-    outside the parallel sections happens above the window.  A slack of
-    INEQUALITY_SLACK * max(1, |square|) absorbs exact-equality cases in
-    floating point.  Refuses what spectral_window refuses.
-    """
-    square = _window_square(geom, window_a, window_c)
-    return bool(gap * gap >= square - INEQUALITY_SLACK * max(1.0, abs(square)))
+    if not (window_a > 0.0 and window_c >= 0.0):
+        raise ValueError("window constants must satisfy a > 0, c >= 0")
+    if not geom.diam_z > 0.0:
+        raise ValueError("fiber diameter must be positive")
+    square = float(geom.diam_z) * float(geom.diam_z)
+    if not 0.0 < square < np.inf:
+        raise ValueError(f"fiber diameter {geom.diam_z!r} is out of range: its square is 0 or inf")
+    penalty = geom.norm_r + geom.norm_pi**2 + geom.norm_t**2
+    return float(np.sqrt(max(window_a / square - window_c * penalty, 0.0)))
 
 
 @dataclass(frozen=True, eq=False)

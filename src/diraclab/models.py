@@ -11,6 +11,7 @@ unitary lift on the module.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,45 +77,62 @@ class FlatTorusModel:
         return 2.0 * np.pi * np.linalg.solve(self.lattice_basis.T, zeta.T).T
 
     def diameter(self) -> float:
-        """Intrinsic diameter, i.e. the covering radius of the lattice.
+        """Intrinsic diameter, i.e. the exact covering radius of the lattice.
 
-        Diagonal Gram matrices (rectangles) use the closed form
-        sqrt(sum of squared edge lengths) / 2; otherwise the farthest point
-        from the lattice is searched on a grid of GRID_RESOLUTION points per
-        lattice direction over the fundamental domain.
+        After a size reduction by whole multiples (so that a skewed basis
+        takes few steps), Selling's reduction makes the superbase v_0 =
+        -sum b_j, v_j = b_j obtuse, v_i . v_j <= 0 for i != j: while some
+        v_i . v_j > 0 it negates v_i and adds it to the two vectors other
+        than v_i and v_j in rank 3, or adds 2 v_i to the third in rank 2.
+        Obtuse means no off-diagonal Gram entry above DIAGONAL_GRAM_TOL times
+        the largest.  The simplices 0, v_s1, v_s1 + v_s2, ... over orderings
+        s of an obtuse superbase triangulate the Delaunay cells (Conway &
+        Sloane, "Low-dimensional lattices VI: Voronoi reduction of
+        three-dimensional lattices", Proc. R. Soc. A 436, 1992); the n! that
+        leave out v_0 are all of them up to translation, and the covering
+        radius is their largest circumradius, from one batched solve.  Every
+        lattice of rank at most 3 has an obtuse superbase, and an orthogonal
+        basis of any rank is one; a rank-4 or higher basis that is not is
+        refused, as is a rank above 8 (the largest Clifford module's), whose
+        n! simplices outgrow memory.
         """
-        g = self.gram
-        scale = float(np.max(np.abs(g)))
-        if np.max(np.abs(g - np.diag(np.diag(g)))) <= DIAGONAL_GRAM_TOL * scale:
-            return 0.5 * float(np.sqrt(np.sum(np.diag(g))))
-        return _covering_radius_grid(self.lattice_basis)
+        n = self.n
+        if n > 8:
+            raise ValueError(f"exact diameter supported up to rank 8, got rank {n}")
+        b = self.lattice_basis.copy()
+        while True:
+            g = b.T @ b
+            mult = np.trunc(g / np.diag(g))
+            np.fill_diagonal(mult, 0.0)
+            i, j = np.unravel_index(np.argmax(np.abs(mult)), mult.shape)
+            if mult[i, j] == 0.0:
+                break
+            b[:, i] -= mult[i, j] * b[:, j]
+        v = np.column_stack([-b.sum(axis=1), b])
+        while True:
+            g = v.T @ v
+            off = g - np.diag(np.diag(g))
+            i, j = np.unravel_index(np.argmax(off), off.shape)
+            if off[i, j] <= DIAGONAL_GRAM_TOL * np.max(g):
+                break
+            if n > 3:
+                raise ValueError(
+                    f"exact diameter of a rank-{n} lattice needs an obtuse superbase; "
+                    "this basis gives none"
+                )
+            others = [k for k in range(n + 1) if k not in (i, j)]
+            v[:, others] += (2.0 if n == 2 else 1.0) * v[:, [i]]
+            v[:, i] = -v[:, i]
+        orders = np.array(list(itertools.permutations(range(1, n + 1))))
+        # rows: the vertices v_s1 + ... + v_sk, k = 1 .. n, of each simplex
+        w = np.cumsum(v[:, orders], axis=2).transpose(1, 2, 0)
+        centre = np.linalg.solve(2.0 * w, np.sum(w * w, axis=2)[..., None])[..., 0]
+        return float(np.sqrt(np.max(np.sum(centre * centre, axis=1))))
 
     def label(self) -> str:
         basis = ";".join(",".join(repr(float(x)) for x in row) for row in self.lattice_basis)
         shift = ",".join(repr(float(x)) for x in self.spin_shift)
         return f"flat_torus[basis={basis} shift={shift}]"
-
-
-# grid diameter search: points per lattice direction, and the translates
-# -GRID_WINDOW .. GRID_WINDOW + 1 per direction searched for the nearest
-GRID_RESOLUTION = 64
-GRID_WINDOW = 2
-
-
-def _covering_radius_grid(basis: np.ndarray) -> float:
-    n = basis.shape[0]
-    if n > 3:
-        raise ValueError("grid diameter search supported up to rank 3")
-    axes = [np.arange(GRID_RESOLUTION) / GRID_RESOLUTION] * n
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    best = np.full(mesh.shape[0], np.inf)
-    offsets = np.stack(
-        np.meshgrid(*([np.arange(-GRID_WINDOW, GRID_WINDOW + 2)] * n), indexing="ij"), axis=-1
-    ).reshape(-1, n)
-    for off in offsets:
-        d = (mesh - off) @ basis.T
-        best = np.minimum(best, np.einsum("ij,ij->i", d, d))
-    return float(np.sqrt(np.max(best)))
 
 
 def matrix_order(m: np.ndarray, cap: int = 1024) -> int:

@@ -49,11 +49,10 @@ ANGLE_TOL = 1e-10  # equal cosines and zero sines in the logarithm of a rotation
 LIFT_TOL = 1e-9  # U gamma U^H - gamma(R) for the lift U of R (and so exp(log R) - R); op, abs
 WEIGHT_TOL = 1e-9  # twice a module weight minus the nearest integer; abs
 SINGULAR_DET_TOL = 1e-12  # |det| of a singular lattice basis; rel product of column norms
-DIAGONAL_GRAM_TOL = 1e-12  # off-diagonal Gram entries of a rectangle; times largest entry
+DIAGONAL_GRAM_TOL = 1e-12  # off-diagonal Gram entries of an obtuse superbase; times largest
 METRIC_INVARIANCE_TOL = 1e-10  # phi^T G phi - G of a holonomy phi; rel G
 CONNECTION_INVARIANCE_TOL = 1e-12  # phi A - A of the connection form A; rel A
 SHIFT_INTEGRALITY_TOL = 1e-12  # phi^T s - s off Z^m, s the fiber spin shift; abs
-INEQUALITY_SLACK = 1e-9  # fiber-gap inequality; rel right side
 SPECTRUM_MATCH_TOL = 1e-9  # paired eigenvalues of two spectra compared as multisets; abs
 NULL_SEGMENT_LENGTH = 1e-15  # metric path length of a segment treated as zero; abs
 NULL_SEGMENT_DEVIATION = 1e-12  # spectral shift allowed on such a segment; abs

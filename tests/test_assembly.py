@@ -835,8 +835,8 @@ def test_symbol_path_accepts_rank_three_axis_modes(monkeypatch, fiber_shift, tru
     # the symbol path's triangle bound on the twist-sector leak trips on the
     # axis modes; it used to refuse what the block path accepts.  Every block
     # is certified, as the twist clusters are invariant under gamma(p) though
-    # not under each fiber gamma, so no block is formed.  collapse_run takes
-    # both scales for the cost of one rank-3 fiber diameter
+    # not under each fiber gamma, so no block is formed.  collapse_run solves
+    # both scales from the one plan and reads the FCC fiber's exact diameter
     import diraclab.assembly as assembly
 
     cm = spinor_gammas(4)

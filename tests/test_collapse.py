@@ -16,7 +16,6 @@ from diraclab.collapse import (
     _Normals,
     _smallest_abs,
     blowup_check,
-    check_fiber_gap_bound,
     collapse_run,
     perturbation_bound_check,
     spectral_window,
@@ -43,6 +42,7 @@ from test_assembly import (
     _scaled_fiber,
     _tilted_base_spinor,
 )
+from test_lift_basis import _three_size_mapping
 
 
 def _canonical_mapping(fiber_shift=0.0, base_shift=0.5):
@@ -98,28 +98,25 @@ def test_spectral_window_empty_and_validation():
         (dict(diam_z=1e160), "fiber diameter 1e+160 is out of range: its square is 0 or inf"),
     ],
 )
-def test_window_refusals_shared_by_gap_bound(args, message):
-    # the gap bound refuses what the window refuses, rather than passing
-    # vacuously on a window it cannot form
+def test_window_refusals(args, message):
     diam = args.pop("diam_z", 1.0)
     geom = GeometricData(0.0, 0.0, 0.0, diam)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         spectral_window(geom, **args)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        check_fiber_gap_bound(0.0, geom, **args)
 
 
-def test_fiber_gap_dominates_window():
+def test_fiber_gap_is_one_over_eps():
     cm = spinor_gammas(2)
     mt = _canonical_mapping()
     for eps in (1.0, 0.25):
-        scaled = mt.with_scale(eps)
-        geom = geometric_data(scaled)
-        split = fiber_invariant_split(scaled, cm, 3)
+        split = fiber_invariant_split(mt.with_scale(eps), cm, 3)
         assert split.gap == pytest.approx(1.0 / eps, abs=1e-12)
-        assert check_fiber_gap_bound(split.gap, geom)
-    # and a violation is reported as such
-    assert not check_fiber_gap_bound(0.1, geometric_data(mt.with_scale(1.0)))
+
+
+def test_rank_four_orthogonal_fiber_window():
+    # the unit 4-cube fiber's diameter is half its diagonal, 1: windows pi / eps
+    report = collapse_run(_three_size_mapping(), spinor_gammas(5), [1.0, 0.5], 2, 2)
+    assert report.window_bounds == pytest.approx((np.pi, 2 * np.pi), rel=1e-12)
 
 
 def test_collapse_run_converging():

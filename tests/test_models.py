@@ -1,5 +1,6 @@
 """Model geometry: tori, mapping tori, diameters, metric paths."""
 
+import itertools
 import re
 
 import numpy as np
@@ -88,18 +89,93 @@ def test_singular_lattice_check_is_relative_to_the_column_norms():
     FlatTorusModel(np.array([[1.0, 1.0], [0.0, 2.0 * SINGULAR_DET_TOL]]), np.zeros(2))
 
 
-def test_diameter_rectangle_closed_form():
-    t = FlatTorusModel(np.diag([3.0, 4.0]), np.zeros(2))
-    assert t.diameter() == pytest.approx(2.5, abs=1e-12)
-    c = FlatTorusModel(np.array([[2 * np.pi]]), np.zeros(1))
-    assert c.diameter() == pytest.approx(np.pi, abs=1e-12)
+# covering radii in closed form; the columns of each basis span the lattice
+EXACT_COVERING_RADII = {
+    "rectangle": (np.diag([3.0, 4.0]), 2.5),
+    "circle": ([[2 * np.pi]], np.pi),
+    "unit square": (np.eye(2), np.sqrt(2) / 2),
+    "hexagonal": ([[1.0, 0.5], [0.0, np.sqrt(3) / 2]], 1 / np.sqrt(3)),
+    "skewed 2-d basis": ([[1.0, 7.5], [0.0, 1.0]], 0.625),
+    "FCC": ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 1.0),
+    "BCC": ([[-1, 1, 1], [1, -1, 1], [1, 1, -1]], np.sqrt(5) / 2),
+    "skewed basis of Z^3": ([[1, 3, 0], [0, 1, 4], [0, 0, 1]], np.sqrt(3) / 2),
+    "very skewed basis of Z^3": ([[1, 1e5, 0], [0, 1, 1e5], [0, 0, 1]], np.sqrt(3) / 2),
+}
 
 
-def test_diameter_hexagonal_grid():
-    # hexagonal lattice: covering radius is the circumradius 1/sqrt(3)
-    basis = np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]])
-    t = FlatTorusModel(basis, np.zeros(2))
-    assert t.diameter() == pytest.approx(1 / np.sqrt(3), rel=2e-2)
+@pytest.mark.parametrize("name", sorted(EXACT_COVERING_RADII))
+def test_diameter_is_the_exact_covering_radius(name):
+    basis, radius = EXACT_COVERING_RADII[name]
+    basis = np.array(basis, dtype=float)
+    got = FlatTorusModel(basis, np.zeros(len(basis))).diameter()
+    assert got == pytest.approx(radius, rel=1e-12)
+
+
+def _orthogonal(draw, n):
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))
+    q, _ = np.linalg.qr(np.reshape(entries, (n, n)) + 3.0 * np.eye(n))
+    return q
+
+
+def _unimodular(draw, n):
+    """A signed permutation times one to three integer shears b_j += k b_i,
+    k = +-1 or +-2, in rank 2 and 3."""
+    u = np.diag(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    u = u[:, draw(st.permutations(range(n)))]
+    for _ in range(draw(st.integers(1, 3)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        u[:, j] += draw(st.sampled_from([-2, -1, 1, 2])) * u[:, i]
+    return u
+
+
+def _distance_lower_bound(basis):
+    """max over a grid of points of their distance to the nearest lattice
+    point: a lower bound on the covering radius.  basis is upper triangular
+    with diagonal d, so Babai's nearest-plane bound |d| / 2 caps that
+    distance, and the nearest point of x = B t lies within |B^-1| |d| / 2 of
+    t in coordinates: every lattice point in that window is searched."""
+    n = basis.shape[0]
+    reach = np.linalg.norm(np.linalg.inv(basis), 2) * np.linalg.norm(np.diag(basis)) / 2
+    window = np.arange(-int(np.ceil(reach)), int(np.ceil(reach)) + 2)
+    axis = np.arange(12) / 12
+    points = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), -1).reshape(-1, n)
+    best = np.full(len(points), np.inf)
+    for z in itertools.product(window, repeat=n):
+        d = (points - np.array(z)) @ basis.T
+        best = np.minimum(best, np.einsum("ij,ij->i", d, d))
+    return float(np.sqrt(best.max()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_diameter_is_a_lattice_invariant(data, n):
+    # B = diag(d)(I + strictly upper triangular, entries at most 1/2) is
+    # size-reduced; for Q orthogonal and U unimodular, Q B U spans the same
+    # lattice, rotated or reflected, in a basis that may be skewed, and must
+    # have the same covering radius
+    d = np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    upper = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n * n, max_size=n * n)))
+    basis = np.diag(d) @ (np.eye(n) + np.triu(upper.reshape(n, n), 1))
+    q, u = _orthogonal(data.draw, n), _unimodular(data.draw, n)
+    radius = FlatTorusModel(basis, np.zeros(n)).diameter()
+    moved = FlatTorusModel(q @ basis @ u, np.zeros(n)).diameter()
+    assert moved == pytest.approx(radius, rel=1e-12)
+    assert radius >= _distance_lower_bound(basis) * (1 - 1e-12)
+
+
+def test_diameter_above_rank_three():
+    # an orthogonal basis of any rank has an obtuse superbase: half its diagonal
+    q, _ = np.linalg.qr(np.arange(16.0).reshape(4, 4) ** 2 + np.eye(4))
+    box = FlatTorusModel(q @ np.diag([1.0, 2.0, 2.0, 4.0]), np.zeros(4))
+    assert box.diameter() == pytest.approx(2.5, rel=1e-12)
+    # D4, the integer vectors of even sum, has no obtuse superbase at all
+    d4 = np.array([[1, 1, 0, 0], [1, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]], dtype=float)
+    refusal = "^exact diameter of a rank-4 lattice needs an obtuse superbase; this basis gives none$"
+    with pytest.raises(ValueError, match=refusal):
+        FlatTorusModel(d4, np.zeros(4)).diameter()
+    # 9! simplices are refused before any is formed
+    with pytest.raises(ValueError, match="^exact diameter supported up to rank 8, got rank 9$"):
+        FlatTorusModel(np.eye(9), np.zeros(9)).diameter()
 
 
 def test_matrix_order():

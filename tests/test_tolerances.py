@@ -35,7 +35,6 @@ TABLE = {
     "METRIC_INVARIANCE_TOL": 1e-10,
     "CONNECTION_INVARIANCE_TOL": 1e-12,
     "SHIFT_INTEGRALITY_TOL": 1e-12,
-    "INEQUALITY_SLACK": 1e-9,
     "SPECTRUM_MATCH_TOL": 1e-9,
     "NULL_SEGMENT_LENGTH": 1e-15,
     "NULL_SEGMENT_DEVIATION": 1e-12,
