@@ -300,7 +300,7 @@ def _unitary_key(u: np.ndarray, digits: int = 9) -> bytes:
 
 
 # largest group holonomy_rep closes by default, and its refusal beyond that;
-# assembly refuses a lift whose powers do not close within it the same way
+# the mapping plan refuses a lift whose powers do not close within it the same way
 _MAX_HOLONOMY_ORDER = 1024
 _CLOSURE_EXCEEDED = (
     "holonomy closure exceeded {max_order} elements; "

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import EmptyInvariantSpaceError, _flat_modes, _mapping_plan, _parallel_columns
 from .clifford import CliffordModule
+from .mapping import EmptyInvariantSpaceError, _flat_modes, _mapping_plan, _parallel_columns
 from .models import (
     FD_STEP,
     AffineMappingTorus,
@@ -69,11 +69,15 @@ def spectral_window(
 
     The square is  window_a / diam(fiber)^2 - window_c * (|R| + |II|^2 + |T|^2);
     a nonpositive square means the window is empty (width 0).  Refuses
-    window constants outside a > 0, c >= 0, a fiber diameter that is not
-    positive (NaN included), and one whose square is 0 or overflows.
+    window constants outside a > 0, c >= 0, then an infinite one, a fiber
+    diameter that is not positive (NaN included), and one whose square is 0
+    or overflows.
     """
     if not (window_a > 0.0 and window_c >= 0.0):
         raise ValueError("window constants must satisfy a > 0, c >= 0")
+    for name, value in (("window_a", window_a), ("window_c", window_c)):
+        if value == np.inf:
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not geom.diam_z > 0.0:
         raise ValueError("fiber diameter must be positive")
     square = float(geom.diam_z) * float(geom.diam_z)

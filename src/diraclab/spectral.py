@@ -1,5 +1,9 @@
-"""Spectra of assembled operators, multiset comparison, CSV export, and the
-tolerance policy.
+"""Assembled operators and their spectra, multiset comparison, CSV export,
+and the tolerance policy.
+
+An assembled operator (AssembledOperator) is stored as its diagonal
+Fourier blocks, one read-only stack per block size, which eigensolve solves
+one at a time; their provenance is one columnar record (BlockInfo).
 
 Spectra are ascending sorted arrays tagged with a clustering tolerance and
 the truncation that produced them.  Comparisons run over sorted values:
@@ -15,7 +19,9 @@ defaults are entries of the table.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +118,111 @@ def _require_hermitian(stacks, tol: float, message: str) -> None:
     resid = max([0.0] + [float(np.max(np.abs(s - s.conj().swapaxes(-1, -2)))) for s in stacks])
     if resid > tol * scale:
         raise ValueError(message.format(residual=resid))
+
+
+# the refusal of an assembled operator that fails its Hermiticity check
+_NOT_HERMITIAN = "assembled operator is not Hermitian (residual {residual:.3e})"
+
+
+@dataclass(frozen=True, eq=False)
+class BlockInfo:
+    """Block provenance, one row per block in row order: modes (B, k) (on a
+    mapping torus, ending in the base Fourier index), sizes (B,), twist
+    angles (B,) in turns (0.0 on flat tori) and invariant flags (B,)."""
+
+    modes: np.ndarray
+    sizes: np.ndarray
+    twist: np.ndarray
+    invariant: np.ndarray
+
+
+
+def _rank_within(keys: np.ndarray) -> np.ndarray:
+    """Each entry's rank among the earlier entries with its key (an integer
+    >= 0); with block sizes as keys, each block's position in its stack."""
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys)
+    ranks = np.empty(len(keys), dtype=np.intp)
+    ranks[order] = np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys[order]]
+    return ranks
+
+
+@dataclass(frozen=True, eq=False)
+class AssembledOperator:
+    """Hermitian operator stored as its diagonal Fourier blocks.
+
+    stacks holds the numbers: one read-only (B, d, d) array per block size
+    d, ascending, each listing the blocks of that size in row order.
+    block_info is the columnar provenance of the blocks in row order: block
+    i takes the next sizes[i] rows, labeled (modes[i], j) with j running on
+    from the rows earlier blocks of that mode took, and the next block of
+    its size's stack.  Stacks and columns are made read-only and checked
+    once, here.  blocks (views into the stacks) and matrix (the dense
+    block-diagonal view) are built on first access.
+    """
+
+    stacks: tuple[np.ndarray, ...]
+    block_info: BlockInfo
+    truncation: int
+    model_ref: str
+
+    def __post_init__(self) -> None:
+        stacks = [np.asarray(s, dtype=complex) for s in self.stacks]
+        for s in stacks:
+            if s.ndim != 3 or s.shape[1] != s.shape[2]:
+                raise ValueError("operator blocks must be square")
+            s.flags.writeable = False
+        stacks.sort(key=lambda s: s.shape[1])
+        info = BlockInfo(*(np.asarray(c) for c in vars(self.block_info).values()))
+        if info.modes.ndim != 2:
+            raise ValueError(f"block modes must be a 2-D array, got shape {info.modes.shape}")
+        if any(c.shape != (len(info.modes),) for c in (info.sizes, info.twist, info.invariant)):
+            raise ValueError("block info columns must have one entry per block")
+        if np.any(info.sizes < 1):
+            raise ValueError("block sizes must be at least 1")
+        counts = np.bincount(info.sizes, minlength=max([s.shape[1] + 1 for s in stacks], default=0))
+        if len(info.sizes) != sum(len(s) for s in stacks) or any(
+            counts[s.shape[1]] != len(s) for s in stacks
+        ):
+            raise ValueError("one block info required per block")
+        for c in vars(info).values():
+            c.flags.writeable = False
+        object.__setattr__(self, "stacks", tuple(stacks))
+        object.__setattr__(self, "block_info", info)
+        _require_hermitian(stacks, HERMITICITY_TOL, _NOT_HERMITIAN)
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The blocks in row order, as read-only views into the stacks."""
+        by_size = {s.shape[1]: s for s in self.stacks}
+        sizes = self.block_info.sizes
+        return tuple(by_size[d][r] for d, r in zip(sizes.tolist(), _rank_within(sizes).tolist()))
+
+    @cached_property
+    def block_slices(self) -> tuple[slice, ...]:
+        sizes = self.block_info.sizes.tolist()
+        return tuple(slice(end - d, end) for d, end in zip(sizes, itertools.accumulate(sizes)))
+
+    @cached_property
+    def basis_labels(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        modes = np.repeat(self.block_info.modes, self.block_info.sizes, axis=0)
+        _, mode_ids = np.unique(modes, axis=0, return_inverse=True)
+        index = _rank_within(mode_ids.ravel()).tolist()
+        return tuple(zip(map(tuple, modes.tolist()), index))
+
+    @property
+    def dim(self) -> int:
+        return sum(s.shape[0] * s.shape[1] for s in self.stacks)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense block-diagonal view, for consumers that need the full matrix."""
+        dense = np.zeros((self.dim, self.dim), dtype=complex)
+        for block, sl in zip(self.blocks, self.block_slices):
+            dense[sl, sl] = block
+        dense.flags.writeable = False
+        return dense
+
 
 
 def _block_max(stack: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ short sum of products of entries bounded by |x| and the gammas'.  It moves
 for s <= 16 over a thousand times below RESIDUAL_TOL * max(1, r / s).
 
 Twist-sector coupling is not checked here: the plan's one check
-(assembly._MappingPlan.coupled) flags every scale and orbit, for this path
+(mapping._MappingPlan.coupled) flags every scale and orbit, for this path
 and the block path alike, and solve takes its flags.  The block path's
 other refusal, Hermiticity, is evaluated so that it is at least as strict
 as the block path's check: a bound linear in |x| per block,
@@ -55,7 +55,7 @@ refusals are kept per block and reduced over the rows a spectrum takes, so
 a scale's refusal stands for the block path's check of its operator, and
 the limit's for limit_operator's.
 
-The symbols are scale-free and built once per plan (assembly._MappingPlan)
+The symbols are scale-free and built once per plan (mapping._MappingPlan)
 from the plan's block table, the rows that its block path and limit read
 too; solve takes the orbit fiber momenta of all wanted scales at once.
 """
@@ -68,13 +68,11 @@ from typing import Callable
 import numpy as np
 
 from .spectral import HERMITICITY_TOL, RESIDUAL_TOL, STRUCTURE_TOL, Spectrum, _default_tol
-from .spectral import _stack_values
+from .spectral import _NOT_HERMITIAN, _stack_values
 
-# the messages of an operator whose symbol couples distinct twist sectors
-# and of an assembled operator that fails its Hermiticity check; the symbol
-# path refuses with them where the block path would
+# the message of an operator whose symbol couples distinct twist sectors;
+# the symbol path refuses with it and _NOT_HERMITIAN where the block path would
 _COUPLED = "operator symbol couples distinct twist sectors"
-_NOT_HERMITIAN = "assembled operator is not Hermitian (residual {residual:.3e})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +218,7 @@ def _block_symbols(
     orbit: np.ndarray, cluster: np.ndarray, beta: np.ndarray, sizes: np.ndarray,
     unit: np.ndarray, clusters,
 ) -> _BlockSymbols:
-    """Symbols of a plan's blocks from its block table (assembly._MappingPlan):
+    """Symbols of a plan's blocks from its block table (mapping._MappingPlan):
     per block in row order its orbit, cluster, beta and size, the orbits'
     unit-scale fiber momenta (O, m), and per cluster size the clusters'
     numbers, lift-basis columns (unused here) and restricted gammas

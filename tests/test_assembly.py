@@ -12,13 +12,6 @@ from diraclab.assembly import (
     AssembledOperator,
     BlockInfo,
     EmptyInvariantSpaceError,
-    _flat_modes,
-    _holonomy_orbits,
-    _lift_basis,
-    _mapping_plan,
-    _mode_ranges,
-    _resolve_lift,
-    _twist_sector,
     assemble_dirac,
     bochner_rhs,
     eigenvalue_derivative,
@@ -31,6 +24,15 @@ from diraclab.clifford import (
     CliffordModule, _expm_skew_factors, _lift_factors, exterior_module, spinor_gammas,
 )
 from diraclab.collapse import blowup_check, collapse_run
+from diraclab.mapping import (
+    _flat_modes,
+    _holonomy_orbits,
+    _lift_basis,
+    _mapping_plan,
+    _mode_ranges,
+    _resolve_lift,
+    _twist_sector,
+)
 from diraclab.models import AffineMappingTorus, FlatTorusModel
 from diraclab.spectral import (
     HERMITICITY_TOL,
@@ -284,8 +286,12 @@ def test_fiber_operator_antiperiodic_gap():
         holonomy=-np.eye(2),
         base_length=2 * np.pi,
     )
-    fiber_vals = eigensolve(fiber_invariant_split(mt, cm3, 2).fiber_operator).values
-    assert np.min(np.abs(fiber_vals)) == pytest.approx(np.pi * np.sqrt(2), abs=1e-9)
+    split = fiber_invariant_split(mt, cm3, 2)
+    assert split.gap == pytest.approx(np.pi * np.sqrt(2), abs=1e-9)
+    # the gap is the smallest |eigenvalue| of the fiber's own Dirac operator
+    fiber = FlatTorusModel(np.eye(2), np.array([0.5, 0.5]))
+    fiber_vals = eigensolve(assemble_dirac(fiber, spinor_gammas(2), 2)).values
+    assert split.gap == pytest.approx(np.min(np.abs(fiber_vals)), abs=1e-9)
 
 
 def test_frame_bundle_routes_agree():
@@ -792,7 +798,7 @@ def test_symbol_zero_blocks_are_zeros(monkeypatch):
     # identity holonomy and lift with periodic base: the zero mode at base
     # index 0 is a zero block, which takes dim_v zeros without a certificate
     # and without being formed
-    import diraclab.assembly as assembly
+    import diraclab.mapping as mapping
 
     cm = spinor_gammas(3)
     model = AffineMappingTorus(
@@ -803,7 +809,7 @@ def test_symbol_zero_blocks_are_zeros(monkeypatch):
     )
     plan = _mapping_plan(model, cm, 2)
     refs = [eigensolve(plan.dirac(model)), eigensolve(limit_operator(model, cm, 2))]
-    monkeypatch.setattr(assembly._MappingPlan, "_blocks", _no_blocks)
+    monkeypatch.setattr(mapping._MappingPlan, "_blocks", _no_blocks)
     scales = plan.symbol_spectra([model.fiber_scale])
     solved = [scales.at(0), scales.at(0, plan.limit_rows())]
     for solved, ref in zip(solved, refs):
@@ -837,7 +843,7 @@ def test_symbol_path_accepts_rank_three_axis_modes(monkeypatch, fiber_shift, tru
     # is certified, as the twist clusters are invariant under gamma(p) though
     # not under each fiber gamma, so no block is formed.  collapse_run solves
     # both scales from the one plan and reads the FCC fiber's exact diameter
-    import diraclab.assembly as assembly
+    import diraclab.mapping as mapping
 
     cm = spinor_gammas(4)
     model = _fcc_cyclic_mapping(fiber_shift)
@@ -845,7 +851,7 @@ def test_symbol_path_accepts_rank_three_axis_modes(monkeypatch, fiber_shift, tru
     eps = [1.0, 0.5]
     refs = [eigensolve(plan.dirac(model.with_scale(e))) for e in eps]
     assert plan.symbol_spectra(eps).certified.all()
-    monkeypatch.setattr(assembly._MappingPlan, "_blocks", _no_blocks)
+    monkeypatch.setattr(mapping._MappingPlan, "_blocks", _no_blocks)
     report = collapse_run(model, cm, eps, 2, truncation)
     for got, ref in zip(report.spectra_per_eps, refs):
         _assert_same_spectrum(got, ref)
@@ -926,7 +932,7 @@ def test_base_gamma_that_fails_to_anticommute_is_not_certified():
 
 
 def test_symbol_path_refuses_non_hermitian_symbols(monkeypatch):
-    import diraclab.assembly as assembly
+    import diraclab.mapping as mapping
 
     def no_operator(*args):
         raise AssertionError("block path taken")
@@ -936,7 +942,7 @@ def test_symbol_path_refuses_non_hermitian_symbols(monkeypatch):
     message = r"^assembled operator is not Hermitian \(residual "
     with pytest.raises(ValueError, match=message):
         collapse_run(model, cm, [1.0], 1, 2)
-    monkeypatch.setattr(assembly._MappingPlan, "_blocks", no_operator)
+    monkeypatch.setattr(mapping._MappingPlan, "_blocks", no_operator)
     with pytest.raises(ValueError, match=message):
         collapse_run(model, cm, [1.0], 1, 2)
 
@@ -978,12 +984,12 @@ def test_symbol_path_refuses_coupling_twist_sectors():
 
 
 def test_collapse_runs_build_no_operator_per_scale(monkeypatch):
-    import diraclab.assembly as assembly
+    import diraclab.mapping as mapping
 
     def no_operator(*args):
         raise AssertionError("an operator was assembled")
 
-    monkeypatch.setattr(assembly._MappingPlan, "_blocks", no_operator)
+    monkeypatch.setattr(mapping._MappingPlan, "_blocks", no_operator)
     for cm in (spinor_gammas(3), exterior_module(3)):
         report = collapse_run(_rot4_mapping(), cm, [1.0, 0.5, 0.25], 2, 3)
         assert len(report.spectra_per_eps) == 3
@@ -1036,7 +1042,7 @@ def test_twist_sector_keeps_standard_basis(twist):
 
 
 def test_lift_is_resolved_once_per_run(monkeypatch):
-    import diraclab.assembly as assembly
+    import diraclab.mapping as mapping
 
     calls = []
 
@@ -1045,7 +1051,7 @@ def test_lift_is_resolved_once_per_run(monkeypatch):
         return _lift_factors(*args, **kwargs)
 
     # a computed lift is lift_rotation's, with the factors it is built from
-    monkeypatch.setattr(assembly, "_lift_factors", counting)
+    monkeypatch.setattr(mapping, "_lift_factors", counting)
     model, cm = _rot4_mapping(), exterior_module(3)
     collapse_run(model, cm, [1.0, 0.5], 2, 1)
     assert len(calls) == 1
@@ -1059,7 +1065,7 @@ def test_lift_is_resolved_once_per_run(monkeypatch):
 
 
 def test_symbol_coupling_twist_sectors_is_refused(monkeypatch):
-    import diraclab.assembly as assembly
+    import diraclab.mapping as mapping
 
     cm = spinor_gammas(3)
     plan = _mapping_plan(_rot4_mapping(), cm, 1)
@@ -1079,7 +1085,7 @@ def test_symbol_coupling_twist_sectors_is_refused(monkeypatch):
     def no_blocks(*args):
         raise AssertionError("a block was formed")
 
-    monkeypatch.setattr(assembly._MappingPlan, "_blocks", no_blocks)
+    monkeypatch.setattr(mapping._MappingPlan, "_blocks", no_blocks)
     with pytest.raises(ValueError, match="couples distinct twist sectors"):
         _given_momenta(plan, p[1]).dirac(plan.model.with_scale(1.0))
 
@@ -1088,7 +1094,7 @@ def test_limit_takes_the_plan_coupling_check_at_the_zero_mode(monkeypatch):
     # limit_operator and the limit's rows, which collapse_run reads off the
     # scales' solution, both ask the plan's one check, for the zero-mode
     # orbit alone at p = 0, before any block
-    import diraclab.assembly as assembly
+    import diraclab.mapping as mapping
 
     asked = []
 
@@ -1099,8 +1105,8 @@ def test_limit_takes_the_plan_coupling_check_at_the_zero_mode(monkeypatch):
     def no_blocks(*args):
         raise AssertionError("a block was formed")
 
-    monkeypatch.setattr(assembly._MappingPlan, "coupled", flag_every_scale)
-    monkeypatch.setattr(assembly._MappingPlan, "_blocks", no_blocks)
+    monkeypatch.setattr(mapping._MappingPlan, "coupled", flag_every_scale)
+    monkeypatch.setattr(mapping._MappingPlan, "_blocks", no_blocks)
     model, cm = _rot4_mapping(), exterior_module(3)
     plan = _mapping_plan(model, cm, 2)
     for run in (lambda: limit_operator(model, cm, 2), plan.limit_rows):

@@ -31,7 +31,7 @@ from diraclab.models import (
     geometric_data,
     metric_path,
 )
-from diraclab.assembly import _mapping_plan
+from diraclab.mapping import _mapping_plan
 from diraclab.spectral import eigensolve, sinh_rescale
 from test_assembly import (
     _assert_same_spectrum,
@@ -91,6 +91,10 @@ def test_spectral_window_empty_and_validation():
         (dict(diam_z=-1.0), "fiber diameter must be positive"),
         (dict(window_a=float("nan")), "window constants must satisfy a > 0, c >= 0"),
         (dict(window_c=float("nan")), "window constants must satisfy a > 0, c >= 0"),
+        # an infinite a used to compare whole truncated spectra, and an
+        # infinite c to give a NaN window
+        (dict(window_a=float("inf")), "window_a must be finite, got inf"),
+        (dict(window_c=float("inf")), "window_c must be finite, got inf"),
         (dict(diam_z=float("nan")), "fiber diameter must be positive"),
         # squares that underflow or overflow used to raise ZeroDivisionError
         # or OverflowError (a geometric_data at fiber scale 1e-170 or 1e160)
@@ -227,9 +231,9 @@ def _inject(monkeypatch, faults):
     which an uncertified block takes, raise RuntimeError("block path")."""
     import dataclasses
 
-    import diraclab.assembly as assembly
+    import diraclab.mapping as mapping
 
-    original = assembly._MappingPlan.symbol_spectra
+    original = mapping._MappingPlan.symbol_spectra
 
     def symbol_spectra(self, eps):
         out = original(self, eps)
@@ -244,8 +248,8 @@ def _inject(monkeypatch, faults):
     def block_path(self, rows, p):
         raise RuntimeError("block path")
 
-    monkeypatch.setattr(assembly._MappingPlan, "symbol_spectra", symbol_spectra)
-    monkeypatch.setattr(assembly._MappingPlan, "_blocks", block_path)
+    monkeypatch.setattr(mapping._MappingPlan, "symbol_spectra", symbol_spectra)
+    monkeypatch.setattr(mapping._MappingPlan, "_blocks", block_path)
 
 
 COUPLED = r"^operator symbol couples distinct twist sectors$"
@@ -314,9 +318,10 @@ def _check_without_block_path(model, cm, eps, truncation):
     blowup_check, with plan.dirac and limit_operator raising, against
     eigensolve of the block path's operators."""
     import diraclab.assembly as assembly
+    import diraclab.mapping as mapping
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(assembly._MappingPlan, "dirac", _no_block_path)
+        patch.setattr(mapping._MappingPlan, "dirac", _no_block_path)
         patch.setattr(assembly, "limit_operator", _no_block_path)
         report = collapse_run(model, cm, eps, 1, truncation)
         blowup = None

@@ -1,6 +1,9 @@
-"""Import-time dependencies: the package runs on numpy alone, and no path
-through it loads more of numpy than numpy itself does."""
+"""Import-time dependencies: the package runs on numpy alone, no path
+through it loads more of numpy than numpy itself does, and its modules
+import each other one way, at module level, within a size budget."""
 
+import ast
+import graphlib
 import json
 import os
 import subprocess
@@ -77,3 +80,38 @@ def test_import_does_not_load_numpy_random(tmp_path):
         "import diraclab.cli": False,
         "cli.main": False,
     }
+
+
+# the largest module the package keeps, in lines
+MODULE_LINES = 500
+
+# the modules in import order: each imports only modules before it
+LAYERS = ("spectral", "models", "clifford", "symbols", "mapping", "assembly", "collapse", "cli")
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """Per module of the package, the modules it names in a `from .x import`,
+    refusing one that sits inside a function."""
+    graph = {}
+    for path in sorted((SRC / "diraclab").glob("*.py")):
+        graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [n for n in ast.walk(node) if isinstance(n, ast.ImportFrom) and n.level]
+                assert not inner, f"{path.name}:{inner[0].lineno} imports inside {node.name}"
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                graph[path.stem].add(node.module)
+    return graph
+
+
+def test_package_imports_run_one_way():
+    graph = _package_imports()
+    # raises graphlib.CycleError, naming the cycle, if the imports loop
+    tuple(graphlib.TopologicalSorter(graph).static_order())
+    for i, name in enumerate(LAYERS):
+        assert not graph[name] & set(LAYERS[i:]), name
+
+
+def test_no_module_exceeds_the_line_budget():
+    sizes = {p.name: len(p.read_text().splitlines()) for p in (SRC / "diraclab").glob("*.py")}
+    assert {name: n for name, n in sizes.items() if n > MODULE_LINES} == {}

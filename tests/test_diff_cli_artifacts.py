@@ -52,7 +52,7 @@ def test_a_rot4_report_written_differently_is_named(tmp_path):
     # the identity holonomy, so orbits of size 1, and only the rot4 reports
     # differ, at both sizes and every seed
     line = "kappa = 2.0 * np.pi * (us[:, None] + thetas) / (d * base_length)"
-    tree = _mutated(tmp_path, "assembly.py", line, line.replace("(d * base_length)", "(d * d * base_length)"))
+    tree = _mutated(tmp_path, "mapping.py", line, line.replace("(d * base_length)", "(d * d * base_length)"))
     proc = _diff(ROOT, tree)
     assert proc.returncode == 1, proc.stderr
     reports = [

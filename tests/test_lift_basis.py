@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 
 import diraclab.assembly as assembly
 import diraclab.clifford as clifford
-from diraclab.assembly import (
+import diraclab.mapping as mapping
+from diraclab.assembly import fiber_invariant_split, limit_operator
+from diraclab.mapping import (
     _cluster_angles,
     _lift_basis,
     _mapping_plan,
     _parallel_columns,
     _resolve_lift,
-    fiber_invariant_split,
-    limit_operator,
 )
 from diraclab.clifford import exterior_module, fixed_subspace, holonomy_rep, spinor_gammas
 from diraclab.collapse import blowup_check, collapse_run
@@ -425,7 +425,8 @@ def test_collapse_path_builds_no_holonomy_group(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("holonomy group built")
 
-    assert not hasattr(assembly, "holonomy_rep") and not hasattr(assembly, "fixed_subspace")
+    for module in (assembly, mapping):
+        assert not hasattr(module, "holonomy_rep") and not hasattr(module, "fixed_subspace")
     monkeypatch.setattr(clifford, "holonomy_rep", refuse)
     monkeypatch.setattr(clifford, "fixed_subspace", refuse)
     assert collapse_run(_rot4_mapping(), exterior_module(3), [1.0, 0.5], 2, 2).verdict == "converges"

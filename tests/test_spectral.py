@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diraclab.spectral as spectral
-from diraclab.assembly import AssembledOperator, BlockInfo, _mapping_plan
+from diraclab.assembly import AssembledOperator, BlockInfo
 from diraclab.clifford import exterior_module, spinor_gammas
+from diraclab.mapping import _mapping_plan
 from diraclab.models import AffineMappingTorus, FlatTorusModel
 from diraclab.spectral import (
     Spectrum,
