@@ -41,7 +41,7 @@ def _flat_momenta(model: FlatTorusModel, cm: CliffordModule, truncation: int):
         raise ValueError(f"module dimension {cm.n} does not match torus rank {model.n}")
     modes = _flat_modes(model, truncation)
     n = len(modes)
-    info = BlockInfo(modes, np.full(n, cm.dim_v), np.zeros(n), np.zeros(n, dtype=bool))
+    info = BlockInfo(modes, np.full(n, cm.dim_v), np.zeros(n))
     return info, model.dual_momentum(modes)
 
 
@@ -51,7 +51,7 @@ def assemble_dirac(
     """Dirac operator of the model on all retained Fourier modes."""
     if isinstance(model, FlatTorusModel):
         info, p = _flat_momenta(model, cm, truncation)
-        return AssembledOperator([cm.gamma(p)], info, truncation, model.label())
+        return AssembledOperator([cm.gamma(p)], info, truncation)
     if isinstance(model, AffineMappingTorus):
         return _mapping_plan(model, cm, truncation).dirac(model)
     raise TypeError(f"unsupported model type {type(model).__name__}")
@@ -71,10 +71,14 @@ def bochner_rhs(
     if isinstance(model, FlatTorusModel):
         info, p = _flat_momenta(model, cm, truncation)
         stack = np.sum(p * p, axis=1)[:, None, None] * np.eye(cm.dim_v)
-        return AssembledOperator([stack], info, truncation, model.label())
+        return AssembledOperator([stack], info, truncation)
     if isinstance(model, AffineMappingTorus):
         return _mapping_plan(model, cm, truncation).bochner(model)
     raise TypeError(f"unsupported model type {type(model).__name__}")
+
+
+# the largest fiber mode box fiber_invariant_split enumerates for its gap
+_GAP_MAX_MODES = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,28 +94,38 @@ class InvariantSplit:
     gap: float
 
 
-def fiber_invariant_split(
-    model: AffineMappingTorus, cm: CliffordModule, truncation: int
-) -> InvariantSplit:
+def fiber_invariant_split(model: AffineMappingTorus, cm: CliffordModule) -> InvariantSplit:
     """Split fiber sections into monodromy-parallel ones and their complement.
 
     Parallel sections are constant along the fiber (zero mode, which exists
     only for the trivial fiber spin shift) with values fixed by the holonomy
-    lift.  The fiber Dirac vanishes on them; the reported gap bounds it away
-    from zero on the complement.
+    lift.  The fiber Dirac vanishes on them; the gap, its smallest |p| on
+    the complement, is 0 when the complement meets the zero mode.  Else R,
+    the smallest nonzero |p| = |2 pi B^-T (k + shift)| over |k + shift| <= 1,
+    bounds the gap, and |k_i + shift_i| = |p . b_i| / 2 pi <= R |b_i| / 2 pi
+    bounds every mode at or below R; a box to that bound of more than
+    _GAP_MAX_MODES modes is refused before it is enumerated.
     """
     basis = _resolve_lift(model, cm)
     r = int(np.count_nonzero(_parallel_columns(model, basis)))
-    modes = _flat_modes(model.fiber, truncation)
-    p = _scaled_momenta(model.fiber.dual_momentum(modes), [model.fiber_scale])[0]
-    zero = ~modes.any(axis=1) & bool(np.all(model.fiber.spin_shift == 0.0))
-    gap_candidates = np.linalg.norm(p, axis=1)[~zero].tolist()
-    if zero.any() and r < cm.dim_v:
-        # complement reaches into the zero mode: the fiber operator
-        # vanishes there, so no spectral gap survives
-        gap_candidates.append(0.0)
-    gap = float(min(gap_candidates, default=0.0))
-    return InvariantSplit(dim=r, gap=gap)
+    fiber = model.fiber
+    periodic = not fiber.spin_shift.any()
+    if periodic and r < cm.dim_v:
+        return InvariantSplit(dim=r, gap=0.0)
+    unit = _flat_modes(fiber, 1)
+    nonzero = unit.any(axis=1) | (not periodic)
+    bound = np.min(np.linalg.norm(fiber.dual_momentum(unit[nonzero]), axis=1))
+    reach = np.ceil(bound * np.max(np.linalg.norm(fiber.lattice_basis, axis=0)) / (2.0 * np.pi))
+    count = (2.0 * reach + 1.0) ** fiber.n
+    if not count <= _GAP_MAX_MODES:
+        raise ValueError(
+            f"the exact fiber gap needs a box of {count:.3g} fiber modes, "
+            f"above the cap of {_GAP_MAX_MODES}"
+        )
+    modes = _flat_modes(fiber, int(reach))
+    modes = modes[modes.any(axis=1) | (not periodic)]
+    p = _scaled_momenta(fiber.dual_momentum(modes), [model.fiber_scale])[0]
+    return InvariantSplit(dim=r, gap=float(np.min(np.linalg.norm(p, axis=1))))
 
 
 def limit_operator(
@@ -130,11 +144,9 @@ def limit_operator(
     plan = _mapping_plan(model, cm, truncation)
     rows = plan.limit_rows()
     full = plan.block_info
-    info = BlockInfo(
-        full.modes[rows, -1:], full.sizes[rows], full.twist[rows], full.invariant[rows]
-    )
+    info = BlockInfo(full.modes[rows, -1:], full.sizes[rows], full.twist[rows])
     stacks = plan._blocks(rows, np.zeros_like(plan.unit_momenta))
-    return AssembledOperator(stacks, info, truncation, model.label() + "|limit")
+    return AssembledOperator(stacks, info, truncation)
 
 
 def frame_bundle_operator(

@@ -52,12 +52,6 @@ class BlockMatrix2x2:
         for name, m in (("alpha", a), ("beta", b), ("gamma", g), ("delta", d)):
             object.__setattr__(self, name, m)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        p = self.alpha.shape[0]
-        q = self.delta.shape[0]
-        return (p + q, p + q)
-
     def dense(self) -> np.ndarray:
         top = np.hstack([self.alpha, self.beta])
         bot = np.hstack([self.gamma, self.delta])

@@ -57,7 +57,6 @@ class CliffordModule:
     """
 
     n: int
-    group: str  # "spin" or "rotation"
     dim_v: int
     gammas: np.ndarray
     sigmas: np.ndarray
@@ -142,7 +141,6 @@ def spinor_gammas(n: int) -> CliffordModule:
     gammas = np.array(mats)
     cm = CliffordModule(
         n=n,
-        group="spin",
         dim_v=2**m,
         gammas=gammas,
         sigmas=_quarter_commutators(gammas),
@@ -179,7 +177,6 @@ def exterior_module(n: int) -> CliffordModule:
     hats = np.array([(create[j] + create[j].T).astype(complex) for j in range(n)])
     cm = CliffordModule(
         n=n,
-        group="rotation",
         dim_v=dim,
         gammas=gammas,
         sigmas=_quarter_commutators(gammas, hats),

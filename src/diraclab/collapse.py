@@ -60,6 +60,15 @@ DEFAULT_WINDOW_A = float(np.pi) ** 2
 DEFAULT_WINDOW_C = 10.0
 
 
+def _check_window(window_a: float, window_c: float) -> None:
+    """Refuse window constants outside a > 0, c >= 0, then an infinite one."""
+    if not (window_a > 0.0 and window_c >= 0.0):
+        raise ValueError("window constants must satisfy a > 0, c >= 0")
+    for name, value in (("window_a", window_a), ("window_c", window_c)):
+        if value == np.inf:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def spectral_window(
     geom: GeometricData,
     window_a: float = DEFAULT_WINDOW_A,
@@ -69,15 +78,11 @@ def spectral_window(
 
     The square is  window_a / diam(fiber)^2 - window_c * (|R| + |II|^2 + |T|^2);
     a nonpositive square means the window is empty (width 0).  Refuses
-    window constants outside a > 0, c >= 0, then an infinite one, a fiber
-    diameter that is not positive (NaN included), and one whose square is 0
-    or overflows.
+    window constants outside a > 0, c >= 0, then an infinite one
+    (_check_window), a fiber diameter that is not positive (NaN included),
+    and one whose square is 0 or overflows.
     """
-    if not (window_a > 0.0 and window_c >= 0.0):
-        raise ValueError("window constants must satisfy a > 0, c >= 0")
-    for name, value in (("window_a", window_a), ("window_c", window_c)):
-        if value == np.inf:
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    _check_window(window_a, window_c)
     if not geom.diam_z > 0.0:
         raise ValueError("fiber diameter must be positive")
     square = float(geom.diam_z) * float(geom.diam_z)
@@ -168,17 +173,20 @@ def collapse_run(
     plan's one twist-sector coupling check runs once for all scales, and
     once for the limit at the zero mode alone.  A scale's k_max tracked
     values come from a sort of its at most 2 k_max eigenvalues nearest
-    zero, not of all of them.  A scale at which the fiber diameter or a
-    momentum overflows when squared is refused first, by name; then the
-    limit's refusals over its rows (coupling, Hermiticity, the eigh of its
-    uncertified blocks), and then each scale's in the order coupling,
-    Hermiticity, the eigh of its uncertified blocks, k_max, window.
+    zero, not of all of them.  The arguments, the window constants included
+    (as spectral_window refuses them), are checked before the plan is built.
+    Then a scale at which the fiber diameter or a momentum overflows when
+    squared is refused, by name; then the limit's refusals over its rows
+    (coupling, Hermiticity, the eigh of its uncertified blocks), and then
+    each scale's in the order coupling, Hermiticity, the eigh of its
+    uncertified blocks, k_max.
     """
     eps = _check_epsilons(epsilons)
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must decrease strictly")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    _check_window(window_a, window_c)
     plan = _mapping_plan(model, cm, truncation)
     diam = model.fiber.diameter()
     _check_scaled("the fiber diameter", eps, [e * diam for e in eps])

@@ -13,8 +13,8 @@ to the lift basis (the standard basis for a given diagonal lift).
 
 The lift is diagonalized once, a computed one with its generator's eigh.
 Every power of the lift, so every orbit twist, is diagonal in that
-orthonormal basis, whose lift-fixed columns also decide whether parallel
-sections exist.  Only the fiber momenta of a mapping torus
+orthonormal basis; _parallel_columns alone decides which of its columns
+parallel sections take.  Only the fiber momenta of a mapping torus
 depend on the fiber scale, as 1/fiber_scale.  Its assembly is therefore
 split into a scale-free plan, which solves the orbits' fiber momenta at
 unit scale, and a step that divides them by the scale.  The plan keeps
@@ -209,15 +209,12 @@ def _parallel_columns(model: AffineMappingTorus, basis: _LiftBasis) -> np.ndarra
 @dataclass(frozen=True, eq=False)
 class _TwistSector:
     """The twist (loop phase * lift)^d shared by every orbit of size d, in
-    the lift basis, with its clusters of equal twist angle.
-
-    invariant marks clusters lying inside the fixed space of the lift, which
-    is where monodromy-parallel sections live; coupling masks the entries
-    of a matrix in the lift basis that join two distinct clusters.
+    the lift basis, with its clusters of equal twist angle; coupling masks
+    the entries of a matrix in the lift basis that join two distinct
+    clusters.
     """
 
     clusters: tuple[tuple[float, np.ndarray], ...]
-    invariant: tuple[bool, ...]
     coupling: np.ndarray
 
 
@@ -238,29 +235,26 @@ def _twist_sector(basis: _LiftBasis, d: int, base_shift: float) -> _TwistSector:
         owner[idxs] = c
     return _TwistSector(
         clusters=clusters,
-        invariant=tuple(bool(np.all(basis.fixed[idxs])) for _, idxs in clusters),
         coupling=owner[:, None] != owner[None, :],
     )
 
 
 def _orbit_layout(
     sectors: dict[int, _TwistSector], reps: np.ndarray, sizes: np.ndarray,
-    conn_dot: np.ndarray, zero_mode: np.ndarray, base_length: float, truncation: int,
+    conn_dot: np.ndarray, base_length: float, truncation: int,
 ) -> tuple[BlockInfo, np.ndarray, np.ndarray, np.ndarray]:
     """Block provenance and block table of the orbits reps (in row order) of
     the given sizes: per block, its orbit, its twist cluster (numbered over
     the sectors in order) and its base momentum beta.  An orbit of size d has
     one block per base index u = -dT .. dT (outer) and cluster of its twist
-    sector (inner); conn_dot pairs its dual mode with the connection;
-    zero_mode marks the zero mode."""
+    sector (inner); conn_dot pairs its dual mode with the connection."""
     per_orbit = {d: (2 * d * truncation + 1) * len(sec.clusters) for d, sec in sectors.items()}
     counts = np.array([per_orbit[d] for d in sizes.tolist()], dtype=np.int64)
     offsets, total = np.cumsum(counts) - counts, int(np.sum(counts))
-    # an orbit's blocks take consecutive rows, over which its representative,
-    # index and zero-mode flag repeat
+    # an orbit's blocks take consecutive rows, over which its representative
+    # and index repeat
     modes = np.repeat(np.column_stack([reps, np.zeros_like(sizes)]), counts, axis=0)
-    invariant = np.repeat(zero_mode, counts)
-    info = BlockInfo(modes, np.empty(total, dtype=np.int64), np.empty(total), invariant)
+    info = BlockInfo(modes, np.empty(total, dtype=np.int64), np.empty(total))
     orbit = np.repeat(np.arange(len(sizes)), counts)
     cluster, beta = np.empty(total, dtype=np.intp), np.empty(total)
     first = 0
@@ -273,7 +267,6 @@ def _orbit_layout(
         info.modes[idx, -1] = us[:, None]
         info.sizes[idx] = [len(idxs) for _, idxs in sec.clusters]
         info.twist[idx] = thetas
-        info.invariant[idx] &= np.array(sec.invariant)
         cluster[idx] = first + np.arange(len(thetas))
         kappa = 2.0 * np.pi * (us[:, None] + thetas) / (d * base_length)
         beta[idx] = kappa - (2.0 * np.pi * conn_dot[members])[:, None, None]
@@ -320,7 +313,7 @@ class _MappingPlan:
         if self.coupled(p[None], slice(None)).any():
             raise ValueError(_COUPLED)
         stacks = self._blocks(slice(None), p)
-        return AssembledOperator(stacks, self.block_info, self.truncation, scaled.label())
+        return AssembledOperator(stacks, self.block_info, self.truncation)
 
     def _blocks(self, rows: slice | np.ndarray, p: np.ndarray) -> list[np.ndarray]:
         """The blocks of the table's rows in rows (a slice, or ascending
@@ -352,7 +345,7 @@ class _MappingPlan:
         r2 = np.sum(p * p, axis=1)[self.orbit] + self.beta * self.beta
         sizes = self.block_info.sizes
         stacks = [r2[sizes == s, None, None] * np.eye(s) for s in self.clusters]
-        return AssembledOperator(stacks, self.block_info, self.truncation, scaled.label())
+        return AssembledOperator(stacks, self.block_info, self.truncation)
 
     def coupled(self, p: np.ndarray, orbits: slice | np.ndarray) -> np.ndarray:
         """Per scale and orbit (E, O) of the fiber momenta p (E, O, m) of the
@@ -430,9 +423,7 @@ def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int
     zeta0 = reps + model.fiber.spin_shift
     # one (1, m) @ (m, 1) product per orbit rounds like a dot of one orbit
     conn_dot = (zeta0[:, None, :] @ model.connection[:, None])[:, 0, 0]
-    table = _orbit_layout(
-        sectors, reps, sizes, conn_dot, ~zeta0.any(axis=1), model.base_length, truncation
-    )
+    table = _orbit_layout(sectors, reps, sizes, conn_dot, model.base_length, truncation)
     cols = [idxs for sec in sectors.values() for _, idxs in sec.clusters]
     clusters = {}
     for s in sorted({len(c) for c in cols}):

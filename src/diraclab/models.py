@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,11 +129,6 @@ class FlatTorusModel:
         centre = np.linalg.solve(2.0 * w, np.sum(w * w, axis=2)[..., None])[..., 0]
         return float(np.sqrt(np.max(np.sum(centre * centre, axis=1))))
 
-    def label(self) -> str:
-        basis = ";".join(",".join(repr(float(x)) for x in row) for row in self.lattice_basis)
-        shift = ",".join(repr(float(x)) for x in self.spin_shift)
-        return f"flat_torus[basis={basis} shift={shift}]"
-
 
 def matrix_order(m: np.ndarray, cap: int = 1024) -> int:
     """Multiplicative order of an integer matrix, capped."""
@@ -235,29 +230,22 @@ class AffineMappingTorus:
         object.__setattr__(out, "fiber_scale", eps)
         return out
 
-    def label(self) -> str:
-        hol = ";".join(",".join(str(int(x)) for x in row) for row in self.holonomy)
-        return (
-            f"mapping_torus[{self.fiber.label()} holonomy={hol} "
-            f"L={self.base_length!r} base_shift={self.base_shift!r} "
-            f"A={','.join(repr(float(a)) for a in self.connection)} "
-            f"eps={self.fiber_scale!r}]"
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class GeometricData:
     """Curvature norms and fiber diameter of a model.
 
     For the flat models built here the curvature, second fundamental form,
-    and horizontal curvature norms are exact zeros; flags record why.
+    and horizontal curvature norms are exact zeros: a flat torus and the
+    total space of a mapping torus are flat, its fibers are totally geodesic
+    (parallel flat metrics), and its one-dimensional base leaves no
+    horizontal curvature.
     """
 
     norm_r: float
     norm_pi: float
     norm_t: float
     diam_z: float
-    flags: tuple[str, ...] = field(default=())
 
 
 def geometric_data(model: FlatTorusModel | AffineMappingTorus) -> GeometricData:
@@ -268,7 +256,6 @@ def geometric_data(model: FlatTorusModel | AffineMappingTorus) -> GeometricData:
             norm_pi=0.0,
             norm_t=0.0,
             diam_z=model.diameter(),
-            flags=("flat metric: curvature vanishes identically",),
         )
     if isinstance(model, AffineMappingTorus):
         return _mapping_geometry(model.fiber_scale * model.fiber.diameter())
@@ -283,11 +270,6 @@ def _mapping_geometry(diam: float) -> GeometricData:
         norm_pi=0.0,
         norm_t=0.0,
         diam_z=diam,
-        flags=(
-            "flat total space: curvature vanishes identically",
-            "fibers are totally geodesic (parallel flat metrics)",
-            "one-dimensional base: horizontal curvature is identically zero",
-        ),
     )
 
 

@@ -127,13 +127,12 @@ _NOT_HERMITIAN = "assembled operator is not Hermitian (residual {residual:.3e})"
 @dataclass(frozen=True, eq=False)
 class BlockInfo:
     """Block provenance, one row per block in row order: modes (B, k) (on a
-    mapping torus, ending in the base Fourier index), sizes (B,), twist
-    angles (B,) in turns (0.0 on flat tori) and invariant flags (B,)."""
+    mapping torus, ending in the base Fourier index), sizes (B,) and twist
+    angles (B,) in turns (0.0 on flat tori)."""
 
     modes: np.ndarray
     sizes: np.ndarray
     twist: np.ndarray
-    invariant: np.ndarray
 
 
 
@@ -164,7 +163,6 @@ class AssembledOperator:
     stacks: tuple[np.ndarray, ...]
     block_info: BlockInfo
     truncation: int
-    model_ref: str
 
     def __post_init__(self) -> None:
         stacks = [np.asarray(s, dtype=complex) for s in self.stacks]
@@ -176,7 +174,7 @@ class AssembledOperator:
         info = BlockInfo(*(np.asarray(c) for c in vars(self.block_info).values()))
         if info.modes.ndim != 2:
             raise ValueError(f"block modes must be a 2-D array, got shape {info.modes.shape}")
-        if any(c.shape != (len(info.modes),) for c in (info.sizes, info.twist, info.invariant)):
+        if any(c.shape != (len(info.modes),) for c in (info.sizes, info.twist)):
             raise ValueError("block info columns must have one entry per block")
         if np.any(info.sizes < 1):
             raise ValueError("block sizes must be at least 1")

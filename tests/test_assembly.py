@@ -241,12 +241,12 @@ def test_limit_operator_antiperiodic_frequencies():
 
 def test_fiber_invariant_split_cases():
     cm = spinor_gammas(2)
-    split = fiber_invariant_split(_simple_mapping().with_scale(0.25), cm, 3)
+    split = fiber_invariant_split(_simple_mapping().with_scale(0.25), cm)
     assert split.dim == 2
     assert split.gap == pytest.approx(4.0, abs=1e-12)
 
     # antiperiodic fiber: no parallel sections, gap is the smallest momentum
-    split2 = fiber_invariant_split(_simple_mapping(fiber_shift=0.5), cm, 3)
+    split2 = fiber_invariant_split(_simple_mapping(fiber_shift=0.5), cm)
     assert split2.dim == 0
     assert split2.gap == pytest.approx(0.5, abs=1e-12)
 
@@ -257,26 +257,9 @@ def test_fiber_invariant_split_cases():
         holonomy=np.array([[0, -1], [1, 0]]),
         base_length=1.0,
     )
-    split3 = fiber_invariant_split(mt, ext3, 2)
+    split3 = fiber_invariant_split(mt, ext3)
     assert split3.dim == 4
     assert split3.gap == 0.0
-
-
-def _invariant_rows(op):
-    info = op.block_info
-    return int(np.sum(np.repeat(info.invariant, info.sizes)))
-
-
-def test_invariant_rows_per_base_index():
-    ext3 = exterior_module(3)
-    mt = AffineMappingTorus(
-        fiber=FlatTorusModel(np.eye(2), np.zeros(2)),
-        holonomy=np.array([[0, -1], [1, 0]]),
-        base_length=1.0,
-    )
-    op = assemble_dirac(mt.with_scale(0.2), ext3, 2)
-    # one invariant cluster of dimension 4 per base index
-    assert _invariant_rows(op) == 4 * (2 * 2 + 1)
 
 
 def test_fiber_operator_antiperiodic_gap():
@@ -286,12 +269,78 @@ def test_fiber_operator_antiperiodic_gap():
         holonomy=-np.eye(2),
         base_length=2 * np.pi,
     )
-    split = fiber_invariant_split(mt, cm3, 2)
+    split = fiber_invariant_split(mt, cm3)
     assert split.gap == pytest.approx(np.pi * np.sqrt(2), abs=1e-9)
     # the gap is the smallest |eigenvalue| of the fiber's own Dirac operator
     fiber = FlatTorusModel(np.eye(2), np.array([0.5, 0.5]))
     fiber_vals = eigensolve(assemble_dirac(fiber, spinor_gammas(2), 2)).values
     assert split.gap == pytest.approx(np.min(np.abs(fiber_vals)), abs=1e-9)
+
+
+def _untwisted_mapping(basis, shift):
+    return AffineMappingTorus(
+        fiber=FlatTorusModel(basis, shift), holonomy=np.eye(len(shift)), base_length=1.0
+    )
+
+
+def _brute_gap(fiber):
+    """Smallest nonzero fiber |p| over a box that holds the exact gap's: a
+    candidate |p| bounds the gap, and |k_i + shift_i| <= ||B||_2 |p| / 2 pi
+    bounds every mode at or below it."""
+    periodic = not fiber.spin_shift.any()
+    first = np.eye(fiber.n, dtype=int)[0] if periodic else np.zeros(fiber.n, dtype=int)
+    bound = np.linalg.norm(fiber.dual_momentum(first))
+    reach = int(np.ceil(np.linalg.norm(fiber.lattice_basis, 2) * bound / (2 * np.pi))) + 1
+    modes = _flat_modes(fiber, reach)
+    modes = modes[modes.any(axis=1) | (not periodic)]
+    return float(np.min(np.linalg.norm(fiber.dual_momentum(modes), axis=1))), reach
+
+
+def test_fiber_gap_does_not_depend_on_a_box():
+    # the shortest dual vector is 2 pi (0.3, 0.2), at the mode (-10, 1):
+    # a box of side 8 or less gave 2 pi
+    basis = np.linalg.inv(np.array([[1.0, 10.3], [0.0, 0.2]])).T
+    split = fiber_invariant_split(_untwisted_mapping(basis, np.zeros(2)), spinor_gammas(3))
+    assert split.gap == pytest.approx(2.2654346798277984, rel=1e-14)
+    assert split.gap == pytest.approx(2 * np.pi * np.hypot(0.3, 0.2), rel=1e-13)
+
+
+@settings(max_examples=60)
+@given(
+    rank=st.integers(1, 3),
+    diagonal=st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3),
+    skew=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+    half=st.booleans(),
+    eps=st.floats(0.1, 2.0),
+)
+def test_fiber_gap_is_the_smallest_momentum(rank, diagonal, skew, half, eps):
+    basis = np.diag(diagonal[:rank])
+    basis[np.triu_indices(rank, 1)] = skew[: rank * (rank - 1) // 2]
+    model = _untwisted_mapping(basis, np.full(rank, 0.5 if half else 0.0))
+    gap, reach = _brute_gap(model.fiber)
+    assert reach <= 20
+    cm = spinor_gammas(rank + 1)
+    split = fiber_invariant_split(model.with_scale(eps), cm)
+    assert split.dim == (0 if half else cm.dim_v)
+    assert split.gap == pytest.approx(gap / eps, rel=1e-12)
+
+
+def test_fiber_gap_refuses_a_huge_box_before_enumerating(monkeypatch):
+    import diraclab.assembly as assembly
+
+    enumerate_modes = assembly._flat_modes
+
+    def unit_box_only(fiber, truncation):
+        assert truncation == 1, f"a box of side {truncation} was enumerated"
+        return enumerate_modes(fiber, truncation)
+
+    monkeypatch.setattr(assembly, "_flat_modes", unit_box_only)
+    # the dual vector (2000.3, 1e-3) is nearly parallel to (1, 0), so the box
+    # reaches |k_1| = 2e6: (4e6 + 1)^2 modes
+    basis = np.linalg.inv(np.array([[1.0, 2000.3], [0.0, 1e-3]])).T
+    message = r"^the exact fiber gap needs a box of 1\.6e\+13 fiber modes, above the cap of 1000000$"
+    with pytest.raises(ValueError, match=message):
+        fiber_invariant_split(_untwisted_mapping(basis, np.zeros(2)), spinor_gammas(3))
 
 
 def test_frame_bundle_routes_agree():
@@ -388,31 +437,31 @@ def _rot4_mapping():
 def _info(*sizes):
     """Untwisted provenance of blocks of the given sizes, one mode each."""
     n = len(sizes)
-    return BlockInfo(np.arange(n)[:, None], np.array(sizes), np.zeros(n), np.zeros(n, dtype=bool))
+    return BlockInfo(np.arange(n)[:, None], np.array(sizes), np.zeros(n))
 
 
 def test_assembled_operator_validation():
     info = _info(2)
     with pytest.raises(ValueError, match="not Hermitian"):
-        AssembledOperator([np.array([[[0.0, 1.0], [1.0 + 1e-11, 0.0]]])], info, 1, "test")
+        AssembledOperator([np.array([[[0.0, 1.0], [1.0 + 1e-11, 0.0]]])], info, 1)
     # every block of a stack is checked, not just the first
     with pytest.raises(ValueError, match="not Hermitian"):
         AssembledOperator(
-            [np.array([np.eye(2), [[0.0, 1.0], [1.0 + 1e-11, 0.0]]])], _info(2, 2), 1, "test"
+            [np.array([np.eye(2), [[0.0, 1.0], [1.0 + 1e-11, 0.0]]])], _info(2, 2), 1
         )
     # the tolerance is relative to the largest entry
     scale = 10.0
     near = scale + 0.5 * HERMITICITY_TOL * scale
-    AssembledOperator([np.array([[[0.0, scale], [near, 0.0]]])], info, 1, "test")
+    AssembledOperator([np.array([[[0.0, scale], [near, 0.0]]])], info, 1)
     with pytest.raises(ValueError, match="square"):
-        AssembledOperator([np.zeros((1, 2, 3))], info, 1, "test")
+        AssembledOperator([np.zeros((1, 2, 3))], info, 1)
     with pytest.raises(ValueError, match="block info"):
-        AssembledOperator([np.eye(2)[None], np.eye(1)[None]], info, 1, "test")
+        AssembledOperator([np.eye(2)[None], np.eye(1)[None]], info, 1)
     # as many infos as blocks, but their sizes do not match the stacks
     with pytest.raises(ValueError, match="block info"):
-        AssembledOperator([np.eye(2)[None]], _info(1), 1, "test")
+        AssembledOperator([np.eye(2)[None]], _info(1), 1)
     with pytest.raises(ValueError, match="block info"):
-        AssembledOperator([np.eye(2)[None], np.eye(1)[None]], _info(1, 1), 1, "test")
+        AssembledOperator([np.eye(2)[None], np.eye(1)[None]], _info(1, 1), 1)
     # malformed records: columns of unequal length, modes that are not 2-D,
     # sizes below 1
     stack = [np.eye(2)[None]]
@@ -421,21 +470,20 @@ def test_assembled_operator_validation():
         ("modes", np.zeros((2, 1), dtype=int)),
         ("sizes", np.array([2, 2])),
         ("twist", np.zeros(0)),
-        ("invariant", np.zeros(2, dtype=bool)),
         ("twist", np.zeros((1, 1))),
     ]:
         with pytest.raises(ValueError, match="one entry per block"):
-            AssembledOperator(stack, BlockInfo(**{**good, column: bad}), 1, "test")
+            AssembledOperator(stack, BlockInfo(**{**good, column: bad}), 1)
     for modes in (np.zeros(1, dtype=int), np.zeros((1, 1, 1), dtype=int)):
         with pytest.raises(ValueError, match="must be a 2-D array"):
-            AssembledOperator(stack, BlockInfo(**{**good, "modes": modes}), 1, "test")
+            AssembledOperator(stack, BlockInfo(**{**good, "modes": modes}), 1)
     for sizes in ([0], [-1]):
         with pytest.raises(ValueError, match="at least 1"):
             AssembledOperator(
-                [np.zeros((0, 2, 2))], BlockInfo(**{**good, "sizes": np.array(sizes)}), 1, "test"
+                [np.zeros((0, 2, 2))], BlockInfo(**{**good, "sizes": np.array(sizes)}), 1
             )
     # the record is read-only once it backs an operator
-    op = AssembledOperator(stack, _info(2), 1, "test")
+    op = AssembledOperator(stack, _info(2), 1)
     for column in vars(op.block_info).values():
         assert not column.flags.writeable
 
@@ -522,16 +570,6 @@ def test_connection_shifts_each_block_by_its_mode():
         assert np.max(np.abs(block - (p @ p + beta**2) * np.eye(2))) <= 1e-12
 
 
-def test_invariant_flags_only_the_zero_mode():
-    # identity holonomy and lift: every orbit has size 1 and its one cluster
-    # lies in the fixed space of the lift, but only the zero mode carries
-    # parallel sections
-    op = assemble_dirac(_simple_mapping(), spinor_gammas(2), 2)
-    info = op.block_info
-    assert np.array_equal(info.invariant, info.modes[:, 0] == 0)
-    assert _invariant_rows(op) == 2 * 5
-
-
 def test_basis_labels_frozen():
     t2 = FlatTorusModel(np.eye(2), np.array([0.5, 0.0]))
     op = assemble_dirac(t2, spinor_gammas(2), 1)
@@ -595,7 +633,7 @@ def test_plan_is_scale_free(model, module, truncation):
             (plan.bochner(scaled), bochner_rhs(scaled, module, truncation)),
         ]
         for got, ref in pairs:
-            assert got.model_ref == ref.model_ref
+            assert got.truncation == ref.truncation
             assert len(got.blocks) == len(ref.blocks)
             for a, b in zip(got.blocks, ref.blocks):
                 assert a.shape == b.shape
@@ -652,7 +690,7 @@ def test_plan_matches_assembly_over_model_space(model, exterior, truncation, eps
     scaled = model.with_scale(eps)
     got = _mapping_plan(model, module, truncation).dirac(scaled)
     ref = assemble_dirac(scaled, module, truncation)
-    assert got.model_ref == ref.model_ref
+    assert got.truncation == ref.truncation
     rhs = bochner_rhs(scaled, module, truncation)
     for op in (got, rhs):
         for name, column in vars(ref.block_info).items():
@@ -697,7 +735,7 @@ def test_limit_operator_is_the_plan_zero_mode_rows(drawn, exterior, truncation, 
         assert got.tobytes() == want.tobytes()
     info = op.block_info
     assert np.array_equal(limit.block_info.modes, info.modes[zero, -1:])
-    for name in ("sizes", "twist", "invariant"):
+    for name in ("sizes", "twist"):
         assert np.array_equal(getattr(limit.block_info, name), getattr(info, name)[zero])
 
 
@@ -868,7 +906,7 @@ def _non_clifford_spinor(base_factor=1.0, skew=0.0):
     gammas = cm.gammas.copy()
     gammas[2] *= base_factor
     gammas[0, 1, 0] += skew
-    return CliffordModule(3, "spin", 2, gammas, cm.sigmas)
+    return CliffordModule(3, 2, gammas, cm.sigmas)
 
 
 def _identity_mapping():
@@ -910,7 +948,7 @@ def _tilted_base_spinor(tilt):
     cm = spinor_gammas(3)
     gammas = cm.gammas.copy()
     gammas[2] = np.cos(tilt) * cm.gammas[2] + np.sin(tilt) * cm.gammas[0]
-    return CliffordModule(3, "spin", 2, gammas, cm.sigmas)
+    return CliffordModule(3, 2, gammas, cm.sigmas)
 
 
 def test_base_gamma_that_fails_to_anticommute_is_not_certified():

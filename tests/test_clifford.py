@@ -118,7 +118,7 @@ def test_stacked_relation_residuals_match_loop(build, n):
 
     hats = None if cm.hat_gammas is None else noisy(cm.hat_gammas)
     perturbed = CliffordModule(
-        n=n, group=cm.group, dim_v=cm.dim_v,
+        n=n, dim_v=cm.dim_v,
         gammas=noisy(cm.gammas), sigmas=noisy(cm.sigmas), hat_gammas=hats,
     )
     for module in (cm, perturbed):
@@ -363,7 +363,6 @@ def test_validate_catches_broken_module():
     cm = spinor_gammas(2)
     broken = CliffordModule(
         n=2,
-        group="spin",
         dim_v=2,
         gammas=cm.gammas * 1.5,
         sigmas=cm.sigmas,

@@ -113,7 +113,7 @@ def test_fiber_gap_is_one_over_eps():
     cm = spinor_gammas(2)
     mt = _canonical_mapping()
     for eps in (1.0, 0.25):
-        split = fiber_invariant_split(mt.with_scale(eps), cm, 3)
+        split = fiber_invariant_split(mt.with_scale(eps), cm)
         assert split.gap == pytest.approx(1.0 / eps, abs=1e-12)
 
 
@@ -261,34 +261,52 @@ MOMENTUM = r"^fiber scale 1e-200 is out of range: a fiber momentum overflows whe
 DIAMETER = r"^fiber scale 1e\+200 is out of range: the fiber diameter overflows when squared$"
 
 
-# A scale out of range is refused first, before any scale is solved: a
-# fiber momentum overflows when squared at eps = 1e-200, and (collapse_run
-# only) the fiber diameter at eps = 1e200.  Then refusals come scale by
-# scale, and within a scale in the order: twist-sector coupling,
-# Hermiticity, block path, k_max, window.  eps = 1e-7 is in range.
+# Bad window constants are refused first, with the other arguments, before
+# the plan is built.  Then a scale out of range is refused, before any scale
+# is solved: a fiber momentum overflows when squared at eps = 1e-200, and
+# (collapse_run only) the fiber diameter at eps = 1e200.  Then refusals come
+# scale by scale, and within a scale in the order: twist-sector coupling,
+# Hermiticity, block path, k_max.  eps = 1e-7 is in range.
 @pytest.mark.parametrize(
     "faults, epsilons, k_max, window_a, message",
     [
         ({1: {"coupled"}}, [1.0, 0.5], 10**6, 1.0, K_MAX),
-        ({1: {"coupled"}}, [1.0, 0.5], 2, -1.0, WINDOW),
+        ({0: {"coupled", "hermitian", "uncertified"}}, [1e200, 1e-200], 10**6, -1.0, WINDOW),
         ({1: {"coupled"}}, [1.0, 0.5], 2, 1.0, COUPLED),
-        ({0: {"coupled"}}, [1.0, 0.5], 10**6, -1.0, COUPLED),
+        ({0: {"coupled"}}, [1.0, 0.5], 10**6, 1.0, COUPLED),
         ({1: {"coupled", "hermitian", "uncertified"}}, [1.0, 0.5], 2, 1.0, COUPLED),
-        ({1: {"hermitian"}}, [1.0, 0.5], 2, -1.0, WINDOW),
         ({0: {"hermitian", "uncertified"}}, [1.0, 0.5], 10**6, 1.0, HERMITIAN),
-        ({1: {"uncertified"}}, [1.0, 0.5], 2, -1.0, WINDOW),
-        ({0: {"uncertified"}}, [1.0, 0.5], 10**6, -1.0, BLOCK_PATH),
+        ({0: {"uncertified"}}, [1.0, 0.5], 10**6, 1.0, BLOCK_PATH),
         ({}, [1.0, 1e-7], 10**6, 1.0, K_MAX),
-        ({}, [1.0, 1e-7], 2, -1.0, WINDOW),
-        ({0: {"coupled"}}, [1e200, 1.0], 10**6, -1.0, DIAMETER),
+        ({0: {"coupled"}}, [1e200, 1.0], 10**6, 1.0, DIAMETER),
         ({0: {"coupled"}}, [1.0, 1e-7], 2, 1.0, COUPLED),
-        ({0: {"coupled"}}, [1e-7, 1e-200], 10**6, -1.0, MOMENTUM),
+        ({0: {"coupled"}}, [1e-7, 1e-200], 10**6, 1.0, MOMENTUM),
     ],
 )
 def test_collapse_refusals_keep_scale_order(monkeypatch, faults, epsilons, k_max, window_a, message):
     _inject(monkeypatch, faults)
     with pytest.raises((ValueError, RuntimeError), match=message):
         collapse_run(_rot4_spinor_model(), spinor_gammas(3), epsilons, k_max, 2, window_a=window_a)
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        (dict(window_a=-1.0), WINDOW),
+        (dict(window_c=-1.0), WINDOW),
+        (dict(window_a=float("nan")), WINDOW),
+        (dict(window_c=float("inf")), r"^window_c must be finite, got inf$"),
+    ],
+)
+def test_collapse_refuses_window_constants_before_the_plan(monkeypatch, window, message):
+    import diraclab.collapse as collapse
+
+    def no_plan(*args):
+        raise AssertionError("the plan was built")
+
+    monkeypatch.setattr(collapse, "_mapping_plan", no_plan)
+    with pytest.raises(ValueError, match=message):
+        collapse_run(_rot4_spinor_model(), spinor_gammas(3), [1.0, 0.5], 2, 2, **window)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 """Import-time dependencies: the package runs on numpy alone, no path
-through it loads more of numpy than numpy itself does, and its modules
-import each other one way, at module level, within a size budget."""
+through it loads more of numpy than numpy itself does, its modules import
+each other one way, at module level, within a size budget, and every name
+they export exists."""
 
 import ast
 import graphlib
+import importlib
 import json
 import os
 import subprocess
@@ -115,3 +117,18 @@ def test_package_imports_run_one_way():
 def test_no_module_exceeds_the_line_budget():
     sizes = {p.name: len(p.read_text().splitlines()) for p in (SRC / "diraclab").glob("*.py")}
     assert {name: n for name, n in sizes.items() if n > MODULE_LINES} == {}
+
+
+def test_exports_resolve_and_the_package_imports_only_exports():
+    # __main__ runs the CLI when imported, and exports nothing
+    for path in sorted((SRC / "diraclab").glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        name = "diraclab" if path.stem == "__init__" else f"diraclab.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], name
+    for node in ast.parse((SRC / "diraclab" / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            exported = importlib.import_module(f"diraclab.{node.module}").__all__
+            assert [a.name for a in node.names if a.name not in exported] == [], node.module

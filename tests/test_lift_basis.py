@@ -36,8 +36,8 @@ CLOSURE = "holonomy closure exceeded 1024 elements; generators do not span a sma
 
 
 def _reference_sector(lift, d, base_shift):
-    """(theta, size, invariant) per cluster of the twist of orbit size d,
-    from an eig of that twist itself."""
+    """(theta, size) per cluster of the twist of orbit size d, from an eig
+    of that twist itself."""
     loop_phase = -1.0 if (base_shift == 0.5 and d % 2 == 1) else 1.0
     twist = loop_phase * np.linalg.matrix_power(np.asarray(lift, dtype=complex), d)
     vals, q = np.linalg.eig(twist)
@@ -50,11 +50,7 @@ def _reference_sector(lift, d, base_shift):
     tq = q.conj().T @ twist @ q
     off = tq - np.diag(np.diag(tq))
     assert max(np.max(np.abs(off)), np.max(np.abs(q.conj().T @ q - np.eye(len(q))))) <= STRUCTURE_TOL
-    fixed_images = np.abs(lift @ q - q).max(axis=0)
-    return [
-        (theta, len(idxs), bool(np.all(fixed_images[idxs] <= STRUCTURE_TOL)))
-        for theta, idxs in clusters
-    ]
+    return [(theta, len(idxs)) for theta, idxs in clusters]
 
 
 def _reference_lift_basis(lift):
@@ -198,7 +194,7 @@ def _with_lift(model, lift):
 
 
 def _canonical(clusters):
-    """Clusters (theta, size, invariant) in the order of theta mod 1, a
+    """Clusters (theta, size, ...) in the order of theta mod 1, a
     theta within 1e-9 of a whole turn counting as 0."""
     def key(c):
         turn = c[0] % 1.0
@@ -208,8 +204,8 @@ def _canonical(clusters):
 
 
 def _assert_same_clusters(got, ref):
-    """Equal (theta, size, flag) clusters: thetas within 1e-12 of a turn,
-    sizes and flags equal."""
+    """Equal (theta, size, ...) clusters: thetas within 1e-12 of a turn, the
+    rest equal."""
     got, ref = _canonical(got), _canonical(ref)
     assert [c[1:] for c in got] == [c[1:] for c in ref]
     for (a, *_), (b, *_) in zip(got, ref):
@@ -218,7 +214,7 @@ def _assert_same_clusters(got, ref):
 
 
 def _sector_clusters(sector):
-    return [(t, len(idxs), inv) for (t, idxs), inv in zip(sector.clusters, sector.invariant)]
+    return [(t, len(idxs)) for t, idxs in sector.clusters]
 
 
 def _parallel_outcome(model, basis):
@@ -412,7 +408,7 @@ def test_lift_is_diagonalized_once_per_plan(monkeypatch):
         (_rot4_mapping(), exterior_module(3), lambda m, cm: collapse_run(m, cm, [1.0, 0.5], 2, 2)),
         (_blocking_mapping(), spinor_gammas(3), lambda m, cm: blowup_check(m, cm, [1.0, 0.5], 2)),
         (_rot4_mapping(), exterior_module(3), lambda m, cm: limit_operator(m, cm, 2)),
-        (_rot4_mapping(), exterior_module(3), lambda m, cm: fiber_invariant_split(m, cm, 2)),
+        (_rot4_mapping(), exterior_module(3), lambda m, cm: fiber_invariant_split(m, cm)),
     ]
     for model, cm, run in runs:
         for lifted, count in ((model, 0), (given_lift(model, cm), 1)):
@@ -433,7 +429,7 @@ def test_collapse_path_builds_no_holonomy_group(monkeypatch):
     assert collapse_run(_rot4_mapping(), spinor_gammas(3), [1.0, 0.5], 2, 2).verdict == "blows_up"
     assert blowup_check(_blocking_mapping(), spinor_gammas(3), [1.0, 0.5], 2).rate > 0.0
     limit_operator(_rot4_mapping(), exterior_module(3), 2)
-    assert fiber_invariant_split(_rot4_mapping(), exterior_module(3), 2).dim == 4
+    assert fiber_invariant_split(_rot4_mapping(), exterior_module(3)).dim == 4
 
 
 def _irrational_lift_mapping(cm):
@@ -451,7 +447,7 @@ def _irrational_lift_mapping(cm):
         lambda m, cm: collapse_run(m, cm, [1.0, 0.5], 2, 2),
         lambda m, cm: blowup_check(m, cm, [1.0, 0.5], 2),
         lambda m, cm: limit_operator(m, cm, 2),
-        lambda m, cm: fiber_invariant_split(m, cm, 2),
+        lambda m, cm: fiber_invariant_split(m, cm),
     ],
     ids=["collapse_run", "blowup_check", "limit_operator", "fiber_invariant_split"],
 )

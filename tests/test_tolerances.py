@@ -119,8 +119,8 @@ def _asymmetric(scale: float, skew: float) -> np.ndarray:
 
 
 def _assembled(m):
-    info = BlockInfo(np.zeros((1, 1)), np.array([2]), np.zeros(1), np.zeros(1, dtype=bool))
-    AssembledOperator([m[None]], info, 1, "test")
+    info = BlockInfo(np.zeros((1, 1)), np.array([2]), np.zeros(1))
+    AssembledOperator([m[None]], info, 1)
 
 
 def _delta_block(m):
@@ -150,7 +150,7 @@ def test_hermiticity_is_relative_to_the_largest_entry(check, tol, message):
 
 def test_perturbation_grid_operators_are_checked():
     gammas = np.array([[[0.0, 1.0], [1.0 + 1e-6, 0.0]]], dtype=complex)
-    bad = CliffordModule(1, "spin", 2, gammas, np.zeros((1, 1, 2, 2), dtype=complex))
+    bad = CliffordModule(1, 2, gammas, np.zeros((1, 1, 2, 2), dtype=complex))
     with pytest.raises(
         ValueError, match=r"^Dirac operator at grid point t=0\.0 is not Hermitian \(residual "
     ):
