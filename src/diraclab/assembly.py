@@ -1,10 +1,10 @@
 """Exact Fourier assembly of Dirac-type operators on the flat models.
 
-Flat tori diagonalize over dual-lattice modes: the operator restricted to
-the mode k is the Clifford action of the physical momentum
-2 pi B^-T (k + shift).  Mapping tori are assembled from their scale-free
-plan (see the mapping module), in blocks that are exact in floating point
-too; no discretization error enters anywhere.
+Every model is assembled from its scale-free plan (see the mapping module),
+in blocks that are exact in floating point; no discretization error enters
+anywhere.  A flat torus is a plan with one block per dual-lattice mode k:
+the Clifford action of the physical momentum 2 pi B^-T (k + shift), with no
+base direction.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordModule, casimir
-from .mapping import EmptyInvariantSpaceError, _flat_modes, _mapping_plan, _parallel_columns
+from .mapping import EmptyInvariantSpaceError, _flat_modes, _parallel_columns, _plan
 from .mapping import _resolve_lift, _scaled_momenta
 from .models import FD_STEP, AffineMappingTorus, FlatTorusModel, _check_fd_step
 from .spectral import WEIGHT_TOL, AssembledOperator, BlockInfo, Spectrum, _default_tol, eigensolve
@@ -34,27 +34,11 @@ __all__ = [
 ]
 
 
-def _flat_momenta(model: FlatTorusModel, cm: CliffordModule, truncation: int):
-    """Provenance (one untwisted block per mode) and momenta of a flat
-    torus's modes."""
-    if cm.n != model.n:
-        raise ValueError(f"module dimension {cm.n} does not match torus rank {model.n}")
-    modes = _flat_modes(model, truncation)
-    n = len(modes)
-    info = BlockInfo(modes, np.full(n, cm.dim_v), np.zeros(n))
-    return info, model.dual_momentum(modes)
-
-
 def assemble_dirac(
     model: FlatTorusModel | AffineMappingTorus, cm: CliffordModule, truncation: int
 ) -> AssembledOperator:
-    """Dirac operator of the model on all retained Fourier modes."""
-    if isinstance(model, FlatTorusModel):
-        info, p = _flat_momenta(model, cm, truncation)
-        return AssembledOperator([cm.gamma(p)], info, truncation)
-    if isinstance(model, AffineMappingTorus):
-        return _mapping_plan(model, cm, truncation).dirac(model)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    """Dirac operator of the model on all retained Fourier modes, at its fiber scale (1 if flat)."""
+    return _plan(model, cm, truncation).dirac(getattr(model, "fiber_scale", 1.0))
 
 
 def bochner_rhs(
@@ -68,13 +52,7 @@ def bochner_rhs(
     assemble_dirac is a genuine two-route identity check.  The curvature
     correction vanishes here because the models are flat.
     """
-    if isinstance(model, FlatTorusModel):
-        info, p = _flat_momenta(model, cm, truncation)
-        stack = np.sum(p * p, axis=1)[:, None, None] * np.eye(cm.dim_v)
-        return AssembledOperator([stack], info, truncation)
-    if isinstance(model, AffineMappingTorus):
-        return _mapping_plan(model, cm, truncation).bochner(model)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return _plan(model, cm, truncation).bochner(getattr(model, "fiber_scale", 1.0))
 
 
 # the largest fiber mode box fiber_invariant_split enumerates for its gap
@@ -141,7 +119,7 @@ def limit_operator(
     model's plan refuses first.  The operator is the zero-mode orbit's rows
     of the plan's table at p = 0, labeled by their base index alone.
     """
-    plan = _mapping_plan(model, cm, truncation)
+    plan = _plan(model, cm, truncation)
     rows = plan.limit_rows()
     full = plan.block_info
     info = BlockInfo(full.modes[rows, -1:], full.sizes[rows], full.twist[rows])
@@ -173,11 +151,11 @@ def frame_bundle_operator(
         raise ValueError("module weights are not half-integral")
     if group_truncation < int(np.max(np.abs(np.round(doubled)))):
         raise ValueError("group-circle truncation cannot carry the module weights")
-    p = model.dual_momentum(_flat_modes(model, truncation))
-    horizontal = np.sum(p * p, axis=1)
+    plan = _plan(model, cm, truncation)
+    horizontal = np.sum(plan.unit_momenta**2, axis=1)
     # equivariance pairs the V-weight w with the group mode -w
     lap_values = np.sort((horizontal[:, None] + wvals[None, :] ** 2 - c_v).ravel())
-    dirac_spec = eigensolve(assemble_dirac(model, cm, truncation))
+    dirac_spec = eigensolve(plan.dirac())
     sq = np.sort(dirac_spec.values**2)
     tol = _default_tol(sq)
     return (

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordModule
-from .mapping import EmptyInvariantSpaceError, _flat_modes, _mapping_plan, _parallel_columns
+from .mapping import EmptyInvariantSpaceError, _flat_modes, _parallel_columns, _plan
 from .models import (
     FD_STEP,
     AffineMappingTorus,
@@ -187,7 +187,7 @@ def collapse_run(
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     _check_window(window_a, window_c)
-    plan = _mapping_plan(model, cm, truncation)
+    plan = _plan(model, cm, truncation)
     diam = model.fiber.diameter()
     _check_scaled("the fiber diameter", eps, [e * diam for e in eps])
     solved = plan.symbol_spectra(eps)
@@ -263,12 +263,12 @@ def blowup_check(
     and each scale's min |spec| is read off its spectrum.  Refusals come as
     in collapse_run, without the diameter, k_max and window.
     """
-    plan = _mapping_plan(model, cm, truncation)
+    eps = _check_epsilons(epsilons)
+    plan = _plan(model, cm, truncation)
     if _parallel_columns(model, plan.basis).any():
         raise ValueError(
             "model has parallel sections; its spectrum converges instead of escaping"
         )
-    eps = _check_epsilons(epsilons)
     solved = plan.symbol_spectra(eps)
     mins = [float(_smallest_abs(solved.at(i).values, 1)[0]) for i in range(len(eps))]
     rate = min(m * e for m, e in zip(mins, eps))

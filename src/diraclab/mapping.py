@@ -1,4 +1,4 @@
-"""The scale-free plan of a mapping-torus assembly, and the truncation.
+"""The scale-free plan of every assembly, and the truncation.
 
 One base loop sends the fiber mode zeta to holonomy^T zeta while acting on
 module values by the unitary lift, so modes group into finite orbits, each
@@ -9,26 +9,26 @@ with |k + shift| <= truncation per component, and the base indices
 splits every orbit into blocks that are exact in floating point.  A
 block's rows are labeled by the lexicographically smallest fiber mode of its
 orbit followed by its base Fourier index, and by a module index that refers
-to the lift basis (the standard basis for a given diagonal lift).
+to the lift basis (the standard basis for a given diagonal lift).  A flat
+torus is a plan too, with one orbit per mode, the identity lift and no base
+direction (see _plan), so every operator that the assembly module builds
+comes from a plan.
 
 The lift is diagonalized once, a computed one with its generator's eigh.
 Every power of the lift, so every orbit twist, is diagonal in that
 orthonormal basis; _parallel_columns alone decides which of its columns
-parallel sections take.  Only the fiber momenta of a mapping torus
-depend on the fiber scale, as 1/fiber_scale.  Its assembly is therefore
-split into a scale-free plan, which solves the orbits' fiber momenta at
-unit scale, and a step that divides them by the scale.  The plan keeps
-one block table: per block in row order its orbit, its twist cluster and
-its base momentum, and per cluster size the gammas restricted to those
-clusters as one stack.  The step forms each size
-class's blocks from these rows.  A collapse run builds the plan once and
-solves all its scales in one stacked pass over the symbols of the same rows
-(see the symbols module).  The limit operator is the zero-mode orbit's rows
-at zero fiber momentum; as that orbit's momentum is zero at every scale,
-a collapse run reads the limit's spectrum off those rows of the scales'
-solution.
+parallel sections take.  Only the fiber momenta depend on the fiber scale,
+as 1/fiber_scale, so the plan solves them at unit scale and a step divides
+them by the scale.  The plan keeps one block table: per block in row order
+its orbit, its twist cluster and its base momentum, and per cluster size
+the gammas restricted to those clusters as one stack.  The step forms each
+size class's blocks from these rows.  A collapse run builds the plan once
+and solves all its scales in one stacked pass over the symbols of the same
+rows (see the symbols module).  The limit operator is the zero-mode orbit's
+rows at zero fiber momentum; as that orbit's momentum is zero at every
+scale, a collapse run reads the limit's spectrum off those rows of the
+scales' solution.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -276,23 +276,22 @@ def _orbit_layout(
 
 @dataclass(frozen=True, eq=False)
 class _MappingPlan:
-    """The part of a mapping-torus assembly that the fiber scale leaves
-    alone: the lift basis, the gammas in it, the twist sectors (by orbit
-    size), the orbit representatives and their fiber momenta at unit fiber
-    scale (O, m), per orbit its twist sector's coupling mask
-    (O, dim_v, dim_v), and one block table.  The table is the block
+    """The part of a mapping or flat torus's assembly that the fiber scale
+    leaves alone: the lift basis, the gammas in it (fiber, then base), the
+    twist sectors (by orbit size), the orbit representatives and their fiber
+    momenta at unit fiber scale (O, m), per orbit its twist sector's
+    coupling mask (O, dim_v, dim_v), and one block table.  The table is the block
     provenance and, per block in row order, its orbit, its twist cluster
     and its base momentum beta; per cluster size s, clusters holds those
     clusters' numbers (C_s,), their lift-basis columns (C_s, s) and the
     gammas restricted to them (C_s, n, s, s).  The block path, the symbol
     certificate and the limit all read these rows; the limit's are
     limit_rows, the zero-mode orbit's.  Only the fiber momenta scale, as
-    1/fiber_scale: dirac and bochner (of scaled, the plan's model at the
-    wanted scale) and symbol_spectra divide the unit-scale ones by the scale
-    (_scaled_momenta).  Every block is formed by _blocks."""
+    1/fiber_scale: dirac, bochner and symbol_spectra divide the unit-scale
+    ones by the scale eps (_scaled_momenta).  Every block is formed by
+    _blocks."""
 
-    model: AffineMappingTorus
-    cm: CliffordModule
+    model: FlatTorusModel | AffineMappingTorus
     truncation: int
     basis: _LiftBasis
     gammas_q: np.ndarray
@@ -306,10 +305,10 @@ class _MappingPlan:
     beta: np.ndarray
     clusters: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    def dirac(self, scaled: AffineMappingTorus) -> AssembledOperator:
-        """Dirac operator at the fiber scale of scaled; refuses a scale out
-        of range, then a coupling symbol, before forming a block."""
-        p = _scaled_momenta(self.unit_momenta, [scaled.fiber_scale])[0]
+    def dirac(self, eps: float = 1.0) -> AssembledOperator:
+        """Dirac operator at the fiber scale eps; refuses a scale out of
+        range, then a coupling symbol, before forming a block."""
+        p = _scaled_momenta(self.unit_momenta, [eps])[0]
         if self.coupled(p[None], slice(None)).any():
             raise ValueError(_COUPLED)
         stacks = self._blocks(slice(None), p)
@@ -319,10 +318,9 @@ class _MappingPlan:
         """The blocks of the table's rows in rows (a slice, or ascending
         indices) at the orbit fiber momenta p (O, m), one stack per size
         class present, ascending, each in row order.  The blocks take their
-        orbit and cluster's part of q^H gamma(p) q plus beta times their
-        cluster's base gamma."""
-        gp = self.cm.gamma(np.column_stack([p, np.zeros(len(p))]))
-        gp_q = self.basis.q.conj().T @ gp @ self.basis.q
+        orbit and cluster's part of q^H gamma(p) q (one einsum of p with
+        gammas_q) plus beta times their cluster's base gamma."""
+        gp_q = np.einsum("ok,kij->oij", p, self.gammas_q[: p.shape[1]])
         orbit, cluster, beta = self.orbit[rows], self.cluster[rows], self.beta[rows]
         sizes = self.block_info.sizes[rows]
         stacks = []
@@ -338,10 +336,10 @@ class _MappingPlan:
                 stacks.append(blocks)
         return stacks
 
-    def bochner(self, scaled: AffineMappingTorus) -> AssembledOperator:
-        """Connection Laplacian at the fiber scale of scaled, from
-        |p|^2 + beta^2 alone."""
-        p = _scaled_momenta(self.unit_momenta, [scaled.fiber_scale])[0]
+    def bochner(self, eps: float = 1.0) -> AssembledOperator:
+        """Connection Laplacian at the fiber scale eps, from |p|^2 + beta^2
+        alone."""
+        p = _scaled_momenta(self.unit_momenta, [eps])[0]
         r2 = np.sum(p * p, axis=1)[self.orbit] + self.beta * self.beta
         sizes = self.block_info.sizes
         stacks = [r2[sizes == s, None, None] * np.eye(s) for s in self.clusters]
@@ -412,18 +410,41 @@ def _scaled_momenta(unit: np.ndarray, eps: list[float]) -> np.ndarray:
     return unit / np.array(eps)[:, None, None]
 
 
-def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int) -> _MappingPlan:
-    """Build the scale-free plan of a mapping torus once; its
-    dirac(model.with_scale(eps)) then assembles any fiber scale without
-    redoing orbits, twists or the momenta's solve."""
-    basis = _resolve_lift(model, cm)
-    gammas_q = basis.q.conj().T @ cm.gammas @ basis.q
-    reps, sizes = _holonomy_orbits(model, truncation)
-    sectors = {d: _twist_sector(basis, d, model.base_shift) for d in sorted(set(sizes.tolist()))}
-    zeta0 = reps + model.fiber.spin_shift
-    # one (1, m) @ (m, 1) product per orbit rounds like a dot of one orbit
-    conn_dot = (zeta0[:, None, :] @ model.connection[:, None])[:, 0, 0]
-    table = _orbit_layout(sectors, reps, sizes, conn_dot, model.base_length, truncation)
+def _plan(
+    model: FlatTorusModel | AffineMappingTorus, cm: CliffordModule, truncation: int
+) -> _MappingPlan:
+    """Build the scale-free plan of a model once (the one place that tells
+    the model types apart); its dirac(eps) then assembles any fiber scale
+    without redoing orbits, twists or the momenta's solve.  A flat torus
+    has one orbit and block per retained mode, labeled by the mode alone,
+    the identity lift basis, one twist cluster of all dim_v rows at twist 0
+    and no base direction: a zero base gamma makes every beta 0, so the base
+    terms of its blocks and symbols vanish without a branch."""
+    if isinstance(model, FlatTorusModel):
+        if cm.n != model.n:
+            raise ValueError(f"module dimension {cm.n} does not match torus rank {model.n}")
+        basis = _LiftBasis(np.eye(cm.dim_v), np.eye(cm.dim_v), np.zeros(cm.dim_v))
+        gammas = np.concatenate([cm.gammas, np.zeros_like(cm.gammas[:1])])
+        reps = _flat_modes(model, truncation)
+        k = len(reps)
+        sizes = np.ones(k, dtype=np.int64)
+        sectors = {1: _twist_sector(basis, 1, 0.0)}
+        info = BlockInfo(reps, np.full(k, cm.dim_v), np.zeros(k))
+        table = (info, np.arange(k), np.zeros(k, dtype=np.intp), np.zeros(k))
+        unit = model.dual_momentum(reps)
+    elif isinstance(model, AffineMappingTorus):
+        basis, gammas = _resolve_lift(model, cm), cm.gammas
+        reps, sizes = _holonomy_orbits(model, truncation)
+        orders = sorted(set(sizes.tolist()))
+        sectors = {d: _twist_sector(basis, d, model.base_shift) for d in orders}
+        zeta0 = reps + model.fiber.spin_shift
+        # one (1, m) @ (m, 1) product per orbit rounds like a dot of one orbit
+        conn_dot = (zeta0[:, None, :] @ model.connection[:, None])[:, 0, 0]
+        table = _orbit_layout(sectors, reps, sizes, conn_dot, model.base_length, truncation)
+        unit = model.fiber.dual_momentum(reps)
+    else:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    gammas_q = basis.q.conj().T @ gammas @ basis.q
     cols = [idxs for sec in sectors.values() for _, idxs in sec.clusters]
     clusters = {}
     for s in sorted({len(c) for c in cols}):
@@ -431,8 +452,8 @@ def _mapping_plan(model: AffineMappingTorus, cm: CliffordModule, truncation: int
         grid = np.array([cols[i] for i in ids])
         gammas = gammas_q[:, grid[:, :, None], grid[:, None, :]].swapaxes(0, 1)
         clusters[s] = (ids, grid, gammas)
-    coupling = np.array([sectors[d].coupling for d in sizes.tolist()])
-    unit = model.fiber.dual_momentum(reps)
+    coupling = np.array([sec.coupling for sec in sectors.values()])
+    coupling = coupling[np.searchsorted(list(sectors), sizes)]
     return _MappingPlan(
-        model, cm, truncation, basis, gammas_q, sectors, reps, unit, coupling, *table, clusters
+        model, truncation, basis, gammas_q, sectors, reps, unit, coupling, *table, clusters
     )

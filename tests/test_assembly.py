@@ -28,8 +28,8 @@ from diraclab.mapping import (
     _flat_modes,
     _holonomy_orbits,
     _lift_basis,
-    _mapping_plan,
     _mode_ranges,
+    _plan,
     _resolve_lift,
     _twist_sector,
 )
@@ -117,6 +117,69 @@ def test_bochner_identity_flat(model, module):
     assert np.max(np.abs(sq - rhs)) < 1e-10 * scale
 
 
+@st.composite
+def _flat_tori(draw):
+    """Rank 1-3 flat tori with skewed (upper-triangular) bases and spin
+    shifts 0 or 1/2 per direction."""
+    rank = draw(st.integers(1, 3))
+    basis = np.diag(draw(st.lists(st.floats(0.5, 1.5), min_size=rank, max_size=rank)))
+    skew = draw(st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3))
+    basis[np.triu_indices(rank, 1)] = skew[: rank * (rank - 1) // 2]
+    shift = draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=rank, max_size=rank))
+    return FlatTorusModel(basis, np.array(shift))
+
+
+@settings(max_examples=60)
+@given(torus=_flat_tori(), exterior=st.booleans(), truncation=st.integers(1, 3))
+def test_flat_plans_certify(torus, exterior, truncation):
+    # a flat torus is a plan with one block per mode and no base direction:
+    # its symbols certify +-|p| on every block, as eigh finds, and its
+    # Bochner blocks are |p|^2 I, mode by mode
+    cm = exterior_module(torus.n) if exterior else spinor_gammas(torus.n)
+    symbols = _plan(torus, cm, truncation).symbol_spectra([1.0])
+    solved = symbols.at(0)
+    assert symbols.certified.all()
+    ref = eigensolve(assemble_dirac(torus, cm, truncation)).values
+    assert len(solved) == len(ref)
+    assert np.all(np.abs(solved.values - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    modes = _flat_modes(torus, truncation)
+    p = torus.dual_momentum(modes)
+    rhs = bochner_rhs(torus, cm, truncation)
+    assert np.array_equal(rhs.block_info.modes, modes)
+    (stack,) = rhs.stacks
+    assert np.array_equal(stack, np.sum(p * p, axis=1)[:, None, None] * np.eye(cm.dim_v))
+
+
+def test_flat_gammas_that_fail_to_anticommute_take_eigh():
+    # gamma_1 turned towards gamma_0 still squares to I and is Hermitian, but
+    # D^2 = (|p|^2 + 2 p_0 p_1 sin(tilt)) I: the blocks with p_0 p_1 != 0 fail
+    # their certificate and are solved by eigh, the rest take +-|p|
+    cm = spinor_gammas(2)
+    gammas = cm.gammas.copy()
+    gammas[1] = np.cos(1e-3) * cm.gammas[1] + np.sin(1e-3) * cm.gammas[0]
+    tilted = CliffordModule(2, 2, gammas, cm.sigmas)
+    torus = FlatTorusModel(np.eye(2), np.zeros(2))
+    plan = _plan(torus, tilted, 2)
+    symbols = plan.symbol_spectra([1.0])
+    p = plan.unit_momenta
+    assert np.array_equal(symbols.certified[0], p[:, 0] * p[:, 1] == 0.0)
+    _assert_same_spectrum(symbols.at(0), eigensolve(assemble_dirac(torus, tilted, 2)))
+
+
+def test_flat_skewed_gamma_is_not_hermitian():
+    # both the block path and the symbols refuse a non-Hermitian gamma_0
+    cm = spinor_gammas(2)
+    gammas = cm.gammas.copy()
+    gammas[0, 1, 0] += 1e-6
+    skewed = CliffordModule(2, 2, gammas, cm.sigmas)
+    plan = _plan(FlatTorusModel(np.eye(2), np.array([0.5, 0.0])), skewed, 2)
+    message = r"^assembled operator is not Hermitian \(residual "
+    with pytest.raises(ValueError, match=message):
+        plan.dirac()
+    with pytest.raises(ValueError, match=message):
+        plan.symbol_spectra([1.0]).at(0)
+
+
 def test_bochner_identity_mapping():
     mt = _simple_mapping()
     cm = spinor_gammas(2)
@@ -132,8 +195,9 @@ def test_truncation_validation():
         assemble_dirac(_circle(), spinor_gammas(1), 0)
     with pytest.raises(ValueError):  # wrong module dimension
         assemble_dirac(_circle(), spinor_gammas(2), 2)
-    with pytest.raises(TypeError):
-        assemble_dirac("nope", spinor_gammas(1), 2)
+    for build in (assemble_dirac, bochner_rhs):
+        with pytest.raises(TypeError, match="^unsupported model type str$"):
+            build("nope", spinor_gammas(1), 2)
 
 
 def test_mapping_connection_shifts_base_frequency():
@@ -283,17 +347,20 @@ def _untwisted_mapping(basis, shift):
     )
 
 
-def _brute_gap(fiber):
-    """Smallest nonzero fiber |p| over a box that holds the exact gap's: a
-    candidate |p| bounds the gap, and |k_i + shift_i| <= ||B||_2 |p| / 2 pi
-    bounds every mode at or below it."""
-    periodic = not fiber.spin_shift.any()
-    first = np.eye(fiber.n, dtype=int)[0] if periodic else np.zeros(fiber.n, dtype=int)
-    bound = np.linalg.norm(fiber.dual_momentum(first))
-    reach = int(np.ceil(np.linalg.norm(fiber.lattice_basis, 2) * bound / (2 * np.pi))) + 1
+def _nonzero_momenta(fiber, reach):
+    """Fiber momenta of the box |k + shift| <= reach, the zero mode left out."""
     modes = _flat_modes(fiber, reach)
-    modes = modes[modes.any(axis=1) | (not periodic)]
-    return float(np.min(np.linalg.norm(fiber.dual_momentum(modes), axis=1))), reach
+    modes = modes[modes.any(axis=1) | bool(fiber.spin_shift.any())]
+    return np.linalg.norm(fiber.dual_momentum(modes), axis=1)
+
+
+def _brute_gap(fiber):
+    """Smallest nonzero fiber |p| over a box that holds the exact gap's: the
+    smallest candidate |p| of the unit box bounds the gap, and
+    |k_i + shift_i| <= ||B||_2 |p| / 2 pi bounds every mode at or below it."""
+    bound = np.min(_nonzero_momenta(fiber, 1))
+    reach = int(np.ceil(np.linalg.norm(fiber.lattice_basis, 2) * bound / (2 * np.pi))) + 1
+    return float(np.min(_nonzero_momenta(fiber, reach))), reach
 
 
 def test_fiber_gap_does_not_depend_on_a_box():
@@ -318,7 +385,8 @@ def test_fiber_gap_is_the_smallest_momentum(rank, diagonal, skew, half, eps):
     basis[np.triu_indices(rank, 1)] = skew[: rank * (rank - 1) // 2]
     model = _untwisted_mapping(basis, np.full(rank, 0.5 if half else 0.0))
     gap, reach = _brute_gap(model.fiber)
-    assert reach <= 20
+    # at most 21 over these bases: a rank-3 box of 43^3 modes
+    assert reach <= 21
     cm = spinor_gammas(rank + 1)
     split = fiber_invariant_split(model.with_scale(eps), cm)
     assert split.dim == (0 if half else cm.dim_v)
@@ -625,12 +693,12 @@ def _hex_rot6_mapping():
 )
 def test_plan_is_scale_free(model, module, truncation):
     # the plan is built at the model's own fiber scale and reused at others
-    plan = _mapping_plan(model, module, truncation)
+    plan = _plan(model, module, truncation)
     for eps in (1.0, 0.5, 0.125):
         scaled = model.with_scale(eps)
         pairs = [
-            (plan.dirac(scaled), assemble_dirac(scaled, module, truncation)),
-            (plan.bochner(scaled), bochner_rhs(scaled, module, truncation)),
+            (plan.dirac(eps), assemble_dirac(scaled, module, truncation)),
+            (plan.bochner(eps), bochner_rhs(scaled, module, truncation)),
         ]
         for got, ref in pairs:
             assert got.truncation == ref.truncation
@@ -688,7 +756,7 @@ def _mapping_models(draw):
 def test_plan_matches_assembly_over_model_space(model, exterior, truncation, eps):
     module = exterior_module(3) if exterior else spinor_gammas(3)
     scaled = model.with_scale(eps)
-    got = _mapping_plan(model, module, truncation).dirac(scaled)
+    got = _plan(model, module, truncation).dirac(eps)
     ref = assemble_dirac(scaled, module, truncation)
     assert got.truncation == ref.truncation
     rhs = bochner_rhs(scaled, module, truncation)
@@ -722,13 +790,13 @@ def test_limit_operator_is_the_plan_zero_mode_rows(drawn, exterior, truncation, 
         fiber_scale=drawn.fiber_scale,
     )
     module = exterior_module(3) if exterior else spinor_gammas(3)
-    plan = _mapping_plan(model, module, truncation)
+    plan = _plan(model, module, truncation)
     try:
         limit = limit_operator(model, module, truncation)
     except EmptyInvariantSpaceError:
         assert not exterior and not np.array_equal(model.holonomy, np.eye(2))
         return
-    op = plan.dirac(model.with_scale(eps))
+    op = plan.dirac(eps)
     zero = np.flatnonzero(~op.block_info.modes[:, :-1].any(axis=1))
     assert len(zero) == len(limit.blocks) and np.array_equal(zero, np.arange(zero[0], zero[-1] + 1))
     for got, want in zip(limit.blocks, [op.blocks[i] for i in zero]):
@@ -765,8 +833,8 @@ def _assert_same_spectrum(got, ref):
 )
 def test_symbol_spectra_match_block_path_over_model_space(model, exterior, truncation, eps):
     module = exterior_module(3) if exterior else spinor_gammas(3)
-    plan = _mapping_plan(model, module, truncation)
-    ref = eigensolve(plan.dirac(model.with_scale(eps)))
+    plan = _plan(model, module, truncation)
+    ref = eigensolve(plan.dirac(eps))
     symbols = plan.symbol_spectra([eps])
     solved = symbols.at(0)
     # on valid modules every block is certified, so no block is formed
@@ -802,7 +870,7 @@ def test_limit_is_the_zero_mode_rows_of_every_scale(drawn, exterior, truncation,
         base_shift=drawn.base_shift,
     )
     module = exterior_module(3) if exterior else spinor_gammas(3)
-    plan = _mapping_plan(model, module, truncation)
+    plan = _plan(model, module, truncation)
     try:
         rows = plan.limit_rows()
     except EmptyInvariantSpaceError:
@@ -823,7 +891,7 @@ def test_limit_rows_refuse_only_their_own_hermiticity():
     # solve as limit_operator's blocks do
     cm = _non_clifford_spinor(skew=1e-6)
     model = _identity_mapping()
-    plan = _mapping_plan(model, cm, 2)
+    plan = _plan(model, cm, 2)
     solved = plan.symbol_spectra([1.0, 0.5])
     limit = eigensolve(limit_operator(model, cm, 2))
     for i in range(2):
@@ -845,8 +913,8 @@ def test_symbol_zero_blocks_are_zeros(monkeypatch):
         base_length=1.0,
         holonomy_lift=np.eye(2, dtype=complex),
     )
-    plan = _mapping_plan(model, cm, 2)
-    refs = [eigensolve(plan.dirac(model)), eigensolve(limit_operator(model, cm, 2))]
+    plan = _plan(model, cm, 2)
+    refs = [eigensolve(plan.dirac()), eigensolve(limit_operator(model, cm, 2))]
     monkeypatch.setattr(mapping._MappingPlan, "_blocks", _no_blocks)
     scales = plan.symbol_spectra([model.fiber_scale])
     solved = [scales.at(0), scales.at(0, plan.limit_rows())]
@@ -885,9 +953,9 @@ def test_symbol_path_accepts_rank_three_axis_modes(monkeypatch, fiber_shift, tru
 
     cm = spinor_gammas(4)
     model = _fcc_cyclic_mapping(fiber_shift)
-    plan = _mapping_plan(model, cm, truncation)
+    plan = _plan(model, cm, truncation)
     eps = [1.0, 0.5]
-    refs = [eigensolve(plan.dirac(model.with_scale(e))) for e in eps]
+    refs = [eigensolve(plan.dirac(e)) for e in eps]
     assert plan.symbol_spectra(eps).certified.all()
     monkeypatch.setattr(mapping._MappingPlan, "_blocks", _no_blocks)
     report = collapse_run(model, cm, eps, 2, truncation)
@@ -926,13 +994,13 @@ def test_uncertified_symbols_take_the_block_path():
     # eigh exactly as the block path solves it
     cm = _non_clifford_spinor(base_factor=1.0 + 1e-6)
     model = _identity_mapping()
-    plan = _mapping_plan(model, cm, 2)
+    plan = _plan(model, cm, 2)
     eps = [1.0, 0.5]
     solved = plan.symbol_spectra(eps)
     assert not solved.certified.any()
     report = collapse_run(model, cm, eps, 2, 2)
     for i, e in enumerate(eps):
-        ref = eigensolve(plan.dirac(model.with_scale(e))).values
+        ref = eigensolve(plan.dirac(e)).values
         assert np.array_equal(solved.at(i).values, ref)
         assert np.array_equal(report.spectra_per_eps[i].values, ref)
     limit = eigensolve(limit_operator(model, cm, 2)).values
@@ -957,14 +1025,14 @@ def test_base_gamma_that_fails_to_anticommute_is_not_certified():
     # certificate and are solved by eigh, the rest take +-r
     cm = _tilted_base_spinor(1e-3)
     model = _identity_mapping()
-    plan = _mapping_plan(model, cm, 2)
+    plan = _plan(model, cm, 2)
     eps = [1.0, 0.5]
     solved = plan.symbol_spectra(eps)
     p0 = plan.unit_momenta[plan.orbit, 0]
     assert np.array_equal(solved.certified, np.broadcast_to(p0 == 0.0, solved.certified.shape))
     report = collapse_run(model, cm, eps, 2, 2)
     for i, e in enumerate(eps):
-        ref = eigensolve(plan.dirac(model.with_scale(e)))
+        ref = eigensolve(plan.dirac(e))
         _assert_same_spectrum(solved.at(i), ref)
         _assert_same_spectrum(report.spectra_per_eps[i], ref)
 
@@ -987,8 +1055,7 @@ def test_symbol_path_refuses_non_hermitian_symbols(monkeypatch):
 
 def _given_momenta(plan, p):
     """The plan with the orbit fiber momenta p at unit fiber scale, so that
-    its dirac at the model's unit scale and its symbol_spectra([1.0]) take
-    p itself (p / 1.0)."""
+    its dirac(1.0) and its symbol_spectra([1.0]) take p itself (p / 1.0)."""
     return dataclasses.replace(plan, unit_momenta=p)
 
 
@@ -1007,7 +1074,7 @@ def test_symbol_path_refuses_coupling_twist_sectors():
     # they refuse the same momenta with the same message, the last case
     # with every other orbit's symbol far larger
     cm = spinor_gammas(3)
-    plan = _mapping_plan(_rot4_mapping(), cm, 1)
+    plan = _plan(_rot4_mapping(), cm, 1)
     (zero,) = np.flatnonzero(~plan.reps.any(axis=1))
     message = "operator symbol couples distinct twist sectors"
     cases = [(size, 0.0) for size in (0.0, 1e-12, 5e-9, 2e-8, 1e-6, 1.0, 1e6)] + [(1e-3, 1e6)]
@@ -1015,7 +1082,7 @@ def test_symbol_path_refuses_coupling_twist_sectors():
         p = np.full((len(plan.reps), 2), elsewhere)
         p[zero] = (size, 0.0)
         given = _given_momenta(plan, p)
-        block = _refusal(lambda: given.dirac(plan.model.with_scale(1.0)))
+        block = _refusal(lambda: given.dirac(1.0))
         symbol = _refusal(lambda: given.symbol_spectra([1.0]).at(0))
         assert block == symbol
         assert block == (message if size > STRUCTURE_TOL else None)
@@ -1106,7 +1173,7 @@ def test_symbol_coupling_twist_sectors_is_refused(monkeypatch):
     import diraclab.mapping as mapping
 
     cm = spinor_gammas(3)
-    plan = _mapping_plan(_rot4_mapping(), cm, 1)
+    plan = _plan(_rot4_mapping(), cm, 1)
     # the zero mode is the only orbit of size 1; its twist is the lift,
     # which splits into two sectors that gamma_0 would mix
     (zero,) = np.flatnonzero(~plan.reps.any(axis=1))
@@ -1125,7 +1192,7 @@ def test_symbol_coupling_twist_sectors_is_refused(monkeypatch):
 
     monkeypatch.setattr(mapping._MappingPlan, "_blocks", no_blocks)
     with pytest.raises(ValueError, match="couples distinct twist sectors"):
-        _given_momenta(plan, p[1]).dirac(plan.model.with_scale(1.0))
+        _given_momenta(plan, p[1]).dirac(1.0)
 
 
 def test_limit_takes_the_plan_coupling_check_at_the_zero_mode(monkeypatch):
@@ -1146,7 +1213,7 @@ def test_limit_takes_the_plan_coupling_check_at_the_zero_mode(monkeypatch):
     monkeypatch.setattr(mapping._MappingPlan, "coupled", flag_every_scale)
     monkeypatch.setattr(mapping._MappingPlan, "_blocks", no_blocks)
     model, cm = _rot4_mapping(), exterior_module(3)
-    plan = _mapping_plan(model, cm, 2)
+    plan = _plan(model, cm, 2)
     for run in (lambda: limit_operator(model, cm, 2), plan.limit_rows):
         asked.clear()
         with pytest.raises(ValueError, match="^operator symbol couples distinct twist sectors$"):
@@ -1162,7 +1229,7 @@ def test_coupling_check_is_relative_to_each_orbit():
     # refused against the zero mode's own scale
     cm = spinor_gammas(4)
     model = _fcc_cyclic_mapping(0.0)
-    plan = _mapping_plan(model, cm, 1)
+    plan = _plan(model, cm, 1)
     axis = np.flatnonzero(np.all(plan.reps == plan.reps[:, :1], axis=1))
     assert len(axis) == 3 and plan.coupling[axis].any(axis=(1, 2)).all()
     big = 1e6 * model.fiber.dual_momentum(np.ones((1, 3)))
@@ -1246,7 +1313,7 @@ def _loop_lift_refusal(model, cm, u):
 @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-11, 1.0 + 1e-9])
 def test_given_lift_checks_match_loop(build, delta, scale):
     cm = build(3)
-    geometric = _mapping_plan(_rot4_mapping(), cm, 1).basis.lift
+    geometric = _plan(_rot4_mapping(), cm, 1).basis.lift
     h = np.random.default_rng(3).standard_normal((cm.dim_v, cm.dim_v))
     h = (h + h.T) / np.linalg.norm(h + h.T, 2)
     # a unitary (for scale 1) that intertwines to within about 2 delta

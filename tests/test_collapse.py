@@ -31,7 +31,7 @@ from diraclab.models import (
     geometric_data,
     metric_path,
 )
-from diraclab.mapping import _mapping_plan
+from diraclab.mapping import _plan
 from diraclab.spectral import eigensolve, sinh_rescale
 from test_assembly import (
     _assert_same_spectrum,
@@ -304,9 +304,32 @@ def test_collapse_refuses_window_constants_before_the_plan(monkeypatch, window, 
     def no_plan(*args):
         raise AssertionError("the plan was built")
 
-    monkeypatch.setattr(collapse, "_mapping_plan", no_plan)
+    monkeypatch.setattr(collapse, "_plan", no_plan)
     with pytest.raises(ValueError, match=message):
         collapse_run(_rot4_spinor_model(), spinor_gammas(3), [1.0, 0.5], 2, 2, **window)
+
+
+@pytest.mark.parametrize(
+    "epsilons, message",
+    [
+        ([-1.0], r"^epsilons must be positive$"),
+        ([], r"^epsilons must be positive$"),
+        ([1.0, float("inf")], r"^epsilons must be finite, got \[1\.0, inf\]$"),
+    ],
+)
+def test_blowup_refuses_epsilons_before_the_plan(monkeypatch, epsilons, message):
+    import diraclab.collapse as collapse
+
+    # a model with parallel sections, which the plan would refuse next
+    with pytest.raises(ValueError, match=message):
+        blowup_check(_canonical_mapping(), spinor_gammas(2), epsilons, 2)
+
+    def no_plan(*args):
+        raise AssertionError("the plan was built")
+
+    monkeypatch.setattr(collapse, "_plan", no_plan)
+    with pytest.raises(ValueError, match=message):
+        blowup_check(_rot4_spinor_model(), spinor_gammas(3), epsilons, 2)
 
 
 @pytest.mark.parametrize(
@@ -345,9 +368,9 @@ def _check_without_block_path(model, cm, eps, truncation):
         blowup = None
         if report.verdict == "blows_up":
             blowup = blowup_check(model, cm, eps, truncation)
-    plan = _mapping_plan(model, cm, truncation)
+    plan = _plan(model, cm, truncation)
     for i, e in enumerate(eps):
-        ref = eigensolve(plan.dirac(model.with_scale(e)))
+        ref = eigensolve(plan.dirac(e))
         _assert_same_spectrum(report.spectra_per_eps[i], ref)
         if blowup is not None:
             smallest = ref.abs_sorted()[0]
@@ -398,8 +421,8 @@ def test_small_scales_run_and_out_of_range_ones_are_refused():
     model, cm = _rot4_spinor_model(), spinor_gammas(3)
     report = collapse_run(model, cm, [1.0, 1e-7], 2, 2)
     blowup = blowup_check(model, cm, [1.0, 1e-7], 2)
-    plan = _mapping_plan(model, cm, 2)
-    ref = eigensolve(plan.dirac(model.with_scale(1e-7)))
+    plan = _plan(model, cm, 2)
+    ref = eigensolve(plan.dirac(1e-7))
     _assert_same_spectrum(report.spectra_per_eps[1], ref)
     assert blowup.min_abs[1] == pytest.approx(ref.abs_sorted()[0], rel=1e-13)
     with warnings.catch_warnings():
@@ -476,9 +499,9 @@ def test_scaled_momenta_and_window_match_the_scaled_fiber(model, exterior, trunc
     cm = exterior_module(3) if exterior else spinor_gammas(3)
     report = collapse_run(model, cm, [eps], 1, truncation)
     fiber = _scaled_fiber(model, eps)
-    plan = _mapping_plan(model, cm, truncation)
+    plan = _plan(model, cm, truncation)
     old = _given_momenta(plan, fiber.dual_momentum(plan.reps))
-    _assert_same_spectrum(report.spectra_per_eps[0], eigensolve(old.dirac(model.with_scale(1.0))))
+    _assert_same_spectrum(report.spectra_per_eps[0], eigensolve(old.dirac(1.0)))
     window = spectral_window(_mapping_geometry(fiber.diameter()))
     assert abs(report.window_bounds[0] - window) <= 1e-15 * window
 

@@ -18,8 +18,8 @@ from diraclab.assembly import fiber_invariant_split, limit_operator
 from diraclab.mapping import (
     _cluster_angles,
     _lift_basis,
-    _mapping_plan,
     _parallel_columns,
+    _plan,
     _resolve_lift,
 )
 from diraclab.clifford import exterior_module, fixed_subspace, holonomy_rep, spinor_gammas
@@ -229,7 +229,7 @@ def _parallel_outcome(model, basis):
 @given(lifted=_lifted_models(), truncation=st.integers(1, 3))
 def test_lift_basis_matches_per_size_eig_over_model_space(lifted, truncation):
     model, cm, kind = lifted
-    plan = _mapping_plan(model, cm, truncation)
+    plan = _plan(model, cm, truncation)
     for d, sector in plan.sectors.items():
         _assert_same_clusters(
             _sector_clusters(sector), _reference_sector(plan.basis.lift, d, model.base_shift)
@@ -272,7 +272,7 @@ def test_computed_lift_basis_matches_eig_qr_over_model_space(model, exterior, tr
     given_model = _with_lift(model, basis.lift)
     ref_basis = _resolve_lift(given_model, cm)
     assert np.array_equal(ref_basis.q, q) and np.array_equal(ref_basis.angles, angles)
-    plan, ref_plan = _mapping_plan(model, cm, truncation), _mapping_plan(given_model, cm, truncation)
+    plan, ref_plan = _plan(model, cm, truncation), _plan(given_model, cm, truncation)
     assert sorted(plan.sectors) == sorted(ref_plan.sectors)
     for d, sector in plan.sectors.items():
         _assert_same_clusters(_sector_clusters(sector), _sector_clusters(ref_plan.sectors[d]))
@@ -300,7 +300,7 @@ def test_stacked_solve_matches_per_scale_solve_over_model_space(lifted, truncati
     # every block the bound over pairs of directions certified stays
     # certified, with the same values; the spectra match the block path's
     model, cm, _ = lifted
-    plan = _mapping_plan(model, cm, truncation)
+    plan = _plan(model, cm, truncation)
     p = np.array([_scaled_fiber(model, e).dual_momentum(plan.reps) for e in epsilons])
     w = 1.0 / np.array(epsilons)
     sym = plan.symbols
@@ -340,7 +340,7 @@ def test_stacked_solve_matches_per_scale_solve_over_model_space(lifted, truncati
                 assert np.array_equal(got.values, values)
             assert got.source_truncation == truncation
     for e in epsilons:
-        ref = eigensolve(plan.dirac(model.with_scale(e)))
+        ref = eigensolve(plan.dirac(e))
         _assert_same_spectrum(plan.symbol_spectra([e]).at(0), ref)
 
 
@@ -400,7 +400,7 @@ def test_lift_is_diagonalized_once_per_plan(monkeypatch):
     ]:
         for lifted, count in ((model, 0), (given_lift(model, cm), 1)):
             calls.update(eig=0, qr=0)
-            plan = _mapping_plan(lifted, cm, 2)
+            plan = _plan(lifted, cm, 2)
             assert sorted(plan.sectors) == sizes
             assert calls == {"eig": count, "qr": count}
     runs = [

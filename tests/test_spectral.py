@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import diraclab.spectral as spectral
 from diraclab.assembly import AssembledOperator, BlockInfo
 from diraclab.clifford import exterior_module, spinor_gammas
-from diraclab.mapping import _mapping_plan
+from diraclab.mapping import _plan
 from diraclab.models import AffineMappingTorus, FlatTorusModel
 from diraclab.spectral import (
     Spectrum,
@@ -126,7 +126,7 @@ def _rot4_operator(module, truncation):
     model = AffineMappingTorus(
         fiber=fiber, holonomy=np.array([[0, -1], [1, 0]]), base_length=2 * np.pi, base_shift=0.5
     )
-    return _mapping_plan(model, module, truncation).dirac(model.with_scale(0.5))
+    return _plan(model, module, truncation).dirac(0.5)
 
 
 @pytest.mark.parametrize(
