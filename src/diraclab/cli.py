@@ -444,10 +444,10 @@ def main(argv=None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         passed, results = runner(cfg, outdir, seed)
-    # an --out that names a file, or a path below one, is a config error too
+    # config errors too: an --out naming a file (or a path below one), arrays too large for memory
     except (ValueError, RuntimeError, KeyError, configparser.Error, FileExistsError,
-            NotADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            NotADirectoryError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     prefix = cfg.get("output", "prefix", fallback="run")
     payload = {

@@ -369,16 +369,36 @@ def _expm_skew_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return (v * np.exp(1j * w)) @ v.conj().T, w, v
 
 
+def _unitary_eigh(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-angles theta in (-pi, pi] and an orthonormal eigenbasis q of a
+    unitary u, u q = q diag(exp(i theta)), from complex Hermitian eigh alone:
+    u is normal, so its parts (u + u^H)/2 and (u - u^H)/2i commute, with
+    eigenvalues cos(theta) and sin(theta).  An eigh of the first groups the
+    columns by cosine (within ANGLE_TOL); one of the second restricted to a
+    group of several columns splits it by sine."""
+    u = np.asarray(u, dtype=complex)
+    cosines, q = np.linalg.eigh(0.5 * (u + u.conj().T))
+    skew = -0.5j * (u - u.conj().T)
+    sines = np.einsum("ij,ik,kj->j", q.conj(), skew, q).real
+    cuts = [0] + [i for i in range(1, len(u)) if cosines[i] - cosines[i - 1] > ANGLE_TOL]
+    for lo, hi in zip(cuts, cuts[1:] + [len(u)]):
+        if hi - lo > 1:
+            v = q[:, lo:hi]
+            sines[lo:hi], w = np.linalg.eigh(v.conj().T @ skew @ v)
+            q[:, lo:hi] = v @ w
+    return np.arctan2(sines, cosines), q
+
+
 def _standard_order_basis(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the span of the orthonormal columns v, by
-    Gram-Schmidt on the projections of e_0, e_1, ... onto that span, in
-    order; a coordinate subspace gets its own coordinate vectors.  A
-    remainder of norm at most 1e-3 is skipped: the squared remainders of
-    all n projections sum to the dimension of the span, so the skipped ones
-    cannot use it up."""
+    """Real orthonormal basis of the span of the orthonormal columns v, a
+    span closed under complex conjugation, by Gram-Schmidt on the
+    projections of e_0, e_1, ... onto that span, in order; a coordinate
+    subspace gets its own coordinate vectors.  A remainder of norm at most
+    1e-3 is skipped: the squared remainders of all n projections sum to the
+    dimension of the span, so the skipped ones cannot use it up."""
     basis: list[np.ndarray] = []
     for row in v:
-        w = v @ row
+        w = (v @ row.conj()).real
         for b in basis:
             w = w - (b @ w) * b
         norm = float(np.linalg.norm(w))
@@ -390,33 +410,22 @@ def _standard_order_basis(v: np.ndarray) -> np.ndarray:
 def _special_orthogonal_log(rot: np.ndarray) -> np.ndarray:
     """Real antisymmetric Omega with exp(Omega) = rot, for rot in SO(n).
 
-    rot is normal, so its symmetric part C and skew part A commute: on each
-    eigenspace of C, with eigenvalue cos(theta), A is sin(theta) times a
-    complex structure J, and Omega is theta J there, with theta read off as
-    arctan2(sin, cos).  The principal logarithm of a rotation by pi is
+    With theta and q from _unitary_eigh, Omega is the real part of
+    q diag(i theta) q^H.  The principal logarithm of a rotation by pi is
     complex, so the -1 eigenspace is split into planes of consecutive basis
     vectors in standard-basis order, each turned by pi with Omega[a, b] =
     -pi for a < b (the limit of rotations by less than pi from e_a to e_b).
-    Cosines within ANGLE_TOL are one eigenspace, and a sine of at most
-    ANGLE_TOL is a zero angle.
+    A sine of at most ANGLE_TOL is a zero angle, or one of pi.
     """
-    n = rot.shape[0]
-    cosines, vecs = np.linalg.eigh(0.5 * (rot + rot.T))
-    skew = 0.5 * (rot - rot.T)
-    cuts = [0] + [i for i in range(1, n) if cosines[i] - cosines[i - 1] > ANGLE_TOL] + [n]
-    omega = np.zeros((n, n))
-    for lo, hi in zip(cuts, cuts[1:]):
-        v = vecs[:, lo:hi]
-        a = v.T @ skew @ v
-        sin = float(np.linalg.norm(a - a.T)) / (2.0 * np.sqrt(hi - lo))
-        if sin > ANGLE_TOL:
-            theta = np.arctan2(sin, float(np.mean(cosines[lo:hi])))
-            omega += (0.5 * theta / sin) * (v @ a @ v.T)
-        elif cosines[lo] < 0.0:
-            if (hi - lo) % 2:
-                raise ValueError("odd number of -1 eigenvalues; matrix is not special orthogonal")
-            w = _standard_order_basis(v)
-            omega += np.pi * (w[:, 1::2] @ w[:, 0::2].T)
+    thetas, q = _unitary_eigh(rot)
+    flat = np.abs(np.sin(thetas)) <= ANGLE_TOL
+    omega = 0.5 * ((q * (1j * np.where(flat, 0.0, thetas))) @ q.conj().T).real
+    half = flat & (np.cos(thetas) < 0.0)
+    if np.count_nonzero(half) % 2:
+        raise ValueError("odd number of -1 eigenvalues; matrix is not special orthogonal")
+    if half.any():
+        w = _standard_order_basis(q[:, half])
+        omega += np.pi * (w[:, 1::2] @ w[:, 0::2].T)
     return omega - omega.T
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordModule
-from .mapping import EmptyInvariantSpaceError, _flat_modes, _parallel_columns, _plan
+from .mapping import EmptyInvariantSpaceError, _parallel_columns, _plan
 from .models import (
     FD_STEP,
     AffineMappingTorus,
@@ -327,7 +327,8 @@ def perturbation_bound_check(
     3 (1 + (samples - 1)(q - 1)) calls in all, with q the odd quadrature
     count.  A stacked family (see metric_path) is called twice: once by
     metric_path and once on the array of grid points.  The grid tori share
-    their modes, so their Dirac blocks form one stack, solved by the one
+    their modes, one flat plan's, whose _blocks forms each torus's Dirac
+    blocks; the blocks of all of them form one stack, solved by the one
     batched eigh with residual check that eigensolve runs per stack; each
     grid point's model and operator are still checked on their own.
     """
@@ -337,8 +338,8 @@ def perturbation_bound_check(
         raise ValueError(f"curvature bound must be positive and finite, got {curvature_bound!r}")
     n = cm.n
     shift = np.zeros(n) if spin_shift is None else np.asarray(spin_shift, dtype=float)
-    modes = _flat_modes(FlatTorusModel(np.eye(n), shift), truncation)
-    dim = len(modes) * cm.dim_v
+    plan = _plan(FlatTorusModel(np.eye(n), shift), cm, truncation)
+    dim = len(plan.reps) * cm.dim_v
     tc = track_count if track_count is not None else max(1, dim // 2)
     if not 1 <= tc <= dim:
         raise ValueError(f"track_count must lie in [1, {dim}]")
@@ -350,8 +351,10 @@ def perturbation_bound_check(
         if gram.shape != (n, n):
             raise ValueError(f"module dimension {n} does not match torus rank {gram.shape[0]}")
         tori.append(FlatTorusModel(np.linalg.cholesky(gram).T, shift))
-    stack = cm.gamma(np.concatenate([torus.dual_momentum(modes) for torus in tori]))
-    for t, block in zip(ts.tolist(), stack.reshape(samples, len(modes), cm.dim_v, cm.dim_v)):
+    # one _blocks call per torus: the plan's table indexes one torus's modes
+    momenta = [torus.dual_momentum(plan.reps) for torus in tori]
+    stack = np.concatenate([plan._blocks(slice(None), p)[0] for p in momenta])
+    for t, block in zip(ts.tolist(), stack.reshape(samples, len(plan.reps), cm.dim_v, cm.dim_v)):
         # each grid point's operator is checked against its own scale
         message = f"Dirac operator at grid point t={t!r} is not Hermitian"
         _require_hermitian([block], HERMITICITY_TOL, message + " (residual {residual:.3e})")

@@ -14,7 +14,8 @@ torus is a plan too, with one orbit per mode, the identity lift and no base
 direction (see _plan), so every operator that the assembly module builds
 comes from a plan.
 
-The lift is diagonalized once, a computed one with its generator's eigh.
+The lift is diagonalized once, by complex Hermitian eigh alone: a computed
+one with its generator's, a given one with clifford._unitary_eigh's two.
 Every power of the lift, so every orbit twist, is diagonal in that
 orthonormal basis; _parallel_columns alone decides which of its columns
 parallel sections take.  Only the fiber momenta depend on the fiber scale,
@@ -36,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import CliffordModule, _exceeds, _lift_factors
+from .clifford import CliffordModule, _exceeds, _lift_factors, _unitary_eigh
 from .clifford import _CLOSURE_EXCEEDED, _MAX_HOLONOMY_ORDER
 from .models import AffineMappingTorus, FlatTorusModel, _check_scaled, matrix_order
 from .spectral import LIFT_TOL, SHIFT_INTEGRALITY_TOL, STRUCTURE_TOL, UNITARITY_TOL
@@ -68,7 +69,7 @@ def _resolve_lift(model: AffineMappingTorus, cm: CliffordModule) -> _LiftBasis:
     Must intertwine the Clifford action with the physical fiber rotation
     transposed (the rotation the dual modes undergo), and fix the base
     direction; without that the operator would not close up on the quotient.
-    A computed lift brings the eigh basis it is built from; a given one is
+    A computed lift brings the eigh basis of its generator; a given one is
     checked as lift_rotation checks its own, then diagonalized by _lift_basis.
     """
     m = model.fiber.n
@@ -174,21 +175,16 @@ class _LiftBasis:
 
 
 def _lift_basis(lift: np.ndarray) -> _LiftBasis:
-    """Diagonalize a given lift: one eig, then one QR over its clusters of
-    equal eigen-angle."""
+    """Diagonalize a given lift with _unitary_eigh.  Each column is moved to
+    the row of its largest entry and made real and positive there, so that
+    unit vectors stay put and a diagonal lift keeps q = I."""
     lift = np.asarray(lift, dtype=complex)
-    vals, q = np.linalg.eig(lift)
-    angles = np.mod(np.angle(vals) / (2.0 * np.pi), 1.0)
-    # eigenvectors of one cluster need not be orthonormal; one QR over the
-    # columns in cluster order makes them so (distinct clusters of a unitary
-    # lift are orthogonal already).  The QR phases go back onto the columns
-    # so that unit vectors stay put and a diagonal lift keeps q = I; a zero
-    # pivot leaves a zero column, which every twist sector refuses
-    order = np.concatenate([idxs for _, idxs in _cluster_angles(angles)])
-    qc, r = np.linalg.qr(q[:, order])
-    pivots = np.diag(r)
-    q[:, order] = qc * (pivots / np.maximum(np.abs(pivots), np.finfo(float).tiny))
-    return _LiftBasis(lift, q, angles)
+    thetas, q = _unitary_eigh(lift)
+    top = np.argmax(np.abs(q), axis=0)
+    pivots = q[top, np.arange(len(q))]
+    order = np.argsort(top, kind="stable")
+    q = (q * (np.abs(pivots) / pivots))[:, order]
+    return _LiftBasis(lift, q, np.mod(thetas[order] / (2.0 * np.pi), 1.0))
 
 
 def _parallel_columns(model: AffineMappingTorus, basis: _LiftBasis) -> np.ndarray:

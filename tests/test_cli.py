@@ -254,6 +254,29 @@ def test_config_errors_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_config_too_large_for_memory_exits_two(tmp_path, capsys, monkeypatch):
+    # the square torus at truncation 100000 asks numpy for hundreds of GiB;
+    # the allocation's MemoryError is stood in for, so nothing is allocated
+    import diraclab.cli as cli
+
+    text = TORUS_CFG.replace(f"lattice = {CIRCLE}", "lattice = 1,0;0,1")
+    text = text.replace("spin_shift = 0.5", "spin_shift = 0.5,0.5")
+    text = text.replace("truncation = 8", "truncation = 100000")
+    # numpy's error names the allocation; a bare MemoryError is named by type
+    for error, message in [
+        (MemoryError("Unable to allocate 596. GiB for an array"), "Unable to allocate 596. GiB for an array"),
+        (MemoryError(), "MemoryError"),
+    ]:
+        def too_large(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "assemble_dirac", too_large)
+        code, out = _run(tmp_path, text)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(out.glob("*_report.json"))
+
+
 @pytest.mark.parametrize(
     "config, old, new, message",
     [

@@ -15,6 +15,7 @@ from diraclab.clifford import (
     _exceeds,
     _expm_skew_factors,
     _max_opnorm,
+    _special_orthogonal_log,
     casimir,
     exterior_module,
     fixed_subspace,
@@ -314,6 +315,45 @@ def test_lift_of_pi_rotation_is_the_limit_from_below(module):
             at_pi = lift_rotation(module, _plane_rotation(n, a, b, np.pi))
             below = lift_rotation(module, _plane_rotation(n, a, b, np.pi - 1e-9))
             assert np.max(np.abs(at_pi - below)) <= 1e-8
+
+
+def _random_rotation(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "near_pi", "double_pi"]),
+    delta=st.floats(0.0, 1e-12),
+)
+def test_logarithm_exponentiates_back_to_the_rotation(n, seed, kind, delta):
+    # random rotations of SO(2) .. SO(5); a rotation by pi - delta, delta at
+    # most 1e-12, in a random plane; and (n >= 4) a double rotation by pi in
+    # two random planes.  A sine of at most ANGLE_TOL is taken as a rotation
+    # by pi, so exp(Omega) misses the rotation by about delta
+    rng = np.random.default_rng(seed)
+    rot = _random_rotation(rng, n)
+    if kind != "random":
+        turns = np.eye(n)
+        turns[:2, :2] = _plane_rotation(2, 0, 1, np.pi - delta)
+        if kind == "double_pi" and n >= 4:
+            turns[2:4, 2:4] = -np.eye(2)
+        rot = rot @ turns @ rot.T
+    omega = _special_orthogonal_log(rot)
+    assert omega.dtype == float and np.array_equal(omega, -omega.T)
+    miss = 0.0 if kind == "random" else delta
+    assert np.max(np.abs(_expm_skew_factors(omega)[0] - rot)) <= miss + 1e-13
+
+
+def test_logarithm_refuses_an_odd_minus_one_eigenspace():
+    for rot in (np.diag([-1.0, 1.0, 1.0]), -np.eye(3)):
+        with pytest.raises(ValueError, match="^odd number of -1 eigenvalues"):
+            _special_orthogonal_log(rot)
 
 
 def test_expm_skew_refuses_non_skew_input():

@@ -22,7 +22,13 @@ from diraclab.mapping import (
     _plan,
     _resolve_lift,
 )
-from diraclab.clifford import exterior_module, fixed_subspace, holonomy_rep, spinor_gammas
+from diraclab.clifford import (
+    _unitary_eigh,
+    exterior_module,
+    fixed_subspace,
+    holonomy_rep,
+    spinor_gammas,
+)
 from diraclab.collapse import blowup_check, collapse_run
 from diraclab.models import AffineMappingTorus, FlatTorusModel
 from diraclab.spectral import HERMITICITY_TOL, RESIDUAL_TOL, STRUCTURE_TOL, eigensolve
@@ -256,22 +262,24 @@ def test_lift_basis_matches_per_size_eig_over_model_space(lifted, truncation):
 )
 def test_computed_lift_basis_matches_eig_qr_over_model_space(model, exterior, truncation, epsilons):
     # the model space of test_plan_matches_assembly_over_model_space; the
-    # same model given its computed lift takes the eig + QR path
+    # same model given its computed lift takes _lift_basis's path.  Both
+    # bases have the clusters of the eig + QR reference, column by column
+    # fixed or not alike
     cm = exterior_module(3) if exterior else spinor_gammas(3)
     basis = _resolve_lift(model, cm)
     q, angles = _reference_lift_basis(basis.lift)
-    assert basis.ortho <= 1e-13
-    assert np.max(np.abs(basis.lift @ basis.q - basis.q * np.exp(2j * np.pi * basis.angles))) <= 1e-13
     ref_fixed = np.abs(basis.lift @ q - q).max(axis=0) <= STRUCTURE_TOL
 
     def lift_clusters(angles, fixed):
         # per cluster of equal eigen-angle: the fixed flags of its columns
         return [(t, len(idxs), sorted(fixed[idxs].tolist())) for t, idxs in _cluster_angles(angles)]
 
-    _assert_same_clusters(lift_clusters(basis.angles, basis.fixed), lift_clusters(angles, ref_fixed))
     given_model = _with_lift(model, basis.lift)
-    ref_basis = _resolve_lift(given_model, cm)
-    assert np.array_equal(ref_basis.q, q) and np.array_equal(ref_basis.angles, angles)
+    given_basis = _resolve_lift(given_model, cm)
+    for b in (basis, given_basis):
+        assert b.ortho <= 1e-13
+        assert np.max(np.abs(b.lift @ b.q - b.q * np.exp(2j * np.pi * b.angles))) <= 1e-13
+        _assert_same_clusters(lift_clusters(b.angles, b.fixed), lift_clusters(angles, ref_fixed))
     plan, ref_plan = _plan(model, cm, truncation), _plan(given_model, cm, truncation)
     assert sorted(plan.sectors) == sorted(ref_plan.sectors)
     for d, sector in plan.sectors.items():
@@ -279,7 +287,7 @@ def test_computed_lift_basis_matches_eig_qr_over_model_space(model, exterior, tr
         _assert_same_clusters(
             _sector_clusters(sector), _reference_sector(basis.lift, d, model.base_shift)
         )
-    assert _parallel_outcome(model, basis) == _parallel_outcome(given_model, ref_basis)
+    assert _parallel_outcome(model, basis) == _parallel_outcome(given_model, given_basis)
     eps = sorted(epsilons, reverse=True)
     got, ref = collapse_run(model, cm, eps, 1, truncation), collapse_run(given_model, cm, eps, 1, truncation)
     assert got.verdict == ref.verdict
@@ -374,21 +382,21 @@ def _blocking_mapping():
 
 
 def test_lift_is_diagonalized_once_per_plan(monkeypatch):
-    # a computed lift takes the eigh basis of its generator: no eig or QR;
-    # a given lift takes one eig and one QR
-    calls = {"eig": 0, "qr": 0}
+    # a computed lift takes the eigh basis of its generator, from one
+    # _lift_factors call; a given lift takes one _unitary_eigh
+    calls = {"_lift_factors": 0, "_unitary_eigh": 0}
 
     def counting(name):
-        original = getattr(np.linalg, name)
+        original = getattr(mapping, name)
 
-        def count(a, *args, **kwargs):
+        def count(*args, **kwargs):
             calls[name] += 1
-            return original(a, *args, **kwargs)
+            return original(*args, **kwargs)
 
         return count
 
     for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name))
+        monkeypatch.setattr(mapping, name, counting(name))
 
     def given_lift(model, cm):
         return _with_lift(model, _resolve_lift(model, cm).lift)
@@ -399,10 +407,10 @@ def test_lift_is_diagonalized_once_per_plan(monkeypatch):
         (_blocking_mapping(), spinor_gammas(3), [2]),
     ]:
         for lifted, count in ((model, 0), (given_lift(model, cm), 1)):
-            calls.update(eig=0, qr=0)
+            calls.update(_lift_factors=0, _unitary_eigh=0)
             plan = _plan(lifted, cm, 2)
             assert sorted(plan.sectors) == sizes
-            assert calls == {"eig": count, "qr": count}
+            assert calls == {"_lift_factors": 1 - count, "_unitary_eigh": count}
     runs = [
         (_three_size_mapping(), spinor_gammas(5), lambda m, cm: collapse_run(m, cm, [1.0, 0.5, 0.25], 2, 2)),
         (_rot4_mapping(), exterior_module(3), lambda m, cm: collapse_run(m, cm, [1.0, 0.5], 2, 2)),
@@ -412,9 +420,78 @@ def test_lift_is_diagonalized_once_per_plan(monkeypatch):
     ]
     for model, cm, run in runs:
         for lifted, count in ((model, 0), (given_lift(model, cm), 1)):
-            calls.update(eig=0, qr=0)
+            calls.update(_lift_factors=0, _unitary_eigh=0)
             run(lifted, cm)
-            assert calls == {"eig": count, "qr": count}
+            assert calls == {"_lift_factors": 1 - count, "_unitary_eigh": count}
+
+
+@st.composite
+def _finite_order_unitaries(draw):
+    """(u, diagonal): a unitary of order dividing 1, 2, 3, 4, 6, 8 or 1024 on
+    C^1 .. C^8, its angles drawn from a pool of at most four so that they
+    repeat: +I, -I, diagonal, or conjugated by a random unitary."""
+    dim = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["plus_identity", "minus_identity", "diagonal", "rotated"]))
+    if kind.endswith("identity"):
+        return np.eye(dim, dtype=complex) * (1.0 if kind == "plus_identity" else -1.0), True
+    order = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 1024]))
+    pool = draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=4))
+    turns = np.array(draw(st.lists(st.sampled_from(pool), min_size=dim, max_size=dim))) / order
+    u = np.diag(np.exp(2j * np.pi * turns))
+    if kind == "diagonal":
+        return u, True
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return v @ u @ v.conj().T, False
+
+
+@settings(max_examples=200)
+@given(drawn=_finite_order_unitaries())
+def test_unitary_eigh_diagonalizes_unitaries_of_finite_order(drawn):
+    # an orthonormal eigenbasis with the eig + QR reference's clusters; as
+    # _lift_basis takes it, the standard basis of a diagonal unitary
+    u, diagonal = drawn
+    thetas, q = _unitary_eigh(u)
+    assert np.all(np.abs(thetas) <= np.pi)
+    assert np.max(np.abs(q.conj().T @ q - np.eye(len(u)))) <= 1e-13
+    assert np.max(np.abs(u @ q - q * np.exp(1j * thetas))) <= 1e-13
+    turns = np.mod(thetas / (2.0 * np.pi), 1.0)
+    ref = _reference_lift_basis(u)[1]
+    _assert_same_clusters(
+        [(t, len(idxs)) for t, idxs in _cluster_angles(turns)],
+        [(t, len(idxs)) for t, idxs in _cluster_angles(ref)],
+    )
+    # each column sits at the row of its largest entry, real and positive
+    basis = _lift_basis(u)
+    top = np.argmax(np.abs(basis.q), axis=0)
+    pivots = basis.q[top, np.arange(len(u))]
+    assert np.all(np.diff(top) >= 0)
+    assert np.all(pivots.real > 0.0) and np.max(np.abs(pivots.imag)) <= 1e-15
+    if diagonal:
+        assert np.array_equal(basis.q, np.eye(len(u)))
+        assert np.max(np.abs(np.exp(2j * np.pi * basis.angles) - np.diag(u))) <= 1e-13
+
+
+def test_plan_path_calls_complex_eigh_alone(monkeypatch):
+    # the collapse runs of both rot4 models and the plan of a given lift call
+    # neither eig nor QR, and eigh only on complex input
+    def refuse(*args, **kwargs):
+        raise AssertionError("eig or QR called on the plan path")
+
+    eigh, inputs = np.linalg.eigh, []
+
+    def recording(a, *args, **kwargs):
+        inputs.append(np.asarray(a).dtype)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    assert collapse_run(_rot4_mapping(), spinor_gammas(3), [1.0, 0.5], 2, 2).verdict == "blows_up"
+    assert collapse_run(_rot4_mapping(), exterior_module(3), [1.0, 0.5], 2, 2).verdict == "converges"
+    cm = exterior_module(3)
+    _plan(_with_lift(_rot4_mapping(), _resolve_lift(_rot4_mapping(), cm).lift), cm, 2)
+    assert inputs and all(np.issubdtype(dtype, np.complexfloating) for dtype in inputs)
 
 
 def test_collapse_path_builds_no_holonomy_group(monkeypatch):
