@@ -53,16 +53,24 @@ class BlockMatrix2x2:
             object.__setattr__(self, name, m)
 
     def dense(self) -> np.ndarray:
-        top = np.hstack([self.alpha, self.beta])
-        bot = np.hstack([self.gamma, self.delta])
-        return np.vstack([top, bot])
+        return np.block([[self.alpha, self.beta], [self.gamma, self.delta]])
+
+
+def _opnorm(m: np.ndarray) -> np.ndarray:
+    """Operator 2-norms of a stack: the root of the largest eigvalsh of A^H A."""
+    return np.sqrt(np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)[..., -1].clip(0.0))
 
 
 def _checked_inverse(m: np.ndarray, what: str) -> np.ndarray:
-    cond = np.linalg.cond(m)
+    """m^-1, refused if the condition |m| |m^-1| (inf if inv raises) exceeds CONDITION_CAP."""
+    try:
+        inv = np.linalg.inv(m)
+        cond = float(np.prod(_opnorm(np.stack([m, inv]))))
+    except np.linalg.LinAlgError:
+        cond = np.inf
     if not np.isfinite(cond) or cond > CONDITION_CAP:
         raise ValueError(f"{what} is numerically singular (condition {cond:.3e})")
-    return np.linalg.inv(m)
+    return inv
 
 
 def schur_complement(m: BlockMatrix2x2) -> np.ndarray:
@@ -83,9 +91,7 @@ def schur_inverse(m: BlockMatrix2x2) -> np.ndarray:
     tl = ainv + ainv @ m.beta @ sinv @ m.gamma @ ainv
     tr = -ainv @ m.beta @ sinv
     bl = -sinv @ m.gamma @ ainv
-    top = np.hstack([tl, tr])
-    bot = np.hstack([bl, sinv])
-    return np.vstack([top, bot])
+    return np.block([[tl, tr], [bl, sinv]])
 
 
 def _delta_sqrt_pair(
@@ -150,7 +156,7 @@ def neumann_factorization_check(m: BlockMatrix2x2, imag_shift: float = 0.0) -> N
     target = shifted_delta - m.gamma @ ainv @ m.beta
     scale = max(1.0, float(np.max(np.abs(target))) if target.size else 1.0)
     resid = float(np.max(np.abs(recon - target))) / scale
-    contraction = float(np.linalg.norm(x, 2))
+    contraction = float(_opnorm(x))
     return NeumannReport(
         factorization_residual=resid,
         contraction_norm=contraction,
@@ -167,12 +173,11 @@ def neumann_inverse(m: BlockMatrix2x2, imag_shift: float = 0.0) -> np.ndarray:
     this exercises the factorization end to end.
     """
     _, sq_inv, _, x = _neumann_parts(m, imag_shift)
-    norm = float(np.linalg.norm(x, 2))
+    norm = float(_opnorm(x))
     if norm >= 1.0:
         raise ValueError(f"Neumann series diverges (contraction norm {norm:.6f} >= 1)")
-    eye = np.eye(x.shape[0], dtype=complex)
-    total = eye.copy()
-    term = eye.copy()
+    total = np.eye(x.shape[0], dtype=complex)
+    term = total.copy()
     for _ in range(NEUMANN_MAX_TERMS):
         term = term @ x
         total += term

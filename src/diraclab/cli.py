@@ -286,12 +286,13 @@ def _eigen_exponential_family(rng, n: int, speed: float):
     chol = np.linalg.cholesky(a @ a.T + n * np.eye(n))
     s = rng.standard_normal((n, n))
     # the operator norm of the symmetric s is its largest |eigenvalue|
-    w, q = np.linalg.eigh(0.5 * (s + s.T))
+    w, q = np.linalg.eigh((0.5 * (s + s.T)).astype(complex))
     w *= speed / max(1.0, float(np.max(np.abs(w))))
+    cq = chol @ q
 
     def family(t):
         t = np.asarray(t)[..., None, None]
-        return chol @ ((q * np.exp(t * w)) @ q.T) @ chol.T
+        return ((cq * np.exp(t * w)) @ cq.conj().T).real
 
     family.stacked = True
     return family

@@ -350,11 +350,13 @@ class _MappingPlan:
         with the twist although no F_k does, on a rank-3 rotation's axis."""
         masks = self.coupling[orbits]
         masked = np.flatnonzero(masks.any(axis=(1, 2)))
+        flags = np.zeros(p.shape[:2], dtype=bool)
+        if not len(masked):
+            return flags
         m = p.shape[2]
         f = np.abs(np.einsum("eok,kij->eoij", p[:, masked], self.gammas_q[:m]))
         f = np.maximum(f, np.abs(self.gammas_q[m]))
         leak = np.max(f, axis=(2, 3), where=masks[masked], initial=0.0)
-        flags = np.zeros(p.shape[:2], dtype=bool)
         flags[:, masked] = leak > STRUCTURE_TOL * np.max(f, axis=(2, 3), initial=1.0)
         return flags
 

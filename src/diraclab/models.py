@@ -325,9 +325,9 @@ def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
     turn, through _family_values: a stacked family gets all these
     parameters in one call.  Every output must be the same square matrix
     shape, and a misshapen output is refused at its own parameter, after
-    the value checks of the nodes before it.  The stack is
-    checked as a whole and run through one batched cholesky, two batched
-    solves and one batched eigvalsh.
+    the value checks of the nodes before it.  The stack is checked as a
+    whole and run through one batched cholesky (the positive-definiteness
+    test), two batched solves and one batched complex eigvalsh.
     """
     _check_fd_step(fd_step)
     params = [s for t in ts for s in (t, t + fd_step, t - fd_step)]
@@ -351,8 +351,15 @@ def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
     fails[:, 1] = (
         np.max(np.abs(grams - grams.swapaxes(1, 2)), axis=(1, 2)) > INPUT_HERMITICITY_TOL * scale
     )
-    safe = np.where(finite[:, None, None], grams, np.eye(shape[0]))
-    fails[:, 2] = np.min(np.linalg.eigvalsh(safe), axis=1) <= 0
+    try:
+        chol = np.linalg.cholesky(grams)
+    except np.linalg.LinAlgError:
+        # only now is each node factorized alone, to name the first that fails
+        for i, g in enumerate(grams):
+            try:
+                np.linalg.cholesky(g)
+            except np.linalg.LinAlgError:
+                fails[i, 2] = True
     plus = np.array(outs[1 : 3 * whole : 3]).reshape(-1, *shape)
     minus = np.array(outs[2 : 3 * whole : 3]).reshape(-1, *shape)
     gdot = (plus - minus) / (2.0 * fd_step)
@@ -365,9 +372,9 @@ def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
             f"metric family changes shape: {outs[misshapen].shape} at "
             f"t={params[misshapen]}, {shape} at t={ts[0]}"
         )
-    chol = np.linalg.cholesky(grams)
     sym = np.linalg.solve(chol, np.linalg.solve(chol, gdot.swapaxes(1, 2)).swapaxes(1, 2))
-    return np.max(np.abs(np.linalg.eigvalsh(0.5 * (sym + sym.swapaxes(1, 2)))), axis=1)
+    sym = (0.5 * (sym + sym.swapaxes(1, 2))).astype(complex)
+    return np.max(np.abs(np.linalg.eigvalsh(sym)), axis=1)
 
 
 def metric_path(

@@ -1,11 +1,19 @@
 """Block matrix inversion, Schur complements, factorization checks."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import diraclab.blockres as blockres
 from diraclab.blockres import (
     BlockMatrix2x2,
     NeumannReport,
+    _checked_inverse,
+    _neumann_parts,
+    _opnorm,
     neumann_factorization_check,
     neumann_inverse,
     schur_complement,
@@ -149,3 +157,98 @@ def test_neumann_inverse_refuses_divergent_series():
     )
     with pytest.raises(ValueError, match="contraction"):
         neumann_inverse(strong)
+
+
+def _unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def _conditioned(draw):
+    """A complex n x n matrix U diag(s) V^H with singular values spread
+    geometrically over a condition of 10^k, k from 0 to 14, and its k."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.floats(0.0, 14.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    s = scale * np.geomspace(1.0, 10.0**-k, n)
+    return (_unitary(rng, n) * s) @ _unitary(rng, n).conj().T, k
+
+
+@settings(max_examples=150)
+@given(drawn=_conditioned())
+def test_checked_inverse_condition_matches_svd(drawn):
+    # the condition |m| |m^-1| of the inverse _checked_inverse returns, held
+    # to the SVD reference; with the cap at zero it is the refusal's figure
+    m, k = drawn
+    reference = np.linalg.cond(m)
+    if reference <= 1e11:
+        inv = _checked_inverse(m, "m")
+        cond = float(_opnorm(m) * _opnorm(inv))
+        if reference <= 1e10:
+            assert cond == pytest.approx(reference, rel=1e-6)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(blockres, "CONDITION_CAP", 0.0)
+            with pytest.raises(ValueError, match="numerically singular") as err:
+                _checked_inverse(m, "m")
+        shown = float(re.search(r"condition (\S+)\)", str(err.value)).group(1))
+        assert shown == pytest.approx(cond, rel=1e-3)
+    elif k >= 13.0:
+        with pytest.raises(ValueError, match="^m is numerically singular"):
+            _checked_inverse(m, "m")
+
+
+@settings(max_examples=100)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    line=st.integers(0, 4),
+    row=st.booleans(),
+)
+def test_exactly_singular_block_is_refused_as_condition_inf(n, seed, line, row):
+    # a zero row or column leaves LU an exact zero pivot
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if row:
+        a[line % n] = 0.0
+    else:
+        a[:, line % n] = 0.0
+    m = BlockMatrix2x2(a, np.ones((n, 1)), np.ones((1, n)), np.eye(1))
+    with pytest.raises(ValueError, match=r"^alpha block is numerically singular \(condition inf\)$"):
+        schur_complement(m)
+
+
+@settings(max_examples=150)
+@given(drawn=_conditioned())
+def test_opnorm_matches_svd_norm(drawn):
+    m, _ = drawn
+    assert float(_opnorm(m)) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13)
+
+
+@settings(max_examples=60)
+@given(
+    na=st.integers(1, 4),
+    nb=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    coupling=st.floats(0.01, 3.0),
+    imag_shift=st.sampled_from([0.0, 0.5, 2.0]),
+)
+def test_contraction_norm_matches_svd_norm(na, nb, seed, coupling, imag_shift):
+    rng = np.random.default_rng(seed)
+
+    def gaussian(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    a, d = gaussian(na, na), gaussian(nb, nb)
+    m = BlockMatrix2x2(
+        a @ a.conj().T + na * np.eye(na),
+        coupling * gaussian(na, nb),
+        coupling * gaussian(nb, na),
+        d @ d.conj().T + nb * np.eye(nb),
+    )
+    x = _neumann_parts(m, imag_shift)[3]
+    report = neumann_factorization_check(m, imag_shift)
+    assert report.contraction_norm == pytest.approx(np.linalg.norm(x, 2), rel=1e-13)
+    assert report.invertible == (report.contraction_norm < 1.0)

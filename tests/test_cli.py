@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diraclab.cli import main
@@ -365,6 +366,15 @@ def test_vacuous_or_negative_thresholds_exit_two(tmp_path, capsys, monkeypatch, 
         monkeypatch.setattr(cli, name, no_work)
     monkeypatch.setattr(cli, "_Normals", no_work)
     _assert_refused(tmp_path, capsys, config, old, new, message)
+
+
+def test_experiments_call_complex_eigh_lu_and_cholesky_alone(tmp_path, lapack_guard):
+    # the seven experiments run with no SVD, QR or general eigensolver, no
+    # norm(x, 2), and eigh/eigvalsh only on complex input
+    for name, text in sorted(ALL_CONFIGS.items()):
+        assert _run(tmp_path, text, sub=name)[0] == 0, name
+    assert lapack_guard
+    assert all(np.issubdtype(dtype, np.complexfloating) for dtype in lapack_guard)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))

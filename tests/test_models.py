@@ -393,6 +393,20 @@ def test_metric_path_names_first_failing_node():
         metric_path(late_shape, samples=5)
 
 
+def test_rank_deficient_gram_is_named_not_positive_definite():
+    # a singular PSD Gram whose eigvalsh reads all positive by rounding
+    # (smallest 7.5e-17): its cholesky fails, and the node is named
+    g = np.array(
+        [
+            [0.6775286921397962, 0.0645164888856857, -1.2707611296467278],
+            [0.0645164888856857, 0.07602325651304703, -0.26691964495471],
+            [-1.2707611296467278, -0.26691964495471, 2.688095002762758],
+        ]
+    )
+    with pytest.raises(ValueError, match=r"^Gram matrix at t=0\.0 is not positive definite$"):
+        metric_path(lambda t: g * (1 + t), samples=3)
+
+
 def _loop_metric_speed(family, t, fd_step=1e-6):
     """Reference: one node at a time, with the per-node checks."""
     g = np.atleast_2d(np.asarray(family(t), dtype=float))
@@ -407,7 +421,7 @@ def _loop_metric_speed(family, t, fd_step=1e-6):
     gdot = (plus - minus) / (2.0 * fd_step)
     chol = np.linalg.cholesky(g)
     sym = np.linalg.solve(chol, np.linalg.solve(chol, gdot.T).T)
-    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (sym + sym.T)))))
+    return float(np.max(np.abs(np.linalg.eigvalsh((0.5 * (sym + sym.T)).astype(complex)))))
 
 
 def _loop_metric_path(family, samples, fd_step, t0, t1):

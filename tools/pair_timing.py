@@ -7,9 +7,10 @@ call after ``setup``, whose outputs the worker then checks against the
 tree's ``bench/reference.json``.  A run whose worker fails, or whose
 checks fail, is reported as failed and not timed, and the tool stops with
 exit status 1.  Pair i (from 1) runs each tree 5 times at seed
-i, the two trees taking turns, and each side of the pair is the median of
-its tree's 5 runs: a single cold call is bimodal on a loaded host and
-cannot resolve a change of about 0.5 ms.  The tree that goes first
+first-seed + i - 1 (``--first-seed``, default 1), the two trees taking
+turns, and each side of the pair is the median of its tree's 5 runs: a
+single cold call is bimodal on a loaded host and cannot resolve a change
+of about 0.5 ms.  The tree that goes first
 alternates from pair to pair.  The tool prints every pair's ``wall_s``,
 then judges each metric alike: ``wall_s``, ``setup_s`` (from just before
 the process is spawned to the start of ``run``: interpreter start, imports
@@ -22,6 +23,9 @@ the new tree wins at least nine pairs in ten and the medians differ by
 more than the old tree's interquartile range.
 
     python tools/pair_timing.py OLD_TREE NEW_TREE --workload collapse_spinor_rot4 --pairs 20
+
+A claim written while looking at seeds 1 to N is re-checked on held-out
+seeds with ``--first-seed`` above N.
 
 It is a quick check before the longer ``bench/run.py`` runs, with one
 call per process.  A pair costs 10 processes, each with its own
@@ -105,13 +109,16 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="source tree holding src/ and bench/")
     parser.add_argument("--workload", required=True, help="a workload name of bench/workloads.py")
     parser.add_argument("--pairs", type=int, default=10, help="number of pairs (default 10)")
+    parser.add_argument(
+        "--first-seed", type=int, default=1, help="seed of the first pair (default 1)"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     trees = {"old": args.old.resolve(), "new": args.new.resolve()}
     results: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
     for i in range(args.pairs):
-        seed = 1 + i
+        seed = args.first_seed + i
         order = ("old", "new") if i % 2 == 0 else ("new", "old")
         runs: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
         for _ in range(PROCESSES):
