@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import sys
 from pathlib import Path
 
@@ -72,6 +71,7 @@ from .collapse import (
     DEFAULT_WINDOW_A,
     DEFAULT_WINDOW_C,
     _Normals,
+    _write_json,
     blowup_check,
     collapse_run,
     perturbation_bound_check,
@@ -461,9 +461,7 @@ def main(argv=None) -> int:
         "passed": bool(passed),
     }
     report_path = outdir / f"{prefix}_report.json"
-    with open(report_path, "w") as fh:
-        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
-        fh.write("\n")
+    _write_json(report_path, payload)
     if args.verbose:
         status = "PASS" if passed else "FAIL"
         print(f"{name}: {status} ({report_path})")

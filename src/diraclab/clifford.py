@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import ANGLE_TOL, CASIMIR_TOL, HERMITICITY_TOL, LIFT_TOL, PROJECTOR_TOL
-from .spectral import RELATION_TOL, UNITARITY_TOL, _require_hermitian
+from .spectral import RELATION_TOL, STRUCTURE_TOL, UNITARITY_TOL, _require_hermitian
 
 __all__ = [
     "CliffordModule",
@@ -374,13 +374,13 @@ def _unitary_eigh(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     unitary u, u q = q diag(exp(i theta)), from complex Hermitian eigh alone:
     u is normal, so its parts (u + u^H)/2 and (u - u^H)/2i commute, with
     eigenvalues cos(theta) and sin(theta).  An eigh of the first groups the
-    columns by cosine (within ANGLE_TOL); one of the second restricted to a
-    group of several columns splits it by sine."""
+    columns by cosine (within STRUCTURE_TOL, wide enough for a near-unitary
+    u); one of the second restricted to a group of several splits it by sine."""
     u = np.asarray(u, dtype=complex)
     cosines, q = np.linalg.eigh(0.5 * (u + u.conj().T))
     skew = -0.5j * (u - u.conj().T)
     sines = np.einsum("ij,ik,kj->j", q.conj(), skew, q).real
-    cuts = [0] + [i for i in range(1, len(u)) if cosines[i] - cosines[i - 1] > ANGLE_TOL]
+    cuts = [0] + [i for i in range(1, len(u)) if cosines[i] - cosines[i - 1] > STRUCTURE_TOL]
     for lo, hi in zip(cuts, cuts[1:] + [len(u)]):
         if hi - lo > 1:
             v = q[:, lo:hi]

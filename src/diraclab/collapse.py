@@ -116,13 +116,16 @@ class CollapseReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            # writelines takes the encoder's chunks from C, without
-            # json.dump's Python loop of writes or the joined copy json.dumps
-            # holds (about 4x the output at its peak)
-            encoder = json.JSONEncoder(indent=2, sort_keys=True)
-            fh.writelines(encoder.iterencode(self.to_json_dict()))
-            fh.write("\n")
+        _write_json(path, self.to_json_dict())
+
+
+def _write_json(path, payload) -> None:
+    """Write a report: indented JSON, sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        # writelines takes the encoder's chunks from C, without json.dump's
+        # Python loop of writes or json.dumps's joined copy (4x the output)
+        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
+        fh.write("\n")
 
 
 def _check_epsilons(epsilons) -> list[float]:

@@ -15,20 +15,20 @@ direction (see _plan), so every operator that the assembly module builds
 comes from a plan.
 
 The lift is diagonalized once, by complex Hermitian eigh alone: a computed
-one with its generator's, a given one with clifford._unitary_eigh's two.
-Every power of the lift, so every orbit twist, is diagonal in that
-orthonormal basis; _parallel_columns alone decides which of its columns
-parallel sections take.  Only the fiber momenta depend on the fiber scale,
-as 1/fiber_scale, so the plan solves them at unit scale and a step divides
-them by the scale.  The plan keeps one block table: per block in row order
-its orbit, its twist cluster and its base momentum, and per cluster size
-the gammas restricted to those clusters as one stack.  The step forms each
-size class's blocks from these rows.  A collapse run builds the plan once
-and solves all its scales in one stacked pass over the symbols of the same
-rows (see the symbols module).  The limit operator is the zero-mode orbit's
-rows at zero fiber momentum; as that orbit's momentum is zero at every
-scale, a collapse run reads the limit's spectrum off those rows of the
-scales' solution.
+one with its generator's, a given one with clifford._unitary_eigh's two,
+and that basis is checked once (_LiftBasis).  Every orbit twist is diagonal
+in it, with angles read off the lift's (_twist_sector); _parallel_columns
+alone decides which of its columns parallel sections take.  Only the fiber
+momenta depend on the fiber scale, as 1/fiber_scale, so the plan solves
+them at unit scale and a step divides them by the scale.  The plan keeps
+one block table: per block in row order its orbit, its twist cluster and
+its base momentum, and per cluster size the gammas restricted to those
+clusters as one stack.  The step forms each size class's blocks from these
+rows.  A collapse run builds the plan once and solves all its scales in one
+stacked pass over the symbols of the same rows (see the symbols module).
+The limit operator is the zero-mode orbit's rows at zero fiber momentum;
+as that orbit's momentum is zero at every scale, a collapse run reads the
+limit's spectrum off those rows of the scales' solution.
 """
 from __future__ import annotations
 
@@ -153,25 +153,25 @@ def _cluster_angles(thetas: np.ndarray) -> list[tuple[float, list[int]]]:
 
 @dataclass(frozen=True, eq=False)
 class _LiftBasis:
-    """Orthonormal eigenbasis q (columns) of a resolved lift, in which every
-    power of the lift is diagonal.
-
-    angles holds the lift's eigen-angles (fractions of a turn) by column,
-    fixed marks the columns the lift fixes, |lift q_j - q_j| <= STRUCTURE_TOL,
-    and ortho is max |q^H q - I|.
-    """
+    """Orthonormal eigenbasis q (columns) of a resolved lift with its
+    eigen-angles (fractions of a turn) by column; fixed marks the columns the
+    lift fixes, |lift q_j - q_j| <= STRUCTURE_TOL.  The one check that q
+    diagonalizes the lift runs on construction: q^H q = I and q^H lift q =
+    diag(exp(2 pi i angles)), within STRUCTURE_TOL."""
 
     lift: np.ndarray
     q: np.ndarray
     angles: np.ndarray
 
+    def __post_init__(self):
+        q, eye = self.q, np.eye(len(self.q))
+        tq = q.conj().T @ self.lift @ q - eye * np.exp(2j * np.pi * self.angles)
+        if not max(np.max(np.abs(tq)), np.max(np.abs(q.conj().T @ q - eye))) <= STRUCTURE_TOL:
+            raise ValueError("orbit twist failed to diagonalize (lift is not unitary?)")
+
     @cached_property
     def fixed(self) -> np.ndarray:
         return np.abs(self.lift @ self.q - self.q).max(axis=0) <= STRUCTURE_TOL
-
-    @cached_property
-    def ortho(self) -> float:
-        return float(np.max(np.abs(self.q.conj().T @ self.q - np.eye(len(self.q)))))
 
 
 def _lift_basis(lift: np.ndarray) -> _LiftBasis:
@@ -202,41 +202,17 @@ def _parallel_columns(model: AffineMappingTorus, basis: _LiftBasis) -> np.ndarra
     return basis.fixed & bool(np.all(model.fiber.spin_shift == 0.0))
 
 
-@dataclass(frozen=True, eq=False)
-class _TwistSector:
-    """The twist (loop phase * lift)^d shared by every orbit of size d, in
-    the lift basis, with its clusters of equal twist angle; coupling masks
-    the entries of a matrix in the lift basis that join two distinct
-    clusters.
-    """
-
-    clusters: tuple[tuple[float, np.ndarray], ...]
-    coupling: np.ndarray
-
-
-def _twist_sector(basis: _LiftBasis, d: int, base_shift: float) -> _TwistSector:
-    """Twist sector of an orbit of size d."""
-    # spin structure on the base contributes a sign per loop
-    loop_phase = -1.0 if (base_shift == 0.5 and d % 2 == 1) else 1.0
-    q = basis.q
-    tq = q.conj().T @ (loop_phase * np.linalg.matrix_power(basis.lift, d)) @ q
-    diag = np.diag(tq)
-    thetas = np.mod(np.angle(diag) / (2.0 * np.pi), 1.0)
-    clusters = tuple((theta, np.array(idxs)) for theta, idxs in _cluster_angles(thetas))
-    resid = max(np.max(np.abs(tq - np.diag(diag))), basis.ortho)
-    if not resid <= STRUCTURE_TOL:
-        raise ValueError("orbit twist failed to diagonalize (lift is not unitary?)")
-    owner = np.zeros(len(q), dtype=int)
-    for c, (_, idxs) in enumerate(clusters):
-        owner[idxs] = c
-    return _TwistSector(
-        clusters=clusters,
-        coupling=owner[:, None] != owner[None, :],
-    )
+def _twist_sector(basis: _LiftBasis, d: int, base_shift: float) -> list[tuple[float, list[int]]]:
+    """Clusters of equal twist angle of an orbit of size d, whose twist
+    (loop phase * lift)^d is diag(exp(2 pi i d (angles + base_shift))) in the
+    lift basis.  The spin structure on the base contributes the loop phase
+    -1 per loop, a half turn; base_shift is 0 or 1/2, so d / 2 mod 1 is a
+    half turn exactly when d is odd."""
+    return _cluster_angles(np.mod(d * (basis.angles + base_shift), 1.0))
 
 
 def _orbit_layout(
-    sectors: dict[int, _TwistSector], reps: np.ndarray, sizes: np.ndarray,
+    sectors: dict[int, list[tuple[float, list[int]]]], reps: np.ndarray, sizes: np.ndarray,
     conn_dot: np.ndarray, base_length: float, truncation: int,
 ) -> tuple[BlockInfo, np.ndarray, np.ndarray, np.ndarray]:
     """Block provenance and block table of the orbits reps (in row order) of
@@ -244,7 +220,7 @@ def _orbit_layout(
     the sectors in order) and its base momentum beta.  An orbit of size d has
     one block per base index u = -dT .. dT (outer) and cluster of its twist
     sector (inner); conn_dot pairs its dual mode with the connection."""
-    per_orbit = {d: (2 * d * truncation + 1) * len(sec.clusters) for d, sec in sectors.items()}
+    per_orbit = {d: (2 * d * truncation + 1) * len(sec) for d, sec in sectors.items()}
     counts = np.array([per_orbit[d] for d in sizes.tolist()], dtype=np.int64)
     offsets, total = np.cumsum(counts) - counts, int(np.sum(counts))
     # an orbit's blocks take consecutive rows, over which its representative
@@ -257,11 +233,11 @@ def _orbit_layout(
     for d, sec in sectors.items():
         members = np.flatnonzero(sizes == d)
         us = np.arange(-d * truncation, d * truncation + 1)
-        thetas = np.array([theta for theta, _ in sec.clusters])
+        thetas = np.array([theta for theta, _ in sec])
         # idx[i, a, c]: row-order index of member i's block at us[a] in cluster c
         idx = offsets[members, None, None] + np.arange(len(us) * len(thetas)).reshape(len(us), -1)
         info.modes[idx, -1] = us[:, None]
-        info.sizes[idx] = [len(idxs) for _, idxs in sec.clusters]
+        info.sizes[idx] = [len(idxs) for _, idxs in sec]
         info.twist[idx] = thetas
         cluster[idx] = first + np.arange(len(thetas))
         kappa = 2.0 * np.pi * (us[:, None] + thetas) / (d * base_length)
@@ -291,7 +267,7 @@ class _MappingPlan:
     truncation: int
     basis: _LiftBasis
     gammas_q: np.ndarray
-    sectors: dict[int, _TwistSector]
+    sectors: dict[int, list[tuple[float, list[int]]]]
     reps: np.ndarray
     unit_momenta: np.ndarray
     coupling: np.ndarray
@@ -443,15 +419,20 @@ def _plan(
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
     gammas_q = basis.q.conj().T @ gammas @ basis.q
-    cols = [idxs for sec in sectors.values() for _, idxs in sec.clusters]
+    cols = [idxs for sec in sectors.values() for _, idxs in sec]
     clusters = {}
     for s in sorted({len(c) for c in cols}):
         ids = np.array([i for i, c in enumerate(cols) if len(c) == s])
         grid = np.array([cols[i] for i in ids])
         gammas = gammas_q[:, grid[:, :, None], grid[:, None, :]].swapaxes(0, 1)
         clusters[s] = (ids, grid, gammas)
-    coupling = np.array([sec.coupling for sec in sectors.values()])
-    coupling = coupling[np.searchsorted(list(sectors), sizes)]
+    # per orbit, each column's cluster in its twist sector
+    owner = np.zeros((len(sectors), cm.dim_v), dtype=np.intp)
+    for i, sec in enumerate(sectors.values()):
+        for c, (_, idxs) in enumerate(sec):
+            owner[i, idxs] = c
+    owner = owner[np.searchsorted(list(sectors), sizes)]
+    coupling = owner[:, :, None] != owner[:, None, :]
     return _MappingPlan(
         model, truncation, basis, gammas_q, sectors, reps, unit, coupling, *table, clusters
     )

@@ -43,15 +43,15 @@ __all__ = [
 RESIDUAL_TOL = 1e-10  # eigenpair residual, and a symbol-certified block's Weyl bound; rel block
 HERMITICITY_TOL = 1e-12  # M - M^H of an assembled or solved operator, of -iX for exp(X); rel
 INPUT_HERMITICITY_TOL = 1e-10  # M - M^H of a delta block or a Gram matrix; rel
-# twist diagonalization, angle clusters, fixed space, lift order and
-# sign-count integrality: abs; twist-sector coupling: rel largest symbol entry
+# lift basis check, cosines in _unitary_eigh, angle clusters, fixed space, lift
+# order and sign-count integrality: abs; twist-sector coupling: rel largest symbol entry
 STRUCTURE_TOL = 1e-8
 CLUSTER_TOL = 1e-8  # gap inside an eigenvalue cluster; rel largest |eigenvalue|
 RELATION_TOL = 1e-12  # Clifford module relation residuals; op, abs
 CASIMIR_TOL = 1e-10  # Casimir sum minus its scalar c; op, rel c
 UNITARITY_TOL = 1e-10  # U^H U - I of a lift or holonomy generator, R^T R - I; op, abs
 PROJECTOR_TOL = 1e-10  # P - P^H of an averaging projector, eigenvalues off {0, 1}; op, abs
-ANGLE_TOL = 1e-10  # equal cosines in _unitary_eigh, zero sines in the logarithm of a rotation; abs
+ANGLE_TOL = 1e-10  # zero sines in the logarithm of a rotation; abs
 LIFT_TOL = 1e-9  # U gamma U^H - gamma(R) for the lift U of R (and so exp(log R) - R); op, abs
 WEIGHT_TOL = 1e-9  # twice a module weight minus the nearest integer; abs
 SINGULAR_DET_TOL = 1e-12  # |det| of a singular lattice basis; rel product of column norms

@@ -25,6 +25,7 @@ from diraclab.clifford import (
 )
 from diraclab.collapse import blowup_check, collapse_run
 from diraclab.mapping import (
+    _LiftBasis,
     _flat_modes,
     _holonomy_orbits,
     _lift_basis,
@@ -37,6 +38,7 @@ from diraclab.models import AffineMappingTorus, FlatTorusModel
 from diraclab.spectral import (
     HERMITICITY_TOL,
     LIFT_TOL,
+    SPECTRUM_MATCH_TOL,
     UNITARITY_TOL,
     STRUCTURE_TOL,
     eigensolve,
@@ -1108,16 +1110,23 @@ def test_collapse_runs_build_no_operator_per_scale(monkeypatch):
 
 
 def _sector(lift):
-    """The lift basis of lift and its twist sector of orbit size 1
+    """The lift basis of lift and its twist clusters of orbit size 1
     (periodic base)."""
     basis = _lift_basis(lift)
     return basis, _twist_sector(basis, 1, 0.0)
 
 
 def test_twist_that_fails_to_diagonalize_is_refused():
+    # the one diagonalization check, run as each lift basis is built
     shear = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # not unitary
     with pytest.raises(ValueError, match="failed to diagonalize"):
-        _sector(shear)
+        _lift_basis(shear)
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="failed to diagonalize"):
+        _LiftBasis(eye, np.array([[1.0, 0.0], [1e-7, 1.0]]), np.zeros(2))  # q not orthonormal
+    with pytest.raises(ValueError, match="failed to diagonalize"):
+        _LiftBasis(eye, eye, np.array([0.0, 1e-7]))  # angles not the lift's
+    assert _LiftBasis(eye, eye, np.array([0.0, 1e-10])).angles[1] == 1e-10
 
 
 def test_twist_sector_of_unitary_with_repeated_eigenvalue():
@@ -1131,7 +1140,7 @@ def test_twist_sector_of_unitary_with_repeated_eigenvalue():
     assert np.max(np.abs(q.conj().T @ q - np.eye(5))) <= 1e-12
     tq = q.conj().T @ twist @ q
     assert np.max(np.abs(tq - np.diag(np.diag(tq)))) <= 1e-12
-    assert [(round(theta, 12), len(idxs)) for theta, idxs in sector.clusters] == [
+    assert [(round(theta, 12), len(idxs)) for theta, idxs in sector] == [
         (0.1, 3), (0.35, 1), (0.6, 1)
     ]
 
@@ -1179,7 +1188,7 @@ def test_symbol_coupling_twist_sectors_is_refused(monkeypatch):
     (zero,) = np.flatnonzero(~plan.reps.any(axis=1))
     _, sizes = _holonomy_orbits(plan.model, 1)
     assert np.flatnonzero(sizes == 1).tolist() == [zero]
-    assert len(plan.sectors[1].clusters) == 2
+    assert len(plan.sectors[1]) == 2
     assert set(plan.cluster[plan.orbit == zero].tolist()) == {0, 1}
     assert plan.coupling[zero].any() and not np.delete(plan.coupling, zero, axis=0).any()
     p = np.zeros((2, len(plan.reps), 2))
@@ -1330,3 +1339,33 @@ def test_given_lift_checks_match_loop(build, delta, scale):
     else:
         with pytest.raises(ValueError, match=f"^{expected}"):
             _resolve_lift(model, cm)
+
+
+@pytest.mark.parametrize("build", [spinor_gammas, exterior_module])
+@pytest.mark.parametrize("delta", [1e-10, 4e-10, 5e-10])
+def test_near_geometric_given_lift_runs_like_the_geometric_one(build, delta):
+    # a unitary lift delta from the geometric one passes the given-lift
+    # checks; its cosines of an angle pair theta, -theta split by more than
+    # ANGLE_TOL, which _unitary_eigh must still split by sine, or the lift
+    # basis check refuses it (as the exterior module's lift was at 4e-10)
+    cm = build(3)
+    geometric = _plan(_rot4_mapping(), cm, 1).basis.lift
+    h = np.random.default_rng(3).standard_normal((cm.dim_v, cm.dim_v))
+    h = (h + h.T) / np.linalg.norm(h + h.T, 2)
+    u = geometric @ _expm_skew_factors(1j * delta * h)[0]
+    model = AffineMappingTorus(
+        fiber=FlatTorusModel(np.eye(2), np.zeros(2)),
+        holonomy=np.array([[0, -1], [1, 0]]),
+        base_length=1.0,
+        holonomy_lift=u,
+    )
+    assert _loop_lift_refusal(model, cm, u) is None
+    got = collapse_run(model, cm, [1.0, 0.5], 1, 2)
+    ref = collapse_run(_rot4_mapping(), cm, [1.0, 0.5], 1, 2)
+    assert got.verdict == ref.verdict
+    for a, b in zip(got.spectra_per_eps + (got.limit_spectrum,), ref.spectra_per_eps + (ref.limit_spectrum,)):
+        if b is None:  # no limit: the spinor lift fixes no column
+            assert a is None
+        else:
+            assert len(a) == len(b)
+            assert np.max(np.abs(np.sort(a.values) - np.sort(b.values))) <= SPECTRUM_MATCH_TOL

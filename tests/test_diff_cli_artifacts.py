@@ -1,7 +1,10 @@
 """tools/diff_cli_artifacts.py, the byte-for-byte gate on the CLI artifacts
 and rot4 collapse reports of two source trees: it passes a tree against
-itself and names an artifact or report that a tree writes differently."""
+itself and names an artifact or report that a tree writes differently,
+with the largest change of a number in it."""
 
+import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "diff_cli_artifacts.py"
 SEEDS = ("1", "7", "123")
 ROT4 = ("collapse_spinor_rot4", "window_exterior_rot4")
+CHANGE = r" \(largest float change \S+ abs, \S+ rel(, \d+ other value\(s\) differ)?\)"
 
 
 def _diff(old: Path, new: Path) -> subprocess.CompletedProcess:
@@ -41,9 +45,13 @@ def test_an_artifact_written_differently_is_named(tmp_path):
     tree = _mutated(tmp_path, "cli.py", line, '"bound_constant": float(c_bound) + 1.0,')
     proc = _diff(ROOT, tree)
     assert proc.returncode == 1, proc.stderr
-    assert proc.stdout.splitlines() == [
-        f"differs: seed{seed}/perturbation/pert_report.json" for seed in sorted(SEEDS)
-    ] + [f"{len(SEEDS)} difference(s) over {len(SEEDS)} seed(s)"]
+    *lines, total = proc.stdout.splitlines()
+    assert total == f"{len(SEEDS)} difference(s) over {len(SEEDS)} seed(s)"
+    assert len(lines) == len(SEEDS)
+    for seed, line in zip(sorted(SEEDS), lines):
+        # the bound constant is the one number that moves, by 1
+        path = re.escape(f"seed{seed}/perturbation/pert_report.json")
+        assert re.fullmatch(rf"differs: {path} \(largest float change 1 abs, \S+ rel\)", line)
 
 
 def test_a_rot4_report_written_differently_is_named(tmp_path):
@@ -56,7 +64,44 @@ def test_a_rot4_report_written_differently_is_named(tmp_path):
     proc = _diff(ROOT, tree)
     assert proc.returncode == 1, proc.stderr
     reports = [
-        f"differs: seed{seed}/{name}/{size}.json"
+        f"seed{seed}/{name}/{size}.json"
         for seed in sorted(SEEDS) for name in ROT4 for size in ("full", "smoke")
     ]
-    assert proc.stdout.splitlines() == reports + [f"{len(reports)} difference(s) over {len(SEEDS)} seed(s)"]
+    *lines, total = proc.stdout.splitlines()
+    assert total == f"{len(reports)} difference(s) over {len(SEEDS)} seed(s)"
+    assert len(lines) == len(reports)
+    for report, line in zip(reports, lines):
+        assert re.fullmatch(rf"differs: {re.escape(report)}{CHANGE}", line)
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("diff_cli_artifacts", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_float_change_names_the_largest_move(tmp_path):
+    change = _tool().float_change
+
+    def pair(suffix, old, new):
+        (tmp_path / f"old{suffix}").write_text(old)
+        (tmp_path / f"new{suffix}").write_text(new)
+        return change(tmp_path / f"old{suffix}", tmp_path / f"new{suffix}")
+
+    # a last-bit move of 0.25 hidden by a move of 4 to 5, 1 relative to 5
+    assert pair(".json", '{"a": [0.25, 4.0], "b": "x"}', '{"a": [0.24999999999999997, 5.0], "b": "x"}') == (
+        " (largest float change 1 abs, 0.2 rel)"
+    )
+    assert pair(".json", '{"a": 0.25}', '{"a": 0.25000000000000006}') == (
+        " (largest float change 5.6e-17 abs, 5.6e-17 rel)"
+    )
+    assert pair(".json", '{"a": 1.0, "v": "converges"}', '{"a": NaN, "v": "blows_up"}') == (
+        " (largest float change inf abs, inf rel, 1 other value(s) differ)"
+    )
+    assert pair(".csv", "mu,mult\n1.5,2\n", "mu,mult\n1.5000001,2\n") == (
+        " (largest float change 1e-07 abs, 6.7e-08 rel)"
+    )
+    assert pair(".json", '{"a": [1.0]}', '{"a": [1.0, 2.0]}') == " (layout differs)"
+    assert pair(".json", '{"a": 1.0}', '{"a": ') == ""
+    assert pair(".txt", "1.0", "2.0") == ""

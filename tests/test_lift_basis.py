@@ -220,7 +220,7 @@ def _assert_same_clusters(got, ref):
 
 
 def _sector_clusters(sector):
-    return [(t, len(idxs)) for t, idxs in sector.clusters]
+    return [(t, len(idxs)) for t, idxs in sector]
 
 
 def _parallel_outcome(model, basis):
@@ -277,7 +277,7 @@ def test_computed_lift_basis_matches_eig_qr_over_model_space(model, exterior, tr
     given_model = _with_lift(model, basis.lift)
     given_basis = _resolve_lift(given_model, cm)
     for b in (basis, given_basis):
-        assert b.ortho <= 1e-13
+        assert np.max(np.abs(b.q.conj().T @ b.q - np.eye(len(b.q)))) <= 1e-13
         assert np.max(np.abs(b.lift @ b.q - b.q * np.exp(2j * np.pi * b.angles))) <= 1e-13
         _assert_same_clusters(lift_clusters(b.angles, b.fixed), lift_clusters(angles, ref_fixed))
     plan, ref_plan = _plan(model, cm, truncation), _plan(given_model, cm, truncation)

@@ -358,17 +358,31 @@ def test_metric_family_refuses_bad_shapes():
 
 
 def test_metric_family_refuses_non_finite_values():
+    # an infinite node is refused by name, not by the RuntimeWarning (an
+    # error in this suite) of inf - inf in the symmetry check or the
+    # central difference; at one node and on an interval
     def nan_gram(t):
         return np.full((2, 2), np.nan) if t == 0.5 else np.eye(2)
 
-    with pytest.raises(ValueError, match=r"Gram matrix at t=0\.5 is not finite"):
-        metric_path(nan_gram, samples=5)
+    def inf_gram(t):
+        return np.full((2, 2), np.inf) if t == 0.5 else np.eye(2) * (1.0 + t)
+
+    def inf_on_interval(t):
+        return np.diag([np.inf, 1.0]) if 0.3 <= t <= 0.7 else np.eye(2) * (1.0 + t)
+
+    for family in (nan_gram, inf_gram, inf_on_interval):
+        with pytest.raises(ValueError, match=r"^Gram matrix at t=0\.5 is not finite$"):
+            metric_path(family, samples=5)
 
     def nan_near_half(t):
         return np.full((2, 2), np.nan) if 0 < abs(t - 0.5) < 1e-3 else np.eye(2)
 
-    with pytest.raises(ValueError, match=r"metric derivative at t=0\.5 is not finite"):
-        metric_path(nan_near_half, samples=5)
+    def inf_near_half(t):
+        return np.diag([np.inf, 1.0]) if 0 < abs(t - 0.5) < 1e-3 else np.eye(2)
+
+    for family in (nan_near_half, inf_near_half):
+        with pytest.raises(ValueError, match=r"^metric derivative at t=0\.5 is not finite$"):
+            metric_path(family, samples=5)
 
 
 def test_metric_path_names_first_failing_node():

@@ -7,8 +7,12 @@ tree's ``src/`` on the path, at seeds 1, 7 and 123, and saves the
 ``bench/workloads.py``, through its ``setup`` and ``run``) at sizes smoke
 and full and the same seeds, as ``seedS/WORKLOAD/SIZE.json``.  It lists
 every file whose bytes differ (or that only one tree wrote) and every
-exit code that differs.  The configs and workloads come from this
-repository's ``tests/test_cli.py`` and ``bench/workloads.py``.
+exit code that differs.  Next to a differing JSON or CSV file that parses
+on both sides it prints the largest change of a number at the same place,
+absolute and relative to max(1, |value|) (the tolerance table's "rel"),
+and how many other values differ, or that the layout differs.  The
+configs and workloads come from this repository's ``tests/test_cli.py``
+and ``bench/workloads.py``.
 
     python tools/diff_cli_artifacts.py OLD_TREE NEW_TREE
 
@@ -18,7 +22,10 @@ Exit status: 0 when everything is identical, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -68,6 +75,69 @@ def run_tree(tree: Path, out: Path) -> dict[str, int]:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _leaves(obj, key=()):
+    """(position, value) of every scalar in a parsed JSON value."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _leaves(v, key + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _leaves(v, key + (i,))
+    else:
+        yield key, obj
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _values(path: Path) -> dict | None:
+    """A JSON or CSV file's scalars by position, or None when it is neither
+    or does not parse."""
+    try:
+        text = path.read_text()
+        if path.suffix == ".json":
+            return dict(_leaves(json.loads(text)))
+        if path.suffix == ".csv":
+            rows = csv.reader(io.StringIO(text))
+            return {(i, j): _cell(c) for i, row in enumerate(rows) for j, c in enumerate(row)}
+    except ValueError:  # UnicodeDecodeError and json's errors included
+        pass
+    return None
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def float_change(old: Path, new: Path) -> str:
+    """The largest change of a number between two versions of a JSON or CSV
+    file, as a suffix for its line; empty when either does not parse."""
+    a, b = _values(old), _values(new)
+    if a is None or b is None:
+        return ""
+    if a.keys() != b.keys():
+        return " (layout differs)"
+    top_abs = top_rel = 0.0
+    others = 0
+    for key, x in a.items():
+        y = b[key]
+        if not (_is_number(x) and _is_number(y)):
+            others += x != y
+        elif x != y and not (math.isnan(x) and math.isnan(y)):
+            if math.isfinite(x) and math.isfinite(y):
+                change = abs(x - y)
+                top_abs = max(top_abs, change)
+                top_rel = max(top_rel, change / max(1.0, abs(x), abs(y)))
+            else:
+                top_abs = top_rel = math.inf
+    tail = f", {others} other value(s) differ" if others else ""
+    return f" (largest float change {top_abs:.2g} abs, {top_rel:.2g} rel{tail})"
+
+
 def compare(old: Path, new: Path, work: Path) -> list[str]:
     """One line per differing artifact or exit code; empty when identical."""
     codes_old = run_tree(old, work / "old")
@@ -85,7 +155,7 @@ def compare(old: Path, new: Path, work: Path) -> list[str]:
         elif rel not in files_old:
             diffs.append(f"only in new: {rel}")
         elif (work / "old" / rel).read_bytes() != (work / "new" / rel).read_bytes():
-            diffs.append(f"differs: {rel}")
+            diffs.append(f"differs: {rel}" + float_change(work / "old" / rel, work / "new" / rel))
     return diffs
 
 
