@@ -21,7 +21,7 @@ Config layout:
            perturbation | frame_bundle | block_identities
 
     [model]         ; models for the spectral experiments
-    type = flat_torus | mapping_torus
+    type = flat_torus | mapping_torus      ; optional; the experiment's model
     module = spinor | exterior
     lattice = 6.283185307179586            ; rows separated by ';'
     spin_shift = 0.5
@@ -111,7 +111,15 @@ def _build_module(cfg: configparser.ConfigParser, n: int) -> CliffordModule:
     raise ValueError(f"unknown module kind {kind!r}")
 
 
+def _check_model_type(cfg: configparser.ConfigParser, kind: str) -> None:
+    """Refuse a [model] type naming another model than kind, the experiment's."""
+    named = cfg.get("model", "type", fallback=kind)
+    if named != kind:
+        raise ValueError(f"[model] type must be {kind} for this experiment, got {named!r}")
+
+
 def _build_flat(cfg: configparser.ConfigParser) -> FlatTorusModel:
+    _check_model_type(cfg, "flat_torus")
     lattice = _parse_matrix(cfg.get("model", "lattice"))
     n = lattice.shape[0]
     shift_text = cfg.get("model", "spin_shift", fallback=None)
@@ -120,6 +128,7 @@ def _build_flat(cfg: configparser.ConfigParser) -> FlatTorusModel:
 
 
 def _build_mapping(cfg: configparser.ConfigParser) -> tuple[AffineMappingTorus, CliffordModule]:
+    _check_model_type(cfg, "mapping_torus")
     fiber_lattice = _parse_matrix(cfg.get("model", "fiber_lattice"))
     m = fiber_lattice.shape[0]
     cm = _build_module(cfg, m + 1)

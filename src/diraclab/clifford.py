@@ -296,18 +296,9 @@ def _unitary_key(u: np.ndarray, digits: int = 9) -> bytes:
     return (np.round(u, digits) + 0.0).tobytes()
 
 
-# largest group holonomy_rep closes by default, and its refusal beyond that;
-# the mapping plan refuses a lift whose powers do not close within it the same way
-_MAX_HOLONOMY_ORDER = 1024
-_CLOSURE_EXCEEDED = (
-    "holonomy closure exceeded {max_order} elements; "
-    "generators do not span a small finite group"
-)
-
-
 def holonomy_rep(
     generators: list[np.ndarray] | tuple[np.ndarray, ...],
-    max_order: int = _MAX_HOLONOMY_ORDER,
+    max_order: int = 1024,
     tol: float = UNITARITY_TOL,
 ) -> HolonomyRep:
     """Close a generating set of unitaries into a finite group.
@@ -335,7 +326,8 @@ def holonomy_rep(
                 k = _unitary_key(p)
                 if k not in elements:
                     if len(elements) >= max_order:
-                        raise ValueError(_CLOSURE_EXCEEDED.format(max_order=max_order))
+                        msg = f"holonomy closure exceeded {max_order} elements; "
+                        raise ValueError(msg + "generators do not span a small finite group")
                     elements[k] = p
                     nxt.append(p)
         frontier = nxt
@@ -359,14 +351,14 @@ def fixed_subspace(rep: HolonomyRep, tol: float = PROJECTOR_TOL) -> np.ndarray:
     return vecs[:, keep]
 
 
-def _expm_skew_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(x) for a skew-Hermitian x, with the eigh (w, v) of the Hermitian
-    matrix -ix it is built from: exp(x) = v diag(exp(i w)) v^H, v unitary.
-    Any other input is refused."""
+def _expm_skew_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(x) for a skew-Hermitian x, with the eigenbasis v of the Hermitian
+    matrix -ix it is built from: exp(x) = v diag(exp(i w)) v^H for the eigh
+    (w, v) of -ix, v unitary.  Any other input is refused."""
     h = -1j * np.asarray(x, dtype=complex)
     _require_hermitian([h], HERMITICITY_TOL, "exponential is taken of skew-Hermitian matrices only")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T, w, v
+    return (v * np.exp(1j * w)) @ v.conj().T, v
 
 
 def _unitary_eigh(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -443,10 +435,9 @@ def lift_rotation(cm: CliffordModule, rot: np.ndarray) -> np.ndarray:
     return _lift_factors(cm, rot)[0]
 
 
-def _lift_factors(cm: CliffordModule, rot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lift_rotation's U with the eigh (w, v) of its Hermitian generator:
-    U = v diag(exp(i w)) v^H, so v is an orthonormal eigenbasis of U and
-    w / 2 pi its eigen-angles in turns.  Same checks, in the same order."""
+def _lift_factors(cm: CliffordModule, rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lift_rotation's U with the eigenbasis v of its Hermitian generator,
+    an orthonormal eigenbasis of U.  Same checks, in the same order."""
     rot = np.asarray(rot, dtype=float)
     n = cm.n
     if rot.shape != (n, n):
@@ -456,7 +447,7 @@ def _lift_factors(cm: CliffordModule, rot: np.ndarray) -> tuple[np.ndarray, np.n
     if np.linalg.det(rot) < 0:
         raise ValueError("orientation-reversing isometries have no lift here")
     omega = _special_orthogonal_log(rot)
-    u, w, v = _expm_skew_factors(0.5 * np.tensordot(omega, cm.sigmas, axes=2))
+    u, v = _expm_skew_factors(0.5 * np.tensordot(omega, cm.sigmas, axes=2))
     if _exceeds(u @ cm.gammas @ u.conj().T - cm.gamma(rot.T), LIFT_TOL):
         raise ValueError("computed lift fails to intertwine the Clifford action")
-    return u, w, v
+    return u, v

@@ -222,18 +222,16 @@ def collapse_run(
 
 
 def window_agreement(report: CollapseReport, tol: float = SPECTRUM_MATCH_TOL) -> list[MatchResult]:
-    """Windowed multiset comparison at every scale of a convergent run."""
+    """Windowed multiset comparison at every scale of a convergent run.  A
+    scale whose window holds none of its eigenvalues compares nothing, and
+    fails."""
     if report.limit_spectrum is None:
         raise ValueError("window agreement needs a convergent run")
     out = []
     for spec, bound in zip(report.spectra_per_eps, report.window_bounds):
-        out.append(
-            epsilon_close(
-                window_intersect(spec, bound),
-                window_intersect(report.limit_spectrum, bound),
-                tol,
-            )
-        )
+        got = window_intersect(spec, bound)
+        match = epsilon_close(got, window_intersect(report.limit_spectrum, bound), tol)
+        out.append(match if len(got) else MatchResult(ok=False, max_deviation=match.max_deviation))
     return out
 
 

@@ -15,32 +15,33 @@ direction (see _plan), so every operator that the assembly module builds
 comes from a plan.
 
 The lift is diagonalized once, by complex Hermitian eigh alone: a computed
-one with its generator's, a given one with clifford._unitary_eigh's two,
-and that basis is checked once (_LiftBasis).  Every orbit twist is diagonal
-in it, with angles read off the lift's (_twist_sector); _parallel_columns
-alone decides which of its columns parallel sections take.  Only the fiber
-momenta depend on the fiber scale, as 1/fiber_scale, so the plan solves
-them at unit scale and a step divides them by the scale.  The plan keeps
-one block table: per block in row order its orbit, its twist cluster and
-its base momentum, and per cluster size the gammas restricted to those
-clusters as one stack.  The step forms each size class's blocks from these
-rows.  A collapse run builds the plan once and solves all its scales in one
-stacked pass over the symbols of the same rows (see the symbols module).
-The limit operator is the zero-mode orbit's rows at zero fiber momentum;
-as that orbit's momentum is zero at every scale, a collapse run reads the
-limit's spectrum off those rows of the scales' solution.
+one with its generator's, a given one with clifford._unitary_eigh's two.
+That basis is the plan's one source of lift data (_LiftBasis), whose one
+check reads the lift's eigen-angles off q^H lift q.  Every orbit twist is
+diagonal in it, with angles read off the lift's (_twist_sector), and
+_parallel_columns reads which columns parallel sections take off them
+alone: a lift of any angle runs.  Only the fiber momenta depend on the
+fiber scale, as 1/fiber_scale, so the plan solves them at unit scale and a
+step divides them by the scale.  The plan keeps one block table: per block
+in row order its orbit, its twist cluster and its base momentum, and per
+cluster size the gammas restricted to those clusters as one stack.  The
+step forms each size class's blocks from these rows.  A collapse run builds
+the plan once and solves all its scales in one stacked pass over the
+symbols of the same rows (see the symbols module).  The limit operator is
+the zero-mode orbit's rows at zero fiber momentum; as that orbit's momentum
+is zero at every scale, a collapse run reads the limit's spectrum off those
+rows of the scales' solution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .clifford import CliffordModule, _exceeds, _lift_factors, _unitary_eigh
-from .clifford import _CLOSURE_EXCEEDED, _MAX_HOLONOMY_ORDER
 from .models import AffineMappingTorus, FlatTorusModel, _check_scaled, matrix_order
-from .spectral import LIFT_TOL, SHIFT_INTEGRALITY_TOL, STRUCTURE_TOL, UNITARITY_TOL
+from .spectral import LIFT_TOL, STRUCTURE_TOL, UNITARITY_TOL
 from .spectral import AssembledOperator, BlockInfo
 from .symbols import _COUPLED, _block_symbols, _BlockSymbols, _SymbolSolution
 
@@ -80,8 +81,7 @@ def _resolve_lift(model: AffineMappingTorus, cm: CliffordModule) -> _LiftBasis:
     rot = np.eye(m + 1)
     rot[:m, :m] = phys.T
     if model.holonomy_lift is None:
-        u, w, v = _lift_factors(cm, rot)
-        return _LiftBasis(u, v, np.mod(w / (2.0 * np.pi), 1.0))
+        return _LiftBasis(*_lift_factors(cm, rot))
     u = model.holonomy_lift
     if u.shape != (cm.dim_v, cm.dim_v):
         raise ValueError("holonomy lift has the wrong shape for this module")
@@ -104,10 +104,8 @@ def _holonomy_orbits(model: AffineMappingTorus, truncation: int) -> tuple[np.nda
     """
     phi_t = model.holonomy.T
     delta = model.fiber.spin_shift
-    carry = phi_t @ delta - delta
-    carry_int = np.round(carry).astype(np.int64)
-    if np.max(np.abs(carry - carry_int)) > SHIFT_INTEGRALITY_TOL:
-        raise ValueError("fiber spin shift is not compatible with the holonomy")
+    # integral, as the model refuses a spin shift the holonomy does not keep
+    carry_int = np.round(phi_t @ delta - delta).astype(np.int64)
     cap = matrix_order(model.holonomy)
     # images[j] holds the j-th image of every window mode, j = 0 .. cap
     window = _flat_modes(model.fiber, truncation)
@@ -153,53 +151,45 @@ def _cluster_angles(thetas: np.ndarray) -> list[tuple[float, list[int]]]:
 
 @dataclass(frozen=True, eq=False)
 class _LiftBasis:
-    """Orthonormal eigenbasis q (columns) of a resolved lift with its
-    eigen-angles (fractions of a turn) by column; fixed marks the columns the
-    lift fixes, |lift q_j - q_j| <= STRUCTURE_TOL.  The one check that q
-    diagonalizes the lift runs on construction: q^H q = I and q^H lift q =
-    diag(exp(2 pi i angles)), within STRUCTURE_TOL."""
+    """Orthonormal eigenbasis q (columns) of a resolved lift, and the lift's
+    eigen-angles (fractions of a turn, mod 1) by column, read off the
+    diagonal of q^H lift q (the Rayleigh quotients).  The one check that q
+    diagonalizes the lift runs on construction: q^H q = I, and q^H lift q
+    is diagonal with unimodular entries, within STRUCTURE_TOL."""
 
     lift: np.ndarray
     q: np.ndarray
-    angles: np.ndarray
+    angles: np.ndarray = field(init=False)
 
     def __post_init__(self):
         q, eye = self.q, np.eye(len(self.q))
-        tq = q.conj().T @ self.lift @ q - eye * np.exp(2j * np.pi * self.angles)
-        if not max(np.max(np.abs(tq)), np.max(np.abs(q.conj().T @ q - eye))) <= STRUCTURE_TOL:
+        tq = q.conj().T @ self.lift @ q
+        turns = np.angle(np.diagonal(tq)) / (2.0 * np.pi)
+        off = tq - eye * np.exp(2j * np.pi * turns)
+        if not max(np.max(np.abs(off)), np.max(np.abs(q.conj().T @ q - eye))) <= STRUCTURE_TOL:
             raise ValueError("orbit twist failed to diagonalize (lift is not unitary?)")
-
-    @cached_property
-    def fixed(self) -> np.ndarray:
-        return np.abs(self.lift @ self.q - self.q).max(axis=0) <= STRUCTURE_TOL
+        object.__setattr__(self, "angles", np.mod(turns, 1.0))
 
 
 def _lift_basis(lift: np.ndarray) -> _LiftBasis:
-    """Diagonalize a given lift with _unitary_eigh.  Each column is moved to
-    the row of its largest entry and made real and positive there, so that
-    unit vectors stay put and a diagonal lift keeps q = I."""
+    """Diagonalize a given lift in _unitary_eigh's basis.  Each column is
+    moved to the row of its largest entry and made real and positive there,
+    so that unit vectors stay put and a diagonal lift keeps q = I."""
     lift = np.asarray(lift, dtype=complex)
-    thetas, q = _unitary_eigh(lift)
+    q = _unitary_eigh(lift)[1]
     top = np.argmax(np.abs(q), axis=0)
     pivots = q[top, np.arange(len(q))]
-    order = np.argsort(top, kind="stable")
-    q = (q * (np.abs(pivots) / pivots))[:, order]
-    return _LiftBasis(lift, q, np.mod(thetas[order] / (2.0 * np.pi), 1.0))
+    q = (q * (np.abs(pivots) / pivots))[:, np.argsort(top, kind="stable")]
+    return _LiftBasis(lift, q)
 
 
 def _parallel_columns(model: AffineMappingTorus, basis: _LiftBasis) -> np.ndarray:
     """Mask of the lift-basis columns spanning the values parallel sections
-    take: the lift's fixed columns when the fiber has a zero mode (trivial
-    fiber spin shift), and none otherwise.
-
-    First refuses, with holonomy_rep's message, a lift whose powers do not
-    close within _MAX_HOLONOMY_ORDER: no k up to it takes every eigen-angle to
-    within STRUCTURE_TOL of a whole turn.
-    """
-    turns = np.arange(1, _MAX_HOLONOMY_ORDER + 1)[:, None] * basis.angles
-    if not np.any(np.all(np.abs(turns - np.rint(turns)) <= STRUCTURE_TOL, axis=1)):
-        raise ValueError(_CLOSURE_EXCEEDED.format(max_order=_MAX_HOLONOMY_ORDER))
-    return basis.fixed & bool(np.all(model.fiber.spin_shift == 0.0))
+    take: those the lift fixes, whose eigen-angle is within STRUCTURE_TOL of
+    a whole turn, when the fiber has a zero mode (trivial fiber spin shift),
+    and none otherwise."""
+    angles = basis.angles
+    return (np.abs(angles - np.rint(angles)) <= STRUCTURE_TOL) & (not model.fiber.spin_shift.any())
 
 
 def _twist_sector(basis: _LiftBasis, d: int, base_shift: float) -> list[tuple[float, list[int]]]:
@@ -379,7 +369,8 @@ def _scaled_momenta(unit: np.ndarray, eps: list[float]) -> np.ndarray:
     """Fiber momenta (E, K, m) at the fiber scales eps, unit (K, m) / eps;
     refuses first, naming it, a scale at which one overflows when squared."""
     eps = [float(e) for e in eps]
-    top = float(np.sqrt(np.max(np.sum(unit * unit, axis=1))))
+    # the largest |p| at unit scale, by hypot, which overflows only if |p| does
+    top = float(np.max(np.hypot.reduce(np.abs(unit), axis=1)))
     _check_scaled("a fiber momentum", eps, [top / e for e in eps])
     return unit / np.array(eps)[:, None, None]
 
@@ -397,7 +388,7 @@ def _plan(
     if isinstance(model, FlatTorusModel):
         if cm.n != model.n:
             raise ValueError(f"module dimension {cm.n} does not match torus rank {model.n}")
-        basis = _LiftBasis(np.eye(cm.dim_v), np.eye(cm.dim_v), np.zeros(cm.dim_v))
+        basis = _LiftBasis(np.eye(cm.dim_v), np.eye(cm.dim_v))
         gammas = np.concatenate([cm.gammas, np.zeros_like(cm.gammas[:1])])
         reps = _flat_modes(model, truncation)
         k = len(reps)
@@ -414,6 +405,9 @@ def _plan(
         zeta0 = reps + model.fiber.spin_shift
         # one (1, m) @ (m, 1) product per orbit rounds like a dot of one orbit
         conn_dot = (zeta0[:, None, :] @ model.connection[:, None])[:, 0, 0]
+        # |u + theta| / d < truncation + 1 bounds every |beta| by 2 pi top
+        top = (truncation + 1) / float(model.base_length) + float(np.max(np.abs(conn_dot)))
+        _check_scaled("a base momentum", [model.base_length], [2.0 * np.pi * top], "base length")
         table = _orbit_layout(sectors, reps, sizes, conn_dot, model.base_length, truncation)
         unit = model.fiber.dual_momentum(reps)
     else:

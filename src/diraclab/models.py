@@ -94,12 +94,14 @@ class FlatTorusModel:
         lattice of rank at most 3 has an obtuse superbase, and an orthogonal
         basis of any rank is one; a rank-4 or higher basis that is not is
         refused, as is a rank above 8 (the largest Clifford module's), whose
-        n! simplices outgrow memory.
+        n! simplices outgrow memory.  The basis is first scaled exactly, by
+        a power of two, so that no Gram entry overflows or underflows.
         """
         n = self.n
         if n > 8:
             raise ValueError(f"exact diameter supported up to rank 8, got rank {n}")
-        b = self.lattice_basis.copy()
+        exp = int(np.frexp(np.max(np.abs(self.lattice_basis)))[1])
+        b = np.ldexp(self.lattice_basis, -exp)
         while True:
             g = b.T @ b
             mult = np.trunc(g / np.diag(g))
@@ -127,7 +129,7 @@ class FlatTorusModel:
         # rows: the vertices v_s1 + ... + v_sk, k = 1 .. n, of each simplex
         w = np.cumsum(v[:, orders], axis=2).transpose(1, 2, 0)
         centre = np.linalg.solve(2.0 * w, np.sum(w * w, axis=2)[..., None])[..., 0]
-        return float(np.sqrt(np.max(np.sum(centre * centre, axis=1))))
+        return float(np.ldexp(np.sqrt(np.max(np.sum(centre * centre, axis=1))), exp))
 
 
 def matrix_order(m: np.ndarray, cap: int = 1024) -> int:
@@ -149,11 +151,11 @@ def _check_fiber_scale(eps: float) -> None:
         raise ValueError(f"fiber scale must be finite, got {eps!r}")
 
 
-def _check_scaled(what: str, eps: list[float], sizes: list[float]) -> None:
+def _check_scaled(what: str, eps: list[float], sizes: list[float], scale: str = "fiber scale") -> None:
     """Refuse the first scale of eps whose size (a float) of what overflows when squared."""
     for e, x in zip(eps, sizes):
         if not np.isfinite(x * x):
-            raise ValueError(f"fiber scale {e!r} is out of range: {what} overflows when squared")
+            raise ValueError(f"{scale} {e!r} is out of range: {what} overflows when squared")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,12 +183,16 @@ class AffineMappingTorus:
         phi = np.asarray(self.holonomy)
         if phi.shape != (m, m):
             raise ValueError("holonomy must be square of the fiber rank")
-        if not np.all(phi == np.round(phi)):
+        # an entry beyond the int64 range, inf included, is no integer it can hold
+        if not np.all((np.abs(phi) < 2.0**63) & (phi == np.round(phi))):
             raise ValueError("holonomy must be an integer matrix")
         phi = phi.astype(np.int64)
         object.__setattr__(self, "holonomy", phi)
         if round(np.linalg.det(phi.astype(float))) != 1:
             raise ValueError("holonomy must preserve orientation (determinant 1)")
+        top = float(np.max(np.abs(self.fiber.lattice_basis)))
+        if not np.isfinite(m * top * top):
+            raise ValueError("fiber lattice is out of range: its Gram matrix overflows")
         g = self.fiber.gram
         scale = max(1.0, float(np.max(np.abs(g))))
         if np.max(np.abs(phi.T @ g @ phi - g)) > METRIC_INVARIANCE_TOL * scale:

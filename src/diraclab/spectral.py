@@ -43,8 +43,8 @@ __all__ = [
 RESIDUAL_TOL = 1e-10  # eigenpair residual, and a symbol-certified block's Weyl bound; rel block
 HERMITICITY_TOL = 1e-12  # M - M^H of an assembled or solved operator, of -iX for exp(X); rel
 INPUT_HERMITICITY_TOL = 1e-10  # M - M^H of a delta block or a Gram matrix; rel
-# lift basis check, cosines in _unitary_eigh, angle clusters, fixed space, lift
-# order and sign-count integrality: abs; twist-sector coupling: rel largest symbol entry
+# lift basis, _unitary_eigh cosines, angle clusters, parallel columns (angle off
+# a whole turn), sign-count integrality: abs; twist coupling: rel largest symbol entry
 STRUCTURE_TOL = 1e-8
 CLUSTER_TOL = 1e-8  # gap inside an eigenvalue cluster; rel largest |eigenvalue|
 RELATION_TOL = 1e-12  # Clifford module relation residuals; op, abs

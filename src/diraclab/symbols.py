@@ -27,7 +27,8 @@ s delta / r^2 < 1 of n - (s - n), so the rounded n+ is n, and the sorted
 values match the eigenvalues to within delta / r.  The block scale is at
 most eigensolve's max(1, max |D_ij|), as sqrt(r^2 - delta) <= ||H||_2 <=
 s max |H_ij| <= s max |D_ij|, so that error meets eigensolve's residual
-tolerance.  A block with x = 0 is exactly zero and gives s zeros.
+tolerance.  A block with r = 0 gives s zeros: it is zero, or r^2
+underflows (|x| about 1e-162 or less), so far below that tolerance.
 
 The limit's blocks are the zero-mode orbit's, whose fiber momentum is 0 at
 every scale: there a = b = 0 and delta = beta^2 c whatever 1 / eps is, so
@@ -198,7 +199,7 @@ class _BlockSymbols:
         ok = self.sizes * delta < r2
         ok &= delta <= bscale * RESIDUAL_TOL * r
         del delta, r2
-        zero = np.take(~p.any(axis=2), self.orbit, axis=1) & (beta == 0.0)
+        zero = r == 0.0
         # nplus = (s + tr H / r) / 2
         nplus = per_block(tr_f)
         nplus += beta * self.trace[m, c]

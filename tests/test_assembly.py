@@ -1123,10 +1123,14 @@ def test_twist_that_fails_to_diagonalize_is_refused():
         _lift_basis(shear)
     eye = np.eye(2, dtype=complex)
     with pytest.raises(ValueError, match="failed to diagonalize"):
-        _LiftBasis(eye, np.array([[1.0, 0.0], [1e-7, 1.0]]), np.zeros(2))  # q not orthonormal
+        _LiftBasis(eye, np.array([[1.0, 0.0], [1e-7, 1.0]]))  # q not orthonormal
     with pytest.raises(ValueError, match="failed to diagonalize"):
-        _LiftBasis(eye, eye, np.array([0.0, 1e-7]))  # angles not the lift's
-    assert _LiftBasis(eye, eye, np.array([0.0, 1e-10])).angles[1] == 1e-10
+        _LiftBasis(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), eye)  # lift not diagonal in q
+    with pytest.raises(ValueError, match="failed to diagonalize"):
+        _LiftBasis(np.diag([1.0, 1.0 + 1e-7]), eye)  # an eigenvalue off the unit circle
+    # the angles are read off the diagonal, in turns mod 1
+    basis = _LiftBasis(np.diag(np.exp(2j * np.pi * np.array([1e-10, -0.25]))), eye)
+    assert basis.angles == pytest.approx([1e-10, 0.75], rel=1e-6)
 
 
 def test_twist_sector_of_unitary_with_repeated_eigenvalue():

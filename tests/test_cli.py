@@ -320,6 +320,68 @@ def test_non_finite_inputs_exit_two(tmp_path, capsys, config, old, new, message)
     _assert_refused(tmp_path, capsys, config, old, new, message)
 
 
+@pytest.mark.parametrize(
+    "config, old, new, message",
+    [
+        (TORUS_CFG, f"lattice = {CIRCLE}", "lattice = 1e-160",
+         r"fiber scale 1\.0 is out of range: a fiber momentum overflows when squared"),
+        (WINDOW_CFG, f"fiber_lattice = {CIRCLE}", "fiber_lattice = 1e300",
+         "fiber lattice is out of range: its Gram matrix overflows"),
+        (WINDOW_CFG, f"fiber_lattice = {CIRCLE}", "fiber_lattice = 1e-300",
+         r"fiber scale 1\.0 is out of range: a fiber momentum overflows when squared"),
+        (WINDOW_CFG, "holonomy = 1", "holonomy = inf", "holonomy must be an integer matrix"),
+        (BLOWUP_CFG, f"base_length = {CIRCLE}", "base_length = 1e-300",
+         "base length 1e-300 is out of range: a base momentum overflows when squared"),
+        (COLLAPSE_CFG, f"base_length = {CIRCLE}", "base_length = 1e300", None),
+    ],
+    ids=[
+        "torus_lattice_1e-160", "window_fiber_1e300", "window_fiber_1e-300", "window_holonomy_inf",
+        "blowup_base_1e-300", "collapse_base_1e300",
+    ],
+)
+def test_out_of_range_magnitudes_exit_two_by_name(tmp_path, capsys, config, old, new, message):
+    # each of these escaped as a RuntimeWarning (an overflow, a 0/0 or an
+    # invalid cast), which this suite turns into an error
+    if message is not None:
+        _assert_refused(tmp_path, capsys, config, old, new, message)
+        return
+    # base momenta near 1e-299 square to 0, so the limit's blocks are zero
+    # blocks; the run completes, and fails its window check because the
+    # fiber modes k = +-1 now sit on the window's edge, outside the limit
+    code, out = _run(tmp_path, config.replace(old, new))
+    assert code == 3
+    assert json.loads((out / "col_collapse.json").read_text())["limit_spectrum"] == [0.0] * 42
+
+
+@pytest.mark.parametrize("name", ["window_test", "collapse"])
+def test_window_that_compares_nothing_fails(tmp_path, name):
+    # with L = 0.01 every base momentum lies beyond the windows, which used
+    # to pass with no eigenvalue compared at any scale
+    code, out = _run(tmp_path, ALL_CONFIGS[name].replace(f"base_length = {CIRCLE}", "base_length = 0.01"))
+    assert code == 3
+    data = json.loads(next(out.glob("*_report.json")).read_text())
+    assert data["passed"] is False
+    if name == "window_test":
+        assert data["results"]["matched_counts"] == [0, 0, 0, 0]
+        assert data["results"]["all_matched"] is False
+
+
+@pytest.mark.parametrize(
+    "config, old, new, message",
+    [
+        (WINDOW_CFG, "type = mapping_torus", "type = abc",
+         r"\[model\] type must be mapping_torus for this experiment, got 'abc'"),
+        (TORUS_CFG, "type = flat_torus", "type = mapping_torus",
+         r"\[model\] type must be flat_torus for this experiment, got 'mapping_torus'"),
+    ],
+    ids=["window_abc", "torus_mapping"],
+)
+def test_model_type_must_name_the_experiments_model(tmp_path, capsys, config, old, new, message):
+    _assert_refused(tmp_path, capsys, config, old, new, message)
+    # an absent key builds the experiment's model, as before
+    assert _run(tmp_path, config.replace(old + "\n", ""), sub="untyped")[0] == 0
+
+
 def _assert_refused(tmp_path, capsys, config, old, new, message):
     """The config with old replaced by new exits 2 with exactly message
     and writes no report."""

@@ -1,7 +1,8 @@
 """One lift basis per plan and one stacked symbol solve over all fiber scales,
 against the code they replace: an eig of every orbit size's twist, the
-fixed space of the group the lift generates, one solve per scale, and the
-eig + QR basis of a computed lift."""
+fixed space of the group the lift generates (and ker(lift - I) for lifts of
+any angle), one solve per scale, and the eig + QR basis of a computed
+lift."""
 
 import itertools
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ import diraclab.clifford as clifford
 import diraclab.mapping as mapping
 from diraclab.assembly import fiber_invariant_split, limit_operator
 from diraclab.mapping import (
+    EmptyInvariantSpaceError,
     _cluster_angles,
     _lift_basis,
     _parallel_columns,
@@ -23,6 +25,7 @@ from diraclab.mapping import (
     _resolve_lift,
 )
 from diraclab.clifford import (
+    _expm_skew_factors,
     _unitary_eigh,
     exterior_module,
     fixed_subspace,
@@ -31,11 +34,9 @@ from diraclab.clifford import (
 )
 from diraclab.collapse import blowup_check, collapse_run
 from diraclab.models import AffineMappingTorus, FlatTorusModel
-from diraclab.spectral import HERMITICITY_TOL, RESIDUAL_TOL, STRUCTURE_TOL, eigensolve
+from diraclab.spectral import HERMITICITY_TOL, RESIDUAL_TOL, SPECTRUM_MATCH_TOL, STRUCTURE_TOL
+from diraclab.spectral import eigensolve
 from test_assembly import _assert_same_spectrum, _mapping_models, _scaled_fiber
-
-CLOSURE = "holonomy closure exceeded 1024 elements; generators do not span a small finite group"
-
 
 # ---------------------------------------------------------------------------
 # the replaced code, kept as the reference
@@ -72,11 +73,24 @@ def _reference_lift_basis(lift):
     return q, angles
 
 
-def _reference_parallel(model, lift):
-    """Dimension of the lift's fixed space and whether parallel sections
-    exist, from the group the lift generates."""
-    fixed = fixed_subspace(holonomy_rep([lift]))
-    return fixed.shape[1], fixed.shape[1] > 0 and bool(np.all(model.fiber.spin_shift == 0.0))
+def _reference_fixed_dim(lift):
+    """Dimension of the lift's fixed space, from the group the lift
+    generates (a lift of finite order only)."""
+    return fixed_subspace(holonomy_rep([lift])).shape[1]
+
+
+def _kernel_dim(lift):
+    """Dimension of ker(lift - I), from the eigenvalues |exp(2 pi i a) - 1|^2
+    of (lift - I)^H (lift - I): those of an angle a within STRUCTURE_TOL of
+    a whole turn."""
+    d = lift - np.eye(len(lift))
+    return int(np.count_nonzero(np.linalg.eigvalsh(d.conj().T @ d) <= (2.0 * np.pi * STRUCTURE_TOL) ** 2))
+
+
+def _fixed_columns(lift, q):
+    """Columns of q the lift fixes, by the product test |lift q_j - q_j| <=
+    STRUCTURE_TOL that the lift basis took before it read angles alone."""
+    return np.abs(lift @ q - q).max(axis=0) <= STRUCTURE_TOL
 
 
 def _reference_defects(plan):
@@ -223,34 +237,23 @@ def _sector_clusters(sector):
     return [(t, len(idxs)) for t, idxs in sector]
 
 
-def _parallel_outcome(model, basis):
-    """The parallel verdict (and the mask's size), or the closure refusal."""
-    try:
-        return int(np.count_nonzero(_parallel_columns(model, basis)))
-    except ValueError as err:
-        return str(err)
-
-
 @settings(max_examples=40)
 @given(lifted=_lifted_models(), truncation=st.integers(1, 3))
 def test_lift_basis_matches_per_size_eig_over_model_space(lifted, truncation):
+    # every kind of lift, irrational ones included: the parallel mask has
+    # the dimension of ker(lift - I) when the fiber has a zero mode, which
+    # for a lift of finite order is the dimension of its group's fixed space
     model, cm, kind = lifted
     plan = _plan(model, cm, truncation)
     for d, sector in plan.sectors.items():
         _assert_same_clusters(
             _sector_clusters(sector), _reference_sector(plan.basis.lift, d, model.base_shift)
         )
-    try:
-        ref_dim, ref_parallel = _reference_parallel(model, plan.basis.lift)
-    except ValueError as err:
-        assert kind == "irrational" and str(err) == CLOSURE
-        with pytest.raises(ValueError) as raised:
-            _parallel_columns(model, plan.basis)
-        assert str(raised.value) == CLOSURE
-        return
-    assert kind != "irrational"
-    assert np.count_nonzero(plan.basis.fixed) == ref_dim
-    assert bool(_parallel_columns(model, plan.basis).any()) == ref_parallel
+    kernel = _kernel_dim(plan.basis.lift)
+    if kind != "irrational":
+        assert kernel == _reference_fixed_dim(plan.basis.lift)
+    periodic = not model.fiber.spin_shift.any()
+    assert np.count_nonzero(_parallel_columns(model, plan.basis)) == (kernel if periodic else 0)
 
 
 @settings(max_examples=40)
@@ -264,11 +267,13 @@ def test_computed_lift_basis_matches_eig_qr_over_model_space(model, exterior, tr
     # the model space of test_plan_matches_assembly_over_model_space; the
     # same model given its computed lift takes _lift_basis's path.  Both
     # bases have the clusters of the eig + QR reference, column by column
-    # fixed or not alike
+    # fixed or not alike, and their parallel masks are the product test's
+    # fixed columns when the fiber has a zero mode
     cm = exterior_module(3) if exterior else spinor_gammas(3)
     basis = _resolve_lift(model, cm)
     q, angles = _reference_lift_basis(basis.lift)
-    ref_fixed = np.abs(basis.lift @ q - q).max(axis=0) <= STRUCTURE_TOL
+    ref_fixed = _fixed_columns(basis.lift, q)
+    periodic = not model.fiber.spin_shift.any()
 
     def lift_clusters(angles, fixed):
         # per cluster of equal eigen-angle: the fixed flags of its columns
@@ -276,10 +281,12 @@ def test_computed_lift_basis_matches_eig_qr_over_model_space(model, exterior, tr
 
     given_model = _with_lift(model, basis.lift)
     given_basis = _resolve_lift(given_model, cm)
-    for b in (basis, given_basis):
+    for m, b in ((model, basis), (given_model, given_basis)):
         assert np.max(np.abs(b.q.conj().T @ b.q - np.eye(len(b.q)))) <= 1e-13
         assert np.max(np.abs(b.lift @ b.q - b.q * np.exp(2j * np.pi * b.angles))) <= 1e-13
-        _assert_same_clusters(lift_clusters(b.angles, b.fixed), lift_clusters(angles, ref_fixed))
+        fixed = _fixed_columns(b.lift, b.q)
+        _assert_same_clusters(lift_clusters(b.angles, fixed), lift_clusters(angles, ref_fixed))
+        assert np.array_equal(_parallel_columns(m, b), fixed & periodic)
     plan, ref_plan = _plan(model, cm, truncation), _plan(given_model, cm, truncation)
     assert sorted(plan.sectors) == sorted(ref_plan.sectors)
     for d, sector in plan.sectors.items():
@@ -287,7 +294,6 @@ def test_computed_lift_basis_matches_eig_qr_over_model_space(model, exterior, tr
         _assert_same_clusters(
             _sector_clusters(sector), _reference_sector(basis.lift, d, model.base_shift)
         )
-    assert _parallel_outcome(model, basis) == _parallel_outcome(given_model, given_basis)
     eps = sorted(epsilons, reverse=True)
     got, ref = collapse_run(model, cm, eps, 1, truncation), collapse_run(given_model, cm, eps, 1, truncation)
     assert got.verdict == ref.verdict
@@ -507,45 +513,85 @@ def _irrational_lift_mapping(cm):
     )
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda m, cm: collapse_run(m, cm, [1.0, 0.5], 2, 2),
-        lambda m, cm: blowup_check(m, cm, [1.0, 0.5], 2),
-        lambda m, cm: limit_operator(m, cm, 2),
-        lambda m, cm: fiber_invariant_split(m, cm),
-    ],
-    ids=["collapse_run", "blowup_check", "limit_operator", "fiber_invariant_split"],
-)
-def test_lift_of_infinite_order_is_refused(run):
+def test_lift_of_irrational_angle_has_the_closed_form_spectrum():
+    # the scalar lift exp(2 pi i theta), theta = sqrt(2) / 10, with identity
+    # holonomy on the unit square fiber and L = 1: the block of mode k and
+    # base index u is gamma(2 pi k / eps) + 2 pi (u + theta) gamma_base, with
+    # eigenvalues +-sqrt(|2 pi k / eps|^2 + (2 pi (u + theta))^2).  The lift
+    # fixes nothing, so there is no limit and the spectrum escapes
     cm = spinor_gammas(3)
     model = _irrational_lift_mapping(cm)
-    with pytest.raises(ValueError) as ref:
-        holonomy_rep([model.holonomy_lift])
-    assert str(ref.value) == CLOSURE
-    with pytest.raises(ValueError) as raised:
-        run(model, cm)
-    assert str(raised.value) == CLOSURE
+    theta, eps, truncation = 0.1 * np.sqrt(2.0), [1.0, 0.5, 0.25], 2
+    report = collapse_run(model, cm, eps, 2, truncation)
+    assert report.verdict == "blows_up" and report.limit_spectrum is None
+    ks = np.arange(-truncation, truncation + 1)
+    k2 = np.add.outer(ks**2, ks**2).ravel()
+    for e, spec in zip(eps, report.spectra_per_eps):
+        r = np.sqrt(np.add.outer((2.0 * np.pi / e) ** 2 * k2, (2.0 * np.pi * (ks + theta)) ** 2)).ravel()
+        expected = np.sort(np.concatenate([-r, r]))
+        assert len(spec.values) == len(expected)
+        assert np.max(np.abs(spec.values - expected)) <= SPECTRUM_MATCH_TOL
+    # min |lambda| is 2 pi theta at every scale, at k = u = 0
+    assert blowup_check(model, cm, eps, truncation).rate == pytest.approx(
+        2.0 * np.pi * theta * min(eps), rel=1e-12
+    )
+    with pytest.raises(EmptyInvariantSpaceError):
+        limit_operator(model, cm, truncation)
+    assert fiber_invariant_split(model, cm).dim == 0
 
 
-@pytest.mark.parametrize("order", [1, 2, 7, 1024])
+def test_irrational_multiple_of_geometric_lift_runs():
+    # exp(2 pi i sqrt(2) / 10) times the rot4 spinor model's geometric lift,
+    # a valid flat twist of infinite order: each scale of the collapse run
+    # is the block path's spectrum, and its spectrum escapes
+    cm = spinor_gammas(3)
+    geometric = _resolve_lift(_rot4_mapping(), cm).lift
+    model = _with_lift(_rot4_mapping(), np.exp(0.2j * np.pi * np.sqrt(2.0)) * geometric)
+    eps = [1.0, 0.5, 0.25]
+    report, plan = collapse_run(model, cm, eps, 2, 2), _plan(model, cm, 2)
+    assert report.verdict == "blows_up"
+    for e, spec in zip(eps, report.spectra_per_eps):
+        _assert_same_spectrum(spec, eigensolve(plan.dirac(e)))
+    assert blowup_check(model, cm, eps, 2).rate > 0.0
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 1024, 1025, "irrational"])
 def test_lift_of_order_up_to_1024_closes(order):
-    # the largest order holonomy_rep accepts, and below it
-    basis = _lift_basis(np.diag(np.exp(2j * np.pi * np.array([1.0 / order, 0.0]))))
+    # holonomy_rep closes the group of a lift of order up to 1024, and
+    # refuses a larger or infinite one; the parallel mask reads the angles
+    # alone, so it takes a lift of any order
+    angle = 0.1 * np.sqrt(2.0) if order == "irrational" else 1.0 / order
+    basis = _lift_basis(np.diag(np.exp(2j * np.pi * np.array([angle, 0.0]))))
     model = AffineMappingTorus(
         fiber=FlatTorusModel(np.eye(2), np.zeros(2)), holonomy=np.eye(2), base_length=1.0
     )
     assert _parallel_columns(model, basis).tolist() == [order == 1, True]
-    assert holonomy_rep([basis.lift]).group_order == order
-    beyond = _lift_basis(np.diag(np.exp(2j * np.pi * np.array([1.0 / 1025, 0.0]))))
-    with pytest.raises(ValueError, match="^holonomy closure exceeded 1024 elements"):
-        _parallel_columns(model, beyond)
+    if order == "irrational" or order > 1024:
+        with pytest.raises(ValueError, match="^holonomy closure exceeded 1024 elements"):
+            holonomy_rep([basis.lift])
+    else:
+        assert holonomy_rep([basis.lift]).group_order == order
+
+
+@pytest.mark.parametrize("build", [spinor_gammas, exterior_module])
+def test_given_lift_angles_are_its_rayleigh_quotients(build):
+    # rot4 lifts 5e-10 from the geometric one: each angle is that of its
+    # column's Rayleigh quotient, diag(q^H u q), to rounding; angles from the
+    # cosines of _unitary_eigh's first eigh missed it by up to 5e-10
+    cm = build(3)
+    geometric = _resolve_lift(_rot4_mapping(), cm).lift
+    for seed in range(50):
+        h = np.random.default_rng(seed).standard_normal((cm.dim_v, cm.dim_v))
+        h = (h + h.T) / np.linalg.norm(h + h.T, 2)
+        u = geometric @ _expm_skew_factors(5e-10j * h)[0]
+        basis = _resolve_lift(_with_lift(_rot4_mapping(), u), cm)
+        rayleigh = np.diagonal(basis.q.conj().T @ u @ basis.q)
+        assert np.max(np.abs(rayleigh - np.exp(2j * np.pi * basis.angles))) <= 1e-14
 
 
 def test_lift_within_structure_tol_of_finite_order_is_accepted():
-    # the order test compares eigen-angle multiples with whole turns at
-    # STRUCTURE_TOL, as fixed-space membership does; holonomy_rep's
-    # 9-digit rounding refused a lift 3e-9 turns away from order 3
+    # the plan reads no lift's order: holonomy_rep's 9-digit rounding
+    # refuses a lift 3e-9 turns away from order 3, which runs
     cm = spinor_gammas(3)
     lift = np.exp(2j * np.pi * (1.0 / 3.0 + 3e-9)) * np.eye(cm.dim_v)
     model = AffineMappingTorus(

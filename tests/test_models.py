@@ -110,6 +110,17 @@ def test_diameter_is_the_exact_covering_radius(name):
     assert got == pytest.approx(radius, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(EXACT_COVERING_RADII))
+@pytest.mark.parametrize("power", [-1000, 1000])
+def test_diameter_scales_exactly_by_powers_of_two(name, power):
+    # a Gram matrix of the basis scaled by 2^-1000 underflows to 0 (a 0/0 in
+    # the size reduction) and one scaled by 2^1000 overflows; the diameter
+    # scales with the basis, bit for bit
+    basis = np.array(EXACT_COVERING_RADII[name][0], dtype=float)
+    radius = FlatTorusModel(basis, np.zeros(len(basis))).diameter()
+    assert FlatTorusModel(np.ldexp(basis, power), np.zeros(len(basis))).diameter() == np.ldexp(radius, power)
+
+
 def _orthogonal(draw, n):
     entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))
     q, _ = np.linalg.qr(np.reshape(entries, (n, n)) + 3.0 * np.eye(n))

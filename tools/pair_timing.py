@@ -20,7 +20,11 @@ quartiles over its pairs, the new tree's median change relative to the
 old one's beside the old tree's interquartile range, and how many pairs
 the new tree won (a lower value wins).  A gain on a metric holds when
 the new tree wins at least nine pairs in ten and the medians differ by
-more than the old tree's interquartile range.
+more than the old tree's interquartile range.  Beside each metric it also
+prints whether the new median is worse than the old one by more than that
+metric's ``bound`` in this repository's ``BENCHMARK.json`` (relative to
+the old median), the benchmark's no-regression gate; the file is only
+read.
 
     python tools/pair_timing.py OLD_TREE NEW_TREE --workload collapse_spinor_rot4 --pairs 20
 
@@ -49,6 +53,8 @@ PROCESSES = 5
 
 # the metrics each run reports, from its worker's JSON line
 METRICS = ("wall_s", "setup_s", "peak_rss_mib")
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 class RunFailed(Exception):
@@ -84,10 +90,16 @@ def run_side(runs: list[dict[str, float]]) -> dict[str, float]:
     return {key: statistics.median(r[key] for r in runs) for key in runs[0]}
 
 
-def judge(key: str, old: list[float], new: list[float]) -> None:
+def load_bounds() -> dict[str, dict]:
+    """BENCHMARK.json's end-to-end metrics by name, each with its bound."""
+    return {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
+
+def judge(key: str, old: list[float], new: list[float], gate: dict | None = None) -> None:
     """Print one metric's verdict over the pairs: each tree's median and
-    quartiles, the median change against the old tree's IQR, and the pairs
-    the new tree won."""
+    quartiles, the median change against the old tree's IQR, the pairs the
+    new tree won and, given the metric's BENCHMARK.json entry gate, whether
+    the change is worse than its bound times the old median."""
     stats = {}
     for side, values in (("old", old), ("new", new)):
         q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
@@ -101,6 +113,13 @@ def judge(key: str, old: list[float], new: list[float]) -> None:
         f"|change| {'>' if abs(change) > iqr else '<='} old IQR {iqr:.5f}; "
         f"new won {wins}/{len(old)} pairs"
     )
+    if gate is not None:
+        worse = change if gate["better"] == "lower" else -change
+        beyond = worse > gate["bound"] * stats["old"][1]
+        print(
+            f"{key}: bound {100.0 * gate['bound']:g}% of the old median: "
+            f"{'WORSE beyond the bound' if beyond else 'within the bound'}"
+        )
 
 
 def main(argv=None) -> int:
@@ -115,6 +134,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    bounds = load_bounds()
     trees = {"old": args.old.resolve(), "new": args.new.resolve()}
     results: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
     for i in range(args.pairs):
@@ -133,7 +153,7 @@ def main(argv=None) -> int:
         old, new = results["old"][-1]["wall_s"], results["new"][-1]["wall_s"]
         print(f"pair {i + 1} seed {seed} ({order[0]} first): old {old:.5f} s, new {new:.5f} s")
     for key in METRICS:
-        judge(key, [r[key] for r in results["old"]], [r[key] for r in results["new"]])
+        judge(key, [r[key] for r in results["old"]], [r[key] for r in results["new"]], bounds.get(key))
     return 0
 
 
