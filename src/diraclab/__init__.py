@@ -29,7 +29,6 @@ from .clifford import (
     casimir,
     exterior_module,
     fixed_subspace,
-    holonomy_rep,
     lift_rotation,
     relation_residuals,
     spinor_gammas,

@@ -25,17 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import ANGLE_TOL, CASIMIR_TOL, HERMITICITY_TOL, LIFT_TOL, PROJECTOR_TOL
+from .spectral import ANGLE_TOL, CASIMIR_TOL, HERMITICITY_TOL, LIFT_TOL
 from .spectral import RELATION_TOL, STRUCTURE_TOL, UNITARITY_TOL, _require_hermitian
 
 __all__ = [
     "CliffordModule",
-    "HolonomyRep",
     "spinor_gammas",
     "exterior_module",
     "relation_residuals",
     "casimir",
-    "holonomy_rep",
     "fixed_subspace",
     "lift_rotation",
 ]
@@ -278,77 +276,28 @@ def casimir(cm: CliffordModule) -> float:
 
 
 # ---------------------------------------------------------------------------
-# finite unitary holonomy
+# holonomy
 
 
-@dataclass(frozen=True, eq=False)
-class HolonomyRep:
-    """Finite group of unitaries on V, closed under products and inverses."""
-
-    dim_v: int
-    generators: tuple[np.ndarray, ...]
-    elements: tuple[np.ndarray, ...]
-    group_order: int
-
-
-def _unitary_key(u: np.ndarray, digits: int = 9) -> bytes:
-    # adding 0.0 maps -0.0 to +0.0 so both round to identical bytes
-    return (np.round(u, digits) + 0.0).tobytes()
-
-
-def holonomy_rep(
-    generators: list[np.ndarray] | tuple[np.ndarray, ...],
-    max_order: int = 1024,
-    tol: float = UNITARITY_TOL,
-) -> HolonomyRep:
-    """Close a generating set of unitaries into a finite group.
-
-    Breadth-first products with rounded-entry deduplication; raises if a
-    generator is not unitary or the closure exceeds max_order elements.
-    """
+def fixed_subspace(generators: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
+    """Orthonormal basis (columns) of the subspace every unitary of
+    generators fixes: the eigenvectors of sum_g (g - I)^H (g - I) with
+    eigenvalue at most (2 pi STRUCTURE_TOL)^2, the parallel columns' rule
+    (eigen-angle within STRUCTURE_TOL of a whole turn).  Raises if a
+    generator is not unitary."""
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens:
         raise ValueError("at least one generator required")
-    d = gens[0].shape[0]
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(len(gens[0]))
+    total = np.zeros_like(gens[0])
     for g in gens:
-        if g.shape != (d, d):
+        if g.shape != eye.shape:
             raise ValueError("generators must share a square shape")
-        if _exceeds(g.conj().T @ g - eye, tol):
+        if _exceeds(g.conj().T @ g - eye, UNITARITY_TOL):
             raise ValueError("generator is not unitary")
-    elements = {_unitary_key(eye): eye}
-    frontier = [eye]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                p = g @ e
-                k = _unitary_key(p)
-                if k not in elements:
-                    if len(elements) >= max_order:
-                        msg = f"holonomy closure exceeded {max_order} elements; "
-                        raise ValueError(msg + "generators do not span a small finite group")
-                    elements[k] = p
-                    nxt.append(p)
-        frontier = nxt
-    elems = tuple(elements.values())
-    return HolonomyRep(dim_v=d, generators=tuple(gens), elements=elems, group_order=len(elems))
-
-
-def fixed_subspace(rep: HolonomyRep, tol: float = PROJECTOR_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the subspace fixed by the whole group.
-
-    Uses the averaging projector P = |F|^-1 sum_g g, which is an orthogonal
-    projection because the group is closed under adjoints.
-    """
-    p = sum(rep.elements) / rep.group_order
-    if _exceeds(p - p.conj().T, tol):
-        raise ValueError("averaging operator failed to be Hermitian")
-    vals, vecs = np.linalg.eigh(p)
-    keep = vals > 0.5
-    if np.any((vals > tol) & (vals < 1.0 - tol)):
-        raise ValueError("averaging operator is not a projector")
-    return vecs[:, keep]
+        total += (g - eye).conj().T @ (g - eye)
+    vals, vecs = np.linalg.eigh(total)
+    return vecs[:, vals <= (2.0 * np.pi * STRUCTURE_TOL) ** 2]
 
 
 def _expm_skew_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,10 +24,11 @@ alone: a lift of any angle runs.  Only the fiber momenta depend on the
 fiber scale, as 1/fiber_scale, so the plan solves them at unit scale and a
 step divides them by the scale.  The plan keeps one block table: per block
 in row order its orbit, its twist cluster and its base momentum, and per
-cluster size the gammas restricted to those clusters as one stack.  The
-step forms each size class's blocks from these rows.  A collapse run builds
-the plan once and solves all its scales in one stacked pass over the
-symbols of the same rows (see the symbols module).  The limit operator is
+cluster size those clusters' columns and base gammas.  The step forms each
+size class's blocks from these rows, as a fiber part plus beta times a base
+part.  A collapse run builds the plan once and solves all its scales in one
+stacked pass over the symbols, read off the same parts once per (orbit,
+cluster) pair (see the symbols module).  The limit operator is
 the zero-mode orbit's rows at zero fiber momentum; as that orbit's momentum
 is zero at every scale, a collapse run reads the limit's spectrum off those
 rows of the scales' solution.
@@ -245,13 +246,13 @@ class _MappingPlan:
     coupling mask (O, dim_v, dim_v), and one block table.  The table is the block
     provenance and, per block in row order, its orbit, its twist cluster
     and its base momentum beta; per cluster size s, clusters holds those
-    clusters' numbers (C_s,), their lift-basis columns (C_s, s) and the
-    gammas restricted to them (C_s, n, s, s).  The block path, the symbol
-    certificate and the limit all read these rows; the limit's are
-    limit_rows, the zero-mode orbit's.  Only the fiber momenta scale, as
-    1/fiber_scale: dirac, bochner and symbol_spectra divide the unit-scale
-    ones by the scale eps (_scaled_momenta).  Every block is formed by
-    _blocks."""
+    clusters' numbers (C_s,), their lift-basis columns (C_s, s) and base
+    gammas (C_s, s, s).  The block path, the symbol certificate and the
+    limit all read these rows; the limit's are limit_rows, the zero-mode
+    orbit's.  Only the fiber momenta scale, as 1/fiber_scale: dirac, bochner
+    and symbol_spectra divide the unit-scale ones by the scale eps
+    (_scaled_momenta).  Every block is formed by _blocks from _parts, whose
+    parts the symbols read too."""
 
     model: FlatTorusModel | AffineMappingTorus
     truncation: int
@@ -276,26 +277,35 @@ class _MappingPlan:
         stacks = self._blocks(slice(None), p)
         return AssembledOperator(stacks, self.block_info, self.truncation)
 
-    def _blocks(self, rows: slice | np.ndarray, p: np.ndarray) -> list[np.ndarray]:
-        """The blocks of the table's rows in rows (a slice, or ascending
-        indices) at the orbit fiber momenta p (O, m), one stack per size
-        class present, ascending, each in row order.  The blocks take their
-        orbit and cluster's part of q^H gamma(p) q (one einsum of p with
-        gammas_q) plus beta times their cluster's base gamma."""
+    def _parts(self, rows: slice | np.ndarray, p: np.ndarray):
+        """Per size class present, ascending, the blocks of the table's rows
+        in rows (a slice, or indices) at the orbit fiber momenta p (O, m) in
+        two (B_s, s, s) stacks in row order: yields their positions within
+        rows, their fiber parts F, the orbit's q^H gamma(p) q (one einsum of
+        p with gammas_q) on the cluster's columns, and their base gammas G."""
         gp_q = np.einsum("ok,kij->oij", p, self.gammas_q[: p.shape[1]])
-        orbit, cluster, beta = self.orbit[rows], self.cluster[rows], self.beta[rows]
+        orbit, cluster = self.orbit[rows], self.cluster[rows]
         sizes = self.block_info.sizes[rows]
-        stacks = []
-        for s, (ids, cols, gammas) in self.clusters.items():
+        for s, (ids, cols, base) in self.clusters.items():
             at = np.flatnonzero(sizes == s)
             if len(at):
                 c = np.searchsorted(ids, cluster.take(at))
-                fiber = gp_q[:, cols[:, :, None], cols[:, None, :]].reshape(-1, s, s)
-                blocks = np.take(fiber, orbit.take(at) * len(ids) + c, axis=0)
-                base = np.take(gammas[:, -1], c, axis=0)
-                base *= beta.take(at)[:, None, None]
-                blocks += base
-                stacks.append(blocks)
+                # each block's entries as flat indices into gp_q, dropped after one take
+                entries = cols[:, :, None] * len(gp_q[0]) + cols[:, None, :]
+                offset = (orbit.take(at) * gp_q[0].size)[:, None, None]
+                fiber = np.take(gp_q, np.take(entries, c, axis=0) + offset)
+                yield at, fiber, np.take(base, c, axis=0)
+
+    def _blocks(self, rows: slice | np.ndarray, p: np.ndarray) -> list[np.ndarray]:
+        """The blocks F + beta G of the table's rows in rows at the orbit
+        fiber momenta p (see _parts), one stack per size class present,
+        ascending, each in row order."""
+        beta = self.beta[rows]
+        stacks = []
+        for at, fiber, base in self._parts(rows, p):
+            base *= beta.take(at)[:, None, None]
+            fiber += base
+            stacks.append(fiber)
         return stacks
 
     def bochner(self, eps: float = 1.0) -> AssembledOperator:
@@ -328,10 +338,15 @@ class _MappingPlan:
 
     @cached_property
     def symbols(self) -> _BlockSymbols:
-        """The blocks' scale-free symbols, computed on first use."""
+        """The blocks' scale-free symbols, from _parts of one row per pair."""
+        key = self.orbit * (int(self.cluster.max()) + 1) + self.cluster
+        seen = np.bincount(key) > 0
+        pair = (np.cumsum(seen) - 1)[key]
+        first = np.empty(np.count_nonzero(seen), dtype=np.intp)
+        first[pair] = np.arange(len(key))  # any one row of each pair
         return _block_symbols(
-            self.orbit, self.cluster, self.beta, self.block_info.sizes, self.unit_momenta,
-            self.clusters.values(),
+            self.orbit, pair, self.beta, self.block_info.sizes, self.unit_momenta[self.orbit[first]],
+            self._parts(first, self.unit_momenta),
         )
 
     def symbol_spectra(self, eps: list[float]) -> _SymbolSolution:
@@ -397,6 +412,9 @@ def _plan(
         info = BlockInfo(reps, np.full(k, cm.dim_v), np.zeros(k))
         table = (info, np.arange(k), np.zeros(k, dtype=np.intp), np.zeros(k))
         unit = model.dual_momentum(reps)
+        top = float(np.max(np.hypot.reduce(np.abs(unit), axis=1)))  # as _scaled_momenta
+        if not np.isfinite(top * top):
+            raise ValueError("torus lattice is out of range: a momentum overflows when squared")
     elif isinstance(model, AffineMappingTorus):
         basis, gammas = _resolve_lift(model, cm), cm.gammas
         reps, sizes = _holonomy_orbits(model, truncation)
@@ -418,8 +436,7 @@ def _plan(
     for s in sorted({len(c) for c in cols}):
         ids = np.array([i for i, c in enumerate(cols) if len(c) == s])
         grid = np.array([cols[i] for i in ids])
-        gammas = gammas_q[:, grid[:, :, None], grid[:, None, :]].swapaxes(0, 1)
-        clusters[s] = (ids, grid, gammas)
+        clusters[s] = (ids, grid, gammas_q[-1][grid[:, :, None], grid[:, None, :]])
     # per orbit, each column's cluster in its twist sector
     owner = np.zeros((len(sectors), cm.dim_v), dtype=np.intp)
     for i, sec in enumerate(sectors.values()):

@@ -193,9 +193,9 @@ class AffineMappingTorus:
         top = float(np.max(np.abs(self.fiber.lattice_basis)))
         if not np.isfinite(m * top * top):
             raise ValueError("fiber lattice is out of range: its Gram matrix overflows")
-        g = self.fiber.gram
-        scale = max(1.0, float(np.max(np.abs(g))))
-        if np.max(np.abs(phi.T @ g @ phi - g)) > METRIC_INVARIANCE_TOL * scale:
+        b = np.ldexp(self.fiber.lattice_basis, -int(np.frexp(top)[1]))
+        g = b.T @ b
+        if np.max(np.abs(phi.T @ g @ phi - g)) > METRIC_INVARIANCE_TOL * np.max(np.abs(g)):
             raise ValueError("holonomy does not preserve the fiber metric")
         matrix_order(phi)  # raises when not finite order
         shift = self.fiber.spin_shift

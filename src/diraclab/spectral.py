@@ -12,9 +12,8 @@ closeness of the sorted sequences, and subset containment is decided by the
 greedy two-pointer injection, which is optimal for sorted sequences.
 
 Every tolerance the package compares against is an entry of the table
-below.  Only window_agreement, the CLI's INI keys and the holonomy closure
-(holonomy_rep, fixed_subspace) take a tolerance as an option, and their
-defaults are entries of the table.
+below.  Only window_agreement and the CLI's INI keys take a tolerance as an
+option, and their defaults are entries of the table.
 """
 
 from __future__ import annotations
@@ -43,20 +42,19 @@ __all__ = [
 RESIDUAL_TOL = 1e-10  # eigenpair residual, and a symbol-certified block's Weyl bound; rel block
 HERMITICITY_TOL = 1e-12  # M - M^H of an assembled or solved operator, of -iX for exp(X); rel
 INPUT_HERMITICITY_TOL = 1e-10  # M - M^H of a delta block or a Gram matrix; rel
-# lift basis, _unitary_eigh cosines, angle clusters, parallel columns (angle off
-# a whole turn), sign-count integrality: abs; twist coupling: rel largest symbol entry
+# lift basis, _unitary_eigh cosines, angle clusters, parallel columns and fixed_subspace
+# (angle off a whole turn), sign-count integrality: abs; twist coupling: rel largest symbol entry
 STRUCTURE_TOL = 1e-8
 CLUSTER_TOL = 1e-8  # gap inside an eigenvalue cluster; rel largest |eigenvalue|
 RELATION_TOL = 1e-12  # Clifford module relation residuals; op, abs
 CASIMIR_TOL = 1e-10  # Casimir sum minus its scalar c; op, rel c
 UNITARITY_TOL = 1e-10  # U^H U - I of a lift or holonomy generator, R^T R - I; op, abs
-PROJECTOR_TOL = 1e-10  # P - P^H of an averaging projector, eigenvalues off {0, 1}; op, abs
 ANGLE_TOL = 1e-10  # zero sines in the logarithm of a rotation; abs
 LIFT_TOL = 1e-9  # U gamma U^H - gamma(R) for the lift U of R (and so exp(log R) - R); op, abs
 WEIGHT_TOL = 1e-9  # twice a module weight minus the nearest integer; abs
 SINGULAR_DET_TOL = 1e-12  # |det| of a singular lattice basis; rel product of column norms
 DIAGONAL_GRAM_TOL = 1e-12  # off-diagonal Gram entries of an obtuse superbase; times largest
-METRIC_INVARIANCE_TOL = 1e-10  # phi^T G phi - G of a holonomy phi; rel G
+METRIC_INVARIANCE_TOL = 1e-10  # phi^T G phi - G of a holonomy phi; times largest |G|
 CONNECTION_INVARIANCE_TOL = 1e-12  # phi A - A of the connection form A; rel A
 SHIFT_INTEGRALITY_TOL = 1e-12  # phi^T s - s off Z^m, s the fiber spin shift; abs
 SPECTRUM_MATCH_TOL = 1e-9  # paired eigenvalues of two spectra compared as multisets; abs

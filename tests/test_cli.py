@@ -324,7 +324,7 @@ def test_non_finite_inputs_exit_two(tmp_path, capsys, config, old, new, message)
     "config, old, new, message",
     [
         (TORUS_CFG, f"lattice = {CIRCLE}", "lattice = 1e-160",
-         r"fiber scale 1\.0 is out of range: a fiber momentum overflows when squared"),
+         "torus lattice is out of range: a momentum overflows when squared"),
         (WINDOW_CFG, f"fiber_lattice = {CIRCLE}", "fiber_lattice = 1e300",
          "fiber lattice is out of range: its Gram matrix overflows"),
         (WINDOW_CFG, f"fiber_lattice = {CIRCLE}", "fiber_lattice = 1e-300",

@@ -19,7 +19,6 @@ from diraclab.clifford import (
     casimir,
     exterior_module,
     fixed_subspace,
-    holonomy_rep,
     lift_rotation,
     relation_residuals,
     spinor_gammas,
@@ -181,34 +180,26 @@ def test_exterior_casimir_blocks():
         casimir(exterior_module(2))
 
 
-def test_holonomy_rep_closure_order():
-    u = np.diag([1j, -1j])
-    rep = holonomy_rep([u])
-    assert rep.group_order == 4
-    rep2 = holonomy_rep([np.eye(3, dtype=complex)])
-    assert rep2.group_order == 1
-
-
-def test_holonomy_rep_rejects_nonunitary():
-    with pytest.raises(ValueError):
-        holonomy_rep([np.diag([2.0, 1.0]).astype(complex)])
-
-
-def test_holonomy_rep_cap():
-    # irrational rotation never closes
-    u = np.diag([np.exp(1j * np.sqrt(2)), 1.0])
-    with pytest.raises(ValueError):
-        holonomy_rep([u], max_order=64)
-
-
 def test_fixed_subspace_cases():
-    full = fixed_subspace(holonomy_rep([np.eye(2, dtype=complex)]))
+    full = fixed_subspace([np.eye(2, dtype=complex)])
     assert full.shape == (2, 2)
-    partial = fixed_subspace(holonomy_rep([np.diag([1.0, -1.0]).astype(complex)]))
+    partial = fixed_subspace([np.diag([1.0, -1.0]).astype(complex)])
     assert partial.shape == (2, 1)
     assert abs(abs(partial[0, 0]) - 1.0) < 1e-12
-    none = fixed_subspace(holonomy_rep([np.diag([1j, -1j])]))
+    none = fixed_subspace([np.diag([1j, -1j])])
     assert none.shape == (2, 0)
+    # an irrational angle never closes into a finite group; it fixes nothing
+    irrational = fixed_subspace([np.diag([np.exp(2j * np.pi * np.sqrt(2)), -1.0])])
+    assert irrational.shape == (2, 0)
+    # each generator fixes a plane; together they fix only their common line
+    flip = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+    assert fixed_subspace([flip]).shape == fixed_subspace([swap]).shape == (3, 2)
+    common = fixed_subspace([flip, swap])
+    assert common.shape == (3, 1)
+    assert np.allclose(np.abs(common[:, 0]), [np.sqrt(0.5), np.sqrt(0.5), 0.0], atol=1e-12)
+    with pytest.raises(ValueError, match="generator is not unitary"):
+        fixed_subspace([np.diag([2.0, 1.0]).astype(complex)])
 
 
 @pytest.mark.parametrize("n", [2, 3])

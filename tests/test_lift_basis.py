@@ -1,8 +1,7 @@
 """One lift basis per plan and one stacked symbol solve over all fiber scales,
-against the code they replace: an eig of every orbit size's twist, the
-fixed space of the group the lift generates (and ker(lift - I) for lifts of
-any angle), one solve per scale, and the eig + QR basis of a computed
-lift."""
+against the code they replace: an eig of every orbit size's twist,
+ker(lift - I) for lifts of any angle, one solve per scale with the bound
+over pairs of directions, and the eig + QR basis of a computed lift."""
 
 import itertools
 from types import SimpleNamespace
@@ -28,8 +27,6 @@ from diraclab.clifford import (
     _expm_skew_factors,
     _unitary_eigh,
     exterior_module,
-    fixed_subspace,
-    holonomy_rep,
     spinor_gammas,
 )
 from diraclab.collapse import blowup_check, collapse_run
@@ -73,12 +70,6 @@ def _reference_lift_basis(lift):
     return q, angles
 
 
-def _reference_fixed_dim(lift):
-    """Dimension of the lift's fixed space, from the group the lift
-    generates (a lift of finite order only)."""
-    return fixed_subspace(holonomy_rep([lift])).shape[1]
-
-
 def _kernel_dim(lift):
     """Dimension of ker(lift - I), from the eigenvalues |exp(2 pi i a) - 1|^2
     of (lift - I)^H (lift - I): those of an angle a within STRUCTURE_TOL of
@@ -93,29 +84,35 @@ def _fixed_columns(lift, q):
     return np.abs(lift @ q - q).max(axis=0) <= STRUCTURE_TOL
 
 
-def _reference_defects(plan):
-    """Per cluster (batch-last), the Clifford defects
-    A_kl = ||H_k H_l + H_l H_k - 2 delta_kl I||_F (n, n, C) of the Hermitian
-    parts H_k of its restricted gammas: the constants of the bound
-    1/2 |x|^T A |x| that the certificate took before its three exact norms."""
+def _reference_constants(plan):
+    """Per cluster (batch-last), from the gammas in the lift basis
+    restricted to its columns, G_k = q_c^H gamma_k q_c: their real traces
+    (n, C), max |G_k - G_k^H| (n, C) and the Clifford defects
+    A_kl = ||H_k H_l + H_l H_k - 2 delta_kl I||_F (n, n, C) of their
+    Hermitian parts H_k: the constants of the bound 1/2 |x|^T A |x| that the
+    certificate took before its three exact norms."""
     n = len(plan.gammas_q)
-    out = np.zeros((n, n, sum(len(ids) for ids, _, _ in plan.clusters.values())))
-    for ids, _, gc in plan.clusters.values():
-        s = gc.shape[-1]
-        h = gc - 0.5 * (gc - gc.conj().swapaxes(-1, -2))
-        prod = h[:, :, None] @ h[:, None]
-        anti = prod + prod.swapaxes(1, 2)
-        anti.reshape(len(gc), n * n, s, s)[:, :: n + 1] -= 2.0 * np.eye(s)
-        out[..., ids] = np.sqrt(np.sum(np.abs(anti) ** 2, axis=(-2, -1))).transpose(1, 2, 0)
-    return out
+    count = sum(len(ids) for ids, _, _ in plan.clusters.values())
+    trace, skew, defect = np.zeros((n, count)), np.zeros((n, count)), np.zeros((n, n, count))
+    for ids, cols, _ in plan.clusters.values():
+        for i, c in zip(ids, cols):
+            gc = plan.gammas_q[:, c[:, None], c[None, :]]
+            trace[:, i] = np.trace(gc, axis1=-2, axis2=-1).real
+            skew[:, i] = np.abs(gc - gc.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+            h = 0.5 * (gc + gc.conj().swapaxes(-1, -2))
+            for k, l in itertools.product(range(n), repeat=2):
+                anti = h[k] @ h[l] + h[l] @ h[k] - 2.0 * (k == l) * np.eye(len(c))
+                defect[k, l, i] = np.linalg.norm(anti)
+    return trace, skew, defect
 
 
-def _reference_solve(sym, defects, p, masks, gammas_q):
-    """One scale's solve at the orbit fiber momenta p (O, m) with the bound
-    1/2 |x|^T A |x| of the defects A, orbit by orbit for the coupling check
-    (each orbit's twist-sector mask in masks, the gammas in the lift basis
-    in gammas_q) and with every cluster constant repeated per block: per
-    block whether it is certified, r and the count of +r."""
+def _reference_solve(table, consts, p, masks, gammas_q):
+    """One scale's solve at the orbit fiber momenta p (O, m) of the blocks
+    of table (per block its orbit, cluster, beta and size) with the bound
+    1/2 |x|^T A |x| of the per-cluster constants consts, orbit by orbit for
+    the coupling check (each orbit's twist-sector mask in masks, the gammas
+    in the lift basis in gammas_q) and with every cluster constant repeated
+    per block: per block whether it is certified, r and the count of +r."""
     m = p.shape[1]
     base = np.abs(gammas_q[m])
     for o in np.flatnonzero(masks.any(axis=(1, 2))):
@@ -123,25 +120,25 @@ def _reference_solve(sym, defects, p, masks, gammas_q):
         leak = max(np.max(f[masks[o]]), np.max(base[masks[o]]))
         if leak > STRUCTURE_TOL * max(1.0, np.max(base), np.max(f)):
             raise ValueError("operator symbol couples distinct twist sectors")
-    c = sym.cluster
-    trace, defect, skew = sym.trace[:, c], defects[:, :, c], sym.skew[:, c]
-    x = np.empty((len(trace), len(sym.beta)))
-    x[:-1] = np.take(p.T, sym.orbit, axis=1)
-    x[-1] = sym.beta
+    c = table.cluster
+    trace, skew, defect = (const[..., c] for const in consts)
+    x = np.empty((len(trace), len(table.beta)))
+    x[:-1] = np.take(p.T, table.orbit, axis=1)
+    x[-1] = table.beta
     ax = np.abs(x)
     r2 = np.einsum("kb,kb->b", x, x)
     delta = 0.5 * np.einsum("kb,klb,lb->b", ax, defect, ax)
-    bscale = np.maximum(1.0, np.sqrt(np.maximum(r2 - delta, 0.0)) / sym.sizes)
+    bscale = np.maximum(1.0, np.sqrt(np.maximum(r2 - delta, 0.0)) / table.sizes)
     resid = float(np.max(np.einsum("kb,kb->b", ax, skew), initial=0.0))
     if resid > HERMITICITY_TOL * float(np.max(bscale, initial=1.0)):
         raise ValueError(f"assembled operator is not Hermitian (residual {resid:.3e})")
     r = np.sqrt(r2)
     zero = ~x.any(axis=0)
-    nplus = 0.5 * (sym.sizes + np.einsum("kb,kb->b", x, trace) / np.where(zero, 1.0, r))
+    nplus = 0.5 * (table.sizes + np.einsum("kb,kb->b", x, trace) / np.where(zero, 1.0, r))
     npos = np.rint(nplus)
-    ok = (sym.sizes * delta < r2) & (delta <= RESIDUAL_TOL * bscale * r)
+    ok = (table.sizes * delta < r2) & (delta <= RESIDUAL_TOL * bscale * r)
     ok &= np.abs(nplus - npos) <= STRUCTURE_TOL
-    return ok | zero, r, np.where(zero, sym.sizes, npos).astype(np.intp)
+    return ok | zero, r, np.where(zero, table.sizes, npos).astype(np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +238,14 @@ def _sector_clusters(sector):
 @given(lifted=_lifted_models(), truncation=st.integers(1, 3))
 def test_lift_basis_matches_per_size_eig_over_model_space(lifted, truncation):
     # every kind of lift, irrational ones included: the parallel mask has
-    # the dimension of ker(lift - I) when the fiber has a zero mode, which
-    # for a lift of finite order is the dimension of its group's fixed space
-    model, cm, kind = lifted
+    # the dimension of ker(lift - I) when the fiber has a zero mode
+    model, cm, _ = lifted
     plan = _plan(model, cm, truncation)
     for d, sector in plan.sectors.items():
         _assert_same_clusters(
             _sector_clusters(sector), _reference_sector(plan.basis.lift, d, model.base_shift)
         )
     kernel = _kernel_dim(plan.basis.lift)
-    if kind != "irrational":
-        assert kernel == _reference_fixed_dim(plan.basis.lift)
     periodic = not model.fiber.spin_shift.any()
     assert np.count_nonzero(_parallel_columns(model, plan.basis)) == (kernel if periodic else 0)
 
@@ -324,20 +318,21 @@ def test_stacked_solve_matches_per_scale_solve_over_model_space(lifted, truncati
     # every scale's rows, and the rows of every scale of the orbit without
     # fiber momentum (the zero mode under the trivial fiber spin shift, the
     # limit's rows) against a reference solve of that orbit alone
-    cases = [(sym, p, slice(None), slice(None))]
+    table = SimpleNamespace(orbit=plan.orbit, cluster=plan.cluster, beta=plan.beta, sizes=sym.sizes)
+    cases = [(table, p, slice(None), slice(None))]
     zero = np.flatnonzero(~plan.unit_momenta.any(axis=1))
     if len(zero):
         rows = slice(*np.searchsorted(plan.orbit, [zero[0], zero[0] + 1]))
         part = SimpleNamespace(
-            orbit=np.zeros(rows.stop - rows.start, dtype=np.intp), cluster=sym.cluster[rows],
-            beta=sym.beta[rows], sizes=sym.sizes[rows], trace=sym.trace, skew=sym.skew,
+            orbit=np.zeros(rows.stop - rows.start, dtype=np.intp), cluster=plan.cluster[rows],
+            beta=plan.beta[rows], sizes=sym.sizes[rows],
         )
         cases.append((part, p[:, zero], zero, rows))
-    defects = _reference_defects(plan)
+    consts = _reference_constants(plan)
     for symbols, momenta, orbits, rows in cases:
         for i, scale in enumerate(momenta):
             try:
-                ref = _reference_solve(symbols, defects, scale, plan.coupling[orbits], plan.gammas_q)
+                ref = _reference_solve(symbols, consts, scale, plan.coupling[orbits], plan.gammas_q)
             except ValueError as err:
                 with pytest.raises(ValueError) as raised:
                     solved.at(i, rows)
@@ -494,8 +489,7 @@ def test_collapse_path_builds_no_holonomy_group(monkeypatch):
         raise AssertionError("holonomy group built")
 
     for module in (assembly, mapping):
-        assert not hasattr(module, "holonomy_rep") and not hasattr(module, "fixed_subspace")
-    monkeypatch.setattr(clifford, "holonomy_rep", refuse)
+        assert not hasattr(module, "fixed_subspace")
     monkeypatch.setattr(clifford, "fixed_subspace", refuse)
     assert collapse_run(_rot4_mapping(), exterior_module(3), [1.0, 0.5], 2, 2).verdict == "converges"
     assert collapse_run(_rot4_mapping(), spinor_gammas(3), [1.0, 0.5], 2, 2).verdict == "blows_up"
@@ -557,20 +551,14 @@ def test_irrational_multiple_of_geometric_lift_runs():
 
 @pytest.mark.parametrize("order", [1, 2, 7, 1024, 1025, "irrational"])
 def test_lift_of_order_up_to_1024_closes(order):
-    # holonomy_rep closes the group of a lift of order up to 1024, and
-    # refuses a larger or infinite one; the parallel mask reads the angles
-    # alone, so it takes a lift of any order
+    # the parallel mask reads the angles alone, so it takes a lift of any
+    # order, finite or not
     angle = 0.1 * np.sqrt(2.0) if order == "irrational" else 1.0 / order
     basis = _lift_basis(np.diag(np.exp(2j * np.pi * np.array([angle, 0.0]))))
     model = AffineMappingTorus(
         fiber=FlatTorusModel(np.eye(2), np.zeros(2)), holonomy=np.eye(2), base_length=1.0
     )
     assert _parallel_columns(model, basis).tolist() == [order == 1, True]
-    if order == "irrational" or order > 1024:
-        with pytest.raises(ValueError, match="^holonomy closure exceeded 1024 elements"):
-            holonomy_rep([basis.lift])
-    else:
-        assert holonomy_rep([basis.lift]).group_order == order
 
 
 @pytest.mark.parametrize("build", [spinor_gammas, exterior_module])
@@ -590,15 +578,13 @@ def test_given_lift_angles_are_its_rayleigh_quotients(build):
 
 
 def test_lift_within_structure_tol_of_finite_order_is_accepted():
-    # the plan reads no lift's order: holonomy_rep's 9-digit rounding
-    # refuses a lift 3e-9 turns away from order 3, which runs
+    # the plan reads no lift's order: a lift 3e-9 turns away from order 3,
+    # which a group closure rounding to 9 digits would refuse, runs
     cm = spinor_gammas(3)
     lift = np.exp(2j * np.pi * (1.0 / 3.0 + 3e-9)) * np.eye(cm.dim_v)
     model = AffineMappingTorus(
         fiber=FlatTorusModel(np.eye(2), np.zeros(2)), holonomy=np.eye(2), base_length=1.0,
         holonomy_lift=lift,
     )
-    with pytest.raises(ValueError, match="^holonomy closure exceeded"):
-        holonomy_rep([lift])
     assert collapse_run(model, cm, [1.0, 0.5], 2, 2).verdict == "blows_up"
     assert blowup_check(model, cm, [1.0, 0.5], 2).rate > 0.0

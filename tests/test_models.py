@@ -196,6 +196,20 @@ def test_matrix_order():
         matrix_order(np.array([[1, 1], [0, 1]]), cap=16)
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1e-6, 1e-170, 1e150])
+def test_metric_invariance_is_relative_at_every_lattice_size(scale):
+    # a quarter turn preserves the metric of a square fiber at any size and
+    # that of a 1 x 2 rectangle at none; compared with max(1, max |G|), the
+    # rectangle passed below a size of about 1e-5, and at 1e-170 its Gram
+    # matrix underflowed to 0
+    quarter = np.array([[0, -1], [1, 0]])
+    square = FlatTorusModel(scale * np.eye(2), np.zeros(2))
+    assert AffineMappingTorus(fiber=square, holonomy=quarter, base_length=1.0).fiber is square
+    rectangle = FlatTorusModel(scale * np.diag([1.0, 2.0]), np.zeros(2))
+    with pytest.raises(ValueError, match="^holonomy does not preserve the fiber metric$"):
+        AffineMappingTorus(fiber=rectangle, holonomy=quarter, base_length=1.0)
+
+
 def _circle_fiber(shift=0.0):
     return FlatTorusModel(np.array([[2 * np.pi]]), np.array([shift]))
 

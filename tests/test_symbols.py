@@ -1,6 +1,7 @@
 """The closed-form certificate of symbols: each of its guards refuses a
-block whose +-r it would get wrong, on hand-built cluster constants, and a
-refused block is solved by eigh as eigensolve solves it."""
+block whose +-r it would get wrong, on hand-built pair constants, and a
+refused block is solved by eigh as eigensolve solves it; a plan keeps
+those constants once per (orbit, cluster) pair of its block table."""
 
 import math
 
@@ -8,19 +9,23 @@ import numpy as np
 import pytest
 
 from diraclab.clifford import exterior_module, spinor_gammas
+from diraclab.mapping import _plan
+from diraclab.models import AffineMappingTorus, FlatTorusModel
 from diraclab.spectral import RESIDUAL_TOL, STRUCTURE_TOL, eigensolve
 from diraclab.symbols import _block_symbols
 
 
 def _one_block(fiber_gamma):
     """Symbols of a single block, one orbit at unit momentum 1 and one
-    twist cluster, whose restricted gammas are fiber_gamma (one fiber
-    direction) and a zero base gamma; its beta is 0, so at fiber momentum p
-    the block is p fiber_gamma."""
+    (orbit, cluster) pair, whose fiber part is fiber_gamma (one fiber
+    direction) and whose base gamma is zero; its beta is 0, so at fiber
+    momentum p the block is p fiber_gamma."""
     s = len(fiber_gamma)
-    gc = np.array([[fiber_gamma, np.zeros((s, s))]], dtype=complex)
+    f = np.array([fiber_gamma], dtype=complex)
     zero = np.zeros(1, dtype=np.intp)
-    return _block_symbols(zero, zero, np.zeros(1), np.array([s]), np.ones((1, 1)), [(zero, None, gc)])
+    return _block_symbols(
+        zero, zero, np.zeros(1), np.array([s]), np.ones((1, 1)), [(zero, f, np.zeros_like(f))]
+    )
 
 
 def _solve(fiber_gamma, p):
@@ -43,9 +48,9 @@ def test_near_zero_block_keeps_its_sign_count():
     p = (math.sqrt(3.0) - 1.0) * x
     gamma = np.diag([1.0, 1.0, -t, -t]) / (math.sqrt(3.0) - 1.0)
     sym = _one_block(gamma)
-    delta = p * p * sym.a[0, 0]
+    delta = p * p * sym.a[0]
     assert 4 * delta >= p * p and delta / p <= RESIDUAL_TOL
-    assert abs(0.5 * (4 + p * sym.trace[0, 0] / abs(p)) - 3.0) <= STRUCTURE_TOL
+    assert abs(0.5 * (4 + p * sym.trace_f[0] / abs(p)) - 3.0) <= STRUCTURE_TOL
     certified, spec = _solve(gamma, p)
     assert not certified
     ref = eigensolve(p * gamma)
@@ -59,7 +64,7 @@ def test_nonintegral_sign_count_never_takes_closed_form():
     r = 1e-4
     for eps, certified in [(0.0, True), (1e-11, False)]:
         gamma = np.diag([1.0, -1.0 + eps / r])
-        delta = r * r * _one_block(gamma).a[0, 0]
+        delta = r * r * _one_block(gamma).a[0]
         assert 2 * delta < r * r and delta / r <= RESIDUAL_TOL
         got, spec = _solve(gamma, r)
         assert got == certified
@@ -92,3 +97,26 @@ def test_perturbed_block_is_refused(module, entry):
     certified, spec = _solve(block / pn, pn)
     assert not certified
     assert np.array_equal(spec.values, eigensolve(pn * (block / pn)).values)
+
+
+@pytest.mark.parametrize(
+    "module, truncation, pairs",
+    [(spinor_gammas(3), 6, 44), (exterior_module(3), 3, 15)],
+    ids=["collapse_spinor_rot4", "window_exterior_rot4"],
+)
+def test_symbols_keep_one_entry_per_pair_of_the_block_table(module, truncation, pairs):
+    # the benchmark's rot4 plans at full size: the constants are reduced
+    # once per (orbit, twist cluster) pair that has blocks, and every block
+    # reads its own pair's
+    model = AffineMappingTorus(
+        fiber=FlatTorusModel(2.0 * np.pi * np.eye(2), np.zeros(2)),
+        holonomy=np.array([[0, -1], [1, 0]]),
+        base_length=2.0 * np.pi,
+        base_shift=0.5,
+    )
+    plan = _plan(model, module, truncation)
+    sym = plan.symbols
+    table = np.unique(np.column_stack([plan.orbit, plan.cluster]), axis=0)
+    assert len(sym.a) == len(table) == pairs
+    owners = np.unique(np.column_stack([sym.pair, plan.orbit, plan.cluster]), axis=0)
+    assert np.array_equal(owners[:, 0], np.arange(pairs))

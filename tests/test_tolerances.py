@@ -26,7 +26,6 @@ TABLE = {
     "RELATION_TOL": 1e-12,
     "CASIMIR_TOL": 1e-10,
     "UNITARITY_TOL": 1e-10,
-    "PROJECTOR_TOL": 1e-10,
     "ANGLE_TOL": 1e-10,
     "LIFT_TOL": 1e-9,
     "WEIGHT_TOL": 1e-9,
