@@ -30,13 +30,11 @@ from .models import (
     metric_path,
 )
 from .spectral import (
-    HERMITICITY_TOL,
     NULL_SEGMENT_DEVIATION,
     NULL_SEGMENT_LENGTH,
     SPECTRUM_MATCH_TOL,
     MatchResult,
     Spectrum,
-    _require_hermitian,
     _stack_values,
     eigensolve,  # not called here; bench/smoke.py reads it as collapse.eigensolve
     epsilon_close,
@@ -178,10 +176,11 @@ def collapse_run(
     values come from a sort of its at most 2 k_max eigenvalues nearest
     zero, not of all of them.  The arguments, the window constants included
     (as spectral_window refuses them), are checked before the plan is built.
-    Then a scale at which the fiber diameter or a momentum overflows when
-    squared is refused, by name; then the limit's refusals over its rows
-    (coupling, Hermiticity, the eigh of its uncertified blocks), and then
-    each scale's in the order coupling, Hermiticity, the eigh of its
+    The plan refuses first a module whose gammas are not Hermitian, then
+    what it cannot build.  Then a scale at which the fiber diameter or a
+    momentum overflows when squared is refused, by name; then the limit's
+    refusals over its rows (coupling, the eigh of its uncertified blocks),
+    and then each scale's in the order coupling, the eigh of its
     uncertified blocks, k_max.
     """
     eps = _check_epsilons(epsilons)
@@ -330,8 +329,9 @@ def perturbation_bound_check(
     metric_path and once on the array of grid points.  The grid tori share
     their modes, one flat plan's, whose _blocks forms each torus's Dirac
     blocks; the blocks of all of them form one stack, solved by the one
-    batched eigh with residual check that eigensolve runs per stack; each
-    grid point's model and operator are still checked on their own.
+    batched eigh with residual check that eigensolve runs per stack.  Each
+    grid point's model is checked on its own; their operators are
+    Hermitian as the module is, which the plan checks once.
     """
     if samples < 2:
         raise ValueError("need at least two parameter samples")
@@ -355,10 +355,6 @@ def perturbation_bound_check(
     # one _blocks call per torus: the plan's table indexes one torus's modes
     momenta = [torus.dual_momentum(plan.reps) for torus in tori]
     stack = np.concatenate([plan._blocks(slice(None), p)[0] for p in momenta])
-    for t, block in zip(ts.tolist(), stack.reshape(samples, len(plan.reps), cm.dim_v, cm.dim_v)):
-        # each grid point's operator is checked against its own scale
-        message = f"Dirac operator at grid point t={t!r} is not Hermitian"
-        _require_hermitian([block], HERMITICITY_TOL, message + " (residual {residual:.3e})")
     values = np.sort(_stack_values(stack).reshape(samples, dim), axis=1)
     # sinh_rescale row by row, sorted again as its Spectrum is
     rescaled = np.sort(np.arcsinh(values / float(np.sqrt(curvature_bound))), axis=1)

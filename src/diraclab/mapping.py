@@ -22,16 +22,14 @@ diagonal in it, with angles read off the lift's (_twist_sector), and
 _parallel_columns reads which columns parallel sections take off them
 alone: a lift of any angle runs.  Only the fiber momenta depend on the
 fiber scale, as 1/fiber_scale, so the plan solves them at unit scale and a
-step divides them by the scale.  The plan keeps one block table: per block
-in row order its orbit, its twist cluster and its base momentum, and per
-cluster size those clusters' columns and base gammas.  The step forms each
-size class's blocks from these rows, as a fiber part plus beta times a base
-part.  A collapse run builds the plan once and solves all its scales in one
-stacked pass over the symbols, read off the same parts once per (orbit,
-cluster) pair (see the symbols module).  The limit operator is
-the zero-mode orbit's rows at zero fiber momentum; as that orbit's momentum
-is zero at every scale, a collapse run reads the limit's spectrum off those
-rows of the scales' solution.
+step divides them by the scale.  The plan keeps one block table, in which
+each block takes the fiber part and base gamma of its (orbit, cluster)
+pair, plus beta times the base part; the symbols read the same pairs' parts
+once (see the symbols module), and a collapse run solves all its scales in
+one stacked pass over them.  The limit operator is the zero-mode orbit's
+rows at zero fiber momentum; as that orbit's momentum is zero at every
+scale, a collapse run reads the limit's spectrum off those rows of the
+scales' solution.
 """
 from __future__ import annotations
 
@@ -42,8 +40,8 @@ import numpy as np
 
 from .clifford import CliffordModule, _exceeds, _lift_factors, _unitary_eigh
 from .models import AffineMappingTorus, FlatTorusModel, _check_scaled, matrix_order
-from .spectral import LIFT_TOL, STRUCTURE_TOL, UNITARITY_TOL
-from .spectral import AssembledOperator, BlockInfo
+from .spectral import HERMITICITY_TOL, LIFT_TOL, STRUCTURE_TOL, UNITARITY_TOL
+from .spectral import AssembledOperator, BlockInfo, _require_hermitian
 from .symbols import _COUPLED, _block_symbols, _BlockSymbols, _SymbolSolution
 
 
@@ -205,21 +203,26 @@ def _twist_sector(basis: _LiftBasis, d: int, base_shift: float) -> list[tuple[fl
 def _orbit_layout(
     sectors: dict[int, list[tuple[float, list[int]]]], reps: np.ndarray, sizes: np.ndarray,
     conn_dot: np.ndarray, base_length: float, truncation: int,
-) -> tuple[BlockInfo, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[BlockInfo, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Block provenance and block table of the orbits reps (in row order) of
     the given sizes: per block, its orbit, its twist cluster (numbered over
-    the sectors in order) and its base momentum beta.  An orbit of size d has
-    one block per base index u = -dT .. dT (outer) and cluster of its twist
-    sector (inner); conn_dot pairs its dual mode with the connection."""
-    per_orbit = {d: (2 * d * truncation + 1) * len(sec) for d, sec in sectors.items()}
-    counts = np.array([per_orbit[d] for d in sizes.tolist()], dtype=np.int64)
+    the sectors in order), its base momentum beta and its pair; per pair,
+    the row of its first block.  An orbit of size d has one block per base
+    index u = -dT .. dT (outer) and cluster of its twist sector (inner), so
+    its pairs, one per cluster, are its first len(sector) blocks, numbered
+    in row order; conn_dot pairs its dual mode with the connection."""
+    per_sector = np.array([len(sectors[d]) for d in sizes.tolist()], dtype=np.int64)
+    counts = (2 * sizes * truncation + 1) * per_sector
     offsets, total = np.cumsum(counts) - counts, int(np.sum(counts))
+    starts = np.cumsum(per_sector) - per_sector
     # an orbit's blocks take consecutive rows, over which its representative
     # and index repeat
     modes = np.repeat(np.column_stack([reps, np.zeros_like(sizes)]), counts, axis=0)
     info = BlockInfo(modes, np.empty(total, dtype=np.int64), np.empty(total))
     orbit = np.repeat(np.arange(len(sizes)), counts)
-    cluster, beta = np.empty(total, dtype=np.intp), np.empty(total)
+    cluster, pair = np.empty((2, total), dtype=np.intp)
+    beta = np.empty(total)
+    pair_rows = np.empty(int(np.sum(per_sector)), dtype=np.intp)
     first = 0
     for d, sec in sectors.items():
         members = np.flatnonzero(sizes == d)
@@ -231,10 +234,12 @@ def _orbit_layout(
         info.sizes[idx] = [len(idxs) for _, idxs in sec]
         info.twist[idx] = thetas
         cluster[idx] = first + np.arange(len(thetas))
+        pair[idx] = starts[members, None, None] + np.arange(len(thetas))
+        pair_rows[pair[idx[:, 0]]] = idx[:, 0]
         kappa = 2.0 * np.pi * (us[:, None] + thetas) / (d * base_length)
         beta[idx] = kappa - (2.0 * np.pi * conn_dot[members])[:, None, None]
         first += len(thetas)
-    return info, orbit, cluster, beta
+    return info, orbit, cluster, beta, pair, pair_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,15 +249,17 @@ class _MappingPlan:
     twist sectors (by orbit size), the orbit representatives and their fiber
     momenta at unit fiber scale (O, m), per orbit its twist sector's
     coupling mask (O, dim_v, dim_v), and one block table.  The table is the block
-    provenance and, per block in row order, its orbit, its twist cluster
-    and its base momentum beta; per cluster size s, clusters holds those
-    clusters' numbers (C_s,), their lift-basis columns (C_s, s) and base
-    gammas (C_s, s, s).  The block path, the symbol certificate and the
-    limit all read these rows; the limit's are limit_rows, the zero-mode
-    orbit's.  Only the fiber momenta scale, as 1/fiber_scale: dirac, bochner
-    and symbol_spectra divide the unit-scale ones by the scale eps
-    (_scaled_momenta).  Every block is formed by _blocks from _parts, whose
-    parts the symbols read too."""
+    provenance and, per block in row order, its orbit, its twist cluster,
+    its base momentum beta and its pair, an (orbit, cluster) combination
+    numbered in row order; pair_rows holds each pair's first row, and per
+    cluster size s, pairs holds those pairs' numbers (P_s,), the flat
+    indices of their fiber parts into an (O, dim_v, dim_v) stack and their
+    base gammas (both (P_s, s, s)).  The block path, the symbol certificate
+    and the limit all read these rows; the limit's are limit_rows, the
+    zero-mode orbit's.  Only the fiber momenta scale, as 1/fiber_scale:
+    dirac, bochner and symbol_spectra divide the unit-scale ones by the
+    scale eps (_scaled_momenta).  _blocks and the symbols read the parts of
+    the pairs (_pair_parts)."""
 
     model: FlatTorusModel | AffineMappingTorus
     truncation: int
@@ -266,7 +273,9 @@ class _MappingPlan:
     orbit: np.ndarray
     cluster: np.ndarray
     beta: np.ndarray
-    clusters: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    pair: np.ndarray
+    pair_rows: np.ndarray
+    pairs: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def dirac(self, eps: float = 1.0) -> AssembledOperator:
         """Dirac operator at the fiber scale eps; refuses a scale out of
@@ -277,35 +286,34 @@ class _MappingPlan:
         stacks = self._blocks(slice(None), p)
         return AssembledOperator(stacks, self.block_info, self.truncation)
 
-    def _parts(self, rows: slice | np.ndarray, p: np.ndarray):
-        """Per size class present, ascending, the blocks of the table's rows
-        in rows (a slice, or indices) at the orbit fiber momenta p (O, m) in
-        two (B_s, s, s) stacks in row order: yields their positions within
-        rows, their fiber parts F, the orbit's q^H gamma(p) q (one einsum of
-        p with gammas_q) on the cluster's columns, and their base gammas G."""
+    def _pair_parts(self, p: np.ndarray):
+        """Per size class, ascending, the parts of its pairs at the orbit
+        fiber momenta p (O, m): the pairs' numbers, ascending, their fiber
+        parts F, the orbit's q^H gamma(p) q (one einsum of p with gammas_q)
+        on the cluster's columns, and their base gammas G, two (P_s, s, s)
+        stacks, the second the plan's own."""
         gp_q = np.einsum("ok,kij->oij", p, self.gammas_q[: p.shape[1]])
-        orbit, cluster = self.orbit[rows], self.cluster[rows]
-        sizes = self.block_info.sizes[rows]
-        for s, (ids, cols, base) in self.clusters.items():
-            at = np.flatnonzero(sizes == s)
-            if len(at):
-                c = np.searchsorted(ids, cluster.take(at))
-                # each block's entries as flat indices into gp_q, dropped after one take
-                entries = cols[:, :, None] * len(gp_q[0]) + cols[:, None, :]
-                offset = (orbit.take(at) * gp_q[0].size)[:, None, None]
-                fiber = np.take(gp_q, np.take(entries, c, axis=0) + offset)
-                yield at, fiber, np.take(base, c, axis=0)
+        for ids, index, base in self.pairs.values():
+            yield ids, np.take(gp_q, index), base
 
     def _blocks(self, rows: slice | np.ndarray, p: np.ndarray) -> list[np.ndarray]:
-        """The blocks F + beta G of the table's rows in rows at the orbit
-        fiber momenta p (see _parts), one stack per size class present,
-        ascending, each in row order."""
-        beta = self.beta[rows]
+        """The blocks F + beta G of the table's rows in rows (a slice, or
+        indices) at the orbit fiber momenta p, one (B_s, s, s) stack per size
+        class present, ascending, each in row order: each block takes its
+        pair's parts (_pair_parts), without a copy where the blocks are the
+        pairs (a flat plan's)."""
+        pair, beta, sizes = self.pair[rows], self.beta[rows], self.block_info.sizes[rows]
         stacks = []
-        for at, fiber, base in self._parts(rows, p):
-            base *= beta.take(at)[:, None, None]
-            fiber += base
-            stacks.append(fiber)
+        for ids, fiber, base in self._pair_parts(p):
+            at = np.flatnonzero(sizes == fiber.shape[-1])
+            if len(at):
+                k = np.searchsorted(ids, pair.take(at))
+                base = np.take(base, k, axis=0)
+                base *= beta.take(at)[:, None, None]
+                if not np.array_equal(k, np.arange(len(ids))):
+                    fiber = np.take(fiber, k, axis=0)
+                fiber += base
+                stacks.append(fiber)
         return stacks
 
     def bochner(self, eps: float = 1.0) -> AssembledOperator:
@@ -314,7 +322,7 @@ class _MappingPlan:
         p = _scaled_momenta(self.unit_momenta, [eps])[0]
         r2 = np.sum(p * p, axis=1)[self.orbit] + self.beta * self.beta
         sizes = self.block_info.sizes
-        stacks = [r2[sizes == s, None, None] * np.eye(s) for s in self.clusters]
+        stacks = [r2[sizes == s, None, None] * np.eye(s) for s in self.pairs]
         return AssembledOperator(stacks, self.block_info, self.truncation)
 
     def coupled(self, p: np.ndarray, orbits: slice | np.ndarray) -> np.ndarray:
@@ -338,28 +346,23 @@ class _MappingPlan:
 
     @cached_property
     def symbols(self) -> _BlockSymbols:
-        """The blocks' scale-free symbols, from _parts of one row per pair."""
-        key = self.orbit * (int(self.cluster.max()) + 1) + self.cluster
-        seen = np.bincount(key) > 0
-        pair = (np.cumsum(seen) - 1)[key]
-        first = np.empty(np.count_nonzero(seen), dtype=np.intp)
-        first[pair] = np.arange(len(key))  # any one row of each pair
+        """The blocks' scale-free symbols, from the pairs' parts at the unit
+        momenta times 2^-e, e the binary exponent of their largest entry, so
+        that none overflows when squared; solve takes 1 / eps times 2^e, so
+        every product rounds as at unit scale."""
+        e = int(np.frexp(np.max(np.abs(self.unit_momenta)))[1])
+        unit = np.ldexp(self.unit_momenta, -e)
         return _block_symbols(
-            self.orbit, pair, self.beta, self.block_info.sizes, self.unit_momenta[self.orbit[first]],
-            self._parts(first, self.unit_momenta),
+            self.orbit, self.pair, self.beta, self.block_info.sizes, unit[self.orbit[self.pair_rows]],
+            self._pair_parts(unit), e,
         )
 
     def symbol_spectra(self, eps: list[float]) -> _SymbolSolution:
         """Spectra at the E fiber scales eps from the block symbols, in one
         pass, after _scaled_momenta's refusal.  Its at(i) is scale i's
         spectrum and at(i, limit_rows()) the limit's, the same at every i;
-        each raises the coupling and Hermiticity of its rows, and forms and
-        solves only the blocks that fail their certificate.
-
-        The certificate is set out in the symbols module, with why its
-        Hermiticity refusal is at least as strict as the block path's and
-        its error bound is held to eigensolve's residual tolerance.
-        """
+        each raises the coupling of its rows, and forms and solves only the
+        blocks that fail their certificate (see the symbols module)."""
         p = _scaled_momenta(self.unit_momenta, eps)
         w = 1.0 / np.array(eps, dtype=float)
         coupled = self.coupled(p, slice(None))
@@ -399,7 +402,18 @@ def _plan(
     has one orbit and block per retained mode, labeled by the mode alone,
     the identity lift basis, one twist cluster of all dim_v rows at twist 0
     and no base direction: a zero base gamma makes every beta 0, so the base
-    terms of its blocks and symbols vanish without a branch."""
+    terms of its blocks and symbols vanish without a branch.
+
+    A module whose gammas are not Hermitian is refused first, once for every
+    block and scale: a block D = sum_k x_k gamma_k on s <= dim_v lift-basis
+    columns has max |D - D^H| <= sqrt(n) |x| sigma, sigma the largest skew
+    entry, and max |D_ij| >= |x| / s on a Clifford module, so sigma <=
+    HERMITICITY_TOL / (sqrt(n) dim_v) is at least as strict as the block
+    path's check, up to what the basis change moves a skew entry."""
+    _require_hermitian(
+        [cm.gammas], HERMITICITY_TOL / (np.sqrt(cm.n) * cm.dim_v),
+        "Clifford module gammas are not Hermitian (residual {residual:.3e})",
+    )
     if isinstance(model, FlatTorusModel):
         if cm.n != model.n:
             raise ValueError(f"module dimension {cm.n} does not match torus rank {model.n}")
@@ -410,7 +424,8 @@ def _plan(
         sizes = np.ones(k, dtype=np.int64)
         sectors = {1: _twist_sector(basis, 1, 0.0)}
         info = BlockInfo(reps, np.full(k, cm.dim_v), np.zeros(k))
-        table = (info, np.arange(k), np.zeros(k, dtype=np.intp), np.zeros(k))
+        ks = np.arange(k)  # one orbit, block and pair per mode
+        table = (info, ks, np.zeros(k, dtype=np.intp), np.zeros(k), ks, ks)
         unit = model.dual_momentum(reps)
         top = float(np.max(np.hypot.reduce(np.abs(unit), axis=1)))  # as _scaled_momenta
         if not np.isfinite(top * top):
@@ -431,12 +446,16 @@ def _plan(
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
     gammas_q = basis.q.conj().T @ gammas @ basis.q
+    info, orbit, cluster, _, _, pair_rows = table
     cols = [idxs for sec in sectors.values() for _, idxs in sec]
-    clusters = {}
+    pairs, dv = {}, cm.dim_v
     for s in sorted({len(c) for c in cols}):
-        ids = np.array([i for i, c in enumerate(cols) if len(c) == s])
-        grid = np.array([cols[i] for i in ids])
-        clusters[s] = (ids, grid, gammas_q[-1][grid[:, :, None], grid[:, None, :]])
+        ids = np.flatnonzero(info.sizes[pair_rows] == s)
+        rows, of_size = pair_rows[ids], [i for i, c in enumerate(cols) if len(c) == s]
+        # each pair's cluster's columns
+        grid = np.array([cols[i] for i in of_size])[np.searchsorted(of_size, cluster[rows])]
+        index = (orbit[rows] * dv * dv)[:, None, None] + grid[:, :, None] * dv + grid[:, None, :]
+        pairs[s] = (ids, index, gammas_q[-1][grid[:, :, None], grid[:, None, :]])
     # per orbit, each column's cluster in its twist sector
     owner = np.zeros((len(sectors), cm.dim_v), dtype=np.intp)
     for i, sec in enumerate(sectors.values()):
@@ -445,5 +464,5 @@ def _plan(
     owner = owner[np.searchsorted(list(sectors), sizes)]
     coupling = owner[:, :, None] != owner[:, None, :]
     return _MappingPlan(
-        model, truncation, basis, gammas_q, sectors, reps, unit, coupling, *table, clusters
+        model, truncation, basis, gammas_q, sectors, reps, unit, coupling, *table, pairs
     )

@@ -40,7 +40,7 @@ __all__ = [
 # max(1, largest entry of the checked matrix), "rel X" with the entry times
 # max(1, |X|).  Matrix quantities are largest entries, "op" operator norms.
 RESIDUAL_TOL = 1e-10  # eigenpair residual, and a symbol-certified block's Weyl bound; rel block
-HERMITICITY_TOL = 1e-12  # M - M^H of an assembled or solved operator, of -iX for exp(X); rel
+HERMITICITY_TOL = 1e-12  # M - M^H of an operator, of -iX for exp(X), of gammas / sqrt(n) dim_v; rel
 INPUT_HERMITICITY_TOL = 1e-10  # M - M^H of a delta block or a Gram matrix; rel
 # lift basis, _unitary_eigh cosines, angle clusters, parallel columns and fixed_subspace
 # (angle off a whole turn), sign-count integrality: abs; twist coupling: rel largest symbol entry
@@ -118,10 +118,6 @@ def _require_hermitian(stacks, tol: float, message: str) -> None:
         raise ValueError(message.format(residual=resid))
 
 
-# the refusal of an assembled operator that fails its Hermiticity check
-_NOT_HERMITIAN = "assembled operator is not Hermitian (residual {residual:.3e})"
-
-
 @dataclass(frozen=True, eq=False)
 class BlockInfo:
     """Block provenance, one row per block in row order: modes (B, k) (on a
@@ -185,7 +181,9 @@ class AssembledOperator:
             c.flags.writeable = False
         object.__setattr__(self, "stacks", tuple(stacks))
         object.__setattr__(self, "block_info", info)
-        _require_hermitian(stacks, HERMITICITY_TOL, _NOT_HERMITIAN)
+        _require_hermitian(
+            stacks, HERMITICITY_TOL, "assembled operator is not Hermitian (residual {residual:.3e})"
+        )
 
     @cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:

@@ -6,19 +6,21 @@ are formed from the plan's block table and solved by eigh.
 A block of s rows is D = F + beta G (mapping._MappingPlan._blocks): its
 fiber part F, q^H gamma(p) q on its twist cluster's lift-basis columns q at
 the fiber momentum p of its orbit, plus beta times its cluster's base gamma
-G.  The certificate is for its Hermitian part H = H_F + beta H_G; D - H is
-bounded by the Hermiticity check below.  With r^2 = |p|^2 + beta^2,
+G.  The certificate is for its Hermitian part H = H_F + beta H_G; the
+plan's one Hermiticity check (mapping._plan) bounds D - H.  With
+r^2 = |p|^2 + beta^2,
 
     H^2 - r^2 I = (H_F^2 - |p|^2 I) + beta {H_F, H_G} + beta^2 (H_G^2 - I).
 
 At fiber scale eps, p is the orbit's unit-scale momentum over eps, so the
 three terms have the Frobenius norms a / eps^2, |beta| b / eps and
 beta^2 c: a = ||H_F^2 - |p|^2 I|| and b = ||{H_F, H_G}|| at unit scale
-and c = ||H_G^2 - I||, measured once per pair, an (orbit, twist cluster)
-combination of the block table, on the plan's own block parts
-(_MappingPlan._parts) at unit scale.  So ||H^2 - r^2 I||_2 <= delta =
-a / eps^2 + |beta| b / eps + beta^2 c.  By Weyl's inequality each
-eigenvalue lam^2 of H^2 lies within delta of r^2, so ||lam| - r| <= delta / r.
+and c = ||H_G^2 - I||, measured once per plan and pair, an (orbit, twist
+cluster) combination of the block table, on the parts the plan forms its
+blocks from (_MappingPlan._pair_parts), at unit scale up to an exact power
+of two.  So ||H^2 - r^2 I||_2 <= delta = a / eps^2 + |beta| b / eps +
+beta^2 c.  By Weyl's inequality each eigenvalue lam^2 of H^2 lies within
+delta of r^2, so ||lam| - r| <= delta / r.
 With n+ = (s + tr H / r) / 2, where tr H = tr F / eps + beta tr G from the
 pair's traces, a block takes -r (s - n+ times) and +r (n+ times) only
 when s delta < r^2 (so r > 0), delta / r <= RESIDUAL_TOL * max(1,
@@ -47,21 +49,10 @@ It moves ||lam| - r| by O(u (m + s)) r: the order of eigh's own backward
 error, and for s <= 16 over a thousand times below RESIDUAL_TOL * max(1,
 r / s).
 
-Twist-sector coupling is not checked here: the plan's one check
-(mapping._MappingPlan.coupled) flags every scale and orbit, for this path
-and the block path alike, and solve takes its flags.  The block path's
-other refusal, Hermiticity, is evaluated so that it is at least as strict
-as the block path's check: from the pair's skews at unit scale,
-max |D - D^H| <= max |F - F^H| / eps + |beta| max |G - G^H| per block, whose
-maximum over the solved rows is held against max(1, max over those rows of
-sqrt(r^2 - delta) / s), a lower bound of the block path's scale.  Both
-refusals are kept per block and reduced over the rows a spectrum takes, so
-a scale's refusal stands for the block path's check of its operator, and
-the limit's for limit_operator's.
-
-The symbols are scale-free and built once per plan (mapping._MappingPlan)
-from the parts that its block path and limit are formed from too; solve
-takes the orbit fiber momenta of all wanted scales at once.
+Twist-sector coupling is not checked here: solve takes the flags of the
+plan's one check (mapping._MappingPlan.coupled) at the orbit fiber momenta
+of all wanted scales at once, and a spectrum reduces them over its orbits,
+as the block path's check of its operator, or limit_operator's, would.
 """
 
 from __future__ import annotations
@@ -71,11 +62,10 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import HERMITICITY_TOL, RESIDUAL_TOL, STRUCTURE_TOL, Spectrum, _default_tol
-from .spectral import _NOT_HERMITIAN, _stack_values
+from .spectral import RESIDUAL_TOL, STRUCTURE_TOL, Spectrum, _default_tol, _stack_values
 
-# the message of an operator whose symbol couples distinct twist sectors;
-# the symbol path refuses with it and _NOT_HERMITIAN where the block path would
+# the message of an operator whose symbol couples distinct twist sectors, in
+# the symbol path as in the block path
 _COUPLED = "operator symbol couples distinct twist sectors"
 
 
@@ -84,15 +74,12 @@ class _SymbolSolution:
     """Symbol spectra of a plan's blocks at E fiber scales, solved in one
     pass (see the module docstring).  Per scale and orbit, the plan's flag
     of whether the symbol couples distinct twist sectors; per scale and
-    block, the Hermiticity bound herm, the block scale bscale, whether the
-    block is certified, r and the count of +r (floats, integral where
-    certified); per block, its orbit and size; and blocks(i, rows), the
-    stacks by size class of scale i's blocks at the given rows, formed from
-    the plan's block table."""
+    block, whether the block is certified, r and the count of +r (floats,
+    integral where certified); per block, its orbit and size; and
+    blocks(i, rows), the stacks by size class of scale i's blocks at the
+    given rows, formed from the plan's block table."""
 
     coupled: np.ndarray
-    herm: np.ndarray
-    bscale: np.ndarray
     certified: np.ndarray
     r: np.ndarray
     npos: np.ndarray
@@ -105,14 +92,10 @@ class _SymbolSolution:
         """Spectrum of scale i over the rows given (all, or one orbit's):
         each certified block b takes -r[b] (s - n+ times) and +r[b] (n+
         times); the others are formed and solved by one batched eigh per
-        size class with its residual check.  Raises first, in the block
-        path's order, the refusals of those rows: coupling over their
-        orbits, then Hermiticity against their largest block scale."""
+        size class with its residual check.  Raises first, as the block
+        path does, a coupling over those rows' orbits."""
         if np.take(self.coupled[i], self.orbit[rows]).any():
             raise ValueError(_COUPLED)
-        resid = np.max(self.herm[i, rows], initial=0.0)
-        if resid > HERMITICITY_TOL * np.max(self.bscale[i, rows], initial=1.0):
-            raise ValueError(_NOT_HERMITIAN.format(residual=float(resid)))
         ok, r, sizes = self.certified[i, rows], self.r[i, rows], self.sizes[rows]
         npos = self.npos[i, rows].astype(np.intp)
         npos *= ok
@@ -133,9 +116,8 @@ class _BlockSymbols:
     Per block (B), in row order: the orbit whose fiber momentum it takes
     (ascending), its pair (the index of its pair constants), its base
     momentum beta and its size s.  Per pair (P), from its fiber part F at
-    the orbit's unit-scale fiber momentum and its cluster's base gamma G:
-    the norms a, b and c, the real traces of F and G and max |F - F^H| and
-    max |G - G^H|.
+    the orbit's unit-scale fiber momentum times 2^-exp and its cluster's
+    base gamma G: the norms a, b and c and the real traces of F and G.
     """
 
     orbit: np.ndarray
@@ -147,29 +129,26 @@ class _BlockSymbols:
     c: np.ndarray
     trace_f: np.ndarray
     trace_g: np.ndarray
-    skew_f: np.ndarray
-    skew_g: np.ndarray
+    exp: int
 
     def solve(
         self, p: np.ndarray, w: np.ndarray, truncation: int, coupled: np.ndarray, blocks
     ) -> _SymbolSolution:
         """The certificates at the orbit fiber momenta p (E, O, m) of E fiber
-        scales, their unit-scale momenta times w (E,), 1 / eps, in one pass,
-        with the plan's coupling flags (E, O) of those momenta and its
-        blocks routine (see _SymbolSolution); see the module docstring.
+        scales, their unit-scale momenta times w (E,), 1 / eps, which solve
+        scales by 2^exp to match the symbols' momenta, in one pass, with the
+        plan's coupling flags (E, O) of those momenta and its blocks routine
+        (see _SymbolSolution).
         r^2 sums |p|^2 in order of k and then adds beta^2, as a sum over
         all of x = (p of its orbit, beta) in order of k does."""
         n_scales, n_orbits, m = p.shape
         pp = np.zeros((n_scales, n_orbits))
         for k in range(m):
             pp += p[..., k] * p[..., k]
-        # herm and bscale are kept per block for the solution; the other
-        # (E, B) arrays are updated in place and dropped once used, so that
-        # few of them live at a time
-        pair = self.pair
+        # the (E, B) arrays are updated in place and dropped once used, so
+        # that few of them live at a time
+        pair, w = self.pair, np.ldexp(w, self.exp)
         beta, abeta = self.beta, np.abs(self.beta)
-        herm = np.outer(w, self.skew_f[pair])
-        herm += abeta * self.skew_g[pair]
         # delta = a / eps^2 + |beta| b / eps + beta^2 c
         delta = np.outer(w * w, self.a[pair])
         delta += np.outer(w, abeta * self.b[pair])
@@ -185,7 +164,7 @@ class _BlockSymbols:
         r = np.sqrt(r2)
         ok = self.sizes * delta < r2
         ok &= delta <= bscale * RESIDUAL_TOL * r
-        del delta, r2
+        del delta, r2, bscale
         zero = r == 0.0
         # nplus = (s + tr H / r) / 2, tr H = tr F / eps + beta tr G
         nplus = np.outer(w, self.trace_f[pair])
@@ -198,29 +177,28 @@ class _BlockSymbols:
         del nplus
         np.copyto(npos, self.sizes, where=zero)
         return _SymbolSolution(
-            coupled, herm, bscale, ok | zero, r, npos, self.orbit, self.sizes, truncation, blocks
+            coupled, ok | zero, r, npos, self.orbit, self.sizes, truncation, blocks
         )
 
 
 def _block_symbols(
     orbit: np.ndarray, pair: np.ndarray, beta: np.ndarray, sizes: np.ndarray,
-    unit: np.ndarray, parts,
+    unit: np.ndarray, parts, exp: int,
 ) -> _BlockSymbols:
     """Symbols of a plan's blocks (mapping._MappingPlan): per block in row
     order its orbit, pair, beta and size; per pair its orbit's unit-scale
-    fiber momentum (P, m); and parts, the plan's _parts of one row per pair
+    fiber momentum times 2^-exp (P, m); and parts, the plan's _pair_parts
     at those momenta.  The pairs' F and G are padded with zeros to the
     largest size, which leaves every product, trace and norm unchanged, and
     reduced at once to a = ||H_F^2 - |p|^2 I||, b = ||{H_F, H_G}||,
-    c = ||H_G^2 - I||, their real traces and their largest skew entries."""
+    c = ||H_G^2 - I|| and their real traces."""
     parts = list(parts)
     s = max(fiber.shape[-1] for _, fiber, _ in parts)
     fg, eye = np.zeros((2, len(unit), s, s), dtype=complex), np.zeros((len(unit), s, s))
     for at, fiber, base in parts:
         d = fiber.shape[-1]
         fg[0, at, :d, :d], fg[1, at, :d, :d], eye[at, :d, :d] = fiber, base, np.eye(d)
-    skew = fg - fg.conj().swapaxes(-1, -2)
-    h = fg - 0.5 * skew
+    h = fg - 0.5 * (fg - fg.conj().swapaxes(-1, -2))
     # H_F H_F, H_F H_G and H_G H_G; H_G H_F is the adjoint of the second
     prod = h[[0, 0, 1]] @ h[[0, 1, 1]]
     prod[0] -= np.sum(unit * unit, axis=1)[:, None, None] * eye
@@ -228,5 +206,4 @@ def _block_symbols(
     prod[2] -= eye
     norms = np.sqrt(np.sum(np.abs(prod) ** 2, axis=(-2, -1)))
     traces = np.trace(fg, axis1=-2, axis2=-1).real
-    skews = np.abs(skew).max(axis=(-2, -1))
-    return _BlockSymbols(orbit, pair, beta, sizes, *norms, *traces, *skews)
+    return _BlockSymbols(orbit, pair, beta, sizes, *norms, *traces, exp)

@@ -46,6 +46,9 @@ from diraclab.spectral import (
     subset_epsilon_close,
 )
 
+# the plan's refusal of a module whose gamma_0 is skewed by 1e-6
+SKEWED = r"^Clifford module gammas are not Hermitian \(residual 1\.000e-06\)$"
+
 
 def _circle(length=2 * np.pi, shift=0.5):
     return FlatTorusModel(np.array([[length]]), np.array([shift]))
@@ -169,17 +172,66 @@ def test_flat_gammas_that_fail_to_anticommute_take_eigh():
 
 
 def test_flat_skewed_gamma_is_not_hermitian():
-    # both the block path and the symbols refuse a non-Hermitian gamma_0
+    # the plan refuses a non-Hermitian gamma_0 once, before either the block
+    # path or the symbols can form a block
     cm = spinor_gammas(2)
     gammas = cm.gammas.copy()
     gammas[0, 1, 0] += 1e-6
     skewed = CliffordModule(2, 2, gammas, cm.sigmas)
-    plan = _plan(FlatTorusModel(np.eye(2), np.array([0.5, 0.0])), skewed, 2)
-    message = r"^assembled operator is not Hermitian \(residual "
-    with pytest.raises(ValueError, match=message):
-        plan.dirac()
-    with pytest.raises(ValueError, match=message):
-        plan.symbol_spectra([1.0]).at(0)
+    torus = FlatTorusModel(np.eye(2), np.array([0.5, 0.0]))
+    for build in (lambda: _plan(torus, skewed, 2), lambda: assemble_dirac(torus, skewed, 2)):
+        with pytest.raises(ValueError, match=SKEWED):
+            build()
+
+
+def _rot4_2pi_mapping():
+    # the benchmark's rot4 model: 2 pi square fiber, quarter turn, auto lift
+    return AffineMappingTorus(
+        fiber=FlatTorusModel(2.0 * np.pi * np.eye(2), np.zeros(2)),
+        holonomy=np.array([[0, -1], [1, 0]]),
+        base_length=2.0 * np.pi,
+        base_shift=0.5,
+    )
+
+
+@pytest.mark.parametrize(
+    "model, module",
+    [
+        (_rot4_2pi_mapping(), spinor_gammas(3)),
+        (_rot4_2pi_mapping(), exterior_module(3)),
+        (FlatTorusModel(np.array([[1.0, 0.3], [0.0, 1.5]]), np.array([0.5, 0.0])), spinor_gammas(2)),
+    ],
+    ids=["rot4_spinor", "rot4_exterior", "flat"],
+)
+def test_the_plans_hermiticity_check_is_at_least_as_strict_as_the_blocks(model, module):
+    # skew one gamma by 10^-k, k = 9 .. 16: wherever the blocks of the skewed
+    # module (the clean plan's table with the skewed gammas in its lift
+    # basis, at eps = 1, 2^-4 and 2^-10) fail the block path's check
+    # max |D - D^H| <= HERMITICITY_TOL max(1, max |D|), the plan of the
+    # skewed module refuses it.  Both verdicts occur, and a plan check 100
+    # times looser fails this test
+    clean = _plan(model, module, 2)
+    q, n = clean.basis.q, module.n
+    outcomes = set()
+    for g, k in itertools.product(range(n), range(9, 17)):
+        gammas = module.gammas.copy()
+        gammas[g, 1, 0] += 10.0**-k
+        skewed = CliffordModule(n, module.dim_v, gammas, module.sigmas)
+        padded = np.concatenate([gammas, np.zeros_like(gammas[: len(clean.gammas_q) - n])])
+        skewed_q = q.conj().T @ padded @ q
+        # each pair's base gamma, at the entries its flat fiber index takes
+        base = skewed_q[-1].ravel()
+        pairs = {s: (ids, at, base[at % base.size]) for s, (ids, at, _) in clean.pairs.items()}
+        plan = dataclasses.replace(clean, gammas_q=skewed_q, pairs=pairs)
+        refused = _refusal(lambda: _plan(model, skewed, 2)) is not None
+        for eps in (1.0, 2.0**-4, 2.0**-10):
+            stacks = plan._blocks(slice(None), clean.unit_momenta / eps)
+            resid = max(np.max(np.abs(d - d.conj().swapaxes(-1, -2))) for d in stacks)
+            scale = max(1.0, max(np.max(np.abs(d)) for d in stacks))
+            fails = resid > HERMITICITY_TOL * scale
+            assert refused or not fails, (g, k, eps)
+            outcomes.add((fails, refused))
+    assert (True, True) in outcomes and (False, False) in outcomes
 
 
 def test_bochner_identity_mapping():
@@ -886,20 +938,19 @@ def test_limit_is_the_zero_mode_rows_of_every_scale(drawn, exterior, truncation,
     _assert_same_spectrum(limits[0], eigensolve(limit_operator(model, module, truncation)))
 
 
-def test_limit_rows_refuse_only_their_own_hermiticity():
+def test_a_skewed_fiber_gamma_refuses_the_limit_too():
     # gamma_0, a fiber gamma, fails Hermiticity while the base gamma
-    # passes: every scale is refused, but the limit's rows take no fiber
-    # momentum, so their Hermiticity bound is the base gamma's and they
-    # solve as limit_operator's blocks do
+    # passes.  The limit's rows take no fiber momentum, yet the module is
+    # refused as a whole: the limit is refused with every scale, by the plan
     cm = _non_clifford_spinor(skew=1e-6)
     model = _identity_mapping()
-    plan = _plan(model, cm, 2)
-    solved = plan.symbol_spectra([1.0, 0.5])
-    limit = eigensolve(limit_operator(model, cm, 2))
-    for i in range(2):
-        with pytest.raises(ValueError, match=r"^assembled operator is not Hermitian \(residual "):
-            solved.at(i)
-        _assert_same_spectrum(solved.at(i, plan.limit_rows()), limit)
+    for run in (
+        lambda: _plan(model, cm, 2),
+        lambda: limit_operator(model, cm, 2),
+        lambda: collapse_run(model, cm, [1.0, 0.5], 1, 2),
+    ):
+        with pytest.raises(ValueError, match=SKEWED):
+            run()
 
 
 def test_symbol_zero_blocks_are_zeros(monkeypatch):
@@ -1045,13 +1096,14 @@ def test_symbol_path_refuses_non_hermitian_symbols(monkeypatch):
     def no_operator(*args):
         raise AssertionError("block path taken")
 
+    # the plan refuses the module before the symbols are solved
     cm = _non_clifford_spinor(skew=1e-6)
     model = _identity_mapping()
-    message = r"^assembled operator is not Hermitian \(residual "
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=SKEWED):
         collapse_run(model, cm, [1.0], 1, 2)
     monkeypatch.setattr(mapping._MappingPlan, "_blocks", no_operator)
-    with pytest.raises(ValueError, match=message):
+    monkeypatch.setattr(mapping._MappingPlan, "symbol_spectra", no_operator)
+    with pytest.raises(ValueError, match=SKEWED):
         collapse_run(model, cm, [1.0], 1, 2)
 
 

@@ -153,6 +153,30 @@ ALL_CONFIGS = {
 }
 
 
+# values put in place of one key at a time: junk, boundary values and
+# magnitudes whose squares or inverses overflow or underflow
+MUTATION_TOKENS = (
+    "", "abc", "nan", "-1", "0", "0.5", "1,0", "inf", "-inf", "1e-300", "1e-160", "1e300", "2",
+    "0.0,0.0", "1;2",
+)
+
+
+def _mutations():
+    """(label, config text) of every single-key mutation of every config:
+    each key outside [experiment] and [output] takes each token in turn."""
+    for name, text in sorted(ALL_CONFIGS.items()):
+        lines = text.splitlines()
+        section = None
+        for i, line in enumerate(lines):
+            if line.startswith("["):
+                section = line
+            elif " = " in line and section not in ("[experiment]", "[output]"):
+                key = line.split(" = ")[0]
+                for token in MUTATION_TOKENS:
+                    mutated = lines[:i] + [f"{key} = {token}"] + lines[i + 1 :]
+                    yield f"{name} {section} {key} = {token!r}", "\n".join(mutated) + "\n"
+
+
 def _run(tmp_path: Path, text: str, sub: str = "out", extra=()):
     cfg = tmp_path / f"{sub}.ini"
     cfg.write_text(text)
@@ -471,3 +495,27 @@ def test_negative_seed_exits_two(tmp_path, capsys, monkeypatch, name):
     assert code == 2
     assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
     assert not list(out.glob("*_report.json"))
+
+
+def test_every_single_key_mutation_exits_by_the_contract(tmp_path, capsys):
+    # in-process, under this suite's error::RuntimeWarning: no exception
+    # escapes main; exit 2 prints exactly one error line and no report, and
+    # exit 0 or 3 writes the report.  Every token is small, so no mutation
+    # asks for a large allocation
+    codes = []
+    for i, (label, text) in enumerate(_mutations()):
+        try:
+            code, out = _run(tmp_path, text, sub=f"m{i}")
+        except Exception as err:  # anything escaping main, warnings turned errors included
+            pytest.fail(f"{label}: {type(err).__name__}: {err}")
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), label
+        reports = list(out.glob("*_report.json"))
+        if code == 2:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, label
+            assert not reports, label
+        else:
+            assert len(reports) == 1, label
+        codes.append(code)
+    # the seven configs have 49 keys outside [experiment] and [output]
+    assert len(codes) == len(MUTATION_TOKENS) * 49

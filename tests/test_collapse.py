@@ -226,8 +226,8 @@ def _rot4_spinor_model():
 
 def _inject(monkeypatch, faults):
     """Make the stacked solve of all scales report the given faults, {scale
-    index: set of "coupled", "hermitian", "uncertified"}, on every orbit or
-    block of the scale, and make forming a block from the plan's table,
+    index: set of "coupled", "uncertified"}, on every orbit or block of the
+    scale, and make forming a block from the plan's table,
     which an uncertified block takes, raise RuntimeError("block path")."""
     import dataclasses
 
@@ -237,13 +237,12 @@ def _inject(monkeypatch, faults):
 
     def symbol_spectra(self, eps):
         out = original(self, eps)
-        coupled, herm, certified = out.coupled.copy(), out.herm.copy(), out.certified.copy()
+        coupled, certified = out.coupled.copy(), out.certified.copy()
         for i, kinds in faults.items():
             if i < len(eps):
                 coupled[i] |= "coupled" in kinds
-                herm[i] = np.inf if "hermitian" in kinds else herm[i]
                 certified[i] &= "uncertified" not in kinds
-        return dataclasses.replace(out, coupled=coupled, herm=herm, certified=certified)
+        return dataclasses.replace(out, coupled=coupled, certified=certified)
 
     def block_path(self, rows, p):
         raise RuntimeError("block path")
@@ -253,7 +252,7 @@ def _inject(monkeypatch, faults):
 
 
 COUPLED = r"^operator symbol couples distinct twist sectors$"
-HERMITIAN = r"^assembled operator is not Hermitian \(residual inf\)$"
+SKEWED = r"^Clifford module gammas are not Hermitian \(residual 1\.000e-06\)$"
 BLOCK_PATH = r"^block path$"
 K_MAX = r"^k_max=1000000 exceeds spectrum size 214$"
 WINDOW = r"^window constants must satisfy a > 0, c >= 0$"
@@ -261,21 +260,29 @@ MOMENTUM = r"^fiber scale 1e-200 is out of range: a fiber momentum overflows whe
 DIAMETER = r"^fiber scale 1e\+200 is out of range: the fiber diameter overflows when squared$"
 
 
+def _module(message):
+    """The module of a refusal-order case: spinor_gammas(3) with gamma_0
+    skewed by 1e-6 where the case expects the plan's Hermiticity refusal,
+    spinor_gammas(3) otherwise."""
+    return _non_clifford_spinor(skew=1e-6) if message == SKEWED else spinor_gammas(3)
+
+
 # Bad window constants are refused first, with the other arguments, before
-# the plan is built.  Then a scale out of range is refused, before any scale
-# is solved: a fiber momentum overflows when squared at eps = 1e-200, and
-# (collapse_run only) the fiber diameter at eps = 1e200.  Then refusals come
-# scale by scale, and within a scale in the order: twist-sector coupling,
-# Hermiticity, block path, k_max.  eps = 1e-7 is in range.
+# the plan is built.  The plan refuses a module whose gammas are not
+# Hermitian before anything else.  Then a scale out of range is refused,
+# before any scale is solved: a fiber momentum overflows when squared at
+# eps = 1e-200, and (collapse_run only) the fiber diameter at eps = 1e200.
+# Then refusals come scale by scale, and within a scale in the order:
+# twist-sector coupling, block path, k_max.  eps = 1e-7 is in range.
 @pytest.mark.parametrize(
     "faults, epsilons, k_max, window_a, message",
     [
         ({1: {"coupled"}}, [1.0, 0.5], 10**6, 1.0, K_MAX),
-        ({0: {"coupled", "hermitian", "uncertified"}}, [1e200, 1e-200], 10**6, -1.0, WINDOW),
+        ({0: {"coupled", "uncertified"}}, [1e200, 1e-200], 10**6, -1.0, WINDOW),
         ({1: {"coupled"}}, [1.0, 0.5], 2, 1.0, COUPLED),
         ({0: {"coupled"}}, [1.0, 0.5], 10**6, 1.0, COUPLED),
-        ({1: {"coupled", "hermitian", "uncertified"}}, [1.0, 0.5], 2, 1.0, COUPLED),
-        ({0: {"hermitian", "uncertified"}}, [1.0, 0.5], 10**6, 1.0, HERMITIAN),
+        ({1: {"coupled", "uncertified"}}, [1.0, 0.5], 2, 1.0, COUPLED),
+        ({0: {"coupled", "uncertified"}}, [1e200, 1e-200], 2, 1.0, SKEWED),
         ({0: {"uncertified"}}, [1.0, 0.5], 10**6, 1.0, BLOCK_PATH),
         ({}, [1.0, 1e-7], 10**6, 1.0, K_MAX),
         ({0: {"coupled"}}, [1e200, 1.0], 10**6, 1.0, DIAMETER),
@@ -286,7 +293,7 @@ DIAMETER = r"^fiber scale 1e\+200 is out of range: the fiber diameter overflows 
 def test_collapse_refusals_keep_scale_order(monkeypatch, faults, epsilons, k_max, window_a, message):
     _inject(monkeypatch, faults)
     with pytest.raises((ValueError, RuntimeError), match=message):
-        collapse_run(_rot4_spinor_model(), spinor_gammas(3), epsilons, k_max, 2, window_a=window_a)
+        collapse_run(_rot4_spinor_model(), _module(message), epsilons, k_max, 2, window_a=window_a)
 
 
 @pytest.mark.parametrize(
@@ -336,8 +343,8 @@ def test_blowup_refuses_epsilons_before_the_plan(monkeypatch, epsilons, message)
     "faults, epsilons, message",
     [
         ({1: {"coupled"}}, [1.0, 0.5], COUPLED),
-        ({1: {"coupled", "hermitian"}}, [1.0, 0.5], COUPLED),
-        ({1: {"hermitian", "uncertified"}}, [1.0, 0.5], HERMITIAN),
+        ({1: {"coupled", "uncertified"}}, [1.0, 0.5], COUPLED),
+        ({0: {"coupled"}}, [1e200, 1e-200], SKEWED),
         ({0: {"uncertified"}, 1: {"coupled"}}, [1.0, 0.5], BLOCK_PATH),
         ({0: {"coupled"}}, [1.0, 1e-7], COUPLED),
         ({1: {"coupled"}}, [1e-7, 1.0], COUPLED),
@@ -347,7 +354,7 @@ def test_blowup_refuses_epsilons_before_the_plan(monkeypatch, epsilons, message)
 def test_blowup_refusals_keep_scale_order(monkeypatch, faults, epsilons, message):
     _inject(monkeypatch, faults)
     with pytest.raises((ValueError, RuntimeError), match=message):
-        blowup_check(_rot4_spinor_model(), spinor_gammas(3), epsilons, 2)
+        blowup_check(_rot4_spinor_model(), _module(message), epsilons, 2)
 
 
 def _no_block_path(*args):
@@ -410,6 +417,26 @@ def test_uncertified_blocks_never_take_the_block_path(module, fiber_shift):
         base_shift=model.base_shift,
     )
     _check_without_block_path(model, module, [1.0, 0.5], 2)
+
+
+@pytest.mark.parametrize("fiber_shift", [0.0, 0.5])
+def test_symbols_of_a_fiber_whose_unit_momenta_overflow(fiber_shift):
+    # a 1e-160 fiber has unit-scale momenta near 1e160, whose squares
+    # overflow, while at eps = 1e10 and 2e10 every momentum squares finitely.
+    # The symbols are measured at the unit momenta scaled by a power of two,
+    # so no RuntimeWarning (an error under this suite's settings) escapes,
+    # and each scale's min |spec| is the block path's
+    model = AffineMappingTorus(
+        fiber=FlatTorusModel(1e-160 * np.eye(2), np.full(2, fiber_shift)),
+        holonomy=np.array([[0, -1], [1, 0]]),
+        base_length=2 * np.pi,
+        base_shift=0.5,
+    )
+    cm, eps = spinor_gammas(3), [1e10, 2e10]
+    blowup = blowup_check(model, cm, eps, 2)
+    plan = _plan(model, cm, 2)
+    for got, e in zip(blowup.min_abs, eps):
+        assert got == pytest.approx(eigensolve(plan.dirac(e)).abs_sorted()[0], rel=1e-13)
 
 
 def test_small_scales_run_and_out_of_range_ones_are_refused():

@@ -1,7 +1,8 @@
 """tools/diff_cli_artifacts.py, the byte-for-byte gate on the CLI artifacts
 and rot4 collapse reports of two source trees: it passes a tree against
 itself and names an artifact or report that a tree writes differently,
-with the largest change of a number in it."""
+with the largest change of a number in it, and a config mutation whose
+refusal differs."""
 
 import importlib.util
 import re
@@ -72,6 +73,21 @@ def test_a_rot4_report_written_differently_is_named(tmp_path):
     assert len(lines) == len(reports)
     for report, line in zip(reports, lines):
         assert re.fullmatch(rf"differs: {re.escape(report)}{CHANGE}", line)
+
+
+def test_a_refusal_that_changes_its_message_is_named(tmp_path):
+    # a copy of the sources that refuses k_max < 1 with another message:
+    # no artifact differs, and the two mutations it refuses, k_max = -1
+    # and k_max = 0 of the collapse config, are named
+    line = 'raise ValueError("k_max must be at least 1")'
+    tree = _mutated(tmp_path, "collapse.py", line, 'raise ValueError("k_max must be positive")')
+    proc = _diff(ROOT, tree)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"refusal collapse [numeric] k_max = {token!r}: [2, ['error: k_max must be at least 1']]"
+        " -> [2, ['error: k_max must be positive']]"
+        for token in ("-1", "0")
+    ] + [f"2 difference(s) over {len(SEEDS)} seed(s)"]
 
 
 def _tool():

@@ -24,7 +24,7 @@ def _one_block(fiber_gamma):
     f = np.array([fiber_gamma], dtype=complex)
     zero = np.zeros(1, dtype=np.intp)
     return _block_symbols(
-        zero, zero, np.zeros(1), np.array([s]), np.ones((1, 1)), [(zero, f, np.zeros_like(f))]
+        zero, zero, np.zeros(1), np.array([s]), np.ones((1, 1)), [(zero, f, np.zeros_like(f))], 0
     )
 
 
@@ -120,3 +120,6 @@ def test_symbols_keep_one_entry_per_pair_of_the_block_table(module, truncation, 
     assert len(sym.a) == len(table) == pairs
     owners = np.unique(np.column_stack([sym.pair, plan.orbit, plan.cluster]), axis=0)
     assert np.array_equal(owners[:, 0], np.arange(pairs))
+    # the block table numbers the pairs in row order of their first blocks
+    first = np.unique(plan.pair, return_index=True)[1]
+    assert np.array_equal(plan.pair_rows, first) and np.all(np.diff(first) > 0)

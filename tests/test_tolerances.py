@@ -10,7 +10,8 @@ from diraclab import spectral
 from diraclab.assembly import AssembledOperator, BlockInfo
 from diraclab.blockres import BlockMatrix2x2, neumann_factorization_check
 from diraclab.clifford import CliffordModule
-from diraclab.collapse import perturbation_bound_check
+from diraclab.mapping import _plan
+from diraclab.models import FlatTorusModel
 from diraclab.spectral import HERMITICITY_TOL, INPUT_HERMITICITY_TOL, eigensolve
 
 SRC = Path(spectral.__file__).resolve().parent
@@ -127,6 +128,12 @@ def _delta_block(m):
     neumann_factorization_check(BlockMatrix2x2(eye, 0 * eye, 0 * eye, m), imag_shift=1.0)
 
 
+def _module_plan(m):
+    # a circle's plan with the one gamma m: the plan checks the module's
+    # gammas once, at HERMITICITY_TOL / (sqrt(n) dim_v) with n = 1, dim_v = 2
+    _plan(FlatTorusModel(np.eye(1), np.zeros(1)), CliffordModule(1, 2, m[None], np.zeros((1, 1, 2, 2))), 1)
+
+
 @pytest.mark.parametrize(
     "check, tol, message",
     [
@@ -134,6 +141,7 @@ def _delta_block(m):
         (eigensolve, HERMITICITY_TOL, r"^operator is not Hermitian$"),
         (_delta_block, INPUT_HERMITICITY_TOL,
          r"^delta block must be Hermitian up to the imaginary shift$"),
+        (_module_plan, HERMITICITY_TOL / 2.0, r"^Clifford module gammas are not Hermitian \(residual "),
     ],
 )
 def test_hermiticity_is_relative_to_the_largest_entry(check, tol, message):
@@ -146,11 +154,3 @@ def test_hermiticity_is_relative_to_the_largest_entry(check, tol, message):
     with pytest.raises(ValueError, match=message):
         check(_asymmetric(0.1, 2.0 * tol))
 
-
-def test_perturbation_grid_operators_are_checked():
-    gammas = np.array([[[0.0, 1.0], [1.0 + 1e-6, 0.0]]], dtype=complex)
-    bad = CliffordModule(1, 2, gammas, np.zeros((1, 1, 2, 2), dtype=complex))
-    with pytest.raises(
-        ValueError, match=r"^Dirac operator at grid point t=0\.0 is not Hermitian \(residual "
-    ):
-        perturbation_bound_check(lambda t: np.array([[1.0 + t]]), bad, 2, samples=3)

@@ -7,10 +7,14 @@ tree's ``src/`` on the path, at seeds 1, 7 and 123, and saves the
 ``bench/workloads.py``, through its ``setup`` and ``run``) at sizes smoke
 and full and the same seeds, as ``seedS/WORKLOAD/SIZE.json``.  It lists
 every file whose bytes differ (or that only one tree wrote) and every
-exit code that differs.  Next to a differing JSON or CSV file that parses
-on both sides it prints the largest change of a number at the same place,
-absolute and relative to max(1, |value|) (the tolerance table's "rel"),
-and how many other values differ, or that the layout differs.  The
+exit code that differs.  It also runs every single-key mutation of those
+configs (``tests/test_cli.py::_mutations``) at the first seed and lists
+each whose exit code or ``error:`` line differs, so that a refusal that
+moves, or changes its message, shows.  Next to a differing JSON or CSV
+file that parses on both sides it prints the largest change of a number
+at the same place, absolute and relative to max(1, |value|) (the
+tolerance table's "rel"), and how many other values differ, or that the
+layout differs.  The
 configs and workloads come from this repository's ``tests/test_cli.py``
 and ``bench/workloads.py``.
 
@@ -35,15 +39,30 @@ REPO = Path(__file__).resolve().parents[1]
 SEEDS = ("1", "7", "123")
 
 # Runs in a fresh interpreter per tree: argv is src dir, tests dir, bench
-# dir, output dir, then the seeds.  Prints the exit codes as one JSON object.
+# dir, output dir, then the seeds.  Prints one JSON object: the exit codes,
+# and per mutation its exit code (or the name of an exception escaping
+# main) and its error line.
 _RUNNER = """
-import json, sys
+import contextlib, io, json, sys, tempfile
 src, tests, bench, out = sys.argv[1:5]
 sys.path[:0] = [src, tests, bench]
-from test_cli import ALL_CONFIGS
+from test_cli import ALL_CONFIGS, _mutations
 from diraclab.cli import main
 import workloads
 from pathlib import Path
+refusals = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for i, (label, text) in enumerate(_mutations()):
+        cfg = Path(tmp) / f"m{i}.ini"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(["--config", str(cfg), "--out", str(Path(tmp) / f"m{i}"), "--seed", sys.argv[5]])
+            except Exception as exc:
+                code = type(exc).__name__
+        lines = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+        refusals[label] = [code, lines]
 codes = {}
 for seed in sys.argv[5:]:
     for name, text in sorted(ALL_CONFIGS.items()):
@@ -58,11 +77,11 @@ for seed in sys.argv[5:]:
         for size in ("smoke", "full"):
             state = workloads.setup(name, int(seed), size, run)
             workloads.run(state)["report"].save(run / f"{size}.json")
-print(json.dumps(codes))
+print(json.dumps({"codes": codes, "refusals": refusals}))
 """
 
 
-def run_tree(tree: Path, out: Path) -> dict[str, int]:
+def run_tree(tree: Path, out: Path) -> dict:
     proc = subprocess.run(
         [
             sys.executable, "-c", _RUNNER, str(tree / "src"), str(REPO / "tests"),
@@ -139,13 +158,21 @@ def float_change(old: Path, new: Path) -> str:
 
 
 def compare(old: Path, new: Path, work: Path) -> list[str]:
-    """One line per differing artifact or exit code; empty when identical."""
-    codes_old = run_tree(old, work / "old")
-    codes_new = run_tree(new, work / "new")
+    """One line per differing artifact, exit code or refusal; empty when
+    identical."""
+    runs_old = run_tree(old, work / "old")
+    runs_new = run_tree(new, work / "new")
+    codes_old, codes_new = runs_old["codes"], runs_new["codes"]
     diffs = [
         f"exit code {key}: {codes_old[key]} -> {codes_new[key]}"
         for key in codes_old
         if codes_old[key] != codes_new[key]
+    ]
+    refusals_old, refusals_new = runs_old["refusals"], runs_new["refusals"]
+    diffs += [
+        f"refusal {key}: {refusals_old[key]} -> {refusals_new[key]}"
+        for key in refusals_old
+        if refusals_old[key] != refusals_new[key]
     ]
     files_old = {p.relative_to(work / "old") for p in (work / "old").rglob("*") if p.is_file()}
     files_new = {p.relative_to(work / "new") for p in (work / "new").rglob("*") if p.is_file()}
