@@ -454,23 +454,23 @@ def main(argv=None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         passed, results = runner(cfg, outdir, seed)
-    # config errors too: an --out naming a file (or a path below one), arrays too large for memory
-    except (ValueError, RuntimeError, KeyError, configparser.Error, FileExistsError,
-            NotADirectoryError, MemoryError) as exc:
+        prefix = cfg.get("output", "prefix", fallback="run")
+        payload = {
+            "experiment": name,
+            "seed": seed,
+            "parameters": {
+                sec: dict(cfg.items(sec)) for sec in cfg.sections() if sec != "output"
+            },
+            "results": results,
+            "passed": bool(passed),
+        }
+        report_path = outdir / f"{prefix}_report.json"
+        _write_json(report_path, payload)
+    # config errors too: an --out or output prefix the file system refuses
+    # (a file, a missing directory, a name too long), arrays too large for memory
+    except (ValueError, RuntimeError, KeyError, configparser.Error, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    prefix = cfg.get("output", "prefix", fallback="run")
-    payload = {
-        "experiment": name,
-        "seed": seed,
-        "parameters": {
-            sec: dict(cfg.items(sec)) for sec in cfg.sections() if sec != "output"
-        },
-        "results": results,
-        "passed": bool(passed),
-    }
-    report_path = outdir / f"{prefix}_report.json"
-    _write_json(report_path, payload)
     if args.verbose:
         status = "PASS" if passed else "FAIL"
         print(f"{name}: {status} ({report_path})")

@@ -166,11 +166,12 @@ def collapse_run(
     into it once.  Each scale divides the plan's unit-scale fiber momenta by
     epsilon, and its window takes epsilon times the one fiber diameter.  All
     scales are solved at once from the plan's block symbols, without
-    forming an operator: a certified block takes its closed form, and only
-    the blocks that fail their certificate are formed from the plan's table
-    and solved by eigh.  The limit is read off that one solution: its
-    blocks are the zero-mode orbit's rows (plan.limit_rows), whose fiber
-    momentum is zero at every scale, so the first scale's rows serve.  The
+    forming a block: every block takes its closed form, as its (orbit,
+    cluster) pair passes one scale-free certificate or the rows read are
+    refused by name (see the symbols module).  The limit is read off that
+    one solution: its blocks are the zero-mode orbit's rows
+    (plan.limit_rows), whose fiber momentum is zero at every scale, so the
+    first scale's rows serve.  The
     plan's one twist-sector coupling check runs once for all scales, and
     once for the limit at the zero mode alone.  A scale's k_max tracked
     values come from a sort of its at most 2 k_max eigenvalues nearest
@@ -179,9 +180,9 @@ def collapse_run(
     The plan refuses first a module whose gammas are not Hermitian, then
     what it cannot build.  Then a scale at which the fiber diameter or a
     momentum overflows when squared is refused, by name; then the limit's
-    refusals over its rows (coupling, the eigh of its uncertified blocks),
-    and then each scale's in the order coupling, the eigh of its
-    uncertified blocks, k_max.
+    refusals over its rows (coupling, then pairs that break the Clifford
+    relations, by the symbols' one check), and then each scale's in the
+    order coupling, pairs that break the Clifford relations, k_max.
     """
     eps = _check_epsilons(epsilons)
     if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -260,8 +261,10 @@ def blowup_check(
     min |spec| >= a / epsilon across all requested scales.  The plan's one
     lift basis decides whether parallel sections exist.  All scales are
     solved from the plan's block symbols in one pass, as in collapse_run,
-    and each scale's min |spec| is read off its spectrum.  Refusals come as
-    in collapse_run, without the diameter, k_max and window.
+    without forming a block, and each scale's min |spec| is read off its
+    spectrum.  Refusals come as in collapse_run, the symbols' refusal of
+    pairs that break the Clifford relations included, without the
+    diameter, k_max and window.
     """
     eps = _check_epsilons(epsilons)
     plan = _plan(model, cm, truncation)

@@ -24,12 +24,13 @@ alone: a lift of any angle runs.  Only the fiber momenta depend on the
 fiber scale, as 1/fiber_scale, so the plan solves them at unit scale and a
 step divides them by the scale.  The plan keeps one block table, in which
 each block takes the fiber part and base gamma of its (orbit, cluster)
-pair, plus beta times the base part; the symbols read the same pairs' parts
-once (see the symbols module), and a collapse run solves all its scales in
-one stacked pass over them.  The limit operator is the zero-mode orbit's
-rows at zero fiber momentum; as that orbit's momentum is zero at every
-scale, a collapse run reads the limit's spectrum off those rows of the
-scales' solution.
+pair, plus beta times the base part; the symbols certify the same pairs'
+parts once, at each orbit's unit fiber direction, or refuse their rows by
+name (see the symbols module), and a collapse run solves all its scales
+in one stacked pass over them without forming a block.  The limit operator is
+the zero-mode orbit's rows at zero fiber momentum; as that orbit's
+momentum is zero at every scale, a collapse run reads the limit's spectrum
+off those rows of the scales' solution.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from .clifford import CliffordModule, _exceeds, _lift_factors, _unitary_eigh
 from .models import AffineMappingTorus, FlatTorusModel, _check_scaled, matrix_order
 from .spectral import HERMITICITY_TOL, LIFT_TOL, STRUCTURE_TOL, UNITARITY_TOL
 from .spectral import AssembledOperator, BlockInfo, _require_hermitian
-from .symbols import _COUPLED, _block_symbols, _BlockSymbols, _SymbolSolution
+from .symbols import _COUPLED, _block_symbols, _SymbolSolution
 
 
 class EmptyInvariantSpaceError(ValueError):
@@ -345,30 +346,26 @@ class _MappingPlan:
         return flags
 
     @cached_property
-    def symbols(self) -> _BlockSymbols:
-        """The blocks' scale-free symbols, from the pairs' parts at the unit
-        momenta times 2^-e, e the binary exponent of their largest entry, so
-        that none overflows when squared; solve takes 1 / eps times 2^e, so
-        every product rounds as at unit scale."""
-        e = int(np.frexp(np.max(np.abs(self.unit_momenta)))[1])
-        unit = np.ldexp(self.unit_momenta, -e)
+    def symbols(self) -> np.ndarray:
+        """The pairs' scale-free symbols (symbols._block_symbols), measured
+        once from their parts at each orbit's unit fiber direction: the unit
+        momenta over their lengths, by hypot, which neither overflows nor
+        underflows, and 0 on the zero-mode orbit."""
+        unit = self.unit_momenta
+        norm = np.hypot.reduce(np.abs(unit), axis=1)[:, None]
+        dirs = np.divide(unit, norm, out=np.zeros_like(unit), where=norm > 0.0)
         return _block_symbols(
-            self.orbit, self.pair, self.beta, self.block_info.sizes, unit[self.orbit[self.pair_rows]],
-            self._pair_parts(unit), e,
+            dirs[self.orbit[self.pair_rows]], bool(self.beta.any()), self._pair_parts(dirs)
         )
 
     def symbol_spectra(self, eps: list[float]) -> _SymbolSolution:
         """Spectra at the E fiber scales eps from the block symbols, in one
         pass, after _scaled_momenta's refusal.  Its at(i) is scale i's
         spectrum and at(i, limit_rows()) the limit's, the same at every i;
-        each raises the coupling of its rows, and forms and solves only the
-        blocks that fail their certificate (see the symbols module)."""
+        each raises the coupling of its rows and then the symbols' refusal
+        of their pairs (see the symbols module).  No block is formed."""
         p = _scaled_momenta(self.unit_momenta, eps)
-        w = 1.0 / np.array(eps, dtype=float)
-        coupled = self.coupled(p, slice(None))
-        return self.symbols.solve(
-            p, w, self.truncation, coupled, lambda i, rows: self._blocks(rows, p[i])
-        )
+        return _SymbolSolution.solve(self, p, self.coupled(p, slice(None)))
 
     def limit_rows(self) -> slice:
         """The rows of the zero-mode orbit, the limit's; refuses as

@@ -39,11 +39,11 @@ __all__ = [
 # "abs" compares the raw quantity, "rel" compares it with the entry times
 # max(1, largest entry of the checked matrix), "rel X" with the entry times
 # max(1, |X|).  Matrix quantities are largest entries, "op" operator norms.
-RESIDUAL_TOL = 1e-10  # eigenpair residual, and a symbol-certified block's Weyl bound; rel block
+RESIDUAL_TOL = 1e-10  # eigenpair residual, rel block; 2 s kappa of a symbol pair (symbols), abs
 HERMITICITY_TOL = 1e-12  # M - M^H of an operator, of -iX for exp(X), of gammas / sqrt(n) dim_v; rel
 INPUT_HERMITICITY_TOL = 1e-10  # M - M^H of a delta block or a Gram matrix; rel
 # lift basis, _unitary_eigh cosines, angle clusters, parallel columns and fixed_subspace
-# (angle off a whole turn), sign-count integrality: abs; twist coupling: rel largest symbol entry
+# (angle off a whole turn): abs; twist coupling: rel largest symbol entry
 STRUCTURE_TOL = 1e-8
 CLUSTER_TOL = 1e-8  # gap inside an eigenvalue cluster; rel largest |eigenvalue|
 RELATION_TOL = 1e-12  # Clifford module relation residuals; op, abs
@@ -246,8 +246,8 @@ def eigensolve(op) -> Spectrum:
     An assembled operator's Hermiticity was checked when it was built; a
     raw square array is checked here and solved as a stack of one block.
     collapse_run and blowup_check solve a mapping torus from its block
-    symbols (symbols) and never call this; the blocks that certificate
-    refuses are solved by _stack_values, as here.
+    symbols (symbols) and never call this: rows whose symbol pairs fail
+    their one certificate are refused there, and no block is solved.
     """
     stacks = getattr(op, "stacks", None)
     if stacks is None:

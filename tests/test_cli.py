@@ -519,3 +519,21 @@ def test_every_single_key_mutation_exits_by_the_contract(tmp_path, capsys):
         codes.append(code)
     # the seven configs have 49 keys outside [experiment] and [output]
     assert len(codes) == len(MUTATION_TOKENS) * 49
+    # output paths the file system refuses, in every config: a prefix below
+    # a missing directory, a prefix longer than a file name may be, and an
+    # --out whose last name is too long
+    cases = [
+        (f"{name} prefix = {token[:3]!r}", re.sub(r"(?m)^prefix = .*$", f"prefix = {token}", text), ())
+        for name, text in sorted(ALL_CONFIGS.items())
+        for token in ("a/b", "y" * 300)
+    ]
+    cases.append(("--out 'xxx'", COLLAPSE_CFG, ("--out", str(tmp_path / ("x" * 300)))))
+    for i, (label, text, extra) in enumerate(cases):
+        try:
+            code, out = _run(tmp_path, text, sub=f"p{i}", extra=extra)
+        except Exception as err:
+            pytest.fail(f"{label}: {type(err).__name__}: {err}")
+        err = capsys.readouterr().err
+        assert code == 2, label
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, label
+        assert not list(out.rglob("*_report.json")), label

@@ -226,9 +226,8 @@ def _rot4_spinor_model():
 
 def _inject(monkeypatch, faults):
     """Make the stacked solve of all scales report the given faults, {scale
-    index: set of "coupled", "uncertified"}, on every orbit or block of the
-    scale, and make forming a block from the plan's table,
-    which an uncertified block takes, raise RuntimeError("block path")."""
+    index: set of "coupled"}, on every orbit of the scale, and make forming a
+    block from the plan's table raise RuntimeError("block path")."""
     import dataclasses
 
     import diraclab.mapping as mapping
@@ -237,12 +236,11 @@ def _inject(monkeypatch, faults):
 
     def symbol_spectra(self, eps):
         out = original(self, eps)
-        coupled, certified = out.coupled.copy(), out.certified.copy()
+        coupled = out.coupled.copy()
         for i, kinds in faults.items():
             if i < len(eps):
                 coupled[i] |= "coupled" in kinds
-                certified[i] &= "uncertified" not in kinds
-        return dataclasses.replace(out, coupled=coupled, certified=certified)
+        return dataclasses.replace(out, coupled=coupled)
 
     def block_path(self, rows, p):
         raise RuntimeError("block path")
@@ -253,18 +251,20 @@ def _inject(monkeypatch, faults):
 
 COUPLED = r"^operator symbol couples distinct twist sectors$"
 SKEWED = r"^Clifford module gammas are not Hermitian \(residual 1\.000e-06\)$"
-BLOCK_PATH = r"^block path$"
+PAIR = r"^operator symbol breaks the Clifford relations \(residual \d\.\d{3}e[+-]\d\d\)$"
 K_MAX = r"^k_max=1000000 exceeds spectrum size 214$"
 WINDOW = r"^window constants must satisfy a > 0, c >= 0$"
 MOMENTUM = r"^fiber scale 1e-200 is out of range: a fiber momentum overflows when squared$"
 DIAMETER = r"^fiber scale 1e\+200 is out of range: the fiber diameter overflows when squared$"
 
-
-def _module(message):
-    """The module of a refusal-order case: spinor_gammas(3) with gamma_0
-    skewed by 1e-6 where the case expects the plan's Hermiticity refusal,
-    spinor_gammas(3) otherwise."""
-    return _non_clifford_spinor(skew=1e-6) if message == SKEWED else spinor_gammas(3)
+# the modules of the refusal-order cases: spinor_gammas(3), with gamma_0
+# skewed by 1e-6, and with its base gamma squaring to (1 + 1e-6)^2, which
+# breaks the Clifford relations on every pair
+_MODULES = {
+    "clifford": spinor_gammas(3),
+    "skewed": _non_clifford_spinor(skew=1e-6),
+    "broken": _non_clifford_spinor(base_factor=1.0 + 1e-6),
+}
 
 
 # Bad window constants are refused first, with the other arguments, before
@@ -273,27 +273,31 @@ def _module(message):
 # before any scale is solved: a fiber momentum overflows when squared at
 # eps = 1e-200, and (collapse_run only) the fiber diameter at eps = 1e200.
 # Then refusals come scale by scale, and within a scale in the order:
-# twist-sector coupling, block path, k_max.  eps = 1e-7 is in range.
+# twist-sector coupling, pairs that break the Clifford relations, k_max.
+# eps = 1e-7 is in range.  No case forms a block.
 @pytest.mark.parametrize(
-    "faults, epsilons, k_max, window_a, message",
+    "faults, epsilons, k_max, window_a, module, message",
     [
-        ({1: {"coupled"}}, [1.0, 0.5], 10**6, 1.0, K_MAX),
-        ({0: {"coupled", "uncertified"}}, [1e200, 1e-200], 10**6, -1.0, WINDOW),
-        ({1: {"coupled"}}, [1.0, 0.5], 2, 1.0, COUPLED),
-        ({0: {"coupled"}}, [1.0, 0.5], 10**6, 1.0, COUPLED),
-        ({1: {"coupled", "uncertified"}}, [1.0, 0.5], 2, 1.0, COUPLED),
-        ({0: {"coupled", "uncertified"}}, [1e200, 1e-200], 2, 1.0, SKEWED),
-        ({0: {"uncertified"}}, [1.0, 0.5], 10**6, 1.0, BLOCK_PATH),
-        ({}, [1.0, 1e-7], 10**6, 1.0, K_MAX),
-        ({0: {"coupled"}}, [1e200, 1.0], 10**6, 1.0, DIAMETER),
-        ({0: {"coupled"}}, [1.0, 1e-7], 2, 1.0, COUPLED),
-        ({0: {"coupled"}}, [1e-7, 1e-200], 10**6, 1.0, MOMENTUM),
+        ({1: {"coupled"}}, [1.0, 0.5], 10**6, 1.0, "clifford", K_MAX),
+        ({0: {"coupled"}}, [1e200, 1e-200], 10**6, -1.0, "broken", WINDOW),
+        ({1: {"coupled"}}, [1.0, 0.5], 2, 1.0, "clifford", COUPLED),
+        ({0: {"coupled"}}, [1.0, 0.5], 10**6, 1.0, "clifford", COUPLED),
+        ({1: {"coupled"}}, [1.0, 0.5], 2, 1.0, "broken", PAIR),
+        ({0: {"coupled"}}, [1e200, 1e-200], 2, 1.0, "skewed", SKEWED),
+        ({0: {"coupled"}}, [1.0, 0.5], 10**6, 1.0, "broken", COUPLED),
+        ({}, [1.0, 0.5], 10**6, 1.0, "broken", PAIR),
+        ({}, [1.0, 1e-7], 10**6, 1.0, "clifford", K_MAX),
+        ({0: {"coupled"}}, [1e200, 1.0], 10**6, 1.0, "broken", DIAMETER),
+        ({0: {"coupled"}}, [1.0, 1e-7], 2, 1.0, "clifford", COUPLED),
+        ({0: {"coupled"}}, [1e-7, 1e-200], 10**6, 1.0, "broken", MOMENTUM),
     ],
 )
-def test_collapse_refusals_keep_scale_order(monkeypatch, faults, epsilons, k_max, window_a, message):
+def test_collapse_refusals_keep_scale_order(
+    monkeypatch, faults, epsilons, k_max, window_a, module, message
+):
     _inject(monkeypatch, faults)
-    with pytest.raises((ValueError, RuntimeError), match=message):
-        collapse_run(_rot4_spinor_model(), _module(message), epsilons, k_max, 2, window_a=window_a)
+    with pytest.raises(ValueError, match=message):
+        collapse_run(_rot4_spinor_model(), _MODULES[module], epsilons, k_max, 2, window_a=window_a)
 
 
 @pytest.mark.parametrize(
@@ -340,21 +344,21 @@ def test_blowup_refuses_epsilons_before_the_plan(monkeypatch, epsilons, message)
 
 
 @pytest.mark.parametrize(
-    "faults, epsilons, message",
+    "faults, epsilons, module, message",
     [
-        ({1: {"coupled"}}, [1.0, 0.5], COUPLED),
-        ({1: {"coupled", "uncertified"}}, [1.0, 0.5], COUPLED),
-        ({0: {"coupled"}}, [1e200, 1e-200], SKEWED),
-        ({0: {"uncertified"}, 1: {"coupled"}}, [1.0, 0.5], BLOCK_PATH),
-        ({0: {"coupled"}}, [1.0, 1e-7], COUPLED),
-        ({1: {"coupled"}}, [1e-7, 1.0], COUPLED),
-        ({0: {"coupled"}}, [1e200, 1e-200], MOMENTUM),
+        ({1: {"coupled"}}, [1.0, 0.5], "clifford", COUPLED),
+        ({1: {"coupled"}}, [1.0, 0.5], "broken", PAIR),
+        ({0: {"coupled"}}, [1e200, 1e-200], "skewed", SKEWED),
+        ({0: {"coupled"}}, [1.0, 0.5], "broken", COUPLED),
+        ({0: {"coupled"}}, [1.0, 1e-7], "clifford", COUPLED),
+        ({1: {"coupled"}}, [1e-7, 1.0], "clifford", COUPLED),
+        ({0: {"coupled"}}, [1e200, 1e-200], "broken", MOMENTUM),
     ],
 )
-def test_blowup_refusals_keep_scale_order(monkeypatch, faults, epsilons, message):
+def test_blowup_refusals_keep_scale_order(monkeypatch, faults, epsilons, module, message):
     _inject(monkeypatch, faults)
-    with pytest.raises((ValueError, RuntimeError), match=message):
-        blowup_check(_rot4_spinor_model(), _module(message), epsilons, 2)
+    with pytest.raises(ValueError, match=message):
+        blowup_check(_rot4_spinor_model(), _MODULES[module], epsilons, 2)
 
 
 def _no_block_path(*args):
@@ -405,9 +409,12 @@ def test_collapse_never_takes_the_block_path(model, exterior, truncation, epsilo
     [_non_clifford_spinor(base_factor=1.0 + 1e-6), _tilted_base_spinor(1e-3)],
     ids=["base_squares_off_one", "base_fails_to_anticommute"],
 )
-def test_uncertified_blocks_never_take_the_block_path(module, fiber_shift):
-    # blocks that fail their certificate are formed from the plan's table
-    # and solved by eigh, in collapse_run, in its limit and in blowup_check
+def test_modules_that_break_the_clifford_relations_form_no_block(module, fiber_shift):
+    # collapse_run, its limit and blowup_check refuse such a module by name,
+    # with plan.dirac, the plan's block table and limit_operator raising
+    import diraclab.assembly as assembly
+    import diraclab.mapping as mapping
+
     model = _identity_mapping()
     model = AffineMappingTorus(
         fiber=FlatTorusModel(model.fiber.lattice_basis, np.full(2, fiber_shift)),
@@ -416,7 +423,15 @@ def test_uncertified_blocks_never_take_the_block_path(module, fiber_shift):
         holonomy_lift=model.holonomy_lift,
         base_shift=model.base_shift,
     )
-    _check_without_block_path(model, module, [1.0, 0.5], 2)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("dirac", "_blocks"):
+            patch.setattr(mapping._MappingPlan, name, _no_block_path)
+        patch.setattr(assembly, "limit_operator", _no_block_path)
+        with pytest.raises(ValueError, match=PAIR):
+            collapse_run(model, module, [1.0, 0.5], 1, 2)
+        if fiber_shift:
+            with pytest.raises(ValueError, match=PAIR):
+                blowup_check(model, module, [1.0, 0.5], 2)
 
 
 @pytest.mark.parametrize("fiber_shift", [0.0, 0.5])
@@ -495,13 +510,13 @@ def test_collapse_solves_the_symbols_once_per_run(monkeypatch):
     import diraclab.symbols as symbols
 
     calls = []
-    solve = symbols._BlockSymbols.solve
+    solve = symbols._SymbolSolution.solve.__func__
 
-    def counting_solve(self, *args):
+    def counting_solve(cls, *args):
         calls.append(1)
-        return solve(self, *args)
+        return solve(cls, *args)
 
-    monkeypatch.setattr(symbols._BlockSymbols, "solve", counting_solve)
+    monkeypatch.setattr(symbols._SymbolSolution, "solve", classmethod(counting_solve))
     for model, cm, verdict in [
         (_canonical_mapping(), spinor_gammas(2), "converges"),
         (_rot4_spinor_model(), spinor_gammas(3), "blows_up"),

@@ -1,7 +1,7 @@
 """One lift basis per plan and one stacked symbol solve over all fiber scales,
 against the code they replace: an eig of every orbit size's twist,
-ker(lift - I) for lifts of any angle, one solve per scale with the bound
-over pairs of directions, and the eig + QR basis of a computed lift."""
+ker(lift - I) for lifts of any angle, one solve per scale from the gammas'
+traces one by one, and the eig + QR basis of a computed lift."""
 
 import itertools
 from types import SimpleNamespace
@@ -31,7 +31,7 @@ from diraclab.clifford import (
 )
 from diraclab.collapse import blowup_check, collapse_run
 from diraclab.models import AffineMappingTorus, FlatTorusModel
-from diraclab.spectral import RESIDUAL_TOL, SPECTRUM_MATCH_TOL, STRUCTURE_TOL
+from diraclab.spectral import SPECTRUM_MATCH_TOL, STRUCTURE_TOL
 from diraclab.spectral import eigensolve
 from test_assembly import _assert_same_spectrum, _mapping_models, _scaled_fiber
 
@@ -84,34 +84,25 @@ def _fixed_columns(lift, q):
     return np.abs(lift @ q - q).max(axis=0) <= STRUCTURE_TOL
 
 
-def _reference_constants(plan):
-    """Per cluster (batch-last), from the gammas in the lift basis
-    restricted to its columns, G_k = q_c^H gamma_k q_c: their real traces
-    (n, C) and the Clifford defects
-    A_kl = ||H_k H_l + H_l H_k - 2 delta_kl I||_F (n, n, C) of their
-    Hermitian parts H_k: the constants of the bound 1/2 |x|^T A |x| that the
-    certificate took before its three exact norms."""
+def _reference_traces(plan):
+    """Per cluster (batch-last), the real traces (n, C) of the gammas in
+    the lift basis restricted to its columns, G_k = q_c^H gamma_k q_c."""
     n = len(plan.gammas_q)
     # the clusters' columns, numbered over the twist sectors in order
     cols = [np.array(idxs) for sec in plan.sectors.values() for _, idxs in sec]
-    trace, defect = np.zeros((n, len(cols))), np.zeros((n, n, len(cols)))
+    trace = np.zeros((n, len(cols)))
     for i, c in enumerate(cols):
-        gc = plan.gammas_q[:, c[:, None], c[None, :]]
-        trace[:, i] = np.trace(gc, axis1=-2, axis2=-1).real
-        h = 0.5 * (gc + gc.conj().swapaxes(-1, -2))
-        for k, l in itertools.product(range(n), repeat=2):
-            anti = h[k] @ h[l] + h[l] @ h[k] - 2.0 * (k == l) * np.eye(len(c))
-            defect[k, l, i] = np.linalg.norm(anti)
-    return trace, defect
+        trace[:, i] = np.trace(plan.gammas_q[:, c[:, None], c[None, :]], axis1=-2, axis2=-1).real
+    return trace
 
 
-def _reference_solve(table, consts, p, masks, gammas_q):
+def _reference_solve(table, trace, p, masks, gammas_q):
     """One scale's solve at the orbit fiber momenta p (O, m) of the blocks
-    of table (per block its orbit, cluster, beta and size) with the bound
-    1/2 |x|^T A |x| of the per-cluster constants consts, orbit by orbit for
-    the coupling check (each orbit's twist-sector mask in masks, the gammas
-    in the lift basis in gammas_q) and with every cluster constant repeated
-    per block: per block whether it is certified, r and the count of +r."""
+    of table (per block its orbit, cluster, beta and size), orbit by orbit
+    for the coupling check (each orbit's twist-sector mask in masks, the
+    gammas in the lift basis in gammas_q) and with every cluster trace
+    repeated per block: per block r and the count of +r, from the traces
+    of the gammas one by one."""
     m = p.shape[1]
     base = np.abs(gammas_q[m])
     for o in np.flatnonzero(masks.any(axis=(1, 2))):
@@ -119,22 +110,14 @@ def _reference_solve(table, consts, p, masks, gammas_q):
         leak = max(np.max(f[masks[o]]), np.max(base[masks[o]]))
         if leak > STRUCTURE_TOL * max(1.0, np.max(base), np.max(f)):
             raise ValueError("operator symbol couples distinct twist sectors")
-    c = table.cluster
-    trace, defect = (const[..., c] for const in consts)
+    trace = trace[..., table.cluster]
     x = np.empty((len(trace), len(table.beta)))
     x[:-1] = np.take(p.T, table.orbit, axis=1)
     x[-1] = table.beta
-    ax = np.abs(x)
-    r2 = np.einsum("kb,kb->b", x, x)
-    delta = 0.5 * np.einsum("kb,klb,lb->b", ax, defect, ax)
-    bscale = np.maximum(1.0, np.sqrt(np.maximum(r2 - delta, 0.0)) / table.sizes)
-    r = np.sqrt(r2)
+    r = np.sqrt(np.einsum("kb,kb->b", x, x))
     zero = ~x.any(axis=0)
     nplus = 0.5 * (table.sizes + np.einsum("kb,kb->b", x, trace) / np.where(zero, 1.0, r))
-    npos = np.rint(nplus)
-    ok = (table.sizes * delta < r2) & (delta <= RESIDUAL_TOL * bscale * r)
-    ok &= np.abs(nplus - npos) <= STRUCTURE_TOL
-    return ok | zero, r, np.where(zero, table.sizes, npos).astype(np.intp)
+    return r, np.where(zero, table.sizes, np.rint(nplus)).astype(np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -301,48 +284,41 @@ def test_computed_lift_basis_matches_eig_qr_over_model_space(model, exterior, tr
     epsilons=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4),
 )
 def test_stacked_solve_matches_per_scale_solve_over_model_space(lifted, truncation, epsilons):
-    # every block the bound over pairs of directions certified stays
-    # certified, with the same values; the spectra match the block path's
+    # every block takes the r and sign count of a per-scale solve from the
+    # gammas' traces one by one; the spectra match the block path's
     model, cm, _ = lifted
     plan = _plan(model, cm, truncation)
     p = np.array([_scaled_fiber(model, e).dual_momentum(plan.reps) for e in epsilons])
-    w = 1.0 / np.array(epsilons)
-    sym = plan.symbols
-    solved = sym.solve(
-        p, w, truncation, plan.coupled(p, slice(None)), lambda i, rows: plan._blocks(rows, p[i])
-    )
+    solved = mapping._SymbolSolution.solve(plan, p, plan.coupled(p, slice(None)))
     # every scale's rows, and the rows of every scale of the orbit without
     # fiber momentum (the zero mode under the trivial fiber spin shift, the
     # limit's rows) against a reference solve of that orbit alone
-    table = SimpleNamespace(orbit=plan.orbit, cluster=plan.cluster, beta=plan.beta, sizes=sym.sizes)
+    sizes = plan.block_info.sizes
+    table = SimpleNamespace(orbit=plan.orbit, cluster=plan.cluster, beta=plan.beta, sizes=sizes)
     cases = [(table, p, slice(None), slice(None))]
     zero = np.flatnonzero(~plan.unit_momenta.any(axis=1))
     if len(zero):
         rows = slice(*np.searchsorted(plan.orbit, [zero[0], zero[0] + 1]))
         part = SimpleNamespace(
             orbit=np.zeros(rows.stop - rows.start, dtype=np.intp), cluster=plan.cluster[rows],
-            beta=plan.beta[rows], sizes=sym.sizes[rows],
+            beta=plan.beta[rows], sizes=sizes[rows],
         )
         cases.append((part, p[:, zero], zero, rows))
-    consts = _reference_constants(plan)
+    trace = _reference_traces(plan)
     for symbols, momenta, orbits, rows in cases:
         for i, scale in enumerate(momenta):
             try:
-                ref = _reference_solve(symbols, consts, scale, plan.coupling[orbits], plan.gammas_q)
+                r, npos = _reference_solve(symbols, trace, scale, plan.coupling[orbits], plan.gammas_q)
             except ValueError as err:
                 with pytest.raises(ValueError) as raised:
                     solved.at(i, rows)
                 assert str(raised.value) == str(err)
                 continue
             got = solved.at(i, rows)
-            ok, r, npos = ref
-            assert np.all(solved.certified[i, rows][ok])
             assert np.array_equal(solved.r[i, rows], r)
-            assert np.array_equal(solved.npos[i, rows][ok].astype(np.intp), npos[ok])
-            if ok.all():
-                nneg = symbols.sizes - npos
-                values = np.sort(np.concatenate([np.repeat(-r, nneg), np.repeat(r, npos)]))
-                assert np.array_equal(got.values, values)
+            assert np.array_equal(solved.npos[i, rows], npos)
+            values = np.sort(np.concatenate([np.repeat(-r, symbols.sizes - npos), np.repeat(r, npos)]))
+            assert np.array_equal(got.values, values)
             assert got.source_truncation == truncation
     for e in epsilons:
         ref = eigensolve(plan.dirac(e))

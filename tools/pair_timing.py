@@ -2,7 +2,10 @@
 
 Each run is the tree's own ``bench/worker.py --mode rep``, started as
 ``bench/run.py`` starts it (from the tree, with its ``src/`` on
-``PYTHONPATH``), so it times what the benchmark gate times: one ``run``
+``PYTHONPATH``), so it times what the benchmark gate times.  Both trees
+run from copies of their ``src/`` and ``bench/`` at two temporary paths
+of equal length, as the peak RSS of a run steps by about 0.13 MiB with
+where its checkout lives, enough to read as a change.  A run is one ``run``
 call after ``setup``, whose outputs the worker then checks against the
 tree's ``bench/reference.json``.  A run whose worker fails, or whose
 checks fail, is reported as failed and not timed, and the tool stops with
@@ -42,6 +45,7 @@ import argparse
 import json
 import os
 import statistics
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -83,6 +87,20 @@ def run_once(tree: Path, workload: str, seed: int) -> dict[str, float]:
     if report["failed_checks"]:
         raise RunFailed(f"failed checks {report['failed_checks']}")
     return {key: report[key] for key in METRICS}
+
+
+def stage_trees(trees: dict[str, Path], root: Path) -> dict[str, Path]:
+    """Copies of each tree's ``src/`` and ``bench/`` (without bytecode) at
+    root / side, one directory per side; the sides' names are of equal
+    length, so the copies' paths are too."""
+    staged = {}
+    for side, tree in trees.items():
+        for part in ("src", "bench"):
+            shutil.copytree(
+                tree / part, root / side / part, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        staged[side] = root / side
+    return staged
 
 
 def run_side(runs: list[dict[str, float]]) -> dict[str, float]:
@@ -135,26 +153,38 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     bounds = load_bounds()
-    trees = {"old": args.old.resolve(), "new": args.new.resolve()}
+    with tempfile.TemporaryDirectory() as root:
+        trees = stage_trees({"old": args.old.resolve(), "new": args.new.resolve()}, Path(root))
+        results = run_pairs(trees, args.workload, args.pairs, args.first_seed)
+    if results is None:
+        return 1
+    for key in METRICS:
+        judge(key, [r[key] for r in results["old"]], [r[key] for r in results["new"]], bounds.get(key))
+    return 0
+
+
+def run_pairs(
+    trees: dict[str, Path], workload: str, pairs: int, first_seed: int
+) -> dict[str, list[dict[str, float]]] | None:
+    """Each tree's sides over the pairs, printing every pair's wall_s as it
+    ends, or None after a failed run."""
     results: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
-    for i in range(args.pairs):
-        seed = args.first_seed + i
+    for i in range(pairs):
+        seed = first_seed + i
         order = ("old", "new") if i % 2 == 0 else ("new", "old")
         runs: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
         for _ in range(PROCESSES):
             for side in order:
                 try:
-                    runs[side].append(run_once(trees[side], args.workload, seed))
+                    runs[side].append(run_once(trees[side], workload, seed))
                 except RunFailed as err:
                     print(f"pair {i + 1} seed {seed}: {side} FAILED, not timed: {err}")
-                    return 1
+                    return None
         for side in order:
             results[side].append(run_side(runs[side]))
         old, new = results["old"][-1]["wall_s"], results["new"][-1]["wall_s"]
         print(f"pair {i + 1} seed {seed} ({order[0]} first): old {old:.5f} s, new {new:.5f} s")
-    for key in METRICS:
-        judge(key, [r[key] for r in results["old"]], [r[key] for r in results["new"]], bounds.get(key))
-    return 0
+    return results
 
 
 if __name__ == "__main__":
