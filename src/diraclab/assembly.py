@@ -116,7 +116,8 @@ def limit_operator(
     Raises EmptyInvariantSpaceError when no nonzero parallel sections exist
     (nontrivial fiber spin shift, or a lift without fixed vectors); that is
     the regime where the whole spectrum escapes to infinity instead.  The
-    model's plan refuses first.  The operator is the zero-mode orbit's rows
+    model's plan refuses first, a symbol that couples distinct twist
+    sectors included.  The operator is the zero-mode orbit's rows
     of the plan's table at p = 0, labeled by their base index alone.
     """
     plan = _plan(model, cm, truncation)

@@ -102,6 +102,21 @@ def _parse_matrix(text: str) -> np.ndarray:
     return np.array([[float(x) for x in row.split(",")] for row in text.split(";")])
 
 
+_PARSERS = {"integer": int, "number": float, "list of numbers": _parse_vector, "matrix": _parse_matrix}
+
+
+def _read(cfg, section: str, key: str, kind: str, **fallback):
+    """[section] key parsed as kind (a key of _PARSERS).  A value that fails
+    to parse is refused naming the key.  An absent key takes fallback=...
+    where one is given, parsed alike (a fallback None stays None), and is
+    configparser's error otherwise."""
+    text = cfg.get(section, key, **fallback)
+    try:
+        return text if text is None else _PARSERS[kind](text)
+    except ValueError:
+        raise ValueError(f"[{section}] {key} = {text!r} is not a valid {kind}") from None
+
+
 def _build_module(cfg: configparser.ConfigParser, n: int) -> CliffordModule:
     kind = cfg.get("model", "module", fallback="spinor")
     if kind == "spinor":
@@ -120,27 +135,23 @@ def _check_model_type(cfg: configparser.ConfigParser, kind: str) -> None:
 
 def _build_flat(cfg: configparser.ConfigParser) -> FlatTorusModel:
     _check_model_type(cfg, "flat_torus")
-    lattice = _parse_matrix(cfg.get("model", "lattice"))
-    n = lattice.shape[0]
-    shift_text = cfg.get("model", "spin_shift", fallback=None)
-    shift = np.zeros(n) if shift_text is None else _parse_vector(shift_text)
-    return FlatTorusModel(lattice, shift)
+    lattice = _read(cfg, "model", "lattice", "matrix")
+    shift = _read(cfg, "model", "spin_shift", "list of numbers", fallback=None)
+    return FlatTorusModel(lattice, np.zeros(lattice.shape[0]) if shift is None else shift)
 
 
 def _build_mapping(cfg: configparser.ConfigParser) -> tuple[AffineMappingTorus, CliffordModule]:
     _check_model_type(cfg, "mapping_torus")
-    fiber_lattice = _parse_matrix(cfg.get("model", "fiber_lattice"))
+    fiber_lattice = _read(cfg, "model", "fiber_lattice", "matrix")
     m = fiber_lattice.shape[0]
     cm = _build_module(cfg, m + 1)
-    shift_text = cfg.get("model", "fiber_shift", fallback=None)
-    shift = np.zeros(m) if shift_text is None else _parse_vector(shift_text)
-    fiber = FlatTorusModel(fiber_lattice, shift)
-    hol_text = cfg.get("model", "holonomy", fallback=None)
-    holonomy = np.eye(m) if hol_text is None else _parse_matrix(hol_text)
-    base_length = cfg.getfloat("model", "base_length")
-    base_shift = cfg.getfloat("model", "base_shift", fallback=0.0)
-    conn_text = cfg.get("model", "connection", fallback=None)
-    connection = None if conn_text is None else _parse_vector(conn_text)
+    shift = _read(cfg, "model", "fiber_shift", "list of numbers", fallback=None)
+    fiber = FlatTorusModel(fiber_lattice, np.zeros(m) if shift is None else shift)
+    holonomy = _read(cfg, "model", "holonomy", "matrix", fallback=None)
+    holonomy = np.eye(m) if holonomy is None else holonomy
+    base_length = _read(cfg, "model", "base_length", "number")
+    base_shift = _read(cfg, "model", "base_shift", "number", fallback=0.0)
+    connection = _read(cfg, "model", "connection", "list of numbers", fallback=None)
     lift_kind = cfg.get("model", "lift", fallback="auto")
     if lift_kind == "auto":
         lift = None
@@ -159,7 +170,7 @@ def _build_mapping(cfg: configparser.ConfigParser) -> tuple[AffineMappingTorus, 
 
 
 def _num(cfg, key, fallback):
-    value = cfg.getfloat("numeric", key, fallback=fallback)
+    value = _read(cfg, "numeric", key, "number", fallback=fallback)
     if not np.isfinite(value):
         raise ValueError(f"[numeric] {key} must be finite, got {value!r}")
     return value
@@ -174,19 +185,20 @@ def _nonnegative(cfg, key, fallback):
 
 def _numlist(cfg, key, **fallback):
     """[numeric] key as a comma-separated list of floats, for the caller to check."""
-    return [float(x) for x in cfg.get("numeric", key, **fallback).split(",")]
+    return [float(x) for x in _read(cfg, "numeric", key, "list of numbers", **fallback)]
 
 
 def _numint(cfg, key, fallback):
-    return cfg.getint("numeric", key, fallback=fallback)
+    return _read(cfg, "numeric", key, "integer", fallback=fallback)
 
 
-def _trials(cfg, fallback):
-    """[numeric] trials, refused below 1: zero trials would check nothing."""
-    trials = _numint(cfg, "trials", fallback)
-    if trials < 1:
-        raise ValueError(f"[numeric] trials must be at least 1, got {trials}")
-    return trials
+def _positive_int(cfg, key, fallback):
+    """[numeric] key, refused below 1: zero trials would check nothing, and
+    a block of no rows is no block."""
+    value = _numint(cfg, key, fallback)
+    if value < 1:
+        raise ValueError(f"[numeric] {key} must be at least 1, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +321,7 @@ def _eigen_exponential_family(rng, n: int, speed: float):
 
 def _run_perturbation(cfg, outdir: Path, seed: int):
     n = _numint(cfg, "dim", 2)
-    trials = _trials(cfg, 5)
+    trials = _positive_int(cfg, "trials", 5)
     trunc = _numint(cfg, "truncation", 4)
     k_bound = _num(cfg, "curvature_bound", 1.0)
     c_bound = _nonnegative(cfg, "bound_constant", 5.0)
@@ -359,9 +371,9 @@ def _run_frame_bundle(cfg, outdir: Path, seed: int):
 
 
 def _run_block_identities(cfg, outdir: Path, seed: int):
-    trials = _trials(cfg, 5)
-    p = _numint(cfg, "block_p", 6)
-    q = _numint(cfg, "block_q", 6)
+    trials = _positive_int(cfg, "trials", 5)
+    p = _positive_int(cfg, "block_p", 6)
+    q = _positive_int(cfg, "block_q", 6)
     shifts = _numlist(cfg, "imag_shifts", fallback="0.0,1.0,2.0")
     if not np.isfinite(shifts).all():
         raise ValueError(f"[numeric] imag_shifts must be finite, got {shifts!r}")
@@ -436,7 +448,7 @@ def main(argv=None) -> int:
     cfg = configparser.ConfigParser()
     cfg.optionxform = str
     # a malformed file (no section header, a duplicate section) fails the
-    # read, and a malformed seed its getint: config errors, exit 2
+    # read, and a malformed seed its parse: config errors, exit 2
     try:
         if not cfg.read(args.config):
             print(f"error: cannot read config {args.config}", file=sys.stderr)
@@ -450,7 +462,7 @@ def main(argv=None) -> int:
             return 2
         seed = args.seed
         if seed is None:
-            seed = cfg.getint("numeric", "seed", fallback=DEFAULT_SEED)
+            seed = _numint(cfg, "seed", DEFAULT_SEED)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         passed, results = runner(cfg, outdir, seed)

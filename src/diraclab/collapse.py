@@ -167,22 +167,22 @@ def collapse_run(
     epsilon, and its window takes epsilon times the one fiber diameter.  All
     scales are solved at once from the plan's block symbols, without
     forming a block: every block takes its closed form, as its (orbit,
-    cluster) pair passes one scale-free certificate or the rows read are
-    refused by name (see the symbols module).  The limit is read off that
-    one solution: its blocks are the zero-mode orbit's rows
-    (plan.limit_rows), whose fiber momentum is zero at every scale, so the
-    first scale's rows serve.  The
-    plan's one twist-sector coupling check runs once for all scales, and
-    once for the limit at the zero mode alone.  A scale's k_max tracked
-    values come from a sort of its at most 2 k_max eigenvalues nearest
-    zero, not of all of them.  The arguments, the window constants included
-    (as spectral_window refuses them), are checked before the plan is built.
-    The plan refuses first a module whose gammas are not Hermitian, then
-    what it cannot build.  Then a scale at which the fiber diameter or a
-    momentum overflows when squared is refused, by name; then the limit's
-    refusals over its rows (coupling, then pairs that break the Clifford
-    relations, by the symbols' one check), and then each scale's in the
-    order coupling, pairs that break the Clifford relations, k_max.
+    cluster) pair passes one scale-free certificate or the plan is refused
+    by name (see the symbols module).  The limit is read off that one
+    solution: its blocks are the zero-mode orbit's rows (plan.limit_rows),
+    whose fiber momentum is zero at every scale, so the first scale's rows
+    serve.  A scale's k_max tracked values come from a sort of its at most
+    2 k_max eigenvalues nearest zero, not of all of them.
+
+    Refusals come in this order, none of them tied to a scale index: the
+    arguments, the window constants included (as spectral_window refuses
+    them), before the plan is built; then the plan, which refuses a module
+    whose gammas are not Hermitian, then what it cannot build, a symbol
+    that couples distinct twist sectors included (mapping._plan); then a
+    scale at which the fiber diameter or a momentum overflows when squared,
+    by name; then pairs that break the Clifford relations, once for all
+    scales (the symbols' one check); and last k_max, once, against the
+    plan's row count, which every scale's spectrum has.
     """
     eps = _check_epsilons(epsilons)
     if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -194,6 +194,9 @@ def collapse_run(
     diam = model.fiber.diameter()
     _check_scaled("the fiber diameter", eps, [e * diam for e in eps])
     solved = plan.symbol_spectra(eps)
+    size = int(np.sum(plan.block_info.sizes))
+    if k_max > size:
+        raise ValueError(f"k_max={k_max} exceeds spectrum size {size}")
     try:
         limit_spec = solved.at(0, plan.limit_rows())
         verdict = "converges"
@@ -203,8 +206,6 @@ def collapse_run(
     spectra, bounds, tracked_cols = [], [], []
     for i, e in enumerate(eps):
         spec = solved.at(i)
-        if k_max > len(spec):
-            raise ValueError(f"k_max={k_max} exceeds spectrum size {len(spec)}")
         spectra.append(spec)
         bounds.append(spectral_window(_mapping_geometry(e * diam), window_a, window_c))
         tracked_cols.append(_smallest_abs(spec.values, k_max))
@@ -262,9 +263,11 @@ def blowup_check(
     lift basis decides whether parallel sections exist.  All scales are
     solved from the plan's block symbols in one pass, as in collapse_run,
     without forming a block, and each scale's min |spec| is read off its
-    spectrum.  Refusals come as in collapse_run, the symbols' refusal of
-    pairs that break the Clifford relations included, without the
-    diameter, k_max and window.
+    spectrum.  Refusals come in collapse_run's order, without the window,
+    the diameter and k_max: the epsilons, the plan (a coupled symbol
+    included), a scale at which a momentum overflows when squared, and
+    pairs that break the Clifford relations.  A model with parallel
+    sections is refused after the plan is built and before any scale.
     """
     eps = _check_epsilons(epsilons)
     plan = _plan(model, cm, truncation)

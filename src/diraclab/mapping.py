@@ -25,9 +25,12 @@ fiber scale, as 1/fiber_scale, so the plan solves them at unit scale and a
 step divides them by the scale.  The plan keeps one block table, in which
 each block takes the fiber part and base gamma of its (orbit, cluster)
 pair, plus beta times the base part; the symbols certify the same pairs'
-parts once, at each orbit's unit fiber direction, or refuse their rows by
+parts once, at each orbit's unit fiber direction, or refuse the plan by
 name (see the symbols module), and a collapse run solves all its scales
-in one stacked pass over them without forming a block.  The limit operator is
+in one stacked pass over them without forming a block.  Whether the symbol
+couples distinct twist sectors depends on each orbit's fiber direction
+alone, never on the scale, so the plan refuses such a symbol once, when it
+is built (_couples), and no step checks it again.  The limit operator is
 the zero-mode orbit's rows at zero fiber momentum; as that orbit's
 momentum is zero at every scale, a collapse run reads the limit's spectrum
 off those rows of the scales' solution.
@@ -43,7 +46,10 @@ from .clifford import CliffordModule, _exceeds, _lift_factors, _unitary_eigh
 from .models import AffineMappingTorus, FlatTorusModel, _check_scaled, matrix_order
 from .spectral import HERMITICITY_TOL, LIFT_TOL, STRUCTURE_TOL, UNITARITY_TOL
 from .spectral import AssembledOperator, BlockInfo, _require_hermitian
-from .symbols import _COUPLED, _block_symbols, _SymbolSolution
+from .symbols import _block_symbols, _SymbolSolution
+
+# the message of a plan whose symbol couples distinct twist sectors
+_COUPLED = "operator symbol couples distinct twist sectors"
 
 
 class EmptyInvariantSpaceError(ValueError):
@@ -248,9 +254,8 @@ class _MappingPlan:
     """The part of a mapping or flat torus's assembly that the fiber scale
     leaves alone: the lift basis, the gammas in it (fiber, then base), the
     twist sectors (by orbit size), the orbit representatives and their fiber
-    momenta at unit fiber scale (O, m), per orbit its twist sector's
-    coupling mask (O, dim_v, dim_v), and one block table.  The table is the block
-    provenance and, per block in row order, its orbit, its twist cluster,
+    momenta at unit fiber scale (O, m), and one block table.  The table is
+    the block provenance and, per block in row order, its orbit, its twist cluster,
     its base momentum beta and its pair, an (orbit, cluster) combination
     numbered in row order; pair_rows holds each pair's first row, and per
     cluster size s, pairs holds those pairs' numbers (P_s,), the flat
@@ -269,7 +274,6 @@ class _MappingPlan:
     sectors: dict[int, list[tuple[float, list[int]]]]
     reps: np.ndarray
     unit_momenta: np.ndarray
-    coupling: np.ndarray
     block_info: BlockInfo
     orbit: np.ndarray
     cluster: np.ndarray
@@ -280,11 +284,8 @@ class _MappingPlan:
 
     def dirac(self, eps: float = 1.0) -> AssembledOperator:
         """Dirac operator at the fiber scale eps; refuses a scale out of
-        range, then a coupling symbol, before forming a block."""
-        p = _scaled_momenta(self.unit_momenta, [eps])[0]
-        if self.coupled(p[None], slice(None)).any():
-            raise ValueError(_COUPLED)
-        stacks = self._blocks(slice(None), p)
+        range before forming a block."""
+        stacks = self._blocks(slice(None), _scaled_momenta(self.unit_momenta, [eps])[0])
         return AssembledOperator(stacks, self.block_info, self.truncation)
 
     def _pair_parts(self, p: np.ndarray):
@@ -326,58 +327,58 @@ class _MappingPlan:
         stacks = [r2[sizes == s, None, None] * np.eye(s) for s in self.pairs]
         return AssembledOperator(stacks, self.block_info, self.truncation)
 
-    def coupled(self, p: np.ndarray, orbits: slice | np.ndarray) -> np.ndarray:
-        """Per scale and orbit (E, O) of the fiber momenta p (E, O, m) of the
-        orbits indexed, whether the symbol couples distinct twist sectors:
-        over the orbits whose sector has several clusters, in one einsum, an
-        entry joining two clusters of F(p) = sum_k p_k F_k or of the base F_m
-        is above STRUCTURE_TOL max(1, their largest entry).  F(p) may commute
-        with the twist although no F_k does, on a rank-3 rotation's axis."""
-        masks = self.coupling[orbits]
-        masked = np.flatnonzero(masks.any(axis=(1, 2)))
-        flags = np.zeros(p.shape[:2], dtype=bool)
-        if not len(masked):
-            return flags
-        m = p.shape[2]
-        f = np.abs(np.einsum("eok,kij->eoij", p[:, masked], self.gammas_q[:m]))
-        f = np.maximum(f, np.abs(self.gammas_q[m]))
-        leak = np.max(f, axis=(2, 3), where=masks[masked], initial=0.0)
-        flags[:, masked] = leak > STRUCTURE_TOL * np.max(f, axis=(2, 3), initial=1.0)
-        return flags
-
     @cached_property
     def symbols(self) -> np.ndarray:
         """The pairs' scale-free symbols (symbols._block_symbols), measured
         once from their parts at each orbit's unit fiber direction: the unit
         momenta over their lengths, by hypot, which neither overflows nor
         underflows, and 0 on the zero-mode orbit."""
-        unit = self.unit_momenta
-        norm = np.hypot.reduce(np.abs(unit), axis=1)[:, None]
-        dirs = np.divide(unit, norm, out=np.zeros_like(unit), where=norm > 0.0)
+        dirs = _directions(self.unit_momenta)
         return _block_symbols(
             dirs[self.orbit[self.pair_rows]], bool(self.beta.any()), self._pair_parts(dirs)
         )
 
     def symbol_spectra(self, eps: list[float]) -> _SymbolSolution:
         """Spectra at the E fiber scales eps from the block symbols, in one
-        pass, after _scaled_momenta's refusal.  Its at(i) is scale i's
-        spectrum and at(i, limit_rows()) the limit's, the same at every i;
-        each raises the coupling of its rows and then the symbols' refusal
-        of their pairs (see the symbols module).  No block is formed."""
-        p = _scaled_momenta(self.unit_momenta, eps)
-        return _SymbolSolution.solve(self, p, self.coupled(p, slice(None)))
+        pass, after _scaled_momenta's refusal and then the symbols' refusal
+        of pairs that break the Clifford relations (see the symbols module).
+        Its at(i) is scale i's spectrum and at(i, limit_rows()) the limit's,
+        the same at every i.  No block is formed."""
+        return _SymbolSolution.solve(self, _scaled_momenta(self.unit_momenta, eps))
 
     def limit_rows(self) -> slice:
-        """The rows of the zero-mode orbit, the limit's; refuses as
-        limit_operator does, a coupling symbol at p = 0 included."""
+        """The rows of the zero-mode orbit, the limit's; refuses a model
+        without parallel sections, as limit_operator does."""
         if not _parallel_columns(self.model, self.basis).any():
             raise EmptyInvariantSpaceError(
                 "no parallel sections: the model has no collapse limit operator"
             )
-        zero = np.flatnonzero(~self.reps.any(axis=1))
-        if self.coupled(np.zeros((1, 1, self.reps.shape[1])), zero).any():
-            raise ValueError(_COUPLED)
-        return slice(*np.searchsorted(self.orbit, [zero[0], zero[0] + 1]))
+        zero = np.flatnonzero(~self.reps.any(axis=1))[0]
+        return slice(*np.searchsorted(self.orbit, [zero, zero + 1]))
+
+
+def _directions(unit: np.ndarray) -> np.ndarray:
+    """Unit directions of the momenta unit (K, m), over their lengths by
+    hypot, which neither overflows nor underflows, and 0 where a momentum
+    is 0."""
+    norm = np.hypot.reduce(np.abs(unit), axis=1)[:, None]
+    return np.divide(unit, norm, out=np.zeros_like(unit), where=norm > 0.0)
+
+
+def _couples(masks: np.ndarray, dirs: np.ndarray, gammas_q: np.ndarray) -> bool:
+    """Whether the symbol couples distinct twist sectors at some fiber
+    scale (see _plan), from each orbit's mask of the entries joining two
+    clusters of its twist sector (O, dim_v, dim_v), its unit fiber
+    direction u (O, m) and the gammas in the lift basis, fiber then base G:
+    an entry of F(u) = sum_k u_k gamma_k under the mask is above
+    STRUCTURE_TOL max |F(u)|, or one of G above STRUCTURE_TOL max(1, max |G|)."""
+    f = np.abs(np.einsum("ok,kij->oij", dirs, gammas_q[:-1]))
+    g = np.abs(gammas_q[-1])
+    leak_f = np.max(f, axis=(1, 2), where=masks, initial=0.0)
+    leak_g = np.max(g, where=masks.any(axis=0), initial=0.0)
+    if np.any(leak_f > STRUCTURE_TOL * np.max(f, axis=(1, 2))):
+        return True
+    return bool(leak_g > STRUCTURE_TOL * max(1.0, np.max(g)))
 
 
 def _scaled_momenta(unit: np.ndarray, eps: list[float]) -> np.ndarray:
@@ -406,7 +407,22 @@ def _plan(
     columns has max |D - D^H| <= sqrt(n) |x| sigma, sigma the largest skew
     entry, and max |D_ij| >= |x| / s on a Clifford module, so sigma <=
     HERMITICITY_TOL / (sqrt(n) dim_v) is at least as strict as the block
-    path's check, up to what the basis change moves a skew entry."""
+    path's check, up to what the basis change moves a skew entry.
+
+    A plan whose symbol couples distinct twist sectors is refused last,
+    once and scale-free (_couples).  On the flat models the symbol commutes
+    with the monodromy, so whether it couples depends on the fiber
+    direction alone.  Take an orbit whose twist sector has several
+    clusters, with unit fiber direction u (0 on the zero-mode orbit), so
+    its momentum is p = t u with t > 0 at every scale and t = 0 in the
+    limit.  Let a_F and a_G be the largest entries joining two clusters of
+    F(u) and of the base gamma G, and A_F and A_G their largest entries.
+    A check at p compares the leak max(t a_F, a_G) with STRUCTURE_TOL
+    max(1, t A_F, A_G).  If a_F > STRUCTURE_TOL A_F, it refuses every t
+    with t A_F >= max(1, A_G); if a_G > STRUCTURE_TOL max(1, A_G), every t
+    with t A_F <= max(1, A_G), t = 0 included.  Otherwise each leak is
+    within its own bound at every t.  So the plan refuses exactly what a
+    check at some scale would, whichever scales are asked for."""
     _require_hermitian(
         [cm.gammas], HERMITICITY_TOL / (np.sqrt(cm.n) * cm.dim_v),
         "Clifford module gammas are not Hermitian (residual {residual:.3e})",
@@ -446,6 +462,9 @@ def _plan(
     info, orbit, cluster, _, _, pair_rows = table
     cols = [idxs for sec in sectors.values() for _, idxs in sec]
     pairs, dv = {}, cm.dim_v
+    # per orbit, the entries joining two clusters of its twist sector: those
+    # that no pair's fiber part takes
+    joins = np.ones(len(reps) * dv * dv, dtype=bool)
     for s in sorted({len(c) for c in cols}):
         ids = np.flatnonzero(info.sizes[pair_rows] == s)
         rows, of_size = pair_rows[ids], [i for i, c in enumerate(cols) if len(c) == s]
@@ -453,13 +472,7 @@ def _plan(
         grid = np.array([cols[i] for i in of_size])[np.searchsorted(of_size, cluster[rows])]
         index = (orbit[rows] * dv * dv)[:, None, None] + grid[:, :, None] * dv + grid[:, None, :]
         pairs[s] = (ids, index, gammas_q[-1][grid[:, :, None], grid[:, None, :]])
-    # per orbit, each column's cluster in its twist sector
-    owner = np.zeros((len(sectors), cm.dim_v), dtype=np.intp)
-    for i, sec in enumerate(sectors.values()):
-        for c, (_, idxs) in enumerate(sec):
-            owner[i, idxs] = c
-    owner = owner[np.searchsorted(list(sectors), sizes)]
-    coupling = owner[:, :, None] != owner[:, None, :]
-    return _MappingPlan(
-        model, truncation, basis, gammas_q, sectors, reps, unit, coupling, *table, pairs
-    )
+        joins[index] = False
+    if _couples(joins.reshape(-1, dv, dv), _directions(unit), gammas_q):
+        raise ValueError(_COUPLED)
+    return _MappingPlan(model, truncation, basis, gammas_q, sectors, reps, unit, *table, pairs)

@@ -43,7 +43,8 @@ RESIDUAL_TOL = 1e-10  # eigenpair residual, rel block; 2 s kappa of a symbol pai
 HERMITICITY_TOL = 1e-12  # M - M^H of an operator, of -iX for exp(X), of gammas / sqrt(n) dim_v; rel
 INPUT_HERMITICITY_TOL = 1e-10  # M - M^H of a delta block or a Gram matrix; rel
 # lift basis, _unitary_eigh cosines, angle clusters, parallel columns and fixed_subspace
-# (angle off a whole turn): abs; twist coupling: rel largest symbol entry
+# (angle off a whole turn): abs; twist coupling (mapping._couples): rel the base gamma,
+# and times the largest entry of the fiber symbol at a unit direction, without the 1
 STRUCTURE_TOL = 1e-8
 CLUSTER_TOL = 1e-8  # gap inside an eigenvalue cluster; rel largest |eigenvalue|
 RELATION_TOL = 1e-12  # Clifford module relation residuals; op, abs

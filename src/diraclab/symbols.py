@@ -1,8 +1,9 @@
 """Certified spectra of a mapping-torus plan's blocks from their symbols:
 the package's one closed-form certificate, for the spectrum +-r that the
 Bochner identity gives every block on the flat models.  The certificate is
-one check per (orbit, twist cluster) pair, scale-free: a spectrum over rows
-whose pairs fail it is refused by name, and no block is ever formed.
+one check per (orbit, twist cluster) pair, scale-free: a plan one of whose
+pairs fails it is refused by name, once for every scale and row, and no
+block is ever formed.
 
 A block of s rows is D = F + beta G (mapping._MappingPlan._blocks): its
 fiber part F, q^H gamma(p) q on its twist cluster's lift-basis columns q at
@@ -20,8 +21,8 @@ _block_symbols measures once per pair the Frobenius norms a = ||H_F(u)^2 -
 - I||.  As |beta| |p| <= r^2 / 2, ||H^2 - r^2 I||_2 <= delta = kappa r^2,
 kappa = a + b / 2 + c, for every block of the pair at every scale and beta;
 on a plan whose every beta is 0 (a flat torus's, whose G is 0), H = H_F
-and kappa = a.  _SymbolSolution.at refuses a spectrum over rows one of
-whose pairs has s kappa > RESIDUAL_TOL / 2.  Otherwise, for r > 0, by
+and kappa = a.  _SymbolSolution.solve refuses a plan one of whose pairs
+has s kappa > RESIDUAL_TOL / 2.  Otherwise, for r > 0, by
 Weyl's inequality each eigenvalue lam^2 of H^2 lies within delta of r^2,
 so ||lam| - r| <= delta / r = kappa r, and
 
@@ -52,16 +53,16 @@ full relative precision wherever it is normal.
 The norms are exact where a bound over pairs of directions is not: a
 cluster that mixes the fiber gammas (the FCC cyclic models) leaves each
 restricted gamma far from squaring to I, while H_F(u)^2 = I, as the plan's
-coupling check keeps the cluster invariant under gamma(p).
+build-time coupling check keeps the cluster invariant under F(u).
 
 The limit's blocks are the zero-mode orbit's, whose fiber momentum is 0 at
 every scale, so every scale's solution holds the limit's spectrum in those
-rows, and _SymbolSolution.at reads it off them.
+rows, and _SymbolSolution.at reads it off them.  at reads values alone and
+never refuses.
 
-Twist-sector coupling is not checked here: solve takes the flags of the
-plan's one check (mapping._MappingPlan.coupled) at the orbit fiber momenta
-of all wanted scales at once, and a spectrum reduces them over its orbits,
-as the block path's check of its operator, or limit_operator's, would.
+Twist-sector coupling is not checked here: a plan whose symbol couples
+distinct twist sectors is refused once, scale-free, when it is built
+(mapping._plan), so every plan that reaches the symbols has none.
 """
 
 from __future__ import annotations
@@ -72,33 +73,29 @@ import numpy as np
 
 from .spectral import RESIDUAL_TOL, Spectrum, _default_tol
 
-# the message of an operator whose symbol couples distinct twist sectors, in
-# the symbol path as in the block path
-_COUPLED = "operator symbol couples distinct twist sectors"
-
 
 @dataclass(frozen=True, eq=False)
 class _SymbolSolution:
     """Symbol spectra of a plan's blocks at E fiber scales, solved in one
     pass (see the module docstring): the plan, whose block table gives each
-    block's orbit, pair and size; per pair, s kappa; per scale and orbit,
-    the plan's flag of whether the symbol couples distinct twist sectors;
-    per scale and block, r and the count of +r."""
+    block's size, and per scale and block, r and the count of +r."""
 
     plan: object
-    skappa: np.ndarray
-    coupled: np.ndarray
     r: np.ndarray
     npos: np.ndarray
 
     @classmethod
-    def solve(cls, plan, p: np.ndarray, coupled: np.ndarray) -> _SymbolSolution:
+    def solve(cls, plan, p: np.ndarray) -> _SymbolSolution:
         """The spectra at the orbit fiber momenta p (E, O, m) of E fiber
-        scales, with the plan's coupling flags (E, O) of those momenta and
-        the symbols of its pairs (plan.symbols).  r^2 sums |p|^2 in order
-        of k and then adds beta^2, as a sum over all of x = (p of its
-        orbit, beta) in order of k does."""
+        scales, from the symbols of the plan's pairs (plan.symbols); refuses
+        first, once for every scale and row, a pair of the plan that breaks
+        the Clifford relations.  r^2 sums |p|^2 in order of k and then adds
+        beta^2, as a sum over all of x = (p of its orbit, beta) in order of
+        k does."""
         skappa, trace_f, trace_g = plan.symbols
+        worst = float(np.max(skappa))
+        if worst > RESIDUAL_TOL / 2:
+            raise ValueError(f"operator symbol breaks the Clifford relations (residual {worst:.3e})")
         pp = np.zeros(p.shape[:2])
         for k in range(p.shape[2]):
             pp += p[..., k] * p[..., k]
@@ -116,24 +113,15 @@ class _SymbolSolution:
         nplus += sizes
         nplus *= 0.5
         npos = np.where(zero, sizes, np.rint(nplus).astype(np.intp))
-        return cls(plan, skappa, coupled, r, npos)
+        return cls(plan, r, npos)
 
     def at(self, i: int, rows: slice = slice(None)) -> Spectrum:
         """Spectrum of scale i over the rows given (all, or one orbit's):
-        each block b takes -r[b] (s - n+ times) and +r[b] (n+ times).
-        Raises first, as the block path does, a coupling over those rows'
-        orbits, and then a pair of those rows that breaks the Clifford
-        relations (see the module docstring)."""
-        plan = self.plan
-        if np.take(self.coupled[i], plan.orbit[rows]).any():
-            raise ValueError(_COUPLED)
-        worst = float(np.max(np.take(self.skappa, plan.pair[rows])))
-        if worst > RESIDUAL_TOL / 2:
-            raise ValueError(f"operator symbol breaks the Clifford relations (residual {worst:.3e})")
-        r, npos, sizes = self.r[i, rows], self.npos[i, rows], plan.block_info.sizes[rows]
+        each block b takes -r[b] (s - n+ times) and +r[b] (n+ times)."""
+        r, npos, sizes = self.r[i, rows], self.npos[i, rows], self.plan.block_info.sizes[rows]
         values = np.concatenate([np.repeat(-r, sizes - npos), np.repeat(r, npos)])
         return Spectrum(
-            values=values, cluster_tol=_default_tol(values), source_truncation=plan.truncation
+            values=values, cluster_tol=_default_tol(values), source_truncation=self.plan.truncation
         )
 
 

@@ -1116,31 +1116,26 @@ def test_modules_that_break_the_clifford_relations_are_refused(monkeypatch, modu
     # a base gamma squaring to (1 + 1e-6)^2 breaks D^2 = r^2 I through its
     # H_G^2 - I term on every pair; one turned towards gamma_0 breaks it
     # through {H_F, H_G} = 2 sin(tilt) u_0 I on the pairs with u_0 != 0
-    # alone, so the limit's rows, at u = 0, still pass.  The symbol path
-    # refuses the rest by name without forming a block, in collapse_run and
-    # in every scale's spectrum; the block path solves them all
+    # alone, so the limit's pairs, at u = 0, pass.  The symbol path refuses
+    # the plan by name without forming a block, in collapse_run and in the
+    # stacked solve, whichever rows are read; the block path solves it all
     import diraclab.mapping as mapping
 
     model = _identity_mapping()
     plan = _plan(model, module, 2)
     eps = [1.0, 0.5]
     refs = [eigensolve(plan.dirac(e)) for e in eps]
-    limit = eigensolve(limit_operator(model, module, 2))
+    eigensolve(limit_operator(model, module, 2))
     u0 = plan.unit_momenta[plan.orbit[plan.pair_rows], 0]
     refused = plan.symbols[0] > RESIDUAL_TOL / 2
     assert np.array_equal(refused, u0 != 0.0 if limit_passes else np.ones_like(refused))
+    # the solve refuses the plan's worst pair once, for every scale and row
+    worst = f"(residual {np.max(plan.symbols[0]):.3e})"
     monkeypatch.setattr(mapping._MappingPlan, "_blocks", _no_blocks)
-    solved = plan.symbol_spectra(eps)
-    for i in range(len(eps)):
-        with pytest.raises(ValueError, match=PAIR):
-            solved.at(i)
-        if limit_passes:
-            _assert_same_spectrum(solved.at(i, plan.limit_rows()), limit)
-        else:
-            with pytest.raises(ValueError, match=PAIR):
-                solved.at(i, plan.limit_rows())
-    with pytest.raises(ValueError, match=PAIR):
-        collapse_run(model, module, eps, 2, 2)
+    for run in (lambda: plan.symbol_spectra(eps), lambda: collapse_run(model, module, eps, 2, 2)):
+        with pytest.raises(ValueError, match=PAIR) as raised:
+            run()
+        assert str(raised.value).endswith(worst)
     assert [len(ref) for ref in refs] == [int(np.sum(plan.block_info.sizes))] * len(eps)
 
 
@@ -1176,29 +1171,39 @@ def _refusal(run):
     return None
 
 
-def test_symbol_path_refuses_coupling_twist_sectors():
-    # gamma_0 mixes the two sectors of the zero mode's twist.  The block and
-    # symbol paths take their verdict from the plan's one coupling check, so
-    # they refuse the same momenta with the same message, the last case
-    # with every other orbit's symbol far larger.  A leak below
-    # STRUCTURE_TOL passes that check, but the clusters are not invariant
-    # under gamma_0, so the pair check refuses the symbol path there
-    cm = spinor_gammas(3)
-    plan = _plan(_rot4_mapping(), cm, 1)
-    (zero,) = np.flatnonzero(~plan.reps.any(axis=1))
-    message = "operator symbol couples distinct twist sectors"
-    cases = [(size, 0.0) for size in (0.0, 1e-12, 5e-9, 2e-8, 1e-6, 1.0, 1e6)] + [(1e-3, 1e6)]
-    for size, elsewhere in cases:
-        p = np.full((len(plan.reps), 2), elsewhere)
-        p[zero] = (size, 0.0)
-        given = _given_momenta(plan, p)
-        block = _refusal(lambda: given.dirac(1.0))
-        symbol = _refusal(lambda: given.symbol_spectra([1.0]).at(0))
-        assert block == (message if size > STRUCTURE_TOL else None)
-        if size > STRUCTURE_TOL or size == 0.0:
-            assert symbol == block
-        else:
-            assert re.match(PAIR, symbol)
+COUPLED = r"^operator symbol couples distinct twist sectors$"
+
+
+def test_coupled_plan_is_refused_when_built(monkeypatch):
+    # split every twist cluster into single columns: the rot4 spinor plan's
+    # orbits of size 4, whose twist is -I, then have two sectors that their
+    # fiber symbol mixes.  Each entry point refuses the plan as it is built,
+    # before a scale out of range and before the missing parallel sections,
+    # without forming a block; unsplit, the same calls pass the build
+    import diraclab.mapping as mapping
+
+    model, cm = _rot4_mapping(), spinor_gammas(3)
+    runs = [
+        lambda: collapse_run(model, cm, [1e200, 1e-200], 1, 2),
+        lambda: blowup_check(model, cm, [1e-200], 2),
+        lambda: assemble_dirac(model.with_scale(1e-200), cm, 2),
+        lambda: bochner_rhs(model.with_scale(1e-200), cm, 2),
+        lambda: limit_operator(model, cm, 2),
+        lambda: _plan(model, cm, 2),
+    ]
+    unsplit = [_refusal(run) for run in runs]
+    assert not any(message and re.match(COUPLED, message) for message in unsplit)
+    assert unsplit[-1] is None
+    original = mapping._cluster_angles
+
+    def split(thetas):
+        return [(theta, [i]) for theta, idxs in original(thetas) for i in idxs]
+
+    monkeypatch.setattr(mapping, "_cluster_angles", split)
+    monkeypatch.setattr(mapping._MappingPlan, "_blocks", _no_blocks)
+    for run in runs:
+        with pytest.raises(ValueError, match=COUPLED):
+            run()
 
 
 def test_collapse_runs_build_no_operator_per_scale(monkeypatch):
@@ -1293,76 +1298,130 @@ def test_lift_is_resolved_once_per_run(monkeypatch):
     assert len(calls) == 2
 
 
-def test_symbol_coupling_twist_sectors_is_refused(monkeypatch):
+def _per_scale_coupling(masks, p, gammas_q):
+    """The twist-sector coupling check that plans ran at each scale before
+    it became one check at build time: per orbit of the fiber momenta p
+    (O, m), an entry joining two clusters of F(p) = sum_k p_k gamma_k or of
+    the base gamma G above STRUCTURE_TOL max(1, largest entry of both)."""
+    m = p.shape[1]
+    f = np.maximum(np.abs(np.einsum("ok,kij->oij", p, gammas_q[:m])), np.abs(gammas_q[m]))
+    leak = np.max(f, axis=(1, 2), where=masks, initial=0.0)
+    return bool(np.any(leak > STRUCTURE_TOL * np.max(f, axis=(1, 2), initial=1.0)))
+
+
+@settings(max_examples=200)
+@given(
+    dim_v=st.integers(2, 4),
+    m=st.integers(1, 3),
+    orbits=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    leak_f=st.sampled_from([0.0, 0.5, 2.0]),
+    leak_g=st.sampled_from([0.0, 0.5, 2.0]),
+    scale_g=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+    zero_mode=st.booleans(),
+)
+def test_build_time_coupling_check_refuses_what_some_scale_would(
+    dim_v, m, orbits, seed, leak_f, leak_g, scale_g, zero_mode
+):
+    # gammas with no entry joining two clusters of a drawn partition, then
+    # a leak in F(u) of the first orbit and one in G at 0.5 or 2 times its
+    # threshold: the build-time predicate refuses exactly when the
+    # per-scale check refuses at some scale t = 0 or 2^k, k = -60 .. 60
+    from diraclab.mapping import _couples
+
+    rng = np.random.default_rng(seed)
+    owner = rng.integers(0, 2, size=dim_v)
+    owner[:2] = [0, 1]
+    # one twist sector of two or more clusters, and some orbits of one cluster
+    masks = np.repeat((owner[:, None] != owner[None, :])[None], orbits, axis=0)
+    masks[1:] &= rng.random(orbits - 1)[:, None, None] < 0.7
+    gammas = rng.standard_normal((m + 1, dim_v, dim_v)) + 1j * rng.standard_normal((m + 1, dim_v, dim_v))
+    gammas = np.where(masks[0], 0.0, gammas + gammas.conj().swapaxes(-1, -2))
+    gammas[m] *= scale_g
+    dirs = rng.standard_normal((orbits, m))
+    dirs[:, 0] = np.where(dirs[:, 0] >= 0, 1.0, -1.0) + dirs[:, 0]
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    if zero_mode and orbits > 1:
+        dirs[-1] = 0.0
+    # one entry joining the first two clusters, 1 at (0, 1) and (1, 0)
+    bump = np.zeros((dim_v, dim_v))
+    bump[0, 1] = bump[1, 0] = 1.0
+    f0 = np.einsum("k,kij->ij", dirs[0], gammas[:m])
+    gammas[0] += leak_f * STRUCTURE_TOL * np.max(np.abs(f0)) / dirs[0, 0] * bump
+    gammas[m] += leak_g * STRUCTURE_TOL * max(1.0, np.max(np.abs(gammas[m]))) * bump
+    ts = [0.0] + [2.0**k for k in range(-60, 61)]
+    reference = any(_per_scale_coupling(masks, t * dirs, gammas) for t in ts)
+    assert _couples(masks, dirs, gammas) == reference
+    # a leak twice its threshold is refused, and on one orbit one half of
+    # it is not
+    if leak_f == 2.0 or leak_g == 2.0:
+        assert reference
+    elif orbits == 1:
+        assert not reference
+
+
+def _asked_coupling(monkeypatch, build):
+    """The arguments of every build-time coupling check that build() asks,
+    which each answers as the plan would."""
     import diraclab.mapping as mapping
 
-    cm = spinor_gammas(3)
-    plan = _plan(_rot4_mapping(), cm, 1)
-    # the zero mode is the only orbit of size 1; its twist is the lift,
-    # which splits into two sectors that gamma_0 would mix
-    (zero,) = np.flatnonzero(~plan.reps.any(axis=1))
-    _, sizes = _holonomy_orbits(plan.model, 1)
-    assert np.flatnonzero(sizes == 1).tolist() == [zero]
-    assert len(plan.sectors[1]) == 2
-    assert set(plan.cluster[plan.orbit == zero].tolist()) == {0, 1}
-    assert plan.coupling[zero].any() and not np.delete(plan.coupling, zero, axis=0).any()
-    p = np.zeros((2, len(plan.reps), 2))
-    p[1, zero] = (1.0, 0.0)
-    assert np.argwhere(plan.coupled(p, slice(None))).tolist() == [[1, zero]]
+    asked, original = [], mapping._couples
 
-    # the block path refuses before it forms a block
-    def no_blocks(*args):
-        raise AssertionError("a block was formed")
+    def record(masks, dirs, gammas_q):
+        asked.append((masks, dirs, gammas_q))
+        return original(masks, dirs, gammas_q)
 
-    monkeypatch.setattr(mapping._MappingPlan, "_blocks", no_blocks)
-    with pytest.raises(ValueError, match="couples distinct twist sectors"):
-        _given_momenta(plan, p[1]).dirac(1.0)
+    monkeypatch.setattr(mapping, "_couples", record)
+    build()
+    return asked
 
 
-def test_limit_takes_the_plan_coupling_check_at_the_zero_mode(monkeypatch):
-    # limit_operator and the limit's rows, which collapse_run reads off the
-    # scales' solution, both ask the plan's one check, for the zero-mode
-    # orbit alone at p = 0, before any block
+def test_the_plan_asks_the_coupling_check_once_at_unit_directions(monkeypatch):
+    # a collapse run builds one plan, which asks the coupling check once for
+    # all its scales and its limit, at each orbit's unit fiber direction (0
+    # on the zero-mode orbit), over the orbits' twist-sector masks; the
+    # limit and the block path take no check of their own
     import diraclab.mapping as mapping
 
-    asked = []
-
-    def flag_every_scale(self, p, orbits):
-        asked.append((p.tolist(), self.reps[orbits].tolist()))
-        return np.ones(p.shape[:2], dtype=bool)
-
-    def no_blocks(*args):
-        raise AssertionError("a block was formed")
-
-    monkeypatch.setattr(mapping._MappingPlan, "coupled", flag_every_scale)
-    monkeypatch.setattr(mapping._MappingPlan, "_blocks", no_blocks)
     model, cm = _rot4_mapping(), exterior_module(3)
+    asked = _asked_coupling(monkeypatch, lambda: collapse_run(model, cm, [1.0, 0.5, 0.25], 2, 2))
+    assert len(asked) == 1
+    masks, dirs, gammas_q = asked[0]
     plan = _plan(model, cm, 2)
-    for run in (lambda: limit_operator(model, cm, 2), plan.limit_rows):
-        asked.clear()
-        with pytest.raises(ValueError, match="^operator symbol couples distinct twist sectors$"):
-            run()
-        assert asked == [([[[0.0, 0.0]]], [[0, 0]])]
+    assert masks.shape == (len(plan.reps), cm.dim_v, cm.dim_v) and masks.any()
+    assert np.array_equal(gammas_q, plan.gammas_q)
+    norms = np.linalg.norm(dirs, axis=1)
+    zero = ~plan.reps.any(axis=1)
+    assert np.all(norms[zero] == 0.0) and np.allclose(norms[~zero], 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(dirs * np.linalg.norm(plan.unit_momenta, axis=1)[:, None], plan.unit_momenta)
+    for build in (plan.dirac, plan.bochner, plan.limit_rows, lambda: plan.symbol_spectra([1e-3])):
+        assert _asked_coupling(monkeypatch, build) == []
+    monkeypatch.setattr(mapping, "_couples", lambda *args: True)
+    monkeypatch.setattr(mapping._MappingPlan, "_blocks", _no_blocks)
+    with pytest.raises(ValueError, match=COUPLED):
+        limit_operator(model, cm, 2)
 
 
-def test_coupling_check_is_relative_to_each_orbit():
+def test_coupling_check_reads_each_orbits_direction(monkeypatch):
     # FCC fiber turned by the cyclic permutation: the modes (a, a, a) lie on
     # the rotation axis, and each is an orbit of size 1 in the zero mode's
-    # twist sector.  gamma(p) commutes with the twist along the axis, so a
-    # large axis symbol leaks nothing, and a small leak at the zero mode is
-    # refused against the zero mode's own scale
+    # twist sector.  F(u) commutes with the twist along the axis although
+    # no single fiber gamma does, so the plan passes; the same masks at a
+    # coordinate direction are refused, at every length of the direction
+    from diraclab.mapping import _couples
+
     cm = spinor_gammas(4)
-    model = _fcc_cyclic_mapping(0.0)
-    plan = _plan(model, cm, 1)
-    axis = np.flatnonzero(np.all(plan.reps == plan.reps[:, :1], axis=1))
-    assert len(axis) == 3 and plan.coupling[axis].any(axis=(1, 2)).all()
-    big = 1e6 * model.fiber.dual_momentum(np.ones((1, 3)))
-    (zero,) = np.flatnonzero(~plan.reps.any(axis=1))
-    p = np.zeros((3, 2, 3))
-    p[:, 0] = big[0]
-    p[1, 1] = (1e-3, 0.0, 0.0)
-    p[2, 1] = big[0]
-    assert plan.coupled(p, [axis[-1], zero]).tolist() == [[False, False], [False, True], [False, False]]
+    plan_of = lambda: _plan(_fcc_cyclic_mapping(0.0), cm, 1)  # noqa: E731
+    ((masks, dirs, gammas_q),) = _asked_coupling(monkeypatch, plan_of)
+    plan = plan_of()
+    axis = np.flatnonzero(np.all(plan.reps == plan.reps[:, :1], axis=1) & plan.reps.any(axis=1))
+    assert len(axis) == 2 and masks[axis].any(axis=(1, 2)).all()
+    assert not _couples(masks, dirs, gammas_q)
+    assert not _couples(masks[axis], 1e-200 * dirs[axis], gammas_q)
+    for k in range(3):
+        turned = np.zeros_like(dirs[axis])
+        turned[:, k] = 1.0
+        assert all(_couples(masks[axis], t * turned, gammas_q) for t in (1e-200, 1.0, 1e200))
 
 
 def _loop_orbits(model, truncation):

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, report structure, reproducibility."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -159,6 +160,41 @@ MUTATION_TOKENS = (
     "", "abc", "nan", "-1", "0", "0.5", "1,0", "inf", "-inf", "1e-300", "1e-160", "1e300", "2",
     "0.0,0.0", "1;2",
 )
+
+
+def _matrix(text):
+    return np.array([[float(x) for x in row.split(",")] for row in text.split(";")])
+
+
+def _numbers(text):
+    return [float(x) for x in text.split(",")]
+
+
+# how the configs' typed [model] and [numeric] keys are read: a token that
+# fails to parse so is refused by name, "[section] key = 'token' is not a
+# valid <kind>"
+KEY_PARSERS = {
+    **dict.fromkeys(["lattice", "fiber_lattice", "holonomy"], _matrix),
+    **dict.fromkeys(["spin_shift", "fiber_shift", "epsilons"], _numbers),
+    **dict.fromkeys(["base_length", "base_shift"], float),
+    **dict.fromkeys(
+        ["truncation", "k_max", "dim", "trials", "samples", "group_truncation", "block_p", "block_q"], int
+    ),
+}
+
+
+# the mutations whose token its key's reader cannot parse
+UNPARSED = 238
+# the keys that are read as text and never fail to parse
+TEXT_KEYS = {"type", "module", "lift"}
+
+
+def _parses(parse, token):
+    try:
+        parse(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _mutations():
@@ -432,12 +468,16 @@ def _assert_refused(tmp_path, capsys, config, old, new, message):
         # (or 2 with numpy's zero-size reduction error for perturbation)
         (BLOCK_CFG, "trials = 3", "trials = 0", r"\[numeric\] trials must be at least 1, got 0"),
         (PERT_CFG, "trials = 2", "trials = 0", r"\[numeric\] trials must be at least 1, got 0"),
+        # blocks of no rows: they used to exit 2 with numpy's reshape error
+        # or the block matrix's own
+        (BLOCK_CFG, "block_p = 5", "block_p = -1", r"\[numeric\] block_p must be at least 1, got -1"),
+        (BLOCK_CFG, "block_q = 4", "block_q = 0", r"\[numeric\] block_q must be at least 1, got 0"),
         (BLOWUP_CFG, "[numeric]", "[numeric]\nrate_floor = 0", r"\[numeric\] rate_floor must be positive, got 0\.0"),
         (BLOWUP_CFG, "[numeric]", "[numeric]\nrate_floor = -1", r"\[numeric\] rate_floor must be positive, got -1\.0"),
     ],
     ids=[
         "torus_tolerance", "window_tolerance", "collapse_tolerance", "frame_tolerance",
-        "perturbation_bound", "block_trials", "perturbation_trials", "blowup_floor_0",
+        "perturbation_bound", "block_trials", "perturbation_trials", "block_p", "block_q", "blowup_floor_0",
         "blowup_floor_negative",
     ],
 )
@@ -500,9 +540,10 @@ def test_negative_seed_exits_two(tmp_path, capsys, monkeypatch, name):
 def test_every_single_key_mutation_exits_by_the_contract(tmp_path, capsys):
     # in-process, under this suite's error::RuntimeWarning: no exception
     # escapes main; exit 2 prints exactly one error line and no report, and
-    # exit 0 or 3 writes the report.  Every token is small, so no mutation
+    # exit 0 or 3 writes the report.  A token that the key's reader cannot
+    # parse exits 2 naming the key.  Every token is small, so no mutation
     # asks for a large allocation
-    codes = []
+    codes, unparsed, keys = [], 0, set()
     for i, (label, text) in enumerate(_mutations()):
         try:
             code, out = _run(tmp_path, text, sub=f"m{i}")
@@ -516,9 +557,16 @@ def test_every_single_key_mutation_exits_by_the_contract(tmp_path, capsys):
             assert not reports, label
         else:
             assert len(reports) == 1, label
+        section, key, token = re.fullmatch(r"\S+ (\[\w+\]) (\w+) = (.*)", label).groups()
+        token = ast.literal_eval(token)
+        keys.add(key)
+        if key in KEY_PARSERS and not _parses(KEY_PARSERS[key], token):
+            assert code == 2 and err.startswith(f"error: {section} {key} = {token!r} is not a valid "), (label, err)
+            unparsed += 1
         codes.append(code)
     # the seven configs have 49 keys outside [experiment] and [output]
     assert len(codes) == len(MUTATION_TOKENS) * 49
+    assert unparsed == UNPARSED and keys == set(KEY_PARSERS) | TEXT_KEYS
     # output paths the file system refuses, in every config: a prefix below
     # a missing directory, a prefix longer than a file name may be, and an
     # --out whose last name is too long

@@ -224,28 +224,17 @@ def _rot4_spinor_model():
     )
 
 
-def _inject(monkeypatch, faults):
-    """Make the stacked solve of all scales report the given faults, {scale
-    index: set of "coupled"}, on every orbit of the scale, and make forming a
-    block from the plan's table raise RuntimeError("block path")."""
-    import dataclasses
-
+def _inject(monkeypatch, coupled):
+    """Make the plan's build-time twist-sector coupling check refuse every
+    plan where coupled is true, and make forming a block from the plan's
+    table raise RuntimeError("block path")."""
     import diraclab.mapping as mapping
-
-    original = mapping._MappingPlan.symbol_spectra
-
-    def symbol_spectra(self, eps):
-        out = original(self, eps)
-        coupled = out.coupled.copy()
-        for i, kinds in faults.items():
-            if i < len(eps):
-                coupled[i] |= "coupled" in kinds
-        return dataclasses.replace(out, coupled=coupled)
 
     def block_path(self, rows, p):
         raise RuntimeError("block path")
 
-    monkeypatch.setattr(mapping._MappingPlan, "symbol_spectra", symbol_spectra)
+    if coupled:
+        monkeypatch.setattr(mapping, "_couples", lambda *args: True)
     monkeypatch.setattr(mapping._MappingPlan, "_blocks", block_path)
 
 
@@ -267,35 +256,35 @@ _MODULES = {
 }
 
 
-# Bad window constants are refused first, with the other arguments, before
-# the plan is built.  The plan refuses a module whose gammas are not
-# Hermitian before anything else.  Then a scale out of range is refused,
-# before any scale is solved: a fiber momentum overflows when squared at
-# eps = 1e-200, and (collapse_run only) the fiber diameter at eps = 1e200.
-# Then refusals come scale by scale, and within a scale in the order:
-# twist-sector coupling, pairs that break the Clifford relations, k_max.
-# eps = 1e-7 is in range.  No case forms a block.
+# The refusal order: first the arguments, bad window constants included,
+# before the plan is built.  Then the plan: a module whose gammas are not
+# Hermitian, then what it cannot build, twist-sector coupling included.
+# Then a scale out of range, before any scale is solved: a fiber momentum
+# overflows when squared at eps = 1e-200, and (collapse_run only) the fiber
+# diameter at eps = 1e200.  Then pairs that break the Clifford relations,
+# once for all scales, and last k_max.  No refusal depends on which scale
+# carries a fault; eps = 1e-7 is in range.  No case forms a block.
 @pytest.mark.parametrize(
-    "faults, epsilons, k_max, window_a, module, message",
+    "coupled, epsilons, k_max, window_a, module, message",
     [
-        ({1: {"coupled"}}, [1.0, 0.5], 10**6, 1.0, "clifford", K_MAX),
-        ({0: {"coupled"}}, [1e200, 1e-200], 10**6, -1.0, "broken", WINDOW),
-        ({1: {"coupled"}}, [1.0, 0.5], 2, 1.0, "clifford", COUPLED),
-        ({0: {"coupled"}}, [1.0, 0.5], 10**6, 1.0, "clifford", COUPLED),
-        ({1: {"coupled"}}, [1.0, 0.5], 2, 1.0, "broken", PAIR),
-        ({0: {"coupled"}}, [1e200, 1e-200], 2, 1.0, "skewed", SKEWED),
-        ({0: {"coupled"}}, [1.0, 0.5], 10**6, 1.0, "broken", COUPLED),
-        ({}, [1.0, 0.5], 10**6, 1.0, "broken", PAIR),
-        ({}, [1.0, 1e-7], 10**6, 1.0, "clifford", K_MAX),
-        ({0: {"coupled"}}, [1e200, 1.0], 10**6, 1.0, "broken", DIAMETER),
-        ({0: {"coupled"}}, [1.0, 1e-7], 2, 1.0, "clifford", COUPLED),
-        ({0: {"coupled"}}, [1e-7, 1e-200], 10**6, 1.0, "broken", MOMENTUM),
+        (False, [1.0, 0.5], 10**6, 1.0, "clifford", K_MAX),
+        (True, [1e200, 1e-200], 10**6, -1.0, "broken", WINDOW),
+        (True, [1e200, 1e-200], 2, 1.0, "skewed", SKEWED),
+        (True, [1e200, 1e-200], 10**6, 1.0, "clifford", COUPLED),
+        (True, [1.0, 0.5], 10**6, 1.0, "broken", COUPLED),
+        (True, [1.0, 1e-7], 2, 1.0, "clifford", COUPLED),
+        (False, [1e200, 1.0], 10**6, 1.0, "broken", DIAMETER),
+        (False, [1e-7, 1e-200], 10**6, 1.0, "broken", MOMENTUM),
+        (False, [1.0, 0.5], 10**6, 1.0, "broken", PAIR),
+        (False, [1.0, 1e-7], 2, 1.0, "broken", PAIR),
+        (False, [1.0, 1e-7], 10**6, 1.0, "clifford", K_MAX),
+        (False, [1e-7, 1e-8], 10**6, 1.0, "clifford", K_MAX),
     ],
 )
-def test_collapse_refusals_keep_scale_order(
-    monkeypatch, faults, epsilons, k_max, window_a, module, message
+def test_collapse_refusals_keep_their_order(
+    monkeypatch, coupled, epsilons, k_max, window_a, module, message
 ):
-    _inject(monkeypatch, faults)
+    _inject(monkeypatch, coupled)
     with pytest.raises(ValueError, match=message):
         collapse_run(_rot4_spinor_model(), _MODULES[module], epsilons, k_max, 2, window_a=window_a)
 
@@ -344,19 +333,19 @@ def test_blowup_refuses_epsilons_before_the_plan(monkeypatch, epsilons, message)
 
 
 @pytest.mark.parametrize(
-    "faults, epsilons, module, message",
+    "coupled, epsilons, module, message",
     [
-        ({1: {"coupled"}}, [1.0, 0.5], "clifford", COUPLED),
-        ({1: {"coupled"}}, [1.0, 0.5], "broken", PAIR),
-        ({0: {"coupled"}}, [1e200, 1e-200], "skewed", SKEWED),
-        ({0: {"coupled"}}, [1.0, 0.5], "broken", COUPLED),
-        ({0: {"coupled"}}, [1.0, 1e-7], "clifford", COUPLED),
-        ({1: {"coupled"}}, [1e-7, 1.0], "clifford", COUPLED),
-        ({0: {"coupled"}}, [1e200, 1e-200], "broken", MOMENTUM),
+        (True, [1.0, 0.5], "clifford", COUPLED),
+        (True, [1e200, 1e-200], "skewed", SKEWED),
+        (True, [1e200, 1e-200], "broken", COUPLED),
+        (True, [1.0, 1e-7], "clifford", COUPLED),
+        (False, [1e-7, 1e-200], "broken", MOMENTUM),
+        (False, [1.0, 0.5], "broken", PAIR),
+        (False, [1e200, 1e-7], "broken", PAIR),
     ],
 )
-def test_blowup_refusals_keep_scale_order(monkeypatch, faults, epsilons, module, message):
-    _inject(monkeypatch, faults)
+def test_blowup_refusals_keep_their_order(monkeypatch, coupled, epsilons, module, message):
+    _inject(monkeypatch, coupled)
     with pytest.raises(ValueError, match=message):
         blowup_check(_rot4_spinor_model(), _MODULES[module], epsilons, 2)
 

@@ -96,20 +96,11 @@ def _reference_traces(plan):
     return trace
 
 
-def _reference_solve(table, trace, p, masks, gammas_q):
+def _reference_solve(table, trace, p):
     """One scale's solve at the orbit fiber momenta p (O, m) of the blocks
-    of table (per block its orbit, cluster, beta and size), orbit by orbit
-    for the coupling check (each orbit's twist-sector mask in masks, the
-    gammas in the lift basis in gammas_q) and with every cluster trace
-    repeated per block: per block r and the count of +r, from the traces
-    of the gammas one by one."""
-    m = p.shape[1]
-    base = np.abs(gammas_q[m])
-    for o in np.flatnonzero(masks.any(axis=(1, 2))):
-        f = np.abs(np.einsum("k,kij->ij", p[o], gammas_q[:m]))
-        leak = max(np.max(f[masks[o]]), np.max(base[masks[o]]))
-        if leak > STRUCTURE_TOL * max(1.0, np.max(base), np.max(f)):
-            raise ValueError("operator symbol couples distinct twist sectors")
+    of table (per block its orbit, cluster, beta and size), with every
+    cluster trace repeated per block: per block r and the count of +r, from
+    the traces of the gammas one by one."""
     trace = trace[..., table.cluster]
     x = np.empty((len(trace), len(table.beta)))
     x[:-1] = np.take(p.T, table.orbit, axis=1)
@@ -289,13 +280,13 @@ def test_stacked_solve_matches_per_scale_solve_over_model_space(lifted, truncati
     model, cm, _ = lifted
     plan = _plan(model, cm, truncation)
     p = np.array([_scaled_fiber(model, e).dual_momentum(plan.reps) for e in epsilons])
-    solved = mapping._SymbolSolution.solve(plan, p, plan.coupled(p, slice(None)))
+    solved = mapping._SymbolSolution.solve(plan, p)
     # every scale's rows, and the rows of every scale of the orbit without
     # fiber momentum (the zero mode under the trivial fiber spin shift, the
     # limit's rows) against a reference solve of that orbit alone
     sizes = plan.block_info.sizes
     table = SimpleNamespace(orbit=plan.orbit, cluster=plan.cluster, beta=plan.beta, sizes=sizes)
-    cases = [(table, p, slice(None), slice(None))]
+    cases = [(table, p, slice(None))]
     zero = np.flatnonzero(~plan.unit_momenta.any(axis=1))
     if len(zero):
         rows = slice(*np.searchsorted(plan.orbit, [zero[0], zero[0] + 1]))
@@ -303,17 +294,11 @@ def test_stacked_solve_matches_per_scale_solve_over_model_space(lifted, truncati
             orbit=np.zeros(rows.stop - rows.start, dtype=np.intp), cluster=plan.cluster[rows],
             beta=plan.beta[rows], sizes=sizes[rows],
         )
-        cases.append((part, p[:, zero], zero, rows))
+        cases.append((part, p[:, zero], rows))
     trace = _reference_traces(plan)
-    for symbols, momenta, orbits, rows in cases:
+    for symbols, momenta, rows in cases:
         for i, scale in enumerate(momenta):
-            try:
-                r, npos = _reference_solve(symbols, trace, scale, plan.coupling[orbits], plan.gammas_q)
-            except ValueError as err:
-                with pytest.raises(ValueError) as raised:
-                    solved.at(i, rows)
-                assert str(raised.value) == str(err)
-                continue
+            r, npos = _reference_solve(symbols, trace, scale)
             got = solved.at(i, rows)
             assert np.array_equal(solved.r[i, rows], r)
             assert np.array_equal(solved.npos[i, rows], npos)

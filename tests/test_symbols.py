@@ -37,8 +37,7 @@ def _one_pair(fiber_gamma):
 
 def _solve(fiber_gamma, p):
     """The symbol spectrum of the block p fiber_gamma at fiber momentum p."""
-    solved = _SymbolSolution.solve(_one_pair(fiber_gamma), np.array([[[p]]]), np.zeros((1, 1), bool))
-    return solved.at(0)
+    return _SymbolSolution.solve(_one_pair(fiber_gamma), np.array([[[p]]])).at(0)
 
 
 def test_near_zero_block_with_a_wrong_sign_count_is_refused():

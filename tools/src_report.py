@@ -1,8 +1,10 @@
 """Report the size and import cost of the package in two source trees.
 
 For each module ``src/diraclab/*.py`` of either tree it prints the line
-count in both trees (``-`` where a tree lacks the module), then both
-totals beside the budget of 3000 lines.  It then times
+count in both trees (``-`` where a tree lacks the module) and its code
+lines, those that are neither blank, a comment nor part of a docstring,
+then the totals of both beside the budget of 3000 lines.  Deleting prose
+moves the lines but not the code lines.  It then times
 ``python -X importtime -c "import diraclab"`` in fresh processes, the two
 trees taking turns, each with its own ``src/`` on ``PYTHONPATH`` and with
 bytecode writing off, so that the trees are only read and every run
@@ -19,10 +21,13 @@ report, whose runs alternate between the trees.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import os
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 # the line budget of src/ that the project aims at
@@ -33,6 +38,35 @@ def line_counts(tree: Path) -> dict[str, int]:
     """Lines (newline characters, as wc -l counts them) per module file."""
     package = tree / "src" / "diraclab"
     return {path.name: path.read_bytes().count(b"\n") for path in sorted(package.glob("*.py"))}
+
+
+# tokens that hold no code: a line made only of these is blank or a comment
+_NON_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+    tokenize.ENCODING, tokenize.ENDMARKER,
+}
+
+
+def code_line_count(source: bytes) -> int:
+    """Lines of source that some code token touches, less the lines of the
+    module, class and function docstrings."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                first = node.body[0]
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    code = set()
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in _NON_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docs)
+
+
+def code_counts(tree: Path) -> dict[str, int]:
+    """Code lines (code_line_count) per module file."""
+    package = tree / "src" / "diraclab"
+    return {path.name: code_line_count(path.read_bytes()) for path in sorted(package.glob("*.py"))}
 
 
 def import_self_us(tree: Path) -> dict[str, int]:
@@ -73,12 +107,14 @@ def main(argv=None) -> int:
         if not (tree / "src" / "diraclab").is_dir():
             parser.error(f"{tree} holds no src/diraclab/")
     lines = {side: line_counts(tree) for side, tree in trees.items()}
+    code = {side: code_counts(tree) for side, tree in trees.items()}
     modules = sorted(set(lines["old"]) | set(lines["new"]))
-    print(f"{'module':<16} {'old lines':>10} {'new lines':>10}")
+    print(f"{'module':<16} {'old lines':>10} {'new lines':>10} {'old code':>10} {'new code':>10}")
     for name in modules:
-        print(f"{name:<16} {_cell(lines['old'].get(name)):>10} {_cell(lines['new'].get(name)):>10}")
-    totals = {side: sum(counts.values()) for side, counts in lines.items()}
-    print(f"{'total':<16} {totals['old']:>10} {totals['new']:>10}   target {TARGET_LINES}")
+        cells = [counts[side].get(name) for counts in (lines, code) for side in ("old", "new")]
+        print(f"{name:<16} " + " ".join(f"{_cell(c):>10}" for c in cells))
+    totals = [sum(counts[side].values()) for counts in (lines, code) for side in ("old", "new")]
+    print(f"{'total':<16} " + " ".join(f"{t:>10}" for t in totals) + f"   target {TARGET_LINES}")
 
     runs: dict[str, list[dict[str, int]]] = {"old": [], "new": []}
     for i in range(args.runs):
