@@ -16,7 +16,7 @@ import numpy as np
 from .clifford import CliffordModule, casimir
 from .mapping import EmptyInvariantSpaceError, _flat_modes, _parallel_columns, _plan
 from .mapping import _resolve_lift, _scaled_momenta
-from .models import FD_STEP, AffineMappingTorus, FlatTorusModel, _check_fd_step
+from .models import FD_STEP, AffineMappingTorus, FlatTorusModel
 from .spectral import WEIGHT_TOL, AssembledOperator, BlockInfo, Spectrum, _default_tol, eigensolve
 
 __all__ = [
@@ -173,7 +173,6 @@ def eigenvalue_derivative(
     j: int,
     spin_shift: np.ndarray | None = None,
     gram_dot=None,
-    fd_step: float = FD_STEP,
 ) -> float:
     """Derivative of the j-th sorted Dirac eigenvalue along a metric family.
 
@@ -189,11 +188,9 @@ def eigenvalue_derivative(
     space for flat families and drops out.  j indexes the ascending sorted
     spectrum (0-based); an eigenvalue within CLUSTER_TOL * max(1, largest
     |eigenvalue|) of a neighbour is refused, since no single analytic branch
-    passes through it.  Without gram_dot the metric velocity is a central
-    difference, and fd_step must be positive and finite.
+    passes through it.  Without gram_dot the metric velocity is the central
+    difference of step models.FD_STEP.
     """
-    if gram_dot is None:
-        _check_fd_step(fd_step)
     g0 = np.atleast_2d(np.asarray(family(t0), dtype=float))
     n = g0.shape[0]
     shift = np.zeros(n) if spin_shift is None else np.asarray(spin_shift, dtype=float)
@@ -223,9 +220,9 @@ def eigenvalue_derivative(
         gdot = np.asarray(gram_dot(t0), dtype=float)
     else:
         gdot = (
-            np.asarray(family(t0 + fd_step), dtype=float)
-            - np.asarray(family(t0 - fd_step), dtype=float)
-        ) / (2.0 * fd_step)
+            np.asarray(family(t0 + FD_STEP), dtype=float)
+            - np.asarray(family(t0 - FD_STEP), dtype=float)
+        ) / (2.0 * FD_STEP)
     zeta = op.block_info.modes[block] + shift
     u = np.array(
         [float(np.real(vec.conj() @ (cm.gamma(basis[:, i]) @ vec))) for i in range(n)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import CONDITION_CAP, INPUT_HERMITICITY_TOL, NEUMANN_MAX_TERMS
-from .spectral import NEUMANN_SERIES_TOL, _require_hermitian
+from .spectral import NEUMANN_SERIES_TOL, _opnorm, _require_hermitian
 
 __all__ = [
     "BlockMatrix2x2",
@@ -54,11 +54,6 @@ class BlockMatrix2x2:
 
     def dense(self) -> np.ndarray:
         return np.block([[self.alpha, self.beta], [self.gamma, self.delta]])
-
-
-def _opnorm(m: np.ndarray) -> np.ndarray:
-    """Operator 2-norms of a stack: the root of the largest eigvalsh of A^H A."""
-    return np.sqrt(np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)[..., -1].clip(0.0))
 
 
 def _checked_inverse(m: np.ndarray, what: str) -> np.ndarray:

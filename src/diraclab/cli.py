@@ -328,7 +328,7 @@ def _run_perturbation(cfg, outdir: Path, seed: int):
     samples = _numint(cfg, "samples", 9)
     speed = _num(cfg, "speed_scale", 0.8)
     rng = _Normals(seed)
-    cm = _build_module(cfg, n) if cfg.has_section("model") else spinor_gammas(n)
+    cm = _build_module(cfg, n)
     ratios = []
     for _ in range(trials):
         rep = perturbation_bound_check(

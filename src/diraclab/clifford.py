@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import ANGLE_TOL, CASIMIR_TOL, HERMITICITY_TOL, LIFT_TOL
-from .spectral import RELATION_TOL, STRUCTURE_TOL, UNITARITY_TOL, _require_hermitian
+from .spectral import RELATION_TOL, STRUCTURE_TOL, UNITARITY_TOL, _opnorm, _require_hermitian
 
 __all__ = [
     "CliffordModule",
@@ -78,11 +78,11 @@ class CliffordModule:
 
 
 def _max_opnorm(stack: np.ndarray) -> float:
-    """Largest operator norm over a stack of matrices, from one batched svd;
-    an all-zero stack is 0.0 without one."""
+    """Largest operator norm over a stack of matrices, from one batched
+    _opnorm; an all-zero stack is 0.0 without one."""
     if not stack.any():
         return 0.0
-    return float(np.max(np.linalg.svd(stack, compute_uv=False)[..., 0]))
+    return float(np.max(_opnorm(stack)))
 
 
 def _exceeds(stack: np.ndarray, tol: float) -> bool:
@@ -90,9 +90,9 @@ def _exceeds(stack: np.ndarray, tol: float) -> bool:
     matrix) exceeds tol.
 
     The Frobenius norm is never below the operator norm, so when no matrix
-    has a Frobenius norm above tol / 2 the answer is no without an svd; the
-    half leaves room for the rounding of both norms.  Otherwise the verdict
-    is _max_opnorm's.
+    has a Frobenius norm above tol / 2 the answer is no without an
+    eigensolve; the half leaves room for the rounding of both norms.
+    Otherwise the verdict is _max_opnorm's.
     """
     if np.max(np.linalg.norm(stack, axis=(-2, -1))) <= 0.5 * tol:
         return False

@@ -20,7 +20,6 @@ import numpy as np
 from .clifford import CliffordModule
 from .mapping import EmptyInvariantSpaceError, _parallel_columns, _plan
 from .models import (
-    FD_STEP,
     AffineMappingTorus,
     FlatTorusModel,
     GeometricData,
@@ -56,6 +55,9 @@ __all__ = [
 
 DEFAULT_WINDOW_A = float(np.pi) ** 2
 DEFAULT_WINDOW_C = 10.0
+
+# Simpson nodes per grid segment of perturbation_bound_check's metric path
+_QUAD_SAMPLES = 33
 
 
 def _check_window(window_a: float, window_c: float) -> None:
@@ -313,26 +315,24 @@ def perturbation_bound_check(
     bound_constant: float = 5.0,
     samples: int = 9,
     spin_shift=None,
-    track_count: int | None = None,
-    quad_samples: int = 33,
-    fd_step: float = FD_STEP,
 ) -> PerturbationReport:
     """Sinh-rescaled spectra move no faster than the metric path length.
 
     family maps t in [0, 1] to a flat-torus Gram matrix.  On every grid
     segment the sorted asinh(lambda / sqrt(K)) values shift by at most
-    bound_constant times the segment's metric path length.  Only a centered
-    band of the sorted spectrum is tracked: eigenvalues near the truncation
-    edge can enter or leave the retained window as the metric moves, which
-    is an artifact of finite truncation, not of the estimate.
+    bound_constant times the segment's metric path length.  Only the
+    centered band of max(1, dim // 2) sorted eigenvalues is tracked:
+    eigenvalues near the truncation edge can enter or leave the retained
+    window as the metric moves, which is an artifact of finite truncation,
+    not of the estimate.
 
-    Every argument is checked before family is first called (quad_samples
-    and fd_step by metric_path).  All segment lengths come from one
-    metric_path call, whose checks name the first node with a bad Gram
-    matrix.  family is then called once per grid point: samples +
-    3 (1 + (samples - 1)(q - 1)) calls in all, with q the odd quadrature
-    count.  A stacked family (see metric_path) is called twice: once by
-    metric_path and once on the array of grid points.  The grid tori share
+    Every argument is checked before family is first called.  All segment
+    lengths come from one metric_path call of q = _QUAD_SAMPLES nodes per
+    segment, whose checks name the first node with a bad Gram matrix.
+    family is then called once per grid point: samples +
+    3 (1 + (samples - 1)(q - 1)) calls in all.  A stacked family (see
+    metric_path) is called twice: once by metric_path and once on the array
+    of grid points.  The grid tori share
     their modes, one flat plan's, whose _blocks forms each torus's Dirac
     blocks; the blocks of all of them form one stack, solved by the one
     batched eigh with residual check that eigensolve runs per stack.  Each
@@ -347,11 +347,9 @@ def perturbation_bound_check(
     shift = np.zeros(n) if spin_shift is None else np.asarray(spin_shift, dtype=float)
     plan = _plan(FlatTorusModel(np.eye(n), shift), cm, truncation)
     dim = len(plan.reps) * cm.dim_v
-    tc = track_count if track_count is not None else max(1, dim // 2)
-    if not 1 <= tc <= dim:
-        raise ValueError(f"track_count must lie in [1, {dim}]")
+    tc = max(1, dim // 2)
     ts = np.linspace(0.0, 1.0, samples)
-    lengths = metric_path(family, quad_samples, fd_step, ts[:-1], ts[1:])
+    lengths = metric_path(family, _QUAD_SAMPLES, ts[:-1], ts[1:])
     grams = _family_values(family, ts)
     tori = []
     for gram in grams:

@@ -30,6 +30,8 @@ __all__ = [
 
 # central-difference step of a metric family's derivative, in its parameter
 FD_STEP = 1e-6
+# the largest holonomy order matrix_order looks for
+_ORDER_CAP = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,16 +134,16 @@ class FlatTorusModel:
         return float(np.ldexp(np.sqrt(np.max(np.sum(centre * centre, axis=1))), exp))
 
 
-def matrix_order(m: np.ndarray, cap: int = 1024) -> int:
-    """Multiplicative order of an integer matrix, capped."""
+def matrix_order(m: np.ndarray) -> int:
+    """Multiplicative order of an integer matrix, up to _ORDER_CAP."""
     m = np.asarray(m)
     eye = np.eye(m.shape[0], dtype=np.int64)
     p = np.array(m, dtype=np.int64)
-    for k in range(1, cap + 1):
+    for k in range(1, _ORDER_CAP + 1):
         if np.array_equal(p, eye):
             return k
         p = p @ m
-    raise ValueError(f"matrix order exceeds cap {cap}; holonomy must be finite")
+    raise ValueError(f"matrix order exceeds cap {_ORDER_CAP}; holonomy must be finite")
 
 
 def _check_fiber_scale(eps: float) -> None:
@@ -289,11 +291,6 @@ _NODE_CHECKS = (
 )
 
 
-def _check_fd_step(fd_step: float) -> None:
-    if not 0.0 < fd_step < np.inf:
-        raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
-
-
 def _family_values(family, params) -> np.ndarray | list[np.ndarray]:
     """The Gram matrices of family at the parameters params, in order.
 
@@ -322,12 +319,12 @@ def _family_values(family, params) -> np.ndarray | list[np.ndarray]:
         return [np.atleast_2d(np.asarray(o, dtype=float)) for o in raw]
 
 
-def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
+def _metric_speeds(family, ts) -> np.ndarray:
     """Metric-relative speed sup_v |d/dt c(v, v)| / c(v, v) at every
     parameter in ts, from one stacked evaluation: the largest absolute
-    eigenvalue of c^-1 c-dot, with c-dot a central difference of step fd_step.
+    eigenvalue of c^-1 c-dot, with c-dot a central difference of step FD_STEP.
 
-    family is evaluated at t, t + fd_step and t - fd_step for each t in
+    family is evaluated at t, t + FD_STEP and t - FD_STEP for each t in
     turn, through _family_values: a stacked family gets all these
     parameters in one call.  Every output must be the same square matrix
     shape, and a misshapen output is refused at its own parameter, after
@@ -335,8 +332,7 @@ def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
     whole and run through one batched cholesky (the positive-definiteness
     test), two batched solves and one batched complex eigvalsh.
     """
-    _check_fd_step(fd_step)
-    params = [s for t in ts for s in (t, t + fd_step, t - fd_step)]
+    params = [s for t in ts for s in (t, t + FD_STEP, t - FD_STEP)]
     outs = _family_values(family, params)
     shape = outs[0].shape
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -371,7 +367,7 @@ def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
     plus = np.array(outs[1 : 3 * whole : 3]).reshape(-1, *shape)
     minus = np.array(outs[2 : 3 * whole : 3]).reshape(-1, *shape)
     pair = (np.isfinite(plus) & np.isfinite(minus)).all(axis=(1, 2))[:, None, None]
-    gdot = (np.where(pair, plus, 0.0) - np.where(pair, minus, 0.0)) / (2.0 * fd_step)
+    gdot = (np.where(pair, plus, 0.0) - np.where(pair, minus, 0.0)) / (2.0 * FD_STEP)
     fails[:whole, 3] = ~(pair & np.isfinite(gdot)).all(axis=(1, 2))
     if fails.any():
         node, check = divmod(int(np.argmax(fails)), len(_NODE_CHECKS))
@@ -389,7 +385,6 @@ def _metric_speeds(family, ts, fd_step: float) -> np.ndarray:
 def metric_path(
     family,
     samples: int = 129,
-    fd_step: float = FD_STEP,
     t0: float | np.ndarray = 0.0,
     t1: float | np.ndarray = 1.0,
 ) -> float | np.ndarray:
@@ -399,10 +394,10 @@ def metric_path(
 
     family maps a parameter to a Gram matrix and must be defined on a small
     neighbourhood of the interval: c-dot is the central difference of step
-    fd_step, which must be positive and finite.  A family with the attribute
-    stacked = True instead maps a 1-D array of S parameters to an (S, n, n)
-    array of Gram matrices; it is called once per metric_path call, and an
-    output of any other shape is refused.  Composite Simpson
+    FD_STEP.  A family with the attribute stacked = True instead maps a 1-D
+    array of S parameters to an (S, n, n) array of Gram matrices; it is
+    called once per metric_path call, and an output of any other shape is
+    refused.  Composite Simpson
     quadrature; samples is rounded up to the next odd count when necessary.
     t0 and t1 may also be 1-D arrays of segment ends; the result is then an
     array with one length per segment, each equal to the scalar call on that
@@ -433,7 +428,7 @@ def metric_path(
     fresh = np.ones(nodes.shape, dtype=bool)
     fresh[1:, 0] = nodes[1:, 0] != nodes[:-1, -1]
     index = np.cumsum(fresh).reshape(nodes.shape) - 1
-    speeds = _metric_speeds(family, nodes[fresh].tolist(), fd_step)[index]
+    speeds = _metric_speeds(family, nodes[fresh].tolist())[index]
     weights = np.ones(samples)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0

@@ -119,6 +119,15 @@ def _require_hermitian(stacks, tol: float, message: str) -> None:
         raise ValueError(message.format(residual=resid))
 
 
+def _opnorm(m: np.ndarray) -> np.ndarray:
+    """Operator 2-norms of a (..., d, d) stack: the root of the largest
+    complex eigvalsh eigenvalue of A^H A.  A real stack is cast to complex,
+    so that no real dsyevd is loaded; the package takes every "op" quantity
+    here."""
+    m = np.asarray(m, dtype=complex)
+    return np.sqrt(np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)[..., -1].clip(0.0))
+
+
 @dataclass(frozen=True, eq=False)
 class BlockInfo:
     """Block provenance, one row per block in row order: modes (B, k) (on a
@@ -240,29 +249,24 @@ def _stack_values(stack: np.ndarray) -> np.ndarray:
     return w
 
 
-def eigensolve(op) -> Spectrum:
-    """Eigenvalues of a Hermitian operator, one _stack_values call per
+def eigensolve(op: AssembledOperator) -> Spectrum:
+    """Eigenvalues of an assembled operator, one _stack_values call per
     size-class stack, clustered at CLUSTER_TOL * max(1, largest |eigenvalue|).
 
-    An assembled operator's Hermiticity was checked when it was built; a
-    raw square array is checked here and solved as a stack of one block.
-    collapse_run and blowup_check solve a mapping torus from its block
-    symbols (symbols) and never call this: rows whose symbol pairs fail
-    their one certificate are refused there, and no block is solved.
+    The operator's Hermiticity was checked when it was built; anything
+    other than an AssembledOperator is refused by name.  collapse_run and
+    blowup_check solve a mapping torus from its block symbols (symbols) and
+    never call this: rows whose symbol pairs fail their one certificate are
+    refused there, and no block is solved.
     """
-    stacks = getattr(op, "stacks", None)
-    if stacks is None:
-        matrix = np.asarray(op, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("eigensolve needs a square matrix")
-        _require_hermitian([matrix], HERMITICITY_TOL, "operator is not Hermitian")
-        stacks = (matrix[None],)
-    chunks = [_stack_values(stack).ravel() for stack in stacks if stack.size]
+    if not isinstance(op, AssembledOperator):
+        raise TypeError(f"eigensolve needs an AssembledOperator, got {type(op).__name__}")
+    chunks = [_stack_values(stack).ravel() for stack in op.stacks if stack.size]
     values = np.concatenate(chunks) if chunks else np.zeros(0)
     return Spectrum(
         values=values,
         cluster_tol=_default_tol(values),
-        source_truncation=getattr(op, "truncation", None),
+        source_truncation=op.truncation,
     )
 
 

@@ -515,24 +515,6 @@ def test_eigenvalue_derivative_refuses_degenerate():
         eigenvalue_derivative(lambda t: (1 + t) * np.eye(2), cm, 2, 0.0, 0)
 
 
-def test_eigenvalue_derivative_refuses_bad_step():
-    def fam(t):
-        return np.array([[(2 * np.pi + t) ** 2]])
-
-    # a zero step used to give nan with only a RuntimeWarning
-    for step in (0.0, -1e-6, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match=rf"fd_step must be positive and finite, got {step!r}"):
-            eigenvalue_derivative(
-                fam, spinor_gammas(1), 3, 0.2, 2, spin_shift=np.array([0.5]), fd_step=step
-            )
-    # with an exact velocity the step is not used
-    got = eigenvalue_derivative(
-        fam, spinor_gammas(1), 3, 0.2, 2, spin_shift=np.array([0.5]), fd_step=0.0,
-        gram_dot=lambda t: np.array([[2 * (2 * np.pi + t)]]),
-    )
-    assert np.isfinite(got)
-
-
 def test_eigenvalue_derivative_index_range():
     cm = spinor_gammas(1)
     with pytest.raises(ValueError, match="out of range"):
@@ -634,8 +616,8 @@ def test_blocks_match_dense_view(build):
     op = build()
     spec = eigensolve(op)
     assert "matrix" not in op.__dict__  # the dense view is built only on access
-    dense = eigensolve(op.matrix)
-    assert np.max(np.abs(spec.values - dense.values)) <= 1e-12
+    dense = np.linalg.eigvalsh(op.matrix)
+    assert np.max(np.abs(spec.values - dense)) <= 1e-12
     assert op.matrix.shape == (op.dim, op.dim)
     for block, sl in zip(op.blocks, op.block_slices):
         assert np.array_equal(op.matrix[sl, sl], block)

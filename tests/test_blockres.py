@@ -13,12 +13,12 @@ from diraclab.blockres import (
     NeumannReport,
     _checked_inverse,
     _neumann_parts,
-    _opnorm,
     neumann_factorization_check,
     neumann_inverse,
     schur_complement,
     schur_inverse,
 )
+from diraclab.spectral import _opnorm
 
 RNG = np.random.default_rng(11)
 

@@ -514,6 +514,25 @@ def test_byte_reproducible(tmp_path, name):
         assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes(), fname
 
 
+def test_perturbation_runs_on_the_module_its_config_names(tmp_path, monkeypatch):
+    import diraclab.cli as cli
+
+    dims = []
+    check = cli.perturbation_bound_check
+
+    def recording(family, cm, *args, **kwargs):
+        dims.append(cm.dim_v)
+        return check(family, cm, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "perturbation_bound_check", recording)
+    # [model] module = exterior takes the exterior module of rank 2 (dim_v 4);
+    # a config without [model] keeps the spinor one (dim_v 2)
+    exterior = PERT_CFG.replace("[output]", "[model]\nmodule = exterior\n\n[output]")
+    assert _run(tmp_path, exterior, sub="exterior")[0] == 0
+    assert _run(tmp_path, PERT_CFG, sub="spinor")[0] == 0
+    assert dims == [4, 4, 2, 2]
+
+
 def test_seed_override_lands_in_report(tmp_path):
     code, out = _run(tmp_path, BLOCK_CFG, extra=["--seed", "123"])
     assert code == 0

@@ -621,29 +621,23 @@ def test_perturbation_refuses_nan_metric_speed():
 
     with pytest.raises(ValueError, match=r"derivative at t=0\.75 is not finite"):
         perturbation_bound_check(fam, spinor_gammas(2), 2, samples=5)
-    with pytest.raises(ValueError, match=r"fd_step must be positive and finite, got 0\.0"):
-        perturbation_bound_check(fam, spinor_gammas(2), 2, samples=5, fd_step=0.0)
 
 
 def test_perturbation_report_fields():
     cm = spinor_gammas(1)
-    rep = perturbation_bound_check(
-        lambda t: np.array([[(1.0 + 0.1 * t) ** 2]]), cm, 3, samples=4, track_count=2
-    )
+    rep = perturbation_bound_check(lambda t: np.array([[(1.0 + 0.1 * t) ** 2]]), cm, 3, samples=4)
     assert len(rep.segment_lengths) == 3
     assert len(rep.ratios) == 3
-    assert rep.track_count == 2
+    # the centered band of half the 7 eigenvalues
+    assert rep.track_count == 3
     d = rep.to_json_dict()
     assert d["passed"] is True
     with pytest.raises(ValueError):
         perturbation_bound_check(lambda t: np.eye(1), cm, 2, samples=1)
-    with pytest.raises(ValueError):
-        perturbation_bound_check(lambda t: np.eye(1), cm, 2, track_count=99)
 
 
 def _loop_perturbation_bound_check(
-    family, cm, truncation, curvature_bound=1.0, bound_constant=5.0, samples=9,
-    spin_shift=None, track_count=None, quad_samples=33, fd_step=1e-6,
+    family, cm, truncation, curvature_bound=1.0, bound_constant=5.0, samples=9, spin_shift=None
 ):
     """Reference: one metric_path per segment, one assembly and eigensolve
     per grid point."""
@@ -656,11 +650,11 @@ def _loop_perturbation_bound_check(
         spec = eigensolve(assemble_dirac(FlatTorusModel(basis, shift), cm, truncation))
         values.append(sinh_rescale(spec, curvature_bound).values)
     dim = len(values[0])
-    tc = track_count if track_count is not None else max(1, dim // 2)
+    tc = max(1, dim // 2)
     band = slice((dim - tc) // 2, (dim - tc) // 2 + tc)
     lengths, devs, ratios = [], [], []
     for i in range(samples - 1):
-        seg = metric_path(family, quad_samples, fd_step, ts[i], ts[i + 1])
+        seg = metric_path(family, 33, ts[i], ts[i + 1])
         dev = float(np.max(np.abs(values[i + 1][band] - values[i][band])))
         if seg < 1e-15:
             ratio = 0.0 if dev <= 1e-12 else float("inf")
@@ -702,27 +696,19 @@ def _spd_family(n, seed, speed=0.8):
     n=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
     samples=st.integers(2, 9),
-    quad_samples=st.integers(3, 8),
     truncation=st.integers(1, 4),
     half_shift=st.lists(st.booleans(), min_size=3, max_size=3),
     default_shift=st.booleans(),
     exterior=st.booleans(),
-    track=st.one_of(st.none(), st.floats(0.0, 1.0)),
     curvature_bound=st.floats(0.25, 4.0),
 )
 def test_stacked_perturbation_check_matches_loop(
-    n, seed, samples, quad_samples, truncation, half_shift, default_shift, exterior, track,
-    curvature_bound,
+    n, seed, samples, truncation, half_shift, default_shift, exterior, curvature_bound
 ):
     cm = exterior_module(n) if exterior else spinor_gammas(n)
     shift = None if default_shift else 0.5 * np.array(half_shift[:n], dtype=float)
-    dim = assemble_dirac(FlatTorusModel(np.eye(n), np.zeros(n) if shift is None else shift), cm, truncation).dim
-    track_count = None if track is None else 1 + int(track * (dim - 1))
     family = _spd_family(n, seed)
-    args = dict(
-        curvature_bound=curvature_bound, samples=samples, spin_shift=shift,
-        track_count=track_count, quad_samples=quad_samples,
-    )
+    args = dict(curvature_bound=curvature_bound, samples=samples, spin_shift=shift)
     got = perturbation_bound_check(family, cm, truncation, **args)
     assert got == _loop_perturbation_bound_check(family, cm, truncation, **args)
 
@@ -737,13 +723,13 @@ def _counting(family):
     return counted, calls
 
 
-@pytest.mark.parametrize("samples, quad_samples", [(5, 33), (2, 3), (4, 6), (9, 8)])
-def test_perturbation_family_evaluation_count(samples, quad_samples):
+@pytest.mark.parametrize("samples", [5, 2, 4, 9])
+def test_perturbation_family_evaluation_count(samples):
     family, calls = _counting(_spd_family(2, 7))
-    perturbation_bound_check(family, spinor_gammas(2), 2, samples=samples, quad_samples=quad_samples)
-    q = quad_samples + 1 - quad_samples % 2
-    # one call per grid point, three per distinct quadrature node
-    assert len(calls) == samples + 3 * (1 + (samples - 1) * (q - 1))
+    perturbation_bound_check(family, spinor_gammas(2), 2, samples=samples)
+    # one call per grid point, three per distinct quadrature node, 33 nodes
+    # per segment
+    assert len(calls) == samples + 3 * (1 + (samples - 1) * 32)
 
 
 def _scalar_view(family):
@@ -784,23 +770,21 @@ def test_cli_family_stacked_output_matches_scalar_calls(seed, n):
     n=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
     samples=st.integers(2, 9),
-    quad_samples=st.integers(3, 8),
     truncation=st.integers(1, 3),
     exterior=st.booleans(),
     speed=st.floats(0.1, 2.0),
     curvature_bound=st.floats(0.25, 4.0),
 )
 def test_stacked_family_perturbation_report_matches_scalar(
-    n, seed, samples, quad_samples, truncation, exterior, speed, curvature_bound
+    n, seed, samples, truncation, exterior, speed, curvature_bound
 ):
     cm = exterior_module(n) if exterior else spinor_gammas(n)
     family = _eigen_exponential_family(np.random.default_rng(seed), n, speed)
     stacked, sizes = _stacked_counting(family)
-    args = dict(samples=samples, quad_samples=quad_samples, curvature_bound=curvature_bound)
+    args = dict(samples=samples, curvature_bound=curvature_bound)
     got = perturbation_bound_check(stacked, cm, truncation, **args)
     assert got == perturbation_bound_check(_scalar_view(family), cm, truncation, **args)
-    q = quad_samples + 1 - quad_samples % 2
-    assert sizes == [3 * (1 + (samples - 1) * (q - 1)), samples]
+    assert sizes == [3 * (1 + (samples - 1) * 32), samples]
 
 
 def test_stacked_family_is_called_twice_per_check():
@@ -856,24 +840,19 @@ def test_stacked_family_grid_output_shape_is_checked():
 
     wrong_rank.stacked = True
     with pytest.raises(ValueError, match="^module dimension 2 does not match torus rank 3$"):
-        perturbation_bound_check(wrong_rank, spinor_gammas(2), 1, samples=2, quad_samples=3)
+        perturbation_bound_check(wrong_rank, spinor_gammas(2), 1, samples=2)
 
 
 @pytest.mark.parametrize(
     "kwargs, message",
     [
         (dict(samples=1), "need at least two parameter samples"),
-        (dict(quad_samples=2), "need at least 3 quadrature samples"),
-        (dict(fd_step=0.0), "fd_step must be positive and finite, got 0.0"),
-        (dict(fd_step=float("nan")), "fd_step must be positive and finite, got nan"),
         (dict(curvature_bound=0.0), "curvature bound must be positive and finite, got 0.0"),
         (dict(curvature_bound=-1.0), "curvature bound must be positive and finite, got -1.0"),
         (dict(curvature_bound=float("inf")), "curvature bound must be positive and finite, got inf"),
         (dict(truncation=0), "truncation must be at least 1"),
         (dict(spin_shift=[0.5]), "spin shift length must match the lattice rank"),
         (dict(spin_shift=[0.5, 0.25]), "spin shift entries must be 0 or 1/2"),
-        (dict(track_count=0), r"track_count must lie in \[1, 50\]"),
-        (dict(track_count=51), r"track_count must lie in \[1, 50\]"),
     ],
 )
 def test_perturbation_refuses_arguments_before_calling_family(kwargs, message):
@@ -897,7 +876,7 @@ def test_perturbation_names_the_indefinite_node():
 
 def test_perturbation_refuses_module_of_other_rank():
     with pytest.raises(ValueError, match="module dimension 2 does not match torus rank 3"):
-        perturbation_bound_check(lambda t: np.eye(3), spinor_gammas(2), 1, samples=2, quad_samples=3)
+        perturbation_bound_check(lambda t: np.eye(3), spinor_gammas(2), 1, samples=2)
 
 
 def test_normals_are_seeded_standard_normal_draws():

@@ -1,7 +1,8 @@
 """Import-time dependencies: the package runs on numpy alone, no path
 through it loads more of numpy than numpy itself does, its modules import
-each other one way, at module level, within a size budget, and every name
-they export exists."""
+each other one way, at module level, within a size budget, every name
+they export exists, and no call in them names a refused LAPACK entry
+point."""
 
 import ast
 import graphlib
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import REFUSED_LINALG
 from test_cli import ALL_CONFIGS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -129,3 +131,35 @@ def test_exports_resolve_and_the_package_imports_only_exports():
         if isinstance(node, ast.ImportFrom) and node.level:
             exported = importlib.import_module(f"diraclab.{node.module}").__all__
             assert [a.name for a in node.names if a.name not in exported] == [], node.module
+
+
+def _called_name(func: ast.expr) -> str:
+    """The last name of a called function: f of f(...), of a.b.f(...)."""
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else ""
+
+
+def _operator_norm_order(call: ast.Call) -> bool:
+    """Whether a norm call asks for ord 2 or -2 (an SVD), positionally or by keyword."""
+    order = call.args[1] if len(call.args) > 1 else None
+    order = next((k.value for k in call.keywords if k.arg == "ord"), order)
+    try:
+        return order is not None and ast.literal_eval(order) in (2, -2)
+    except ValueError:
+        return False
+
+
+def test_package_calls_only_the_allowed_lapack_drivers():
+    # the static side of conftest's lapack_guard, over the whole package:
+    # no call of a REFUSED_LINALG entry point, by any prefix or import, and
+    # no norm(..., 2) or norm(..., -2)
+    found = []
+    for path in sorted((SRC / "diraclab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called_name(node.func)
+            if name in REFUSED_LINALG or (name == "norm" and _operator_norm_order(node)):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
