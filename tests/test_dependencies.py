@@ -1,18 +1,20 @@
 """Import-time dependencies: the package runs on numpy alone, no path
 through it loads more of numpy than numpy itself does, its modules import
 each other one way, at module level, within a size budget, every name
-they export exists, and no call in them names a refused LAPACK entry
-point."""
+they export exists, their numerical steps and caps are module constants,
+and no call in them names a refused LAPACK entry point."""
 
 import ast
 import graphlib
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import REFUSED_LINALG
 from test_cli import ALL_CONFIGS
 
@@ -133,6 +135,23 @@ def test_exports_resolve_and_the_package_imports_only_exports():
             assert [a.name for a in node.names if a.name not in exported] == [], node.module
 
 
+@pytest.mark.parametrize(
+    ("module", "function", "parameters"),
+    [
+        ("collapse", "perturbation_bound_check",
+         ("family", "cm", "truncation", "curvature_bound", "bound_constant", "samples", "spin_shift")),
+        ("models", "metric_path", ("family", "samples", "t0", "t1")),
+        ("assembly", "eigenvalue_derivative", ("family", "cm", "truncation", "t0", "j", "spin_shift", "gram_dot")),
+        ("models", "matrix_order", ("m",)),
+    ],
+)
+def test_numerical_steps_and_caps_are_module_constants(module, function, parameters):
+    # a finite-difference step, quadrature count, tracked band or order cap
+    # is read from its module, not taken from the caller
+    func = getattr(importlib.import_module(f"diraclab.{module}"), function)
+    assert tuple(inspect.signature(func).parameters) == parameters
+
+
 def _called_name(func: ast.expr) -> str:
     """The last name of a called function: f of f(...), of a.b.f(...)."""
     if isinstance(func, ast.Attribute):
@@ -150,16 +169,44 @@ def _operator_norm_order(call: ast.Call) -> bool:
         return False
 
 
+def _refused_calls(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each call in source of a REFUSED_LINALG entry point,
+    by any prefix or import, and of each norm(..., 2) or norm(..., -2)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _called_name(node.func)
+        if name in REFUSED_LINALG or (name == "norm" and _operator_norm_order(node)):
+            found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize(
+    ("source", "name"),
+    [
+        ("np.linalg.svd(stack, compute_uv=False)", "svd"),
+        ("from numpy.linalg import svd\nx = svd(a)", "svd"),
+        ("la.cond(a)", "cond"),
+        ("np.linalg.norm(a, 2)", "norm"),
+        ("np.linalg.norm(a, ord=-2)", "norm"),
+    ],
+)
+def test_refused_call_scan_flags_each_form(source, name):
+    assert _refused_calls(source) == [(source.count("\n") + 1, name)]
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["np.linalg.norm(a)", "np.linalg.norm(a, 'fro')", "np.linalg.norm(a, ord=np.inf)", "np.linalg.eigvalsh(a)"],
+)
+def test_refused_call_scan_passes_the_allowed_forms(source):
+    assert _refused_calls(source) == []
+
+
 def test_package_calls_only_the_allowed_lapack_drivers():
-    # the static side of conftest's lapack_guard, over the whole package:
-    # no call of a REFUSED_LINALG entry point, by any prefix or import, and
-    # no norm(..., 2) or norm(..., -2)
+    # the static side of conftest's lapack_guard, over the whole package
     found = []
     for path in sorted((SRC / "diraclab").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _called_name(node.func)
-            if name in REFUSED_LINALG or (name == "norm" and _operator_norm_order(node)):
-                found.append(f"{path.name}:{node.lineno} {name}")
+        found += [f"{path.name}:{line} {name}" for line, name in _refused_calls(path.read_text())]
     assert found == []
