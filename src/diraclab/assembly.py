@@ -125,7 +125,7 @@ def limit_operator(
     full = plan.block_info
     info = BlockInfo(full.modes[rows, -1:], full.sizes[rows], full.twist[rows])
     stacks = plan._blocks(rows, np.zeros_like(plan.unit_momenta))
-    return AssembledOperator(stacks, info, truncation)
+    return AssembledOperator(stacks, info)
 
 
 def frame_bundle_operator(
@@ -159,10 +159,7 @@ def frame_bundle_operator(
     dirac_spec = eigensolve(plan.dirac())
     sq = np.sort(dirac_spec.values**2)
     tol = _default_tol(sq)
-    return (
-        Spectrum(values=sq, cluster_tol=tol, source_truncation=truncation),
-        Spectrum(values=lap_values, cluster_tol=tol, source_truncation=truncation),
-    )
+    return Spectrum(values=sq, cluster_tol=tol), Spectrum(values=lap_values, cluster_tol=tol)
 
 
 def eigenvalue_derivative(

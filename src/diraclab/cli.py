@@ -219,7 +219,7 @@ def _run_torus_spectrum(cfg, outdir: Path, seed: int):
     passed = dev <= tol * scale
     prefix = cfg.get("output", "prefix", fallback="run")
     if cfg.getboolean("output", "write_spectrum_csv", fallback=True):
-        spectrum_to_csv(spec, outdir / f"{prefix}_spectrum.csv")
+        spectrum_to_csv(spec, outdir / f"{prefix}_spectrum.csv", trunc)
     if cfg.getboolean("output", "write_matrix", fallback=False):
         write_matrix_text(op, outdir / f"{prefix}_matrix.txt")
     results = {
@@ -360,8 +360,8 @@ def _run_frame_bundle(cfg, outdir: Path, seed: int):
     match = epsilon_close(sq, lap, tol)
     prefix = cfg.get("output", "prefix", fallback="run")
     if cfg.getboolean("output", "write_spectrum_csv", fallback=True):
-        spectrum_to_csv(sq, outdir / f"{prefix}_dirac_squared.csv")
-        spectrum_to_csv(lap, outdir / f"{prefix}_laplacian_route.csv")
+        spectrum_to_csv(sq, outdir / f"{prefix}_dirac_squared.csv", trunc)
+        spectrum_to_csv(lap, outdir / f"{prefix}_laplacian_route.csv", trunc)
     results = {
         "count": len(sq),
         "max_deviation": float(match.max_deviation),

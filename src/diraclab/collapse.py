@@ -294,18 +294,6 @@ class PerturbationReport:
     track_count: int
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ts": list(self.ts),
-            "segment_lengths": list(self.segment_lengths),
-            "max_deviations": list(self.max_deviations),
-            "ratios": list(self.ratios),
-            "max_ratio": self.max_ratio,
-            "bound_constant": self.bound_constant,
-            "track_count": self.track_count,
-            "passed": self.passed,
-        }
-
 
 def perturbation_bound_check(
     family,

@@ -265,10 +265,10 @@ class _MappingPlan:
     zero-mode orbit's.  Only the fiber momenta scale, as 1/fiber_scale:
     dirac, bochner and symbol_spectra divide the unit-scale ones by the
     scale eps (_scaled_momenta).  _blocks and the symbols read the parts of
-    the pairs (_pair_parts)."""
+    the pairs (_pair_parts).  The plan keeps no copy of the truncation: only
+    its build (_plan) reads it, and its rows are the modes retained."""
 
     model: FlatTorusModel | AffineMappingTorus
-    truncation: int
     basis: _LiftBasis
     gammas_q: np.ndarray
     sectors: dict[int, list[tuple[float, list[int]]]]
@@ -286,7 +286,7 @@ class _MappingPlan:
         """Dirac operator at the fiber scale eps; refuses a scale out of
         range before forming a block."""
         stacks = self._blocks(slice(None), _scaled_momenta(self.unit_momenta, [eps])[0])
-        return AssembledOperator(stacks, self.block_info, self.truncation)
+        return AssembledOperator(stacks, self.block_info)
 
     def _pair_parts(self, p: np.ndarray):
         """Per size class, ascending, the parts of its pairs at the orbit
@@ -325,7 +325,7 @@ class _MappingPlan:
         r2 = np.sum(p * p, axis=1)[self.orbit] + self.beta * self.beta
         sizes = self.block_info.sizes
         stacks = [r2[sizes == s, None, None] * np.eye(s) for s in self.pairs]
-        return AssembledOperator(stacks, self.block_info, self.truncation)
+        return AssembledOperator(stacks, self.block_info)
 
     @cached_property
     def symbols(self) -> np.ndarray:
@@ -475,4 +475,4 @@ def _plan(
         joins[index] = False
     if _couples(joins.reshape(-1, dv, dv), _directions(unit), gammas_q):
         raise ValueError(_COUPLED)
-    return _MappingPlan(model, truncation, basis, gammas_q, sectors, reps, unit, *table, pairs)
+    return _MappingPlan(model, basis, gammas_q, sectors, reps, unit, *table, pairs)

@@ -65,10 +65,6 @@ class FlatTorusModel:
     def n(self) -> int:
         return self.lattice_basis.shape[0]
 
-    @property
-    def gram(self) -> np.ndarray:
-        return self.lattice_basis.T @ self.lattice_basis
-
     def dual_momentum(self, k: np.ndarray) -> np.ndarray:
         """Physical momentum 2 pi B^-T (k + shift) of the integer mode k.
 

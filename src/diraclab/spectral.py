@@ -5,8 +5,9 @@ An assembled operator (AssembledOperator) is stored as its diagonal
 Fourier blocks, one read-only stack per block size, which eigensolve solves
 one at a time; their provenance is one columnar record (BlockInfo).
 
-Spectra are ascending sorted arrays tagged with a clustering tolerance and
-the truncation that produced them.  Comparisons run over sorted values:
+Spectra are ascending sorted arrays tagged with a clustering tolerance;
+neither an operator nor its spectrum records the truncation, which only the
+plan build (mapping._plan) reads.  Comparisons run over sorted values:
 equality of multisets of reals at tolerance eps is exactly pointwise
 closeness of the sorted sequences, and subset containment is decided by the
 greedy two-pointer injection, which is optimal for sorted sequences.
@@ -75,7 +76,6 @@ class Spectrum:
 
     values: np.ndarray
     cluster_tol: float
-    source_truncation: int | None = None
 
     def __post_init__(self) -> None:
         v = np.sort(np.asarray(self.values, dtype=float).ravel())
@@ -161,12 +161,13 @@ class AssembledOperator:
     from the rows earlier blocks of that mode took, and the next block of
     its size's stack.  Stacks and columns are made read-only and checked
     once, here.  blocks (views into the stacks) and matrix (the dense
-    block-diagonal view) are built on first access.
+    block-diagonal view) are built on first access.  The operator does not
+    record the truncation it was assembled at: the modes in block_info are
+    the retained ones, and only the plan build knows the window.
     """
 
     stacks: tuple[np.ndarray, ...]
     block_info: BlockInfo
-    truncation: int
 
     def __post_init__(self) -> None:
         stacks = [np.asarray(s, dtype=complex) for s in self.stacks]
@@ -263,11 +264,7 @@ def eigensolve(op: AssembledOperator) -> Spectrum:
         raise TypeError(f"eigensolve needs an AssembledOperator, got {type(op).__name__}")
     chunks = [_stack_values(stack).ravel() for stack in op.stacks if stack.size]
     values = np.concatenate(chunks) if chunks else np.zeros(0)
-    return Spectrum(
-        values=values,
-        cluster_tol=_default_tol(values),
-        source_truncation=op.truncation,
-    )
+    return Spectrum(values=values, cluster_tol=_default_tol(values))
 
 
 def sinh_rescale(spec: Spectrum, curvature_bound: float) -> Spectrum:
@@ -276,11 +273,7 @@ def sinh_rescale(spec: Spectrum, curvature_bound: float) -> Spectrum:
     if curvature_bound <= 0.0:
         raise ValueError("curvature bound must be positive")
     root = float(np.sqrt(curvature_bound))
-    return Spectrum(
-        values=np.arcsinh(spec.values / root),
-        cluster_tol=spec.cluster_tol / root,
-        source_truncation=spec.source_truncation,
-    )
+    return Spectrum(values=np.arcsinh(spec.values / root), cluster_tol=spec.cluster_tol / root)
 
 
 def epsilon_close(a: Spectrum, b: Spectrum, eps: float) -> MatchResult:
@@ -329,15 +322,14 @@ def window_intersect(spec: Spectrum, bound: float) -> Spectrum:
     if not (bound >= 0.0):
         raise ValueError("window bound must be nonnegative")
     keep = spec.values[np.abs(spec.values) <= bound]
-    return Spectrum(
-        values=keep, cluster_tol=spec.cluster_tol, source_truncation=spec.source_truncation
-    )
+    return Spectrum(values=keep, cluster_tol=spec.cluster_tol)
 
 
-def spectrum_to_csv(spec: Spectrum, path) -> None:
+def spectrum_to_csv(spec: Spectrum, path, truncation: int) -> None:
     """One eigenvalue per line in full repr precision, after a comment line
-    carrying the truncation and tolerance; every value parses back exactly."""
-    lines = [f"# truncation={spec.source_truncation!r} cluster_tol={spec.cluster_tol!r}"]
+    carrying the truncation the spectrum was assembled at and its tolerance;
+    every value parses back exactly."""
+    lines = [f"# truncation={truncation!r} cluster_tol={spec.cluster_tol!r}"]
     lines.extend(repr(float(v)) for v in spec.values)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -120,9 +120,7 @@ class _SymbolSolution:
         each block b takes -r[b] (s - n+ times) and +r[b] (n+ times)."""
         r, npos, sizes = self.r[i, rows], self.npos[i, rows], self.plan.block_info.sizes[rows]
         values = np.concatenate([np.repeat(-r, sizes - npos), np.repeat(r, npos)])
-        return Spectrum(
-            values=values, cluster_tol=_default_tol(values), source_truncation=self.plan.truncation
-        )
+        return Spectrum(values=values, cluster_tol=_default_tol(values))
 
 
 def _block_symbols(unit: np.ndarray, has_base: bool, parts) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, report structure, reproducibility."""
 
 import ast
+import configparser
 import json
 import re
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diraclab.cli import main
+from diraclab import assemble_dirac, eigensolve, frame_bundle_operator
+from diraclab.cli import _build_flat, _build_module, main
 
 CIRCLE = "6.283185307179586"
 
@@ -240,6 +242,30 @@ def test_torus_spectrum_artifacts(tmp_path):
     assert csv.startswith("#")
     matrix = (out / "circ_matrix.txt").read_text()
     assert matrix.startswith("# rows=")
+
+
+def test_spectrum_csv_headers_name_the_config_truncation(tmp_path):
+    # each spectrum CSV's first line names its config's [numeric] truncation
+    # and the tolerance of the spectrum it holds, rebuilt here by the API
+    cases = {
+        TORUS_CFG: lambda model, cm, t, cfg: {
+            "circ_spectrum.csv": eigensolve(assemble_dirac(model, cm, t)),
+        },
+        FRAME_CFG: lambda model, cm, t, cfg: dict(zip(
+            ("frame_dirac_squared.csv", "frame_laplacian_route.csv"),
+            frame_bundle_operator(model, cm, t, cfg.getint("numeric", "group_truncation")),
+        )),
+    }
+    for i, (text, spectra) in enumerate(cases.items()):
+        cfg = configparser.ConfigParser()
+        cfg.read_string(text)
+        truncation = cfg.getint("numeric", "truncation")
+        model = _build_flat(cfg)
+        code, out = _run(tmp_path, text, sub=f"run{i}")
+        assert code == 0
+        for name, spec in spectra(model, _build_module(cfg, model.n), truncation, cfg).items():
+            header = (out / name).read_text().splitlines()[0]
+            assert header == f"# truncation={truncation} cluster_tol={spec.cluster_tol!r}"
 
 
 def test_window_counts_double(tmp_path):

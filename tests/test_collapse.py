@@ -630,8 +630,7 @@ def test_perturbation_report_fields():
     assert len(rep.ratios) == 3
     # the centered band of half the 7 eigenvalues
     assert rep.track_count == 3
-    d = rep.to_json_dict()
-    assert d["passed"] is True
+    assert rep.passed is True
     with pytest.raises(ValueError):
         perturbation_bound_check(lambda t: np.eye(1), cm, 2, samples=1)
 

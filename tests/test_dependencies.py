@@ -5,6 +5,7 @@ they export exists, their numerical steps and caps are module constants,
 and no call in them names a refused LAPACK entry point."""
 
 import ast
+import dataclasses
 import graphlib
 import importlib
 import inspect
@@ -150,6 +151,28 @@ def test_numerical_steps_and_caps_are_module_constants(module, function, paramet
     # is read from its module, not taken from the caller
     func = getattr(importlib.import_module(f"diraclab.{module}"), function)
     assert tuple(inspect.signature(func).parameters) == parameters
+
+
+@pytest.mark.parametrize(
+    ("name", "fields"),
+    [("Spectrum", ("values", "cluster_tol")), ("AssembledOperator", ("stacks", "block_info"))],
+    ids=["Spectrum", "AssembledOperator"],
+)
+def test_operators_and_spectra_keep_no_truncation(name, fields):
+    # only the plan build reads the truncation; what it builds keeps no copy
+    cls = getattr(importlib.import_module("diraclab.spectral"), name)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == fields
+
+
+def test_the_plan_keeps_no_truncation():
+    plan = importlib.import_module("diraclab.mapping")._MappingPlan
+    assert "truncation" not in {f.name for f in dataclasses.fields(plan)}
+
+
+def test_spectrum_csv_is_given_the_truncation():
+    # the CSV header's truncation comes from the caller, not from the spectrum
+    func = importlib.import_module("diraclab.spectral").spectrum_to_csv
+    assert tuple(inspect.signature(func).parameters) == ("spec", "path", "truncation")
 
 
 def _called_name(func: ast.expr) -> str:

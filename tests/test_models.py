@@ -23,7 +23,6 @@ from diraclab.spectral import SINGULAR_DET_TOL
 def test_flat_torus_basics():
     t = FlatTorusModel(np.diag([2.0, 3.0]), np.array([0.5, 0.0]))
     assert t.n == 2
-    assert np.allclose(t.gram, np.diag([4.0, 9.0]))
     p = t.dual_momentum(np.array([1, 2]))
     assert np.allclose(p, 2 * np.pi * np.array([1.5 / 2.0, 2.0 / 3.0]))
 

@@ -44,18 +44,16 @@ def test_eigensolve_matches_numpy():
     h = _random_hermitian(rng, 12)
     spec = eigensolve(_stack_operator(h[None]))
     assert np.allclose(spec.values, np.linalg.eigvalsh(h), atol=1e-12)
-    assert spec.source_truncation == 1
 
 
 def test_eigensolve_uses_blocks():
     rng = np.random.default_rng(3)
     a = _random_hermitian(rng, 3)
     b = _random_hermitian(rng, 4)
-    op = AssembledOperator([a[None], b[None]], _info(3, 4), 5)
+    op = AssembledOperator([a[None], b[None]], _info(3, 4))
     spec = eigensolve(op)
     direct = np.sort(np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)]))
     assert np.allclose(spec.values, direct, atol=1e-12)
-    assert spec.source_truncation == 5
 
 
 def _info(*sizes):
@@ -66,7 +64,7 @@ def _info(*sizes):
 
 def _stack_operator(stack):
     """An assembled operator holding one stack, one mode per block."""
-    return AssembledOperator([stack], _info(*[stack.shape[1]] * len(stack)), 1)
+    return AssembledOperator([stack], _info(*[stack.shape[1]] * len(stack)))
 
 
 def _blockwise_eigvalsh(stack):
@@ -186,7 +184,7 @@ def test_eigh_calls_per_stack(monkeypatch):
     rng = np.random.default_rng(3)
     a = _random_hermitian(rng, 3)
     b = _random_hermitian(rng, 4)
-    eigensolve(AssembledOperator([a[None], b[None]], _info(3, 4), 5))
+    eigensolve(AssembledOperator([a[None], b[None]], _info(3, 4)))
     assert [c.shape for c in calls] == [(1, 3, 3), (1, 4, 4)]
     calls.clear()
     stack = np.array([_random_hermitian(rng, 3) for _ in range(5)])
@@ -210,10 +208,9 @@ def test_eigensolve_refuses_what_is_not_an_assembled_operator():
 
 
 def test_sinh_rescale():
-    s = Spectrum(np.array([-2.0, 0.0, 2.0]), 1e-8, source_truncation=4)
+    s = Spectrum(np.array([-2.0, 0.0, 2.0]), 1e-8)
     r = sinh_rescale(s, 4.0)
     assert np.allclose(r.values, np.arcsinh(np.array([-2.0, 0.0, 2.0]) / 2.0))
-    assert r.source_truncation == 4
     with pytest.raises(ValueError):
         sinh_rescale(s, 0.0)
 
@@ -274,16 +271,16 @@ def _parse_csv(path):
 
 
 def test_csv_roundtrip(tmp_path):
-    s = Spectrum(np.array([-1.5, 0.1234567890123456, 7.0]), 3.5e-8, source_truncation=6)
+    s = Spectrum(np.array([-1.5, 0.1234567890123456, 7.0]), 3.5e-8)
     path = tmp_path / "spec.csv"
-    spectrum_to_csv(s, path)
+    spectrum_to_csv(s, path, 6)
     fields, values = _parse_csv(path)
     assert np.array_equal(values, s.values)
     assert float(fields["cluster_tol"]) == s.cluster_tol
     assert fields["truncation"] == "6"
-    spectrum_to_csv(Spectrum(np.zeros(0), 1e-8), path)
+    spectrum_to_csv(Spectrum(np.zeros(0), 1e-8), path, 1)
     fields, values = _parse_csv(path)
-    assert len(values) == 0 and fields["truncation"] == "None"
+    assert len(values) == 0 and fields["truncation"] == "1"
 
 
 def test_multiset_equality_under_permutation_noise():

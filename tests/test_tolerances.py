@@ -120,7 +120,7 @@ def _asymmetric(scale: float, skew: float) -> np.ndarray:
 
 def _assembled(m):
     info = BlockInfo(np.zeros((1, 1)), np.array([2]), np.zeros(1))
-    AssembledOperator([m[None]], info, 1)
+    AssembledOperator([m[None]], info)
 
 
 def _delta_block(m):

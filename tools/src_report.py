@@ -4,7 +4,10 @@ For each module ``src/diraclab/*.py`` of either tree it prints the line
 count in both trees (``-`` where a tree lacks the module) and its code
 lines, those that are neither blank, a comment nor part of a docstring,
 then the totals of both beside the budget of 3000 lines.  Deleting prose
-moves the lines but not the code lines.  It then times
+moves the lines but not the code lines.  It then counts each tree's public
+settable values: the parameters with a default of the callables that
+``diraclab/__init__.py`` imports, dataclass constructors included (other
+classes, such as exceptions, count none).  It then times
 ``python -X importtime -c "import diraclab"`` in fresh processes, the two
 trees taking turns, each with its own ``src/`` on ``PYTHONPATH`` and with
 bytecode writing off, so that the trees are only read and every run
@@ -69,6 +72,33 @@ def code_counts(tree: Path) -> dict[str, int]:
     return {path.name: code_line_count(path.read_bytes()) for path in sorted(package.glob("*.py"))}
 
 
+# run with a tree's src/ on PYTHONPATH; prints settable_values' count
+_SETTABLE_SCRIPT = """
+import ast, dataclasses, inspect
+import diraclab
+with open(diraclab.__file__, encoding="utf-8") as fh:
+    body = ast.parse(fh.read()).body
+names = [a.asname or a.name for n in body if isinstance(n, ast.ImportFrom) and n.level == 1
+         for a in n.names]
+count = 0
+for obj in (getattr(diraclab, name) for name in names):
+    if callable(obj) and (dataclasses.is_dataclass(obj) or not inspect.isclass(obj)):
+        count += sum(p.default is not p.empty for p in inspect.signature(obj).parameters.values())
+print(count)
+"""
+
+
+def settable_values(tree: Path) -> int:
+    """Public settable values of a tree (see the module docstring), from
+    one fresh process that imports the tree's package."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SETTABLE_SCRIPT],
+        cwd=tree, env=env, capture_output=True, text=True, check=True,
+    )
+    return int(proc.stdout)
+
+
 def import_self_us(tree: Path) -> dict[str, int]:
     """Self import time in microseconds per diraclab module, keyed by file
     name, from one fresh ``python -X importtime`` process."""
@@ -115,6 +145,8 @@ def main(argv=None) -> int:
         print(f"{name:<16} " + " ".join(f"{_cell(c):>10}" for c in cells))
     totals = [sum(counts[side].values()) for counts in (lines, code) for side in ("old", "new")]
     print(f"{'total':<16} " + " ".join(f"{t:>10}" for t in totals) + f"   target {TARGET_LINES}")
+    settable = {side: settable_values(tree) for side, tree in trees.items()}
+    print(f"\npublic settable values: old {settable['old']}, new {settable['new']}")
 
     runs: dict[str, list[dict[str, int]]] = {"old": [], "new": []}
     for i in range(args.runs):
